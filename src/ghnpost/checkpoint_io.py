@@ -39,6 +39,7 @@ from .errors import (
 MAGIC = b"GHNP"
 FORMAT_VERSION = 1
 KINDS = ("conv", "linear", "norm", "bias", "other")
+ELIGIBLE_KINDS = ("conv", "linear")  # the kinds that are analyzed and post-processed
 
 _HEADER_PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
 _F32_BYTES = 4
@@ -121,8 +122,12 @@ def validate_checkpoint(c: Checkpoint) -> None:
             raise ValueError(f"tensor {meta.name!r}: dtype {arr.dtype}, expected float32")
 
 
-def write_checkpoint(c: Checkpoint) -> bytes:
-    """Serialize to the canonical byte form (pure; same input, same bytes)."""
+def write_checkpoint(c: Checkpoint) -> bytearray:
+    """Serialize to the canonical byte form (pure; same input, same bytes).
+
+    All offsets are known from the shapes, so the whole file is laid out in
+    one buffer and each tensor is copied into place once.
+    """
     validate_checkpoint(c)
     entries = []
     offset = 0
@@ -141,13 +146,17 @@ def write_checkpoint(c: Checkpoint) -> bytes:
         offset += length * _F32_BYTES
     header = json.dumps({"tensors": entries}, sort_keys=True, separators=(",", ":"))
     header_bytes = header.encode("utf-8")
-    out = bytearray()
-    out += _HEADER_PREFIX.pack(MAGIC, c.version, len(header_bytes))
-    out += header_bytes
-    out += b"\x00" * (-len(out) % 8)
+    header_end = _HEADER_PREFIX.size + len(header_bytes)
+    data_start = header_end + (-header_end % 8)
+    out = bytearray(data_start + offset)
+    _HEADER_PREFIX.pack_into(out, 0, MAGIC, c.version, len(header_bytes))
+    out[_HEADER_PREFIX.size:header_end] = header_bytes
+    data = np.frombuffer(out, dtype="<f4", offset=data_start)
+    start = 0
     for _, arr in c.tensors:
-        out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    return bytes(out)
+        data[start:start + arr.size] = arr.reshape(-1)
+        start += arr.size
+    return out
 
 
 def _header_field(entry, index: int, key: str, types):

@@ -8,6 +8,7 @@ place, so a failing run never leaves a partially-written file behind.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint_io import (
+    ELIGIBLE_KINDS,
     Checkpoint,
     parse_tensor_specs,
     read_checkpoint,
@@ -70,15 +72,15 @@ def _seed(text: str) -> int:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("must be finite and non-negative")
     return value
 
 
 def _pos_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be finite and positive")
     return value
 
 
@@ -141,7 +143,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_atomic(path: Path, payload: bytes | str) -> None:
+def _write_atomic(path: Path, payload: bytes | bytearray | str) -> None:
     data = payload.encode("utf-8") if isinstance(payload, str) else payload
     directory = path.parent if str(path.parent) else Path(".")
     directory.mkdir(parents=True, exist_ok=True)
@@ -193,7 +195,7 @@ def _cmd_init(args) -> int:
     tensors = []
     for meta, _ in specs:
         stream = RngStream(args.seed, meta.name)
-        if meta.kind in ("conv", "linear"):
+        if meta.kind in ELIGIBLE_KINDS:
             if args.method == "rand":
                 arr = he_init(meta.shape, stream)
             else:

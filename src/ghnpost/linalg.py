@@ -1,8 +1,9 @@
-"""Dense linear algebra built in-repo: thin Householder QR with sign
-correction, and PCA via a cyclic Jacobi eigensolver.
+"""Dense linear algebra: thin QR with sign correction, and PCA.
 
-Everything computes in float64.  The heavy kernels live in
-:mod:`ghnpost._kernels` and exist in numba and pure-numpy variants.
+Both factorizations are numpy's LAPACK bindings (Householder QR via
+``geqrf``/``orgqr``, the symmetric eigensolver behind ``eigh``) and run
+in float64; this module adds the shape checks, the sign conventions and
+the descending eigenvalue order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateInput, ShapeError
 
 
@@ -31,7 +31,7 @@ def _as_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR via Householder reflections.
+    """Thin QR via Householder reflections (LAPACK).
 
     Requires rows >= cols.  Returns q (rows x cols, orthonormal columns)
     and r (cols x cols, upper-triangular).  Diagonal entries of r may be
@@ -41,7 +41,7 @@ def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, n = a.shape
     if m < n:
         raise ShapeError(f"thin QR needs rows >= cols, got {m} x {n}")
-    return _kernels.householder_qr(a)
+    return np.linalg.qr(a)
 
 
 def sign_adjust(q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -65,7 +65,7 @@ def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got {a.shape}")
-    evals, evecs = _kernels.jacobi_eigh(a)
+    evals, evecs = np.linalg.eigh(a)
     order = np.argsort(-evals, kind="stable")
     return evals[order], np.ascontiguousarray(evecs[:, order])
 

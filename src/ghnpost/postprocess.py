@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint_io import Checkpoint, validate_checkpoint
+from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, validate_checkpoint
 from .errors import GhnpostError, NonFiniteTensor, UnsupportedRank
 from .linalg import qr_decompose, sign_adjust
 from .rng import RngStream
@@ -29,7 +29,6 @@ from .stats import channel_correlation, correlation_std
 from .tensor_ops import Matricized, dematricize, matricize
 
 DEFAULT_BETA = 3e-5
-ELIGIBLE_KINDS = ("conv", "linear")
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,8 @@ class PostprocessConfig:
     skip_orth: bool = False
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError("beta must be finite and non-negative")
         if self.start_layer < 0:
             raise ValueError("start_layer must be non-negative")
         if self.skip_noise and self.skip_orth:
@@ -64,8 +63,8 @@ def add_conditional_noise(w: np.ndarray, beta: float, rng: RngStream) -> np.ndar
     With beta == 0, a single channel, or fully identical channels the
     output equals the input bit-exactly.
     """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError("beta must be finite and non-negative")
     _check_tensor(w)
     sigma = 0.0 if w.shape[0] < 2 else correlation_std(channel_correlation(w))
     if beta == 0.0 or sigma == 0.0:
@@ -136,12 +135,7 @@ def saxe_orthogonal_init(
     """Orthogonal init: orthogonalize a Gaussian draw, then scale by gain."""
     shape = tuple(shape)
     _check_init_shape(shape)
-    if gain <= 0:
-        raise ValueError("gain must be positive")
+    if not (math.isfinite(gain) and gain > 0):
+        raise ValueError("gain must be finite and positive")
     w = rng.normal(math.prod(shape)).reshape(shape)
-    m = matricize(w)
-    q, r = qr_decompose(m.data)
-    adjusted = sign_adjust(q, r) * gain
-    return dematricize(Matricized(adjusted, m.transposed, m.original_shape)).astype(
-        np.float32
-    )
+    return (orthogonal_reinit(w) * gain).astype(np.float32)

@@ -15,7 +15,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .checkpoint_io import Checkpoint
+from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint
 from .errors import DegenerateInput, GhnpostError, StructureMismatch, SchemaError
 from .linalg import pca_project
 from .stats import (
@@ -25,8 +25,6 @@ from .stats import (
     correlation_std,
     offdiagonal_values,
 )
-
-ANALYZED_KINDS = ("conv", "linear")
 
 
 @dataclass
@@ -81,7 +79,7 @@ def analyze_checkpoint(c: Checkpoint, bins: int) -> AnalysisReport:
         raise ValueError("bins must be >= 1")
     records = []
     for meta, arr in c.tensors:
-        if meta.kind not in ANALYZED_KINDS:
+        if meta.kind not in ELIGIBLE_KINDS:
             continue
         try:
             r = channel_correlation(arr)
@@ -280,7 +278,7 @@ def compare_checkpoints(a: Checkpoint, b: Checkpoint) -> list[CompareRow]:
     b_arrays = {meta.name: arr for meta, arr in b.tensors}
     rows = []
     for meta, arr_a in a.tensors:
-        if meta.kind not in ANALYZED_KINDS:
+        if meta.kind not in ELIGIBLE_KINDS:
             continue
         arr_b = b_arrays[meta.name]
         try:

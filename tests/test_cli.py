@@ -98,6 +98,19 @@ def test_usage_errors(capsys, tmp_path):
     assert run(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--beta", "--gain"])
+def test_non_finite_float_flags_are_usage_errors(flag, value, ckpt_path, tmp_path, capsys):
+    if flag == "--beta":
+        argv = ["postprocess", str(ckpt_path), "--start-layer", "0", "--skip-orth"]
+    else:
+        argv = ["init", str(_archspec(tmp_path)), "--method", "orth"]
+    out = tmp_path / "out.ckpt"
+    assert run(argv + [flag, value, "--out", str(out)]) == 1
+    assert f"argument {flag}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_data_errors(tmp_path, ckpt_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"XXXX" + b"\x00" * 64)

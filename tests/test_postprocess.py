@@ -229,6 +229,16 @@ def test_config_validation():
         PostprocessConfig(start_layer=-1)
 
 
+def test_non_finite_beta_and_gain_rejected():
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PostprocessConfig(start_layer=0, beta=value)
+        with pytest.raises(ValueError, match="finite"):
+            add_conditional_noise(np.ones((2, 3)), value, RngStream(0, "w"))
+        with pytest.raises(ValueError, match="finite"):
+            saxe_orthogonal_init((8, 6), value, RngStream(0, "w"))
+
+
 # --- baseline initializers ---------------------------------------------------
 
 def test_he_init_statistics():

@@ -113,10 +113,11 @@ def build_parser() -> _Parser:
                    help="depth from which post-processing applies")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=Path, required=True, help="output checkpoint path")
-    p.add_argument("--skip-noise", action="store_true",
-                   help="ablation: orthogonal re-initialization only")
-    p.add_argument("--skip-orth", action="store_true",
-                   help="ablation: noise addition only")
+    ablation = p.add_mutually_exclusive_group()
+    ablation.add_argument("--skip-noise", action="store_true",
+                          help="ablation: orthogonal re-initialization only")
+    ablation.add_argument("--skip-orth", action="store_true",
+                          help="ablation: noise addition only")
     p.set_defaults(func=_cmd_postprocess)
 
     p = sub.add_parser("init", help="generate a baseline-initialized checkpoint")
@@ -225,8 +226,6 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "skip_noise", False) and getattr(args, "skip_orth", False):
-            parser.error("--skip-noise and --skip-orth are mutually exclusive")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -69,8 +69,10 @@ def add_conditional_noise(w: np.ndarray, beta: float, rng: RngStream) -> np.ndar
     sigma = 0.0 if w.shape[0] < 2 else correlation_std(channel_correlation(w))
     if beta == 0.0 or sigma == 0.0:
         return w.copy()
-    noise = rng.normal(w.size) * (beta * sigma)
-    return (w.astype(np.float64) + noise.reshape(w.shape)).astype(w.dtype)
+    noise = rng.normal(w.size).reshape(w.shape)
+    noise *= beta * sigma
+    noise += w
+    return noise.astype(w.dtype, copy=False)
 
 
 def orthogonal_reinit(w: np.ndarray) -> np.ndarray:
@@ -82,7 +84,7 @@ def orthogonal_reinit(w: np.ndarray) -> np.ndarray:
     _check_tensor(w)
     m = matricize(w)
     q, r = qr_decompose(m.data)
-    adjusted = sign_adjust(q, r).astype(w.dtype)
+    adjusted = sign_adjust(q, r).astype(w.dtype, copy=False)
     return dematricize(Matricized(adjusted, m.transposed, m.original_shape))
 
 
@@ -101,14 +103,17 @@ def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
             out.append((meta, arr.copy()))
             continue
         try:
-            w = arr.astype(np.float64)
+            # A single stage rounds its own float64 result to float32 once;
+            # noise feeding the QR step stays float64 until the final cast.
+            both = not (cfg.skip_noise or cfg.skip_orth)
+            w = arr.astype(np.float64) if both else arr
             if not cfg.skip_noise:
                 w = add_conditional_noise(w, cfg.beta, RngStream(cfg.seed, meta.name))
             if not cfg.skip_orth:
                 w = orthogonal_reinit(w)
         except GhnpostError as exc:
             raise type(exc)(f"tensor {meta.name!r}: {exc}") from exc
-        out.append((meta, w.astype(np.float32)))
+        out.append((meta, w.astype(np.float32, copy=False)))
     return Checkpoint(tensors=out, version=c.version)
 
 
@@ -125,7 +130,8 @@ def he_init(shape: tuple[int, ...], rng: RngStream) -> np.ndarray:
     _check_init_shape(shape)
     fan_in = math.prod(shape[1:])
     std = math.sqrt(2.0 / fan_in)
-    vals = rng.normal(math.prod(shape)) * std
+    vals = rng.normal(math.prod(shape))
+    vals *= std
     return vals.reshape(shape).astype(np.float32)
 
 

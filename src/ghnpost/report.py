@@ -74,7 +74,10 @@ def _fmt(x: float) -> str:
 
 
 def analyze_checkpoint(c: Checkpoint, bins: int) -> AnalysisReport:
-    """Correlation statistics for every conv/linear tensor, in file order."""
+    """Correlation statistics for every conv/linear tensor, in file order.
+
+    A tensor holding NaN or Inf raises NonFiniteTensor naming it.
+    """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     records = []
@@ -259,7 +262,11 @@ def emit_projection_csv(rows: list[ProjectionRow]) -> str:
 # --------------------------------------------------------------------------
 
 def compare_checkpoints(a: Checkpoint, b: Checkpoint) -> list[CompareRow]:
-    """Per-layer diff of two structurally identical checkpoints."""
+    """Per-layer diff of two structurally identical checkpoints.
+
+    A conv/linear tensor holding NaN or Inf in either checkpoint raises
+    NonFiniteTensor naming it.
+    """
     a_shapes = {meta.name: meta.shape for meta, _ in a.tensors}
     b_shapes = {meta.name: meta.shape for meta, _ in b.tensors}
     problems = []
@@ -281,11 +288,13 @@ def compare_checkpoints(a: Checkpoint, b: Checkpoint) -> list[CompareRow]:
         if meta.kind not in ELIGIBLE_KINDS:
             continue
         arr_b = b_arrays[meta.name]
-        try:
-            sigma_a = correlation_std(channel_correlation(arr_a))
-            sigma_b = correlation_std(channel_correlation(arr_b))
-        except GhnpostError as exc:
-            raise type(exc)(f"tensor {meta.name!r}: {exc}") from exc
+        sigmas = []
+        for which, arr in (("first", arr_a), ("second", arr_b)):
+            try:
+                sigmas.append(correlation_std(channel_correlation(arr)))
+            except GhnpostError as exc:
+                where = f"tensor {meta.name!r} ({which} checkpoint)"
+                raise type(exc)(f"{where}: {exc}") from exc
         diff = float(
             np.max(np.abs(arr_a.astype(np.float64) - arr_b.astype(np.float64)))
         )
@@ -293,8 +302,8 @@ def compare_checkpoints(a: Checkpoint, b: Checkpoint) -> list[CompareRow]:
             CompareRow(
                 name=meta.name,
                 max_abs_diff=diff,
-                sigma_r_a=sigma_a,
-                sigma_r_b=sigma_b,
+                sigma_r_a=sigmas[0],
+                sigma_r_b=sigmas[1],
             )
         )
     return rows

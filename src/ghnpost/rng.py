@@ -16,7 +16,9 @@ platforms:
 Streams are stateless: ``normal(n)`` always returns the first n values of
 the stream, and ``normal(n)`` is a prefix of ``normal(m)`` for n <= m.
 Because every word is a pure function of (seed, counter), layers can be
-processed in any order, or in parallel, with identical results.
+processed in any order, or in parallel, with identical results; for the
+same reason a stream is generated in fixed-size chunks without changing
+any bit of it.
 """
 
 from __future__ import annotations
@@ -40,12 +42,42 @@ def substream_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _splitmix64(seed: int, count: int) -> np.ndarray:
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + idx * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+# Values per generator chunk.  One chunk's splitmix64 words and Box-Muller
+# temporaries (seven buffers of at most 128 KiB) stay in a core's L2 cache,
+# so the ~20 elementwise passes of the generator run out of cache and
+# allocate nothing per pass.  Even, so every chunk holds whole pairs.
+_CHUNK = 1 << 14
+
+
+class _Words:
+    """splitmix64 work buffers of one generator call, sized for one chunk."""
+
+    def __init__(self, size: int):
+        self.counter = np.arange(1, size + 1, dtype=np.uint64)
+        self.word = np.empty(size, dtype=np.uint64)
+        self.shifted = np.empty(size, dtype=np.uint64)
+
+
+def _uniforms(seed: np.uint64, start: int, u: np.ndarray, words: _Words) -> np.ndarray:
+    """Write uniforms start .. start+len(u)-1 of the stream into u.
+
+    Word i is splitmix64 of counter ``seed + (i+1) * G``; the uniform keeps
+    its top 53 bits: ``((word >> 11) + 1) * 2**-53``, exact in float64.
+    """
+    n = len(u)
+    z, t = words.word[:n], words.shifted[:n]
+    np.add(words.counter[:n], np.uint64(start), out=z)
+    np.multiply(z, _GOLDEN, out=z)
+    np.add(z, seed, out=z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        np.bitwise_xor(z, t, out=z)
+        if mix is not None:
+            np.multiply(z, mix, out=z)
+    np.right_shift(z, np.uint64(11), out=z)
+    np.add(z, 1.0, out=u)
+    np.multiply(u, 2.0**-53, out=u)
+    return u
 
 
 @dataclass(frozen=True)
@@ -61,25 +93,42 @@ class RngStream:
     def substream(self, label: str) -> "RngStream":
         return RngStream(master_seed=self.master_seed, label=label)
 
+    def _seed(self) -> np.uint64:
+        return np.uint64(substream_seed(self.master_seed, self.label))
+
     def uniform(self, n: int) -> np.ndarray:
         """First n uniforms of the stream, each in (0, 1]."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        seed = substream_seed(self.master_seed, self.label)
-        words = _splitmix64(seed, n)
-        return ((words >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        seed = self._seed()
+        words = _Words(min(n, _CHUNK))
+        out = np.empty(n, dtype=np.float64)
+        for start in range(0, n, _CHUNK):
+            _uniforms(seed, start, out[start : start + _CHUNK], words)
+        return out
 
     def normal(self, n: int) -> np.ndarray:
         """First n standard-normal values of the stream (float64)."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        pairs = (n + 1) // 2
-        u = self.uniform(2 * pairs)
-        radius = np.sqrt(-2.0 * np.log(u[0::2]))
-        angle = (2.0 * np.pi) * u[1::2]
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        seed = self._seed()
+        size = 2 * ((n + 1) // 2)  # whole pairs; the last value may be cut
+        chunk = min(size, _CHUNK)
+        words = _Words(chunk)
+        u = np.empty(chunk)
+        radius, angle, trig = (np.empty(chunk // 2) for _ in range(3))
+        out = np.empty(size, dtype=np.float64)
+        for start in range(0, size, _CHUNK):
+            stop = min(start + _CHUNK, size)
+            p = (stop - start) // 2
+            _uniforms(seed, start, u[: 2 * p], words)
+            r, a, c = radius[:p], angle[:p], trig[:p]
+            np.log(u[0 : 2 * p : 2], out=r)
+            np.multiply(-2.0, r, out=r)
+            np.sqrt(r, out=r)
+            np.multiply(2.0 * np.pi, u[1 : 2 * p : 2], out=a)
+            np.cos(a, out=c)
+            np.multiply(r, c, out=out[start:stop:2])
+            np.sin(a, out=c)
+            np.multiply(r, c, out=out[start + 1 : stop : 2])
         return out[:n]

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghnpost
 from ghnpost.checkpoint_io import read_checkpoint, write_checkpoint
 from ghnpost.cli import run
 from ghnpost.stats import channel_correlation, offdiagonal_values
@@ -133,6 +136,34 @@ def test_numerical_error_exit_code(tmp_path):
     assert run(["analyze", str(path), "--out", str(tmp_path / "r.csv")]) == 3
 
 
+def _nan_checkpoint(tmp_path):
+    w = np.arange(24, dtype=np.float32).reshape(4, 6)
+    w[2, 3] = np.nan
+    path = tmp_path / "nan.ckpt"
+    path.write_bytes(write_checkpoint(make_checkpoint([("w", (4, 6), "linear", 0, w)])))
+    return path
+
+
+def test_analyze_non_finite_tensor_is_numerical_error(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run(["analyze", str(_nan_checkpoint(tmp_path)), "--out", str(out)]) == 3
+    assert "tensor 'w'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_non_finite_tensor_is_numerical_error(tmp_path, capsys):
+    finite = make_checkpoint(
+        [("w", (4, 6), "linear", 0, np.arange(24, dtype=np.float32).reshape(4, 6))]
+    )
+    finite_path = tmp_path / "finite.ckpt"
+    finite_path.write_bytes(write_checkpoint(finite))
+    out = tmp_path / "d.csv"
+    assert run(["compare", str(finite_path), str(_nan_checkpoint(tmp_path)),
+                "--out", str(out)]) == 3
+    assert "tensor 'w' (second checkpoint)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _archspec(tmp_path):
     spec = [
         {"name": "c1", "shape": [16, 3, 3, 3], "kind": "conv", "depth": 0},
@@ -234,20 +265,28 @@ def test_compare_mismatch_is_data_error(ckpt_path, tmp_path):
 
 
 def test_console_entry_point(ckpt_path, tmp_path):
+    # The child imports the ghnpost under test, however this process found it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ghnpost.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     out = tmp_path / "r.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "ghnpost.cli", "analyze", str(ckpt_path),
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
     proc = subprocess.run(
         [sys.executable, "-m", "ghnpost.cli", "postprocess"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 1
     assert "usage" in proc.stderr

@@ -81,3 +81,62 @@ def test_odd_length_crops_pair():
     stream = RngStream(11, "odd")
     assert stream.normal(7).tobytes() == stream.normal(8)[:7].tobytes()
     assert stream.normal(0).size == 0
+
+
+# --------------------------------------------------------------------------
+# Byte-exact oracle for the chunked generator
+# --------------------------------------------------------------------------
+
+def _reference_uniform(seed, label, n):
+    """One-shot vectorized splitmix64 uniforms over the whole stream."""
+    s = np.uint64(substream_seed(seed, label))
+    z = s + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z = z ^ (z >> np.uint64(31))
+    return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+
+
+def _reference_normal_vectorized(seed, label, n):
+    """One-shot vectorized Box-Muller over the whole stream."""
+    if n == 0:
+        return np.empty(0, dtype=np.float64)
+    pairs = (n + 1) // 2
+    u = _reference_uniform(seed, label, 2 * pairs)
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = (2.0 * np.pi) * u[1::2]
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+def _oracle_sizes():
+    from ghnpost.rng import _CHUNK
+
+    return [1, 2, 37, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 11]
+
+
+def test_normal_matches_one_shot_oracle_bytes():
+    for n in _oracle_sizes():
+        got = RngStream(2024, "blocks.3.mlp.fc1").normal(n)
+        ref = _reference_normal_vectorized(2024, "blocks.3.mlp.fc1", n)
+        assert got.shape == (n,)
+        assert got.tobytes() == ref.tobytes(), n
+
+
+def test_uniform_matches_one_shot_oracle_bytes():
+    for n in [0] + _oracle_sizes():
+        got = RngStream(31, "u").uniform(n)
+        assert got.tobytes() == _reference_uniform(31, "u", n).tobytes(), n
+
+
+def test_prefix_property_across_chunk_boundary():
+    from ghnpost.rng import _CHUNK
+
+    stream = RngStream(8, "edge")
+    long = stream.normal(2 * _CHUNK + 3)
+    for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
+        assert stream.normal(n).tobytes() == long[:n].tobytes(), n
+    u = stream.uniform(_CHUNK + 5)
+    assert stream.uniform(_CHUNK + 1).tobytes() == u[: _CHUNK + 1].tobytes()

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghnpost.errors import ChannelTooShort, TooFewChannels, UnsupportedRank
+from ghnpost.errors import (
+    ChannelTooShort,
+    NonFiniteTensor,
+    TooFewChannels,
+    UnsupportedRank,
+)
 from ghnpost.stats import (
     channel_correlation,
     correlation_histogram,
@@ -150,3 +155,94 @@ def test_ghn_like_channels_strongly_correlated():
     w = ghn_like_tensor((32, 8, 3, 3), rel_noise=1e-3, seed=0)
     r = channel_correlation(w)
     assert np.mean(offdiagonal_values(r)) > 0.99
+
+
+# --------------------------------------------------------------------------
+# Byte-exact oracle for the packed, panel-wise kernel
+# --------------------------------------------------------------------------
+
+def _reference_offdiagonal(w):
+    """The full K x K formula the packed kernel reproduces bit for bit,
+    gathered with ``triu_indices``."""
+    k = w.shape[0]
+    x = w.reshape(k, -1).astype(np.float64)
+    xc = x - x.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.sum(xc * xc, axis=1))
+    safe = np.where(norms == 0.0, 1.0, norms)
+    r = (xc @ xc.T) / np.outer(safe, safe)
+    dead = norms == 0.0
+    r[dead, :] = 0.0
+    r[:, dead] = 0.0
+    r = 0.5 * (r + r.T)
+    snap = 64.0 * np.finfo(np.float64).eps
+    r[np.abs(r - 1.0) <= snap] = 1.0
+    r[np.abs(r + 1.0) <= snap] = -1.0
+    np.clip(r, -1.0, 1.0, out=r)
+    np.fill_diagonal(r, 1.0)
+    return r, r[np.triu_indices(k, k=1)]
+
+
+def _oracle_cases():
+    from ghnpost import stats
+
+    rng = np.random.default_rng(21)
+    # several row panels and several mirror tiles
+    k_wide = 2 * max(stats._PANEL_ROWS, stats._TILE) + 7
+
+    dead = rng.normal(size=(9, 12)).astype(np.float32)
+    dead[4] = 2.5
+    duplicate = rng.normal(size=(10, 24)).astype(np.float32)
+    duplicate[7] = duplicate[2]
+    negated = rng.normal(size=(10, 24)).astype(np.float32)
+    negated[5] = -negated[1]
+    wide = ghn_like_tensor((k_wide, 8, 2, 2), rel_noise=1e-4, seed=5)
+    wide[3] = wide[0]
+    wide[k_wide - 4] = -wide[1]
+    wide[k_wide - 9] = 0.5
+    return {
+        "dead_channel": dead,
+        "duplicate_row": duplicate,
+        "negated_duplicate": negated,
+        "k2": rng.normal(size=(2, 5)).astype(np.float32),
+        "multi_panel": wide,
+        "rank4": rng.normal(size=(12, 3, 3, 3)).astype(np.float32),
+        "k_below_chw": rng.normal(size=(6, 40)).astype(np.float32),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_oracle_cases()))
+def test_packed_kernel_matches_full_matrix_oracle(case):
+    w = _oracle_cases()[case]
+    full, ref = _reference_offdiagonal(w)
+    r = channel_correlation(w)
+    assert offdiagonal_values(r).tobytes() == ref.tobytes()
+    assert np.float64(correlation_std(r)).tobytes() == np.std(ref).tobytes()
+    for bins in (1, 7, 50):
+        h = correlation_histogram(r, bins)
+        counts, edges = np.histogram(np.clip(ref, -1.0, 1.0), bins=bins, range=(-1.0, 1.0))
+        np.testing.assert_array_equal(h.counts, counts)
+        assert h.bin_edges.tobytes() == edges.tobytes()
+    assert r.values.tobytes() == full.tobytes()
+
+
+def test_oracle_cases_hit_the_snaps():
+    cases = _oracle_cases()
+    for case, target in (("duplicate_row", 1.0), ("negated_duplicate", -1.0),
+                         ("multi_panel", 1.0), ("multi_panel", -1.0)):
+        assert target in offdiagonal_values(channel_correlation(cases[case]))
+    assert 0.0 in offdiagonal_values(channel_correlation(cases["dead_channel"]))
+
+
+def test_packed_values_are_read_only():
+    r = channel_correlation(np.random.default_rng(0).normal(size=(5, 9)))
+    with pytest.raises(ValueError):
+        offdiagonal_values(r)[0] = 0.5
+
+
+def test_non_finite_tensor_rejected():
+    w = np.random.default_rng(0).normal(size=(4, 6)).astype(np.float32)
+    for bad in (np.nan, np.inf, -np.inf):
+        w2 = w.copy()
+        w2[2, 3] = bad
+        with pytest.raises(NonFiniteTensor):
+            channel_correlation(w2)

@@ -3,10 +3,12 @@ neural-network parameter checkpoints."""
 
 from .checkpoint_io import (
     Checkpoint,
+    CheckpointReader,
     TensorMeta,
     import_json,
     read_checkpoint,
     write_checkpoint,
+    write_tensors,
 )
 from .linalg import PcaResult, pca_project, qr_decompose, sign_adjust
 from .postprocess import (
@@ -14,6 +16,7 @@ from .postprocess import (
     PostprocessConfig,
     add_conditional_noise,
     ghn_orth,
+    ghn_orth_tensor,
     he_init,
     orthogonal_reinit,
     saxe_orthogonal_init,
@@ -42,6 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "Checkpoint",
+    "CheckpointReader",
     "CorrelationMatrix",
     "DEFAULT_BETA",
     "EmbeddingSet",
@@ -61,6 +65,7 @@ __all__ = [
     "emit_histogram_svg",
     "emit_report_csv",
     "ghn_orth",
+    "ghn_orth_tensor",
     "he_init",
     "import_json",
     "matricize",
@@ -72,5 +77,6 @@ __all__ = [
     "saxe_orthogonal_init",
     "sign_adjust",
     "write_checkpoint",
+    "write_tensors",
     "__version__",
 ]

@@ -16,14 +16,22 @@ The JSON header is ``{"tensors": [...]}`` where each entry carries
 Serialization is canonical: sorted keys, no whitespace, contiguous
 offsets.  Writing the same checkpoint twice yields identical bytes, and
 ``read_checkpoint(write_checkpoint(c)) == c`` bit-exactly.
+
+Files are read and written one tensor at a time: :class:`CheckpointReader`
+parses the header and loads tensors on demand, :func:`write_tensors`
+writes the header and then a stream of arrays.  ``read_checkpoint`` and
+``write_checkpoint`` run the same two over an in-memory buffer.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
@@ -66,6 +74,13 @@ class Checkpoint:
     def __len__(self) -> int:
         return len(self.tensors)
 
+    def __iter__(self) -> Iterator[tuple[TensorMeta, np.ndarray]]:
+        return iter(self.tensors)
+
+    @property
+    def metas(self) -> list[TensorMeta]:
+        return [meta for meta, _ in self.tensors]
+
     def names(self) -> list[str]:
         return [meta.name for meta, _ in self.tensors]
 
@@ -90,6 +105,49 @@ class Checkpoint:
         return True
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_metas(
+    metas: Iterable[TensorMeta], error: type[Exception], path: str = "tensors"
+) -> None:
+    """The metadata rules every checkpoint obeys, raising ``error`` at ``path[i].field``.
+
+    Names are unique, kinds are known, shapes have 1-4 positive integer
+    dimensions, and depths are non-negative integers that do not decrease
+    in file order.  The header reader, the writer and the JSON importer
+    all check through here, each with its own error class.
+    """
+    seen: set[str] = set()
+    prev_depth = 0
+    for i, meta in enumerate(metas):
+        at = f"{path}[{i}]"
+        if meta.name in seen:
+            raise error(f"{at}.name: duplicate {meta.name!r}")
+        seen.add(meta.name)
+        if meta.kind not in KINDS:
+            raise error(f"{at}.kind: expected one of {list(KINDS)}, got {meta.kind!r}")
+        dims = meta.shape
+        if not 1 <= len(dims) <= 4 or not all(_is_int(d) and d >= 1 for d in dims):
+            raise error(f"{at}.shape: expected 1-4 positive integers, got {list(dims)}")
+        if not _is_int(meta.depth) or meta.depth < 0:
+            raise error(f"{at}.depth: expected a non-negative integer, got {meta.depth!r}")
+        if meta.depth < prev_depth:
+            raise error(f"{at}.depth: {meta.depth} after {prev_depth}; must not decrease")
+        prev_depth = meta.depth
+
+
+def _check_array(meta: TensorMeta, arr: np.ndarray) -> None:
+    if tuple(arr.shape) != meta.shape:
+        raise ValueError(
+            f"tensor {meta.name!r}: metadata shape {meta.shape} != "
+            f"array shape {tuple(arr.shape)}"
+        )
+    if arr.dtype != np.float32:
+        raise ValueError(f"tensor {meta.name!r}: dtype {arr.dtype}, expected float32")
+
+
 def validate_checkpoint(c: Checkpoint) -> None:
     """Enforce checkpoint invariants; raises ValueError on violation.
 
@@ -98,40 +156,27 @@ def validate_checkpoint(c: Checkpoint) -> None:
     """
     if c.version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {c.version}")
-    seen: set[str] = set()
-    prev_depth = -1
+    _check_metas(c.metas, ValueError)
     for meta, arr in c.tensors:
-        if meta.name in seen:
-            raise ValueError(f"duplicate tensor name {meta.name!r}")
-        seen.add(meta.name)
-        if meta.kind not in KINDS:
-            raise ValueError(f"tensor {meta.name!r}: unknown kind {meta.kind!r}")
-        if not 1 <= len(meta.shape) <= 4 or any(d < 1 for d in meta.shape):
-            raise ValueError(f"tensor {meta.name!r}: bad shape {meta.shape}")
-        if meta.depth < 0:
-            raise ValueError(f"tensor {meta.name!r}: negative depth")
-        if meta.depth < prev_depth:
-            raise ValueError(f"tensor {meta.name!r}: depth decreases in file order")
-        prev_depth = meta.depth
-        if tuple(arr.shape) != meta.shape:
-            raise ValueError(
-                f"tensor {meta.name!r}: metadata shape {meta.shape} != "
-                f"array shape {tuple(arr.shape)}"
-            )
-        if arr.dtype != np.float32:
-            raise ValueError(f"tensor {meta.name!r}: dtype {arr.dtype}, expected float32")
+        _check_array(meta, arr)
 
 
-def write_checkpoint(c: Checkpoint) -> bytearray:
-    """Serialize to the canonical byte form (pure; same input, same bytes).
+def write_tensors(
+    handle: BinaryIO, metas: Sequence[TensorMeta], arrays: Iterable[np.ndarray]
+) -> None:
+    """Write a checkpoint in canonical form to ``handle``, one tensor at a time.
 
-    All offsets are known from the shapes, so the whole file is laid out in
-    one buffer and each tensor is copied into place once.
+    All offsets follow from the shapes, so the header goes out first; then
+    each array of ``arrays`` is checked against its meta (shape, float32)
+    and written in header order.  Only one array of the stream needs to be
+    in memory at a time.  Bad metas, a bad array, or a stream that is
+    shorter or longer than ``metas`` raise ValueError: these are
+    programming errors, not data errors.
     """
-    validate_checkpoint(c)
+    _check_metas(metas, ValueError)
     entries = []
     offset = 0
-    for meta, _ in c.tensors:
+    for meta in metas:
         length = math.prod(meta.shape)
         entries.append(
             {
@@ -146,17 +191,21 @@ def write_checkpoint(c: Checkpoint) -> bytearray:
         offset += length * _F32_BYTES
     header = json.dumps({"tensors": entries}, sort_keys=True, separators=(",", ":"))
     header_bytes = header.encode("utf-8")
-    header_end = _HEADER_PREFIX.size + len(header_bytes)
-    data_start = header_end + (-header_end % 8)
-    out = bytearray(data_start + offset)
-    _HEADER_PREFIX.pack_into(out, 0, MAGIC, c.version, len(header_bytes))
-    out[_HEADER_PREFIX.size:header_end] = header_bytes
-    data = np.frombuffer(out, dtype="<f4", offset=data_start)
-    start = 0
-    for _, arr in c.tensors:
-        data[start:start + arr.size] = arr.reshape(-1)
-        start += arr.size
-    return out
+    handle.write(_HEADER_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_bytes)))
+    handle.write(header_bytes)
+    handle.write(bytes(-(_HEADER_PREFIX.size + len(header_bytes)) % 8))
+    for meta, arr in zip(metas, arrays, strict=True):
+        _check_array(meta, arr)
+        handle.write(np.ascontiguousarray(arr, dtype="<f4").data)
+
+
+def write_checkpoint(c: Checkpoint) -> bytearray:
+    """Serialize to the canonical byte form (pure; same input, same bytes)."""
+    if c.version != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {c.version}")
+    buf = io.BytesIO()
+    write_tensors(buf, c.metas, (arr for _, arr in c.tensors))
+    return bytearray(buf.getbuffer())
 
 
 def _header_field(entry, index: int, key: str, types):
@@ -168,23 +217,26 @@ def _header_field(entry, index: int, key: str, types):
     return value
 
 
-def read_checkpoint(data: bytes) -> Checkpoint:
-    """Parse checkpoint bytes, validating header and data bounds."""
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise BadMagic(f"magic: expected {MAGIC!r}, got {bytes(data[:4])!r}")
-    if len(data) < _HEADER_PREFIX.size:
+def _read_header(handle: BinaryIO) -> tuple[int, list[TensorMeta], list[int]]:
+    """(version, metas, absolute data offsets), checked against the file size."""
+    size = handle.seek(0, io.SEEK_END)
+    handle.seek(0)
+    prefix = handle.read(_HEADER_PREFIX.size)
+    if prefix[:4] != MAGIC:
+        raise BadMagic(f"magic: expected {MAGIC!r}, got {prefix[:4]!r}")
+    if len(prefix) < _HEADER_PREFIX.size:
         raise CorruptHeader("header_length: file shorter than the fixed header")
-    _, version, header_len = _HEADER_PREFIX.unpack_from(data, 0)
+    _, version, header_len = _HEADER_PREFIX.unpack(prefix)
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"version: got {version}, supported {FORMAT_VERSION}")
     header_end = _HEADER_PREFIX.size + header_len
-    if header_end > len(data):
+    if header_end > size:
         raise CorruptHeader(
             f"header_length: declares {header_len} bytes, file has "
-            f"{len(data) - _HEADER_PREFIX.size} after the fixed header"
+            f"{size - _HEADER_PREFIX.size} after the fixed header"
         )
     try:
-        header = json.loads(data[_HEADER_PREFIX.size:header_end].decode("utf-8"))
+        header = json.loads(handle.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptHeader(f"header: {exc}") from exc
     if not isinstance(header, dict) or "tensors" not in header:
@@ -194,54 +246,86 @@ def read_checkpoint(data: bytes) -> Checkpoint:
         raise CorruptHeader("tensors: expected a list")
 
     data_start = header_end + (-header_end % 8)
-    if data_start > len(data):
+    if data_start > size:
         raise TruncatedData("data: file ends inside the alignment padding")
-    data_size = len(data) - data_start
+    data_size = size - data_start
 
-    tensors: list[tuple[TensorMeta, np.ndarray]] = []
-    seen: set[str] = set()
-    prev_depth = -1
+    metas: list[TensorMeta] = []
+    spans: list[tuple[int, int]] = []
     for i, entry in enumerate(raw_entries):
         if not isinstance(entry, dict):
             raise CorruptHeader(f"tensors[{i}]: expected an object")
-        name = _header_field(entry, i, "name", str)
-        shape_raw = _header_field(entry, i, "shape", list)
-        kind = _header_field(entry, i, "kind", str)
-        depth = _header_field(entry, i, "depth", int)
-        offset = _header_field(entry, i, "offset", int)
-        length = _header_field(entry, i, "length", int)
-        if name in seen:
-            raise CorruptHeader(f"tensors[{i}].name: duplicate {name!r}")
-        seen.add(name)
-        if kind not in KINDS:
-            raise CorruptHeader(f"tensors[{i}].kind: unknown kind {kind!r}")
-        if depth < 0:
-            raise CorruptHeader(f"tensors[{i}].depth: negative")
-        if depth < prev_depth:
-            raise CorruptHeader(f"tensors[{i}].depth: decreases in file order")
-        prev_depth = depth
-        if not 1 <= len(shape_raw) <= 4 or any(
-            isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in shape_raw
-        ):
-            raise CorruptHeader(f"tensors[{i}].shape: expected 1-4 positive integers")
-        shape = tuple(shape_raw)
-        if math.prod(shape) != length:
+        metas.append(
+            TensorMeta(
+                name=_header_field(entry, i, "name", str),
+                shape=_header_field(entry, i, "shape", list),
+                kind=_header_field(entry, i, "kind", str),
+                depth=_header_field(entry, i, "depth", int),
+            )
+        )
+        spans.append(
+            (_header_field(entry, i, "offset", int), _header_field(entry, i, "length", int))
+        )
+    _check_metas(metas, CorruptHeader)
+
+    starts = []
+    for i, (meta, (offset, length)) in enumerate(zip(metas, spans)):
+        if math.prod(meta.shape) != length:
             raise CorruptHeader(
-                f"tensors[{i}].length: {length} != product(shape) {math.prod(shape)}"
+                f"tensors[{i}].length: {length} != product(shape) {math.prod(meta.shape)}"
             )
         if offset < 0:
             raise CorruptHeader(f"tensors[{i}].offset: negative")
         end = offset + length * _F32_BYTES
         if end > data_size:
             raise TruncatedData(
-                f"tensor {name!r}: data section holds {data_size} bytes, "
+                f"tensor {meta.name!r}: data section holds {data_size} bytes, "
                 f"entry needs bytes [{offset}, {end})"
             )
-        arr = np.frombuffer(
-            data, dtype="<f4", count=length, offset=data_start + offset
-        ).astype(np.float32).reshape(shape)
-        tensors.append((TensorMeta(name=name, shape=shape, kind=kind, depth=depth), arr))
-    return Checkpoint(tensors=tensors, version=version)
+        starts.append(data_start + offset)
+    return version, metas, starts
+
+
+class CheckpointReader:
+    """A checkpoint file whose tensors are loaded one at a time.
+
+    The constructor reads and checks the whole header and every tensor's
+    byte range against the file size, so a malformed or truncated file
+    fails before any tensor is loaded.  Tensors are then read by offset,
+    in any order: each load is one ``readinto`` into a fresh float32 array.
+    The handle must stay open while tensors are loaded.
+    """
+
+    def __init__(self, handle: BinaryIO):
+        self._handle = handle
+        self.version, self.metas, self._starts = _read_header(handle)
+        self._index = {meta.name: i for i, meta in enumerate(self.metas)}
+
+    def __iter__(self) -> Iterator[tuple[TensorMeta, np.ndarray]]:
+        for i, meta in enumerate(self.metas):
+            yield meta, self._load(i)
+
+    def get(self, name: str) -> tuple[TensorMeta, np.ndarray]:
+        i = self._index[name]
+        return self.metas[i], self._load(i)
+
+    def _load(self, i: int) -> np.ndarray:
+        meta = self.metas[i]
+        arr = np.empty(math.prod(meta.shape), dtype="<f4")
+        self._handle.seek(self._starts[i])
+        got = self._handle.readinto(arr)
+        if got != arr.nbytes:
+            raise TruncatedData(
+                f"tensor {meta.name!r}: read {got or 0} of {arr.nbytes} bytes; "
+                "the file shrank while it was read"
+            )
+        return arr.reshape(meta.shape).astype(np.float32, copy=False)
+
+
+def read_checkpoint(data: bytes) -> Checkpoint:
+    """Parse checkpoint bytes, validating header and data bounds."""
+    reader = CheckpointReader(io.BytesIO(data))
+    return Checkpoint(tensors=list(reader), version=reader.version)
 
 
 # --------------------------------------------------------------------------
@@ -265,20 +349,11 @@ def _validate_entry(entry, i: int, with_data: bool) -> TensorMeta:
     name = entry["name"]
     if not isinstance(name, str) or not name:
         raise SchemaError(f"{path}.name: expected a non-empty string")
-    shape = entry["shape"]
-    if (
-        not isinstance(shape, list)
-        or not 1 <= len(shape) <= 4
-        or any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in shape)
-    ):
+    if not isinstance(entry["shape"], list):
         raise SchemaError(f"{path}.shape: expected 1-4 positive integers")
-    kind = entry["kind"]
-    if kind not in KINDS:
-        raise SchemaError(f"{path}.kind: expected one of {list(KINDS)}, got {kind!r}")
-    depth = entry["depth"]
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-        raise SchemaError(f"{path}.depth: expected a non-negative integer")
-    return TensorMeta(name=name, shape=tuple(shape), kind=kind, depth=depth)
+    return TensorMeta(
+        name=name, shape=entry["shape"], kind=entry["kind"], depth=entry["depth"]
+    )
 
 
 def parse_tensor_specs(text: str, with_data: bool) -> list[tuple[TensorMeta, list | None]]:
@@ -289,17 +364,10 @@ def parse_tensor_specs(text: str, with_data: bool) -> list[tuple[TensorMeta, lis
         raise SchemaError(f"$: not valid JSON ({exc})") from exc
     if not isinstance(doc, list):
         raise SchemaError("$: expected a list of tensor objects")
+    metas = [_validate_entry(entry, i, with_data) for i, entry in enumerate(doc)]
+    _check_metas(metas, SchemaError, path="$")
     out = []
-    seen: set[str] = set()
-    prev_depth = -1
-    for i, entry in enumerate(doc):
-        meta = _validate_entry(entry, i, with_data)
-        if meta.name in seen:
-            raise SchemaError(f"$[{i}].name: duplicate {meta.name!r}")
-        seen.add(meta.name)
-        if meta.depth < prev_depth:
-            raise SchemaError(f"$[{i}].depth: depth values must be non-decreasing")
-        prev_depth = meta.depth
+    for i, (meta, entry) in enumerate(zip(metas, doc)):
         values = None
         if with_data:
             values = entry["data"]

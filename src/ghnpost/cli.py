@@ -3,32 +3,37 @@
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 error.  Output files are written to a temporary path and renamed into
 place, so a failing run never leaves a partially-written file behind.
+Checkpoints are read and written one tensor at a time, so memory holds
+the header and the working set of one layer, not the whole file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .checkpoint_io import (
     ELIGIBLE_KINDS,
-    Checkpoint,
+    CheckpointReader,
+    TensorMeta,
     parse_tensor_specs,
-    read_checkpoint,
-    write_checkpoint,
+    write_tensors,
 )
 from .errors import DataFormatError, NumericalError
 from .postprocess import (
     DEFAULT_BETA,
     PostprocessConfig,
-    ghn_orth,
+    ghn_orth_tensor,
     he_init,
     saxe_orthogonal_init,
 )
@@ -144,14 +149,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_atomic(path: Path, payload: bytes | bytearray | str) -> None:
-    data = payload.encode("utf-8") if isinstance(payload, str) else payload
+@contextlib.contextmanager
+def _write_atomic(path: Path) -> Iterator[BinaryIO]:
+    """Yield a binary handle on a temporary file beside ``path``.
+
+    The file is renamed to ``path`` when the block completes and deleted
+    when it raises, so a failing run leaves no partial output behind.
+    """
     directory = path.parent if str(path.parent) else Path(".")
     directory.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -161,20 +171,22 @@ def _write_atomic(path: Path, payload: bytes | bytearray | str) -> None:
         raise
 
 
-def _read_ckpt(path: Path) -> Checkpoint:
-    return read_checkpoint(path.read_bytes())
+def _write_text(path: Path, text: str) -> None:
+    with _write_atomic(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 
 
 def _cmd_analyze(args) -> int:
-    report = analyze_checkpoint(_read_ckpt(args.checkpoint), bins=args.bins)
-    _write_atomic(args.out, emit_report_csv(report))
+    with open(args.checkpoint, "rb") as handle:
+        report = analyze_checkpoint(CheckpointReader(handle), bins=args.bins)
+    _write_text(args.out, emit_report_csv(report))
     if args.svg_dir is not None:
         for i, rec in enumerate(report.records):
             fname = f"{i:03d}_{_UNSAFE.sub('_', rec.name)}.svg"
-            _write_atomic(args.svg_dir / fname, emit_histogram_svg(rec.histogram, rec.name))
+            _write_text(args.svg_dir / fname, emit_histogram_svg(rec.histogram, rec.name))
     return 0
 
 
@@ -186,39 +198,46 @@ def _cmd_postprocess(args) -> int:
         skip_noise=args.skip_noise,
         skip_orth=args.skip_orth,
     )
-    result = ghn_orth(_read_ckpt(args.checkpoint), cfg)
-    _write_atomic(args.out, write_checkpoint(result))
+    with open(args.checkpoint, "rb") as src:
+        reader = CheckpointReader(src)
+        # The output is renamed into place after the last tensor is read,
+        # so --out may name the input file.
+        with _write_atomic(args.out) as dst:
+            write_tensors(
+                dst, reader.metas, (ghn_orth_tensor(meta, arr, cfg) for meta, arr in reader)
+            )
     return 0
+
+
+def _init_tensor(meta: TensorMeta, args) -> np.ndarray:
+    if meta.kind in ELIGIBLE_KINDS:
+        stream = RngStream(args.seed, meta.name)
+        if args.method == "rand":
+            return he_init(meta.shape, stream)
+        return saxe_orthogonal_init(meta.shape, args.gain, stream)
+    if meta.kind == "norm":
+        return np.ones(meta.shape, dtype=np.float32)
+    return np.zeros(meta.shape, dtype=np.float32)  # bias, other
 
 
 def _cmd_init(args) -> int:
     specs = parse_tensor_specs(args.archspec.read_text(encoding="utf-8"), with_data=False)
-    tensors = []
-    for meta, _ in specs:
-        stream = RngStream(args.seed, meta.name)
-        if meta.kind in ELIGIBLE_KINDS:
-            if args.method == "rand":
-                arr = he_init(meta.shape, stream)
-            else:
-                arr = saxe_orthogonal_init(meta.shape, args.gain, stream)
-        elif meta.kind == "norm":
-            arr = np.ones(meta.shape, dtype=np.float32)
-        else:  # bias, other
-            arr = np.zeros(meta.shape, dtype=np.float32)
-        tensors.append((meta, arr))
-    _write_atomic(args.out, write_checkpoint(Checkpoint(tensors=tensors)))
+    metas = [meta for meta, _ in specs]
+    with _write_atomic(args.out) as handle:
+        write_tensors(handle, metas, (_init_tensor(meta, args) for meta in metas))
     return 0
 
 
 def _cmd_pca(args) -> int:
     embeddings = parse_embeddings_csv(args.embeddings.read_text(encoding="utf-8"))
-    _write_atomic(args.out, emit_projection_csv(project_embeddings(embeddings)))
+    _write_text(args.out, emit_projection_csv(project_embeddings(embeddings)))
     return 0
 
 
 def _cmd_compare(args) -> int:
-    rows = compare_checkpoints(_read_ckpt(args.checkpoint_a), _read_ckpt(args.checkpoint_b))
-    _write_atomic(args.out, emit_compare_csv(rows))
+    with open(args.checkpoint_a, "rb") as a, open(args.checkpoint_b, "rb") as b:
+        rows = compare_checkpoints(CheckpointReader(a), CheckpointReader(b))
+    _write_text(args.out, emit_compare_csv(rows))
     return 0
 
 

@@ -10,8 +10,8 @@ their QR decomposition.  Normalization weights, biases and shallower
 layers pass through bit-identical.
 
 Public single-tensor operations preserve the input dtype; internally
-everything runs in float64, and ``ghn_orth`` casts to float32 exactly
-once when materializing the output checkpoint.
+everything runs in float64, and ``ghn_orth_tensor`` casts each layer to
+float32 exactly once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, validate_checkpoint
+from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, TensorMeta, validate_checkpoint
 from .errors import GhnpostError, NonFiniteTensor, UnsupportedRank
 from .linalg import qr_decompose, sign_adjust
 from .rng import RngStream
@@ -88,20 +88,20 @@ def orthogonal_reinit(w: np.ndarray) -> np.ndarray:
     return dematricize(Matricized(adjusted, m.transposed, m.original_shape))
 
 
-def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
-    """Apply the two-step post-processing to every eligible tensor.
+def ghn_orth_tensor(
+    meta: TensorMeta, arr: np.ndarray, cfg: PostprocessConfig
+) -> np.ndarray:
+    """One tensor of the :func:`ghn_orth` output.
 
-    Eligible means kind conv or linear and depth >= cfg.start_layer;
-    everything else is copied bit-identically.  Each layer draws from its
-    own substream keyed by tensor name, so the result does not depend on
-    processing order.
+    An eligible tensor (kind conv or linear, depth >= cfg.start_layer)
+    gets the two-step post-processing, drawing from its own substream
+    keyed by tensor name, and comes back as a new float32 array; any other
+    tensor comes back as ``arr`` itself.  Either way the result must be
+    finite: NaN or Inf, passed through or produced by an overflowing
+    ``beta``, raises NonFiniteTensor naming the tensor.
     """
-    validate_checkpoint(c)
-    out: list = []
-    for meta, arr in c.tensors:
-        if meta.kind not in ELIGIBLE_KINDS or meta.depth < cfg.start_layer:
-            out.append((meta, arr.copy()))
-            continue
+    w = arr
+    if meta.kind in ELIGIBLE_KINDS and meta.depth >= cfg.start_layer:
         try:
             # A single stage rounds its own float64 result to float32 once;
             # noise feeding the QR step stays float64 until the final cast.
@@ -113,7 +113,24 @@ def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
                 w = orthogonal_reinit(w)
         except GhnpostError as exc:
             raise type(exc)(f"tensor {meta.name!r}: {exc}") from exc
-        out.append((meta, w.astype(np.float32, copy=False)))
+        w = w.astype(np.float32, copy=False)
+    if not np.isfinite(w).all():
+        raise NonFiniteTensor(f"tensor {meta.name!r}: output would hold NaN or Inf values")
+    return w
+
+
+def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
+    """Apply the two-step post-processing to every eligible tensor.
+
+    Everything else is copied bit-identically.  Each layer is processed
+    by :func:`ghn_orth_tensor` on its own, so the result does not depend on
+    processing order.
+    """
+    validate_checkpoint(c)
+    out: list = []
+    for meta, arr in c.tensors:
+        w = ghn_orth_tensor(meta, arr, cfg)
+        out.append((meta, arr.copy() if w is arr else w))
     return Checkpoint(tensors=out, version=c.version)
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint
+from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, CheckpointReader, TensorMeta
 from .errors import DegenerateInput, GhnpostError, StructureMismatch, SchemaError
 from .linalg import pca_project
 from .stats import (
@@ -73,15 +74,21 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def analyze_checkpoint(c: Checkpoint, bins: int) -> AnalysisReport:
+def analyze_checkpoint(
+    c: Iterable[tuple[TensorMeta, np.ndarray]], bins: int
+) -> AnalysisReport:
     """Correlation statistics for every conv/linear tensor, in file order.
 
-    A tensor holding NaN or Inf raises NonFiniteTensor naming it.
+    ``c`` is a Checkpoint or a CheckpointReader: any stream of (meta,
+    array) pairs, visited once.  A tensor holding NaN or Inf raises
+    NonFiniteTensor naming it.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     records = []
-    for meta, arr in c.tensors:
+    layer_count = 0
+    for meta, arr in c:
+        layer_count += 1
         if meta.kind not in ELIGIBLE_KINDS:
             continue
         try:
@@ -101,7 +108,7 @@ def analyze_checkpoint(c: Checkpoint, bins: int) -> AnalysisReport:
         records.append(record)
     return AnalysisReport(
         records=records,
-        layer_count=len(c.tensors),
+        layer_count=layer_count,
         eligible_layer_count=len(records),
     )
 
@@ -261,14 +268,19 @@ def emit_projection_csv(rows: list[ProjectionRow]) -> str:
 # Checkpoint comparison
 # --------------------------------------------------------------------------
 
-def compare_checkpoints(a: Checkpoint, b: Checkpoint) -> list[CompareRow]:
+def compare_checkpoints(
+    a: Checkpoint | CheckpointReader, b: Checkpoint | CheckpointReader
+) -> list[CompareRow]:
     """Per-layer diff of two structurally identical checkpoints.
 
+    The structure is checked from the metadata alone; then the tensors of
+    ``a`` are visited in file order and each is matched with ``b``'s tensor
+    of the same name, so a pair of readers holds two tensors at a time.
     A conv/linear tensor holding NaN or Inf in either checkpoint raises
     NonFiniteTensor naming it.
     """
-    a_shapes = {meta.name: meta.shape for meta, _ in a.tensors}
-    b_shapes = {meta.name: meta.shape for meta, _ in b.tensors}
+    a_shapes = {meta.name: meta.shape for meta in a.metas}
+    b_shapes = {meta.name: meta.shape for meta in b.metas}
     problems = []
     for name in sorted(a_shapes.keys() - b_shapes.keys()):
         problems.append(f"{name!r} only in first checkpoint")
@@ -282,12 +294,11 @@ def compare_checkpoints(a: Checkpoint, b: Checkpoint) -> list[CompareRow]:
     if problems:
         raise StructureMismatch("; ".join(problems))
 
-    b_arrays = {meta.name: arr for meta, arr in b.tensors}
     rows = []
-    for meta, arr_a in a.tensors:
+    for meta, arr_a in a:
         if meta.kind not in ELIGIBLE_KINDS:
             continue
-        arr_b = b_arrays[meta.name]
+        _, arr_b = b.get(meta.name)
         sigmas = []
         for which, arr in (("first", arr_a), ("second", arr_b)):
             try:
@@ -295,9 +306,10 @@ def compare_checkpoints(a: Checkpoint, b: Checkpoint) -> list[CompareRow]:
             except GhnpostError as exc:
                 where = f"tensor {meta.name!r} ({which} checkpoint)"
                 raise type(exc)(f"{where}: {exc}") from exc
-        diff = float(
-            np.max(np.abs(arr_a.astype(np.float64) - arr_b.astype(np.float64)))
-        )
+        # One float64 temporary; float32 -> float64 is exact, so this is
+        # the same IEEE subtraction as on two float64 copies.
+        delta = np.subtract(arr_a, arr_b, dtype=np.float64)
+        diff = float(np.max(np.abs(delta, out=delta)))
         rows.append(
             CompareRow(
                 name=meta.name,

@@ -176,13 +176,17 @@ def correlation_std(r: CorrelationMatrix) -> float:
 def correlation_histogram(r: CorrelationMatrix, bins: int) -> Histogram:
     """Equal-width histogram of the off-diagonal correlations over [-1, 1].
 
-    Values exactly 1.0 land in the last bin; entries a hair outside the
-    range from rounding are clipped so every off-diagonal entry is counted.
+    Values exactly 1.0 land in the last bin.  A packed matrix from
+    :func:`channel_correlation` already lies in [-1, 1]; entries of a
+    user-supplied matrix a hair outside the range from rounding are
+    clipped, so every off-diagonal entry is counted.
     """
     if r.k < 2:
         raise TooFewChannels(f"need k >= 2 channels, got {r.k}")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    vals = np.clip(offdiagonal_values(r), -1.0, 1.0)
+    vals = offdiagonal_values(r)
+    if r._values is not None:
+        vals = np.clip(vals, -1.0, 1.0)
     counts, edges = np.histogram(vals, bins=bins, range=(-1.0, 1.0))
     return Histogram(bin_edges=edges, counts=counts)

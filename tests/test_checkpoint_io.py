@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 
 from ghnpost.checkpoint_io import (
     Checkpoint,
+    CheckpointReader,
     TensorMeta,
     import_json,
     read_checkpoint,
     write_checkpoint,
+    write_tensors,
 )
 from ghnpost.errors import (
     BadMagic,
@@ -155,6 +159,52 @@ def test_non_canonical_offsets_still_read():
     blob += b"\xff" * 8 + struct.pack("<2f", 5.0, 6.0)
     c = read_checkpoint(blob)
     np.testing.assert_array_equal(c.tensors[0][1], np.array([5, 6], dtype=np.float32))
+
+
+def test_out_of_order_offsets_read_the_same():
+    # "a" is stored after "b" in the data section; both lookups follow the
+    # header's offsets, whatever order the tensors are asked for in.
+    entries = [
+        {"name": "a", "shape": [2], "kind": "linear", "depth": 0, "offset": 8, "length": 2},
+        {"name": "b", "shape": [2], "kind": "linear", "depth": 0, "offset": 0, "length": 2},
+    ]
+    blob = _blob_with_header({"tensors": entries}) + struct.pack("<4f", 3.0, 4.0, 1.0, 2.0)
+    c = read_checkpoint(blob)
+    assert c.names() == ["a", "b"]
+    np.testing.assert_array_equal(c.get("a")[1], np.array([1, 2], dtype=np.float32))
+    np.testing.assert_array_equal(c.get("b")[1], np.array([3, 4], dtype=np.float32))
+    reader = CheckpointReader(io.BytesIO(blob))
+    assert reader.get("b")[1].tobytes() == c.get("b")[1].tobytes()
+    assert reader.get("a")[1].tobytes() == c.get("a")[1].tobytes()
+    assert Checkpoint(tensors=list(reader)) == c
+
+
+def test_short_readinto_is_truncated_data(small_checkpoint, tmp_path):
+    # The header checks pass; the file then shrinks before the tensors are read.
+    path = tmp_path / "c.ckpt"
+    blob = write_checkpoint(small_checkpoint)
+    path.write_bytes(blob)
+    with open(path, "rb") as handle:
+        reader = CheckpointReader(handle)
+        os.truncate(path, len(blob) - 4)
+        with pytest.raises(TruncatedData, match="'head.fc'"):
+            list(reader)
+
+
+def test_write_tensors_rejects_a_stream_of_the_wrong_length(small_checkpoint):
+    arrays = [arr for _, arr in small_checkpoint]
+    for stream in (arrays[:-1], arrays + arrays[:1]):
+        with pytest.raises(ValueError):
+            write_tensors(io.BytesIO(), small_checkpoint.metas, iter(stream))
+
+
+def test_write_tensors_matches_write_checkpoint_for_non_contiguous_arrays():
+    w = np.arange(6, dtype=np.float32).reshape(2, 3)
+    c = make_checkpoint([("w", (3, 2), "linear", 0, w.T)])
+    buf = io.BytesIO()
+    write_tensors(buf, c.metas, (arr for _, arr in c))
+    assert buf.getvalue() == write_checkpoint(c)
+    np.testing.assert_array_equal(read_checkpoint(buf.getvalue()).get("w")[1], w.T)
 
 
 def test_import_json_single_tensor():

@@ -4,15 +4,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghnpost
-from ghnpost.checkpoint_io import read_checkpoint, write_checkpoint
+from ghnpost import cli
+from ghnpost.checkpoint_io import Checkpoint, TensorMeta, read_checkpoint, write_checkpoint
 from ghnpost.cli import run
+from ghnpost.postprocess import PostprocessConfig, ghn_orth
 from ghnpost.stats import channel_correlation, offdiagonal_values
 from ghnpost.tensor_ops import matricize
 
@@ -88,6 +93,75 @@ def test_postprocess_skip_flags(ckpt_path, tmp_path):
     both = run(["postprocess", str(ckpt_path), "--start-layer", "0",
                 "--skip-orth", "--skip-noise", "--out", str(tmp_path / "x.ckpt")])
     assert both == 1
+
+
+@pytest.mark.parametrize("skip", [[], ["--skip-noise"], ["--skip-orth"]])
+def test_postprocess_matches_library(skip, ckpt_path, tmp_path):
+    out = tmp_path / "out.ckpt"
+    assert run(["postprocess", str(ckpt_path), "--start-layer", "1", "--seed", "5",
+                "--beta", "0.01", "--out", str(out)] + skip) == 0
+    cfg = PostprocessConfig(start_layer=1, beta=0.01, seed=5,
+                            skip_noise="--skip-noise" in skip,
+                            skip_orth="--skip-orth" in skip)
+    expected = write_checkpoint(ghn_orth(read_checkpoint(ckpt_path.read_bytes()), cfg))
+    assert out.read_bytes() == expected
+
+
+def test_postprocess_in_place(ckpt_path, tmp_path):
+    separate = tmp_path / "separate.ckpt"
+    argv = ["postprocess", "--start-layer", "0", "--seed", "3"]
+    assert run(argv + [str(ckpt_path), "--out", str(separate)]) == 0
+    assert run(argv + [str(ckpt_path), "--out", str(ckpt_path)]) == 0
+    assert ckpt_path.read_bytes() == separate.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ckpt", "separate.ckpt"]
+
+
+def test_nan_in_last_eligible_tensor_keeps_existing_output(ckpt_path, tmp_path, capsys):
+    c = read_checkpoint(ckpt_path.read_bytes())
+    c.get("l2.fc")[1][-1, -1] = np.nan
+    ckpt_path.write_bytes(write_checkpoint(c))
+    out = tmp_path / "out.ckpt"
+    out.write_bytes(b"earlier output")
+    assert run(["postprocess", str(ckpt_path), "--start-layer", "0",
+                "--out", str(out)]) == 3
+    assert "tensor 'l2.fc'" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier output"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ckpt", "out.ckpt"]
+
+
+def test_file_shrinking_during_postprocess_is_data_error(ckpt_path, tmp_path, monkeypatch):
+    size = ckpt_path.stat().st_size
+    cli_reader = cli.CheckpointReader
+
+    def reader_then_truncate(handle):
+        reader = cli_reader(handle)
+        os.truncate(ckpt_path, size - 4)
+        return reader
+
+    monkeypatch.setattr(cli, "CheckpointReader", reader_then_truncate)
+    out = tmp_path / "out.ckpt"
+    assert run(["postprocess", str(ckpt_path), "--start-layer", "0",
+                "--out", str(out)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ckpt"]
+
+
+@pytest.mark.parametrize("poison", ["beta", "norm"])
+def test_non_finite_output_is_numerical_error(poison, ckpt_path, tmp_path, capsys):
+    # A huge --beta overflows float32; a NaN in a pass-through tensor would
+    # be copied as is.  Either way no non-finite file is written.
+    argv = ["postprocess", str(ckpt_path), "--start-layer", "0", "--skip-orth"]
+    if poison == "beta":
+        argv += ["--beta", "1e300"]
+        name = "l0.conv"
+    else:
+        c = read_checkpoint(ckpt_path.read_bytes())
+        c.get("l0.norm")[1][0] = np.inf
+        ckpt_path.write_bytes(write_checkpoint(c))
+        name = "l0.norm"
+    out = tmp_path / "out.ckpt"
+    assert run(argv + ["--out", str(out)]) == 3
+    assert f"tensor {name!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -290,3 +364,49 @@ def test_console_entry_point(ckpt_path, tmp_path):
     )
     assert proc.returncode == 1
     assert "usage" in proc.stderr
+
+
+@st.composite
+def _postprocess_cases(draw):
+    """A small checkpoint (possibly non-finite, odd-shaped or truncated) and flags."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    depths = sorted(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    tensors = []
+    for i, depth in enumerate(depths):
+        shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+        arr = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape)
+        arr = arr.astype(np.float32)
+        if draw(st.booleans()):
+            arr[:] = arr[:1]  # identical channels
+        poison = draw(st.sampled_from([None, None, None, np.nan, np.inf]))
+        if poison is not None:
+            arr.flat[draw(st.integers(0, arr.size - 1))] = poison
+        kind = draw(st.sampled_from(["conv", "linear", "linear", "norm", "bias"]))
+        tensors.append((TensorMeta(f"t{i}", shape, kind, depth), arr))
+    blob = bytes(write_checkpoint(Checkpoint(tensors=tensors)))
+    blob = blob[: len(blob) - draw(st.sampled_from([0, 0, 0, 1, 4]))]
+    betas = ["0", "3e-5", "1", "1e38", "1e300", "-1", "nan"]
+    flags = ["--start-layer", str(draw(st.integers(0, 4))),
+             "--seed", str(draw(st.integers(0, 3))),
+             "--beta", draw(st.sampled_from(betas))]
+    flags += draw(st.sampled_from([[], ["--skip-noise"], ["--skip-orth"]]))
+    return blob, flags
+
+
+@settings(max_examples=80, deadline=None)
+@given(_postprocess_cases())
+def test_postprocess_property(case):
+    """run() never raises; exit 0 writes a finite checkpoint, 1/2/3 write nothing."""
+    blob, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp, "in.ckpt"), Path(tmp, "out.ckpt")
+        inp.write_bytes(blob)
+        code = run(["postprocess", str(inp), "--out", str(out)] + flags)
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            result = read_checkpoint(out.read_bytes())
+            assert result.metas == read_checkpoint(blob).metas
+            assert all(np.isfinite(arr).all() for _, arr in result)
+            assert sorted(os.listdir(tmp)) == ["in.ckpt", "out.ckpt"]
+        else:
+            assert os.listdir(tmp) == ["in.ckpt"]

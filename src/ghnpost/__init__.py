@@ -33,9 +33,11 @@ from .report import (
 from .rng import RngStream
 from .stats import (
     CorrelationMatrix,
+    CorrelationStats,
     Histogram,
     channel_correlation,
     correlation_histogram,
+    correlation_stats,
     correlation_std,
 )
 from .tensor_ops import Matricized, dematricize, matricize
@@ -47,6 +49,7 @@ __all__ = [
     "Checkpoint",
     "CheckpointReader",
     "CorrelationMatrix",
+    "CorrelationStats",
     "DEFAULT_BETA",
     "EmbeddingSet",
     "Histogram",
@@ -60,6 +63,7 @@ __all__ = [
     "channel_correlation",
     "compare_checkpoints",
     "correlation_histogram",
+    "correlation_stats",
     "correlation_std",
     "dematricize",
     "emit_histogram_svg",

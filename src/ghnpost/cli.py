@@ -33,6 +33,7 @@ from .errors import DataFormatError, NumericalError
 from .postprocess import (
     DEFAULT_BETA,
     PostprocessConfig,
+    check_finite_output,
     ghn_orth_tensor,
     he_init,
     saxe_orthogonal_init,
@@ -214,7 +215,9 @@ def _init_tensor(meta: TensorMeta, args) -> np.ndarray:
         stream = RngStream(args.seed, meta.name)
         if args.method == "rand":
             return he_init(meta.shape, stream)
-        return saxe_orthogonal_init(meta.shape, args.gain, stream)
+        # A --gain near float32's max overflows the stored weights.
+        w = saxe_orthogonal_init(meta.shape, args.gain, stream)
+        return check_finite_output(meta.name, w)
     if meta.kind == "norm":
         return np.ones(meta.shape, dtype=np.float32)
     return np.zeros(meta.shape, dtype=np.float32)  # bias, other

@@ -25,10 +25,14 @@ from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, TensorMeta, validate_chec
 from .errors import GhnpostError, NonFiniteTensor, UnsupportedRank
 from .linalg import qr_decompose, sign_adjust
 from .rng import RngStream
-from .stats import channel_correlation, correlation_std
+from .stats import correlation_stats
 from .tensor_ops import Matricized, dematricize, matricize
 
 DEFAULT_BETA = 3e-5
+
+# Noise values drawn and added per step: 512 KiB of float64, so the noise
+# never needs a buffer the size of the layer.
+_NOISE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,13 +70,20 @@ def add_conditional_noise(w: np.ndarray, beta: float, rng: RngStream) -> np.ndar
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError("beta must be finite and non-negative")
     _check_tensor(w)
-    sigma = 0.0 if w.shape[0] < 2 else correlation_std(channel_correlation(w))
+    sigma = 0.0 if w.shape[0] < 2 else correlation_stats(w).sigma_r
+    out = np.array(w, order="C")
     if beta == 0.0 or sigma == 0.0:
-        return w.copy()
-    noise = rng.normal(w.size).reshape(w.shape)
-    noise *= beta * sigma
-    noise += w
-    return noise.astype(w.dtype, copy=False)
+        return out
+    scale = beta * sigma
+    flat = out.reshape(-1)
+    # Element i is w_i + scale * z_i summed in float64 and rounded once to
+    # w's dtype, the same value one whole-layer noise array would give.
+    for start in range(0, flat.size, _NOISE_CHUNK):
+        z = rng.normal(min(_NOISE_CHUNK, flat.size - start), start=start)
+        z *= scale
+        chunk = flat[start : start + z.size]
+        chunk += z
+    return out
 
 
 def orthogonal_reinit(w: np.ndarray) -> np.ndarray:
@@ -114,8 +125,14 @@ def ghn_orth_tensor(
         except GhnpostError as exc:
             raise type(exc)(f"tensor {meta.name!r}: {exc}") from exc
         w = w.astype(np.float32, copy=False)
+    return check_finite_output(meta.name, w)
+
+
+def check_finite_output(name: str, w: np.ndarray) -> np.ndarray:
+    """Return w, or raise NonFiniteTensor naming the tensor if it holds NaN
+    or Inf: no command writes a non-finite tensor."""
     if not np.isfinite(w).all():
-        raise NonFiniteTensor(f"tensor {meta.name!r}: output would hold NaN or Inf values")
+        raise NonFiniteTensor(f"tensor {name!r}: output would hold NaN or Inf values")
     return w
 
 

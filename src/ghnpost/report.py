@@ -19,13 +19,7 @@ import numpy as np
 from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, CheckpointReader, TensorMeta
 from .errors import DegenerateInput, GhnpostError, StructureMismatch, SchemaError
 from .linalg import pca_project
-from .stats import (
-    Histogram,
-    channel_correlation,
-    correlation_histogram,
-    correlation_std,
-    offdiagonal_values,
-)
+from .stats import Histogram, correlation_stats
 
 
 @dataclass
@@ -92,16 +86,16 @@ def analyze_checkpoint(
         if meta.kind not in ELIGIBLE_KINDS:
             continue
         try:
-            r = channel_correlation(arr)
+            stats = correlation_stats(arr, bins)
             record = LayerRecord(
                 name=meta.name,
                 kind=meta.kind,
                 depth=meta.depth,
                 k=arr.shape[0],
                 chw=math.prod(arr.shape[1:]),
-                sigma_r=correlation_std(r),
-                mean_abs_offdiag=float(np.mean(np.abs(offdiagonal_values(r)))),
-                histogram=correlation_histogram(r, bins),
+                sigma_r=stats.sigma_r,
+                mean_abs_offdiag=stats.mean_abs,
+                histogram=stats.histogram,
             )
         except GhnpostError as exc:
             raise type(exc)(f"tensor {meta.name!r}: {exc}") from exc
@@ -302,7 +296,7 @@ def compare_checkpoints(
         sigmas = []
         for which, arr in (("first", arr_a), ("second", arr_b)):
             try:
-                sigmas.append(correlation_std(channel_correlation(arr)))
+                sigmas.append(correlation_stats(arr).sigma_r)
             except GhnpostError as exc:
                 where = f"tensor {meta.name!r} ({which} checkpoint)"
                 raise type(exc)(f"{where}: {exc}") from exc

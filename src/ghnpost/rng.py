@@ -14,7 +14,8 @@ platforms:
   z_{2j+1} = sqrt(-2 ln u_{2j}) sin(2 pi u_{2j+1})
 
 Streams are stateless: ``normal(n)`` always returns the first n values of
-the stream, and ``normal(n)`` is a prefix of ``normal(m)`` for n <= m.
+the stream, ``normal(n)`` is a prefix of ``normal(m)`` for n <= m, and
+``normal(n, start=s)`` is values s .. s+n-1 of it.
 Because every word is a pure function of (seed, counter), layers can be
 processed in any order, or in parallel, with identical results; for the
 same reason a stream is generated in fixed-size chunks without changing
@@ -107,28 +108,33 @@ class RngStream:
             _uniforms(seed, start, out[start : start + _CHUNK], words)
         return out
 
-    def normal(self, n: int) -> np.ndarray:
-        """First n standard-normal values of the stream (float64)."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
+    def normal(self, n: int, start: int = 0) -> np.ndarray:
+        """Standard-normal values start .. start+n-1 of the stream (float64).
+
+        Any slice of the stream can be drawn on its own: consecutive calls
+        with ``start`` advancing by ``n`` concatenate to ``normal(total)``.
+        """
+        if n < 0 or start < 0:
+            raise ValueError("n and start must be non-negative")
         seed = self._seed()
-        size = 2 * ((n + 1) // 2)  # whole pairs; the last value may be cut
+        first = start - start % 2  # whole pairs; the end values may be cut
+        size = start + n + (start + n) % 2 - first
         chunk = min(size, _CHUNK)
         words = _Words(chunk)
         u = np.empty(chunk)
         radius, angle, trig = (np.empty(chunk // 2) for _ in range(3))
         out = np.empty(size, dtype=np.float64)
-        for start in range(0, size, _CHUNK):
-            stop = min(start + _CHUNK, size)
-            p = (stop - start) // 2
-            _uniforms(seed, start, u[: 2 * p], words)
+        for lo in range(0, size, _CHUNK):
+            hi = min(lo + _CHUNK, size)
+            p = (hi - lo) // 2
+            _uniforms(seed, first + lo, u[: 2 * p], words)
             r, a, c = radius[:p], angle[:p], trig[:p]
             np.log(u[0 : 2 * p : 2], out=r)
             np.multiply(-2.0, r, out=r)
             np.sqrt(r, out=r)
             np.multiply(2.0 * np.pi, u[1 : 2 * p : 2], out=a)
             np.cos(a, out=c)
-            np.multiply(r, c, out=out[start:stop:2])
+            np.multiply(r, c, out=out[lo:hi:2])
             np.sin(a, out=c)
-            np.multiply(r, c, out=out[start + 1 : stop : 2])
-        return out[:n]
+            np.multiply(r, c, out=out[lo + 1 : hi : 2])
+        return out[start - first : start - first + n]

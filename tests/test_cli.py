@@ -291,6 +291,20 @@ def test_init_rank3_conv_is_numerical_error(tmp_path):
                 str(tmp_path / "o.ckpt")]) == 3
 
 
+def test_init_huge_gain_is_numerical_error(tmp_path, capsys):
+    # --gain is finite, but the scaled orthogonal weights overflow float32.
+    path = tmp_path / "arch.json"
+    path.write_text('[{"name": "w", "shape": [4, 4], "kind": "linear", "depth": 0}]')
+    out = tmp_path / "o.ckpt"
+    with np.errstate(over="ignore"):
+        code = run(["init", str(path), "--method", "orth", "--gain", "1e39",
+                    "--out", str(out)])
+    assert code == 3
+    assert "tensor 'w'" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_pca_command(tmp_path):
     rng = np.random.default_rng(0)
     lines = ["id,label," + ",".join(f"v{i}" for i in range(32))]

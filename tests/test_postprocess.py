@@ -69,6 +69,23 @@ def test_noise_max_bounded_at_six_sigma():
     assert diff.max() <= 6.0 * beta * sigma
 
 
+def test_chunked_noise_matches_whole_layer_noise_bytes():
+    from ghnpost.postprocess import _NOISE_CHUNK
+    from ghnpost.stats import correlation_stats
+
+    # more than one noise chunk, odd size; C and Fortran order
+    w = correlated_tensor((257, 289), seed=6)
+    assert w.size > _NOISE_CHUNK and w.size % 2
+    for x in (w, w.astype(np.float64), np.asfortranarray(w)):
+        stream = RngStream(3, "layer")
+        ref = stream.normal(x.size).reshape(x.shape)
+        ref *= 1e-2 * correlation_stats(x).sigma_r
+        ref += x
+        got = add_conditional_noise(x, 1e-2, stream)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == ref.astype(x.dtype).tobytes()
+
+
 def test_noise_dtype_preserved():
     w32 = correlated_tensor((8, 4, 3, 3), seed=5)
     assert add_conditional_noise(w32, 1e-3, RngStream(0, "a")).dtype == np.float32

@@ -118,11 +118,26 @@ def _oracle_sizes():
 
 
 def test_normal_matches_one_shot_oracle_bytes():
+    from ghnpost.rng import _CHUNK
+
+    stream = RngStream(2024, "blocks.3.mlp.fc1")
     for n in _oracle_sizes():
-        got = RngStream(2024, "blocks.3.mlp.fc1").normal(n)
+        got = stream.normal(n)
         ref = _reference_normal_vectorized(2024, "blocks.3.mlp.fc1", n)
         assert got.shape == (n,)
         assert got.tobytes() == ref.tobytes(), n
+    # Slices drawn with ``start``: odd and even starts and lengths, inside
+    # a chunk and across chunk boundaries.
+    ref = _reference_normal_vectorized(2024, "blocks.3.mlp.fc1", 3 * _CHUNK + 11)
+    for start, n in [(0, 0), (1, 0), (1, 1), (3, 4), (5, 37), (_CHUNK - 1, 2),
+                     (_CHUNK - 3, 7), (_CHUNK, _CHUNK + 1), (_CHUNK + 1, 2 * _CHUNK),
+                     (2 * _CHUNK - 5, _CHUNK + 16)]:
+        got = stream.normal(n, start=start)
+        assert got.shape == (n,)
+        assert got.tobytes() == ref[start : start + n].tobytes(), (start, n)
+    # consecutive slices of odd length concatenate to the whole stream
+    pieces = [stream.normal(min(999, ref.size - s), start=s) for s in range(0, ref.size, 999)]
+    assert np.concatenate(pieces).tobytes() == ref.tobytes()
 
 
 def test_uniform_matches_one_shot_oracle_bytes():

@@ -14,6 +14,7 @@ from ghnpost.errors import (
 from ghnpost.stats import (
     channel_correlation,
     correlation_histogram,
+    correlation_stats,
     correlation_std,
     offdiagonal_values,
 )
@@ -83,6 +84,9 @@ def test_affine_invariance(scale, shift, seed):
 def test_std_of_identical_channels_is_zero():
     w = np.tile(np.array([1.0, 2.0, 5.0], dtype=np.float32), (4, 1))
     assert correlation_std(channel_correlation(w)) == 0.0
+    # across several panels too
+    wide = np.tile(np.array([1.0, 2.0, 5.0], dtype=np.float32), (100, 1))
+    assert correlation_stats(wide).sigma_r == 0.0
 
 
 def test_std_hand_computed():
@@ -98,12 +102,15 @@ def test_std_hand_computed():
 def test_std_single_pair_is_zero():
     w = np.array([[1, 2, 3], [1, 3, 2]], dtype=np.float32)
     assert correlation_std(channel_correlation(w)) == 0.0
+    assert correlation_stats(w).sigma_r == 0.0
 
 
 def test_std_too_few_channels():
     w = np.array([[1.0, 2.0]], dtype=np.float32)
     with pytest.raises(TooFewChannels):
         correlation_std(channel_correlation(w))
+    with pytest.raises(TooFewChannels):
+        correlation_stats(w)
 
 
 def test_std_bounded():
@@ -158,12 +165,12 @@ def test_ghn_like_channels_strongly_correlated():
 
 
 # --------------------------------------------------------------------------
-# Byte-exact oracle for the packed, panel-wise kernel
+# Oracles for the full matrix (bytes) and the panel fold (bytes, bounds)
 # --------------------------------------------------------------------------
 
 def _reference_offdiagonal(w):
-    """The full K x K formula the packed kernel reproduces bit for bit,
-    gathered with ``triu_indices``."""
+    """The full K x K formula ``channel_correlation`` reproduces bit for
+    bit, gathered with ``triu_indices``."""
     k = w.shape[0]
     x = w.reshape(k, -1).astype(np.float64)
     xc = x - x.mean(axis=1, keepdims=True)
@@ -183,11 +190,9 @@ def _reference_offdiagonal(w):
 
 
 def _oracle_cases():
-    from ghnpost import stats
-
     rng = np.random.default_rng(21)
-    # several row panels and several mirror tiles
-    k_wide = 2 * max(stats._PANEL_ROWS, stats._TILE) + 7
+    # a full 128-row panel and a 7-row one
+    k_wide = 135
 
     dead = rng.normal(size=(9, 12)).astype(np.float32)
     dead[4] = 2.5
@@ -207,7 +212,36 @@ def _oracle_cases():
         "multi_panel": wide,
         "rank4": rng.normal(size=(12, 3, 3, 3)).astype(np.float32),
         "k_below_chw": rng.normal(size=(6, 40)).astype(np.float32),
+        "near_duplicate": _near_duplicate(),
     }
+
+
+def _near_duplicate():
+    """float64 channels 1e-6 apart: sigma_r ~2e-13, small enough that the
+    rounding of a plain mean (as in ``np.std``) shows in sigma.  At this
+    spread one ulp of r is ~1e-3 of sigma, so the fold meets the 1e-10
+    bound only because its panel GEMMs round like the syrk Gram of the
+    reference (they do bit for bit here with OpenBLAS 0.3.31)."""
+    rng = np.random.default_rng(1)
+    base = rng.normal(size=64)
+    return base + 1e-6 * rng.normal(size=(256, 64))
+
+
+def _fsum_moments(v):
+    """sigma and mean |r| from correctly rounded sums: a two-pass variance
+    with the correction term sum(d)^2 / n, which removes the error of the
+    rounded mean (it matters once sigma nears eps * |mean|)."""
+    v = v.tolist()
+    n = len(v)
+    mean = math.fsum(v) / n
+    d = [x - mean for x in v]
+    var = (math.fsum(x * x for x in d) - math.fsum(d) ** 2 / n) / n
+    return math.sqrt(var), math.fsum(abs(x) for x in v) / n
+
+
+def _assert_rel(got, want, rel=1e-10):
+    # exact when want is 0: identical channels and K=2 give sigma == 0.0
+    assert abs(got - want) <= rel * want, (got, want)
 
 
 @pytest.mark.parametrize("case", sorted(_oracle_cases()))
@@ -216,13 +250,32 @@ def test_packed_kernel_matches_full_matrix_oracle(case):
     full, ref = _reference_offdiagonal(w)
     r = channel_correlation(w)
     assert offdiagonal_values(r).tobytes() == ref.tobytes()
-    assert np.float64(correlation_std(r)).tobytes() == np.std(ref).tobytes()
+    sigma, mean_abs = _fsum_moments(ref)
+    _assert_rel(correlation_std(r), sigma)
     for bins in (1, 7, 50):
-        h = correlation_histogram(r, bins)
         counts, edges = np.histogram(np.clip(ref, -1.0, 1.0), bins=bins, range=(-1.0, 1.0))
-        np.testing.assert_array_equal(h.counts, counts)
-        assert h.bin_edges.tobytes() == edges.tobytes()
+        folded = correlation_stats(w, bins)
+        _assert_rel(folded.sigma_r, sigma)
+        _assert_rel(folded.mean_abs, mean_abs)
+        for h in (correlation_histogram(r, bins), folded.histogram):
+            np.testing.assert_array_equal(h.counts, counts)
+            assert h.bin_edges.tobytes() == edges.tobytes()
     assert r.values.tobytes() == full.tobytes()
+
+
+def test_near_duplicate_case_is_beyond_np_std():
+    # The oracle test's 1e-10 bound on sigma is tighter than a plain
+    # mean-then-deviations std reaches on this case.
+    _, ref = _reference_offdiagonal(_near_duplicate())
+    sigma, _ = _fsum_moments(ref)
+    assert abs(np.std(ref) - sigma) > 1e-10 * sigma
+
+
+def test_fold_without_bins_has_no_histogram():
+    w = np.random.default_rng(2).normal(size=(40, 7))
+    assert correlation_stats(w).histogram is None
+    with pytest.raises(ValueError):
+        correlation_stats(w, bins=0)
 
 
 def test_oracle_cases_hit_the_snaps():

@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 error.  Output files are written to a temporary path and renamed into
 place, so a failing run never leaves a partially-written file behind.
 Checkpoints are read and written one tensor at a time, so memory holds
-the header and the working set of one layer, not the whole file.
+the header and the working sets of the layers in flight (at most about
+two of the largest; see :func:`~ghnpost.postprocess.ghn_orth_tensors`),
+not the whole file.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .postprocess import (
     DEFAULT_BETA,
     PostprocessConfig,
     check_finite_output,
-    ghn_orth_tensor,
+    ghn_orth_tensors,
     he_init,
     saxe_orthogonal_init,
 )
@@ -204,9 +206,9 @@ def _cmd_postprocess(args) -> int:
         # The output is renamed into place after the last tensor is read,
         # so --out may name the input file.
         with _write_atomic(args.out) as dst:
-            write_tensors(
-                dst, reader.metas, (ghn_orth_tensor(meta, arr, cfg) for meta, arr in reader)
-            )
+            # closing() stops the pool before the temp file goes if writing fails.
+            with contextlib.closing(ghn_orth_tensors(reader.metas, reader, cfg)) as out:
+                write_tensors(dst, reader.metas, out)
     return 0
 
 

@@ -1,16 +1,24 @@
 """Dense linear algebra: thin QR with sign correction, and PCA.
 
-Both factorizations are numpy's LAPACK bindings (Householder QR via
-``geqrf``/``orgqr``, the symmetric eigensolver behind ``eigh``) and run
-in float64; this module adds the shape checks, the sign conventions and
-the descending eigenvalue order.
+Both factorizations are LAPACK and run in float64.  The QR is Householder
+``dgeqrf`` + ``dorgqr`` run in place on one Fortran-ordered copy of the
+input, called through numpy's bundled OpenBLAS with ctypes, which releases
+the GIL, or through ``numpy.linalg.lapack_lite`` where that library is not
+found.  ``eigh`` is numpy's.  This module adds the shape checks, the sign
+conventions and the descending eigenvalue order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import DegenerateInput, ShapeError
 
@@ -30,18 +38,109 @@ def _as_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled ILP64 OpenBLAS, or None where it is not found.
+
+    Loaded on the first QR, not at import.  Its LAPACK routines take every
+    argument by reference, integers as 64 bits.
+    """
+    if not lapack_lite._ilp64:
+        return None
+    package = Path(np.__file__).parent
+    pattern = "libscipy_openblas64_*"
+    for path in sorted([*package.parent.glob(f"numpy.libs/{pattern}"),
+                        *package.glob(f".dylibs/{pattern}")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+            geqrf, orgqr = lib.scipy_dgeqrf_64_, lib.scipy_dorgqr_64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        geqrf.argtypes, geqrf.restype = [ctypes.c_void_p] * 8, None
+        orgqr.argtypes, orgqr.restype = [ctypes.c_void_p] * 9, None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+def gil_free_qr() -> bool:
+    """Whether :func:`qr_decompose` releases the GIL while LAPACK runs."""
+    return _openblas() is not None
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    previous thread count.  A no-op where the library is not found."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(previous)
+
+
+def _call(routine: str, dims: tuple[int, ...], a: np.ndarray, tau: np.ndarray,
+          work: np.ndarray, lwork: int) -> None:
+    """One ``dgeqrf(m, n, a, m, tau, ...)`` or ``dorgqr(m, n, k, a, m, tau, ...)``
+    call on the Fortran-ordered float64 m x n array ``a``."""
+    lib = _openblas()
+    if lib is None:
+        # lapack_lite wants C-contiguous arrays: a.T is that view of a's memory.
+        fn = getattr(lapack_lite, routine)
+        info = fn(*dims, a.T, a.shape[0], tau, work, lwork, 0)["info"]
+    else:
+        def ref(value):
+            return ctypes.byref(ctypes.c_int64(value))
+
+        status = ctypes.c_int64(0)
+        getattr(lib, f"scipy_{routine}_64_")(
+            *map(ref, dims), a.ctypes.data, ref(a.shape[0]), tau.ctypes.data,
+            work.ctypes.data, ref(lwork), ctypes.byref(status))
+        info = status.value
+    if info != 0:
+        raise RuntimeError(f"{routine} rejected argument {-info}")
+
+
+def _in_place(routine: str, dims: tuple[int, ...], a: np.ndarray, tau: np.ndarray) -> None:
+    """Run ``routine`` on ``a`` after the workspace query numpy's own QR
+    makes, lwork = max(1, n, optimal), so the blocking and thus the bytes
+    match ``np.linalg.qr``."""
+    query = np.zeros(1)
+    _call(routine, dims, a, tau, query, -1)
+    lwork = max(1, dims[1], int(query[0]))
+    _call(routine, dims, a, tau, np.empty(lwork), lwork)
+
+
 def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR via Householder reflections (LAPACK).
 
-    Requires rows >= cols.  Returns q (rows x cols, orthonormal columns)
-    and r (cols x cols, upper-triangular).  Diagonal entries of r may be
-    negative; see :func:`sign_adjust`.
+    Requires rows >= cols.  Returns q (rows x cols, orthonormal columns,
+    Fortran-ordered) and r (cols x cols, upper-triangular); ``a`` is left
+    untouched.  Diagonal entries of r may be negative; see
+    :func:`sign_adjust`.  The factorization runs in place on q, the one
+    float64 copy of ``a`` made here, so the working set is q, r and the
+    LAPACK workspace.
     """
-    a = _as_matrix(a)
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise ShapeError(f"expected a non-empty 2D matrix, got shape {a.shape}")
     m, n = a.shape
     if m < n:
         raise ShapeError(f"thin QR needs rows >= cols, got {m} x {n}")
-    return np.linalg.qr(a)
+    q = np.array(a, dtype=np.float64, order="F")
+    tau = np.empty(n)
+    _in_place("dgeqrf", (m, n), q, tau)
+    r = np.triu(q[:n])
+    _in_place("dorgqr", (m, n, n), q, tau)
+    return q, r
 
 
 def sign_adjust(q: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghnpost
-from ghnpost import cli
+from ghnpost import cli, postprocess
 from ghnpost.checkpoint_io import Checkpoint, TensorMeta, read_checkpoint, write_checkpoint
 from ghnpost.cli import run
 from ghnpost.postprocess import PostprocessConfig, ghn_orth
@@ -96,15 +97,18 @@ def test_postprocess_skip_flags(ckpt_path, tmp_path):
 
 
 @pytest.mark.parametrize("skip", [[], ["--skip-noise"], ["--skip-orth"]])
-def test_postprocess_matches_library(skip, ckpt_path, tmp_path):
-    out = tmp_path / "out.ckpt"
-    assert run(["postprocess", str(ckpt_path), "--start-layer", "1", "--seed", "5",
-                "--beta", "0.01", "--out", str(out)] + skip) == 0
+def test_postprocess_matches_library(skip, ckpt_path, tmp_path, monkeypatch):
     cfg = PostprocessConfig(start_layer=1, beta=0.01, seed=5,
                             skip_noise="--skip-noise" in skip,
                             skip_orth="--skip-orth" in skip)
+    monkeypatch.setattr(postprocess, "_cpu_count", lambda: 1)
     expected = write_checkpoint(ghn_orth(read_checkpoint(ckpt_path.read_bytes()), cfg))
-    assert out.read_bytes() == expected
+    for width in (1, 8):  # sequential, and a pool wider than the layer count
+        monkeypatch.setattr(postprocess, "_cpu_count", lambda: width)
+        out = tmp_path / f"out{width}.ckpt"
+        assert run(["postprocess", str(ckpt_path), "--start-layer", "1", "--seed", "5",
+                    "--beta", "0.01", "--out", str(out)] + skip) == 0
+        assert out.read_bytes() == expected
 
 
 def test_postprocess_in_place(ckpt_path, tmp_path):
@@ -159,9 +163,92 @@ def test_non_finite_output_is_numerical_error(poison, ckpt_path, tmp_path, capsy
         ckpt_path.write_bytes(write_checkpoint(c))
         name = "l0.norm"
     out = tmp_path / "out.ckpt"
-    assert run(argv + ["--out", str(out)]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the exit-3 message is the only report
+        assert run(argv + ["--out", str(out)]) == 3
     assert f"tensor {name!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _child_env(**extra):
+    """Environment for a child that imports the ghnpost under test, however
+    this process found it."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ghnpost.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+def test_overflowing_beta_prints_one_line(ckpt_path, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghnpost.cli", "postprocess", str(ckpt_path),
+         "--start-layer", "0", "--skip-orth", "--beta", "1e300",
+         "--out", str(tmp_path / "out.ckpt")],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "ghnpost: numerical error: tensor 'l0.conv': output would hold NaN or Inf values\n"
+    )
+
+
+def test_nan_in_third_eligible_tensor_with_layers_in_flight(tmp_path, monkeypatch, capsys):
+    names = [f"l{i}.conv" for i in range(7)]
+    c = make_checkpoint(
+        [(name, (24, 4, 3, 3), "conv", 0, ghn_like_tensor((24, 4, 3, 3), seed=i))
+         for i, name in enumerate(names)]
+    )
+    c.get("l2.conv")[1][0, 0, 0, 0] = np.nan
+    c.get("l3.conv")[1][0, 0, 0, 0] = np.inf  # fails too, later in header order
+    inp = tmp_path / "in.ckpt"
+    inp.write_bytes(write_checkpoint(c))
+    pulled = []
+
+    class RecordingReader(cli.CheckpointReader):
+        def __iter__(self):
+            for meta, arr in super().__iter__():
+                pulled.append(meta.name)
+                yield meta, arr
+
+    monkeypatch.setattr(postprocess, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "CheckpointReader", RecordingReader)
+    code = run(["postprocess", str(inp), "--start-layer", "0", "--out",
+                str(tmp_path / "out.ckpt")])
+    assert code == 3
+    assert "tensor 'l2.conv'" in capsys.readouterr().err
+    assert "l3.conv" in pulled  # was in flight when l2.conv failed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ckpt"]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and a second CPU",
+)
+def test_repair_bytes_do_not_depend_on_the_core_count(tmp_path):
+    # A near-duplicate 1000 x 2048 linear layer whose repair, with BLAS on
+    # its default thread count, differs in one float32 value between one
+    # and two OpenBLAS threads.
+    c = make_checkpoint(
+        [("fc", (1000, 2048), "linear", 0, ghn_like_tensor((1000, 2048), seed=0))]
+    )
+    inp = tmp_path / "in.ckpt"
+    inp.write_bytes(write_checkpoint(c))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outs = []
+    for threads, cpus in (("1", one_cpu), ("2", None)):
+        out = tmp_path / f"out{threads}.ckpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghnpost.cli", "postprocess", str(inp),
+             "--start-layer", "0", "--seed", "0", "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            preexec_fn=(lambda: os.sched_setaffinity(0, cpus)) if cpus else None,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -353,12 +440,7 @@ def test_compare_mismatch_is_data_error(ckpt_path, tmp_path):
 
 
 def test_console_entry_point(ckpt_path, tmp_path):
-    # The child imports the ghnpost under test, however this process found it.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(ghnpost.__file__).parents[1])]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env = _child_env()
     out = tmp_path / "r.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "ghnpost.cli", "analyze", str(ckpt_path),

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from ghnpost import linalg
 from ghnpost.errors import DegenerateInput, ShapeError
 from ghnpost.linalg import eigh_descending, pca_project, qr_decompose, sign_adjust
+from ghnpost.postprocess import orthogonal_reinit
+from ghnpost.tensor_ops import Matricized, dematricize, matricize
 
 
 def test_two_by_two_hand_example():
@@ -175,3 +178,57 @@ def test_pca_degenerate_inputs():
         pca_project(x, 5)  # k > d
     with pytest.raises(DegenerateInput):
         pca_project(np.zeros((3, 8)), 3)  # k > n - 1
+
+
+# --- the in-place LAPACK kernel against np.linalg.qr -------------------------
+
+def _oracle_reinit(w):
+    """matricize -> np.linalg.qr -> sign_adjust -> cast -> dematricize."""
+    m = matricize(w)
+    q, r = np.linalg.qr(m.data.astype(np.float64))
+    adjusted = sign_adjust(q, r).astype(w.dtype)
+    return dematricize(Matricized(adjusted, m.transposed, m.original_shape))
+
+
+def _layer_cases():
+    rng = np.random.default_rng(20)
+    base = rng.normal(size=72)
+    return {
+        "k_lt_chw": rng.normal(size=(16, 8, 3, 3)).astype(np.float32),
+        "k_gt_chw": rng.normal(size=(64, 3, 3, 3)).astype(np.float32),
+        "square": rng.normal(size=(40, 40)),
+        "blocked": rng.normal(size=(260, 150)).astype(np.float32),  # > 128 columns
+        "near_duplicate": (base + 1e-7 * rng.normal(size=(100, 72))).astype(np.float32),
+        "rank_deficient": np.tile(base[:27], (8, 1)).reshape(8, 3, 3, 3),
+        "all_zero": np.zeros((12, 5), np.float32),
+        "one_by_n": rng.normal(size=(1, 9)).astype(np.float32),
+        "n_by_one": rng.normal(size=(9, 1)),
+    }
+
+
+@pytest.fixture(params=["openblas", "lapack_lite"])
+def binding(request, monkeypatch):
+    """Run the kernel through the ctypes binding or, with the loader
+    patched to find no library, through numpy.linalg.lapack_lite."""
+    if request.param == "lapack_lite":
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    elif linalg._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    return request.param
+
+
+@pytest.mark.parametrize("case", sorted(_layer_cases()))
+def test_kernel_matches_numpy_qr_bytes(binding, case):
+    w = _layer_cases()[case]
+    mat = matricize(w).data
+    for a in (mat, np.asfortranarray(mat)):
+        before = a.copy()
+        q, r = qr_decompose(a)
+        np.testing.assert_array_equal(a, before)  # the input is left untouched
+        q_ref, r_ref = np.linalg.qr(a.astype(np.float64))
+        assert sign_adjust(q, r).tobytes() == sign_adjust(q_ref, r_ref).tobytes()
+        assert np.ascontiguousarray(r).tobytes() == r_ref.tobytes()
+    out = orthogonal_reinit(w)
+    ref = _oracle_reinit(w)
+    assert out.shape == w.shape and out.dtype == w.dtype
+    assert np.ascontiguousarray(out).tobytes() == ref.tobytes()

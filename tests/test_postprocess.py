@@ -1,7 +1,12 @@
 import math
+import random
+import threading
+import time
 
 import numpy as np
 import pytest
+
+from ghnpost import linalg, postprocess
 
 from ghnpost.errors import (
     ChannelTooShort,
@@ -10,8 +15,11 @@ from ghnpost.errors import (
 )
 from ghnpost.postprocess import (
     PostprocessConfig,
+    _ordered_map,
     add_conditional_noise,
     ghn_orth,
+    ghn_orth_tensor,
+    ghn_orth_tensors,
     he_init,
     orthogonal_reinit,
     saxe_orthogonal_init,
@@ -84,6 +92,13 @@ def test_chunked_noise_matches_whole_layer_noise_bytes():
         got = add_conditional_noise(x, 1e-2, stream)
         assert got.flags.c_contiguous
         assert got.tobytes() == ref.astype(x.dtype).tobytes()
+
+
+def test_noise_to_float64_equals_noise_on_a_float64_copy():
+    w = correlated_tensor((16, 4, 3, 3), seed=2)
+    got = add_conditional_noise(w, 1e-3, RngStream(3, "w"), np.float64)
+    ref = add_conditional_noise(w.astype(np.float64), 1e-3, RngStream(3, "w"))
+    assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
 
 
 def test_noise_dtype_preserved():
@@ -235,6 +250,96 @@ def test_error_annotated_with_tensor_name():
     )
     with pytest.raises(UnsupportedRank, match="odd.conv"):
         ghn_orth(c, PostprocessConfig(start_layer=0))
+
+
+# --- the layer pool ----------------------------------------------------------
+
+def test_ordered_map_keeps_item_order_and_byte_budget():
+    # Fake jobs of random sizes and durations on 8 threads.  An item is in
+    # flight from when the map pulls it until the consumer takes its result.
+    rng = random.Random(0)
+    sizes = [rng.choice([1, 2, 3, 5, 8]) for _ in range(60)]
+    budget = 10
+    in_flight, peak, lock = [0], [0], threading.Lock()
+
+    def items():
+        for i, size in enumerate(sizes):
+            with lock:
+                assert in_flight[0] == 0 or in_flight[0] + size <= budget
+                in_flight[0] += size
+                peak[0] = max(peak[0], in_flight[0])
+            yield i
+
+    def job(i):
+        time.sleep(rng.random() * 2e-3)
+        return i
+
+    out = []
+    for i in _ordered_map(job, items(), sizes, budget, width=8):
+        out.append(i)
+        with lock:
+            in_flight[0] -= sizes[i]
+    assert out == list(range(len(sizes)))
+    assert 8 < peak[0] <= budget  # items did overlap
+
+
+def test_ordered_map_raises_first_failure_in_item_order():
+    def job(i):
+        if i in (2, 3):
+            time.sleep(0.01 if i == 2 else 0.0)  # 3 fails first in time
+            raise ValueError(f"item {i}")
+        return i
+
+    got = []
+    with pytest.raises(ValueError, match="item 2"):
+        for i in _ordered_map(job, range(8), [1] * 8, 4, width=4):
+            got.append(i)
+    assert got == [0, 1]
+
+    def failing_reader():
+        yield from (2, 4)
+        raise OSError("read failed")
+
+    # A later read failure does not hide an earlier item's own failure.
+    with pytest.raises(ValueError, match="item 2"):
+        list(_ordered_map(job, failing_reader(), [1] * 3, 4, width=4))
+
+
+def _layers_checkpoint(n=6):
+    return make_checkpoint(
+        [(f"l{i}.conv", (24, 4, 3, 3), "conv", i, ghn_like_tensor((24, 4, 3, 3), seed=i))
+         for i in range(n)]
+        + [("head.bias", (10,), "bias", n, np.ones(10, np.float32))]
+    )
+
+
+@pytest.mark.parametrize("skip", [{}, {"skip_noise": True}])
+def test_pool_matches_sequential_in_header_order(skip, monkeypatch):
+    c = _layers_checkpoint()
+    cfg = PostprocessConfig(start_layer=1, seed=4, **skip)
+    expected = [ghn_orth_tensor(meta, arr, cfg) for meta, arr in c.tensors]
+    monkeypatch.setattr(postprocess, "_cpu_count", lambda: 8)
+    got = list(ghn_orth_tensors(c.metas, c.tensors, cfg))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+    assert got[0] is c.tensors[0][1]  # below start_layer: passed through
+
+
+def test_pool_pins_blas_to_one_thread_and_restores_it(monkeypatch):
+    lib = linalg._openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    seen = []
+
+    def recording(meta, arr, cfg):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        return ghn_orth_tensor(meta, arr, cfg)
+
+    monkeypatch.setattr(postprocess, "ghn_orth_tensor", recording)
+    before = lib.scipy_openblas_get_num_threads64_()
+    c = _layers_checkpoint(3)
+    ghn_orth(c, PostprocessConfig(start_layer=0))
+    assert seen and set(seen) == {1}
+    assert lib.scipy_openblas_get_num_threads64_() == before
 
 
 def test_config_validation():

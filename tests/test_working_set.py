@@ -1,15 +1,22 @@
 """Working sets of the per-tensor paths the command line runs.
 
 Peaks are Python-heap peaks from ``tracemalloc`` (numpy reports its array
-buffers to it), counted from the start of each call.  A K x K float64
-Gram of the 4096-channel tensor below alone would be 128 MiB.
+buffers to it), counted from the start of each call, except for the QR
+layers, whose LAPACK workspace numpy does not see: those are measured as
+``ru_maxrss`` growth in a fresh interpreter.  A K x K float64 Gram of the
+4096-channel tensor below alone would be 128 MiB.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghnpost
 from ghnpost.checkpoint_io import Checkpoint, TensorMeta
 from ghnpost.postprocess import PostprocessConfig, ghn_orth_tensor
 from ghnpost.report import analyze_checkpoint, compare_checkpoints
@@ -58,3 +65,46 @@ def test_noise_only_layer_stays_within_its_float64_copy():
     peak = _peak_bytes(lambda: out.append(ghn_orth_tensor(meta, w, cfg)))
     assert not np.array_equal(out[0], w)
     assert peak <= 2.5 * w.size * 8
+
+
+_RSS_GROWTH = """
+import resource, sys
+import numpy as np
+from ghnpost.checkpoint_io import TensorMeta
+from ghnpost.postprocess import PostprocessConfig, ghn_orth_tensor
+
+def layer(shape):
+    # near-duplicate channels, built in float32 so no float64 temporary
+    # raises the peak before the measured call
+    w = np.random.default_rng(0).standard_normal(shape, dtype=np.float32)
+    w *= 1e-3
+    w += w[:1]
+    return w
+
+cfg = PostprocessConfig(start_layer=0)
+ghn_orth_tensor(TensorMeta("warm", (64, 96), "linear", 0), layer((64, 96)), cfg)
+shape = tuple(int(d) for d in sys.argv[1:])
+w = layer(shape)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ghn_orth_tensor(TensorMeta("w", shape, "linear", 0), w, cfg)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024 / (w.size * 8))
+"""
+
+
+@pytest.mark.parametrize("shape", [(512, 512, 3, 3), (1000, 2048)])
+def test_repaired_layer_stays_within_three_float64_copies(shape):
+    # Noise then QR hold the float64 layer plus one float64 copy (the
+    # centered channels, then the QR buffer) and R; a QR that copies the
+    # layer again around LAPACK measures 5.6x here.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ghnpost.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_GROWTH, *map(str, shape)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 3.0

@@ -18,6 +18,7 @@ from .postprocess import (
     ghn_orth,
     ghn_orth_tensor,
     he_init,
+    init_checkpoint,
     orthogonal_reinit,
     saxe_orthogonal_init,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "ghn_orth_tensor",
     "he_init",
     "import_json",
+    "init_checkpoint",
     "matricize",
     "orthogonal_reinit",
     "pca_project",

@@ -22,23 +22,13 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import BinaryIO
 
-import numpy as np
-
-from .checkpoint_io import (
-    ELIGIBLE_KINDS,
-    CheckpointReader,
-    TensorMeta,
-    parse_tensor_specs,
-    write_tensors,
-)
+from .checkpoint_io import CheckpointReader, parse_tensor_specs, write_tensors
 from .errors import DataFormatError, NumericalError
 from .postprocess import (
     DEFAULT_BETA,
     PostprocessConfig,
-    check_finite_output,
     ghn_orth_tensors,
-    he_init,
-    saxe_orthogonal_init,
+    init_checkpoint,
 )
 from .report import (
     analyze_checkpoint,
@@ -50,7 +40,6 @@ from .report import (
     parse_embeddings_csv,
     project_embeddings,
 )
-from .rng import RngStream
 
 DEFAULT_BINS = 50
 
@@ -212,24 +201,11 @@ def _cmd_postprocess(args) -> int:
     return 0
 
 
-def _init_tensor(meta: TensorMeta, args) -> np.ndarray:
-    if meta.kind in ELIGIBLE_KINDS:
-        stream = RngStream(args.seed, meta.name)
-        if args.method == "rand":
-            return he_init(meta.shape, stream)
-        # A --gain near float32's max overflows the stored weights.
-        w = saxe_orthogonal_init(meta.shape, args.gain, stream)
-        return check_finite_output(meta.name, w)
-    if meta.kind == "norm":
-        return np.ones(meta.shape, dtype=np.float32)
-    return np.zeros(meta.shape, dtype=np.float32)  # bias, other
-
-
 def _cmd_init(args) -> int:
     specs = parse_tensor_specs(args.archspec.read_text(encoding="utf-8"), with_data=False)
     metas = [meta for meta, _ in specs]
     with _write_atomic(args.out) as handle:
-        write_tensors(handle, metas, (_init_tensor(meta, args) for meta in metas))
+        write_tensors(handle, metas, init_checkpoint(metas, args.method, args.gain, args.seed))
     return 0
 
 

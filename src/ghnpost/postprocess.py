@@ -16,6 +16,7 @@ casts each layer to float32 exactly once.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from collections import deque
@@ -35,6 +36,11 @@ DEFAULT_BETA = 3e-5
 # Noise values drawn and added per step: 512 KiB of float64, so the noise
 # never needs a buffer the size of the layer.
 _NOISE_CHUNK = 1 << 16
+
+# Bound on |z| for every stream value: a uniform is at least 2**-53, so
+# |z| <= sqrt(-2 ln 2**-53) = sqrt(106 ln 2) ~= 8.572; 8.6 leaves room for
+# the last bits of log, sqrt, cos and sin.
+_ZMAX = 8.6
 
 
 @dataclass(frozen=True)
@@ -83,15 +89,58 @@ def add_conditional_noise(
     flat = out.reshape(-1)
     # Element i is w_i + scale * z_i summed in float64 and rounded once to
     # out's dtype, the same value one whole-layer noise array would give.
-    for start in range(0, flat.size, _NOISE_CHUNK):
-        z = rng.normal(min(_NOISE_CHUNK, flat.size - start), start=start)
-        # A huge beta overflows here; callers check the result for Inf
-        # (check_finite_output), so numpy need not warn as well.
-        with np.errstate(over="ignore"):
-            z *= scale
-            chunk = flat[start : start + z.size]
-            chunk += z
+    # Noise under 2**-(nmant+4) |w_i| is under a quarter of the smaller gap
+    # of out's dtype next to w_i (subnormals included), so the sum rounds
+    # back to w_i; as |z_i| <= _ZMAX, only an element with |w_i| <= limit
+    # can move.  Elements above the limit are skipped, not drawn.
+    limit = 2.0 ** (np.finfo(out.dtype).nmant + 4) * scale * _ZMAX
+    gather = _Gather(out.dtype) if limit < max(float(flat.max()), -float(flat.min())) else None
+    # A huge beta overflows here; callers check the result for Inf
+    # (check_finite_output), so numpy need not warn as well.
+    with np.errstate(over="ignore"):
+        for start in range(0, flat.size, _NOISE_CHUNK):
+            chunk = flat[start : start + _NOISE_CHUNK]
+            if gather is None or not gather.add(chunk, start, limit, scale, rng):
+                z = rng.normal(chunk.size, start=start)
+                z *= scale
+                chunk += z
     return out
+
+
+class _Gather:
+    """Noise for the few elements of a chunk that it can move.
+
+    The buffers hold one chunk and are reused for every chunk of a layer,
+    so the number of elements gathered does not change the sizes the heap
+    sees.
+    """
+
+    def __init__(self, dtype: np.dtype):
+        self.index = np.arange(_NOISE_CHUNK)
+        self.near = np.empty(_NOISE_CHUNK, bool)
+        self.pos = np.empty(_NOISE_CHUNK, np.int64)
+        self.z = np.empty(_NOISE_CHUNK)
+        self.w = np.empty(_NOISE_CHUNK, dtype)
+
+    def add(self, chunk, start, limit, scale, rng) -> bool:
+        """Add noise to the elements of ``chunk`` (stream values from
+        ``start``) with magnitude <= limit, unless more than a quarter of
+        them are: then return False and leave the chunk to the dense draw.
+        A gathered value costs about two dense ones (it needs its pair).
+        """
+        n = chunk.size
+        near = np.less_equal(np.abs(chunk, out=self.w[:n]), limit, out=self.near[:n])
+        m = np.count_nonzero(near)
+        if m > n // 4:
+            return False
+        pos = np.compress(near, self.index[:n], out=self.pos[:m])
+        pos += start
+        z = rng.normal_at(pos, out=self.z[:m])
+        z *= scale
+        z += np.compress(near, chunk, out=self.w[:m])
+        np.copyto(self.w[:m], z, casting="same_kind")
+        np.place(chunk, near, self.w[:m])
+        return True
 
 
 def orthogonal_reinit(w: np.ndarray) -> np.ndarray:
@@ -133,7 +182,7 @@ def ghn_orth_tensor(
     """
     w = arr
     if _eligible(meta, cfg):
-        try:
+        with _naming(meta.name):
             # A single stage rounds its own float64 result to float32 once;
             # noise feeding the QR step stays float64 until the final cast.
             if not cfg.skip_noise:
@@ -141,10 +190,18 @@ def ghn_orth_tensor(
                 w = add_conditional_noise(arr, cfg.beta, RngStream(cfg.seed, meta.name), dtype)
             if not cfg.skip_orth:
                 w = orthogonal_reinit(w)
-        except GhnpostError as exc:
-            raise type(exc)(f"tensor {meta.name!r}: {exc}") from exc
         w = w.astype(np.float32, order="C", copy=False)
     return check_finite_output(meta.name, w)
+
+
+@contextlib.contextmanager
+def _naming(name: str) -> Iterator[None]:
+    """Prefix the message of a package error raised in the block with the
+    tensor's name."""
+    try:
+        yield
+    except GhnpostError as exc:
+        raise type(exc)(f"tensor {name!r}: {exc}") from exc
 
 
 def check_finite_output(name: str, w: np.ndarray) -> np.ndarray:
@@ -222,8 +279,10 @@ def ghn_orth_tensors(
     working sets, not one per CPU.
     """
     if cfg.skip_orth:
-        # The noise step mostly holds the GIL: it stays sequential, on
-        # BLAS's default thread count.
+        # The noise-only path stays sequential, on BLAS's default thread
+        # count: on the layer pool with BLAS pinned, ViT-B/16 on 2 cores
+        # ran no faster (7.15-7.80 s against 7.09-7.15 s, 3 runs each)
+        # and peaked at 106-109 MB RSS instead of 72 MB.
         for meta, arr in tensors:
             yield ghn_orth_tensor(meta, arr, cfg)
         return
@@ -278,4 +337,39 @@ def saxe_orthogonal_init(
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError("gain must be finite and positive")
     w = rng.normal(math.prod(shape)).reshape(shape)
-    return (orthogonal_reinit(w) * gain).astype(np.float32)
+    # A gain near float32's max overflows here; callers check the result
+    # for Inf (check_finite_output), so numpy need not warn as well.
+    with np.errstate(over="ignore"):
+        return (orthogonal_reinit(w) * gain).astype(np.float32)
+
+
+def init_checkpoint(
+    metas: Iterable[TensorMeta], method: str, gain: float, seed: int
+) -> Iterator[np.ndarray]:
+    """Yield a baseline initialization of each tensor of ``metas``, in order.
+
+    conv and linear tensors get ``method``, drawing from their own
+    substream keyed by tensor name: ``"rand"`` is :func:`he_init`,
+    ``"orth"`` is :func:`saxe_orthogonal_init` with ``gain``.  norm
+    tensors are ones; bias and other tensors are zeros.  A tensor of
+    unsupported rank, or whose weights would overflow float32, raises a
+    NumericalError naming it.
+    """
+    if method not in ("rand", "orth"):
+        raise ValueError(f"unknown init method {method!r}")
+    # Only the metas are bound between items, so the tensor yielded last
+    # is not kept alive while the next one is made.
+    return (_init_tensor(meta, method, gain, seed) for meta in metas)
+
+
+def _init_tensor(meta: TensorMeta, method: str, gain: float, seed: int) -> np.ndarray:
+    if meta.kind not in ELIGIBLE_KINDS:
+        fill = np.ones if meta.kind == "norm" else np.zeros  # bias, other: zeros
+        return fill(meta.shape, dtype=np.float32)
+    stream = RngStream(seed, meta.name)
+    with _naming(meta.name):
+        if method == "rand":
+            w = he_init(meta.shape, stream)
+        else:
+            w = saxe_orthogonal_init(meta.shape, gain, stream)
+    return check_finite_output(meta.name, w)

@@ -19,7 +19,11 @@ the stream, ``normal(n)`` is a prefix of ``normal(m)`` for n <= m, and
 Because every word is a pure function of (seed, counter), layers can be
 processed in any order, or in parallel, with identical results; for the
 same reason a stream is generated in fixed-size chunks without changing
-any bit of it.
+any bit of it.  The stream is also random-access by position:
+``normal_at(positions)`` generates only the pairs those positions fall in
+and equals ``normal(n)[positions]`` bit for bit, so a caller that needs a
+few scattered values (the noise step, where most of the noise is below
+float32 resolution) skips the rest of the stream.
 """
 
 from __future__ import annotations
@@ -49,25 +53,29 @@ def substream_seed(master_seed: int, label: str) -> int:
 # allocate nothing per pass.  Even, so every chunk holds whole pairs.
 _CHUNK = 1 << 14
 
+# Counters 1 .. _CHUNK: word i of a chunk starting at word s has counter
+# s + i + 1.  Shared and read-only.
+_COUNTER = np.arange(1, _CHUNK + 1, dtype=np.uint64)
+_COUNTER.flags.writeable = False
+
 
 class _Words:
-    """splitmix64 work buffers of one generator call, sized for one chunk."""
+    """Work buffers of one generator call, sized for ``size`` values (even):
+    splitmix64 words, uniforms and the Box-Muller temporaries."""
 
     def __init__(self, size: int):
-        self.counter = np.arange(1, size + 1, dtype=np.uint64)
         self.word = np.empty(size, dtype=np.uint64)
         self.shifted = np.empty(size, dtype=np.uint64)
+        self.u = np.empty(size)
+        self.radius, self.angle, self.trig = (np.empty(size // 2) for _ in range(3))
 
 
-def _uniforms(seed: np.uint64, start: int, u: np.ndarray, words: _Words) -> np.ndarray:
-    """Write uniforms start .. start+len(u)-1 of the stream into u.
+def _mix(seed: np.uint64, z: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Write the uniforms of the word counters in z into u (z and t are clobbered).
 
-    Word i is splitmix64 of counter ``seed + (i+1) * G``; the uniform keeps
-    its top 53 bits: ``((word >> 11) + 1) * 2**-53``, exact in float64.
+    The word of counter c is splitmix64 of ``seed + c * G``; the uniform
+    keeps its top 53 bits: ``((word >> 11) + 1) * 2**-53``, exact in float64.
     """
-    n = len(u)
-    z, t = words.word[:n], words.shifted[:n]
-    np.add(words.counter[:n], np.uint64(start), out=z)
     np.multiply(z, _GOLDEN, out=z)
     np.add(z, seed, out=z)
     for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
@@ -79,6 +87,33 @@ def _uniforms(seed: np.uint64, start: int, u: np.ndarray, words: _Words) -> np.n
     np.add(z, 1.0, out=u)
     np.multiply(u, 2.0**-53, out=u)
     return u
+
+
+def _uniforms(seed: np.uint64, start: int, u: np.ndarray, words: _Words) -> np.ndarray:
+    """Write uniforms start .. start+len(u)-1 of the stream into u."""
+    n = len(u)
+    z = words.word[:n]
+    np.add(_COUNTER[:n], np.uint64(start), out=z)
+    return _mix(seed, z, words.shifted[:n], u)
+
+
+def _box_muller(u: np.ndarray, even: np.ndarray, odd: np.ndarray, words: _Words) -> None:
+    """Gaussians of the uniform pairs (u[2j], u[2j+1]) into even[j] and odd[j].
+
+    ``normal`` and ``normal_at`` both come through here with u laid out as
+    interleaved pairs, so numpy's log, cos and sin see the same strides and
+    give the same bits either way.
+    """
+    p = len(u) // 2
+    r, a, c = words.radius[:p], words.angle[:p], words.trig[:p]
+    np.log(u[0::2], out=r)
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(2.0 * np.pi, u[1::2], out=a)
+    np.cos(a, out=c)
+    np.multiply(r, c, out=even)
+    np.sin(a, out=c)
+    np.multiply(r, c, out=odd)
 
 
 @dataclass(frozen=True)
@@ -119,22 +154,44 @@ class RngStream:
         seed = self._seed()
         first = start - start % 2  # whole pairs; the end values may be cut
         size = start + n + (start + n) % 2 - first
-        chunk = min(size, _CHUNK)
-        words = _Words(chunk)
-        u = np.empty(chunk)
-        radius, angle, trig = (np.empty(chunk // 2) for _ in range(3))
+        words = _Words(min(size, _CHUNK))
         out = np.empty(size, dtype=np.float64)
         for lo in range(0, size, _CHUNK):
             hi = min(lo + _CHUNK, size)
-            p = (hi - lo) // 2
-            _uniforms(seed, first + lo, u[: 2 * p], words)
-            r, a, c = radius[:p], angle[:p], trig[:p]
-            np.log(u[0 : 2 * p : 2], out=r)
-            np.multiply(-2.0, r, out=r)
-            np.sqrt(r, out=r)
-            np.multiply(2.0 * np.pi, u[1 : 2 * p : 2], out=a)
-            np.cos(a, out=c)
-            np.multiply(r, c, out=out[lo:hi:2])
-            np.sin(a, out=c)
-            np.multiply(r, c, out=out[lo + 1 : hi : 2])
+            u = _uniforms(seed, first + lo, words.u[: hi - lo], words)
+            _box_muller(u, out[lo:hi:2], out[lo + 1 : hi : 2], words)
         return out[start - first : start - first + n]
+
+    def normal_at(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Standard-normal values at ``positions`` of the stream (float64).
+
+        Equals ``normal(max(positions) + 1)[positions]`` bit for bit, but
+        only the pairs the positions touch are generated: value p needs
+        words 2j and 2j+1 of its pair j = p // 2 (counters 2j+1 and 2j+2).
+        ``positions`` is a 1-D integer array in any order; the values go
+        to ``out`` (a new array by default).  The work buffers have one
+        size whatever the number of positions, so calls of varying size
+        reuse the same heap blocks.
+        """
+        positions = np.asarray(positions)
+        if out is None:
+            out = np.empty(len(positions))
+        if positions.size and positions.min() < 0:
+            raise ValueError("positions must be non-negative")
+        seed = self._seed()
+        words = _Words(_CHUNK)
+        for lo in range(0, len(positions), _CHUNK // 2):
+            pos = positions[lo : lo + _CHUNK // 2]
+            k = len(pos)
+            z, u = words.word[: 2 * k], words.u[: 2 * k]
+            np.bitwise_or(pos, 1, out=z[0::2], casting="unsafe")  # 2j + 1
+            np.add(z[0::2], np.uint64(1), out=z[1::2])
+            _mix(seed, z, words.shifted[: 2 * k], u)
+            # Box-Muller overwrites u with the pair's two values, as normal
+            # lays them out in its output; each position keeps its half.
+            _box_muller(u, u[0::2], u[1::2], words)
+            odd = words.shifted[:k].view(bool)[:k]  # free once _mix is done
+            np.bitwise_and(pos, 1, out=odd, casting="unsafe")
+            np.copyto(out[lo : lo + k], u[0::2])
+            np.copyto(out[lo : lo + k], u[1::2], where=odd)
+        return out

@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -383,7 +385,8 @@ def test_init_huge_gain_is_numerical_error(tmp_path, capsys):
     path = tmp_path / "arch.json"
     path.write_text('[{"name": "w", "shape": [4, 4], "kind": "linear", "depth": 0}]')
     out = tmp_path / "o.ckpt"
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the exit-3 message is the only report
         code = run(["init", str(path), "--method", "orth", "--gain", "1e39",
                     "--out", str(out)])
     assert code == 3
@@ -463,8 +466,10 @@ def test_console_entry_point(ckpt_path, tmp_path):
 
 
 @st.composite
-def _postprocess_cases(draw):
-    """A small checkpoint (possibly non-finite, odd-shaped or truncated) and flags."""
+def _cli_cases(draw):
+    """``postprocess`` on a small checkpoint (possibly non-finite, odd-shaped
+    or truncated), or ``init`` on the same tensor specs with an extreme
+    ``--gain``: (command, input bytes, flags, metas of a good output)."""
     n = draw(st.integers(min_value=1, max_value=4))
     depths = sorted(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     tensors = []
@@ -479,6 +484,15 @@ def _postprocess_cases(draw):
             arr.flat[draw(st.integers(0, arr.size - 1))] = poison
         kind = draw(st.sampled_from(["conv", "linear", "linear", "norm", "bias"]))
         tensors.append((TensorMeta(f"t{i}", shape, kind, depth), arr))
+    metas = [meta for meta, _ in tensors]
+    if draw(st.booleans()):
+        spec = [{"name": m.name, "shape": list(m.shape), "kind": m.kind, "depth": m.depth}
+                for m in metas]
+        gains = ["1", "1e-45", "3e38", "1e39", "1e300", "0", "-1", "inf"]
+        flags = ["--method", draw(st.sampled_from(["rand", "orth"])),
+                 "--gain", draw(st.sampled_from(gains)),
+                 "--seed", str(draw(st.integers(0, 3)))]
+        return "init", json.dumps(spec).encode(), flags, metas
     blob = bytes(write_checkpoint(Checkpoint(tensors=tensors)))
     blob = blob[: len(blob) - draw(st.sampled_from([0, 0, 0, 1, 4]))]
     betas = ["0", "3e-5", "1", "1e38", "1e300", "-1", "nan"]
@@ -486,23 +500,29 @@ def _postprocess_cases(draw):
              "--seed", str(draw(st.integers(0, 3))),
              "--beta", draw(st.sampled_from(betas))]
     flags += draw(st.sampled_from([[], ["--skip-noise"], ["--skip-orth"]]))
-    return blob, flags
+    return "postprocess", blob, flags, metas
 
 
-@settings(max_examples=80, deadline=None)
-@given(_postprocess_cases())
+@settings(max_examples=120, deadline=None)
+@given(_cli_cases())
 def test_postprocess_property(case):
-    """run() never raises; exit 0 writes a finite checkpoint, 1/2/3 write nothing."""
-    blob, flags = case
+    """run() never raises or warns; exit 0 writes a finite checkpoint, 1/2/3
+    write nothing, and a numerical error names the tensor on one line."""
+    command, blob, flags, metas = case
     with tempfile.TemporaryDirectory() as tmp:
-        inp, out = Path(tmp, "in.ckpt"), Path(tmp, "out.ckpt")
+        inp, out = Path(tmp, "in"), Path(tmp, "out.ckpt")
         inp.write_bytes(blob)
-        code = run(["postprocess", str(inp), "--out", str(out)] + flags)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, str(inp), "--out", str(out)] + flags)
         assert code in (0, 1, 2, 3)
         if code == 0:
             result = read_checkpoint(out.read_bytes())
-            assert result.metas == read_checkpoint(blob).metas
+            assert result.metas == metas
             assert all(np.isfinite(arr).all() for _, arr in result)
-            assert sorted(os.listdir(tmp)) == ["in.ckpt", "out.ckpt"]
+            assert sorted(os.listdir(tmp)) == ["in", "out.ckpt"]
         else:
-            assert os.listdir(tmp) == ["in.ckpt"]
+            assert os.listdir(tmp) == ["in"]
+        if code == 3:
+            assert re.fullmatch(r"ghnpost: numerical error: tensor 't\d': .*\n", err.getvalue())

@@ -2,6 +2,7 @@ import math
 import random
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ghnpost.postprocess import (
     ghn_orth_tensor,
     ghn_orth_tensors,
     he_init,
+    init_checkpoint,
     orthogonal_reinit,
     saxe_orthogonal_init,
 )
@@ -99,6 +101,72 @@ def test_noise_to_float64_equals_noise_on_a_float64_copy():
     got = add_conditional_noise(w, 1e-3, RngStream(3, "w"), np.float64)
     ref = add_conditional_noise(w.astype(np.float64), 1e-3, RngStream(3, "w"))
     assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
+
+
+def _noise_oracle(w, beta, stream, dtype):
+    """The whole stream drawn, added to w in float64 and rounded once."""
+    from ghnpost.stats import correlation_stats
+
+    scale = beta * correlation_stats(w).sigma_r
+    ref = stream.normal(w.size).reshape(w.shape)
+    ref *= scale
+    ref += w
+    return ref.astype(dtype)
+
+
+def test_sparse_noise_equals_dense_oracle_bytes(monkeypatch):
+    from ghnpost.postprocess import _NOISE_CHUNK, _ZMAX
+    from ghnpost.stats import correlation_stats
+
+    # Near-duplicate rows of magnitude ~1 (their chunks are gathered) over
+    # broad rows far below the threshold (their chunks are drawn dense).
+    k, chw = 256, 1024
+    half = k // 2 * chw
+    assert 2 * half == 4 * _NOISE_CHUNK
+    w = np.concatenate([
+        ghn_like_tensor((k // 2, chw), seed=1),
+        correlated_tensor((k // 2, chw), seed=2, scale=1e-5),
+    ]).reshape(-1)
+    stream = RngStream(5, "mixed")
+    z = stream.normal(w.size)
+    # The largest weight noise can move: just below 2**-8, whose half gap
+    # 2**-33 the noise at the largest |z| of the gathered chunks exceeds
+    # by 2**-10 once beta is set below.  Then the threshold is t.
+    top = np.argmax(np.abs(z[:half]))
+    step = 2.0**-33 * (1 + 2.0**-10)
+    t = np.float32(2.0**27 * _ZMAX * step / abs(z[top]))
+    w[top] = np.nextafter(np.float32(2.0**-8), 0)
+    f32 = np.finfo(np.float32)
+    special = [t, np.nextafter(t, 0), np.nextafter(t, 1), 2 * t, t / 2, 0.0, -0.0,
+               f32.smallest_subnormal, -3 * f32.smallest_subnormal, f32.smallest_normal]
+    special += [s * 2.0**e for e in range(-30, 3) for s in (1, -1)]
+    rng = np.random.default_rng(3)
+    # a swath of weights up to the threshold, where noise can move some
+    swath = t * np.exp2(rng.uniform(-12, 2, 6000)) * rng.choice([-1, 1], 6000)
+    vals = np.array(special + list(swath), dtype=np.float32)
+    spots = rng.choice(np.delete(np.arange(half), top), size=vals.size, replace=False)
+    w[spots] = vals
+    w = w.reshape(k, chw)
+    beta = step / (abs(z[top]) * correlation_stats(w).sigma_r)
+
+    gathered = []
+    normal_at = RngStream.normal_at
+
+    def counted(self, positions, out=None):
+        gathered.append(len(positions))
+        return normal_at(self, positions, out)
+
+    monkeypatch.setattr(RngStream, "normal_at", counted)
+    got = add_conditional_noise(w, beta, stream)
+    ref = _noise_oracle(w, beta, stream, np.float32)
+    assert got.tobytes() == ref.tobytes()
+    assert len(gathered) == 2 and 0 < sum(gathered) < _NOISE_CHUNK // 2
+    assert got.flat[top] != w.flat[top]
+    # the float64 output of the two-step path keeps every value's noise
+    gathered.clear()
+    got64 = add_conditional_noise(w, beta, stream, np.float64)
+    assert got64.tobytes() == _noise_oracle(w, beta, stream, np.float64).tobytes()
+    assert gathered == []
 
 
 def test_noise_dtype_preserved():
@@ -418,3 +486,15 @@ def test_saxe_deterministic_and_validated():
         saxe_orthogonal_init((8, 6), 0.0, RngStream(7, "w"))
     with pytest.raises(UnsupportedRank):
         saxe_orthogonal_init((8,), 1.0, RngStream(7, "w"))
+
+
+def test_init_checkpoint_holds_no_yielded_tensor():
+    from ghnpost.checkpoint_io import TensorMeta
+
+    metas = [TensorMeta("a", (8, 4), "linear", 0), TensorMeta("b", (8, 4), "linear", 1)]
+    tensors = init_checkpoint(metas, "orth", 1.0, 0)
+    first = weakref.ref(next(tensors))
+    assert first() is None  # not kept alive while the next tensor is made
+    assert next(tensors).tobytes() == saxe_orthogonal_init((8, 4), 1.0, RngStream(0, "b")).tobytes()
+    with pytest.raises(ValueError):
+        init_checkpoint(metas, "zeros", 1.0, 0)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from ghnpost.rng import RngStream, substream_seed
 
@@ -155,3 +156,36 @@ def test_prefix_property_across_chunk_boundary():
         assert stream.normal(n).tobytes() == long[:n].tobytes(), n
     u = stream.uniform(_CHUNK + 5)
     assert stream.uniform(_CHUNK + 1).tobytes() == u[: _CHUNK + 1].tobytes()
+
+
+def test_normal_at_matches_normal_bytes():
+    from ghnpost.rng import _CHUNK
+
+    stream = RngStream(2024, "blocks.3.mlp.fc1")
+    n = 3 * _CHUNK + 11
+    ref = stream.normal(n)
+    rng = np.random.default_rng(0)
+    cases = [
+        np.array([], dtype=np.int64),
+        np.array([0, n - 1]),  # first and last positions
+        np.array([n - 1, 0, 0]),  # any order, repeats allowed
+        np.array([4, 7, 9]),  # only one half of pairs 2, 3 and 4
+        np.array([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK]),
+        np.arange(n),  # every position: more than one work buffer of pairs
+    ]
+    for size in (1, 17, _CHUNK // 2 + 3, n // 2):  # random sets across chunks
+        cases.append(np.sort(rng.choice(n, size=size, replace=False)))
+        cases.append(rng.choice(n, size=size, replace=False))
+    for positions in cases:
+        got = stream.normal_at(positions)
+        assert got.dtype == np.float64 and got.shape == positions.shape
+        assert got.tobytes() == ref[positions].tobytes(), positions[:8]
+    # into a caller's buffer, as a prefix of a larger one
+    buf = np.full(8, np.nan)
+    out = stream.normal_at(np.array([5, 1, 2]), out=buf[:3])
+    assert out.base is buf and buf[:3].tobytes() == ref[[5, 1, 2]].tobytes()
+
+
+def test_normal_at_rejects_negative_positions():
+    with pytest.raises(ValueError):
+        RngStream(1, "x").normal_at(np.array([3, -1]))

@@ -73,3 +73,7 @@ class DegenerateInput(NumericalError):
 
 class NonFiniteTensor(NumericalError):
     """A tensor entering numerical post-processing holds NaN or Inf."""
+
+
+class OutOfMemory(NumericalError):
+    """The working memory of one tensor could not be allocated."""

@@ -2,10 +2,11 @@
 
 Both factorizations are LAPACK and run in float64.  The QR is Householder
 ``dgeqrf`` + ``dorgqr`` run in place on one Fortran-ordered copy of the
-input, called through numpy's bundled OpenBLAS with ctypes, which releases
-the GIL, or through ``numpy.linalg.lapack_lite`` where that library is not
-found.  ``eigh`` is numpy's.  This module adds the shape checks, the sign
-conventions and the descending eigenvalue order.
+input, or on the input itself when the caller gives it up, called through
+numpy's bundled OpenBLAS with ctypes, which releases the GIL, or through
+``numpy.linalg.lapack_lite`` where that library is not found.  ``eigh`` is
+numpy's.  This module adds the shape checks, the sign conventions and the
+descending eigenvalue order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,7 +120,9 @@ def _in_place(routine: str, dims: tuple[int, ...], a: np.ndarray, tau: np.ndarra
     _call(routine, dims, a, tau, np.empty(lwork), lwork)
 
 
-def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def qr_decompose(
+    a: np.ndarray, *, overwrite_a: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR via Householder reflections (LAPACK).
 
     Requires rows >= cols.  Returns q (rows x cols, orthonormal columns,
@@ -128,6 +131,11 @@ def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`sign_adjust`.  The factorization runs in place on q, the one
     float64 copy of ``a`` made here, so the working set is q, r and the
     LAPACK workspace.
+
+    With ``overwrite_a``, ``a`` itself, a writeable Fortran-ordered float64
+    array, is factored and returned as q, and r comes back as R's diagonal
+    alone (length cols), read before LAPACK overwrites R to form q: the
+    working set is then ``a`` and the workspace.  The bytes are the same.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
@@ -135,12 +143,24 @@ def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, n = a.shape
     if m < n:
         raise ShapeError(f"thin QR needs rows >= cols, got {m} x {n}")
-    q = np.array(a, dtype=np.float64, order="F")
+    if not overwrite_a:
+        q = np.array(a, dtype=np.float64, order="F")
+        return q, _householder(q, lambda factored: np.triu(factored[:n]))
+    if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("overwrite_a needs a writeable Fortran-ordered float64 array")
+    return a, _householder(a, lambda factored: factored.diagonal().copy())
+
+
+def _householder(a: np.ndarray, read_r: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Overwrite the Fortran-ordered float64 m x n ``a`` (m >= n) with its
+    thin Q; return ``read_r`` of ``a`` between the two calls, when its
+    upper triangle holds R."""
+    m, n = a.shape
     tau = np.empty(n)
-    _in_place("dgeqrf", (m, n), q, tau)
-    r = np.triu(q[:n])
-    _in_place("dorgqr", (m, n, n), q, tau)
-    return q, r
+    _in_place("dgeqrf", (m, n), a, tau)
+    r = read_r(a)
+    _in_place("dorgqr", (m, n, n), a, tau)
+    return r
 
 
 def sign_adjust(q: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -11,13 +11,17 @@ layers pass through bit-identical.
 
 Public single-tensor operations preserve the input dtype unless told
 otherwise; internally everything runs in float64, and ``ghn_orth_tensor``
-casts each layer to float32 exactly once.
+casts each layer to float32 exactly once.  A layer that gets the QR step
+lives in one float64 buffer from its correlation to that cast (see
+:func:`_reinit`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import math
+import mmap
 import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -26,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, TensorMeta, validate_checkpoint
-from .errors import GhnpostError, NonFiniteTensor, UnsupportedRank
+from .errors import GhnpostError, NonFiniteTensor, OutOfMemory, UnsupportedRank
 from .linalg import gil_free_qr, one_blas_thread, qr_decompose
 from .rng import RngStream
-from .stats import correlation_stats
+from .stats import _correlation_stats, correlation_stats
 
 DEFAULT_BETA = 3e-5
 
@@ -147,21 +151,95 @@ def orthogonal_reinit(w: np.ndarray) -> np.ndarray:
     """Replace w by the sign-corrected Q factor of its matricized form.
 
     The K x CHW matrix is factored as is, or transposed when K < CHW, as
-    :func:`~ghnpost.tensor_ops.matricize` would; the transpose of a
-    C-ordered matrix is the Fortran-ordered one LAPACK wants, so no copy is
-    made here.  The matricized output has orthonormal columns even for
-    rank-deficient input (zero R diagonal entries count as +1 in the sign
-    correction, as in :func:`~ghnpost.linalg.sign_adjust`).  The result has
-    w's shape and dtype; for float64 input it is the QR's own buffer, which
-    is column-major when K >= CHW.
+    :func:`~ghnpost.tensor_ops.matricize` would.  ``w`` is copied once, into
+    the float64 buffer that LAPACK factors in place (see :func:`_reinit`),
+    and is left untouched.  The matricized output has orthonormal columns
+    even for rank-deficient input (zero R diagonal entries count as +1 in
+    the sign correction, as in :func:`~ghnpost.linalg.sign_adjust`).  The
+    result is C-ordered, with w's shape and dtype.
+    """
+    return _reinit(w, None).astype(w.dtype, order="C", copy=False).reshape(w.shape)
+
+
+def _reinit(w: np.ndarray, noise: tuple[float, RngStream] | None) -> np.ndarray:
+    """The sign-corrected Q of w's K x CHW matrix, after the conditional
+    noise of ``noise`` = (beta, rng) if given, in one :func:`_layer_matrix`.
+
+    The buffer holds the centered channels for sigma_r, then
+    ``w + beta * sigma_r * z`` (the bytes of :func:`add_conditional_noise`
+    into float64, where every value is drawn), then Q.  A NaN or Inf in w
+    or in the noised layer raises NonFiniteTensor before the QR.
     """
     _check_tensor(w)
     k = w.shape[0]
     mat = w.reshape(k, math.prod(w.shape[1:]))
-    transposed = k < mat.shape[1]
-    q, r = qr_decompose(mat.T if transposed else mat)
-    q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return (q.T if transposed else q).astype(w.dtype, copy=False).reshape(w.shape)
+    layer, transposed = _layer_matrix(w.shape)
+    scale = None
+    if noise is not None:
+        beta, rng = noise
+        work = layer.ravel(order="K")  # the whole buffer, C-ordered K x CHW
+        sigma = 0.0 if k < 2 else _correlation_stats(w, None, work).sigma_r
+        if beta != 0.0 and sigma != 0.0:
+            scale = beta * sigma
+    for rows, start in _row_blocks(layer):
+        block = layer[rows]
+        block[...] = mat[rows]
+        if scale is None:
+            continue
+        z = rng.normal(block.size, start=start).reshape(block.shape)
+        # A huge beta overflows here and is reported just below.
+        with np.errstate(over="ignore"):
+            z *= scale
+            block += z
+        if not np.isfinite(block).all():
+            raise NonFiniteTensor("tensor holds NaN or Inf values")
+    _orthonormalize(layer, transposed)
+    return layer
+
+
+def _layer_buffer(size: int) -> np.ndarray:
+    """An uninitialized float64 array of ``size`` elements on an anonymous
+    mapping of its own, unmapped when the array is freed: its pages go
+    back to the OS whichever thread frees it, where a malloc block would
+    stay in that thread's arena.  A mapping the OS refuses raises
+    MemoryError."""
+    nbytes = 8 * size
+    try:
+        mapping = mmap.mmap(-1, max(1, nbytes))
+    except (OSError, OverflowError) as exc:
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map {nbytes} bytes for the float64 layer buffer") from exc
+    return np.frombuffer(mapping, np.float64, size)
+
+
+def _layer_matrix(shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
+    """An uninitialized :func:`_layer_buffer` K x CHW matrix for a tensor of
+    ``shape``, and whether the QR factors its transpose (when K < CHW, as
+    :func:`~ghnpost.tensor_ops.matricize`).  The matrix LAPACK factors is
+    Fortran-ordered: the K x CHW matrix is C-ordered when transposed."""
+    k = shape[0]
+    chw = math.prod(shape[1:])
+    transposed = k < chw
+    layer = _layer_buffer(k * chw).reshape((k, chw), order="C" if transposed else "F")
+    return layer, transposed
+
+
+def _row_blocks(layer: np.ndarray) -> Iterator[tuple[slice, int]]:
+    """Blocks of whole rows of the K x CHW ``layer``, about _NOISE_CHUNK
+    values each, with the stream position of each block's first value:
+    the stream runs over the layer in C order, whatever its memory order."""
+    k, chw = layer.shape
+    step = max(1, _NOISE_CHUNK // chw)
+    for r0 in range(0, k, step):
+        yield slice(r0, r0 + step), r0 * chw
+
+
+def _orthonormalize(layer: np.ndarray, transposed: bool) -> None:
+    """Overwrite a :func:`_layer_matrix` matrix with the sign-corrected Q
+    of its QR, factored in place; only R's diagonal is kept."""
+    q, diag = qr_decompose(layer.T if transposed else layer, overwrite_a=True)
+    q *= np.where(diag < 0.0, -1.0, 1.0)
 
 
 def _eligible(meta: TensorMeta, cfg: PostprocessConfig) -> bool:
@@ -183,25 +261,26 @@ def ghn_orth_tensor(
     w = arr
     if _eligible(meta, cfg):
         with _naming(meta.name):
-            # A single stage rounds its own float64 result to float32 once;
-            # noise feeding the QR step stays float64 until the final cast.
-            if not cfg.skip_noise:
-                dtype = None if cfg.skip_orth else np.float64
-                w = add_conditional_noise(arr, cfg.beta, RngStream(cfg.seed, meta.name), dtype)
-            if not cfg.skip_orth:
-                w = orthogonal_reinit(w)
-        w = w.astype(np.float32, order="C", copy=False)
+            rng = RngStream(cfg.seed, meta.name)
+            if cfg.skip_orth:
+                w = add_conditional_noise(arr, cfg.beta, rng)
+            else:
+                # Noise feeding the QR step stays float64 until the cast.
+                w = _reinit(arr, None if cfg.skip_noise else (cfg.beta, rng))
+            w = w.astype(np.float32, order="C", copy=False).reshape(arr.shape)
     return check_finite_output(meta.name, w)
 
 
 @contextlib.contextmanager
 def _naming(name: str) -> Iterator[None]:
     """Prefix the message of a package error raised in the block with the
-    tensor's name."""
+    tensor's name; a MemoryError becomes OutOfMemory naming it."""
     try:
         yield
     except GhnpostError as exc:
         raise type(exc)(f"tensor {name!r}: {exc}") from exc
+    except MemoryError as exc:
+        raise OutOfMemory(f"tensor {name!r}: {exc}") from exc
 
 
 def check_finite_output(name: str, w: np.ndarray) -> np.ndarray:
@@ -336,11 +415,17 @@ def saxe_orthogonal_init(
     _check_init_shape(shape)
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError("gain must be finite and positive")
-    w = rng.normal(math.prod(shape)).reshape(shape)
+    # The draw goes straight into the buffer LAPACK factors in place.
+    layer, transposed = _layer_matrix(shape)
+    for rows, start in _row_blocks(layer):
+        block = layer[rows]
+        block[...] = rng.normal(block.size, start=start).reshape(block.shape)
+    _orthonormalize(layer, transposed)
+    layer *= gain
     # A gain near float32's max overflows here; callers check the result
     # for Inf (check_finite_output), so numpy need not warn as well.
     with np.errstate(over="ignore"):
-        return (orthogonal_reinit(w) * gain).astype(np.float32)
+        return layer.astype(np.float32, order="C").reshape(shape)
 
 
 def init_checkpoint(

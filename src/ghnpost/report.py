@@ -12,7 +12,6 @@ import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -134,6 +133,13 @@ _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 40
 
 
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape``
+    gives them; that module pulls urllib, http, email and ssl into every
+    command's start-up."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def emit_histogram_svg(h: Histogram, title: str) -> str:
     """Standalone SVG bar chart of a correlation histogram over [-1, 1]."""
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
@@ -150,7 +156,7 @@ def emit_histogram_svg(h: Histogram, title: str) -> str:
         f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
         f'<text x="{_SVG_WIDTH / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
     ]
     for i, count in enumerate(h.counts):
         x0 = x_at(float(h.bin_edges[i]))

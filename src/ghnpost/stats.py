@@ -78,11 +78,14 @@ class CorrelationStats:
     histogram: Histogram | None  # None unless bins were asked for
 
 
-def _centered(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _centered(
+    w: np.ndarray, work: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean-centered float64 channels, their safe norms and the dead mask.
 
-    A tensor holding NaN or Inf raises NonFiniteTensor: it has no finite
-    correlation.
+    The channels go to a new array, or into ``work``, a contiguous float64
+    buffer of w.size elements.  A tensor holding NaN or Inf raises
+    NonFiniteTensor: it has no finite correlation.
     """
     if w.ndim not in (2, 4):
         raise UnsupportedRank(f"expected rank 2 or 4 tensor, got rank {w.ndim}")
@@ -90,7 +93,8 @@ def _centered(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     chw = math.prod(w.shape[1:])
     if chw < 2:
         raise ChannelTooShort(f"channels have {chw} elements, need at least 2")
-    xc = w.reshape(k, chw).astype(np.float64)
+    xc = np.empty((k, chw)) if work is None else work.reshape(k, chw)
+    np.copyto(xc, w.reshape(k, chw))
     norms = np.empty(k)
     # A NaN or Inf in a channel makes its norm NaN or Inf (so would float64
     # values whose squares overflow, which float32 data cannot reach).
@@ -196,9 +200,17 @@ def correlation_stats(w: np.ndarray, bins: int | None = None) -> CorrelationStat
     its strict upper triangle packed and folded in, and the panel reused.
     Needs at least two channels.
     """
+    return _correlation_stats(w, bins)
+
+
+def _correlation_stats(
+    w: np.ndarray, bins: int | None, work: np.ndarray | None = None
+) -> CorrelationStats:
+    """:func:`correlation_stats`, with the float64 channels centered in
+    ``work`` (see :func:`_centered`) when it is given."""
     if bins is not None and bins < 1:
         raise ValueError("bins must be >= 1")
-    xc, safe, dead = _centered(w)
+    xc, safe, dead = _centered(w, work)
     k = xc.shape[0]
     if k < 2:
         raise TooFewChannels(f"need k >= 2 channels, got {k}")

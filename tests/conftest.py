@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ghnpost import linalg
 from ghnpost.checkpoint_io import Checkpoint, TensorMeta
 
 
@@ -58,3 +59,14 @@ def small_checkpoint():
              rng.normal(size=(10, 16)).astype(np.float32)),
         ]
     )
+
+
+@pytest.fixture(params=["openblas", "lapack_lite"])
+def binding(request, monkeypatch):
+    """Run the kernel through the ctypes binding or, with the loader
+    patched to find no library, through numpy.linalg.lapack_lite."""
+    if request.param == "lapack_lite":
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    elif linalg._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    return request.param

@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import errno
 import io
 import json
+import mmap
 import os
 import re
 import subprocess
@@ -393,6 +395,56 @@ def test_init_huge_gain_is_numerical_error(tmp_path, capsys):
     assert "tensor 'w'" in capsys.readouterr().err
     assert not out.exists()
     assert list(tmp_path.iterdir()) == [path]
+
+
+_REFUSALS = {
+    "enomem": OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)),
+    "too_long": OverflowError("mmap length is too large"),
+    "memory_error": MemoryError(),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(_REFUSALS))
+@pytest.mark.parametrize("command", ["postprocess", "skip_noise", "init_orth"])
+def test_unallocatable_layer_buffer_is_one_line_numerical_error(
+    command, refusal, ckpt_path, tmp_path, monkeypatch, capsys
+):
+    # The OS refuses every anonymous mapping, as it would a layer too large
+    # for memory; nothing of that size is allocated.
+    real_mmap = mmap.mmap
+
+    def refuse(fileno, length, *args, **kwargs):
+        if fileno == -1:
+            raise _REFUSALS[refusal]
+        return real_mmap(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    out = tmp_path / "out.ckpt"
+    if command == "init_orth":
+        argv, name = ["init", str(_archspec(tmp_path)), "--method", "orth"], "c1"
+    else:
+        argv, name = ["postprocess", str(ckpt_path), "--start-layer", "0"], "l0.conv"
+        if command == "skip_noise":
+            argv.append("--skip-noise")
+    assert run(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"ghnpost: numerical error: tensor {name!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    # numpy imports pathlib, which on some Python versions imports
+    # urllib.parse; nothing beyond what numpy loads may come in.
+    def heavy(statement):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; {statement}; print(*sys.modules)"],
+            capture_output=True, text=True, env=_child_env(), timeout=120, check=True,
+        )
+        roots = ("xml", "urllib", "http", "email", "ssl")
+        return {m for m in proc.stdout.split() if m.split(".")[0] in roots}
+
+    assert heavy("import ghnpost.cli") <= heavy("import numpy")
 
 
 def test_pca_command(tmp_path):

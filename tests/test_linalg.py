@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ghnpost import linalg
 from ghnpost.errors import DegenerateInput, ShapeError
 from ghnpost.linalg import eigh_descending, pca_project, qr_decompose, sign_adjust
 from ghnpost.postprocess import orthogonal_reinit
@@ -206,17 +205,6 @@ def _layer_cases():
     }
 
 
-@pytest.fixture(params=["openblas", "lapack_lite"])
-def binding(request, monkeypatch):
-    """Run the kernel through the ctypes binding or, with the loader
-    patched to find no library, through numpy.linalg.lapack_lite."""
-    if request.param == "lapack_lite":
-        monkeypatch.setattr(linalg, "_openblas", lambda: None)
-    elif linalg._openblas() is None:
-        pytest.skip("numpy's bundled OpenBLAS not found")
-    return request.param
-
-
 @pytest.mark.parametrize("case", sorted(_layer_cases()))
 def test_kernel_matches_numpy_qr_bytes(binding, case):
     w = _layer_cases()[case]
@@ -232,3 +220,25 @@ def test_kernel_matches_numpy_qr_bytes(binding, case):
     ref = _oracle_reinit(w)
     assert out.shape == w.shape and out.dtype == w.dtype
     assert np.ascontiguousarray(out).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_layer_cases()))
+def test_overwrite_a_factors_in_place_with_the_same_bytes(binding, case):
+    mat = matricize(_layer_cases()[case]).data
+    q_ref, r_ref = qr_decompose(mat)
+    a = np.array(mat, dtype=np.float64, order="F")
+    q, diag = qr_decompose(a, overwrite_a=True)
+    assert q is a
+    assert q.tobytes(order="A") == q_ref.tobytes(order="A")
+    assert diag.tobytes() == np.diag(r_ref).tobytes()
+
+
+def test_overwrite_a_rejects_what_lapack_cannot_factor_in_place():
+    a = np.ones((6, 3))
+    for bad in (a, np.asfortranarray(a, dtype=np.float32), np.asfortranarray(a)[::2]):
+        with pytest.raises(ValueError, match="Fortran-ordered float64"):
+            qr_decompose(bad, overwrite_a=True)
+    frozen = np.asfortranarray(a)
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable"):
+        qr_decompose(frozen, overwrite_a=True)

@@ -2,6 +2,7 @@ import math
 import random
 import threading
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -26,6 +27,8 @@ from ghnpost.postprocess import (
     orthogonal_reinit,
     saxe_orthogonal_init,
 )
+from ghnpost.checkpoint_io import TensorMeta
+from ghnpost.linalg import qr_decompose, sign_adjust
 from ghnpost.rng import RngStream
 from ghnpost.stats import channel_correlation, correlation_std, offdiagonal_values
 from ghnpost.tensor_ops import matricize
@@ -230,6 +233,83 @@ def test_reinit_errors():
         orthogonal_reinit(np.zeros(4, np.float32))
     with pytest.raises(NonFiniteTensor):
         orthogonal_reinit(np.full((4, 4), np.inf, dtype=np.float32))
+
+
+# --- the one-buffer repair against the public functions ---------------------
+
+def _repair_oracle(w, cfg, name):
+    """Noise into a float64 copy, the public QR, sign_adjust, one cast."""
+    if cfg.skip_noise:
+        noised = w.astype(np.float64)
+    else:
+        noised = add_conditional_noise(w, cfg.beta, RngStream(cfg.seed, name), np.float64)
+    mat = noised.reshape(w.shape[0], -1)
+    transposed = mat.shape[0] < mat.shape[1]
+    q, r = qr_decompose(mat.T if transposed else mat)
+    q = sign_adjust(q, r)
+    return (q.T if transposed else q).astype(np.float32).reshape(w.shape)
+
+
+def _repair_cases():
+    base = np.random.default_rng(30).normal(size=27).astype(np.float32)
+    return {
+        "tall": ghn_like_tensor((64, 3, 3, 3), seed=31),
+        "wide": ghn_like_tensor((16, 8, 3, 3), seed=32),
+        "square": ghn_like_tensor((40, 40), seed=33),
+        "rank_deficient": np.tile(base, (8, 1)).reshape(8, 3, 3, 3),
+        "all_zero": np.zeros((12, 5), np.float32),
+        # several row blocks of _NOISE_CHUNK values, in both memory orders
+        "tall_blocks": ghn_like_tensor((700, 200), seed=34),
+        "wide_blocks": correlated_tensor((150, 1000), seed=35),
+        # a row longer than a block
+        "long_rows": ghn_like_tensor((3, 70000), seed=36),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_repair_cases()))
+@pytest.mark.parametrize(
+    "settings",
+    [{}, {"beta": 1e-2}, {"beta": 0.0}, {"skip_noise": True}],
+    ids=["default_beta", "beta_1e-2", "beta_0", "skip_noise"],
+)
+def test_repair_equals_public_qr_on_a_noised_float64_copy(binding, case, settings):
+    w = _repair_cases()[case]
+    before = w.copy()
+    cfg = PostprocessConfig(start_layer=0, seed=5, **settings)
+    meta = TensorMeta(case, w.shape, "conv" if w.ndim == 4 else "linear", 0)
+    out = ghn_orth_tensor(meta, w, cfg)
+    assert out.dtype == np.float32 and out.flags.c_contiguous
+    assert out.tobytes() == _repair_oracle(w, cfg, case).tobytes()
+    np.testing.assert_array_equal(w, before)
+
+
+def test_overflowing_noise_is_reported_before_the_qr(monkeypatch):
+    def no_qr(*args, **kwargs):
+        raise AssertionError("a non-finite layer reached the QR")
+
+    monkeypatch.setattr(postprocess, "qr_decompose", no_qr)
+    # Channels of alternating sign: r = +-1, so sigma_r ~ 1 and float64
+    # noise of std near float64's max overflows.
+    w = ghn_like_tensor((16, 8, 3, 3), seed=7)
+    w[1::2] *= -1
+    meta = TensorMeta("l", w.shape, "conv", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error is the only report
+        with pytest.raises(NonFiniteTensor, match="^tensor 'l': tensor holds NaN or Inf"):
+            ghn_orth_tensor(meta, w, PostprocessConfig(start_layer=0, beta=1e308))
+
+
+@pytest.mark.parametrize("shape", [(64, 3, 3, 3), (16, 8, 3, 3), (40, 40), (700, 200),
+                                   (150, 1000)])
+def test_saxe_init_equals_public_qr_of_the_draw(binding, shape):
+    gain = 1.5
+    draw = RngStream(6, "w").normal(math.prod(shape)).reshape(shape[0], -1)
+    transposed = draw.shape[0] < draw.shape[1]
+    q, r = qr_decompose(draw.T if transposed else draw)
+    q = sign_adjust(q, r)
+    ref = ((q.T if transposed else q) * gain).astype(np.float32).reshape(shape)
+    out = saxe_orthogonal_init(shape, gain, RngStream(6, "w"))
+    assert out.tobytes() == ref.tobytes()
 
 
 # --- full pipeline ----------------------------------------------------------

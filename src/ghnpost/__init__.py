@@ -40,6 +40,7 @@ from .stats import (
     correlation_histogram,
     correlation_stats,
     correlation_std,
+    sigma_r,
 )
 from .tensor_ops import Matricized, dematricize, matricize
 
@@ -81,6 +82,7 @@ __all__ = [
     "qr_decompose",
     "read_checkpoint",
     "saxe_orthogonal_init",
+    "sigma_r",
     "sign_adjust",
     "write_checkpoint",
     "write_tensors",

@@ -33,7 +33,7 @@ from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, TensorMeta, validate_chec
 from .errors import GhnpostError, NonFiniteTensor, OutOfMemory, UnsupportedRank
 from .linalg import gil_free_qr, one_blas_thread, qr_decompose
 from .rng import RngStream
-from .stats import _correlation_stats, correlation_stats
+from .stats import sigma_r
 
 DEFAULT_BETA = 3e-5
 
@@ -85,7 +85,7 @@ def add_conditional_noise(
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError("beta must be finite and non-negative")
     _check_tensor(w)
-    sigma = 0.0 if w.shape[0] < 2 else correlation_stats(w).sigma_r
+    sigma = 0.0 if w.shape[0] < 2 else sigma_r(w)
     out = np.array(w, dtype=dtype, order="C")
     if beta == 0.0 or sigma == 0.0:
         return out
@@ -165,9 +165,10 @@ def _reinit(w: np.ndarray, noise: tuple[float, RngStream] | None) -> np.ndarray:
     """The sign-corrected Q of w's K x CHW matrix, after the conditional
     noise of ``noise`` = (beta, rng) if given, in one :func:`_layer_matrix`.
 
-    The buffer holds the centered channels for sigma_r, then
-    ``w + beta * sigma_r * z`` (the bytes of :func:`add_conditional_noise`
-    into float64, where every value is drawn), then Q.  A NaN or Inf in w
+    The buffer holds the channels while :func:`~ghnpost.stats.sigma_r`
+    works on them, then ``w + beta * sigma_r * z`` (the bytes of
+    :func:`add_conditional_noise` into float64, where every value is
+    drawn), then Q.  A NaN or Inf in w
     or in the noised layer raises NonFiniteTensor before the QR.
     """
     _check_tensor(w)
@@ -178,7 +179,7 @@ def _reinit(w: np.ndarray, noise: tuple[float, RngStream] | None) -> np.ndarray:
     if noise is not None:
         beta, rng = noise
         work = layer.ravel(order="K")  # the whole buffer, C-ordered K x CHW
-        sigma = 0.0 if k < 2 else _correlation_stats(w, None, work).sigma_r
+        sigma = 0.0 if k < 2 else sigma_r(w, work)
         if beta != 0.0 and sigma != 0.0:
             scale = beta * sigma
     for rows, start in _row_blocks(layer):
@@ -402,9 +403,15 @@ def he_init(shape: tuple[int, ...], rng: RngStream) -> np.ndarray:
     _check_init_shape(shape)
     fan_in = math.prod(shape[1:])
     std = math.sqrt(2.0 / fan_in)
-    vals = rng.normal(math.prod(shape))
-    vals *= std
-    return vals.reshape(shape).astype(np.float32)
+    out = np.empty(shape, np.float32)
+    flat = out.reshape(-1)
+    # Drawn, scaled and rounded to float32 a chunk at a time: the bytes of
+    # one whole-layer draw, without its float64 array.
+    for start in range(0, flat.size, _NOISE_CHUNK):
+        vals = rng.normal(min(_NOISE_CHUNK, flat.size - start), start=start)
+        vals *= std
+        flat[start : start + vals.size] = vals
+    return out
 
 
 def saxe_orthogonal_init(

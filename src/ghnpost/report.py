@@ -268,6 +268,10 @@ def emit_projection_csv(rows: list[ProjectionRow]) -> str:
 # Checkpoint comparison
 # --------------------------------------------------------------------------
 
+# Values per step of compare's max |a - b|: 512 KiB of float64.
+_DIFF_CHUNK = 1 << 16
+
+
 def compare_checkpoints(
     a: Checkpoint | CheckpointReader, b: Checkpoint | CheckpointReader
 ) -> list[CompareRow]:
@@ -296,29 +300,44 @@ def compare_checkpoints(
 
     rows = []
     for meta, arr_a in a:
-        if meta.kind not in ELIGIBLE_KINDS:
-            continue
-        _, arr_b = b.get(meta.name)
-        sigmas = []
-        for which, arr in (("first", arr_a), ("second", arr_b)):
-            try:
-                sigmas.append(correlation_stats(arr).sigma_r)
-            except GhnpostError as exc:
-                where = f"tensor {meta.name!r} ({which} checkpoint)"
-                raise type(exc)(f"{where}: {exc}") from exc
-        # One float64 temporary; float32 -> float64 is exact, so this is
-        # the same IEEE subtraction as on two float64 copies.
-        delta = np.subtract(arr_a, arr_b, dtype=np.float64)
-        diff = float(np.max(np.abs(delta, out=delta)))
-        rows.append(
-            CompareRow(
-                name=meta.name,
-                max_abs_diff=diff,
-                sigma_r_a=sigmas[0],
-                sigma_r_b=sigmas[1],
-            )
-        )
+        if meta.kind in ELIGIBLE_KINDS:
+            rows.append(_compare_layer(meta.name, arr_a, b.get(meta.name)[1]))
+        # Released before the next tensor is read: one layer at a time.
+        del arr_a
     return rows
+
+
+def _compare_layer(name: str, arr_a: np.ndarray, arr_b: np.ndarray) -> CompareRow:
+    """The row of one conv/linear tensor; NaN or Inf in either array
+    raises NonFiniteTensor naming the tensor and the checkpoint."""
+    sigmas = []
+    for which, arr in (("first", arr_a), ("second", arr_b)):
+        try:
+            sigmas.append(correlation_stats(arr).sigma_r)
+        except GhnpostError as exc:
+            raise type(exc)(f"tensor {name!r} ({which} checkpoint): {exc}") from exc
+    return CompareRow(
+        name=name,
+        max_abs_diff=_max_abs_diff(arr_a, arr_b),
+        sigma_r_a=sigmas[0],
+        sigma_r_b=sigmas[1],
+    )
+
+
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over two same-shaped arrays, _DIFF_CHUNK values at a
+    time through one float64 scratch.  float32 -> float64 is exact, so
+    each difference is the same IEEE subtraction as on two float64
+    copies, and the max of the chunk maxima is the max."""
+    a, b = a.reshape(-1), b.reshape(-1)
+    scratch = np.empty(min(a.size, _DIFF_CHUNK))
+    top = 0.0
+    for start in range(0, a.size, _DIFF_CHUNK):
+        stop = min(start + _DIFF_CHUNK, a.size)
+        d = np.subtract(a[start:stop], b[start:stop], out=scratch[: stop - start],
+                        dtype=np.float64)
+        top = max(top, float(np.max(np.abs(d, out=d))))
+    return top
 
 
 def emit_compare_csv(rows: list[CompareRow]) -> str:

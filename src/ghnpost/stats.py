@@ -15,6 +15,16 @@ formulae and a pairwise algorithm for computing sample variances"
 layers have every r within 1e-7 of 1, and unshifted sums would lose the
 digits of their spread.
 
+Where only sigma_r is needed (the noise scale of ``postprocess``),
+:func:`sigma_r` gives it.  For K <= CHW that is the fold above, bit for
+bit.  A tall layer (K > CHW) has fewer Gram columns than channels, and
+its sigma_r follows from sums over the unit channels and the CHW x CHW
+Gram of their deviations from the mean channel (:func:`_tall_sigma`):
+K CHW^2 / 2 multiply-adds instead of the fold's K^2 CHW / 2, and a few
+passes over K x CHW instead of a dozen over K(K-1)/2 correlations.  The
+two agree to about 1e-10 relative; ``analyze`` and ``compare`` print the
+fold's value.
+
 :func:`channel_correlation` builds the whole matrix from one Gram and the
 same normalization; it is a library and test-oracle type, not used by
 the command line.
@@ -200,17 +210,15 @@ def correlation_stats(w: np.ndarray, bins: int | None = None) -> CorrelationStat
     its strict upper triangle packed and folded in, and the panel reused.
     Needs at least two channels.
     """
-    return _correlation_stats(w, bins)
-
-
-def _correlation_stats(
-    w: np.ndarray, bins: int | None, work: np.ndarray | None = None
-) -> CorrelationStats:
-    """:func:`correlation_stats`, with the float64 channels centered in
-    ``work`` (see :func:`_centered`) when it is given."""
     if bins is not None and bins < 1:
         raise ValueError("bins must be >= 1")
-    xc, safe, dead = _centered(w, work)
+    return _fold_panels(*_centered(w), bins)
+
+
+def _fold_panels(
+    xc: np.ndarray, safe: np.ndarray, dead: np.ndarray, bins: int | None
+) -> CorrelationStats:
+    """:func:`correlation_stats` of the :func:`_centered` channels."""
     k = xc.shape[0]
     if k < 2:
         raise TooFewChannels(f"need k >= 2 channels, got {k}")
@@ -234,6 +242,85 @@ def _correlation_stats(
         if pos:
             fold.add(scratch[:pos], panel[:pos])
     return fold.result()
+
+
+def sigma_r(w: np.ndarray, work: np.ndarray | None = None) -> float:
+    """sigma_r of a tensor's channel correlations, as
+    ``correlation_stats(w).sigma_r`` computes it.
+
+    The float64 channels go to a new array, or into ``work``, a contiguous
+    float64 buffer of w.size elements, which is left clobbered.  With
+    K <= CHW the value is the fold's, bit for bit.  A tall layer (K > CHW)
+    gets it from the CHW x CHW Gram instead (see :func:`_tall_sigma`),
+    within about 1e-10 relative of the fold.  Needs at least two channels.
+    """
+    xc, safe, dead = _centered(w, work)
+    k, chw = xc.shape
+    if k <= chw:
+        return _fold_panels(xc, safe, dead, None).sigma_r
+    return _tall_sigma(xc, safe)
+
+
+def _tall_sigma(xc: np.ndarray, safe: np.ndarray) -> float:
+    """Population std of r_ij = y_i . y_j over the pairs i != j of the
+    unit channels y_i, from sums over channels and the CHW x CHW Gram.
+
+    With m the mean channel, d_i = y_i - m and a_i = d_i . m,
+    r_ij = d_i . d_j + a_i + a_j + |m|^2.  Over the N = K(K-1) ordered
+    pairs, with alpha = a - mean(a), s = sum d_i and
+    dbar = (|s|^2 - sum |d_i|^2) / N the mean of d_i . d_j,
+
+      N var = 2(K-2) sum alpha_i^2 + 4 sum alpha_i (d_i . s - |d_i|^2)
+              + ||d^T d||_F^2 - sum |d_i|^4 - N dbar^2,
+
+    an identity for any m.  Taking m as the mean keeps every term as small
+    as the spread, so nothing cancels on near-duplicate layers.  The
+    channels in ``xc`` are overwritten with d.  A result under _SNAP is
+    returned as 0.0: the fold snaps such layers' r to +-1 (positive
+    multiples of one channel compute as r = 1 give or take an ulp).
+    """
+    k = xc.shape[0]
+    d = xc
+    d /= safe[:, None]  # unit channels; dead ones stay 0, so their r is 0
+    # m = y_0 + mean(y - y_0), so identical channels give d = 0 exactly.
+    m = d[0].copy()
+    d -= m
+    shift = d.mean(axis=0)
+    d -= shift
+    m += shift
+    s = d.sum(axis=0)
+    alpha = d @ m
+    alpha -= alpha.mean()
+    norm2 = np.einsum("ij,ij->i", d, d)
+    ds = d @ s
+    ds -= norm2
+    n = k * (k - 1)
+    dbar = (float(s @ s) - float(norm2.sum())) / n
+    total = (
+        2.0 * (k - 2) * float(alpha @ alpha)
+        + 4.0 * float(alpha @ ds)
+        + _gram_frobenius2(d)
+        - float(norm2 @ norm2)
+        - n * dbar * dbar
+    )
+    sigma = math.sqrt(max(total / n, 0.0))
+    return 0.0 if sigma < _SNAP else sigma
+
+
+def _gram_frobenius2(d: np.ndarray) -> float:
+    """||d^T d||_F^2, from ``_PANEL_ROWS``-row panels of the upper triangle
+    of the CHW x CHW Gram ``d[:, i0:i1].T @ d[:, i0:]`` in one reused
+    buffer; entries right of a panel's diagonal block count twice."""
+    chw = d.shape[1]
+    panel = np.empty(min(_PANEL_ROWS, chw) * chw)
+    total = 0.0
+    for i0 in range(0, chw, _PANEL_ROWS):
+        b = min(_PANEL_ROWS, chw - i0)
+        g = panel[: b * (chw - i0)].reshape(b, chw - i0)
+        np.matmul(d[:, i0 : i0 + b].T, d[:, i0:], out=g)
+        np.multiply(g, g, out=g)
+        total += float(g[:, :b].sum()) + 2.0 * float(g[:, b:].sum())
+    return total
 
 
 def offdiagonal_values(r: CorrelationMatrix) -> np.ndarray:

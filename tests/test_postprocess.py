@@ -55,6 +55,16 @@ def test_identical_channels_give_zero_noise():
     assert out.tobytes() == w.tobytes()
 
 
+def test_identical_tall_channels_pass_postprocess_bit_identical():
+    # K > CHW: sigma_r comes from the CHW x CHW Gram, and is exactly 0
+    w = np.tile(np.linspace(-1, 1, 6, dtype=np.float32), (64, 1))
+    out = add_conditional_noise(w, 3e-5, RngStream(1, "w"))
+    assert out.tobytes() == w.tobytes()
+    meta = TensorMeta("w", w.shape, "linear", 0)
+    out = ghn_orth_tensor(meta, w, PostprocessConfig(start_layer=0, skip_orth=True))
+    assert out.tobytes() == w.tobytes()
+
+
 def test_single_channel_gives_zero_noise():
     w = np.random.default_rng(0).normal(size=(1, 32)).astype(np.float32)
     out = add_conditional_noise(w, 3e-5, RngStream(1, "w"))
@@ -257,6 +267,7 @@ def _repair_cases():
         "wide": ghn_like_tensor((16, 8, 3, 3), seed=32),
         "square": ghn_like_tensor((40, 40), seed=33),
         "rank_deficient": np.tile(base, (8, 1)).reshape(8, 3, 3, 3),
+        "tall_identical": np.tile(base[:5], (40, 1)),
         "all_zero": np.zeros((12, 5), np.float32),
         # several row blocks of _NOISE_CHUNK values, in both memory orders
         "tall_blocks": ghn_like_tensor((700, 200), seed=34),
@@ -519,6 +530,18 @@ def test_he_init_statistics():
     assert target == pytest.approx(0.11664, abs=5e-6)
     assert abs(w.std() - target) <= 0.05 * target
     assert abs(float(w.mean())) <= 3.0 * target / math.sqrt(w.size)
+
+
+@pytest.mark.parametrize("shape", [(3, 70001), (131073, 2), (2, 3, 5, 7)])
+def test_he_init_bytes_equal_one_whole_layer_draw(shape):
+    from ghnpost.postprocess import _NOISE_CHUNK
+
+    n = math.prod(shape)
+    assert n % _NOISE_CHUNK
+    stream = RngStream(4, "w")
+    ref = stream.normal(n)
+    ref *= math.sqrt(2.0 / math.prod(shape[1:]))
+    assert he_init(shape, stream).tobytes() == ref.reshape(shape).astype(np.float32).tobytes()
 
 
 def test_he_init_rank2_fan_in():

@@ -17,9 +17,10 @@ from ghnpost.stats import (
     correlation_stats,
     correlation_std,
     offdiagonal_values,
+    sigma_r,
 )
 
-from conftest import ghn_like_tensor
+from conftest import correlated_tensor, ghn_like_tensor
 
 
 def _corr2(a, b):
@@ -299,3 +300,113 @@ def test_non_finite_tensor_rejected():
         w2[2, 3] = bad
         with pytest.raises(NonFiniteTensor):
             channel_correlation(w2)
+
+
+# --------------------------------------------------------------------------
+# sigma_r: the fold for K <= CHW, the CHW x CHW Gram for tall layers
+# --------------------------------------------------------------------------
+
+_EXTENDED = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+
+
+def _extended_sigma(w):
+    """sigma_r from its definition, in extended precision: unit channels,
+    their K x K dot products, and the two-pass population std of the
+    strict upper triangle.  No snapping: the exact values."""
+    k = w.shape[0]
+    x = w.reshape(k, -1).astype(np.longdouble)
+    xc = x - x.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.sum(xc * xc, axis=1))
+    live = norms > 0
+    y = np.zeros_like(xc)
+    y[live] = xc[live] / norms[live, None]
+    r = (y @ y.T)[np.triu_indices(k, k=1)]
+    return float(np.sqrt(np.mean((r - np.mean(r)) ** 2)))
+
+
+def _tall_cases():
+    rng = np.random.default_rng(41)
+    dead_dup = ghn_like_tensor((200, 30), seed=42)
+    dead_dup[5] = 1.5
+    dead_dup[7] = dead_dup[3]
+    dead_dup[9] = -dead_dup[2]
+    return {
+        # ConvNeXt's depthwise 7 x 7 conv: K x 49
+        "convnext_dwconv": ghn_like_tensor((1024, 1, 7, 7), seed=43),
+        # two Gram panels (CHW > 128)
+        "near_duplicate_panels": ghn_like_tensor((300, 150), seed=44),
+        "broad": correlated_tensor((300, 40), seed=45),
+        "broad_panels": correlated_tensor((260, 140), seed=46),
+        "independent": rng.normal(size=(400, 100)).astype(np.float32),
+        "dead_and_duplicated": dead_dup,
+        # every centered channel is +-(1, -1): r = +-1
+        "k_by_2": rng.normal(size=(50, 2)).astype(np.float32),
+        "k5": rng.normal(size=(5, 3)).astype(np.float32),
+    }
+
+
+@pytest.mark.skipif(not _EXTENDED, reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("case", sorted(_tall_cases()))
+def test_sigma_r_of_tall_layers_matches_extended_precision_oracle(case):
+    w = _tall_cases()[case]
+    assert w.dtype == np.float32 and w.shape[0] > math.prod(w.shape[1:])
+    want = _extended_sigma(w)
+    assert want > 0.0
+    _assert_rel(sigma_r(w), want)
+    # the fold printed by analyze and compare agrees as closely
+    _assert_rel(correlation_stats(w).sigma_r, want)
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (6, 40), (12, 3, 3, 3), (135, 135), (130, 2, 8, 9)])
+def test_sigma_r_is_the_fold_bit_for_bit_up_to_k_equal_chw(shape):
+    for w in (correlated_tensor(shape, seed=47), ghn_like_tensor(shape, seed=48)):
+        want = correlation_stats(w).sigma_r
+        assert sigma_r(w) == want
+        assert sigma_r(w, np.empty(w.size)) == want
+
+
+@pytest.mark.parametrize("case", ["convnext_dwconv", "broad_panels", "dead_and_duplicated"])
+def test_sigma_r_into_a_work_buffer_gives_the_same_bits(case):
+    w = _tall_cases()[case]
+    work = np.full(w.size, np.nan)
+    assert sigma_r(w, work) == sigma_r(w)
+
+
+def test_sigma_r_errors():
+    with pytest.raises(UnsupportedRank):
+        sigma_r(np.zeros((2, 2, 2), dtype=np.float32))
+    with pytest.raises(ChannelTooShort):
+        sigma_r(np.zeros((4, 1), dtype=np.float32))
+    with pytest.raises(TooFewChannels):
+        sigma_r(np.array([[1.0, 2.0]], dtype=np.float32))
+    for shape in ((4, 6), (40, 3)):  # the fold and the tall path
+        w = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+        for bad in (np.nan, np.inf, -np.inf):
+            w2 = w.copy()
+            w2[2, 1] = bad
+            with pytest.raises(NonFiniteTensor):
+                sigma_r(w2)
+
+
+def test_sigma_r_of_identical_tall_channels_is_zero():
+    base = np.array([1.0, 2.0, 5.0], dtype=np.float32)
+    for k in (4, 40, 300):
+        assert sigma_r(np.tile(base, (k, 1))) == 0.0
+    # identical channels beside dead ones: every r is 1 or 0, and the
+    # spread of that mix is the fold's
+    w = np.tile(base, (40, 1))
+    w[::4] = 0.25
+    assert sigma_r(w) == pytest.approx(correlation_stats(w).sigma_r, rel=1e-12)
+
+
+def test_sigma_r_of_positive_multiples_is_zero_as_the_fold_snaps_it():
+    rng = np.random.default_rng(49)
+    base = rng.normal(size=12).astype(np.float32)
+    # exact float32 multiples, and float64 ones whose r computes as 1
+    # give or take an ulp
+    scaled32 = np.stack([base * np.float32(2.0**e) for e in range(-5, 20)])
+    scaled64 = np.outer(rng.uniform(0.1, 10.0, 40), base.astype(np.float64))
+    for w in (scaled32, scaled64):
+        assert w.shape[0] > w.shape[1]
+        assert correlation_stats(w).sigma_r == 0.0
+        assert sigma_r(w) == 0.0

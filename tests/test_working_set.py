@@ -8,6 +8,7 @@ fresh interpreter.  A K x K float64 Gram of the
 4096-channel tensor below alone would be 128 MiB.
 """
 
+import io
 import os
 import subprocess
 import sys
@@ -18,10 +19,10 @@ import numpy as np
 import pytest
 
 import ghnpost
-from ghnpost.checkpoint_io import Checkpoint, TensorMeta
+from ghnpost.checkpoint_io import Checkpoint, CheckpointReader, TensorMeta, write_tensors
 from ghnpost.postprocess import PostprocessConfig, ghn_orth_tensor
 from ghnpost.report import analyze_checkpoint, compare_checkpoints
-from ghnpost.stats import _PANEL_ROWS, correlation_stats
+from ghnpost.stats import _PANEL_ROWS, correlation_stats, sigma_r
 
 
 def _peak_bytes(fn):
@@ -40,6 +41,7 @@ _CKPT = Checkpoint(tensors=[(_META, _W)])
 
 _CALLS = {
     "correlation_stats": lambda: correlation_stats(_W, bins=50),
+    "sigma_r": lambda: sigma_r(_W),
     "analyze": lambda: analyze_checkpoint(_CKPT, bins=50),
     "compare": lambda: compare_checkpoints(_CKPT, _CKPT),
     "postprocess": lambda: ghn_orth_tensor(_META, _W, PostprocessConfig(start_layer=0)),
@@ -53,6 +55,29 @@ def test_many_short_channels_stay_near_the_panel_buffers(call):
     # K x K or K(K-1)/2 fits under the bound.
     panel = _PANEL_ROWS * _K * 8
     assert _peak_bytes(_CALLS[call]) <= 4 * panel
+
+
+def test_compare_holds_one_layer_at_a_time():
+    # Three 256 x 4096 layers per file, read lazily.  Comparing one layer
+    # holds its two float32 arrays, one float64 copy for sigma_r and the
+    # larger of the fold's two 128 x K panels and the 128 x CHW squares
+    # its channel norms are summed from (measured 20.0 MiB); the previous
+    # layer's arrays, or a whole-layer float64 difference, would pass the
+    # bound.
+    k, chw = 256, 4096
+    rng = np.random.default_rng(2)
+    metas = [TensorMeta(f"w{i}", (k, chw), "linear", i) for i in range(3)]
+    files = []
+    for _ in range(2):
+        handle = io.BytesIO()
+        write_tensors(handle, metas, (rng.standard_normal((k, chw), np.float32) for _ in metas))
+        files.append(handle)
+    readers = [CheckpointReader(handle) for handle in files]
+    rows = []
+    peak = _peak_bytes(lambda: rows.extend(compare_checkpoints(*readers)))
+    assert len(rows) == 3
+    panels = _PANEL_ROWS * max(2 * k, chw) * 8
+    assert peak <= 2 * (k * chw * 4) + k * chw * 8 + panels + (1 << 20)
 
 
 def test_noise_only_layer_stays_within_its_float64_copy():

@@ -20,7 +20,8 @@ offsets.  Writing the same checkpoint twice yields identical bytes, and
 Files are read and written one tensor at a time: :class:`CheckpointReader`
 parses the header and loads tensors on demand, :func:`write_tensors`
 writes the header and then a stream of arrays.  ``read_checkpoint`` and
-``write_checkpoint`` run the same two over an in-memory buffer.
+``write_checkpoint`` run the same two over an in-memory buffer, and
+:func:`positional_writer` writes each tensor at its offset, in any order.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
-from collections.abc import Iterable, Iterator, Sequence
+import threading
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
@@ -161,6 +164,25 @@ def validate_checkpoint(c: Checkpoint) -> None:
         _check_array(meta, arr)
 
 
+def encode_header(metas: Sequence[TensorMeta]) -> tuple[bytes, list[int]]:
+    """The canonical header of ``metas`` as bytes (prefix, JSON, padding) and
+    the file offset of each tensor's data, then the file size; bad metas
+    raise ValueError."""
+    _check_metas(metas, ValueError)
+    entries = []
+    offset = 0
+    for meta in metas:
+        length = math.prod(meta.shape)
+        entries.append({"name": meta.name, "shape": list(meta.shape), "kind": meta.kind,
+                        "depth": meta.depth, "offset": offset, "length": length})
+        offset += length * _F32_BYTES
+    header = json.dumps({"tensors": entries}, sort_keys=True, separators=(",", ":"))
+    header_bytes = header.encode("utf-8")
+    head = _HEADER_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_bytes)) + header_bytes
+    head += bytes(-len(head) % 8)
+    return head, [len(head) + e["offset"] for e in entries] + [len(head) + offset]
+
+
 def write_tensors(
     handle: BinaryIO, metas: Sequence[TensorMeta], arrays: Iterable[np.ndarray]
 ) -> None:
@@ -173,30 +195,35 @@ def write_tensors(
     shorter or longer than ``metas`` raise ValueError: these are
     programming errors, not data errors.
     """
-    _check_metas(metas, ValueError)
-    entries = []
-    offset = 0
-    for meta in metas:
-        length = math.prod(meta.shape)
-        entries.append(
-            {
-                "name": meta.name,
-                "shape": list(meta.shape),
-                "kind": meta.kind,
-                "depth": meta.depth,
-                "offset": offset,
-                "length": length,
-            }
-        )
-        offset += length * _F32_BYTES
-    header = json.dumps({"tensors": entries}, sort_keys=True, separators=(",", ":"))
-    header_bytes = header.encode("utf-8")
-    handle.write(_HEADER_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_bytes)))
-    handle.write(header_bytes)
-    handle.write(bytes(-(_HEADER_PREFIX.size + len(header_bytes)) % 8))
+    handle.write(encode_header(metas)[0])
     for meta, arr in zip(metas, arrays, strict=True):
         _check_array(meta, arr)
         handle.write(np.ascontiguousarray(arr, dtype="<f4").data)
+
+
+def positional_writer(fd: int, metas: Sequence[TensorMeta]) -> Callable[[int, np.ndarray], None]:
+    """Write the header of ``metas`` into the file open for writing at ``fd``,
+    size the file to hold every tensor, and return ``put(i, arr)``: check
+    ``arr`` as :func:`write_tensors` does and write it at tensor i's offset.
+    ``put`` may run on any thread, in any order, once per tensor
+    (``os.pwrite`` releases the GIL); a tensor never put reads as zeros.
+    """
+    head, offsets = encode_header(metas)
+    _pwrite_all(fd, head, 0)
+    os.ftruncate(fd, offsets[-1])
+
+    def put(i: int, arr: np.ndarray) -> None:
+        _check_array(metas[i], arr)
+        _pwrite_all(fd, np.ascontiguousarray(arr, dtype="<f4"), offsets[i])
+
+    return put
+
+
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    view = memoryview(data).cast("B")
+    while view:  # a write may be partial
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
 
 
 def write_checkpoint(c: Checkpoint) -> bytearray:
@@ -292,12 +319,14 @@ class CheckpointReader:
     The constructor reads and checks the whole header and every tensor's
     byte range against the file size, so a malformed or truncated file
     fails before any tensor is loaded.  Tensors are then read by offset,
-    in any order: each load is one ``readinto`` into a fresh float32 array.
-    The handle must stay open while tensors are loaded.
+    in any order and from any thread: each load is one ``seek`` +
+    ``readinto`` into a fresh float32 array, under a lock.  The handle must
+    stay open while tensors are loaded.
     """
 
     def __init__(self, handle: BinaryIO):
         self._handle = handle
+        self._lock = threading.Lock()
         self.version, self.metas, self._starts = _read_header(handle)
         self._index = {meta.name: i for i, meta in enumerate(self.metas)}
 
@@ -312,8 +341,9 @@ class CheckpointReader:
     def _load(self, i: int) -> np.ndarray:
         meta = self.metas[i]
         arr = np.empty(math.prod(meta.shape), dtype="<f4")
-        self._handle.seek(self._starts[i])
-        got = self._handle.readinto(arr)
+        with self._lock:
+            self._handle.seek(self._starts[i])
+            got = self._handle.readinto(arr)
         if got != arr.nbytes:
             raise TruncatedData(
                 f"tensor {meta.name!r}: read {got or 0} of {arr.nbytes} bytes; "

@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 error.  Output files are written to a temporary path and renamed into
 place, so a failing run never leaves a partially-written file behind.
-Checkpoints are read and written one tensor at a time, so memory holds
-the header and the working sets of the layers in flight (at most about
-two of the largest; see :func:`~ghnpost.postprocess.ghn_orth_tensors`),
-not the whole file.
+Checkpoints are read and written one tensor at a time, and layers
+complete in any order, each written at its own offset: memory holds the
+header and the working sets of the layers in flight (at most about two of
+the largest; see :func:`~ghnpost.postprocess._run_layers`), not the file.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import BinaryIO
 
-from .checkpoint_io import CheckpointReader, parse_tensor_specs, write_tensors
+from .checkpoint_io import CheckpointReader, parse_tensor_specs, positional_writer
 from .errors import DataFormatError, NumericalError
 from .postprocess import (
     DEFAULT_BETA,
     PostprocessConfig,
     ghn_orth_tensors,
-    init_checkpoint,
+    init_tensors,
 )
 from .report import (
     analyze_checkpoint,
@@ -195,9 +195,8 @@ def _cmd_postprocess(args) -> int:
         # The output is renamed into place after the last tensor is read,
         # so --out may name the input file.
         with _write_atomic(args.out) as dst:
-            # closing() stops the pool before the temp file goes if writing fails.
-            with contextlib.closing(ghn_orth_tensors(reader.metas, reader, cfg)) as out:
-                write_tensors(dst, reader.metas, out)
+            store = positional_writer(dst.fileno(), reader.metas)
+            ghn_orth_tensors(reader.metas, reader._load, store, cfg)
     return 0
 
 
@@ -205,7 +204,8 @@ def _cmd_init(args) -> int:
     specs = parse_tensor_specs(args.archspec.read_text(encoding="utf-8"), with_data=False)
     metas = [meta for meta, _ in specs]
     with _write_atomic(args.out) as handle:
-        write_tensors(handle, metas, init_checkpoint(metas, args.method, args.gain, args.seed))
+        store = positional_writer(handle.fileno(), metas)
+        init_tensors(metas, store, args.method, args.gain, args.seed)
     return 0
 
 

@@ -248,15 +248,16 @@ def _eligible(meta: TensorMeta, cfg: PostprocessConfig) -> bool:
 
 
 def ghn_orth_tensor(
-    meta: TensorMeta, arr: np.ndarray, cfg: PostprocessConfig
+    meta: TensorMeta, arr: np.ndarray, cfg: PostprocessConfig, out: np.ndarray | None = None
 ) -> np.ndarray:
     """One tensor of the :func:`ghn_orth` output.
 
     An eligible tensor (kind conv or linear, depth >= cfg.start_layer)
     gets the two-step post-processing, drawing from its own substream
-    keyed by tensor name, and comes back as a new float32 array; any other
-    tensor comes back as ``arr`` itself.  Either way the result must be
-    finite: NaN or Inf, passed through or produced by an overflowing
+    keyed by tensor name, and comes back as a new float32 array (or, after
+    the QR step, in ``out``: C-ordered float32, arr itself allowed); any
+    other tensor comes back as ``arr`` itself.  Either way the result must
+    be finite: NaN or Inf, passed through or produced by an overflowing
     ``beta``, raises NonFiniteTensor naming the tensor.
     """
     w = arr
@@ -264,11 +265,12 @@ def ghn_orth_tensor(
         with _naming(meta.name):
             rng = RngStream(cfg.seed, meta.name)
             if cfg.skip_orth:
-                w = add_conditional_noise(arr, cfg.beta, rng)
+                w = add_conditional_noise(arr, cfg.beta, rng).astype(np.float32, copy=False)
             else:
                 # Noise feeding the QR step stays float64 until the cast.
-                w = _reinit(arr, None if cfg.skip_noise else (cfg.beta, rng))
-            w = w.astype(np.float32, order="C", copy=False).reshape(arr.shape)
+                q = _reinit(arr, None if cfg.skip_noise else (cfg.beta, rng))
+                w = np.empty(arr.shape, np.float32) if out is None else out
+                np.copyto(w.reshape(q.shape), q, casting="same_kind")
     return check_finite_output(meta.name, w)
 
 
@@ -292,49 +294,58 @@ def check_finite_output(name: str, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _ordered_map(
-    fn: Callable, items: Iterable, sizes: Iterable[int], budget: int, width: int
-) -> Iterator:
-    """Yield ``fn(item)`` for each of ``items``, in order, from ``width`` threads.
+def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[int],
+              budget: int, width: int) -> None:
+    """Run ``fn(i)`` for each index of ``order`` on ``width`` threads.
 
-    ``sizes`` gives each item's size before the item is pulled.  An item is
-    in flight from when it is pulled and submitted until the consumer takes
-    its result.  The next item is admitted only while the sizes in flight,
-    its own included, sum to at most ``budget``, and always when nothing is
-    in flight.  The first failure in item order propagates, and items not
-    yet started are cancelled.
+    Items are admitted in ``order`` and may finish in any order.  The next
+    is admitted while fewer than ``width`` run and the ``costs`` running,
+    its own included, sum to at most ``budget``, or when none runs.  After
+    a failure at index j no later index is admitted but every earlier one
+    runs; then the failure at the lowest index propagates.
     """
-    items = iter(items)
-    if width <= 1:
-        yield from map(fn, items)
-        return
     # Imported here: about 10 ms at start-up that no other command needs.
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-    pending: deque = deque()  # (future, size), in item order
+    queue = deque(order)
+    running: dict = {}  # future -> index
     in_flight = 0
+    failures: dict[int, BaseException] = {}
     with ThreadPoolExecutor(width) as pool:
-        try:
-            for size in sizes:
-                while pending and in_flight + size > budget:
-                    future, done = pending.popleft()
-                    yield future.result()
-                    in_flight -= done
-                try:
-                    item = next(items)
-                except Exception:
-                    # Run sequentially, an earlier item's failure would
-                    # have come first.
-                    for future, _ in pending:
-                        future.result()
-                    raise
-                pending.append((pool.submit(fn, item), size))
-                in_flight += size
-            while pending:
-                yield pending.popleft()[0].result()
-        finally:
-            for future, _ in pending:
-                future.cancel()
+        while queue or running:
+            while queue and len(running) < width and (
+                not running or in_flight + costs[queue[0]] <= budget
+            ):
+                i = queue.popleft()
+                running[pool.submit(fn, i)] = i
+                in_flight += costs[i]
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i = running.pop(future)
+                in_flight -= costs[i]
+                if future.exception() is not None:
+                    failures[i] = future.exception()
+                    queue = deque(j for j in queue if j < min(failures))
+    if failures:
+        raise failures[min(failures)]
+
+
+def _run_layers(
+    metas: Sequence[TensorMeta], eligible: Sequence[bool], fn: Callable[[int], None]
+) -> None:
+    """:func:`_run_pool` ``fn`` over the tensors of ``metas``, with BLAS on one
+    thread so the bytes do not depend on the core count, and one thread per
+    usable CPU where the QR releases the GIL.  Eligible tensors go first,
+    largest first, ties in header order, and cost 12 bytes per element
+    (float32 array and float64 layer buffer), others 4; the budget is two
+    of the largest eligible tensor."""
+    sizes = [math.prod(meta.shape) for meta in metas]
+    costs = [(12 if e else 4) * n for e, n in zip(eligible, sizes)]
+    order = sorted(range(len(metas)), key=lambda i: (not eligible[i], -sizes[i], i))
+    budget = 2 * max((c for e, c in zip(eligible, costs) if e), default=0)
+    width = _cpu_count() if gil_free_qr() else 1
+    with one_blas_thread():
+        _run_pool(fn, order, costs, budget, width)
 
 
 def _cpu_count() -> int:
@@ -343,38 +354,25 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def ghn_orth_tensors(
-    metas: Sequence[TensorMeta],
-    tensors: Iterable[tuple[TensorMeta, np.ndarray]],
-    cfg: PostprocessConfig,
-) -> Iterator[np.ndarray]:
-    """Yield :func:`ghn_orth_tensor` of each (meta, arr) pair, in order.
-
-    ``metas`` is the header of ``tensors``, whose pairs are pulled lazily.
-    With the orth step on, BLAS runs on one thread, so the bytes do not
-    depend on the core count, and where the QR releases the GIL the
-    tensors run on one thread per usable CPU.  A tensor is admitted while
-    the element counts of the tensors in flight, its own included, sum to
-    at most twice the largest eligible tensor's: two of the largest layers'
-    working sets, not one per CPU.
+def ghn_orth_tensors(metas: Sequence[TensorMeta], load: Callable[[int], np.ndarray],
+                     store: Callable[[int, np.ndarray], None], cfg: PostprocessConfig) -> None:
+    """``store(i, w)`` with w = :func:`ghn_orth_tensor` of each tensor i of
+    ``metas``, given by ``load(i)``, whose array a layer that gets the QR
+    step is cast back into.  With the orth step on, the tensors run on
+    :func:`_run_layers`' pool, and each is stored as soon as it is made.
     """
     if cfg.skip_orth:
-        # The noise-only path stays sequential, on BLAS's default thread
-        # count: on the layer pool with BLAS pinned, ViT-B/16 on 2 cores
-        # ran no faster (7.15-7.80 s against 7.09-7.15 s, 3 runs each)
-        # and peaked at 106-109 MB RSS instead of 72 MB.
-        for meta, arr in tensors:
-            yield ghn_orth_tensor(meta, arr, cfg)
+        # Sequential, on BLAS's default thread count: on the pool the
+        # noise-only path peaks higher (CHANGES.md).
+        for i, meta in enumerate(metas):
+            store(i, ghn_orth_tensor(meta, load(i), cfg))
         return
-    sizes = [math.prod(meta.shape) for meta in metas]
-    budget = 2 * max(
-        (n for meta, n in zip(metas, sizes) if _eligible(meta, cfg)), default=0
-    )
-    width = _cpu_count() if gil_free_qr() else 1
-    with one_blas_thread():
-        yield from _ordered_map(
-            lambda pair: ghn_orth_tensor(*pair, cfg), tensors, sizes, budget, width
-        )
+
+    def repair(i: int) -> None:
+        arr = load(i)
+        store(i, ghn_orth_tensor(metas[i], arr, cfg, out=arr))
+
+    _run_layers(metas, [_eligible(meta, cfg) for meta in metas], repair)
 
 
 def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
@@ -382,12 +380,12 @@ def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
 
     Everything else is copied bit-identically.  Each layer is processed
     by :func:`ghn_orth_tensor` on its own, so the result does not depend on
-    processing order; :func:`ghn_orth_tensors` runs them.
+    processing order; :func:`ghn_orth_tensors` runs them on copies.
     """
     validate_checkpoint(c)
-    results = ghn_orth_tensors(c.metas, c.tensors, cfg)
-    out = [(meta, arr.copy() if w is arr else w) for (meta, arr), w in zip(c.tensors, results)]
-    return Checkpoint(tensors=out, version=c.version)
+    out: list = [None] * len(c)
+    ghn_orth_tensors(c.metas, lambda i: c.tensors[i][1].copy(), out.__setitem__, cfg)
+    return Checkpoint(tensors=list(zip(c.metas, out)), version=c.version)
 
 
 def _check_init_shape(shape: tuple[int, ...]) -> None:
@@ -452,6 +450,16 @@ def init_checkpoint(
     # Only the metas are bound between items, so the tensor yielded last
     # is not kept alive while the next one is made.
     return (_init_tensor(meta, method, gain, seed) for meta in metas)
+
+
+def init_tensors(metas: Sequence[TensorMeta], store: Callable[[int, np.ndarray], None],
+                 method: str, gain: float, seed: int) -> None:
+    """``store(i, w)`` with w the :func:`init_checkpoint` tensor of each
+    tensor i of ``metas``, made on :func:`_run_layers`' pool."""
+    if method not in ("rand", "orth"):
+        raise ValueError(f"unknown init method {method!r}")
+    _run_layers(metas, [meta.kind in ELIGIBLE_KINDS for meta in metas],
+                lambda i: store(i, _init_tensor(metas[i], method, gain, seed)))
 
 
 def _init_tensor(meta: TensorMeta, method: str, gain: float, seed: int) -> np.ndarray:

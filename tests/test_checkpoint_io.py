@@ -2,7 +2,10 @@ import io
 import json
 import math
 import os
+import random
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from ghnpost.checkpoint_io import (
     CheckpointReader,
     TensorMeta,
     import_json,
+    positional_writer,
     read_checkpoint,
     write_checkpoint,
     write_tensors,
@@ -205,6 +209,70 @@ def test_write_tensors_matches_write_checkpoint_for_non_contiguous_arrays():
     write_tensors(buf, c.metas, (arr for _, arr in c))
     assert buf.getvalue() == write_checkpoint(c)
     np.testing.assert_array_equal(read_checkpoint(buf.getvalue()).get("w")[1], w.T)
+
+
+def _many_tensors(n=24):
+    """n linear tensors of random shapes, up to 64 x 2048."""
+    rng = np.random.default_rng(5)
+    tensors = []
+    for i in range(n):
+        shape = (int(rng.integers(1, 64)), int(rng.integers(1, 2048)))
+        tensors.append((f"t{i}", shape, "linear", 0,
+                        rng.standard_normal(shape, dtype=np.float32)))
+    return make_checkpoint(tensors)
+
+
+def test_loads_from_four_threads_equal_a_sequential_read(tmp_path):
+    c = _many_tensors()
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(write_checkpoint(c))
+    names = c.names()
+    with open(path, "rb") as handle:
+        reader = CheckpointReader(handle)
+        expected = {meta.name: arr.tobytes() for meta, arr in reader}
+        mismatches = []
+
+        def load_all(seed):
+            for name in random.Random(seed).sample(names * 4, len(names) * 4):
+                if reader.get(name)[1].tobytes() != expected[name]:
+                    mismatches.append(name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between seek and read
+        try:
+            threads = [threading.Thread(target=load_all, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_positional_writer_in_any_order_equals_write_checkpoint(tmp_path, monkeypatch):
+    c = _many_tensors()
+    pwrite = os.pwrite
+    # At most 1000 bytes per call, as a write that the OS cuts short.
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:1000], offset))
+    path = tmp_path / "c.ckpt"
+    with open(path, "wb") as handle:
+        put = positional_writer(handle.fileno(), c.metas)
+        threads = [
+            threading.Thread(target=lambda ids: [put(i, c.tensors[i][1]) for i in ids],
+                             args=(range(k, len(c), 3)[::-1],))
+            for k in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert path.read_bytes() == write_checkpoint(c)
+    with open(path, "wb") as handle:
+        with pytest.raises(ValueError, match="shape"):
+            positional_writer(handle.fileno(), c.metas)(0, np.zeros(3, np.float32))
 
 
 def test_import_json_single_tensor():

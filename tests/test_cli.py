@@ -9,6 +9,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -209,12 +211,18 @@ def test_nan_in_third_eligible_tensor_with_layers_in_flight(tmp_path, monkeypatc
     inp = tmp_path / "in.ckpt"
     inp.write_bytes(write_checkpoint(c))
     pulled = []
+    l3_pulled = threading.Event()
 
     class RecordingReader(cli.CheckpointReader):
-        def __iter__(self):
-            for meta, arr in super().__iter__():
-                pulled.append(meta.name)
-                yield meta, arr
+        def _load(self, i):
+            name = self.metas[i].name
+            if name == "l2.conv":
+                l3_pulled.wait(timeout=30)  # l2.conv stays in flight until l3.conv is
+            arr = super()._load(i)
+            pulled.append(name)
+            if name == "l3.conv":
+                l3_pulled.set()
+            return arr
 
     monkeypatch.setattr(postprocess, "_cpu_count", lambda: 4)
     monkeypatch.setattr(cli, "CheckpointReader", RecordingReader)
@@ -224,6 +232,87 @@ def test_nan_in_third_eligible_tensor_with_layers_in_flight(tmp_path, monkeypatc
     assert "tensor 'l2.conv'" in capsys.readouterr().err
     assert "l3.conv" in pulled  # was in flight when l2.conv failed
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ckpt"]
+
+
+def _recording_reader(monkeypatch, pulled, delay=None):
+    """Patch the CLI's reader to append each loaded tensor's name to
+    ``pulled``, after sleeping ``delay(i)`` seconds if given."""
+
+    class RecordingReader(cli.CheckpointReader):
+        def _load(self, i):
+            if delay is not None:
+                time.sleep(delay(i))
+            pulled.append(self.metas[i].name)
+            return super()._load(i)
+
+    monkeypatch.setattr(cli, "CheckpointReader", RecordingReader)
+
+
+def test_larger_later_tensor_failing_first_reports_the_earlier_one(
+    tmp_path, monkeypatch, capsys
+):
+    c = make_checkpoint(
+        [("small", (8, 4, 3, 3), "conv", 0, ghn_like_tensor((8, 4, 3, 3), seed=0)),
+         ("big", (64, 4, 3, 3), "conv", 0, ghn_like_tensor((64, 4, 3, 3), seed=1))]
+    )
+    c.get("small")[1][0, 0, 0, 0] = np.nan
+    c.get("big")[1][0, 0, 0, 0] = np.inf
+    inp = tmp_path / "in.ckpt"
+    inp.write_bytes(write_checkpoint(c))
+    pulled = []
+    # "small" is admitted only once "big" is in flight, and starts late.
+    _recording_reader(monkeypatch, pulled, lambda i: 0.2 if i == 0 else 0.0)
+    monkeypatch.setattr(postprocess, "_cpu_count", lambda: 4)
+    assert run(["postprocess", str(inp), "--start-layer", "0", "--out",
+                str(tmp_path / "out.ckpt")]) == 3
+    assert pulled == ["big", "small"]  # "big" failed first in time
+    err = capsys.readouterr().err
+    assert "tensor 'small'" in err and "'big'" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ckpt"]
+
+
+def _mixed_checkpoint(path):
+    """Layers of several sizes, a wide one, pass-through tensors between them."""
+    tensors = []
+    for i, shape in enumerate([(16, 8, 3, 3), (64, 8, 3, 3), (16, 8, 3, 3), (10, 200),
+                               (96, 16, 1, 1), (32, 48, 1, 1)]):
+        tensors.append((f"l{i}.conv", shape, "conv" if len(shape) == 4 else "linear", i,
+                        ghn_like_tensor(shape, seed=i)))
+        tensors.append((f"l{i}.norm", (shape[0],), "norm", i,
+                        np.full(shape[0], 1.5, np.float32)))
+    path.write_bytes(write_checkpoint(make_checkpoint(tensors)))
+    return path
+
+
+def test_layers_are_admitted_largest_first(tmp_path, monkeypatch):
+    inp = _mixed_checkpoint(tmp_path / "in.ckpt")
+    pulled = []
+    _recording_reader(monkeypatch, pulled)
+    monkeypatch.setattr(postprocess, "_cpu_count", lambda: 1)
+    assert run(["postprocess", str(inp), "--start-layer", "1", "--out",
+                str(tmp_path / "out.ckpt")]) == 0
+    # Sizes l1 4608, l3 2000, l4 and l5 1536 (a tie, kept in header order),
+    # l2 1152; the tensors that pass through (l0.conv, below --start-layer,
+    # and the norms) follow, in the same order.
+    assert pulled == ["l1.conv", "l3.conv", "l4.conv", "l5.conv", "l2.conv",
+                      "l0.conv", "l4.norm", "l1.norm", "l5.norm", "l0.norm",
+                      "l2.norm", "l3.norm"]
+
+
+@pytest.mark.parametrize("skip", [[], ["--skip-noise"]])
+@pytest.mark.parametrize("width", [1, 4])
+def test_repair_bytes_do_not_depend_on_completion_order(skip, width, tmp_path, monkeypatch):
+    inp = _mixed_checkpoint(tmp_path / "in.ckpt")
+    cfg = PostprocessConfig(start_layer=0, seed=6, skip_noise=bool(skip))
+    monkeypatch.setattr(postprocess, "_cpu_count", lambda: 1)
+    expected = write_checkpoint(ghn_orth(read_checkpoint(inp.read_bytes()), cfg))
+    # The first layers in the header start late, and the rest overtake them.
+    _recording_reader(monkeypatch, [], lambda i: 0.05 if i < 4 else 0.0)
+    monkeypatch.setattr(postprocess, "_cpu_count", lambda: width)
+    out = tmp_path / "out.ckpt"
+    assert run(["postprocess", str(inp), "--start-layer", "0", "--seed", "6",
+                "--out", str(out)] + skip) == 0
+    assert out.read_bytes() == expected
 
 
 @pytest.mark.skipif(
@@ -246,6 +335,33 @@ def test_repair_bytes_do_not_depend_on_the_core_count(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "ghnpost.cli", "postprocess", str(inp),
              "--start-layer", "0", "--seed", "0", "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            preexec_fn=(lambda: os.sched_setaffinity(0, cpus)) if cpus else None,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and a second CPU",
+)
+def test_init_orth_bytes_do_not_depend_on_the_core_count(tmp_path):
+    # ResNet-50's fc layer, whose orthogonal init with seed 7 differs in
+    # one float32 value between one and two OpenBLAS threads when BLAS
+    # runs on its default thread count.
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps(
+        [{"name": "fc.weight", "shape": [1000, 2048], "kind": "linear", "depth": 0}]))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outs = []
+    for threads, cpus in (("1", one_cpu), ("2", None)):
+        out = tmp_path / f"out{threads}.ckpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghnpost.cli", "init", str(arch), "--method", "orth",
+             "--seed", "7", "--out", str(out)],
             capture_output=True, text=True, timeout=300,
             env=_child_env(OPENBLAS_NUM_THREADS=threads),
             preexec_fn=(lambda: os.sched_setaffinity(0, cpus)) if cpus else None,

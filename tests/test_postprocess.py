@@ -17,7 +17,7 @@ from ghnpost.errors import (
 )
 from ghnpost.postprocess import (
     PostprocessConfig,
-    _ordered_map,
+    _run_pool,
     add_conditional_noise,
     ghn_orth,
     ghn_orth_tensor,
@@ -413,55 +413,64 @@ def test_error_annotated_with_tensor_name():
 
 # --- the layer pool ----------------------------------------------------------
 
-def test_ordered_map_keeps_item_order_and_byte_budget():
+def test_run_pool_runs_every_item_within_its_byte_budget():
     # Fake jobs of random sizes and durations on 8 threads.  An item is in
-    # flight from when the map pulls it until the consumer takes its result.
+    # flight from its admission until its job returns.
     rng = random.Random(0)
     sizes = [rng.choice([1, 2, 3, 5, 8]) for _ in range(60)]
     budget = 10
     in_flight, peak, lock = [0], [0], threading.Lock()
-
-    def items():
-        for i, size in enumerate(sizes):
-            with lock:
-                assert in_flight[0] == 0 or in_flight[0] + size <= budget
-                in_flight[0] += size
-                peak[0] = max(peak[0], in_flight[0])
-            yield i
+    ran = []
 
     def job(i):
+        with lock:
+            assert in_flight[0] == 0 or in_flight[0] + sizes[i] <= budget
+            in_flight[0] += sizes[i]
+            peak[0] = max(peak[0], in_flight[0])
+            ran.append(i)
         time.sleep(rng.random() * 2e-3)
-        return i
-
-    out = []
-    for i in _ordered_map(job, items(), sizes, budget, width=8):
-        out.append(i)
         with lock:
             in_flight[0] -= sizes[i]
-    assert out == list(range(len(sizes)))
+
+    order = sorted(range(len(sizes)), key=lambda i: (-sizes[i], i))
+    _run_pool(job, order, sizes, budget, width=8)
+    assert sorted(ran) == list(range(len(sizes)))
     assert 8 < peak[0] <= budget  # items did overlap
 
 
-def test_ordered_map_raises_first_failure_in_item_order():
+def test_run_pool_raises_first_failure_in_item_order():
+    started = []
+
     def job(i):
-        if i in (2, 3):
-            time.sleep(0.01 if i == 2 else 0.0)  # 3 fails first in time
+        started.append(i)
+        if i in (2, 5):
+            time.sleep(0.25 if i == 2 else 0.0)  # 5 fails first in time
             raise ValueError(f"item {i}")
-        return i
+        time.sleep(0.0 if i < 2 else 0.25)
 
-    got = []
+    # 0 and 1 return at once, so 4 and 5 are admitted; 5 fails while 2, 3
+    # and 4 run, so 6 and 7 are never started.
     with pytest.raises(ValueError, match="item 2"):
-        for i in _ordered_map(job, range(8), [1] * 8, 4, width=4):
-            got.append(i)
-    assert got == [0, 1]
+        _run_pool(job, range(8), [1] * 8, 4, width=4)
+    assert sorted(started) == [0, 1, 2, 3, 4, 5]
 
-    def failing_reader():
-        yield from (2, 4)
-        raise OSError("read failed")
+    # Admitted last first, one at a time: after 5 fails, the items before
+    # it still run, and after 2 fails, so do 1 and 0.
+    started.clear()
+    with pytest.raises(ValueError, match="item 2"):
+        _run_pool(job, range(7, -1, -1), [1] * 8, 1, width=4)
+    assert started == [7, 6, 5, 4, 3, 2, 1, 0]
+
+    def failing_read(i):
+        started.append(i)
+        if i == 4:
+            raise OSError("read failed")
+        job(i)
 
     # A later read failure does not hide an earlier item's own failure.
+    started.clear()
     with pytest.raises(ValueError, match="item 2"):
-        list(_ordered_map(job, failing_reader(), [1] * 3, 4, width=4))
+        _run_pool(failing_read, range(8), [1] * 8, 4, width=4)
 
 
 def _layers_checkpoint(n=6):
@@ -478,7 +487,8 @@ def test_pool_matches_sequential_in_header_order(skip, monkeypatch):
     cfg = PostprocessConfig(start_layer=1, seed=4, **skip)
     expected = [ghn_orth_tensor(meta, arr, cfg) for meta, arr in c.tensors]
     monkeypatch.setattr(postprocess, "_cpu_count", lambda: 8)
-    got = list(ghn_orth_tensors(c.metas, c.tensors, cfg))
+    got = [None] * len(c)
+    ghn_orth_tensors(c.metas, lambda i: c.tensors[i][1], got.__setitem__, cfg)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
     assert got[0] is c.tensors[0][1]  # below start_layer: passed through
 
@@ -489,9 +499,9 @@ def test_pool_pins_blas_to_one_thread_and_restores_it(monkeypatch):
         pytest.skip("numpy's bundled OpenBLAS not found")
     seen = []
 
-    def recording(meta, arr, cfg):
+    def recording(meta, arr, cfg, out=None):
         seen.append(lib.scipy_openblas_get_num_threads64_())
-        return ghn_orth_tensor(meta, arr, cfg)
+        return ghn_orth_tensor(meta, arr, cfg, out)
 
     monkeypatch.setattr(postprocess, "ghn_orth_tensor", recording)
     before = lib.scipy_openblas_get_num_threads64_()

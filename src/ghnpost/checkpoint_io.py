@@ -45,6 +45,7 @@ from .errors import (
     ShapeMismatch,
     TruncatedData,
     UnsupportedVersion,
+    naming,
 )
 
 MAGIC = b"GHNP"
@@ -340,15 +341,15 @@ class CheckpointReader:
 
     def _load(self, i: int) -> np.ndarray:
         meta = self.metas[i]
-        arr = np.empty(math.prod(meta.shape), dtype="<f4")
-        with self._lock:
-            self._handle.seek(self._starts[i])
-            got = self._handle.readinto(arr)
-        if got != arr.nbytes:
-            raise TruncatedData(
-                f"tensor {meta.name!r}: read {got or 0} of {arr.nbytes} bytes; "
-                "the file shrank while it was read"
-            )
+        with naming(meta.name):
+            arr = np.empty(math.prod(meta.shape), dtype="<f4")
+            with self._lock:
+                self._handle.seek(self._starts[i])
+                got = self._handle.readinto(arr)
+            if got != arr.nbytes:
+                raise TruncatedData(
+                    f"read {got or 0} of {arr.nbytes} bytes; the file shrank while it was read"
+                )
         return arr.reshape(meta.shape).astype(np.float32, copy=False)
 
 

@@ -18,7 +18,7 @@ import os
 import re
 import sys
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import BinaryIO
 
@@ -53,39 +53,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
+def _number(name: str, cast: type, ok: Callable, message: str) -> Callable[[str], float]:
+    """An argparse type: ``cast`` the text, and reject a value failing ``ok``
+    with ``message``.  argparse names the type by ``name`` when ``cast``
+    rejects the text."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("must be finite and non-negative")
-    return value
-
-
-def _pos_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be finite and positive")
-    return value
-
-
-def _pos_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+_nonneg_int = _number("_nonneg_int", int, lambda v: v >= 0, "must be non-negative")
+_pos_int = _number("_pos_int", int, lambda v: v >= 1, "must be >= 1")
+_seed = _number("_seed", int, lambda v: 0 <= v < 2**64, "must fit in an unsigned 64-bit integer")
+_nonneg_float = _number("_nonneg_float", float, lambda v: math.isfinite(v) and v >= 0,
+                        "must be finite and non-negative")
+_pos_float = _number("_pos_float", float, lambda v: math.isfinite(v) and v > 0,
+                     "must be finite and positive")
 
 
 def build_parser() -> _Parser:

@@ -3,8 +3,13 @@
 Two branches matter to callers: :class:`DataFormatError` covers anything
 wrong with bytes, files or schemas (CLI exit code 2), while
 :class:`NumericalError` covers violations of numerical preconditions
-(CLI exit code 3).
+(CLI exit code 3).  :func:`naming` is the one place where an error raised
+on a tensor gets the tensor's name, and where a MemoryError becomes
+:class:`OutOfMemory`.
 """
+
+import contextlib
+from collections.abc import Iterator
 
 
 class GhnpostError(Exception):
@@ -77,3 +82,16 @@ class NonFiniteTensor(NumericalError):
 
 class OutOfMemory(NumericalError):
     """The working memory of one tensor could not be allocated."""
+
+
+@contextlib.contextmanager
+def naming(name: str, note: str = "") -> Iterator[None]:
+    """Prefix the message of a package error raised in the block with
+    ``tensor 'name'`` and ``note``; a MemoryError becomes OutOfMemory
+    with the same prefix."""
+    try:
+        yield
+    except GhnpostError as exc:
+        raise type(exc)(f"tensor {name!r}{note}: {exc}") from exc
+    except MemoryError as exc:
+        raise OutOfMemory(f"tensor {name!r}{note}: {exc}") from exc

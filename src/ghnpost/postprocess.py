@@ -14,11 +14,17 @@ otherwise; internally everything runs in float64, and ``ghn_orth_tensor``
 casts each layer to float32 exactly once.  A layer that gets the QR step
 lives in one float64 buffer from its correlation to that cast (see
 :func:`_reinit`).
+
+Each step is written once: the noise std in :func:`_noise_scale`, the
+noise in :func:`_add_noise` (for :func:`add_conditional_noise` and the
+repair), the QR step in :func:`_orthonormalize`, the init methods in
+:func:`_initializer`.  A layer's K x CHW geometry comes from
+:func:`~ghnpost.tensor_ops.geometry`, and errors get the tensor's name
+from :func:`~ghnpost.errors.naming`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import errno
 import math
 import mmap
@@ -30,10 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, TensorMeta, validate_checkpoint
-from .errors import GhnpostError, NonFiniteTensor, OutOfMemory, UnsupportedRank
+from .errors import NonFiniteTensor, naming
 from .linalg import gil_free_qr, one_blas_thread, qr_decompose
 from .rng import RngStream
 from .stats import sigma_r
+from .tensor_ops import geometry
 
 DEFAULT_BETA = 3e-5
 
@@ -56,19 +63,24 @@ class PostprocessConfig:
     skip_orth: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError("beta must be finite and non-negative")
+        _check_beta(self.beta)
         if self.start_layer < 0:
             raise ValueError("start_layer must be non-negative")
         if self.skip_noise and self.skip_orth:
             raise ValueError("at most one of skip_noise/skip_orth may be set")
 
 
-def _check_tensor(w: np.ndarray) -> None:
-    if w.ndim not in (2, 4):
-        raise UnsupportedRank(f"expected rank 2 or 4 tensor, got rank {w.ndim}")
+def _check_beta(beta: float) -> None:
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError("beta must be finite and non-negative")
+
+
+def _check_tensor(w: np.ndarray) -> tuple[int, int, bool]:
+    """w's geometry; NaN or Inf in w raises NonFiniteTensor."""
+    shape = geometry(w.shape)
     if not np.isfinite(w).all():
         raise NonFiniteTensor("tensor holds NaN or Inf values")
+    return shape
 
 
 def add_conditional_noise(
@@ -82,49 +94,70 @@ def add_conditional_noise(
     output equals the input bit-exactly.  The output is a new array of
     ``dtype`` (default: w's); the sum is rounded to it once.
     """
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError("beta must be finite and non-negative")
-    _check_tensor(w)
-    sigma = 0.0 if w.shape[0] < 2 else sigma_r(w)
-    out = np.array(w, dtype=dtype, order="C")
-    if beta == 0.0 or sigma == 0.0:
-        return out
-    scale = beta * sigma
-    flat = out.reshape(-1)
-    # Element i is w_i + scale * z_i summed in float64 and rounded once to
-    # out's dtype, the same value one whole-layer noise array would give.
-    # Noise under 2**-(nmant+4) |w_i| is under a quarter of the smaller gap
-    # of out's dtype next to w_i (subnormals included), so the sum rounds
-    # back to w_i; as |z_i| <= _ZMAX, only an element with |w_i| <= limit
-    # can move.  Elements above the limit are skipped, not drawn.
-    limit = 2.0 ** (np.finfo(out.dtype).nmant + 4) * scale * _ZMAX
-    gather = _Gather(out.dtype) if limit < max(float(flat.max()), -float(flat.min())) else None
-    # A huge beta overflows here; callers check the result for Inf
-    # (check_finite_output), so numpy need not warn as well.
+    _check_beta(beta)
+    k, chw, _ = _check_tensor(w)
+    # sigma_r's float64 channels are freed before the output is allocated.
+    scale = _noise_scale(w, beta)
+    out = np.empty((k, chw), w.dtype if dtype is None else dtype)
+    _add_noise(out, w.reshape(k, chw), scale, rng)
+    return out.reshape(w.shape)
+
+
+def _noise_scale(w: np.ndarray, beta: float, work: np.ndarray | None = None) -> float | None:
+    """beta * sigma_r(w), or None where the noise is skipped (beta == 0, a
+    single channel, or sigma_r == 0); ``work`` as for sigma_r."""
+    sigma = 0.0 if w.shape[0] < 2 else sigma_r(w, work)
+    return beta * sigma if beta != 0.0 and sigma != 0.0 else None
+
+
+def _add_noise(layer: np.ndarray, mat: np.ndarray, scale: float | None, rng: RngStream,
+               finite: bool = False) -> None:
+    """Set the K x CHW ``layer`` (either memory order) to ``mat + scale * z``
+    (to mat if ``scale`` is None), z the stream in C order, summed in
+    float64 and rounded once to layer's dtype, a :func:`_row_blocks` block
+    at a time; with ``finite``, a noised block holding NaN or Inf raises
+    NonFiniteTensor.
+
+    Noise under 2**-(nmant+4) |w_i| is under a quarter of the smaller gap
+    of layer's dtype next to w_i (subnormals included), so the sum rounds
+    back to w_i; as |z_i| <= _ZMAX, only |w_i| <= limit can move.  A
+    C-ordered layer draws only those (:class:`_Gather`), others draw all.
+    """
+    gather = None
+    if scale is not None and layer.flags.c_contiguous:
+        limit = 2.0 ** (np.finfo(layer.dtype).nmant + 4) * scale * _ZMAX
+        if limit < max(float(mat.max()), -float(mat.min())):
+            gather = _Gather(layer.dtype, max(_NOISE_CHUNK, layer.shape[1]))
+    # A huge beta overflows here; the caller checks (``finite``, or
+    # check_finite_output), so numpy need not warn as well.
     with np.errstate(over="ignore"):
-        for start in range(0, flat.size, _NOISE_CHUNK):
-            chunk = flat[start : start + _NOISE_CHUNK]
-            if gather is None or not gather.add(chunk, start, limit, scale, rng):
-                z = rng.normal(chunk.size, start=start)
+        for rows, start in _row_blocks(layer):
+            block = layer[rows]
+            block[...] = mat[rows]
+            if scale is None:
+                continue
+            if gather is None or not gather.add(block.reshape(-1), start, limit, scale, rng):
+                z = rng.normal(block.size, start=start).reshape(block.shape)
                 z *= scale
-                chunk += z
-    return out
+                block += z
+            if finite and not np.isfinite(block).all():
+                raise NonFiniteTensor("tensor holds NaN or Inf values")
 
 
 class _Gather:
     """Noise for the few elements of a chunk that it can move.
 
-    The buffers hold one chunk and are reused for every chunk of a layer,
-    so the number of elements gathered does not change the sizes the heap
-    sees.
+    The buffers hold one chunk (``size`` elements) and are reused for every
+    chunk of a layer, so the number of elements gathered does not change
+    the sizes the heap sees.
     """
 
-    def __init__(self, dtype: np.dtype):
-        self.index = np.arange(_NOISE_CHUNK)
-        self.near = np.empty(_NOISE_CHUNK, bool)
-        self.pos = np.empty(_NOISE_CHUNK, np.int64)
-        self.z = np.empty(_NOISE_CHUNK)
-        self.w = np.empty(_NOISE_CHUNK, dtype)
+    def __init__(self, dtype: np.dtype, size: int):
+        self.index = np.arange(size)
+        self.near = np.empty(size, bool)
+        self.pos = np.empty(size, np.int64)
+        self.z = np.empty(size)
+        self.w = np.empty(size, dtype)
 
     def add(self, chunk, start, limit, scale, rng) -> bool:
         """Add noise to the elements of ``chunk`` (stream values from
@@ -166,34 +199,18 @@ def _reinit(w: np.ndarray, noise: tuple[float, RngStream] | None) -> np.ndarray:
     noise of ``noise`` = (beta, rng) if given, in one :func:`_layer_matrix`.
 
     The buffer holds the channels while :func:`~ghnpost.stats.sigma_r`
-    works on them, then ``w + beta * sigma_r * z`` (the bytes of
-    :func:`add_conditional_noise` into float64, where every value is
-    drawn), then Q.  A NaN or Inf in w
-    or in the noised layer raises NonFiniteTensor before the QR.
+    works on them, then :func:`_add_noise`'s ``w + beta * sigma_r * z``
+    (the bytes of :func:`add_conditional_noise` into float64), then Q.  A
+    NaN or Inf in w or in the noised layer raises NonFiniteTensor before
+    the QR.
     """
-    _check_tensor(w)
-    k = w.shape[0]
-    mat = w.reshape(k, math.prod(w.shape[1:]))
-    layer, transposed = _layer_matrix(w.shape)
-    scale = None
+    k, chw, transposed = _check_tensor(w)
+    layer = _layer_matrix(k, chw, transposed)
+    scale = rng = None
     if noise is not None:
         beta, rng = noise
-        work = layer.ravel(order="K")  # the whole buffer, C-ordered K x CHW
-        sigma = 0.0 if k < 2 else sigma_r(w, work)
-        if beta != 0.0 and sigma != 0.0:
-            scale = beta * sigma
-    for rows, start in _row_blocks(layer):
-        block = layer[rows]
-        block[...] = mat[rows]
-        if scale is None:
-            continue
-        z = rng.normal(block.size, start=start).reshape(block.shape)
-        # A huge beta overflows here and is reported just below.
-        with np.errstate(over="ignore"):
-            z *= scale
-            block += z
-        if not np.isfinite(block).all():
-            raise NonFiniteTensor("tensor holds NaN or Inf values")
+        scale = _noise_scale(w, beta, layer.ravel(order="K"))  # the whole buffer
+    _add_noise(layer, w.reshape(k, chw), scale, rng, finite=True)
     _orthonormalize(layer, transposed)
     return layer
 
@@ -214,16 +231,11 @@ def _layer_buffer(size: int) -> np.ndarray:
     return np.frombuffer(mapping, np.float64, size)
 
 
-def _layer_matrix(shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
+def _layer_matrix(k: int, chw: int, transposed: bool) -> np.ndarray:
     """An uninitialized :func:`_layer_buffer` K x CHW matrix for a tensor of
-    ``shape``, and whether the QR factors its transpose (when K < CHW, as
-    :func:`~ghnpost.tensor_ops.matricize`).  The matrix LAPACK factors is
-    Fortran-ordered: the K x CHW matrix is C-ordered when transposed."""
-    k = shape[0]
-    chw = math.prod(shape[1:])
-    transposed = k < chw
-    layer = _layer_buffer(k * chw).reshape((k, chw), order="C" if transposed else "F")
-    return layer, transposed
+    that :func:`~ghnpost.tensor_ops.geometry`.  The matrix LAPACK factors
+    is Fortran-ordered: the K x CHW matrix is C-ordered when transposed."""
+    return _layer_buffer(k * chw).reshape((k, chw), order="C" if transposed else "F")
 
 
 def _row_blocks(layer: np.ndarray) -> Iterator[tuple[slice, int]]:
@@ -262,7 +274,7 @@ def ghn_orth_tensor(
     """
     w = arr
     if _eligible(meta, cfg):
-        with _naming(meta.name):
+        with naming(meta.name):
             rng = RngStream(cfg.seed, meta.name)
             if cfg.skip_orth:
                 w = add_conditional_noise(arr, cfg.beta, rng).astype(np.float32, copy=False)
@@ -272,18 +284,6 @@ def ghn_orth_tensor(
                 w = np.empty(arr.shape, np.float32) if out is None else out
                 np.copyto(w.reshape(q.shape), q, casting="same_kind")
     return check_finite_output(meta.name, w)
-
-
-@contextlib.contextmanager
-def _naming(name: str) -> Iterator[None]:
-    """Prefix the message of a package error raised in the block with the
-    tensor's name; a MemoryError becomes OutOfMemory naming it."""
-    try:
-        yield
-    except GhnpostError as exc:
-        raise type(exc)(f"tensor {name!r}: {exc}") from exc
-    except MemoryError as exc:
-        raise OutOfMemory(f"tensor {name!r}: {exc}") from exc
 
 
 def check_finite_output(name: str, w: np.ndarray) -> np.ndarray:
@@ -388,18 +388,18 @@ def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
     return Checkpoint(tensors=list(zip(c.metas, out)), version=c.version)
 
 
-def _check_init_shape(shape: tuple[int, ...]) -> None:
-    if len(shape) not in (2, 4):
-        raise UnsupportedRank(f"expected rank 2 or 4 shape, got rank {len(shape)}")
+def _check_init_shape(shape: tuple[int, ...]) -> tuple[int, int, bool]:
+    """The :func:`~ghnpost.tensor_ops.geometry` of a shape to initialize."""
+    dims = geometry(shape)
     if any(d < 1 for d in shape):
         raise ValueError(f"shape dimensions must be positive, got {shape}")
+    return dims
 
 
 def he_init(shape: tuple[int, ...], rng: RngStream) -> np.ndarray:
     """Gaussian init with std sqrt(2 / fan_in); fan_in is C*H*W (or C)."""
     shape = tuple(shape)
-    _check_init_shape(shape)
-    fan_in = math.prod(shape[1:])
+    _, fan_in, _ = _check_init_shape(shape)
     std = math.sqrt(2.0 / fan_in)
     out = np.empty(shape, np.float32)
     flat = out.reshape(-1)
@@ -417,11 +417,11 @@ def saxe_orthogonal_init(
 ) -> np.ndarray:
     """Orthogonal init: orthogonalize a Gaussian draw, then scale by gain."""
     shape = tuple(shape)
-    _check_init_shape(shape)
+    k, chw, transposed = _check_init_shape(shape)
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError("gain must be finite and positive")
     # The draw goes straight into the buffer LAPACK factors in place.
-    layer, transposed = _layer_matrix(shape)
+    layer = _layer_matrix(k, chw, transposed)
     for rows, start in _row_blocks(layer):
         block = layer[rows]
         block[...] = rng.normal(block.size, start=start).reshape(block.shape)
@@ -445,31 +445,34 @@ def init_checkpoint(
     unsupported rank, or whose weights would overflow float32, raises a
     NumericalError naming it.
     """
-    if method not in ("rand", "orth"):
-        raise ValueError(f"unknown init method {method!r}")
+    make = _initializer(method, gain)
     # Only the metas are bound between items, so the tensor yielded last
     # is not kept alive while the next one is made.
-    return (_init_tensor(meta, method, gain, seed) for meta in metas)
+    return (_init_tensor(meta, make, seed) for meta in metas)
 
 
 def init_tensors(metas: Sequence[TensorMeta], store: Callable[[int, np.ndarray], None],
                  method: str, gain: float, seed: int) -> None:
     """``store(i, w)`` with w the :func:`init_checkpoint` tensor of each
     tensor i of ``metas``, made on :func:`_run_layers`' pool."""
-    if method not in ("rand", "orth"):
-        raise ValueError(f"unknown init method {method!r}")
+    make = _initializer(method, gain)
     _run_layers(metas, [meta.kind in ELIGIBLE_KINDS for meta in metas],
-                lambda i: store(i, _init_tensor(metas[i], method, gain, seed)))
+                lambda i: store(i, _init_tensor(metas[i], make, seed)))
 
 
-def _init_tensor(meta: TensorMeta, method: str, gain: float, seed: int) -> np.ndarray:
+def _initializer(method: str, gain: float) -> Callable[[tuple[int, ...], RngStream], np.ndarray]:
+    """The conv/linear initializer of an init ``method``."""
+    if method == "rand":
+        return he_init
+    if method == "orth":
+        return lambda shape, rng: saxe_orthogonal_init(shape, gain, rng)
+    raise ValueError(f"unknown init method {method!r}")
+
+
+def _init_tensor(meta: TensorMeta, make: Callable, seed: int) -> np.ndarray:
     if meta.kind not in ELIGIBLE_KINDS:
         fill = np.ones if meta.kind == "norm" else np.zeros  # bias, other: zeros
         return fill(meta.shape, dtype=np.float32)
-    stream = RngStream(seed, meta.name)
-    with _naming(meta.name):
-        if method == "rand":
-            w = he_init(meta.shape, stream)
-        else:
-            w = saxe_orthogonal_init(meta.shape, gain, stream)
+    with naming(meta.name):
+        w = make(meta.shape, RngStream(seed, meta.name))
     return check_finite_output(meta.name, w)

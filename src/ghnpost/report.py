@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, CheckpointReader, TensorMeta
-from .errors import DegenerateInput, GhnpostError, StructureMismatch, SchemaError
+from .errors import DegenerateInput, SchemaError, StructureMismatch, naming
 from .linalg import pca_project
 from .stats import Histogram, correlation_stats
+from .tensor_ops import geometry
 
 
 @dataclass
@@ -67,6 +67,14 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _csv(header: list[str], rows: Iterable[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def analyze_checkpoint(
     c: Iterable[tuple[TensorMeta, np.ndarray]], bins: int
 ) -> AnalysisReport:
@@ -74,7 +82,8 @@ def analyze_checkpoint(
 
     ``c`` is a Checkpoint or a CheckpointReader: any stream of (meta,
     array) pairs, visited once.  A tensor holding NaN or Inf raises
-    NonFiniteTensor naming it.
+    NonFiniteTensor naming it; one whose working memory cannot be
+    allocated raises OutOfMemory naming it.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -84,21 +93,19 @@ def analyze_checkpoint(
         layer_count += 1
         if meta.kind not in ELIGIBLE_KINDS:
             continue
-        try:
+        with naming(meta.name):
+            k, chw, _ = geometry(arr.shape)
             stats = correlation_stats(arr, bins)
-            record = LayerRecord(
-                name=meta.name,
-                kind=meta.kind,
-                depth=meta.depth,
-                k=arr.shape[0],
-                chw=math.prod(arr.shape[1:]),
-                sigma_r=stats.sigma_r,
-                mean_abs_offdiag=stats.mean_abs,
-                histogram=stats.histogram,
-            )
-        except GhnpostError as exc:
-            raise type(exc)(f"tensor {meta.name!r}: {exc}") from exc
-        records.append(record)
+        records.append(LayerRecord(
+            name=meta.name,
+            kind=meta.kind,
+            depth=meta.depth,
+            k=k,
+            chw=chw,
+            sigma_r=stats.sigma_r,
+            mean_abs_offdiag=stats.mean_abs,
+            histogram=stats.histogram,
+        ))
     return AnalysisReport(
         records=records,
         layer_count=layer_count,
@@ -107,22 +114,14 @@ def analyze_checkpoint(
 
 
 def emit_report_csv(r: AnalysisReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "kind", "depth", "K", "CHW", "sigma_r", "mean_abs_offdiag"])
-    for rec in r.records:
-        writer.writerow(
-            [
-                rec.name,
-                rec.kind,
-                rec.depth,
-                rec.k,
-                rec.chw,
-                _fmt(rec.sigma_r),
-                _fmt(rec.mean_abs_offdiag),
-            ]
-        )
-    return buf.getvalue()
+    return _csv(
+        ["name", "kind", "depth", "K", "CHW", "sigma_r", "mean_abs_offdiag"],
+        (
+            [rec.name, rec.kind, rec.depth, rec.k, rec.chw, _fmt(rec.sigma_r),
+             _fmt(rec.mean_abs_offdiag)]
+            for rec in r.records
+        ),
+    )
 
 
 _SVG_WIDTH = 640
@@ -249,19 +248,13 @@ def project_embeddings(e: EmbeddingSet) -> list[ProjectionRow]:
 
 
 def emit_projection_csv(rows: list[ProjectionRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "pc1", "pc2", "label"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.id,
-                _fmt(row.pc1),
-                _fmt(row.pc2),
-                "" if row.label is None else _fmt(row.label),
-            ]
-        )
-    return buf.getvalue()
+    return _csv(
+        ["id", "pc1", "pc2", "label"],
+        (
+            [row.id, _fmt(row.pc1), _fmt(row.pc2), "" if row.label is None else _fmt(row.label)]
+            for row in rows
+        ),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -281,7 +274,7 @@ def compare_checkpoints(
     ``a`` are visited in file order and each is matched with ``b``'s tensor
     of the same name, so a pair of readers holds two tensors at a time.
     A conv/linear tensor holding NaN or Inf in either checkpoint raises
-    NonFiniteTensor naming it.
+    NonFiniteTensor naming it (see :func:`_compare_layer`).
     """
     a_shapes = {meta.name: meta.shape for meta in a.metas}
     b_shapes = {meta.name: meta.shape for meta in b.metas}
@@ -309,13 +302,12 @@ def compare_checkpoints(
 
 def _compare_layer(name: str, arr_a: np.ndarray, arr_b: np.ndarray) -> CompareRow:
     """The row of one conv/linear tensor; NaN or Inf in either array
-    raises NonFiniteTensor naming the tensor and the checkpoint."""
+    raises NonFiniteTensor, and memory that cannot be allocated
+    OutOfMemory, naming the tensor and the checkpoint."""
     sigmas = []
     for which, arr in (("first", arr_a), ("second", arr_b)):
-        try:
+        with naming(name, f" ({which} checkpoint)"):
             sigmas.append(correlation_stats(arr).sigma_r)
-        except GhnpostError as exc:
-            raise type(exc)(f"tensor {name!r} ({which} checkpoint): {exc}") from exc
     return CompareRow(
         name=name,
         max_abs_diff=_max_abs_diff(arr_a, arr_b),
@@ -341,11 +333,8 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def emit_compare_csv(rows: list[CompareRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "max_abs_diff", "sigma_r_a", "sigma_r_b"])
-    for row in rows:
-        writer.writerow(
-            [row.name, _fmt(row.max_abs_diff), _fmt(row.sigma_r_a), _fmt(row.sigma_r_b)]
-        )
-    return buf.getvalue()
+    return _csv(
+        ["name", "max_abs_diff", "sigma_r_a", "sigma_r_b"],
+        ([row.name, _fmt(row.max_abs_diff), _fmt(row.sigma_r_a), _fmt(row.sigma_r_b)]
+         for row in rows),
+    )

@@ -47,10 +47,8 @@ def substream_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-# Values per generator chunk.  One chunk's splitmix64 words and Box-Muller
-# temporaries (seven buffers of at most 128 KiB) stay in a core's L2 cache,
-# so the ~20 elementwise passes of the generator run out of cache and
-# allocate nothing per pass.  Even, so every chunk holds whole pairs.
+# Values per generator chunk: small enough that its work buffers stay in a
+# core's L2 cache (CHANGES.md); even, so every chunk holds whole pairs.
 _CHUNK = 1 << 14
 
 # Counters 1 .. _CHUNK: word i of a chunk starting at word s has counter

@@ -37,13 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChannelTooShort, NonFiniteTensor, TooFewChannels, UnsupportedRank
+from .errors import ChannelTooShort, NonFiniteTensor, TooFewChannels
+from .tensor_ops import geometry
 
-# Gram rows per panel.  Each panel's GEMM reads all channels below the
-# panel again, so short panels cost memory traffic when CHW > K: with 32
-# rows a 1000 x 2048 layer ran 30% slower than one full Gram, with 128 it
-# runs faster (2 cores, OpenBLAS).  The two panel buffers then take
-# 2 MiB per 1024 channels.
+# Gram rows per panel: each panel's GEMM rereads the channels below it, so
+# shorter panels cost time and longer ones memory (CHANGES.md).
 _PANEL_ROWS = 128
 
 # Exactly collinear channels compute as +-1 give or take a few ulp
@@ -64,13 +62,6 @@ class CorrelationMatrix:
     def __init__(self, values: np.ndarray):
         self.values = np.asarray(values)
         self.k = self.values.shape[0]
-
-    @property
-    def upper(self) -> np.ndarray:
-        """Strict upper triangle, row-major, as a read-only copy."""
-        upper = self.values[np.triu_indices(self.k, k=1)]
-        upper.flags.writeable = False
-        return upper
 
 
 @dataclass
@@ -97,10 +88,7 @@ def _centered(
     buffer of w.size elements.  A tensor holding NaN or Inf raises
     NonFiniteTensor: it has no finite correlation.
     """
-    if w.ndim not in (2, 4):
-        raise UnsupportedRank(f"expected rank 2 or 4 tensor, got rank {w.ndim}")
-    k = w.shape[0]
-    chw = math.prod(w.shape[1:])
+    k, chw, _ = geometry(w.shape)
     if chw < 2:
         raise ChannelTooShort(f"channels have {chw} elements, need at least 2")
     xc = np.empty((k, chw)) if work is None else work.reshape(k, chw)
@@ -324,8 +312,10 @@ def _gram_frobenius2(d: np.ndarray) -> float:
 
 
 def offdiagonal_values(r: CorrelationMatrix) -> np.ndarray:
-    """Upper-triangle off-diagonal entries, row-major order."""
-    return r.upper
+    """Upper-triangle off-diagonal entries, row-major, as a read-only copy."""
+    upper = r.values[np.triu_indices(r.k, k=1)]
+    upper.flags.writeable = False
+    return upper
 
 
 def correlation_std(r: CorrelationMatrix) -> float:
@@ -338,7 +328,7 @@ def correlation_std(r: CorrelationMatrix) -> float:
     if r.k < 2:
         raise TooFewChannels(f"need k >= 2 channels, got {r.k}")
     fold = _Fold(None)
-    upper = r.upper
+    upper = offdiagonal_values(r)
     fold.add(upper, np.empty_like(upper))
     return fold.result().sigma_r
 

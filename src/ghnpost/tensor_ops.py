@@ -4,6 +4,8 @@ A rank-4 tensor (K, C, H, W) flattens row-major to a K x CHW matrix; a
 rank-2 tensor (K, C) takes the same path with H = W = 1.  Whenever
 K < CHW the matrix is transposed so that the result always has at least
 as many rows as columns, which is what the QR step downstream requires.
+:func:`geometry` is the one place that reads K, CHW and that choice off a
+shape, and that rejects any other rank.
 """
 
 from __future__ import annotations
@@ -33,18 +35,24 @@ class Matricized:
         return self.data.shape[1]
 
 
+def geometry(shape: tuple[int, ...]) -> tuple[int, int, bool]:
+    """(K, CHW, transposed) of a rank-2/4 tensor of ``shape``: its K x CHW
+    matrix, and whether the matrix is used transposed (K < CHW).  Raises
+    UnsupportedRank for any other rank."""
+    if len(shape) not in (2, 4):
+        raise UnsupportedRank(f"expected rank 2 or 4 tensor, got rank {len(shape)}")
+    k, chw = shape[0], math.prod(shape[1:])
+    return k, chw, k < chw
+
+
 def matricize(w: np.ndarray) -> Matricized:
     """Reshape a rank-2/4 tensor to K x CHW, transposing if K < CHW.
 
     Raises UnsupportedRank for any other rank.  The value multiset and
     dtype are preserved exactly; ``dematricize`` is its exact inverse.
     """
-    if w.ndim not in (2, 4):
-        raise UnsupportedRank(f"expected rank 2 or 4 tensor, got rank {w.ndim}")
-    k = w.shape[0]
-    chw = math.prod(w.shape[1:])
+    k, chw, transposed = geometry(w.shape)
     mat = np.ascontiguousarray(w.reshape(k, chw))
-    transposed = k < chw
     if transposed:
         mat = np.ascontiguousarray(mat.T)
     return Matricized(data=mat, transposed=transposed, original_shape=tuple(w.shape))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import errno
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghnpost
-from ghnpost import cli, postprocess
+from ghnpost import checkpoint_io, cli, postprocess, stats
 from ghnpost.checkpoint_io import Checkpoint, TensorMeta, read_checkpoint, write_checkpoint
 from ghnpost.cli import run
 from ghnpost.postprocess import PostprocessConfig, ghn_orth
@@ -549,6 +550,58 @@ def test_unallocatable_layer_buffer_is_one_line_numerical_error(
     assert not out.exists()
 
 
+class _NumpyRefusing:
+    """numpy, except that np.empty refuses the shapes ``refused`` accepts."""
+
+    def __init__(self, refused):
+        self.refused = refused
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        if self.refused(shape):
+            raise MemoryError("cannot allocate")
+        return np.empty(shape, *args, **kwargs)
+
+
+_ARGV = {
+    "analyze": lambda ckpt: ["analyze", ckpt],
+    "compare": lambda ckpt: ["compare", ckpt, ckpt],
+    "postprocess": lambda ckpt: ["postprocess", ckpt, "--start-layer", "0"],
+    "skip_orth": lambda ckpt: ["postprocess", ckpt, "--start-layer", "0", "--skip-orth"],
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_unallocatable_channel_buffer_is_one_line_numerical_error(
+    command, ckpt_path, tmp_path, monkeypatch, capsys
+):
+    # stats cannot allocate the float64 K x CHW channels of any layer, as
+    # for a layer too large for memory; nothing of that size is allocated.
+    two_d = _NumpyRefusing(lambda shape: isinstance(shape, tuple) and len(shape) == 2)
+    monkeypatch.setattr(stats, "np", two_d)
+    out = tmp_path / "out.csv"
+    assert run(_ARGV[command](str(ckpt_path)) + ["--out", str(out)]) == 3
+    note = " (first checkpoint)" if command == "compare" else ""
+    err = capsys.readouterr().err
+    assert err == f"ghnpost: numerical error: tensor 'l0.conv'{note}: cannot allocate\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+def test_unloadable_tensor_is_one_line_numerical_error(
+    command, ckpt_path, tmp_path, monkeypatch, capsys
+):
+    # No tensor's float32 array can be allocated as the file is read.
+    monkeypatch.setattr(checkpoint_io, "np", _NumpyRefusing(lambda shape: True))
+    out = tmp_path / "out"
+    assert run(_ARGV[command](str(ckpt_path)) + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "ghnpost: numerical error: tensor 'l0.conv': cannot allocate\n"
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_xml_or_network_modules():
     # numpy imports pathlib, which on some Python versions imports
     # urllib.parse; nothing beyond what numpy loads may come in.
@@ -694,3 +747,51 @@ def test_postprocess_property(case):
             assert os.listdir(tmp) == ["in"]
         if code == 3:
             assert re.fullmatch(r"ghnpost: numerical error: tensor 't\d': .*\n", err.getvalue())
+
+
+def test_cli_surface_is_pinned():
+    # Every subcommand's arguments with their defaults, choices and types.
+    # A change to the command line has to change this table.
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: [
+            (tuple(a.option_strings) or a.dest, a.default, a.choices, a.required,
+             getattr(a.type, "__name__", None))
+            for a in p._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, p in sub.choices.items()
+    }
+    assert surface == {
+        "analyze": [
+            ("checkpoint", None, None, True, "Path"),
+            (("--out",), None, None, True, "Path"),
+            (("--svg-dir",), None, None, False, "Path"),
+            (("--bins",), 50, None, False, "_pos_int"),
+        ],
+        "postprocess": [
+            ("checkpoint", None, None, True, "Path"),
+            (("--beta",), 3e-05, None, False, "_nonneg_float"),
+            (("--start-layer",), None, None, True, "_nonneg_int"),
+            (("--seed",), 0, None, False, "_seed"),
+            (("--out",), None, None, True, "Path"),
+            (("--skip-noise",), False, None, False, None),
+            (("--skip-orth",), False, None, False, None),
+        ],
+        "init": [
+            ("archspec", None, None, True, "Path"),
+            (("--method",), None, ("rand", "orth"), True, None),
+            (("--gain",), 1.0, None, False, "_pos_float"),
+            (("--seed",), 0, None, False, "_seed"),
+            (("--out",), None, None, True, "Path"),
+        ],
+        "pca": [
+            ("embeddings", None, None, True, "Path"),
+            (("--out",), None, None, True, "Path"),
+        ],
+        "compare": [
+            ("checkpoint_a", None, None, True, "Path"),
+            ("checkpoint_b", None, None, True, "Path"),
+            (("--out",), None, None, True, "Path"),
+        ],
+    }

@@ -294,6 +294,33 @@ def test_repair_equals_public_qr_on_a_noised_float64_copy(binding, case, setting
     np.testing.assert_array_equal(w, before)
 
 
+@pytest.mark.parametrize("beta", [1e-22, 3e-5])
+@pytest.mark.parametrize("shape", [(64, 512), (512, 64), (96, 8, 3, 3)],
+                         ids=["wide", "tall", "conv"])
+def test_repair_with_gathered_float64_noise_equals_the_oracle(shape, beta, monkeypatch):
+    # About 2000 weights near 1e-25: at beta = 1e-22 the float64 limit
+    # 2**56 * beta * sigma_r * _ZMAX (~3e-6) falls below max |w|, so noise
+    # is drawn only for the weights it can move where the layer buffer is
+    # C-ordered (the wide layer), and whole elsewhere.
+    rng = np.random.default_rng(40)
+    w = rng.standard_normal(shape, dtype=np.float32)
+    tiny = rng.uniform(0.5, 2.0, 2000) * rng.choice([-1.0, 1.0], 2000) * 1e-25
+    w.reshape(-1)[rng.choice(w.size, 2000, replace=False)] = tiny
+    gathered = []
+    normal_at = RngStream.normal_at
+
+    def counted(self, positions, out=None):
+        gathered.append(len(positions))
+        return normal_at(self, positions, out)
+
+    monkeypatch.setattr(RngStream, "normal_at", counted)
+    cfg = PostprocessConfig(start_layer=0, beta=beta, seed=8)
+    meta = TensorMeta("w", shape, "conv" if len(shape) == 4 else "linear", 0)
+    out = ghn_orth_tensor(meta, w, cfg)
+    assert bool(gathered) == (beta == 1e-22 and shape == (64, 512))
+    assert out.tobytes() == _repair_oracle(w, cfg, "w").tobytes()
+
+
 def test_overflowing_noise_is_reported_before_the_qr(monkeypatch):
     def no_qr(*args, **kwargs):
         raise AssertionError("a non-finite layer reached the QR")

@@ -22,6 +22,13 @@ parses the header and loads tensors on demand, :func:`write_tensors`
 writes the header and then a stream of arrays.  ``read_checkpoint`` and
 ``write_checkpoint`` run the same two over an in-memory buffer, and
 :func:`positional_writer` writes each tensor at its offset, in any order.
+
+The header and the JSON spec files (the fixture of :func:`import_json`
+and ``init``'s archspec) share each input rule, written once:
+:func:`_decode_json` turns bytes into a document, :func:`_entry_meta`
+turns one entry object into a :class:`TensorMeta`, and
+:func:`_check_metas` holds every rule on the metadata values, also for
+the writer.  A tensor name is a non-empty string that encodes as UTF-8.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -54,6 +62,8 @@ KINDS = ("conv", "linear", "norm", "bias", "other")
 ELIGIBLE_KINDS = ("conv", "linear")  # the kinds that are analyzed and post-processed
 
 _HEADER_PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
+# A non-empty name that encodes as UTF-8: no surrogate code points.
+_NAME = re.compile(r"[^\ud800-\udfff]+")
 _F32_BYTES = 4
 
 
@@ -118,15 +128,18 @@ def _check_metas(
 ) -> None:
     """The metadata rules every checkpoint obeys, raising ``error`` at ``path[i].field``.
 
-    Names are unique, kinds are known, shapes have 1-4 positive integer
-    dimensions, and depths are non-negative integers that do not decrease
-    in file order.  The header reader, the writer and the JSON importer
-    all check through here, each with its own error class.
+    Names are unique non-empty strings that encode as UTF-8, kinds are
+    known, shapes have 1-4 positive integer dimensions, and depths are
+    non-negative integers that do not decrease in file order.  The header
+    reader, the writer and the JSON importer all check through here, each
+    with its own error class.
     """
     seen: set[str] = set()
     prev_depth = 0
     for i, meta in enumerate(metas):
         at = f"{path}[{i}]"
+        if not (isinstance(meta.name, str) and _NAME.fullmatch(meta.name)):
+            raise error(f"{at}.name: expected a non-empty UTF-8 string, got {meta.name!r}")
         if meta.name in seen:
             raise error(f"{at}.name: duplicate {meta.name!r}")
         seen.add(meta.name)
@@ -236,13 +249,32 @@ def write_checkpoint(c: Checkpoint) -> bytearray:
     return bytearray(buf.getbuffer())
 
 
-def _header_field(entry, index: int, key: str, types):
-    if key not in entry:
-        raise CorruptHeader(f"tensors[{index}]: missing field {key!r}")
-    value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise CorruptHeader(f"tensors[{index}].{key}: wrong type {type(value).__name__}")
-    return value
+_META_KEYS = ("name", "shape", "kind", "depth")  # TensorMeta's fields, in order
+
+
+def _entry_meta(entry, at: str, error: type[Exception], extra: tuple[str, ...]) -> TensorMeta:
+    """The TensorMeta of the JSON ``entry`` at path ``at``: an object that
+    holds the meta keys and ``extra``, with a list ``shape``, or ``error``.
+    The rules on the values are :func:`_check_metas`'s."""
+    if not isinstance(entry, dict):
+        raise error(f"{at}: expected an object")
+    for key in _META_KEYS + extra:
+        if key not in entry:
+            raise error(f"{at}.{key}: missing")
+    if not isinstance(entry["shape"], list):
+        raise error(f"{at}.shape: expected a list of 1-4 positive integers")
+    return TensorMeta(*(entry[key] for key in _META_KEYS))
+
+
+def _decode_json(raw: bytes | str, error: type[Exception], at: str):
+    """The JSON document in ``raw``, UTF-8 bytes or text.  Bytes that are
+    not UTF-8, text that is not JSON, an integer too long to convert and
+    nesting too deep to parse raise ``error`` at ``at``."""
+    try:
+        return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    # UnicodeDecodeError, JSONDecodeError and the int digit limit are ValueErrors.
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{at}: not valid JSON ({exc})") from exc
 
 
 def _read_header(handle: BinaryIO) -> tuple[int, list[TensorMeta], list[int]]:
@@ -263,10 +295,7 @@ def _read_header(handle: BinaryIO) -> tuple[int, list[TensorMeta], list[int]]:
             f"header_length: declares {header_len} bytes, file has "
             f"{size - _HEADER_PREFIX.size} after the fixed header"
         )
-    try:
-        header = json.loads(handle.read(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptHeader(f"header: {exc}") from exc
+    header = _decode_json(handle.read(header_len), CorruptHeader, "header")
     if not isinstance(header, dict) or "tensors" not in header:
         raise CorruptHeader("header: missing 'tensors' field")
     raw_entries = header["tensors"]
@@ -278,26 +307,17 @@ def _read_header(handle: BinaryIO) -> tuple[int, list[TensorMeta], list[int]]:
         raise TruncatedData("data: file ends inside the alignment padding")
     data_size = size - data_start
 
-    metas: list[TensorMeta] = []
-    spans: list[tuple[int, int]] = []
-    for i, entry in enumerate(raw_entries):
-        if not isinstance(entry, dict):
-            raise CorruptHeader(f"tensors[{i}]: expected an object")
-        metas.append(
-            TensorMeta(
-                name=_header_field(entry, i, "name", str),
-                shape=_header_field(entry, i, "shape", list),
-                kind=_header_field(entry, i, "kind", str),
-                depth=_header_field(entry, i, "depth", int),
-            )
-        )
-        spans.append(
-            (_header_field(entry, i, "offset", int), _header_field(entry, i, "length", int))
-        )
+    metas = [_entry_meta(entry, f"tensors[{i}]", CorruptHeader, ("offset", "length"))
+             for i, entry in enumerate(raw_entries)]
     _check_metas(metas, CorruptHeader)
 
     starts = []
-    for i, (meta, (offset, length)) in enumerate(zip(metas, spans)):
+    for i, (meta, entry) in enumerate(zip(metas, raw_entries)):
+        offset, length = entry["offset"], entry["length"]
+        if not (_is_int(offset) and _is_int(length)):
+            raise CorruptHeader(
+                f"tensors[{i}]: offset and length must be integers, got {offset!r}, {length!r}"
+            )
         if math.prod(meta.shape) != length:
             raise CorruptHeader(
                 f"tensors[{i}].length: {length} != product(shape) {math.prod(meta.shape)}"
@@ -363,45 +383,22 @@ def read_checkpoint(data: bytes) -> Checkpoint:
 # JSON fixture import
 # --------------------------------------------------------------------------
 
-_JSON_KEYS = ("name", "shape", "kind", "depth")
-
-
-def _validate_entry(entry, i: int, with_data: bool) -> TensorMeta:
-    path = f"$[{i}]"
-    if not isinstance(entry, dict):
-        raise SchemaError(f"{path}: expected an object")
-    allowed = set(_JSON_KEYS) | ({"data"} if with_data else set())
-    unknown = set(entry) - allowed
-    if unknown:
-        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
-    for key in _JSON_KEYS + (("data",) if with_data else ()):
-        if key not in entry:
-            raise SchemaError(f"{path}.{key}: missing")
-    name = entry["name"]
-    if not isinstance(name, str) or not name:
-        raise SchemaError(f"{path}.name: expected a non-empty string")
-    if not isinstance(entry["shape"], list):
-        raise SchemaError(f"{path}.shape: expected 1-4 positive integers")
-    return TensorMeta(
-        name=name, shape=entry["shape"], kind=entry["kind"], depth=entry["depth"]
-    )
-
-
-def parse_tensor_specs(text: str, with_data: bool) -> list[tuple[TensorMeta, list | None]]:
-    """Shared validator for the fixture and archspec JSON schemas."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"$: not valid JSON ({exc})") from exc
+def parse_tensor_specs(raw: bytes | str, with_data: bool) -> list[tuple[TensorMeta, list | None]]:
+    """Shared validator for the fixture and archspec JSON schemas; ``raw``
+    is the file's bytes (UTF-8) or text."""
+    doc = _decode_json(raw, SchemaError, "$")
     if not isinstance(doc, list):
         raise SchemaError("$: expected a list of tensor objects")
-    metas = [_validate_entry(entry, i, with_data) for i, entry in enumerate(doc)]
+    extra = ("data",) if with_data else ()
+    metas = [_entry_meta(entry, f"$[{i}]", SchemaError, extra) for i, entry in enumerate(doc)]
     _check_metas(metas, SchemaError, path="$")
     out = []
     for i, (meta, entry) in enumerate(zip(metas, doc)):
-        values = None
+        unknown = set(entry) - {*_META_KEYS, *extra}
+        if unknown:
+            raise SchemaError(f"$[{i}]: unknown keys {sorted(unknown)}")
+        values = entry.get("data")
         if with_data:
-            values = entry["data"]
             if not isinstance(values, list):
                 raise SchemaError(f"$[{i}].data: expected a list of numbers")
             for j, x in enumerate(values):

@@ -190,7 +190,7 @@ def _cmd_postprocess(args) -> int:
 
 
 def _cmd_init(args) -> int:
-    specs = parse_tensor_specs(args.archspec.read_text(encoding="utf-8"), with_data=False)
+    specs = parse_tensor_specs(args.archspec.read_bytes(), with_data=False)
     metas = [meta for meta, _ in specs]
     with _write_atomic(args.out) as handle:
         store = positional_writer(handle.fileno(), metas)
@@ -199,7 +199,10 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_pca(args) -> int:
-    embeddings = parse_embeddings_csv(args.embeddings.read_text(encoding="utf-8"))
+    # Bytes that are not UTF-8 read as lone surrogates, which the parser
+    # rejects with the row they are in.
+    text = args.embeddings.read_text(encoding="utf-8", errors="surrogateescape")
+    embeddings = parse_embeddings_csv(text)
     _write_text(args.out, emit_projection_csv(project_embeddings(embeddings)))
     return 0
 

@@ -194,7 +194,8 @@ def pca_project(x: np.ndarray, k: int) -> PcaResult:
 
     Uses the sample covariance (1/(n-1)); components follow a fixed sign
     convention (largest-magnitude entry positive) so results are
-    deterministic.
+    deterministic.  A covariance that is not finite (NaN or Inf samples,
+    or samples large enough to overflow it) raises DegenerateInput.
     """
     x = _as_matrix(x)
     n, d = x.shape
@@ -204,9 +205,13 @@ def pca_project(x: np.ndarray, k: int) -> PcaResult:
         raise DegenerateInput(
             f"k must satisfy 1 <= k <= min(n-1, d) = {min(n - 1, d)}, got {k}"
         )
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = (xc.T @ xc) / (n - 1)
+    # Samples near float64's max overflow here; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        xc = x - mean
+        cov = (xc.T @ xc) / (n - 1)
+    if not np.isfinite(cov).all():
+        raise DegenerateInput("the sample covariance is not finite")
     evals, evecs = eigh_descending(cov)
     evals = np.maximum(evals, 0.0)
     components = np.ascontiguousarray(evecs[:, :k].T)

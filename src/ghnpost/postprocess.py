@@ -16,8 +16,10 @@ lives in one float64 buffer from its correlation to that cast (see
 :func:`_reinit`).
 
 Each step is written once: the noise std in :func:`_noise_scale`, the
-noise in :func:`_add_noise` (for :func:`add_conditional_noise` and the
-repair), the QR step in :func:`_orthonormalize`, the init methods in
+Gaussian fill in :func:`_add_noise` (the noise of
+:func:`add_conditional_noise` and the repair, the draws of both
+initializers, and the repair's check that a layer is finite), the QR
+step in :func:`_orthonormalize`, the init methods in
 :func:`_initializer`.  A layer's K x CHW geometry comes from
 :func:`~ghnpost.tensor_ops.geometry`, and errors get the tensor's name
 from :func:`~ghnpost.errors.naming`.
@@ -75,14 +77,6 @@ def _check_beta(beta: float) -> None:
         raise ValueError("beta must be finite and non-negative")
 
 
-def _check_tensor(w: np.ndarray) -> tuple[int, int, bool]:
-    """w's geometry; NaN or Inf in w raises NonFiniteTensor."""
-    shape = geometry(w.shape)
-    if not np.isfinite(w).all():
-        raise NonFiniteTensor("tensor holds NaN or Inf values")
-    return shape
-
-
 def add_conditional_noise(
     w: np.ndarray, beta: float, rng: RngStream, dtype: np.dtype | None = None
 ) -> np.ndarray:
@@ -95,7 +89,9 @@ def add_conditional_noise(
     ``dtype`` (default: w's); the sum is rounded to it once.
     """
     _check_beta(beta)
-    k, chw, _ = _check_tensor(w)
+    k, chw, _ = geometry(w.shape)
+    if not np.isfinite(w).all():
+        raise NonFiniteTensor("tensor holds NaN or Inf values")
     # sigma_r's float64 channels are freed before the output is allocated.
     scale = _noise_scale(w, beta)
     out = np.empty((k, chw), w.dtype if dtype is None else dtype)
@@ -110,13 +106,14 @@ def _noise_scale(w: np.ndarray, beta: float, work: np.ndarray | None = None) -> 
     return beta * sigma if beta != 0.0 and sigma != 0.0 else None
 
 
-def _add_noise(layer: np.ndarray, mat: np.ndarray, scale: float | None, rng: RngStream,
-               finite: bool = False) -> None:
+def _add_noise(layer: np.ndarray, mat: np.ndarray | None, scale: float | None,
+               rng: RngStream, finite: bool = False) -> None:
     """Set the K x CHW ``layer`` (either memory order) to ``mat + scale * z``
-    (to mat if ``scale`` is None), z the stream in C order, summed in
-    float64 and rounded once to layer's dtype, a :func:`_row_blocks` block
-    at a time; with ``finite``, a noised block holding NaN or Inf raises
-    NonFiniteTensor.
+    (to mat if ``scale`` is None; mat None reads as -0.0), z the stream in
+    C order, summed in float64 and rounded once to layer's dtype, a
+    :func:`_row_blocks` block at a time; with ``finite``, a block holding
+    NaN or Inf raises NonFiniteTensor.  This is the one place a layer is
+    filled from the stream: the initializers pass ``mat=None``.
 
     Noise under 2**-(nmant+4) |w_i| is under a quarter of the smaller gap
     of layer's dtype next to w_i (subnormals included), so the sum rounds
@@ -124,7 +121,7 @@ def _add_noise(layer: np.ndarray, mat: np.ndarray, scale: float | None, rng: Rng
     C-ordered layer draws only those (:class:`_Gather`), others draw all.
     """
     gather = None
-    if scale is not None and layer.flags.c_contiguous:
+    if scale is not None and mat is not None and layer.flags.c_contiguous:
         limit = 2.0 ** (np.finfo(layer.dtype).nmant + 4) * scale * _ZMAX
         if limit < max(float(mat.max()), -float(mat.min())):
             gather = _Gather(layer.dtype, max(_NOISE_CHUNK, layer.shape[1]))
@@ -133,10 +130,10 @@ def _add_noise(layer: np.ndarray, mat: np.ndarray, scale: float | None, rng: Rng
     with np.errstate(over="ignore"):
         for rows, start in _row_blocks(layer):
             block = layer[rows]
-            block[...] = mat[rows]
-            if scale is None:
-                continue
-            if gather is None or not gather.add(block.reshape(-1), start, limit, scale, rng):
+            block[...] = -0.0 if mat is None else mat[rows]  # -0.0 + x is x, even x = +-0
+            if scale is not None and (
+                gather is None or not gather.add(block.reshape(-1), start, limit, scale, rng)
+            ):
                 z = rng.normal(block.size, start=start).reshape(block.shape)
                 z *= scale
                 block += z
@@ -202,9 +199,10 @@ def _reinit(w: np.ndarray, noise: tuple[float, RngStream] | None) -> np.ndarray:
     works on them, then :func:`_add_noise`'s ``w + beta * sigma_r * z``
     (the bytes of :func:`add_conditional_noise` into float64), then Q.  A
     NaN or Inf in w or in the noised layer raises NonFiniteTensor before
-    the QR.
+    the QR: sigma_r's norms or the block check of :func:`_add_noise` see
+    it.
     """
-    k, chw, transposed = _check_tensor(w)
+    k, chw, transposed = geometry(w.shape)
     layer = _layer_matrix(k, chw, transposed)
     scale = rng = None
     if noise is not None:
@@ -399,16 +397,10 @@ def _check_init_shape(shape: tuple[int, ...]) -> tuple[int, int, bool]:
 def he_init(shape: tuple[int, ...], rng: RngStream) -> np.ndarray:
     """Gaussian init with std sqrt(2 / fan_in); fan_in is C*H*W (or C)."""
     shape = tuple(shape)
-    _, fan_in, _ = _check_init_shape(shape)
-    std = math.sqrt(2.0 / fan_in)
+    k, fan_in, _ = _check_init_shape(shape)
     out = np.empty(shape, np.float32)
-    flat = out.reshape(-1)
-    # Drawn, scaled and rounded to float32 a chunk at a time: the bytes of
-    # one whole-layer draw, without its float64 array.
-    for start in range(0, flat.size, _NOISE_CHUNK):
-        vals = rng.normal(min(_NOISE_CHUNK, flat.size - start), start=start)
-        vals *= std
-        flat[start : start + vals.size] = vals
+    # std * z rounded once to float32: the bytes of one whole-layer draw.
+    _add_noise(out.reshape(k, fan_in), None, math.sqrt(2.0 / fan_in), rng)
     return out
 
 
@@ -422,9 +414,7 @@ def saxe_orthogonal_init(
         raise ValueError("gain must be finite and positive")
     # The draw goes straight into the buffer LAPACK factors in place.
     layer = _layer_matrix(k, chw, transposed)
-    for rows, start in _row_blocks(layer):
-        block = layer[rows]
-        block[...] = rng.normal(block.size, start=start).reshape(block.shape)
+    _add_noise(layer, None, 1.0, rng)
     _orthonormalize(layer, transposed)
     layer *= gain
     # A gain near float32's max overflows here; callers check the result
@@ -470,9 +460,9 @@ def _initializer(method: str, gain: float) -> Callable[[tuple[int, ...], RngStre
 
 
 def _init_tensor(meta: TensorMeta, make: Callable, seed: int) -> np.ndarray:
-    if meta.kind not in ELIGIBLE_KINDS:
-        fill = np.ones if meta.kind == "norm" else np.zeros  # bias, other: zeros
-        return fill(meta.shape, dtype=np.float32)
     with naming(meta.name):
+        if meta.kind not in ELIGIBLE_KINDS:
+            fill = np.ones if meta.kind == "norm" else np.zeros  # bias, other: zeros
+            return fill(meta.shape, dtype=np.float32)
         w = make(meta.shape, RngStream(seed, meta.name))
     return check_finite_output(meta.name, w)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -193,8 +194,18 @@ def emit_histogram_svg(h: Histogram, title: str) -> str:
 # --------------------------------------------------------------------------
 
 def parse_embeddings_csv(text: str) -> EmbeddingSet:
-    """Parse the ``id,label,v0..v{d-1}`` embedding schema (label optional)."""
-    rows = list(csv.reader(io.StringIO(text)))
+    """Parse the ``id,label,v0..v{d-1}`` embedding schema (label optional).
+
+    Every field must be within csv's size limit, every id UTF-8 text (no
+    lone surrogate) and every number finite; else SchemaError names the
+    row.
+    """
+    rows: list[list[str]] = []
+    try:
+        for row in csv.reader(io.StringIO(text)):
+            rows.append(row)
+    except csv.Error as exc:
+        raise SchemaError(f"row {len(rows) + 1}: {exc}") from exc
     if not rows:
         raise SchemaError("row 1: missing header")
     header = rows[0]
@@ -220,11 +231,15 @@ def parse_embeddings_csv(text: str) -> EmbeddingSet:
             )
         ids.append(row[0])
         try:
-            if has_labels:
-                labels.append(float(row[1]))
-            vectors[rownum - 2] = [float(v) for v in row[first_vec:]]
-        except ValueError as exc:
+            row[0].encode("utf-8")  # the id is written back out
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:  # UnicodeEncodeError included
             raise SchemaError(f"row {rownum}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise SchemaError(f"row {rownum}: values must be finite")
+        if has_labels:
+            labels.append(values[0])
+        vectors[rownum - 2] = values[first_vec - 1 :]
     return EmbeddingSet(ids=ids, vectors=vectors, labels=labels if has_labels else None)
 
 

@@ -148,9 +148,15 @@ def channel_correlation(w: np.ndarray) -> CorrelationMatrix:
 
 
 class _Fold:
-    """Running count, shifted mean, M2, sum |r| and histogram counts."""
+    """Running count, shifted mean, M2, sum |r| and histogram counts of the
+    correlations of ``k`` channels; raises TooFewChannels for k < 2, and
+    ValueError for ``bins`` < 1."""
 
-    def __init__(self, bins: int | None):
+    def __init__(self, k: int, bins: int | None):
+        if k < 2:
+            raise TooFewChannels(f"need k >= 2 channels, got {k}")
+        if bins is not None and bins < 1:
+            raise ValueError("bins must be >= 1")
         self.bins = bins
         self.counts = None if bins is None else np.zeros(bins, dtype=np.intp)
         self.edges = None
@@ -198,8 +204,6 @@ def correlation_stats(w: np.ndarray, bins: int | None = None) -> CorrelationStat
     its strict upper triangle packed and folded in, and the panel reused.
     Needs at least two channels.
     """
-    if bins is not None and bins < 1:
-        raise ValueError("bins must be >= 1")
     return _fold_panels(*_centered(w), bins)
 
 
@@ -208,11 +212,9 @@ def _fold_panels(
 ) -> CorrelationStats:
     """:func:`correlation_stats` of the :func:`_centered` channels."""
     k = xc.shape[0]
-    if k < 2:
-        raise TooFewChannels(f"need k >= 2 channels, got {k}")
+    fold = _Fold(k, bins)
     size = min(_PANEL_ROWS, k) * k
     panel, scratch = np.empty(size), np.empty(size)
-    fold = _Fold(bins)
     for i0 in range(0, k, _PANEL_ROWS):
         rows = slice(i0, min(i0 + _PANEL_ROWS, k))
         shape = (rows.stop - i0, k - i0)
@@ -325,12 +327,7 @@ def correlation_std(r: CorrelationMatrix) -> float:
     excluded.  Computed with the same shifted two-pass moments as
     :func:`correlation_stats`.  Requires at least two channels.
     """
-    if r.k < 2:
-        raise TooFewChannels(f"need k >= 2 channels, got {r.k}")
-    fold = _Fold(None)
-    upper = offdiagonal_values(r)
-    fold.add(upper, np.empty_like(upper))
-    return fold.result().sigma_r
+    return _fold_values(r.k, offdiagonal_values(r), None).sigma_r
 
 
 def correlation_histogram(r: CorrelationMatrix, bins: int) -> Histogram:
@@ -340,10 +337,11 @@ def correlation_histogram(r: CorrelationMatrix, bins: int) -> Histogram:
     range from rounding (possible in a user-supplied matrix) are clipped,
     so every off-diagonal entry is counted.
     """
-    if r.k < 2:
-        raise TooFewChannels(f"need k >= 2 channels, got {r.k}")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    vals = np.clip(offdiagonal_values(r), -1.0, 1.0)
-    counts, edges = np.histogram(vals, bins=bins, range=(-1.0, 1.0))
-    return Histogram(bin_edges=edges, counts=counts)
+    return _fold_values(r.k, np.clip(offdiagonal_values(r), -1.0, 1.0), bins).histogram
+
+
+def _fold_values(k: int, values: np.ndarray, bins: int | None) -> CorrelationStats:
+    """The :class:`_Fold` of the correlations ``values`` of ``k`` channels."""
+    fold = _Fold(k, bins)
+    fold.add(values, np.empty_like(values))
+    return fold.result()

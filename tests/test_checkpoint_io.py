@@ -146,6 +146,41 @@ def test_header_schema_violations():
             read_checkpoint(blob)
 
 
+@pytest.mark.parametrize("name", ["", "\ud800", "a\udfffb"])
+def test_name_rule_holds_in_reader_writer_and_importer(name):
+    # One rule, each path with its own error class and prefix: a name is a
+    # non-empty string that encodes as UTF-8.
+    entry = {"name": name, "shape": [2], "kind": "linear", "depth": 0,
+             "offset": 0, "length": 2}
+    with pytest.raises(CorruptHeader, match=r"^tensors\[0\]\.name: expected a non-empty"):
+        read_checkpoint(_blob_with_header({"tensors": [entry]}) + b"\x00" * 8)
+    c = make_checkpoint([(name, (2,), "linear", 0, np.zeros(2, np.float32))])
+    with pytest.raises(ValueError, match=r"^tensors\[0\]\.name: expected a non-empty"):
+        write_checkpoint(c)
+    text = json.dumps([{"name": name, "shape": [2], "kind": "linear", "depth": 0,
+                        "data": [1, 2]}])
+    with pytest.raises(SchemaError, match=r"^\$\[0\]\.name: expected a non-empty"):
+        import_json(text)
+
+
+@pytest.mark.parametrize("field", ["offset", "length"])
+@pytest.mark.parametrize("value", [2.0, "2", True, None, [2]])
+def test_non_integer_offset_or_length_is_corrupt_header(field, value):
+    entry = {"name": "w", "shape": [2], "kind": "linear", "depth": 0,
+             "offset": 0, "length": 2}
+    blob = _blob_with_header({"tensors": [entry, {**entry, "name": "v", field: value}]})
+    with pytest.raises(CorruptHeader, match=r"^tensors\[1\]: offset and length must be"):
+        read_checkpoint(blob + b"\x00" * 16)
+
+
+def test_too_deeply_nested_json_is_a_data_error():
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(CorruptHeader, match="^header: not valid JSON"):
+        read_checkpoint(b"GHNP" + struct.pack("<IQ", 1, len(deep)) + deep.encode())
+    with pytest.raises(SchemaError, match=r"^\$: not valid JSON"):
+        import_json(deep)
+
+
 def test_truncated_data():
     entry = {"name": "w", "shape": [4], "kind": "linear", "depth": 0,
              "offset": 0, "length": 4}

@@ -4,9 +4,11 @@ import csv
 import errno
 import io
 import json
+import math
 import mmap
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ghnpost
@@ -514,6 +516,31 @@ def test_init_huge_gain_is_numerical_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("kind", ["norm", "bias"])
+def test_unallocatable_pass_through_tensor_is_one_line_numerical_error(
+    kind, tmp_path, monkeypatch, capsys
+):
+    # np.ones / np.zeros refuse, as for a tensor too large for memory;
+    # nothing of that size is allocated.
+    class Refusing:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def ones(self, *args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        zeros = ones
+
+    monkeypatch.setattr(postprocess, "np", Refusing())
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps([{"name": "w", "shape": [4, 4], "kind": "linear", "depth": 0},
+                                {"name": "p", "shape": [1 << 20], "kind": kind, "depth": 0}]))
+    out = tmp_path / "o.ckpt"
+    assert run(["init", str(path), "--method", "rand", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "ghnpost: numerical error: tensor 'p': cannot allocate\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 _REFUSALS = {
     "enomem": OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)),
     "too_long": OverflowError("mmap length is too large"),
@@ -641,6 +668,45 @@ def test_pca_malformed_is_data_error(tmp_path):
     src = tmp_path / "emb.csv"
     src.write_text("wrong,header\n1,2\n")
     assert run(["pca", str(src), "--out", str(tmp_path / "o.csv")]) == 2
+
+
+def _pca_run(tmp_path, body: bytes, capsys):
+    """Exit code and stderr of ``pca`` on a 4 x 2 embedding CSV whose data
+    rows are ``body``, under warnings-as-errors; no output may be left."""
+    src = tmp_path / "emb.csv"
+    src.write_bytes(b"id,label,v0,v1\n" + body)
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the exit message is the only report
+        code = run(["pca", str(src), "--out", str(out)])
+    assert sorted(tmp_path.iterdir()) == [src]
+    return code, capsys.readouterr().err
+
+
+_PCA_ROWS = b"a,0,1,2\nb,1,3,1\nc,0,2,5\nd,1,4,4\n"
+_BAD_ROWS = {
+    "not_utf8": b"\xff\xfe,1,3,1",
+    "long_field": b"b,1," + b"9" * 131073 + b",1",  # over csv's field limit
+    "nan": b"b,1,nan,1",
+    "inf": b"b,1,3,inf",
+    "overflowing_label": b"b,1e400,3,1",
+    "negative_inf_label": b"b,-inf,3,1",
+}
+
+
+@pytest.mark.parametrize("row3", _BAD_ROWS.values(), ids=_BAD_ROWS.keys())
+def test_pca_bad_row_is_one_line_data_error(row3, tmp_path, capsys):
+    body = _PCA_ROWS.replace(b"b,1,3,1", row3)
+    code, err = _pca_run(tmp_path, body, capsys)
+    assert code == 2
+    assert re.fullmatch(r"ghnpost: data error: row 3: [^\n]*\n", err)
+
+
+def test_pca_overflowing_covariance_is_one_line_numerical_error(tmp_path, capsys):
+    body = b"a,0,1.7e308,2\nb,1,-1.7e308,1\nc,0,1e308,5\nd,1,-1e308,4\n"
+    code, err = _pca_run(tmp_path, body, capsys)
+    assert code == 3
+    assert err == "ghnpost: numerical error: the sample covariance is not finite\n"
 
 
 def test_compare_command(ckpt_path, tmp_path):
@@ -795,3 +861,170 @@ def test_cli_surface_is_pinned():
             (("--out",), None, None, True, "Path"),
         ],
     }
+
+
+# --- headers and spec files: every command, every input --------------------
+
+def _blob_with_raw_header(header: bytes, data: bytes) -> bytes:
+    head = b"GHNP" + struct.pack("<IQ", 1, len(header)) + header
+    return head + bytes(-len(head) % 8) + data
+
+
+def _small_parts():
+    """(header document, data section) of a small valid checkpoint."""
+    c = make_checkpoint([
+        ("l0.conv", (4, 2, 2, 2), "conv", 0, ghn_like_tensor((4, 2, 2, 2), seed=1)),
+        ("l0.norm", (4,), "norm", 0, np.ones(4, np.float32)),
+        ("l1.fc", (3, 6), "linear", 1,
+         np.random.default_rng(2).normal(size=(3, 6)).astype(np.float32)),
+    ])
+    blob = bytes(write_checkpoint(c))
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    end = 16 + length
+    return json.loads(blob[16:end]), blob[end + -end % 8 :]
+
+
+_HEADER, _DATA = _small_parts()
+_ARCHSPEC = [{k: e[k] for k in ("name", "shape", "kind", "depth")} for e in _HEADER["tensors"]]
+
+
+def _cases(tmp: Path, command: str, raw: bytes) -> tuple[list[str], Path]:
+    """argv of ``command`` on the header or archspec ``raw`` (files in tmp),
+    and its output path."""
+    out = tmp / ("out.ckpt" if command in ("postprocess", "init") else "out.csv")
+    inp = tmp / "in"
+    if command == "init":
+        inp.write_bytes(raw)
+        return ["init", str(inp), "--method", "orth", "--out", str(out)], out
+    inp.write_bytes(_blob_with_raw_header(raw, _DATA))
+    if command == "compare":
+        good = tmp / "good.ckpt"
+        good.write_bytes(_blob_with_raw_header(json.dumps(_HEADER).encode(), _DATA))
+        return ["compare", str(good), str(inp), "--out", str(out)], out
+    if command == "postprocess":
+        return ["postprocess", str(inp), "--start-layer", "0", "--out", str(out)], out
+    return ["analyze", str(inp), "--out", str(out)], out
+
+
+def _ends_cleanly(command: str, raw: bytes) -> tuple[int, str]:
+    """Run ``command`` on ``raw`` and check how it ended: run() neither
+    raises nor warns; exit 0 leaves finite output, any other exit no output
+    and no temp file, and each message is one line naming what is at
+    fault.  Returns (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, out = _cases(Path(tmp), command, raw)
+        inputs = sorted(os.listdir(tmp))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        message = err.getvalue()
+        assert code in (0, 2, 3), message
+        if code == 0:
+            assert sorted(os.listdir(tmp)) == sorted(inputs + [out.name])
+            if out.suffix == ".ckpt":
+                assert all(np.isfinite(a).all() for _, a in read_checkpoint(out.read_bytes()))
+            else:
+                rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+                first = 5 if command == "analyze" else 1
+                assert all(math.isfinite(float(x)) for row in rows for x in row[first:])
+        else:
+            assert sorted(os.listdir(tmp)) == inputs
+            assert re.fullmatch(r"ghnpost: (data|i/o|numerical) error: [^\n]*\n", message)
+        if code == 3:
+            assert message.startswith("ghnpost: numerical error: tensor ")
+    return code, message
+
+
+_UNPARSABLE = {
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "long_integer": b"1" * 5000,  # over Python's 4300-digit int parsing limit
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNPARSABLE))
+@pytest.mark.parametrize("command", ["analyze", "compare", "postprocess", "init"])
+def test_unparsable_json_is_one_line_data_error(command, case):
+    code, err = _ends_cleanly(command, _UNPARSABLE[case])
+    assert code == 2
+    at = "$" if command == "init" else "header"
+    assert err.startswith(f"ghnpost: data error: {at}: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "postprocess", "init"])
+def test_unencodable_tensor_name_is_one_line_data_error(command):
+    doc = _ARCHSPEC if command == "init" else _HEADER
+    raw = json.dumps(doc).replace('"l1.fc"', '"\\ud800"').encode()
+    code, err = _ends_cleanly(command, raw)
+    assert code == 2
+    at = "$[2]" if command == "init" else "tensors[2]"
+    assert err.startswith(f"ghnpost: data error: {at}.name: expected a non-empty UTF-8 string")
+
+
+def test_non_utf8_archspec_is_one_line_data_error():
+    raw = json.dumps(_ARCHSPEC).replace("l1.fc", "l1.\xe9").encode("latin-1")
+    code, err = _ends_cleanly("init", raw)
+    assert code == 2
+    assert err.startswith("ghnpost: data error: $: not valid JSON ('utf-8' codec can't decode")
+
+
+# Replacement JSON tokens for a number, and for a string, of the document.
+_NUMBER_SWAPS = ["-1", "0", "2.5", "1e400", "true", "null", "[]", '"x"']
+_STRING_SWAPS = ['""', "1", "null", '"\\ud800"']
+
+
+def _leaves(doc, path=()):
+    """(path, value) of each number and string in a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, doc
+
+
+@st.composite
+def _mutated(draw, doc):
+    """The JSON bytes of ``doc`` after one byte flip, splice or value swap."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    how = draw(st.sampled_from(["flip", "splice", "swap"]))
+    if how == "flip":
+        i = draw(st.integers(0, len(text) - 1))
+        return text[:i] + bytes([text[i] ^ draw(st.integers(1, 255))]) + text[i + 1 :]
+    if how == "splice":  # text[i:j] replaces text[c:d]
+        i, j, c, d = (draw(st.integers(0, len(text))) for _ in range(4))
+        i, j, c, d = min(i, j), max(i, j), min(c, d), max(c, d)
+        return text[:c] + text[i:j] + text[d:]
+    path, value = draw(st.sampled_from(list(_leaves(doc))))
+    token = draw(st.sampled_from(_STRING_SWAPS if isinstance(value, str) else _NUMBER_SWAPS))
+    swapped = json.loads(json.dumps(doc))
+    target = swapped
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "@@swap@@"
+    text = json.dumps(swapped, sort_keys=True, separators=(",", ":"))
+    return text.replace('"@@swap@@"', token).encode()
+
+
+def _declared_elements(raw: bytes) -> int:
+    """Elements an archspec declares (0 if it does not parse)."""
+    try:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError):
+        return 0
+    shapes = [e.get("shape") for e in doc if isinstance(e, dict)] if isinstance(doc, list) else []
+    return sum(math.prod(abs(d) for d in s) for s in shapes
+               if isinstance(s, list) and all(isinstance(d, int) for d in s))
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "postprocess", "init"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_headers_and_archspecs_end_cleanly(command, data):
+    """Every command on a checkpoint header (or, for init, an archspec)
+    after one byte flip, splice or value swap ends as _ends_cleanly
+    requires.  Archspecs that declare a real-sized layer are skipped, so
+    nothing of real size is allocated."""
+    raw = data.draw(_mutated(_ARCHSPEC if command == "init" else _HEADER))
+    if command == "init":
+        assume(_declared_elements(raw) <= 100_000)
+    _ends_cleanly(command, raw)

@@ -337,6 +337,22 @@ def test_overflowing_noise_is_reported_before_the_qr(monkeypatch):
             ghn_orth_tensor(meta, w, PostprocessConfig(start_layer=0, beta=1e308))
 
 
+@pytest.mark.parametrize("case", ["skip_noise", "one_channel", "tall_skip_noise"])
+def test_non_finite_layer_without_sigma_r_is_reported_before_the_qr(case, monkeypatch):
+    # No sigma_r runs on these layers, so the check on each block of the
+    # layer buffer is the one that sees the NaN.
+    def no_qr(*args, **kwargs):
+        raise AssertionError("a non-finite layer reached the QR")
+
+    monkeypatch.setattr(postprocess, "qr_decompose", no_qr)
+    shape = {"skip_noise": (8, 6), "one_channel": (1, 6), "tall_skip_noise": (70000, 2)}[case]
+    w = np.ones(shape, np.float32)
+    w[-1, -1] = np.nan
+    cfg = PostprocessConfig(start_layer=0, skip_noise=case != "one_channel")
+    with pytest.raises(NonFiniteTensor, match="^tensor 'l': tensor holds NaN or Inf"):
+        ghn_orth_tensor(TensorMeta("l", shape, "linear", 0), w, cfg)
+
+
 @pytest.mark.parametrize("shape", [(64, 3, 3, 3), (16, 8, 3, 3), (40, 40), (700, 200),
                                    (150, 1000)])
 def test_saxe_init_equals_public_qr_of_the_draw(binding, shape):

@@ -17,12 +17,12 @@ lives in one float64 buffer from its correlation to that cast (see
 
 Each step is written once: the noise std in :func:`_noise_scale`, the
 Gaussian fill in :func:`_add_noise` (the noise of
-:func:`add_conditional_noise` and the repair, the draws of both
-initializers, and the repair's check that a layer is finite), the QR
-step in :func:`_orthonormalize`, the init methods in
-:func:`_initializer`.  A layer's K x CHW geometry comes from
-:func:`~ghnpost.tensor_ops.geometry`, and errors get the tensor's name
-from :func:`~ghnpost.errors.naming`.
+:func:`add_conditional_noise` and the repair, and the draws of both
+initializers), the QR step in :func:`_orthonormalize`, the init methods
+in :func:`_initializer`.  A layer's K x CHW geometry comes from
+:func:`~ghnpost.tensor_ops.geometry`, the NaN/Inf check and its blame
+(the input, or an overflow) from :func:`~ghnpost.tensor_ops.check_finite`,
+and errors get the tensor's name from :func:`~ghnpost.errors.naming`.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, TensorMeta, validate_checkpoint
-from .errors import NonFiniteTensor, naming
+from .errors import naming
 from .linalg import gil_free_qr, one_blas_thread, qr_decompose
 from .rng import RngStream
 from .stats import sigma_r
-from .tensor_ops import geometry
+from .tensor_ops import check_finite, geometry
 
 DEFAULT_BETA = 3e-5
 
@@ -86,12 +86,11 @@ def add_conditional_noise(
     layers are perturbed relative to how degenerate their channels are.
     With beta == 0, a single channel, or fully identical channels the
     output equals the input bit-exactly.  The output is a new array of
-    ``dtype`` (default: w's); the sum is rounded to it once.
+    ``dtype`` (default: w's); the sum is rounded to it once.  NaN or Inf
+    in w, or noise that overflows, raises NonFiniteTensor.
     """
     _check_beta(beta)
     k, chw, _ = geometry(w.shape)
-    if not np.isfinite(w).all():
-        raise NonFiniteTensor("tensor holds NaN or Inf values")
     # sigma_r's float64 channels are freed before the output is allocated.
     scale = _noise_scale(w, beta)
     out = np.empty((k, chw), w.dtype if dtype is None else dtype)
@@ -107,13 +106,14 @@ def _noise_scale(w: np.ndarray, beta: float, work: np.ndarray | None = None) -> 
 
 
 def _add_noise(layer: np.ndarray, mat: np.ndarray | None, scale: float | None,
-               rng: RngStream, finite: bool = False) -> None:
+               rng: RngStream) -> None:
     """Set the K x CHW ``layer`` (either memory order) to ``mat + scale * z``
     (to mat if ``scale`` is None; mat None reads as -0.0), z the stream in
     C order, summed in float64 and rounded once to layer's dtype, a
-    :func:`_row_blocks` block at a time; with ``finite``, a block holding
-    NaN or Inf raises NonFiniteTensor.  This is the one place a layer is
-    filled from the stream: the initializers pass ``mat=None``.
+    :func:`_row_blocks` block at a time; each block goes through
+    :func:`~ghnpost.tensor_ops.check_finite` against its rows of mat.
+    This is the one place a layer is filled from the stream: the
+    initializers pass ``mat=None``.
 
     Noise under 2**-(nmant+4) |w_i| is under a quarter of the smaller gap
     of layer's dtype next to w_i (subnormals included), so the sum rounds
@@ -125,8 +125,8 @@ def _add_noise(layer: np.ndarray, mat: np.ndarray | None, scale: float | None,
         limit = 2.0 ** (np.finfo(layer.dtype).nmant + 4) * scale * _ZMAX
         if limit < max(float(mat.max()), -float(mat.min())):
             gather = _Gather(layer.dtype, max(_NOISE_CHUNK, layer.shape[1]))
-    # A huge beta overflows here; the caller checks (``finite``, or
-    # check_finite_output), so numpy need not warn as well.
+    # A huge beta overflows here; the block check reports it, so numpy need
+    # not warn as well.
     with np.errstate(over="ignore"):
         for rows, start in _row_blocks(layer):
             block = layer[rows]
@@ -137,8 +137,7 @@ def _add_noise(layer: np.ndarray, mat: np.ndarray | None, scale: float | None,
                 z = rng.normal(block.size, start=start).reshape(block.shape)
                 z *= scale
                 block += z
-            if finite and not np.isfinite(block).all():
-                raise NonFiniteTensor("tensor holds NaN or Inf values")
+            check_finite(block, None if mat is None else mat[rows])
 
 
 class _Gather:
@@ -208,7 +207,7 @@ def _reinit(w: np.ndarray, noise: tuple[float, RngStream] | None) -> np.ndarray:
     if noise is not None:
         beta, rng = noise
         scale = _noise_scale(w, beta, layer.ravel(order="K"))  # the whole buffer
-    _add_noise(layer, w.reshape(k, chw), scale, rng, finite=True)
+    _add_noise(layer, w.reshape(k, chw), scale, rng)
     _orthonormalize(layer, transposed)
     return layer
 
@@ -267,12 +266,14 @@ def ghn_orth_tensor(
     keyed by tensor name, and comes back as a new float32 array (or, after
     the QR step, in ``out``: C-ordered float32, arr itself allowed); any
     other tensor comes back as ``arr`` itself.  Either way the result must
-    be finite: NaN or Inf, passed through or produced by an overflowing
-    ``beta``, raises NonFiniteTensor naming the tensor.
+    be finite: NaN or Inf raises NonFiniteTensor naming the tensor, as
+    held by the input or as produced by an overflowing ``beta`` (see
+    :func:`~ghnpost.tensor_ops.check_finite`).
     """
     w = arr
-    if _eligible(meta, cfg):
-        with naming(meta.name):
+    eligible = _eligible(meta, cfg)
+    with naming(meta.name):
+        if eligible:
             rng = RngStream(cfg.seed, meta.name)
             if cfg.skip_orth:
                 w = add_conditional_noise(arr, cfg.beta, rng).astype(np.float32, copy=False)
@@ -281,14 +282,9 @@ def ghn_orth_tensor(
                 q = _reinit(arr, None if cfg.skip_noise else (cfg.beta, rng))
                 w = np.empty(arr.shape, np.float32) if out is None else out
                 np.copyto(w.reshape(q.shape), q, casting="same_kind")
-    return check_finite_output(meta.name, w)
-
-
-def check_finite_output(name: str, w: np.ndarray) -> np.ndarray:
-    """Return w, or raise NonFiniteTensor naming the tensor if it holds NaN
-    or Inf: no command writes a non-finite tensor."""
-    if not np.isfinite(w).all():
-        raise NonFiniteTensor(f"tensor {name!r}: output would hold NaN or Inf values")
+        # A pass-through tensor is its own source; an eligible one's input
+        # may have been overwritten by its result (out=arr).
+        check_finite(w, None if eligible else arr)
     return w
 
 
@@ -417,8 +413,8 @@ def saxe_orthogonal_init(
     _add_noise(layer, None, 1.0, rng)
     _orthonormalize(layer, transposed)
     layer *= gain
-    # A gain near float32's max overflows here; callers check the result
-    # for Inf (check_finite_output), so numpy need not warn as well.
+    # A gain near float32's max overflows here; _init_tensor checks the
+    # result, so numpy need not warn as well.
     with np.errstate(over="ignore"):
         return layer.astype(np.float32, order="C").reshape(shape)
 
@@ -465,4 +461,5 @@ def _init_tensor(meta: TensorMeta, make: Callable, seed: int) -> np.ndarray:
             fill = np.ones if meta.kind == "norm" else np.zeros  # bias, other: zeros
             return fill(meta.shape, dtype=np.float32)
         w = make(meta.shape, RngStream(seed, meta.name))
-    return check_finite_output(meta.name, w)
+        check_finite(w)
+    return w

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChannelTooShort, NonFiniteTensor, TooFewChannels
-from .tensor_ops import geometry
+from .errors import ChannelTooShort, TooFewChannels
+from .tensor_ops import check_finite, geometry
 
 # Gram rows per panel: each panel's GEMM rereads the channels below it, so
 # shorter panels cost time and longer ones memory (CHANGES.md).
@@ -86,7 +86,8 @@ def _centered(
 
     The channels go to a new array, or into ``work``, a contiguous float64
     buffer of w.size elements.  A tensor holding NaN or Inf raises
-    NonFiniteTensor: it has no finite correlation.
+    NonFiniteTensor (:func:`~ghnpost.tensor_ops.check_finite` on the
+    norms): it has no finite correlation.
     """
     k, chw, _ = geometry(w.shape)
     if chw < 2:
@@ -94,8 +95,8 @@ def _centered(
     xc = np.empty((k, chw)) if work is None else work.reshape(k, chw)
     np.copyto(xc, w.reshape(k, chw))
     norms = np.empty(k)
-    # A NaN or Inf in a channel makes its norm NaN or Inf (so would float64
-    # values whose squares overflow, which float32 data cannot reach).
+    # A NaN or Inf in a channel makes its norm NaN or Inf (so do float64
+    # values whose squares overflow, blamed on the overflow).
     with np.errstate(invalid="ignore", over="ignore"):
         xc -= xc.mean(axis=1, keepdims=True)
         # Each row sums on its own, so panels of rows give the same norms
@@ -103,8 +104,7 @@ def _centered(
         for i0 in range(0, k, _PANEL_ROWS):
             rows = xc[i0 : i0 + _PANEL_ROWS]
             np.sqrt(np.sum(rows * rows, axis=1), out=norms[i0 : i0 + _PANEL_ROWS])
-    if not np.isfinite(norms).all():
-        raise NonFiniteTensor("tensor holds NaN or Inf values")
+    check_finite(norms, w)
     dead = norms == 0.0
     return xc, np.where(dead, 1.0, norms), dead
 

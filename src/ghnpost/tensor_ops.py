@@ -5,7 +5,9 @@ rank-2 tensor (K, C) takes the same path with H = W = 1.  Whenever
 K < CHW the matrix is transposed so that the result always has at least
 as many rows as columns, which is what the QR step downstream requires.
 :func:`geometry` is the one place that reads K, CHW and that choice off a
-shape, and that rejects any other rank.
+shape, and that rejects any other rank.  :func:`check_finite` is the one
+place that finds NaN or Inf in layer data, and blames the input or the
+arithmetic for it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedRank
+from .errors import NonFiniteTensor, UnsupportedRank
 
 
 @dataclass
@@ -43,6 +45,16 @@ def geometry(shape: tuple[int, ...]) -> tuple[int, int, bool]:
         raise UnsupportedRank(f"expected rank 2 or 4 tensor, got rank {len(shape)}")
     k, chw = shape[0], math.prod(shape[1:])
     return k, chw, k < chw
+
+
+def check_finite(out: np.ndarray, source: np.ndarray | None = None) -> None:
+    """Raise NonFiniteTensor if ``out`` holds NaN or Inf: "tensor holds"
+    when ``source``, the values out was made from, holds one too, "output
+    would hold" (an overflow) otherwise.  source is read only then."""
+    if not np.isfinite(out).all():
+        held = source is not None and not np.isfinite(source).all()
+        raise NonFiniteTensor("tensor holds NaN or Inf values" if held
+                              else "output would hold NaN or Inf values")
 
 
 def matricize(w: np.ndarray) -> Matricized:

@@ -333,7 +333,7 @@ def test_overflowing_noise_is_reported_before_the_qr(monkeypatch):
     meta = TensorMeta("l", w.shape, "conv", 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the error is the only report
-        with pytest.raises(NonFiniteTensor, match="^tensor 'l': tensor holds NaN or Inf"):
+        with pytest.raises(NonFiniteTensor, match="^tensor 'l': output would hold NaN or Inf"):
             ghn_orth_tensor(meta, w, PostprocessConfig(start_layer=0, beta=1e308))
 
 

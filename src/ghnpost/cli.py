@@ -159,6 +159,10 @@ def _write_text(path: Path, text: str) -> None:
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 
+# Longest SVG name before ".svg": a file name holds 255 bytes, and
+# _write_atomic's temporary name is 14 longer than the file's.
+_SVG_STEM_MAX = 255 - 14 - 4
+
 
 def _cmd_analyze(args) -> int:
     with open(args.checkpoint, "rb") as handle:
@@ -166,8 +170,9 @@ def _cmd_analyze(args) -> int:
     _write_text(args.out, emit_report_csv(report))
     if args.svg_dir is not None:
         for i, rec in enumerate(report.records):
-            fname = f"{i:03d}_{_UNSAFE.sub('_', rec.name)}.svg"
-            _write_text(args.svg_dir / fname, emit_histogram_svg(rec.histogram, rec.name))
+            # The index prefix keeps names unique when the rest is cut.
+            stem = f"{i:03d}_{_UNSAFE.sub('_', rec.name)}"[:_SVG_STEM_MAX]
+            _write_text(args.svg_dir / f"{stem}.svg", emit_histogram_svg(rec.histogram, rec.name))
     return 0
 
 

@@ -27,6 +27,7 @@ import ghnpost
 from ghnpost import checkpoint_io, cli, postprocess, stats
 from ghnpost.checkpoint_io import Checkpoint, TensorMeta, read_checkpoint, write_checkpoint
 from ghnpost.cli import run
+from ghnpost.linalg import qr_decompose
 from ghnpost.postprocess import PostprocessConfig, ghn_orth
 from ghnpost.stats import channel_correlation, offdiagonal_values
 from ghnpost.tensor_ops import matricize
@@ -65,6 +66,26 @@ def test_analyze_writes_csv_and_svgs(ckpt_path, tmp_path):
     ]
     for p in svgs:
         ET.fromstring(p.read_text())
+
+
+def test_analyze_svg_names_fit_the_file_system_limit(tmp_path):
+    # A 321-character name would make a 339-byte SVG name; a 200-character
+    # one keeps its name.  Every name, with _write_atomic's 14 extra bytes
+    # of temporary name, fits in 255.
+    long, kept = "blk." * 80 + "w", "b" * 200
+    w = ghn_like_tensor((8, 6), seed=4)
+    path = tmp_path / "long.ckpt"
+    path.write_bytes(write_checkpoint(make_checkpoint(
+        [(long, (8, 6), "linear", 0, w), (kept, (8, 6), "linear", 1, w)]
+    )))
+    svg_dir = tmp_path / "svgs"
+    assert run(["analyze", str(path), "--out", str(tmp_path / "r.csv"),
+                "--svg-dir", str(svg_dir)]) == 0
+    names = sorted(p.name for p in svg_dir.iterdir())
+    assert names == [f"000_{long}"[:237] + ".svg", f"001_{kept}.svg"]
+    for name in names:
+        assert len(name.encode()) + 14 <= 255
+        ET.fromstring((svg_dir / name).read_text())
 
 
 def test_postprocess_end_to_end(ckpt_path, tmp_path):
@@ -201,6 +222,76 @@ def test_overflowing_beta_prints_one_line(ckpt_path, tmp_path):
     assert proc.stderr == (
         "ghnpost: numerical error: tensor 'l0.conv': output would hold NaN or Inf values\n"
     )
+
+
+# case: (command, flags, tensor made NaN or None, tensor named, message).
+# A NaN or Inf the input holds is the tensor's; one a finite input's noise
+# or gain makes is the output's.
+_BLAME = {
+    "skip_noise": ("postprocess", ["--start-layer", "0", "--skip-noise"], "l0.conv",
+                   "'l0.conv'", "tensor holds"),
+    "one_channel": ("postprocess", ["--start-layer", "0"], "l1.fc", "'l1.fc'", "tensor holds"),
+    "beta_0": ("postprocess", ["--start-layer", "0", "--beta", "0"], "l0.conv", "'l0.conv'",
+               "tensor holds"),
+    "pass_through": ("postprocess", ["--start-layer", "0"], "l0.norm", "'l0.norm'",
+                     "tensor holds"),
+    "repair_overflow": ("postprocess", ["--start-layer", "0", "--beta", "1e308"], None,
+                        "'l0.conv'", "output would hold"),
+    "skip_orth_overflow": ("postprocess", ["--start-layer", "0", "--skip-orth", "--beta",
+                                           "1e308"], None, "'l0.conv'", "output would hold"),
+    "init_gain": ("init", ["--method", "orth", "--gain", "1e300"], None, "'l0.conv'",
+                  "output would hold"),
+    "analyze": ("analyze", [], "l0.conv", "'l0.conv'", "tensor holds"),
+    "compare": ("compare", [], "l0.conv", "'l0.conv' (second checkpoint)", "tensor holds"),
+}
+
+
+def _blame_checkpoint(path, poison):
+    """l0.conv with channels of alternating sign (r = +-1, so sigma_r ~ 1
+    and beta = 1e308 overflows float64), a norm, and a one-channel layer
+    (which analyze and compare would reject, but l0.conv fails first)."""
+    conv = ghn_like_tensor((8, 3, 3, 3), seed=1)
+    conv[1::2] *= -1
+    specs = [("l0.conv", (8, 3, 3, 3), "conv", 0, conv),
+             ("l0.norm", (8,), "norm", 0, np.ones(8, np.float32)),
+             ("l1.fc", (1, 6), "linear", 1, np.arange(6, dtype=np.float32).reshape(1, 6))]
+    for name, _, _, _, arr in specs:
+        if name == poison:
+            arr.reshape(-1)[-1] = np.nan
+    path.write_bytes(write_checkpoint(make_checkpoint(specs)))
+    return path, [{"name": n, "shape": list(s), "kind": k, "depth": d}
+                  for n, s, k, d, _ in specs]
+
+
+@pytest.mark.parametrize("case", sorted(_BLAME))
+def test_non_finite_tensor_is_blamed_on_the_input_or_the_output(case, tmp_path, monkeypatch,
+                                                                capsys):
+    command, flags, poison, name, message = _BLAME[case]
+    work = tmp_path / "work"
+    work.mkdir()
+    path, spec = _blame_checkpoint(tmp_path / "in.ckpt", poison)
+    inputs = {
+        "analyze": [path],
+        "compare": [_blame_checkpoint(tmp_path / "finite.ckpt", None)[0], path],
+        "init": [tmp_path / "arch.json"],
+        "postprocess": [path],
+    }[command]
+    (tmp_path / "arch.json").write_text(json.dumps(spec))
+
+    def finite_qr(a, **kwargs):
+        assert np.isfinite(a).all(), "a non-finite layer reached the QR"
+        return qr_decompose(a, **kwargs)
+
+    monkeypatch.setattr(postprocess, "qr_decompose", finite_qr)
+    out = work / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the exit-3 line is the only report
+        code = run([command, *map(str, inputs), *flags, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"ghnpost: numerical error: tensor {name}: {message} NaN or Inf values\n"
+    )
+    assert list(work.iterdir()) == []
 
 
 def test_nan_in_third_eligible_tensor_with_layers_in_flight(tmp_path, monkeypatch, capsys):

@@ -199,6 +199,28 @@ def test_noise_errors():
         add_conditional_noise(bad, 1e-5, RngStream(0, "x"))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_overflowing_noise_is_the_outputs_fault(dtype):
+    # Channels of alternating sign: sigma_r ~ 1, so noise of std 1e308
+    # overflows either dtype; the input is finite.
+    w = ghn_like_tensor((16, 8, 3, 3), seed=7).astype(dtype)
+    w[1::2] *= -1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error is the only report
+        with pytest.raises(NonFiniteTensor, match="^output would hold NaN or Inf values$"):
+            add_conditional_noise(w, 1e308, RngStream(0, "l"))
+
+
+@pytest.mark.parametrize("shape, beta", [((1, 6), 1e-3), ((4, 6), 0.0)])
+def test_non_finite_input_is_the_tensors_fault(shape, beta):
+    # One channel has no sigma_r, and beta = 0 adds no noise: the copy is
+    # checked against the input.
+    w = np.ones(shape, np.float32)
+    w[0, 2] = np.inf
+    with pytest.raises(NonFiniteTensor, match="^tensor holds NaN or Inf values$"):
+        add_conditional_noise(w, beta, RngStream(0, "l"))
+
+
 # --- orthogonal re-initialization -------------------------------------------
 
 def test_reinit_random_conv():

@@ -3,8 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghnpost.errors import UnsupportedRank
-from ghnpost.tensor_ops import dematricize, matricize
+from ghnpost.errors import NonFiniteTensor, UnsupportedRank
+from ghnpost.tensor_ops import check_finite, dematricize, matricize
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_finite_blames_the_source_or_the_output(bad):
+    source = np.arange(6.0)
+    out = source * 2.0
+    check_finite(out, source)
+    check_finite(out)
+    out[3] = bad
+    with pytest.raises(NonFiniteTensor, match="^output would hold NaN or Inf values$"):
+        check_finite(out, source)
+    with pytest.raises(NonFiniteTensor, match="^output would hold NaN or Inf values$"):
+        check_finite(out)
+    source[5] = bad
+    with pytest.raises(NonFiniteTensor, match="^tensor holds NaN or Inf values$"):
+        check_finite(out, source)
+    check_finite(np.zeros(6), source)  # source is read only when out fails
 
 
 def test_wide_conv_is_transposed():

@@ -8,6 +8,7 @@ import math
 import mmap
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -463,6 +464,23 @@ def test_init_orth_bytes_do_not_depend_on_the_core_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _readme_cli_lines():
+    """The ``ghnpost ...`` command lines of the README's CLI block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("ghnpost ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = _readme_cli_lines()
+    assert {shlex.split(line)[1] for line in lines} == {
+        "analyze", "postprocess", "init", "pca", "compare"
+    }
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -979,15 +997,15 @@ _HEADER, _DATA = _small_parts()
 _ARCHSPEC = [{k: e[k] for k in ("name", "shape", "kind", "depth")} for e in _HEADER["tensors"]]
 
 
-def _cases(tmp: Path, command: str, raw: bytes) -> tuple[list[str], Path]:
+def _cases(tmp: Path, command: str, raw: bytes, whole: bool = False) -> tuple[list[str], Path]:
     """argv of ``command`` on the header or archspec ``raw`` (files in tmp),
-    and its output path."""
+    or with ``whole`` on the checkpoint file ``raw``, and its output path."""
     out = tmp / ("out.ckpt" if command in ("postprocess", "init") else "out.csv")
     inp = tmp / "in"
     if command == "init":
         inp.write_bytes(raw)
         return ["init", str(inp), "--method", "orth", "--out", str(out)], out
-    inp.write_bytes(_blob_with_raw_header(raw, _DATA))
+    inp.write_bytes(raw if whole else _blob_with_raw_header(raw, _DATA))
     if command == "compare":
         good = tmp / "good.ckpt"
         good.write_bytes(_blob_with_raw_header(json.dumps(_HEADER).encode(), _DATA))
@@ -997,13 +1015,14 @@ def _cases(tmp: Path, command: str, raw: bytes) -> tuple[list[str], Path]:
     return ["analyze", str(inp), "--out", str(out)], out
 
 
-def _ends_cleanly(command: str, raw: bytes) -> tuple[int, str]:
-    """Run ``command`` on ``raw`` and check how it ended: run() neither
+def _ends_cleanly(command: str, raw: bytes, whole: bool = False) -> tuple[int, str]:
+    """Run ``command`` on ``raw`` (as for :func:`_cases`) and check how it
+    ended: run() neither
     raises nor warns; exit 0 leaves finite output, any other exit no output
     and no temp file, and each message is one line naming what is at
     fault.  Returns (exit code, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv, out = _cases(Path(tmp), command, raw)
+        argv, out = _cases(Path(tmp), command, raw, whole)
         inputs = sorted(os.listdir(tmp))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -1057,6 +1076,57 @@ def test_non_utf8_archspec_is_one_line_data_error():
     code, err = _ends_cleanly("init", raw)
     assert code == 2
     assert err.startswith("ghnpost: data error: $: not valid JSON ('utf-8' codec can't decode")
+
+
+# The field each byte of the fixed 16-byte prefix belongs to; a changed
+# header length misplaces the JSON ("header") or overruns the file
+# ("header_length").
+_PREFIX_FIELDS = ["magic"] * 4 + ["version"] * 4 + ["header"] * 8
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "postprocess"])
+def test_mutated_fixed_prefix_is_one_line_data_error(command):
+    # Each prefix byte set to 0x00, to 0xff and with bit 0 flipped, where
+    # that changes it.
+    blob = _blob_with_raw_header(json.dumps(_HEADER).encode(), _DATA)
+    for i, field in enumerate(_PREFIX_FIELDS):
+        for byte in sorted({0x00, 0xFF, blob[i] ^ 1} - {blob[i]}):
+            mutated = blob[:i] + bytes([byte]) + blob[i + 1 :]
+            code, err = _ends_cleanly(command, mutated, whole=True)
+            assert code == 2 and err.startswith(f"ghnpost: data error: {field}"), (i, byte, err)
+
+
+def _padding_cut_blob() -> bytes:
+    """A checkpoint cut two bytes into the padding after its header."""
+    header = json.dumps(_HEADER).encode()
+    header += b" " * ((4 - 16 - len(header)) % 8)  # the header ends 4 bytes short of 8
+    return _blob_with_raw_header(header, b"")[: 16 + len(header) + 2]
+
+
+def _negative_offset_header() -> bytes:
+    doc = json.loads(json.dumps(_HEADER))
+    doc["tensors"][1]["offset"] = -4
+    return json.dumps(doc).encode()
+
+
+_LAYOUTS = {
+    "prefix_cut": (_blob_with_raw_header(b"{}", b"")[:12],
+                   "header_length: file shorter than the fixed header"),
+    "tensors_object": (_blob_with_raw_header(b'{"tensors": {}}', _DATA),
+                       "tensors: expected a list"),
+    "padding_cut": (_padding_cut_blob(), "data: file ends inside the alignment padding"),
+    "negative_offset": (_blob_with_raw_header(_negative_offset_header(), _DATA),
+                        "tensors[1].offset: negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUTS))
+@pytest.mark.parametrize("command", ["analyze", "compare", "postprocess"])
+def test_bad_layout_is_one_line_data_error(command, case):
+    blob, message = _LAYOUTS[case]
+    code, err = _ends_cleanly(command, blob, whole=True)
+    assert code == 2
+    assert err == f"ghnpost: data error: {message}\n"
 
 
 # Replacement JSON tokens for a number, and for a string, of the document.

@@ -64,6 +64,19 @@ def test_rows_must_cover_cols():
         qr_decompose(np.zeros((3, 5)))
 
 
+@pytest.mark.parametrize("a", [np.zeros(3), np.zeros((0, 3)), np.zeros((2, 2, 2))])
+def test_qr_and_eigh_need_a_non_empty_matrix(a):
+    with pytest.raises(ShapeError, match="expected a non-empty 2D matrix"):
+        qr_decompose(a)
+    with pytest.raises(ShapeError, match="expected a non-empty 2D matrix"):
+        eigh_descending(a)
+
+
+def test_eigh_needs_a_square_matrix():
+    with pytest.raises(ShapeError, match="expected a square matrix, got \\(2, 3\\)"):
+        eigh_descending(np.zeros((2, 3)))
+
+
 def test_rank_deficient_keeps_orthonormal_columns():
     rng = np.random.default_rng(2)
     col = rng.normal(size=12)

@@ -59,6 +59,11 @@ def test_analyze_saxe_checkpoint_has_low_correlation():
             assert rec.mean_abs_offdiag < 0.15
 
 
+def test_analyze_needs_a_bin(small_checkpoint):
+    with pytest.raises(ValueError, match="bins must be >= 1"):
+        analyze_checkpoint(small_checkpoint, bins=0)
+
+
 def test_analyze_error_names_tensor():
     c = make_checkpoint([("tiny", (1, 8), "conv", 0, np.ones((1, 8), np.float32))])
     with pytest.raises(TooFewChannels, match="tiny"):
@@ -144,6 +149,12 @@ def test_parse_embeddings_without_labels():
 )
 def test_parse_embeddings_schema_errors(text):
     with pytest.raises(SchemaError):
+        parse_embeddings_csv(text)
+
+
+@pytest.mark.parametrize("text", ["id,label\nx,1\n", "id\nx\n"])
+def test_parse_embeddings_needs_a_vector_column(text):
+    with pytest.raises(SchemaError, match="^row 1: no vector columns v0..$"):
         parse_embeddings_csv(text)
 
 

@@ -189,3 +189,13 @@ def test_normal_at_matches_normal_bytes():
 def test_normal_at_rejects_negative_positions():
     with pytest.raises(ValueError):
         RngStream(1, "x").normal_at(np.array([3, -1]))
+
+
+def test_draws_reject_negative_counts_and_starts():
+    stream = RngStream(1, "x")
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        stream.uniform(-1)
+    with pytest.raises(ValueError, match="n and start must be non-negative"):
+        stream.normal(-1)
+    with pytest.raises(ValueError, match="n and start must be non-negative"):
+        stream.normal(1, start=-1)

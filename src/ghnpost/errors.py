@@ -77,7 +77,7 @@ class DegenerateInput(NumericalError):
 
 
 class NonFiniteTensor(NumericalError):
-    """A tensor entering numerical post-processing holds NaN or Inf."""
+    """A tensor, or the output computed from it, holds NaN or Inf."""
 
 
 class OutOfMemory(NumericalError):

@@ -466,15 +466,11 @@ def test_init_orth_bytes_do_not_depend_on_the_core_count(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _readme_cli_lines():
-    """The ``ghnpost ...`` command lines of the README's CLI block."""
+def test_readme_cli_lines_parse():
+    # Every ``ghnpost ...`` line of the README's CLI block.
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("ghnpost ")]
-
-
-def test_readme_cli_lines_parse():
-    lines = _readme_cli_lines()
+    lines = [line for line in block.splitlines() if line.startswith("ghnpost ")]
     assert {shlex.split(line)[1] for line in lines} == {
         "analyze", "postprocess", "init", "pca", "compare"
     }

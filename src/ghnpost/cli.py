@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 error.  Output files are written to a temporary path and renamed into
-place, so a failing run never leaves a partially-written file behind.
+place, so a failing run never leaves a partially-written file behind,
+nor a directory made for it; ``analyze`` also removes the SVGs it wrote
+when a later write fails.
 Checkpoints are read and written one tensor at a time, and layers
 complete in any order, each written at its own offset: memory holds the
 header and the working sets of the layers in flight (at most about two of
@@ -134,22 +136,36 @@ def build_parser() -> _Parser:
 def _write_atomic(path: Path) -> Iterator[BinaryIO]:
     """Yield a binary handle on a temporary file beside ``path``.
 
-    The file is renamed to ``path`` when the block completes and deleted
-    when it raises, so a failing run leaves no partial output behind.
+    The file is renamed to ``path`` when the block completes; when it
+    raises, the file and the directories made for it are removed, so a
+    failing run leaves no output behind.
     """
     directory = path.parent if str(path.parent) else Path(".")
-    directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
+    created = _missing_dirs(directory)
     try:
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
+        created.append(Path(tmp))
         with os.fdopen(fd, "wb") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _remove(created)
         raise
+
+
+def _missing_dirs(directory: Path) -> list[Path]:
+    """``directory`` and those of its parents that do not exist, outermost
+    first."""
+    return [d for d in (*reversed(directory.parents), directory) if not d.exists()]
+
+
+def _remove(created: list[Path]) -> None:
+    """Remove the files and directories a failing run created, last first;
+    a directory only if it is empty."""
+    for path in reversed(created):
+        with contextlib.suppress(OSError):
+            path.rmdir() if path.is_dir() else path.unlink()
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -167,12 +183,23 @@ _SVG_STEM_MAX = 255 - 14 - 4
 def _cmd_analyze(args) -> int:
     with open(args.checkpoint, "rb") as handle:
         report = analyze_checkpoint(CheckpointReader(handle), bins=args.bins)
-    _write_text(args.out, emit_report_csv(report))
-    if args.svg_dir is not None:
-        for i, rec in enumerate(report.records):
-            # The index prefix keeps names unique when the rest is cut.
-            stem = f"{i:03d}_{_UNSAFE.sub('_', rec.name)}"[:_SVG_STEM_MAX]
-            _write_text(args.svg_dir / f"{stem}.svg", emit_histogram_svg(rec.histogram, rec.name))
+    # The SVGs are written before the CSV, and removed with the directories
+    # made for them if a later write fails: a failing run leaves no output.
+    created: list[Path] = []
+    try:
+        if args.svg_dir is not None:
+            created += _missing_dirs(args.svg_dir)
+            for i, rec in enumerate(report.records):
+                # The index prefix keeps names unique when the rest is cut.
+                stem = f"{i:03d}_{_UNSAFE.sub('_', rec.name)}"[:_SVG_STEM_MAX]
+                path = args.svg_dir / f"{stem}.svg"
+                if not path.exists():
+                    created.append(path)
+                _write_text(path, emit_histogram_svg(rec.histogram, rec.name))
+        _write_text(args.out, emit_report_csv(report))
+    except BaseException:
+        _remove(created)
+        raise
     return 0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, CheckpointReader, TensorMeta
 from .errors import DegenerateInput, SchemaError, StructureMismatch, naming
 from .linalg import pca_project
-from .stats import Histogram, correlation_stats
+from .stats import Histogram, correlation_stats, sigma_r
 from .tensor_ops import geometry
 
 
@@ -288,6 +288,9 @@ def compare_checkpoints(
     The structure is checked from the metadata alone; then the tensors of
     ``a`` are visited in file order and each is matched with ``b``'s tensor
     of the same name, so a pair of readers holds two tensors at a time.
+    sigma_r comes from :func:`~ghnpost.stats.sigma_r`: the value ``analyze``
+    prints where K <= CHW, bit for bit, and the CHW x CHW Gram's on tall
+    layers (K > CHW), within about 1e-10 relative of it.
     A conv/linear tensor holding NaN or Inf in either checkpoint raises
     NonFiniteTensor naming it (see :func:`_compare_layer`).
     """
@@ -322,7 +325,7 @@ def _compare_layer(name: str, arr_a: np.ndarray, arr_b: np.ndarray) -> CompareRo
     sigmas = []
     for which, arr in (("first", arr_a), ("second", arr_b)):
         with naming(name, f" ({which} checkpoint)"):
-            sigmas.append(correlation_stats(arr).sigma_r)
+            sigmas.append(sigma_r(arr))
     return CompareRow(
         name=name,
         max_abs_diff=_max_abs_diff(arr_a, arr_b),

@@ -8,22 +8,24 @@ correlations of near-identical channels stay stable.
 (sigma_r, mean |r| and the histogram) in one pass over row panels of the
 Gram matrix, ``xc[i0:i1] @ xc[i0:].T``: each panel is normalized into
 correlations, folded into running moments and histogram counts, and
-dropped, so no K x K or K(K-1)/2 array ever exists.  Panel moments are
-merged with the pairwise update of Chan, Golub & LeVeque, "Updating
-formulae and a pairwise algorithm for computing sample variances"
-(1979), in coordinates shifted by the first panel's mean: near-duplicate
-layers have every r within 1e-7 of 1, and unshifted sums would lose the
-digits of their spread.
+dropped, so no K x K or K(K-1)/2 array ever exists.  The counts are
+``np.histogram``'s over [-1, 1], from one multiply-add per value and an
+exact check against the edges where rounding could move a value across
+one (:meth:`_Fold._count`).  Panel moments are merged with the pairwise
+update of Chan, Golub & LeVeque, "Updating formulae and a pairwise
+algorithm for computing sample variances" (1979), in coordinates shifted
+by the first panel's mean: near-duplicate layers have every r within
+1e-7 of 1, and unshifted sums would lose the digits of their spread.
 
-Where only sigma_r is needed (the noise scale of ``postprocess``),
-:func:`sigma_r` gives it.  For K <= CHW that is the fold above, bit for
-bit.  A tall layer (K > CHW) has fewer Gram columns than channels, and
-its sigma_r follows from sums over the unit channels and the CHW x CHW
-Gram of their deviations from the mean channel (:func:`_tall_sigma`):
-K CHW^2 / 2 multiply-adds instead of the fold's K^2 CHW / 2, and a few
-passes over K x CHW instead of a dozen over K(K-1)/2 correlations.  The
-two agree to about 1e-10 relative; ``analyze`` and ``compare`` print the
-fold's value.
+Where only sigma_r is needed (``compare``, and the noise scale of
+``postprocess``), :func:`sigma_r` gives it.  For K <= CHW that is the
+fold above, bit for bit.  A tall layer (K > CHW) has fewer Gram columns
+than channels, and its sigma_r follows from sums over the unit channels
+and the CHW x CHW Gram of their deviations from the mean channel
+(:func:`_tall_sigma`): K CHW^2 / 2 multiply-adds instead of the fold's
+K^2 CHW / 2, and a few passes over K x CHW instead of a dozen over
+K(K-1)/2 correlations.  The two agree to about 1e-10 relative;
+``analyze`` prints the fold's value.
 
 :func:`channel_correlation` builds the whole matrix from one Gram and the
 same normalization; it is a library and test-oracle type, not used by
@@ -43,6 +45,10 @@ from .tensor_ops import check_finite, geometry
 # Gram rows per panel: each panel's GEMM rereads the channels below it, so
 # shorter panels cost time and longer ones memory (CHANGES.md).
 _PANEL_ROWS = 128
+
+# Values per step of the bin counter and of the channel centering: 512 KiB
+# of float64, which stays in cache across a step's passes.
+_BLOCK = 1 << 16
 
 # Exactly collinear channels compute as +-1 give or take a few ulp
 # (numerator and denominator round the same sum differently).  Entries
@@ -93,17 +99,25 @@ def _centered(
     if chw < 2:
         raise ChannelTooShort(f"channels have {chw} elements, need at least 2")
     xc = np.empty((k, chw)) if work is None else work.reshape(k, chw)
-    np.copyto(xc, w.reshape(k, chw))
+    src = w.reshape(k, chw)
     norms = np.empty(k)
+    # Each row is centered and reduced on its own, so steps of rows give
+    # the bits of whole-array passes, with each step still in cache: about
+    # _BLOCK values a step (one row where a row is longer), squared into
+    # one reused buffer.
+    step = max(1, _BLOCK // chw)
+    squares = np.empty((min(step, k), chw))
     # A NaN or Inf in a channel makes its norm NaN or Inf (so do float64
     # values whose squares overflow, blamed on the overflow).
     with np.errstate(invalid="ignore", over="ignore"):
-        xc -= xc.mean(axis=1, keepdims=True)
-        # Each row sums on its own, so panels of rows give the same norms
-        # as one K x CHW square, without the K x CHW temporary.
-        for i0 in range(0, k, _PANEL_ROWS):
-            rows = xc[i0 : i0 + _PANEL_ROWS]
-            np.sqrt(np.sum(rows * rows, axis=1), out=norms[i0 : i0 + _PANEL_ROWS])
+        for i0 in range(0, k, step):
+            rows = xc[i0 : i0 + step]
+            np.copyto(rows, src[i0 : i0 + step])
+            rows -= rows.mean(axis=1, keepdims=True)
+            sq = squares[: len(rows)]
+            np.multiply(rows, rows, out=sq)
+            np.sum(sq, axis=1, out=norms[i0 : i0 + step])
+        np.sqrt(norms, out=norms)
     check_finite(norms, w)
     dead = norms == 0.0
     return xc, np.where(dead, 1.0, norms), dead
@@ -150,7 +164,12 @@ def channel_correlation(w: np.ndarray) -> CorrelationMatrix:
 class _Fold:
     """Running count, shifted mean, M2, sum |r| and histogram counts of the
     correlations of ``k`` channels; raises TooFewChannels for k < 2, and
-    ValueError for ``bins`` < 1."""
+    ValueError for ``bins`` < 1.
+
+    Every value folded in must lie in [-1, 1], as the correlations of
+    :func:`_normalize` do (:func:`correlation_histogram` clips a user's
+    matrix first): the bin counter has no range mask.
+    """
 
     def __init__(self, k: int, bins: int | None):
         if k < 2:
@@ -158,16 +177,21 @@ class _Fold:
         if bins is not None and bins < 1:
             raise ValueError("bins must be >= 1")
         self.bins = bins
-        self.counts = None if bins is None else np.zeros(bins, dtype=np.intp)
-        self.edges = None
+        self.counts = self.edges = None
+        if bins is not None:
+            self.counts = np.zeros(bins, dtype=np.intp)
+            # np.histogram's own edges for range=(-1, 1), byte for byte.
+            self.edges = np.linspace(-1.0, 1.0, bins + 1)
+            self._blocks = (np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK, dtype=np.intp),
+                            np.empty(_BLOCK, dtype=bool))
         self.n = 0
         self.shift = self.mean = self.m2 = self.abs_sum = 0.0
 
     def add(self, v: np.ndarray, tmp: np.ndarray) -> None:
         """Fold the values v in; tmp is float64 scratch of v's length."""
         if self.bins is not None:
-            counts, self.edges = np.histogram(v, bins=self.bins, range=(-1.0, 1.0))
-            self.counts += counts
+            for start in range(0, len(v), _BLOCK):
+                self._count(v[start : start + _BLOCK])
         nb = len(v)
         if self.n == 0:
             self.shift = float(np.sum(v)) / nb
@@ -185,6 +209,34 @@ class _Fold:
         self.mean += delta * nb / n
         self.m2 += m2_b + delta * delta * (self.n * nb / n)
         self.n = n
+
+    def _count(self, r: np.ndarray) -> None:
+        """Add the bin counts of at most _BLOCK values r to ``counts``, as
+        ``np.histogram(r, bins, range=(-1, 1))`` counts them: bin i holds
+        edges[i] <= r < edges[i + 1], the last bin r = 1 too.
+
+        f = r * bins/2 + (bins/2 + tol) is r's place among the bins
+        shifted up by tol = bins * 2^-40, and is off from where the edges
+        put r by a few ulp of ``bins``, far less than tol.  So trunc(f) is
+        r's bin, or the bin above where f lies less than 2 tol above an
+        integer; only those few values are rechecked against the edges.
+        (That needs tol < 1/4, so bins < 2^38.)  Only r in the last bin
+        get f past bins - 1/2 (r = 1 gives f = bins): f is capped there.
+        """
+        bins = self.bins
+        f, t, idx, near = (buf[: len(r)] for buf in self._blocks)
+        tol = bins * 2.0**-40
+        np.multiply(r, 0.5 * bins, out=f)
+        np.add(f, 0.5 * bins + tol, out=f)
+        np.minimum(f, bins - 0.5, out=f)
+        np.trunc(f, out=t)
+        np.copyto(idx, t, casting="unsafe")
+        np.subtract(f, t, out=f)
+        np.less(f, 2.0 * tol, out=near)
+        if near.any():
+            at = np.flatnonzero(near)
+            idx[at] -= r[at] < self.edges[idx[at]]
+        self.counts += np.bincount(idx, minlength=bins)
 
     def result(self) -> CorrelationStats:
         hist = None if self.bins is None else Histogram(self.edges, self.counts)
@@ -335,7 +387,8 @@ def correlation_histogram(r: CorrelationMatrix, bins: int) -> Histogram:
 
     Values exactly 1.0 land in the last bin.  Entries a hair outside the
     range from rounding (possible in a user-supplied matrix) are clipped,
-    so every off-diagonal entry is counted.
+    so every off-diagonal entry is counted.  A NaN entry has no bin: the
+    bin counter rejects it with ValueError.
     """
     return _fold_values(r.k, np.clip(offdiagonal_values(r), -1.0, 1.0), bins).histogram
 

@@ -533,6 +533,20 @@ def _nan_checkpoint(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("command", ["postprocess", "init"])
+def test_failing_run_removes_the_directories_made_for_its_output(command, tmp_path, capsys):
+    # Both open --out before the first layer: a NaN input, or a gain whose
+    # weights overflow float32, ends the run with exit 3 after that.
+    path = _nan_checkpoint(tmp_path)
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps([{"name": "w", "shape": [4, 6], "kind": "linear", "depth": 0}]))
+    argv = {"postprocess": ["postprocess", str(path), "--start-layer", "0"],
+            "init": ["init", str(arch), "--method", "orth", "--gain", "1e300"]}[command]
+    assert run(argv + ["--out", str(tmp_path / "new" / "deeper" / "out.ckpt")]) == 3
+    assert capsys.readouterr().err.startswith("ghnpost: numerical error: tensor 'w': ")
+    assert sorted(os.listdir(tmp_path)) == ["arch.json", "nan.ckpt"]
+
+
 def test_analyze_non_finite_tensor_is_numerical_error(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert run(["analyze", str(_nan_checkpoint(tmp_path)), "--out", str(out)]) == 3
@@ -550,6 +564,26 @@ def test_compare_non_finite_tensor_is_numerical_error(tmp_path, capsys):
     assert run(["compare", str(finite_path), str(_nan_checkpoint(tmp_path)),
                 "--out", str(out)]) == 3
     assert "tensor 'w' (second checkpoint)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape, poison, message", [
+    ((4, 6), True, "(second checkpoint): tensor holds NaN or Inf values"),
+    ((9, 3), True, "(second checkpoint): tensor holds NaN or Inf values"),  # K > CHW
+    ((1, 6), False, "(first checkpoint): need k >= 2 channels, got 1"),
+    ((5, 1), False, "(first checkpoint): channels have 1 elements, need at least 2"),
+], ids=["nan", "nan_tall", "k1", "chw1"])
+def test_compare_numerical_error_messages(shape, poison, message, tmp_path, capsys):
+    a = (np.arange(math.prod(shape), dtype=np.float32) % 5).reshape(shape)
+    b = a.copy()
+    if poison:
+        b.flat[-1] = np.nan
+    paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+    for path, arr in zip(paths, (a, b)):
+        path.write_bytes(write_checkpoint(make_checkpoint([("w", shape, "linear", 0, arr)])))
+    out = tmp_path / "d.csv"
+    assert run(["compare", *map(str, paths), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"ghnpost: numerical error: tensor 'w' {message}\n"
     assert not out.exists()
 
 
@@ -993,9 +1027,11 @@ _HEADER, _DATA = _small_parts()
 _ARCHSPEC = [{k: e[k] for k in ("name", "shape", "kind", "depth")} for e in _HEADER["tensors"]]
 
 
-def _cases(tmp: Path, command: str, raw: bytes, whole: bool = False) -> tuple[list[str], Path]:
+def _cases(tmp: Path, command: str, raw: bytes, whole: bool = False,
+           svg_dir: str | None = None) -> tuple[list[str], Path]:
     """argv of ``command`` on the header or archspec ``raw`` (files in tmp),
-    or with ``whole`` on the checkpoint file ``raw``, and its output path."""
+    or with ``whole`` on the checkpoint file ``raw``, and its output path;
+    ``svg_dir`` names analyze's --svg-dir in tmp."""
     out = tmp / ("out.ckpt" if command in ("postprocess", "init") else "out.csv")
     inp = tmp / "in"
     if command == "init":
@@ -1008,17 +1044,19 @@ def _cases(tmp: Path, command: str, raw: bytes, whole: bool = False) -> tuple[li
         return ["compare", str(good), str(inp), "--out", str(out)], out
     if command == "postprocess":
         return ["postprocess", str(inp), "--start-layer", "0", "--out", str(out)], out
-    return ["analyze", str(inp), "--out", str(out)], out
+    svgs = [] if svg_dir is None else ["--svg-dir", str(tmp / svg_dir)]
+    return ["analyze", str(inp), "--out", str(out), *svgs], out
 
 
-def _ends_cleanly(command: str, raw: bytes, whole: bool = False) -> tuple[int, str]:
+def _ends_cleanly(command: str, raw: bytes, whole: bool = False,
+                  svg_dir: str | None = None) -> tuple[int, str]:
     """Run ``command`` on ``raw`` (as for :func:`_cases`) and check how it
     ended: run() neither
     raises nor warns; exit 0 leaves finite output, any other exit no output
     and no temp file, and each message is one line naming what is at
     fault.  Returns (exit code, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv, out = _cases(Path(tmp), command, raw, whole)
+        argv, out = _cases(Path(tmp), command, raw, whole, svg_dir)
         inputs = sorted(os.listdir(tmp))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -1040,6 +1078,16 @@ def _ends_cleanly(command: str, raw: bytes, whole: bool = False) -> tuple[int, s
         if code == 3:
             assert message.startswith("ghnpost: numerical error: tensor ")
     return code, message
+
+
+@pytest.mark.parametrize("svg_dir", ["in", "out.csv"], ids=["svg_write", "csv_write"])
+def test_analyze_failing_write_leaves_no_output(svg_dir):
+    # --svg-dir names the input, a regular file, so the first SVG write
+    # fails; or it names the CSV's path, so the SVGs are written into it
+    # and the CSV write, onto that directory, fails.
+    code, err = _ends_cleanly("analyze", json.dumps(_HEADER).encode(), svg_dir=svg_dir)
+    assert code == 2
+    assert err.startswith("ghnpost: i/o error: [Errno ")
 
 
 _UNPARSABLE = {

@@ -19,9 +19,9 @@ from ghnpost.report import (
     project_embeddings,
 )
 from ghnpost.rng import RngStream
-from ghnpost.stats import Histogram
+from ghnpost.stats import Histogram, correlation_stats
 
-from conftest import correlated_tensor, make_checkpoint
+from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint
 
 
 def test_analyze_identical_channels():
@@ -230,3 +230,29 @@ def test_compare_csv_round_trip(small_checkpoint):
     assert parsed[0] == ["name", "max_abs_diff", "sigma_r_a", "sigma_r_b"]
     assert len(parsed) == 1 + len(rows)
     assert emit_compare_csv(rows) == text
+
+
+def _compare_one_layer(shape, seed):
+    a, b = correlated_tensor(shape, seed=seed), ghn_like_tensor(shape, seed=seed)
+    ckpts = [make_checkpoint([("w", shape, "linear", 0, w)]) for w in (a, b)]
+    (row,) = compare_checkpoints(*ckpts)
+    return row, a, b
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (16, 8, 3, 3), (64, 64), (130, 2, 8, 9)])
+def test_compare_sigma_r_is_the_fold_bit_for_bit_up_to_k_equal_chw(shape):
+    row, a, b = _compare_one_layer(shape, seed=61)
+    assert row.sigma_r_a == correlation_stats(a).sigma_r
+    assert row.sigma_r_b == correlation_stats(b).sigma_r
+
+
+@pytest.mark.parametrize("shape", [(129, 128), (300, 3, 3, 3), (1024, 1, 7, 7), (2048, 512)])
+def test_compare_sigma_r_of_tall_layers_is_near_the_fold(shape):
+    # compare takes a tall layer's sigma_r from the CHW x CHW Gram.  The
+    # GHN-like 129 x 128 (seed 1) differs most, 4.4e-11, and there the
+    # Gram's value is the one nearer an extended-precision oracle.
+    for seed in (1, 2):
+        row, a, b = _compare_one_layer(shape, seed)
+        for got, w in ((row.sigma_r_a, a), (row.sigma_r_b, b)):
+            want = correlation_stats(w).sigma_r
+            assert abs(got - want) <= 1e-10 * want, (got, want)

@@ -12,6 +12,7 @@ from ghnpost.errors import (
     UnsupportedRank,
 )
 from ghnpost.stats import (
+    _fold_values,
     channel_correlation,
     correlation_histogram,
     correlation_stats,
@@ -137,6 +138,15 @@ def test_histogram_extremes():
     values = np.array([[1.0, 1.0], [1.0, 1.0]])
     h = correlation_histogram(CorrelationMatrix(values=values), bins=2)
     np.testing.assert_array_equal(h.counts, [0, 1])
+
+
+def test_histogram_rejects_a_nan_entry():
+    from ghnpost.stats import CorrelationMatrix
+
+    values = np.eye(3)
+    values[0, 1] = values[1, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        correlation_histogram(CorrelationMatrix(values=values), bins=4)
 
 
 def test_histogram_vs_brute_force():
@@ -270,6 +280,30 @@ def test_near_duplicate_case_is_beyond_np_std():
     _, ref = _reference_offdiagonal(_near_duplicate())
     sigma, _ = _fsum_moments(ref)
     assert abs(np.std(ref) - sigma) > 1e-10 * sigma
+
+
+def _edge_values(bins):
+    """Every edge of np.histogram's bins over [-1, 1], both float
+    neighbours of each that lie in [-1, 1], and +-1."""
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    values = np.concatenate([edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0),
+                             [-1.0, 1.0]])
+    return values[(values >= -1.0) & (values <= 1.0)]
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3, 7, 50, 2**20])
+def test_bin_counter_is_np_histogram(bins):
+    # More than one 64K block, the last one partial, so the counter's
+    # buffers are reused and cut.
+    rng = np.random.default_rng(bins)
+    random = np.concatenate([rng.uniform(-1.0, 1.0, 150_001),
+                             np.clip(rng.normal(0.9, 0.2, 20_000), -1.0, 1.0)])
+    for values in (_edge_values(bins), random, rng.permutation(_edge_values(bins))):
+        got = _fold_values(2, values, bins).histogram
+        counts, edges = np.histogram(values, bins=bins, range=(-1.0, 1.0))
+        np.testing.assert_array_equal(got.counts, counts)
+        assert got.counts.dtype == counts.dtype
+        assert got.bin_edges.tobytes() == edges.tobytes()
 
 
 def test_fold_without_bins_has_no_histogram():

@@ -50,20 +50,21 @@ _CALLS = {
 
 @pytest.mark.parametrize("call", sorted(_CALLS))
 def test_many_short_channels_stay_near_the_panel_buffers(call):
-    # The fold holds two panel buffers plus np.histogram's block
-    # temporaries (measured 2.1-2.6 panels, 4 MiB each); nothing of size
-    # K x K or K(K-1)/2 fits under the bound.
+    # The fold (analyze, correlation_stats) holds two panel buffers plus
+    # the bin counter's buffers of one 64K block (measured 2.55 panels,
+    # 4 MiB each); sigma_r, compare and postprocess take the tall route
+    # (0.08-0.15 panels).  Nothing of size K x K or K(K-1)/2 fits under
+    # the bound.
     panel = _PANEL_ROWS * _K * 8
     assert _peak_bytes(_CALLS[call]) <= 4 * panel
 
 
 def test_compare_holds_one_layer_at_a_time():
     # Three 256 x 4096 layers per file, read lazily.  Comparing one layer
-    # holds its two float32 arrays, one float64 copy for sigma_r and the
-    # larger of the fold's two 128 x K panels and the 128 x CHW squares
-    # its channel norms are summed from (measured 20.0 MiB); the previous
-    # layer's arrays, or a whole-layer float64 difference, would pass the
-    # bound.
+    # holds its two float32 arrays, one float64 copy for sigma_r, the
+    # fold's two 128 x K panels and the 64K values its channel norms are
+    # squared into (measured 16.6 MiB); the previous layer's arrays, or a
+    # whole-layer float64 difference, would pass the bound.
     k, chw = 256, 4096
     rng = np.random.default_rng(2)
     metas = [TensorMeta(f"w{i}", (k, chw), "linear", i) for i in range(3)]

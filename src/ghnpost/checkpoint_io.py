@@ -18,10 +18,13 @@ offsets.  Writing the same checkpoint twice yields identical bytes, and
 ``read_checkpoint(write_checkpoint(c)) == c`` bit-exactly.
 
 Files are read and written one tensor at a time: :class:`CheckpointReader`
-parses the header and loads tensors on demand, :func:`write_tensors`
-writes the header and then a stream of arrays.  ``read_checkpoint`` and
-``write_checkpoint`` run the same two over an in-memory buffer, and
-:func:`positional_writer` writes each tensor at its offset, in any order.
+parses the header and loads tensors, or blocks of a tensor's rows, on
+demand, :func:`write_tensors` writes the header and then a stream of
+arrays.  ``read_checkpoint`` and ``write_checkpoint`` run the same two
+over an in-memory buffer, and :func:`positional_writer` writes each
+tensor at its offset, in any order.  A :class:`Checkpoint` and a reader
+both serve ``read_rows``, and :class:`TensorRows` reads one tensor
+through it a block of rows at a time, as ``analyze`` and ``compare`` do.
 
 The header and the JSON spec files (the fixture of :func:`import_json`
 and ``init``'s archspec) share each input rule, written once:
@@ -55,6 +58,7 @@ from .errors import (
     UnsupportedVersion,
     naming,
 )
+from .tensor_ops import geometry, row_step
 
 MAGIC = b"GHNP"
 FORMAT_VERSION = 1
@@ -103,6 +107,12 @@ class Checkpoint:
             if meta.name == name:
                 return meta, arr
         raise KeyError(name)
+
+    def read_rows(self, i: int, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows r0..r1 of tensor i's first axis: a view of its array
+        (``out`` is not needed), as :meth:`CheckpointReader.read_rows`
+        reads them from a file."""
+        return self.tensors[i][1][r0:r1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Checkpoint):
@@ -339,10 +349,10 @@ class CheckpointReader:
 
     The constructor reads and checks the whole header and every tensor's
     byte range against the file size, so a malformed or truncated file
-    fails before any tensor is loaded.  Tensors are then read by offset,
-    in any order and from any thread: each load is one ``seek`` +
-    ``readinto`` into a fresh float32 array, under a lock.  The handle must
-    stay open while tensors are loaded.
+    fails before any tensor is loaded.  Tensors, or blocks of their rows,
+    are then read by offset, in any order and from any thread: each read
+    is one ``seek`` + ``readinto`` under a lock (:meth:`read_rows`).  The
+    handle must stay open while tensors are loaded.
     """
 
     def __init__(self, handle: BinaryIO):
@@ -362,15 +372,46 @@ class CheckpointReader:
     def _load(self, i: int) -> np.ndarray:
         meta = self.metas[i]
         with naming(meta.name):
-            arr = np.empty(math.prod(meta.shape), dtype="<f4")
-            with self._lock:
-                self._handle.seek(self._starts[i])
-                got = self._handle.readinto(arr)
-            if got != arr.nbytes:
-                raise TruncatedData(
-                    f"read {got or 0} of {arr.nbytes} bytes; the file shrank while it was read"
-                )
-        return arr.reshape(meta.shape).astype(np.float32, copy=False)
+            return self.read_rows(i, 0, meta.shape[0]).astype(np.float32, copy=False)
+
+    def read_rows(self, i: int, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows r0..r1 of tensor i's first axis, shaped (r1 - r0, *shape[1:]),
+        read into the float32 buffer ``out`` (a new array if None), which
+        must hold at least that many values.  A file that shrank since the
+        header was checked raises TruncatedData; the caller names the
+        tensor."""
+        shape = self.metas[i].shape
+        row = math.prod(shape[1:])
+        count = (r1 - r0) * row
+        buf = np.empty(count, dtype="<f4") if out is None else out[:count]
+        with self._lock:
+            self._handle.seek(self._starts[i] + r0 * row * _F32_BYTES)
+            got = self._handle.readinto(buf)
+        if got != buf.nbytes:
+            raise TruncatedData(
+                f"read {got or 0} of {buf.nbytes} bytes; the file shrank while it was read"
+            )
+        return buf.reshape((r1 - r0, *shape[1:]))
+
+
+class TensorRows:
+    """Tensor ``i`` of a :class:`Checkpoint` or :class:`CheckpointReader`
+    as a row source of :func:`~ghnpost.tensor_ops.row_blocks`: ``read(r0,
+    r1)`` gives rows r0..r1 of its K x CHW matrix through ``read_rows``,
+    into one float32 buffer of a block's rows that every read reuses.
+    So a file's layer is never held whole as float32.  The constructor
+    allocates the buffer, and raises UnsupportedRank for a rank other
+    than 2 or 4; the caller names the tensor.
+    """
+
+    def __init__(self, source: Checkpoint | CheckpointReader, i: int):
+        self.shape = source.metas[i].shape
+        self._source, self._i = source, i
+        k, chw, _ = geometry(self.shape)
+        self._buf = np.empty(row_step(k, chw) * chw, dtype="<f4")
+
+    def read(self, r0: int, r1: int) -> np.ndarray:
+        return self._source.read_rows(self._i, r0, r1, self._buf)
 
 
 def read_checkpoint(data: bytes) -> Checkpoint:

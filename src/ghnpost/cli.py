@@ -9,6 +9,9 @@ Checkpoints are read and written one tensor at a time, and layers
 complete in any order, each written at its own offset: memory holds the
 header and the working sets of the layers in flight (at most about two of
 the largest; see :func:`~ghnpost.postprocess._run_layers`), not the file.
+``analyze`` and ``compare`` read each conv/linear layer a block of rows
+at a time into its float64 channels, so they hold one float64 copy of
+one layer and no float32 copy (see :func:`~ghnpost.report.analyze_checkpoint`).
 """
 
 from __future__ import annotations

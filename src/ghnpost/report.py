@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, CheckpointReader, TensorMeta
+from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, CheckpointReader, TensorRows
 from .errors import DegenerateInput, SchemaError, StructureMismatch, naming
 from .linalg import pca_project
 from .stats import Histogram, correlation_stats, sigma_r
-from .tensor_ops import geometry
+from .tensor_ops import geometry, row_blocks, row_step
 
 
 @dataclass
@@ -76,27 +76,25 @@ def _csv(header: list[str], rows: Iterable[list]) -> str:
     return buf.getvalue()
 
 
-def analyze_checkpoint(
-    c: Iterable[tuple[TensorMeta, np.ndarray]], bins: int
-) -> AnalysisReport:
+def analyze_checkpoint(c: Checkpoint | CheckpointReader, bins: int) -> AnalysisReport:
     """Correlation statistics for every conv/linear tensor, in file order.
 
-    ``c`` is a Checkpoint or a CheckpointReader: any stream of (meta,
-    array) pairs, visited once.  A tensor holding NaN or Inf raises
-    NonFiniteTensor naming it; one whose working memory cannot be
-    allocated raises OutOfMemory naming it.
+    Each one is read through :class:`~ghnpost.checkpoint_io.TensorRows`, a
+    block of rows at a time, straight into the float64 channels of
+    :func:`~ghnpost.stats.correlation_stats`: a layer holds one float64
+    copy and no whole float32 array, and other tensors are not read.  A
+    tensor holding NaN or Inf raises NonFiniteTensor naming it; one whose
+    working memory cannot be allocated raises OutOfMemory naming it.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     records = []
-    layer_count = 0
-    for meta, arr in c:
-        layer_count += 1
+    for i, meta in enumerate(c.metas):
         if meta.kind not in ELIGIBLE_KINDS:
             continue
         with naming(meta.name):
-            k, chw, _ = geometry(arr.shape)
-            stats = correlation_stats(arr, bins)
+            k, chw, _ = geometry(meta.shape)
+            stats = correlation_stats(TensorRows(c, i), bins)
         records.append(LayerRecord(
             name=meta.name,
             kind=meta.kind,
@@ -109,7 +107,7 @@ def analyze_checkpoint(
         ))
     return AnalysisReport(
         records=records,
-        layer_count=layer_count,
+        layer_count=len(c.metas),
         eligible_layer_count=len(records),
     )
 
@@ -276,23 +274,19 @@ def emit_projection_csv(rows: list[ProjectionRow]) -> str:
 # Checkpoint comparison
 # --------------------------------------------------------------------------
 
-# Values per step of compare's max |a - b|: 512 KiB of float64.
-_DIFF_CHUNK = 1 << 16
-
-
 def compare_checkpoints(
     a: Checkpoint | CheckpointReader, b: Checkpoint | CheckpointReader
 ) -> list[CompareRow]:
     """Per-layer diff of two structurally identical checkpoints.
 
-    The structure is checked from the metadata alone; then the tensors of
-    ``a`` are visited in file order and each is matched with ``b``'s tensor
-    of the same name, so a pair of readers holds two tensors at a time.
-    sigma_r comes from :func:`~ghnpost.stats.sigma_r`: the value ``analyze``
-    prints where K <= CHW, bit for bit, and the CHW x CHW Gram's on tall
-    layers (K > CHW), within about 1e-10 relative of it.
-    A conv/linear tensor holding NaN or Inf in either checkpoint raises
-    NonFiniteTensor naming it (see :func:`_compare_layer`).
+    The structure is checked from the metadata alone; then each
+    conv/linear tensor of ``a``, in file order, is matched with ``b``'s
+    tensor of the same name and both are read through
+    :class:`~ghnpost.checkpoint_io.TensorRows` (see :func:`_compare_layer`):
+    a layer holds one float64 copy and a few row blocks, and other tensors
+    are not read.  sigma_r comes from :func:`~ghnpost.stats.sigma_r`: the
+    value ``analyze`` prints where K <= CHW, bit for bit, and the CHW x CHW
+    Gram's on tall layers (K > CHW), within about 1e-10 relative of it.
     """
     a_shapes = {meta.name: meta.shape for meta in a.metas}
     b_shapes = {meta.name: meta.shape for meta in b.metas}
@@ -309,43 +303,41 @@ def compare_checkpoints(
     if problems:
         raise StructureMismatch("; ".join(problems))
 
+    b_index = {meta.name: j for j, meta in enumerate(b.metas)}
     rows = []
-    for meta, arr_a in a:
+    for i, meta in enumerate(a.metas):
         if meta.kind in ELIGIBLE_KINDS:
-            rows.append(_compare_layer(meta.name, arr_a, b.get(meta.name)[1]))
-        # Released before the next tensor is read: one layer at a time.
-        del arr_a
+            with naming(meta.name):
+                pair = TensorRows(a, i), TensorRows(b, b_index[meta.name])
+            rows.append(_compare_layer(meta.name, *pair))
     return rows
 
 
-def _compare_layer(name: str, arr_a: np.ndarray, arr_b: np.ndarray) -> CompareRow:
-    """The row of one conv/linear tensor; NaN or Inf in either array
-    raises NonFiniteTensor, and memory that cannot be allocated
-    OutOfMemory, naming the tensor and the checkpoint."""
+def _compare_layer(name: str, rows_a: TensorRows, rows_b: TensorRows) -> CompareRow:
+    """The row of one conv/linear tensor: sigma_r of each file's tensor,
+    one after the other, then max |a - b| from the same row blocks of
+    both.  NaN or Inf in either raises NonFiniteTensor naming the tensor
+    and the checkpoint; memory that cannot be allocated, OutOfMemory
+    naming the tensor."""
     sigmas = []
-    for which, arr in (("first", arr_a), ("second", arr_b)):
+    for which, rows in (("first", rows_a), ("second", rows_b)):
         with naming(name, f" ({which} checkpoint)"):
-            sigmas.append(sigma_r(arr))
-    return CompareRow(
-        name=name,
-        max_abs_diff=_max_abs_diff(arr_a, arr_b),
-        sigma_r_a=sigmas[0],
-        sigma_r_b=sigmas[1],
-    )
+            sigmas.append(sigma_r(rows))
+    with naming(name):
+        diff = _max_abs_diff(rows_a, rows_b)
+    return CompareRow(name=name, max_abs_diff=diff, sigma_r_a=sigmas[0], sigma_r_b=sigmas[1])
 
 
-def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| over two same-shaped arrays, _DIFF_CHUNK values at a
-    time through one float64 scratch.  float32 -> float64 is exact, so
-    each difference is the same IEEE subtraction as on two float64
-    copies, and the max of the chunk maxima is the max."""
-    a, b = a.reshape(-1), b.reshape(-1)
-    scratch = np.empty(min(a.size, _DIFF_CHUNK))
+def _max_abs_diff(a: TensorRows, b: TensorRows) -> float:
+    """max |a - b| over two same-shaped row sources, a row block of each
+    at a time through one float64 scratch.  float32 -> float64 is exact,
+    so each difference is the same IEEE subtraction as on two float64
+    copies, and the max of the block maxima is the max."""
+    k, chw, _ = geometry(a.shape)
+    scratch = np.empty((row_step(k, chw), chw))
     top = 0.0
-    for start in range(0, a.size, _DIFF_CHUNK):
-        stop = min(start + _DIFF_CHUNK, a.size)
-        d = np.subtract(a[start:stop], b[start:stop], out=scratch[: stop - start],
-                        dtype=np.float64)
+    for (_, block_a), (_, block_b) in zip(row_blocks(a), row_blocks(b)):
+        d = np.subtract(block_a, block_b, out=scratch[: len(block_a)], dtype=np.float64)
         top = max(top, float(np.max(np.abs(d, out=d))))
     return top
 

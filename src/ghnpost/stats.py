@@ -2,7 +2,9 @@
 
 A "channel" is row k of the K x CHW view of a rank-2/4 weight tensor.
 All accumulation runs in float64 regardless of storage dtype, so that
-correlations of near-identical channels stay stable.
+correlations of near-identical channels stay stable.  The channels come
+from an array or, a block of rows at a time, from a checkpoint file
+(:func:`_centered`); either way they are copied once, into float64.
 
 :func:`correlation_stats` computes everything the command line reports
 (sigma_r, mean |r| and the histogram) in one pass over row panels of the
@@ -40,14 +42,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelTooShort, TooFewChannels
-from .tensor_ops import check_finite, geometry
+from .tensor_ops import check_finite, geometry, row_blocks, row_step
 
 # Gram rows per panel: each panel's GEMM rereads the channels below it, so
 # shorter panels cost time and longer ones memory (CHANGES.md).
 _PANEL_ROWS = 128
 
-# Values per step of the bin counter and of the channel centering: 512 KiB
-# of float64, which stays in cache across a step's passes.
+# Values per step of the bin counter: 512 KiB of float64, which stays in
+# cache across a step's passes.
 _BLOCK = 1 << 16
 
 # Exactly collinear channels compute as +-1 give or take a few ulp
@@ -85,40 +87,42 @@ class CorrelationStats:
     histogram: Histogram | None  # None unless bins were asked for
 
 
-def _centered(
-    w: np.ndarray, work: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _centered(w, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean-centered float64 channels, their safe norms and the dead mask.
 
-    The channels go to a new array, or into ``work``, a contiguous float64
-    buffer of w.size elements.  A tensor holding NaN or Inf raises
-    NonFiniteTensor (:func:`~ghnpost.tensor_ops.check_finite` on the
-    norms): it has no finite correlation.
+    ``w`` is a rank-2/4 array or a row source (see
+    :func:`~ghnpost.tensor_ops.row_blocks`): its channels are copied a
+    block of rows at a time, from views of the array or from the source's
+    float32 buffer, so a source's layer is never whole in float32.  They
+    go to a new array, or into ``work``, a contiguous float64 buffer of
+    w's size.  A tensor holding NaN or Inf raises NonFiniteTensor
+    (:func:`~ghnpost.tensor_ops.check_finite` on each block's norms
+    against its rows): it has no finite correlation.
     """
     k, chw, _ = geometry(w.shape)
     if chw < 2:
         raise ChannelTooShort(f"channels have {chw} elements, need at least 2")
     xc = np.empty((k, chw)) if work is None else work.reshape(k, chw)
-    src = w.reshape(k, chw)
     norms = np.empty(k)
-    # Each row is centered and reduced on its own, so steps of rows give
-    # the bits of whole-array passes, with each step still in cache: about
-    # _BLOCK values a step (one row where a row is longer), squared into
-    # one reused buffer.
-    step = max(1, _BLOCK // chw)
-    squares = np.empty((min(step, k), chw))
-    # A NaN or Inf in a channel makes its norm NaN or Inf (so do float64
-    # values whose squares overflow, blamed on the overflow).
+    # Each row is centered and reduced on its own, so blocks of rows give
+    # the bits of whole-array passes, with each block still in cache:
+    # about 64K values a block (one row where a row is longer), squared
+    # into one reused buffer.
+    squares = np.empty((row_step(k, chw), chw))
+    # A NaN or Inf in a channel makes its squared norm NaN or Inf (so do
+    # float64 values whose squares overflow, blamed on the overflow;
+    # float32 squares cannot overflow).
     with np.errstate(invalid="ignore", over="ignore"):
-        for i0 in range(0, k, step):
-            rows = xc[i0 : i0 + step]
-            np.copyto(rows, src[i0 : i0 + step])
+        for r0, src in row_blocks(w):
+            r1 = r0 + len(src)
+            rows = xc[r0:r1]
+            np.copyto(rows, src)
             rows -= rows.mean(axis=1, keepdims=True)
-            sq = squares[: len(rows)]
+            sq = squares[: r1 - r0]
             np.multiply(rows, rows, out=sq)
-            np.sum(sq, axis=1, out=norms[i0 : i0 + step])
+            np.sum(sq, axis=1, out=norms[r0:r1])
+            check_finite(norms[r0:r1], src)
         np.sqrt(norms, out=norms)
-    check_finite(norms, w)
     dead = norms == 0.0
     return xc, np.where(dead, 1.0, norms), dead
 
@@ -247,10 +251,11 @@ class _Fold:
         )
 
 
-def correlation_stats(w: np.ndarray, bins: int | None = None) -> CorrelationStats:
+def correlation_stats(w, bins: int | None = None) -> CorrelationStats:
     """sigma_r, mean |r| and (with ``bins``) the histogram of a tensor's
     off-diagonal channel correlations, holding only the float64 channels
-    and two ``_PANEL_ROWS x K`` buffers.
+    and two ``_PANEL_ROWS x K`` buffers.  ``w`` is an array or a row
+    source, as for :func:`_centered`; both give the same bits.
 
     Each Gram panel is normalized as in :func:`channel_correlation`,
     its strict upper triangle packed and folded in, and the panel reused.
@@ -286,12 +291,13 @@ def _fold_panels(
     return fold.result()
 
 
-def sigma_r(w: np.ndarray, work: np.ndarray | None = None) -> float:
+def sigma_r(w, work: np.ndarray | None = None) -> float:
     """sigma_r of a tensor's channel correlations, as
-    ``correlation_stats(w).sigma_r`` computes it.
+    ``correlation_stats(w).sigma_r`` computes it; ``w`` is an array or a
+    row source, as for :func:`_centered`.
 
     The float64 channels go to a new array, or into ``work``, a contiguous
-    float64 buffer of w.size elements, which is left clobbered.  With
+    float64 buffer of w's size, which is left clobbered.  With
     K <= CHW the value is the fold's, bit for bit.  A tall layer (K > CHW)
     gets it from the CHW x CHW Gram instead (see :func:`_tall_sigma`),
     within about 1e-10 relative of the fold.  Needs at least two channels.

@@ -7,12 +7,14 @@ as many rows as columns, which is what the QR step downstream requires.
 :func:`geometry` is the one place that reads K, CHW and that choice off a
 shape, and that rejects any other rank.  :func:`check_finite` is the one
 place that finds NaN or Inf in layer data, and blames the input or the
-arithmetic for it.
+arithmetic for it.  :func:`row_blocks` walks a K x CHW matrix in blocks
+of whole rows, from an array or from a checkpoint file.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,35 @@ def geometry(shape: tuple[int, ...]) -> tuple[int, int, bool]:
         raise UnsupportedRank(f"expected rank 2 or 4 tensor, got rank {len(shape)}")
     k, chw = shape[0], math.prod(shape[1:])
     return k, chw, k < chw
+
+
+# Values per row block: 512 KiB of float64, which stays in cache across a
+# block's passes.
+_ROW_VALUES = 1 << 16
+
+
+def row_step(k: int, chw: int) -> int:
+    """Rows per :func:`row_blocks` block of a K x CHW matrix: about 64K
+    values, at least one row and at most K."""
+    return min(max(1, _ROW_VALUES // chw), k)
+
+
+def row_blocks(w) -> Iterator[tuple[int, np.ndarray]]:
+    """(r0, rows r0 .. r0 + :func:`row_step` of w's K x CHW matrix) for
+    each block, in order.  ``w`` is a rank-2/4 array, whose blocks are
+    views, or a row source: anything with ``shape`` and ``read(r0, r1)``,
+    such as :class:`~ghnpost.checkpoint_io.TensorRows`, whose blocks are
+    valid until the next read."""
+    k, chw, _ = geometry(w.shape)
+    step = row_step(k, chw)
+    if isinstance(w, np.ndarray):
+        mat = w.reshape(k, chw)
+        for r0 in range(0, k, step):
+            yield r0, mat[r0 : r0 + step]
+    else:
+        for r0 in range(0, k, step):
+            r1 = min(r0 + step, k)
+            yield r0, w.read(r0, r1).reshape(r1 - r0, chw)
 
 
 def check_finite(out: np.ndarray, source: np.ndarray | None = None) -> None:

@@ -759,7 +759,9 @@ def test_unallocatable_channel_buffer_is_one_line_numerical_error(
 def test_unloadable_tensor_is_one_line_numerical_error(
     command, ckpt_path, tmp_path, monkeypatch, capsys
 ):
-    # No tensor's float32 array can be allocated as the file is read.
+    # No float32 buffer can be allocated as the file is read: postprocess
+    # loads each tensor whole (CheckpointReader._load), analyze and compare
+    # read each layer through TensorRows' row-block buffer.
     monkeypatch.setattr(checkpoint_io, "np", _NumpyRefusing(lambda shape: True))
     out = tmp_path / "out"
     assert run(_ARGV[command](str(ckpt_path)) + ["--out", str(out)]) == 3
@@ -1028,10 +1030,11 @@ _ARCHSPEC = [{k: e[k] for k in ("name", "shape", "kind", "depth")} for e in _HEA
 
 
 def _cases(tmp: Path, command: str, raw: bytes, whole: bool = False,
-           svg_dir: str | None = None) -> tuple[list[str], Path]:
+           svg_dir: str | None = None, good: bytes | None = None) -> tuple[list[str], Path]:
     """argv of ``command`` on the header or archspec ``raw`` (files in tmp),
     or with ``whole`` on the checkpoint file ``raw``, and its output path;
-    ``svg_dir`` names analyze's --svg-dir in tmp."""
+    ``svg_dir`` names analyze's --svg-dir in tmp, and ``good`` the first
+    checkpoint of compare (default: the small valid one)."""
     out = tmp / ("out.ckpt" if command in ("postprocess", "init") else "out.csv")
     inp = tmp / "in"
     if command == "init":
@@ -1039,9 +1042,10 @@ def _cases(tmp: Path, command: str, raw: bytes, whole: bool = False,
         return ["init", str(inp), "--method", "orth", "--out", str(out)], out
     inp.write_bytes(raw if whole else _blob_with_raw_header(raw, _DATA))
     if command == "compare":
-        good = tmp / "good.ckpt"
-        good.write_bytes(_blob_with_raw_header(json.dumps(_HEADER).encode(), _DATA))
-        return ["compare", str(good), str(inp), "--out", str(out)], out
+        first = tmp / "good.ckpt"
+        first.write_bytes(_blob_with_raw_header(json.dumps(_HEADER).encode(), _DATA)
+                          if good is None else good)
+        return ["compare", str(first), str(inp), "--out", str(out)], out
     if command == "postprocess":
         return ["postprocess", str(inp), "--start-layer", "0", "--out", str(out)], out
     svgs = [] if svg_dir is None else ["--svg-dir", str(tmp / svg_dir)]
@@ -1049,14 +1053,14 @@ def _cases(tmp: Path, command: str, raw: bytes, whole: bool = False,
 
 
 def _ends_cleanly(command: str, raw: bytes, whole: bool = False,
-                  svg_dir: str | None = None) -> tuple[int, str]:
+                  svg_dir: str | None = None, good: bytes | None = None) -> tuple[int, str]:
     """Run ``command`` on ``raw`` (as for :func:`_cases`) and check how it
     ended: run() neither
     raises nor warns; exit 0 leaves finite output, any other exit no output
     and no temp file, and each message is one line naming what is at
     fault.  Returns (exit code, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv, out = _cases(Path(tmp), command, raw, whole, svg_dir)
+        argv, out = _cases(Path(tmp), command, raw, whole, svg_dir, good)
         inputs = sorted(os.listdir(tmp))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -1078,6 +1082,32 @@ def _ends_cleanly(command: str, raw: bytes, whole: bool = False,
         if code == 3:
             assert message.startswith("ghnpost: numerical error: tensor ")
     return code, message
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_file_shrinking_inside_a_layer_during_the_row_reads_is_data_error(command, monkeypatch):
+    # The header checks pass; the input then loses the last 8 bytes of
+    # l1.fc, its last eligible tensor, before any rows are read.  Its two
+    # 128-row blocks are read past any file buffer, so the second is short.
+    blob = bytes(write_checkpoint(make_checkpoint([
+        ("l0.conv", (64, 8, 3, 3), "conv", 0, ghn_like_tensor((64, 8, 3, 3), seed=1)),
+        ("l0.norm", (64,), "norm", 0, np.ones(64, np.float32)),
+        ("l1.fc", (256, 512), "linear", 1, ghn_like_tensor((256, 512), seed=2)),
+    ])))
+    real_reader = cli.CheckpointReader
+
+    def reader_then_truncate(handle):
+        reader = real_reader(handle)
+        if Path(handle.name).name == "in":
+            os.truncate(handle.name, len(blob) - 8)
+        return reader
+
+    monkeypatch.setattr(cli, "CheckpointReader", reader_then_truncate)
+    code, err = _ends_cleanly(command, blob, whole=True, good=blob)
+    assert code == 2
+    note = " (second checkpoint)" if command == "compare" else ""
+    assert err == (f"ghnpost: data error: tensor 'l1.fc'{note}: read 262136 of 262144 bytes; "
+                   "the file shrank while it was read\n")
 
 
 @pytest.mark.parametrize("svg_dir", ["in", "out.csv"], ids=["svg_write", "csv_write"])

@@ -5,9 +5,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from ghnpost.checkpoint_io import Checkpoint, CheckpointReader, TensorMeta, write_tensors
 from ghnpost.errors import DegenerateInput, SchemaError, StructureMismatch, TooFewChannels
 from ghnpost.postprocess import PostprocessConfig, ghn_orth, saxe_orthogonal_init
 from ghnpost.report import (
+    CompareRow,
     EmbeddingSet,
     analyze_checkpoint,
     compare_checkpoints,
@@ -19,7 +21,7 @@ from ghnpost.report import (
     project_embeddings,
 )
 from ghnpost.rng import RngStream
-from ghnpost.stats import Histogram, correlation_stats
+from ghnpost.stats import Histogram, correlation_stats, sigma_r
 
 from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint
 
@@ -256,3 +258,47 @@ def test_compare_sigma_r_of_tall_layers_is_near_the_fold(shape):
         for got, w in ((row.sigma_r_a, a), (row.sigma_r_b, b)):
             want = correlation_stats(w).sigma_r
             assert abs(got - want) <= 1e-10 * want, (got, want)
+
+
+# Read in row blocks of about 64K values (tensor_ops.row_step), the tall,
+# wide, square, conv and dead-channel layers span several blocks with a
+# short last one; the long rows take one row per block.
+_SOURCE_LAYERS = {
+    "tall": (3500, 20),
+    "wide": (20, 5000),
+    "square": (300, 300),
+    "conv": (1000, 8, 3, 3),
+    "dead_channel": (40, 2000),
+    "k2": (2, 50),
+    "long_rows": (2, 70000),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(_SOURCE_LAYERS))
+def test_file_and_memory_sources_give_the_same_bits(layer):
+    # A CheckpointReader streams the layer's rows from the file, a
+    # Checkpoint hands out views of its array; both must give the bits of
+    # the functions on the array itself.
+    shape = _SOURCE_LAYERS[layer]
+    a, b = correlated_tensor(shape, seed=71), ghn_like_tensor(shape, seed=71)
+    if layer == "dead_channel":
+        a[3] = 0.5
+        b[37] = 0.0
+    norm = np.ones(4, np.float32)  # read past, so the layer sits at an offset
+    metas = [TensorMeta("bn", (4,), "norm", 0), TensorMeta("w", shape, "linear", 0)]
+    memory, files = [], []
+    for w in (a, b):
+        memory.append(Checkpoint(tensors=list(zip(metas, (norm, w)))))
+        handle = io.BytesIO()
+        write_tensors(handle, metas, (norm, w))
+        files.append(CheckpointReader(handle))
+
+    want = correlation_stats(a, bins=50)
+    for source in (memory[0], files[0]):
+        (rec,) = analyze_checkpoint(source, bins=50).records
+        assert (rec.sigma_r, rec.mean_abs_offdiag) == (want.sigma_r, want.mean_abs)
+        np.testing.assert_array_equal(rec.histogram.counts, want.histogram.counts)
+    diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+    want_rows = [CompareRow("w", diff, sigma_r(a), sigma_r(b))]
+    assert compare_checkpoints(*memory) == want_rows
+    assert compare_checkpoints(*files) == want_rows

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghnpost.checkpoint_io import CheckpointReader, TensorMeta, TensorRows, write_tensors
 from ghnpost.errors import (
     ChannelTooShort,
     NonFiniteTensor,
@@ -444,3 +446,13 @@ def test_sigma_r_of_positive_multiples_is_zero_as_the_fold_snaps_it():
         assert w.shape[0] > w.shape[1]
         assert correlation_stats(w).sigma_r == 0.0
         assert sigma_r(w) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(5000, 3, 3, 3), (3500, 20), (20, 5000), (2, 70000)])
+def test_sigma_r_of_a_row_source_is_sigma_r_of_the_array(shape):
+    # Tall layers (the CHW x CHW route) and wide ones (the fold), read from
+    # a file in several row blocks, or one row at a time.
+    w = correlated_tensor(shape, seed=73)
+    handle = io.BytesIO()
+    write_tensors(handle, [TensorMeta("w", shape, "conv", 0)], [w])
+    assert sigma_r(TensorRows(CheckpointReader(handle), 0)) == sigma_r(w)

@@ -59,26 +59,45 @@ def test_many_short_channels_stay_near_the_panel_buffers(call):
     assert _peak_bytes(_CALLS[call]) <= 4 * panel
 
 
-def test_compare_holds_one_layer_at_a_time():
-    # Three 256 x 4096 layers per file, read lazily.  Comparing one layer
-    # holds its two float32 arrays, one float64 copy for sigma_r, the
-    # fold's two 128 x K panels and the 64K values its channel norms are
-    # squared into (measured 16.6 MiB); the previous layer's arrays, or a
-    # whole-layer float64 difference, would pass the bound.
+def _readers(files: int):
+    """Readers over ``files`` files of three 256 x 4096 layers each."""
     k, chw = 256, 4096
     rng = np.random.default_rng(2)
     metas = [TensorMeta(f"w{i}", (k, chw), "linear", i) for i in range(3)]
-    files = []
-    for _ in range(2):
+    readers = []
+    for _ in range(files):
         handle = io.BytesIO()
         write_tensors(handle, metas, (rng.standard_normal((k, chw), np.float32) for _ in metas))
-        files.append(handle)
-    readers = [CheckpointReader(handle) for handle in files]
+        readers.append(CheckpointReader(handle))
+    # One float64 copy of a layer, the fold's two 128 x K panels, and five
+    # 64K-value float64 blocks: the bin counter's four buffers, or the
+    # channel squares, the float32 row buffers and the difference scratch.
+    bound = k * chw * 8 + 2 * _PANEL_ROWS * k * 8 + 5 * (1 << 16) * 8
+    return readers, bound
+
+
+def test_compare_holds_one_layer_at_a_time():
+    # Each layer's sigma_r is read from the file a row block at a time into
+    # its float64 channels, and max |a - b| from row blocks of both files
+    # (measured 9.1 MiB of an 11 MiB bound).  A whole float32 layer of
+    # either file (4 MiB; both, as before, measured 16.6 MiB), the previous
+    # layer, or a whole-layer float64 difference would fail the bound.
+    readers, bound = _readers(2)
     rows = []
     peak = _peak_bytes(lambda: rows.extend(compare_checkpoints(*readers)))
     assert len(rows) == 3
-    panels = _PANEL_ROWS * max(2 * k, chw) * 8
-    assert peak <= 2 * (k * chw * 4) + k * chw * 8 + panels + (1 << 20)
+    assert peak <= bound
+
+
+def test_analyze_holds_one_layer_at_a_time():
+    # The fold's channels come from the file a row block at a time
+    # (measured 10.4 MiB); a whole float32 layer on top, as before,
+    # measured 14.2 MiB.
+    (reader,), bound = _readers(1)
+    report = []
+    peak = _peak_bytes(lambda: report.append(analyze_checkpoint(reader, bins=50)))
+    assert report[0].eligible_layer_count == 3
+    assert peak <= bound
 
 
 def test_noise_only_layer_stays_within_its_float64_copy():

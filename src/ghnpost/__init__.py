@@ -5,10 +5,8 @@ from .checkpoint_io import (
     Checkpoint,
     CheckpointReader,
     TensorMeta,
-    import_json,
     read_checkpoint,
     write_checkpoint,
-    write_tensors,
 )
 from .linalg import PcaResult, pca_project, qr_decompose, sign_adjust
 from .postprocess import (
@@ -18,7 +16,6 @@ from .postprocess import (
     ghn_orth,
     ghn_orth_tensor,
     he_init,
-    init_checkpoint,
     orthogonal_reinit,
     saxe_orthogonal_init,
 )
@@ -73,8 +70,6 @@ __all__ = [
     "ghn_orth",
     "ghn_orth_tensor",
     "he_init",
-    "import_json",
-    "init_checkpoint",
     "matricize",
     "orthogonal_reinit",
     "pca_project",
@@ -85,6 +80,5 @@ __all__ = [
     "sigma_r",
     "sign_adjust",
     "write_checkpoint",
-    "write_tensors",
     "__version__",
 ]

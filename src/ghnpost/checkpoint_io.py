@@ -1,4 +1,4 @@
-"""Binary checkpoint container and JSON fixture import.
+"""Binary checkpoint container.
 
 File layout (all integers little-endian)::
 
@@ -17,21 +17,21 @@ Serialization is canonical: sorted keys, no whitespace, contiguous
 offsets.  Writing the same checkpoint twice yields identical bytes, and
 ``read_checkpoint(write_checkpoint(c)) == c`` bit-exactly.
 
-Files are read and written one tensor at a time: :class:`CheckpointReader`
-parses the header and loads tensors, or blocks of a tensor's rows, on
-demand, :func:`write_tensors` writes the header and then a stream of
-arrays.  ``read_checkpoint`` and ``write_checkpoint`` run the same two
-over an in-memory buffer, and :func:`positional_writer` writes each
-tensor at its offset, in any order.  A :class:`Checkpoint` and a reader
-both serve ``read_rows``, and :class:`TensorRows` reads one tensor
-through it a block of rows at a time, as ``analyze`` and ``compare`` do.
+There is one reader and one way to lay out a file.
+:class:`CheckpointReader` parses the header and then reads tensors
+(:meth:`~CheckpointReader.load`), or blocks of a tensor's rows
+(:class:`TensorRows`, as ``analyze`` and ``compare`` read them), on
+demand.  :func:`encode_header` gives the header bytes and every tensor's
+offset, which :func:`positional_writer` (a file, any tensor order) and
+:func:`write_checkpoint` (an in-memory :class:`Checkpoint`) fill.
+:func:`read_checkpoint` runs the reader over bytes.
 
-The header and the JSON spec files (the fixture of :func:`import_json`
-and ``init``'s archspec) share each input rule, written once:
-:func:`_decode_json` turns bytes into a document, :func:`_entry_meta`
-turns one entry object into a :class:`TensorMeta`, and
-:func:`_check_metas` holds every rule on the metadata values, also for
-the writer.  A tensor name is a non-empty string that encodes as UTF-8.
+The header and ``init``'s archspec (:func:`parse_tensor_specs`) share
+each input rule, written once: :func:`_decode_json` turns bytes into a
+document, :func:`_entry_meta` turns one entry object into a
+:class:`TensorMeta`, and :func:`_check_metas` holds every rule on the
+metadata values, also for the writer.  A tensor name is a non-empty
+string that encodes as UTF-8.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .errors import (
     BadMagic,
     CorruptHeader,
     SchemaError,
-    ShapeMismatch,
     TruncatedData,
     UnsupportedVersion,
     naming,
@@ -108,12 +107,6 @@ class Checkpoint:
                 return meta, arr
         raise KeyError(name)
 
-    def read_rows(self, i: int, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows r0..r1 of tensor i's first axis: a view of its array
-        (``out`` is not needed), as :meth:`CheckpointReader.read_rows`
-        reads them from a file."""
-        return self.tensors[i][1][r0:r1]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Checkpoint):
             return NotImplemented
@@ -141,7 +134,7 @@ def _check_metas(
     Names are unique non-empty strings that encode as UTF-8, kinds are
     known, shapes have 1-4 positive integer dimensions, and depths are
     non-negative integers that do not decrease in file order.  The header
-    reader, the writer and the JSON importer all check through here, each
+    reader, the writer and the archspec reader all check through here, each
     with its own error class.
     """
     seen: set[str] = set()
@@ -207,38 +200,27 @@ def encode_header(metas: Sequence[TensorMeta]) -> tuple[bytes, list[int]]:
     return head, [len(head) + e["offset"] for e in entries] + [len(head) + offset]
 
 
-def write_tensors(
-    handle: BinaryIO, metas: Sequence[TensorMeta], arrays: Iterable[np.ndarray]
-) -> None:
-    """Write a checkpoint in canonical form to ``handle``, one tensor at a time.
-
-    All offsets follow from the shapes, so the header goes out first; then
-    each array of ``arrays`` is checked against its meta (shape, float32)
-    and written in header order.  Only one array of the stream needs to be
-    in memory at a time.  Bad metas, a bad array, or a stream that is
-    shorter or longer than ``metas`` raise ValueError: these are
-    programming errors, not data errors.
-    """
-    handle.write(encode_header(metas)[0])
-    for meta, arr in zip(metas, arrays, strict=True):
-        _check_array(meta, arr)
-        handle.write(np.ascontiguousarray(arr, dtype="<f4").data)
+def _tensor_bytes(meta: TensorMeta, arr: np.ndarray) -> memoryview:
+    """The bytes of ``arr`` as the file stores them (C-ordered ``<f4``),
+    once it is checked against ``meta``: its shape, and dtype float32.  A
+    bad array raises ValueError, a programming error, not a data error."""
+    _check_array(meta, arr)
+    return memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B")
 
 
 def positional_writer(fd: int, metas: Sequence[TensorMeta]) -> Callable[[int, np.ndarray], None]:
     """Write the header of ``metas`` into the file open for writing at ``fd``,
-    size the file to hold every tensor, and return ``put(i, arr)``: check
-    ``arr`` as :func:`write_tensors` does and write it at tensor i's offset.
-    ``put`` may run on any thread, in any order, once per tensor
-    (``os.pwrite`` releases the GIL); a tensor never put reads as zeros.
+    size the file to hold every tensor, and return ``put(i, arr)``: write
+    :func:`_tensor_bytes` of ``arr`` at tensor i's offset.  ``put`` may run
+    on any thread, in any order, once per tensor (``os.pwrite`` releases
+    the GIL); a tensor never put reads as zeros.
     """
     head, offsets = encode_header(metas)
     _pwrite_all(fd, head, 0)
     os.ftruncate(fd, offsets[-1])
 
     def put(i: int, arr: np.ndarray) -> None:
-        _check_array(metas[i], arr)
-        _pwrite_all(fd, np.ascontiguousarray(arr, dtype="<f4"), offsets[i])
+        _pwrite_all(fd, _tensor_bytes(metas[i], arr), offsets[i])
 
     return put
 
@@ -251,12 +233,18 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
 
 
 def write_checkpoint(c: Checkpoint) -> bytearray:
-    """Serialize to the canonical byte form (pure; same input, same bytes)."""
+    """Serialize to the canonical byte form (pure; same input, same bytes):
+    :func:`encode_header`'s header, then each tensor's
+    :func:`_tensor_bytes` at its offset.  Bad metas or arrays raise
+    ValueError."""
     if c.version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {c.version}")
-    buf = io.BytesIO()
-    write_tensors(buf, c.metas, (arr for _, arr in c.tensors))
-    return bytearray(buf.getbuffer())
+    head, offsets = encode_header(c.metas)
+    buf = bytearray(offsets[-1])
+    buf[: len(head)] = head
+    for (meta, arr), start, end in zip(c.tensors, offsets, offsets[1:]):
+        buf[start:end] = _tensor_bytes(meta, arr)
+    return buf
 
 
 _META_KEYS = ("name", "shape", "kind", "depth")  # TensorMeta's fields, in order
@@ -345,31 +333,26 @@ def _read_header(handle: BinaryIO) -> tuple[int, list[TensorMeta], list[int]]:
 
 
 class CheckpointReader:
-    """A checkpoint file whose tensors are loaded one at a time.
+    """A checkpoint file whose tensors are read one at a time.
 
     The constructor reads and checks the whole header and every tensor's
     byte range against the file size, so a malformed or truncated file
-    fails before any tensor is loaded.  Tensors, or blocks of their rows,
-    are then read by offset, in any order and from any thread: each read
-    is one ``seek`` + ``readinto`` under a lock (:meth:`read_rows`).  The
-    handle must stay open while tensors are loaded.
+    fails before any tensor is read.  Tensors (:meth:`load`), or blocks of
+    their rows (:meth:`read_rows`), are then read by offset, in any order
+    and from any thread: each read is one ``seek`` + ``readinto`` loop
+    under a lock.  The handle must stay open while tensors are read; an
+    unbuffered one (``buffering=0``) sees a file that shrinks after the
+    header check, where a buffered one may serve the old bytes.
     """
 
     def __init__(self, handle: BinaryIO):
         self._handle = handle
         self._lock = threading.Lock()
         self.version, self.metas, self._starts = _read_header(handle)
-        self._index = {meta.name: i for i, meta in enumerate(self.metas)}
 
-    def __iter__(self) -> Iterator[tuple[TensorMeta, np.ndarray]]:
-        for i, meta in enumerate(self.metas):
-            yield meta, self._load(i)
-
-    def get(self, name: str) -> tuple[TensorMeta, np.ndarray]:
-        i = self._index[name]
-        return self.metas[i], self._load(i)
-
-    def _load(self, i: int) -> np.ndarray:
+    def load(self, i: int) -> np.ndarray:
+        """Tensor i as a new float32 array of its shape; a file that shrank
+        since the header was checked raises TruncatedData naming it."""
         meta = self.metas[i]
         with naming(meta.name):
             return self.read_rows(i, 0, meta.shape[0]).astype(np.float32, copy=False)
@@ -377,34 +360,39 @@ class CheckpointReader:
     def read_rows(self, i: int, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
         """Rows r0..r1 of tensor i's first axis, shaped (r1 - r0, *shape[1:]),
         read into the float32 buffer ``out`` (a new array if None), which
-        must hold at least that many values.  A file that shrank since the
-        header was checked raises TruncatedData; the caller names the
-        tensor."""
+        must hold at least that many values.  A read may return part of
+        what was asked (a raw read gives at most about 2 GiB), so reads
+        repeat until the rows are in; a file that shrank since the header
+        was checked raises TruncatedData, and the caller names the tensor."""
         shape = self.metas[i].shape
         row = math.prod(shape[1:])
         count = (r1 - r0) * row
         buf = np.empty(count, dtype="<f4") if out is None else out[:count]
+        view = memoryview(buf).cast("B")
         with self._lock:
             self._handle.seek(self._starts[i] + r0 * row * _F32_BYTES)
-            got = self._handle.readinto(buf)
-        if got != buf.nbytes:
-            raise TruncatedData(
-                f"read {got or 0} of {buf.nbytes} bytes; the file shrank while it was read"
-            )
+            while view:
+                got = self._handle.readinto(view)
+                if not got:
+                    raise TruncatedData(
+                        f"read {buf.nbytes - len(view)} of {buf.nbytes} bytes; "
+                        "the file shrank while it was read"
+                    )
+                view = view[got:]
         return buf.reshape((r1 - r0, *shape[1:]))
 
 
 class TensorRows:
-    """Tensor ``i`` of a :class:`Checkpoint` or :class:`CheckpointReader`
-    as a row source of :func:`~ghnpost.tensor_ops.row_blocks`: ``read(r0,
-    r1)`` gives rows r0..r1 of its K x CHW matrix through ``read_rows``,
-    into one float32 buffer of a block's rows that every read reuses.
-    So a file's layer is never held whole as float32.  The constructor
-    allocates the buffer, and raises UnsupportedRank for a rank other
-    than 2 or 4; the caller names the tensor.
+    """Tensor ``i`` of a :class:`CheckpointReader` as a row source of
+    :func:`~ghnpost.tensor_ops.row_blocks`: ``read(r0, r1)`` gives rows
+    r0..r1 of its K x CHW matrix through ``read_rows``, into one float32
+    buffer of a block's rows that every read reuses.  So a file's layer
+    is never held whole as float32.  The constructor allocates the
+    buffer, and raises UnsupportedRank for a rank other than 2 or 4; the
+    caller names the tensor.
     """
 
-    def __init__(self, source: Checkpoint | CheckpointReader, i: int):
+    def __init__(self, source: CheckpointReader, i: int):
         self.shape = source.metas[i].shape
         self._source, self._i = source, i
         k, chw, _ = geometry(self.shape)
@@ -417,47 +405,22 @@ class TensorRows:
 def read_checkpoint(data: bytes) -> Checkpoint:
     """Parse checkpoint bytes, validating header and data bounds."""
     reader = CheckpointReader(io.BytesIO(data))
-    return Checkpoint(tensors=list(reader), version=reader.version)
+    tensors = [(meta, reader.load(i)) for i, meta in enumerate(reader.metas)]
+    return Checkpoint(tensors=tensors, version=reader.version)
 
 
-# --------------------------------------------------------------------------
-# JSON fixture import
-# --------------------------------------------------------------------------
-
-def parse_tensor_specs(raw: bytes | str, with_data: bool) -> list[tuple[TensorMeta, list | None]]:
-    """Shared validator for the fixture and archspec JSON schemas; ``raw``
-    is the file's bytes (UTF-8) or text."""
+def parse_tensor_specs(raw: bytes | str) -> list[TensorMeta]:
+    """The tensors of an archspec, a JSON list of ``{name, shape, kind,
+    depth}`` objects; ``raw`` is the file's bytes (UTF-8) or text.  Any
+    other document, a missing or unknown key, or a value that breaks a
+    metadata rule raises SchemaError at its JSON path."""
     doc = _decode_json(raw, SchemaError, "$")
     if not isinstance(doc, list):
         raise SchemaError("$: expected a list of tensor objects")
-    extra = ("data",) if with_data else ()
-    metas = [_entry_meta(entry, f"$[{i}]", SchemaError, extra) for i, entry in enumerate(doc)]
+    metas = [_entry_meta(entry, f"$[{i}]", SchemaError, ()) for i, entry in enumerate(doc)]
     _check_metas(metas, SchemaError, path="$")
-    out = []
-    for i, (meta, entry) in enumerate(zip(metas, doc)):
-        unknown = set(entry) - {*_META_KEYS, *extra}
+    for i, entry in enumerate(doc):
+        unknown = set(entry) - set(_META_KEYS)
         if unknown:
             raise SchemaError(f"$[{i}]: unknown keys {sorted(unknown)}")
-        values = entry.get("data")
-        if with_data:
-            if not isinstance(values, list):
-                raise SchemaError(f"$[{i}].data: expected a list of numbers")
-            for j, x in enumerate(values):
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise SchemaError(f"$[{i}].data[{j}]: expected a number")
-            if len(values) != math.prod(meta.shape):
-                raise ShapeMismatch(
-                    f"$[{i}].data: {len(values)} values for shape "
-                    f"{list(meta.shape)} (expected {math.prod(meta.shape)})"
-                )
-        out.append((meta, values))
-    return out
-
-
-def import_json(text: str) -> Checkpoint:
-    """Build a checkpoint from the JSON fixture schema; data coerced to f32."""
-    tensors = []
-    for meta, values in parse_tensor_specs(text, with_data=True):
-        arr = np.asarray(values, dtype=np.float32).reshape(meta.shape)
-        tensors.append((meta, arr))
-    return Checkpoint(tensors=tensors)
+    return metas

@@ -12,6 +12,8 @@ the largest; see :func:`~ghnpost.postprocess._run_layers`), not the file.
 ``analyze`` and ``compare`` read each conv/linear layer a block of rows
 at a time into its float64 channels, so they hold one float64 copy of
 one layer and no float32 copy (see :func:`~ghnpost.report.analyze_checkpoint`).
+Input checkpoints are opened unbuffered, so a file cut after its header
+was checked raises TruncatedData instead of yielding buffered old bytes.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ _SVG_STEM_MAX = 255 - 14 - 4
 
 
 def _cmd_analyze(args) -> int:
-    with open(args.checkpoint, "rb") as handle:
+    with open(args.checkpoint, "rb", buffering=0) as handle:
         report = analyze_checkpoint(CheckpointReader(handle), bins=args.bins)
     # The SVGs are written before the CSV, and removed with the directories
     # made for them if a later write fails: a failing run leaves no output.
@@ -214,19 +216,18 @@ def _cmd_postprocess(args) -> int:
         skip_noise=args.skip_noise,
         skip_orth=args.skip_orth,
     )
-    with open(args.checkpoint, "rb") as src:
+    with open(args.checkpoint, "rb", buffering=0) as src:
         reader = CheckpointReader(src)
         # The output is renamed into place after the last tensor is read,
         # so --out may name the input file.
         with _write_atomic(args.out) as dst:
             store = positional_writer(dst.fileno(), reader.metas)
-            ghn_orth_tensors(reader.metas, reader._load, store, cfg)
+            ghn_orth_tensors(reader.metas, reader.load, store, cfg)
     return 0
 
 
 def _cmd_init(args) -> int:
-    specs = parse_tensor_specs(args.archspec.read_bytes(), with_data=False)
-    metas = [meta for meta, _ in specs]
+    metas = parse_tensor_specs(args.archspec.read_bytes())
     with _write_atomic(args.out) as handle:
         store = positional_writer(handle.fileno(), metas)
         init_tensors(metas, store, args.method, args.gain, args.seed)
@@ -243,7 +244,8 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    with open(args.checkpoint_a, "rb") as a, open(args.checkpoint_b, "rb") as b:
+    with (open(args.checkpoint_a, "rb", buffering=0) as a,
+          open(args.checkpoint_b, "rb", buffering=0) as b):
         rows = compare_checkpoints(CheckpointReader(a), CheckpointReader(b))
     _write_text(args.out, emit_compare_csv(rows))
     return 0

@@ -46,10 +46,6 @@ class SchemaError(DataFormatError):
     """JSON input failed validation; the message carries the JSON path."""
 
 
-class ShapeMismatch(DataFormatError):
-    pass
-
-
 class StructureMismatch(DataFormatError):
     """Two checkpoints disagree on tensor names or shapes."""
 

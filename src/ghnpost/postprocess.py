@@ -32,7 +32,7 @@ import math
 import mmap
 import os
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +42,9 @@ from .errors import naming
 from .linalg import gil_free_qr, one_blas_thread, qr_decompose
 from .rng import RngStream
 from .stats import sigma_r
-from .tensor_ops import check_finite, geometry
+from .tensor_ops import check_finite, geometry, row_step
 
 DEFAULT_BETA = 3e-5
-
-# Noise values drawn and added per step: 512 KiB of float64, so the noise
-# never needs a buffer the size of the layer.
-_NOISE_CHUNK = 1 << 16
 
 # Bound on |z| for every stream value: a uniform is at least 2**-53, so
 # |z| <= sqrt(-2 ln 2**-53) = sqrt(106 ln 2) ~= 8.572; 8.6 leaves room for
@@ -110,8 +106,11 @@ def _add_noise(layer: np.ndarray, mat: np.ndarray | None, scale: float | None,
     """Set the K x CHW ``layer`` (either memory order) to ``mat + scale * z``
     (to mat if ``scale`` is None; mat None reads as -0.0), z the stream in
     C order, summed in float64 and rounded once to layer's dtype, a
-    :func:`_row_blocks` block at a time; each block goes through
-    :func:`~ghnpost.tensor_ops.check_finite` against its rows of mat.
+    :func:`~ghnpost.tensor_ops.row_step` block of whole rows at a time, so
+    the noise never needs a buffer the size of the layer; each block goes
+    through :func:`~ghnpost.tensor_ops.check_finite` against its rows of
+    mat.  The stream runs over the layer in C order, whatever its memory
+    order: a block's first value is stream position r0 * CHW.
     This is the one place a layer is filled from the stream: the
     initializers pass ``mat=None``.
 
@@ -120,15 +119,18 @@ def _add_noise(layer: np.ndarray, mat: np.ndarray | None, scale: float | None,
     back to w_i; as |z_i| <= _ZMAX, only |w_i| <= limit can move.  A
     C-ordered layer draws only those (:class:`_Gather`), others draw all.
     """
+    k, chw = layer.shape
+    step = row_step(k, chw)
     gather = None
     if scale is not None and mat is not None and layer.flags.c_contiguous:
         limit = 2.0 ** (np.finfo(layer.dtype).nmant + 4) * scale * _ZMAX
         if limit < max(float(mat.max()), -float(mat.min())):
-            gather = _Gather(layer.dtype, max(_NOISE_CHUNK, layer.shape[1]))
+            gather = _Gather(layer.dtype, step * chw)
     # A huge beta overflows here; the block check reports it, so numpy need
     # not warn as well.
     with np.errstate(over="ignore"):
-        for rows, start in _row_blocks(layer):
+        for r0 in range(0, k, step):
+            rows, start = slice(r0, r0 + step), r0 * chw
             block = layer[rows]
             block[...] = -0.0 if mat is None else mat[rows]  # -0.0 + x is x, even x = +-0
             if scale is not None and (
@@ -233,16 +235,6 @@ def _layer_matrix(k: int, chw: int, transposed: bool) -> np.ndarray:
     that :func:`~ghnpost.tensor_ops.geometry`.  The matrix LAPACK factors
     is Fortran-ordered: the K x CHW matrix is C-ordered when transposed."""
     return _layer_buffer(k * chw).reshape((k, chw), order="C" if transposed else "F")
-
-
-def _row_blocks(layer: np.ndarray) -> Iterator[tuple[slice, int]]:
-    """Blocks of whole rows of the K x CHW ``layer``, about _NOISE_CHUNK
-    values each, with the stream position of each block's first value:
-    the stream runs over the layer in C order, whatever its memory order."""
-    k, chw = layer.shape
-    step = max(1, _NOISE_CHUNK // chw)
-    for r0 in range(0, k, step):
-        yield slice(r0, r0 + step), r0 * chw
 
 
 def _orthonormalize(layer: np.ndarray, transposed: bool) -> None:
@@ -419,28 +411,19 @@ def saxe_orthogonal_init(
         return layer.astype(np.float32, order="C").reshape(shape)
 
 
-def init_checkpoint(
-    metas: Iterable[TensorMeta], method: str, gain: float, seed: int
-) -> Iterator[np.ndarray]:
-    """Yield a baseline initialization of each tensor of ``metas``, in order.
+def init_tensors(metas: Sequence[TensorMeta], store: Callable[[int, np.ndarray], None],
+                 method: str, gain: float, seed: int) -> None:
+    """``store(i, w)`` with w a baseline initialization of each tensor i of
+    ``metas``, made on :func:`_run_layers`' pool.
 
     conv and linear tensors get ``method``, drawing from their own
     substream keyed by tensor name: ``"rand"`` is :func:`he_init`,
     ``"orth"`` is :func:`saxe_orthogonal_init` with ``gain``.  norm
-    tensors are ones; bias and other tensors are zeros.  A tensor of
-    unsupported rank, or whose weights would overflow float32, raises a
-    NumericalError naming it.
+    tensors are ones; bias and other tensors are zeros.  Any other method
+    raises ValueError before anything is stored.  A tensor of unsupported
+    rank, or whose weights would overflow float32, raises a NumericalError
+    naming it.
     """
-    make = _initializer(method, gain)
-    # Only the metas are bound between items, so the tensor yielded last
-    # is not kept alive while the next one is made.
-    return (_init_tensor(meta, make, seed) for meta in metas)
-
-
-def init_tensors(metas: Sequence[TensorMeta], store: Callable[[int, np.ndarray], None],
-                 method: str, gain: float, seed: int) -> None:
-    """``store(i, w)`` with w the :func:`init_checkpoint` tensor of each
-    tensor i of ``metas``, made on :func:`_run_layers`' pool."""
     make = _initializer(method, gain)
     _run_layers(metas, [meta.kind in ELIGIBLE_KINDS for meta in metas],
                 lambda i: store(i, _init_tensor(metas[i], make, seed)))

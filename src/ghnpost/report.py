@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, CheckpointReader, TensorRows
+from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, TensorRows
 from .errors import DegenerateInput, SchemaError, StructureMismatch, naming
 from .linalg import pca_project
 from .stats import Histogram, correlation_stats, sigma_r
@@ -76,8 +76,9 @@ def _csv(header: list[str], rows: Iterable[list]) -> str:
     return buf.getvalue()
 
 
-def analyze_checkpoint(c: Checkpoint | CheckpointReader, bins: int) -> AnalysisReport:
-    """Correlation statistics for every conv/linear tensor, in file order.
+def analyze_checkpoint(c: CheckpointReader, bins: int) -> AnalysisReport:
+    """Correlation statistics for every conv/linear tensor of the file
+    ``c``, in file order.
 
     Each one is read through :class:`~ghnpost.checkpoint_io.TensorRows`, a
     block of rows at a time, straight into the float64 channels of
@@ -274,10 +275,8 @@ def emit_projection_csv(rows: list[ProjectionRow]) -> str:
 # Checkpoint comparison
 # --------------------------------------------------------------------------
 
-def compare_checkpoints(
-    a: Checkpoint | CheckpointReader, b: Checkpoint | CheckpointReader
-) -> list[CompareRow]:
-    """Per-layer diff of two structurally identical checkpoints.
+def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[CompareRow]:
+    """Per-layer diff of two structurally identical checkpoint files.
 
     The structure is checked from the metadata alone; then each
     conv/linear tensor of ``a``, in file order, is matched with ``b``'s

@@ -124,9 +124,6 @@ class RngStream:
     master_seed: int
     label: str = ""
 
-    def substream(self, label: str) -> "RngStream":
-        return RngStream(master_seed=self.master_seed, label=label)
-
     def _seed(self) -> np.uint64:
         return np.uint64(substream_seed(self.master_seed, self.label))
 

@@ -42,15 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelTooShort, TooFewChannels
-from .tensor_ops import check_finite, geometry, row_blocks, row_step
+from .tensor_ops import _ROW_VALUES, check_finite, geometry, row_blocks, row_step
 
 # Gram rows per panel: each panel's GEMM rereads the channels below it, so
 # shorter panels cost time and longer ones memory (CHANGES.md).
 _PANEL_ROWS = 128
-
-# Values per step of the bin counter: 512 KiB of float64, which stays in
-# cache across a step's passes.
-_BLOCK = 1 << 16
 
 # Exactly collinear channels compute as +-1 give or take a few ulp
 # (numerator and denominator round the same sum differently).  Entries
@@ -186,16 +182,18 @@ class _Fold:
             self.counts = np.zeros(bins, dtype=np.intp)
             # np.histogram's own edges for range=(-1, 1), byte for byte.
             self.edges = np.linspace(-1.0, 1.0, bins + 1)
-            self._blocks = (np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK, dtype=np.intp),
-                            np.empty(_BLOCK, dtype=bool))
+            self._blocks = (np.empty(_ROW_VALUES), np.empty(_ROW_VALUES),
+                            np.empty(_ROW_VALUES, dtype=np.intp),
+                            np.empty(_ROW_VALUES, dtype=bool))
         self.n = 0
         self.shift = self.mean = self.m2 = self.abs_sum = 0.0
 
     def add(self, v: np.ndarray, tmp: np.ndarray) -> None:
         """Fold the values v in; tmp is float64 scratch of v's length."""
         if self.bins is not None:
-            for start in range(0, len(v), _BLOCK):
-                self._count(v[start : start + _BLOCK])
+            # A step of the bin counter stays in cache across its passes.
+            for start in range(0, len(v), _ROW_VALUES):
+                self._count(v[start : start + _ROW_VALUES])
         nb = len(v)
         if self.n == 0:
             self.shift = float(np.sum(v)) / nb
@@ -215,7 +213,7 @@ class _Fold:
         self.n = n
 
     def _count(self, r: np.ndarray) -> None:
-        """Add the bin counts of at most _BLOCK values r to ``counts``, as
+        """Add the bin counts of at most _ROW_VALUES values r to ``counts``, as
         ``np.histogram(r, bins, range=(-1, 1))`` counts them: bin i holds
         edges[i] <= r < edges[i + 1], the last bin r = 1 too.
 

@@ -49,8 +49,8 @@ def geometry(shape: tuple[int, ...]) -> tuple[int, int, bool]:
     return k, chw, k < chw
 
 
-# Values per row block: 512 KiB of float64, which stays in cache across a
-# block's passes.
+# Values per row block, also per block of the noise and of the histogram
+# counter: 512 KiB of float64, which stays in cache across a block's passes.
 _ROW_VALUES = 1 << 16
 
 

@@ -1,10 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from ghnpost import linalg
-from ghnpost.checkpoint_io import Checkpoint, TensorMeta
+from ghnpost.checkpoint_io import Checkpoint, CheckpointReader, TensorMeta, write_checkpoint
 
 
 def ghn_like_tensor(shape, rel_noise=1e-3, seed=0, scale=1.0):
@@ -40,6 +41,12 @@ def make_checkpoint(specs):
             (TensorMeta(name=name, shape=tuple(shape), kind=kind, depth=depth), arr)
         )
     return Checkpoint(tensors=tensors)
+
+
+def reader_of(c):
+    """The checkpoint ``c`` as the CLI reads a file: a CheckpointReader over
+    its bytes."""
+    return CheckpointReader(io.BytesIO(write_checkpoint(c)))
 
 
 @pytest.fixture

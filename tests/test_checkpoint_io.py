@@ -16,17 +16,15 @@ from ghnpost.checkpoint_io import (
     Checkpoint,
     CheckpointReader,
     TensorMeta,
-    import_json,
+    parse_tensor_specs,
     positional_writer,
     read_checkpoint,
     write_checkpoint,
-    write_tensors,
 )
 from ghnpost.errors import (
     BadMagic,
     CorruptHeader,
     SchemaError,
-    ShapeMismatch,
     TruncatedData,
     UnsupportedVersion,
 )
@@ -147,7 +145,7 @@ def test_header_schema_violations():
 
 
 @pytest.mark.parametrize("name", ["", "\ud800", "a\udfffb"])
-def test_name_rule_holds_in_reader_writer_and_importer(name):
+def test_name_rule_holds_in_reader_writer_and_archspec(name):
     # One rule, each path with its own error class and prefix: a name is a
     # non-empty string that encodes as UTF-8.
     entry = {"name": name, "shape": [2], "kind": "linear", "depth": 0,
@@ -157,10 +155,9 @@ def test_name_rule_holds_in_reader_writer_and_importer(name):
     c = make_checkpoint([(name, (2,), "linear", 0, np.zeros(2, np.float32))])
     with pytest.raises(ValueError, match=r"^tensors\[0\]\.name: expected a non-empty"):
         write_checkpoint(c)
-    text = json.dumps([{"name": name, "shape": [2], "kind": "linear", "depth": 0,
-                        "data": [1, 2]}])
+    text = json.dumps([{"name": name, "shape": [2], "kind": "linear", "depth": 0}])
     with pytest.raises(SchemaError, match=r"^\$\[0\]\.name: expected a non-empty"):
-        import_json(text)
+        parse_tensor_specs(text)
 
 
 @pytest.mark.parametrize("field", ["offset", "length"])
@@ -178,7 +175,7 @@ def test_too_deeply_nested_json_is_a_data_error():
     with pytest.raises(CorruptHeader, match="^header: not valid JSON"):
         read_checkpoint(b"GHNP" + struct.pack("<IQ", 1, len(deep)) + deep.encode())
     with pytest.raises(SchemaError, match=r"^\$: not valid JSON"):
-        import_json(deep)
+        parse_tensor_specs(deep)
 
 
 def test_truncated_data():
@@ -213,9 +210,8 @@ def test_out_of_order_offsets_read_the_same():
     np.testing.assert_array_equal(c.get("a")[1], np.array([1, 2], dtype=np.float32))
     np.testing.assert_array_equal(c.get("b")[1], np.array([3, 4], dtype=np.float32))
     reader = CheckpointReader(io.BytesIO(blob))
-    assert reader.get("b")[1].tobytes() == c.get("b")[1].tobytes()
-    assert reader.get("a")[1].tobytes() == c.get("a")[1].tobytes()
-    assert Checkpoint(tensors=list(reader)) == c
+    assert reader.load(1).tobytes() == c.get("b")[1].tobytes()
+    assert reader.load(0).tobytes() == c.get("a")[1].tobytes()
 
 
 def test_short_readinto_is_truncated_data(small_checkpoint, tmp_path):
@@ -227,23 +223,33 @@ def test_short_readinto_is_truncated_data(small_checkpoint, tmp_path):
         reader = CheckpointReader(handle)
         os.truncate(path, len(blob) - 4)
         with pytest.raises(TruncatedData, match="'head.fc'"):
-            list(reader)
+            [reader.load(i) for i in range(len(reader.metas))]
 
 
-def test_write_tensors_rejects_a_stream_of_the_wrong_length(small_checkpoint):
-    arrays = [arr for _, arr in small_checkpoint]
-    for stream in (arrays[:-1], arrays + arrays[:1]):
-        with pytest.raises(ValueError):
-            write_tensors(io.BytesIO(), small_checkpoint.metas, iter(stream))
+class _PieceReader(io.BytesIO):
+    """A file whose ``readinto`` returns at most 7 bytes, as a raw read
+    that the OS cuts short."""
+
+    def readinto(self, buf):
+        return super().readinto(memoryview(buf).cast("B")[:7])
 
 
-def test_write_tensors_matches_write_checkpoint_for_non_contiguous_arrays():
+def test_a_read_in_pieces_is_reassembled_bit_for_bit(small_checkpoint):
+    reader = CheckpointReader(_PieceReader(write_checkpoint(small_checkpoint)))
+    for i, (_, arr) in enumerate(small_checkpoint):
+        assert reader.load(i).tobytes() == arr.tobytes()
+    w = small_checkpoint.tensors[2][1]
+    assert reader.read_rows(2, 3, 11).tobytes() == w[3:11].tobytes()
+
+
+def test_writers_match_for_non_contiguous_arrays(tmp_path):
     w = np.arange(6, dtype=np.float32).reshape(2, 3)
     c = make_checkpoint([("w", (3, 2), "linear", 0, w.T)])
-    buf = io.BytesIO()
-    write_tensors(buf, c.metas, (arr for _, arr in c))
-    assert buf.getvalue() == write_checkpoint(c)
-    np.testing.assert_array_equal(read_checkpoint(buf.getvalue()).get("w")[1], w.T)
+    path = tmp_path / "c.ckpt"
+    with open(path, "wb") as handle:
+        positional_writer(handle.fileno(), c.metas)(0, w.T)
+    assert path.read_bytes() == write_checkpoint(c)
+    np.testing.assert_array_equal(read_checkpoint(path.read_bytes()).get("w")[1], w.T)
 
 
 def _many_tensors(n=24):
@@ -261,16 +267,16 @@ def test_loads_from_four_threads_equal_a_sequential_read(tmp_path):
     c = _many_tensors()
     path = tmp_path / "c.ckpt"
     path.write_bytes(write_checkpoint(c))
-    names = c.names()
+    ids = list(range(len(c)))
     with open(path, "rb") as handle:
         reader = CheckpointReader(handle)
-        expected = {meta.name: arr.tobytes() for meta, arr in reader}
+        expected = [reader.load(i).tobytes() for i in ids]
         mismatches = []
 
         def load_all(seed):
-            for name in random.Random(seed).sample(names * 4, len(names) * 4):
-                if reader.get(name)[1].tobytes() != expected[name]:
-                    mismatches.append(name)
+            for i in random.Random(seed).sample(ids * 4, len(ids) * 4):
+                if reader.load(i).tobytes() != expected[i]:
+                    mismatches.append(i)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads between seek and read
@@ -310,60 +316,31 @@ def test_positional_writer_in_any_order_equals_write_checkpoint(tmp_path, monkey
             positional_writer(handle.fileno(), c.metas)(0, np.zeros(3, np.float32))
 
 
-def test_import_json_single_tensor():
-    text = '[{"name":"w","shape":[2],"kind":"linear","depth":0,"data":[1.0,2.0]}]'
-    c = import_json(text)
-    assert len(c) == 1
-    meta, arr = c.tensors[0]
-    assert meta.name == "w" and meta.kind == "linear"
-    assert arr.dtype == np.float32
-    np.testing.assert_array_equal(arr, np.array([1, 2], dtype=np.float32))
-
-
-def test_import_json_shape_mismatch():
-    text = '[{"name":"w","shape":[2,2],"kind":"linear","depth":0,"data":[1,2,3]}]'
-    with pytest.raises(ShapeMismatch, match=r"\$\[0\].data"):
-        import_json(text)
-
-
 @pytest.mark.parametrize(
     "text, pattern",
     [
         ("{}", r"\$"),
         ("[1]", r"\$\[0\]"),
-        ('[{"name":"w","shape":[2],"kind":"linear","depth":0}]', r"\$\[0\].data"),
-        ('[{"name":"w","shape":[2],"kind":"wat","depth":0,"data":[1,2]}]',
-         r"\$\[0\].kind"),
-        ('[{"name":"w","shape":[2],"kind":"conv","depth":-1,"data":[1,2]}]',
-         r"\$\[0\].depth"),
-        ('[{"name":"w","shape":[2],"kind":"conv","depth":0,"data":[1,"x"]}]',
-         r"\$\[0\].data\[1\]"),
-        ('[{"name":"w","shape":2,"kind":"conv","depth":0,"data":[1,2]}]',
-         r"\$\[0\].shape"),
-        ('[{"name":"w","shape":[2],"kind":"conv","depth":0,"data":[1,2],"x":1}]',
-         r"\$\[0\]"),
-        ('[{"name":"a","shape":[1],"kind":"conv","depth":1,"data":[1]},'
-         '{"name":"b","shape":[1],"kind":"conv","depth":0,"data":[1]}]',
+        ('[{"name":"w","shape":[2],"kind":"linear"}]', r"\$\[0\].depth"),
+        ('[{"name":"w","shape":[2],"kind":"wat","depth":0}]', r"\$\[0\].kind"),
+        ('[{"name":"w","shape":[2],"kind":"conv","depth":-1}]', r"\$\[0\].depth"),
+        ('[{"name":"w","shape":2,"kind":"conv","depth":0}]', r"\$\[0\].shape"),
+        ('[{"name":"w","shape":[2],"kind":"conv","depth":0,"data":[1,2]}]',
+         r"\$\[0\]: unknown keys \['data'\]"),
+        ('[{"name":"a","shape":[1],"kind":"conv","depth":1},'
+         '{"name":"b","shape":[1],"kind":"conv","depth":0}]',
          r"\$\[1\].depth"),
         ("not json", r"\$"),
     ],
 )
-def test_import_json_schema_errors(text, pattern):
+def test_parse_tensor_specs_schema_errors(text, pattern):
     with pytest.raises(SchemaError, match=pattern):
-        import_json(text)
+        parse_tensor_specs(text)
 
 
-def test_import_then_write_then_read_round_trip():
-    text = json.dumps(
-        [
-            {"name": "a.conv", "shape": [2, 3], "kind": "conv", "depth": 0,
-             "data": [0.5, -1.25, 3.0, 4.5, -6.0, 7.125]},
-            {"name": "a.bias", "shape": [2], "kind": "bias", "depth": 0,
-             "data": [0.0, 1e-30]},
-        ]
-    )
-    c = import_json(text)
-    assert read_checkpoint(write_checkpoint(c)) == c
+def test_parse_tensor_specs_returns_the_metas():
+    text = '[{"name":"w","shape":[2,3],"kind":"linear","depth":1}]'
+    assert parse_tensor_specs(text) == [TensorMeta("w", (2, 3), "linear", 1)]
 
 
 def test_write_rejects_invariant_violations():

@@ -309,11 +309,11 @@ def test_nan_in_third_eligible_tensor_with_layers_in_flight(tmp_path, monkeypatc
     l3_pulled = threading.Event()
 
     class RecordingReader(cli.CheckpointReader):
-        def _load(self, i):
+        def load(self, i):
             name = self.metas[i].name
             if name == "l2.conv":
                 l3_pulled.wait(timeout=30)  # l2.conv stays in flight until l3.conv is
-            arr = super()._load(i)
+            arr = super().load(i)
             pulled.append(name)
             if name == "l3.conv":
                 l3_pulled.set()
@@ -334,11 +334,11 @@ def _recording_reader(monkeypatch, pulled, delay=None):
     ``pulled``, after sleeping ``delay(i)`` seconds if given."""
 
     class RecordingReader(cli.CheckpointReader):
-        def _load(self, i):
+        def load(self, i):
             if delay is not None:
                 time.sleep(delay(i))
             pulled.append(self.metas[i].name)
-            return super()._load(i)
+            return super().load(i)
 
     monkeypatch.setattr(cli, "CheckpointReader", RecordingReader)
 
@@ -760,7 +760,7 @@ def test_unloadable_tensor_is_one_line_numerical_error(
     command, ckpt_path, tmp_path, monkeypatch, capsys
 ):
     # No float32 buffer can be allocated as the file is read: postprocess
-    # loads each tensor whole (CheckpointReader._load), analyze and compare
+    # loads each tensor whole (CheckpointReader.load), analyze and compare
     # read each layer through TensorRows' row-block buffer.
     monkeypatch.setattr(checkpoint_io, "np", _NumpyRefusing(lambda shape: True))
     out = tmp_path / "out"
@@ -1084,6 +1084,20 @@ def _ends_cleanly(command: str, raw: bytes, whole: bool = False,
     return code, message
 
 
+def _cut_input_after_the_header_check(monkeypatch, size):
+    """Patch the CLI's reader to cut the file ``in`` to ``size`` bytes once
+    its header is checked, before any tensor is read."""
+    real_reader = cli.CheckpointReader
+
+    def reader_then_truncate(handle):
+        reader = real_reader(handle)
+        if Path(handle.name).name == "in":
+            os.truncate(handle.name, size)
+        return reader
+
+    monkeypatch.setattr(cli, "CheckpointReader", reader_then_truncate)
+
+
 @pytest.mark.parametrize("command", ["analyze", "compare"])
 def test_file_shrinking_inside_a_layer_during_the_row_reads_is_data_error(command, monkeypatch):
     # The header checks pass; the input then loses the last 8 bytes of
@@ -1094,19 +1108,25 @@ def test_file_shrinking_inside_a_layer_during_the_row_reads_is_data_error(comman
         ("l0.norm", (64,), "norm", 0, np.ones(64, np.float32)),
         ("l1.fc", (256, 512), "linear", 1, ghn_like_tensor((256, 512), seed=2)),
     ])))
-    real_reader = cli.CheckpointReader
-
-    def reader_then_truncate(handle):
-        reader = real_reader(handle)
-        if Path(handle.name).name == "in":
-            os.truncate(handle.name, len(blob) - 8)
-        return reader
-
-    monkeypatch.setattr(cli, "CheckpointReader", reader_then_truncate)
+    _cut_input_after_the_header_check(monkeypatch, len(blob) - 8)
     code, err = _ends_cleanly(command, blob, whole=True, good=blob)
     assert code == 2
     note = " (second checkpoint)" if command == "compare" else ""
     assert err == (f"ghnpost: data error: tensor 'l1.fc'{note}: read 262136 of 262144 bytes; "
+                   "the file shrank while it was read\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_small_file_shrinking_after_the_header_check_is_data_error(command, monkeypatch):
+    # The whole 216-byte file fits in the buffer that a buffered handle
+    # fills while the header is read; the input is read unbuffered, so the
+    # cut to l1.fc's last 8 bytes is seen, not served from that buffer.
+    blob = _blob_with_raw_header(json.dumps(_HEADER).encode(), _DATA)
+    _cut_input_after_the_header_check(monkeypatch, len(blob) - 8)
+    code, err = _ends_cleanly(command, blob, whole=True, good=blob)
+    assert code == 2
+    note = " (second checkpoint)" if command == "compare" else ""
+    assert err == (f"ghnpost: data error: tensor 'l1.fc'{note}: read 64 of 72 bytes; "
                    "the file shrank while it was read\n")
 
 

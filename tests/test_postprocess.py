@@ -3,7 +3,6 @@ import random
 import threading
 import time
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from ghnpost.postprocess import (
     ghn_orth_tensor,
     ghn_orth_tensors,
     he_init,
-    init_checkpoint,
+    init_tensors,
     orthogonal_reinit,
     saxe_orthogonal_init,
 )
@@ -93,12 +92,12 @@ def test_noise_max_bounded_at_six_sigma():
 
 
 def test_chunked_noise_matches_whole_layer_noise_bytes():
-    from ghnpost.postprocess import _NOISE_CHUNK
     from ghnpost.stats import correlation_stats
+    from ghnpost.tensor_ops import _ROW_VALUES
 
     # more than one noise chunk, odd size; C and Fortran order
     w = correlated_tensor((257, 289), seed=6)
-    assert w.size > _NOISE_CHUNK and w.size % 2
+    assert w.size > _ROW_VALUES and w.size % 2
     for x in (w, w.astype(np.float64), np.asfortranarray(w)):
         stream = RngStream(3, "layer")
         ref = stream.normal(x.size).reshape(x.shape)
@@ -128,14 +127,15 @@ def _noise_oracle(w, beta, stream, dtype):
 
 
 def test_sparse_noise_equals_dense_oracle_bytes(monkeypatch):
-    from ghnpost.postprocess import _NOISE_CHUNK, _ZMAX
+    from ghnpost.postprocess import _ZMAX
     from ghnpost.stats import correlation_stats
+    from ghnpost.tensor_ops import _ROW_VALUES
 
     # Near-duplicate rows of magnitude ~1 (their chunks are gathered) over
     # broad rows far below the threshold (their chunks are drawn dense).
     k, chw = 256, 1024
     half = k // 2 * chw
-    assert 2 * half == 4 * _NOISE_CHUNK
+    assert 2 * half == 4 * _ROW_VALUES
     w = np.concatenate([
         ghn_like_tensor((k // 2, chw), seed=1),
         correlated_tensor((k // 2, chw), seed=2, scale=1e-5),
@@ -173,7 +173,7 @@ def test_sparse_noise_equals_dense_oracle_bytes(monkeypatch):
     got = add_conditional_noise(w, beta, stream)
     ref = _noise_oracle(w, beta, stream, np.float32)
     assert got.tobytes() == ref.tobytes()
-    assert len(gathered) == 2 and 0 < sum(gathered) < _NOISE_CHUNK // 2
+    assert len(gathered) == 2 and 0 < sum(gathered) < _ROW_VALUES // 2
     assert got.flat[top] != w.flat[top]
     # the float64 output of the two-step path keeps every value's noise
     gathered.clear()
@@ -291,7 +291,7 @@ def _repair_cases():
         "rank_deficient": np.tile(base, (8, 1)).reshape(8, 3, 3, 3),
         "tall_identical": np.tile(base[:5], (40, 1)),
         "all_zero": np.zeros((12, 5), np.float32),
-        # several row blocks of _NOISE_CHUNK values, in both memory orders
+        # several row blocks of _ROW_VALUES values, in both memory orders
         "tall_blocks": ghn_like_tensor((700, 200), seed=34),
         "wide_blocks": correlated_tensor((150, 1000), seed=35),
         # a row longer than a block
@@ -609,10 +609,10 @@ def test_he_init_statistics():
 
 @pytest.mark.parametrize("shape", [(3, 70001), (131073, 2), (2, 3, 5, 7)])
 def test_he_init_bytes_equal_one_whole_layer_draw(shape):
-    from ghnpost.postprocess import _NOISE_CHUNK
+    from ghnpost.tensor_ops import _ROW_VALUES
 
     n = math.prod(shape)
-    assert n % _NOISE_CHUNK
+    assert n % _ROW_VALUES
     stream = RngStream(4, "w")
     ref = stream.normal(n)
     ref *= math.sqrt(2.0 / math.prod(shape[1:]))
@@ -666,13 +666,9 @@ def test_saxe_deterministic_and_validated():
         saxe_orthogonal_init((8,), 1.0, RngStream(7, "w"))
 
 
-def test_init_checkpoint_holds_no_yielded_tensor():
-    from ghnpost.checkpoint_io import TensorMeta
-
-    metas = [TensorMeta("a", (8, 4), "linear", 0), TensorMeta("b", (8, 4), "linear", 1)]
-    tensors = init_checkpoint(metas, "orth", 1.0, 0)
-    first = weakref.ref(next(tensors))
-    assert first() is None  # not kept alive while the next tensor is made
-    assert next(tensors).tobytes() == saxe_orthogonal_init((8, 4), 1.0, RngStream(0, "b")).tobytes()
-    with pytest.raises(ValueError):
-        init_checkpoint(metas, "zeros", 1.0, 0)
+def test_init_tensors_rejects_an_unknown_method_before_any_store():
+    metas = [TensorMeta("a", (8, 4), "linear", 0), TensorMeta("b", (8,), "bias", 1)]
+    stored = []
+    with pytest.raises(ValueError, match="unknown init method 'zeros'"):
+        init_tensors(metas, lambda i, w: stored.append(i), "zeros", 1.0, 0)
+    assert stored == []

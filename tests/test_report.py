@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ghnpost.checkpoint_io import Checkpoint, CheckpointReader, TensorMeta, write_tensors
+from ghnpost.checkpoint_io import Checkpoint, TensorMeta
 from ghnpost.errors import DegenerateInput, SchemaError, StructureMismatch, TooFewChannels
 from ghnpost.postprocess import PostprocessConfig, ghn_orth, saxe_orthogonal_init
 from ghnpost.report import (
@@ -23,13 +23,13 @@ from ghnpost.report import (
 from ghnpost.rng import RngStream
 from ghnpost.stats import Histogram, correlation_stats, sigma_r
 
-from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint
+from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint, reader_of
 
 
 def test_analyze_identical_channels():
     w = np.tile(np.arange(12, dtype=np.float32), (6, 1))
     c = make_checkpoint([("w", (6, 12), "conv", 0, w)])
-    rep = analyze_checkpoint(c, bins=10)
+    rep = analyze_checkpoint(reader_of(c), bins=10)
     assert rep.layer_count == 1 and rep.eligible_layer_count == 1
     rec = rep.records[0]
     assert rec.sigma_r == 0.0
@@ -44,7 +44,7 @@ def test_analyze_skips_norm_and_bias():
             ("b", (8,), "bias", 0, np.zeros(8, np.float32)),
         ]
     )
-    rep = analyze_checkpoint(c, bins=4)
+    rep = analyze_checkpoint(reader_of(c), bins=4)
     assert rep.records == []
     assert rep.layer_count == 2
     assert rep.eligible_layer_count == 0
@@ -55,7 +55,7 @@ def test_analyze_saxe_checkpoint_has_low_correlation():
     for i, shape in enumerate([(32, 16, 2, 2), (96, 64), (48, 8, 3, 3)]):
         arr = saxe_orthogonal_init(shape, 1.0, RngStream(1, f"w{i}"))
         specs.append((f"w{i}", shape, "conv" if len(shape) == 4 else "linear", i, arr))
-    rep = analyze_checkpoint(make_checkpoint(specs), bins=10)
+    rep = analyze_checkpoint(reader_of(make_checkpoint(specs)), bins=10)
     for rec in rep.records:
         if rec.chw >= 64:
             assert rec.mean_abs_offdiag < 0.15
@@ -63,17 +63,17 @@ def test_analyze_saxe_checkpoint_has_low_correlation():
 
 def test_analyze_needs_a_bin(small_checkpoint):
     with pytest.raises(ValueError, match="bins must be >= 1"):
-        analyze_checkpoint(small_checkpoint, bins=0)
+        analyze_checkpoint(reader_of(small_checkpoint), bins=0)
 
 
 def test_analyze_error_names_tensor():
     c = make_checkpoint([("tiny", (1, 8), "conv", 0, np.ones((1, 8), np.float32))])
     with pytest.raises(TooFewChannels, match="tiny"):
-        analyze_checkpoint(c, bins=4)
+        analyze_checkpoint(reader_of(c), bins=4)
 
 
 def test_report_csv_shape(small_checkpoint):
-    rep = analyze_checkpoint(small_checkpoint, bins=8)
+    rep = analyze_checkpoint(reader_of(small_checkpoint), bins=8)
     text = emit_report_csv(rep)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["name", "kind", "depth", "K", "CHW", "sigma_r", "mean_abs_offdiag"]
@@ -87,7 +87,7 @@ def test_report_csv_shape(small_checkpoint):
 
 def test_report_csv_empty():
     c = make_checkpoint([])
-    text = emit_report_csv(analyze_checkpoint(c, bins=4))
+    text = emit_report_csv(analyze_checkpoint(reader_of(c), bins=4))
     assert text == "name,kind,depth,K,CHW,sigma_r,mean_abs_offdiag\n"
 
 
@@ -196,7 +196,7 @@ def test_projection_csv_blank_label_when_absent():
 
 
 def test_compare_equal_checkpoints(small_checkpoint):
-    rows = compare_checkpoints(small_checkpoint, small_checkpoint)
+    rows = compare_checkpoints(reader_of(small_checkpoint), reader_of(small_checkpoint))
     assert len(rows) == 3  # conv, conv, linear
     assert all(r.max_abs_diff == 0.0 for r in rows)
     assert all(r.sigma_r_a == r.sigma_r_b for r in rows)
@@ -209,7 +209,7 @@ def test_compare_after_postprocess_reduces_sigma():
         [("w", (32, 16, 3, 3), "conv", 0, correlated_tensor((32, 16, 3, 3), seed=5))]
     )
     out = ghn_orth(c, PostprocessConfig(start_layer=0, seed=3))
-    rows = compare_checkpoints(c, out)
+    rows = compare_checkpoints(reader_of(c), reader_of(out))
     assert rows[0].sigma_r_a > 0.05
     assert rows[0].sigma_r_b < rows[0].sigma_r_a
     assert rows[0].max_abs_diff > 0.0
@@ -219,14 +219,14 @@ def test_compare_structure_mismatch():
     a = make_checkpoint([("w", (4, 4), "conv", 0, np.zeros((4, 4), np.float32))])
     b = make_checkpoint([("w", (4, 2, 2), "conv", 0, np.zeros((4, 2, 2), np.float32))])
     with pytest.raises(StructureMismatch, match="shapes differ"):
-        compare_checkpoints(a, b)
+        compare_checkpoints(reader_of(a), reader_of(b))
     c = make_checkpoint([("v", (4, 4), "conv", 0, np.zeros((4, 4), np.float32))])
     with pytest.raises(StructureMismatch, match="only in"):
-        compare_checkpoints(a, c)
+        compare_checkpoints(reader_of(a), reader_of(c))
 
 
 def test_compare_csv_round_trip(small_checkpoint):
-    rows = compare_checkpoints(small_checkpoint, small_checkpoint)
+    rows = compare_checkpoints(reader_of(small_checkpoint), reader_of(small_checkpoint))
     text = emit_compare_csv(rows)
     parsed = list(csv.reader(io.StringIO(text)))
     assert parsed[0] == ["name", "max_abs_diff", "sigma_r_a", "sigma_r_b"]
@@ -236,8 +236,8 @@ def test_compare_csv_round_trip(small_checkpoint):
 
 def _compare_one_layer(shape, seed):
     a, b = correlated_tensor(shape, seed=seed), ghn_like_tensor(shape, seed=seed)
-    ckpts = [make_checkpoint([("w", shape, "linear", 0, w)]) for w in (a, b)]
-    (row,) = compare_checkpoints(*ckpts)
+    files = [reader_of(make_checkpoint([("w", shape, "linear", 0, w)])) for w in (a, b)]
+    (row,) = compare_checkpoints(*files)
     return row, a, b
 
 
@@ -275,10 +275,9 @@ _SOURCE_LAYERS = {
 
 
 @pytest.mark.parametrize("layer", sorted(_SOURCE_LAYERS))
-def test_file_and_memory_sources_give_the_same_bits(layer):
-    # A CheckpointReader streams the layer's rows from the file, a
-    # Checkpoint hands out views of its array; both must give the bits of
-    # the functions on the array itself.
+def test_file_source_gives_the_bits_of_the_array(layer):
+    # A CheckpointReader streams the layer's rows from the file; it must
+    # give the bits of the functions on the array itself.
     shape = _SOURCE_LAYERS[layer]
     a, b = correlated_tensor(shape, seed=71), ghn_like_tensor(shape, seed=71)
     if layer == "dead_channel":
@@ -286,19 +285,11 @@ def test_file_and_memory_sources_give_the_same_bits(layer):
         b[37] = 0.0
     norm = np.ones(4, np.float32)  # read past, so the layer sits at an offset
     metas = [TensorMeta("bn", (4,), "norm", 0), TensorMeta("w", shape, "linear", 0)]
-    memory, files = [], []
-    for w in (a, b):
-        memory.append(Checkpoint(tensors=list(zip(metas, (norm, w)))))
-        handle = io.BytesIO()
-        write_tensors(handle, metas, (norm, w))
-        files.append(CheckpointReader(handle))
+    files = [reader_of(Checkpoint(tensors=list(zip(metas, (norm, w))))) for w in (a, b)]
 
     want = correlation_stats(a, bins=50)
-    for source in (memory[0], files[0]):
-        (rec,) = analyze_checkpoint(source, bins=50).records
-        assert (rec.sigma_r, rec.mean_abs_offdiag) == (want.sigma_r, want.mean_abs)
-        np.testing.assert_array_equal(rec.histogram.counts, want.histogram.counts)
+    (rec,) = analyze_checkpoint(files[0], bins=50).records
+    assert (rec.sigma_r, rec.mean_abs_offdiag) == (want.sigma_r, want.mean_abs)
+    np.testing.assert_array_equal(rec.histogram.counts, want.histogram.counts)
     diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
-    want_rows = [CompareRow("w", diff, sigma_r(a), sigma_r(b))]
-    assert compare_checkpoints(*memory) == want_rows
-    assert compare_checkpoints(*files) == want_rows
+    assert compare_checkpoints(*files) == [CompareRow("w", diff, sigma_r(a), sigma_r(b))]

@@ -58,12 +58,6 @@ def test_labels_give_distinct_streams():
     assert not np.array_equal(a, c)
 
 
-def test_substream_derivation():
-    root = RngStream(99)
-    assert root.substream("x") == RngStream(99, "x")
-    assert root.substream("x").normal(8).tobytes() == RngStream(99, "x").normal(8).tobytes()
-
-
 def test_uniform_range():
     u = RngStream(3, "u").uniform(100_000)
     assert u.min() > 0.0

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghnpost.checkpoint_io import CheckpointReader, TensorMeta, TensorRows, write_tensors
+from ghnpost.checkpoint_io import TensorRows
 from ghnpost.errors import (
     ChannelTooShort,
     NonFiniteTensor,
@@ -23,7 +22,7 @@ from ghnpost.stats import (
     sigma_r,
 )
 
-from conftest import correlated_tensor, ghn_like_tensor
+from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint, reader_of
 
 
 def _corr2(a, b):
@@ -453,6 +452,5 @@ def test_sigma_r_of_a_row_source_is_sigma_r_of_the_array(shape):
     # Tall layers (the CHW x CHW route) and wide ones (the fold), read from
     # a file in several row blocks, or one row at a time.
     w = correlated_tensor(shape, seed=73)
-    handle = io.BytesIO()
-    write_tensors(handle, [TensorMeta("w", shape, "conv", 0)], [w])
-    assert sigma_r(TensorRows(CheckpointReader(handle), 0)) == sigma_r(w)
+    reader = reader_of(make_checkpoint([("w", shape, "conv", 0, w)]))
+    assert sigma_r(TensorRows(reader, 0)) == sigma_r(w)

@@ -8,7 +8,6 @@ fresh interpreter.  A K x K float64 Gram of the
 4096-channel tensor below alone would be 128 MiB.
 """
 
-import io
 import os
 import subprocess
 import sys
@@ -19,10 +18,12 @@ import numpy as np
 import pytest
 
 import ghnpost
-from ghnpost.checkpoint_io import Checkpoint, CheckpointReader, TensorMeta, write_tensors
+from ghnpost.checkpoint_io import Checkpoint, TensorMeta
 from ghnpost.postprocess import PostprocessConfig, ghn_orth_tensor
 from ghnpost.report import analyze_checkpoint, compare_checkpoints
 from ghnpost.stats import _PANEL_ROWS, correlation_stats, sigma_r
+
+from conftest import reader_of
 
 
 def _peak_bytes(fn):
@@ -37,13 +38,13 @@ def _peak_bytes(fn):
 _K, _CHW = 4096, 3
 _W = np.random.default_rng(0).normal(size=(_K, _CHW)).astype(np.float32)
 _META = TensorMeta("w", (_K, _CHW), "linear", 0)
-_CKPT = Checkpoint(tensors=[(_META, _W)])
+_FILE = reader_of(Checkpoint(tensors=[(_META, _W)]))
 
 _CALLS = {
     "correlation_stats": lambda: correlation_stats(_W, bins=50),
     "sigma_r": lambda: sigma_r(_W),
-    "analyze": lambda: analyze_checkpoint(_CKPT, bins=50),
-    "compare": lambda: compare_checkpoints(_CKPT, _CKPT),
+    "analyze": lambda: analyze_checkpoint(_FILE, bins=50),
+    "compare": lambda: compare_checkpoints(_FILE, _FILE),
     "postprocess": lambda: ghn_orth_tensor(_META, _W, PostprocessConfig(start_layer=0)),
 }
 
@@ -66,9 +67,8 @@ def _readers(files: int):
     metas = [TensorMeta(f"w{i}", (k, chw), "linear", i) for i in range(3)]
     readers = []
     for _ in range(files):
-        handle = io.BytesIO()
-        write_tensors(handle, metas, (rng.standard_normal((k, chw), np.float32) for _ in metas))
-        readers.append(CheckpointReader(handle))
+        arrays = [rng.standard_normal((k, chw), np.float32) for _ in metas]
+        readers.append(reader_of(Checkpoint(tensors=list(zip(metas, arrays)))))
     # One float64 copy of a layer, the fold's two 128 x K panels, and five
     # 64K-value float64 blocks: the bin counter's four buffers, or the
     # channel squares, the float32 row buffers and the difference scratch.

@@ -20,9 +20,10 @@ offsets.  Writing the same checkpoint twice yields identical bytes, and
 There is one reader and one way to lay out a file.
 :class:`CheckpointReader` parses the header and then reads tensors
 (:meth:`~CheckpointReader.load`), or blocks of a tensor's rows
-(:class:`TensorRows`, as ``analyze`` and ``compare`` read them), on
-demand.  :func:`encode_header` gives the header bytes and every tensor's
-offset, which :func:`positional_writer` (a file, any tensor order) and
+(:class:`TensorRows`, as ``analyze``, ``compare`` and ``postprocess`` read
+conv/linear layers), on demand.  :func:`encode_header` gives the header
+bytes and every tensor's offset, which :func:`positional_writer` (a file,
+any tensor order, whole tensors or blocks of rows) and
 :func:`write_checkpoint` (an in-memory :class:`Checkpoint`) fill.
 :func:`read_checkpoint` runs the reader over bytes.
 
@@ -158,11 +159,21 @@ def _check_metas(
         prev_depth = meta.depth
 
 
-def _check_array(meta: TensorMeta, arr: np.ndarray) -> None:
-    if tuple(arr.shape) != meta.shape:
+def _check_array(meta: TensorMeta, arr: np.ndarray, row: int | None = None) -> None:
+    """``arr`` is float32 and is the whole of ``meta``'s tensor or, with
+    ``row``, its rows row .. row + len(arr) of the first axis, of any
+    shape that holds whole rows (such as rows of the K x CHW matrix)."""
+    if row is None:
+        if tuple(arr.shape) != meta.shape:
+            raise ValueError(
+                f"tensor {meta.name!r}: metadata shape {meta.shape} != "
+                f"array shape {tuple(arr.shape)}"
+            )
+    elif not (arr.ndim and arr.size == len(arr) * math.prod(meta.shape[1:])
+              and 0 <= row <= meta.shape[0] - len(arr)):
         raise ValueError(
-            f"tensor {meta.name!r}: metadata shape {meta.shape} != "
-            f"array shape {tuple(arr.shape)}"
+            f"tensor {meta.name!r}: array shape {tuple(arr.shape)} at row {row} is not "
+            f"whole rows of metadata shape {meta.shape}"
         )
     if arr.dtype != np.float32:
         raise ValueError(f"tensor {meta.name!r}: dtype {arr.dtype}, expected float32")
@@ -200,27 +211,34 @@ def encode_header(metas: Sequence[TensorMeta]) -> tuple[bytes, list[int]]:
     return head, [len(head) + e["offset"] for e in entries] + [len(head) + offset]
 
 
-def _tensor_bytes(meta: TensorMeta, arr: np.ndarray) -> memoryview:
+def _tensor_bytes(meta: TensorMeta, arr: np.ndarray, row: int | None = None) -> memoryview:
     """The bytes of ``arr`` as the file stores them (C-ordered ``<f4``),
-    once it is checked against ``meta``: its shape, and dtype float32.  A
-    bad array raises ValueError, a programming error, not a data error."""
-    _check_array(meta, arr)
+    once it is checked against ``meta`` by :func:`_check_array`: the whole
+    tensor, or its rows from ``row``.  A bad array raises ValueError, a
+    programming error, not a data error."""
+    _check_array(meta, arr, row)
     return memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B")
 
 
-def positional_writer(fd: int, metas: Sequence[TensorMeta]) -> Callable[[int, np.ndarray], None]:
+def positional_writer(
+    fd: int, metas: Sequence[TensorMeta]
+) -> Callable[[int, np.ndarray, int | None], None]:
     """Write the header of ``metas`` into the file open for writing at ``fd``,
-    size the file to hold every tensor, and return ``put(i, arr)``: write
-    :func:`_tensor_bytes` of ``arr`` at tensor i's offset.  ``put`` may run
-    on any thread, in any order, once per tensor (``os.pwrite`` releases
-    the GIL); a tensor never put reads as zeros.
+    size the file to hold every tensor, and return ``put(i, arr, row=None)``:
+    write :func:`_tensor_bytes` of ``arr`` at tensor i's offset, or, with
+    ``row``, as rows row .. row + len(arr) of its first axis, at the offset
+    plus 4 * row * (elements per row).  ``put`` may run on any thread, in
+    any order, once per tensor or per block of rows (``os.pwrite`` releases
+    the GIL); bytes never put read as zeros.
     """
     head, offsets = encode_header(metas)
     _pwrite_all(fd, head, 0)
     os.ftruncate(fd, offsets[-1])
 
-    def put(i: int, arr: np.ndarray) -> None:
-        _pwrite_all(fd, _tensor_bytes(metas[i], arr), offsets[i])
+    def put(i: int, arr: np.ndarray, row: int | None = None) -> None:
+        meta = metas[i]
+        start = 0 if row is None else row * math.prod(meta.shape[1:]) * _F32_BYTES
+        _pwrite_all(fd, _tensor_bytes(meta, arr, row), offsets[i] + start)
 
     return put
 

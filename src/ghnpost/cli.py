@@ -9,9 +9,12 @@ Checkpoints are read and written one tensor at a time, and layers
 complete in any order, each written at its own offset: memory holds the
 header and the working sets of the layers in flight (at most about two of
 the largest; see :func:`~ghnpost.postprocess._run_layers`), not the file.
-``analyze`` and ``compare`` read each conv/linear layer a block of rows
-at a time into its float64 channels, so they hold one float64 copy of
-one layer and no float32 copy (see :func:`~ghnpost.report.analyze_checkpoint`).
+``analyze``, ``compare`` and ``postprocess`` read each conv/linear layer
+they process a block of rows at a time into its float64 buffer, and
+``postprocess`` writes its result a block of rows at a time at its
+offset, so a layer in flight is one float64 copy (8 bytes per element)
+and never a float32 copy (see :func:`~ghnpost.report.analyze_checkpoint`
+and :func:`~ghnpost.postprocess.ghn_orth_tensors`).
 Input checkpoints are opened unbuffered, so a file cut after its header
 was checked raises TruncatedData instead of yielding buffered old bytes.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import re
@@ -29,7 +33,7 @@ from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import BinaryIO
 
-from .checkpoint_io import CheckpointReader, parse_tensor_specs, positional_writer
+from .checkpoint_io import CheckpointReader, TensorRows, parse_tensor_specs, positional_writer
 from .errors import DataFormatError, NumericalError
 from .postprocess import (
     DEFAULT_BETA,
@@ -221,8 +225,9 @@ def _cmd_postprocess(args) -> int:
         # The output is renamed into place after the last tensor is read,
         # so --out may name the input file.
         with _write_atomic(args.out) as dst:
-            store = positional_writer(dst.fileno(), reader.metas)
-            ghn_orth_tensors(reader.metas, reader.load, store, cfg)
+            put = positional_writer(dst.fileno(), reader.metas)
+            rows = functools.partial(TensorRows, reader)
+            ghn_orth_tensors(reader.metas, reader.load, rows, put, cfg)
     return 0
 
 

@@ -10,10 +10,13 @@ their QR decomposition.  Normalization weights, biases and shallower
 layers pass through bit-identical.
 
 Public single-tensor operations preserve the input dtype unless told
-otherwise; internally everything runs in float64, and ``ghn_orth_tensor``
-casts each layer to float32 exactly once.  A layer that gets the QR step
-lives in one float64 buffer from its correlation to that cast (see
-:func:`_reinit`).
+otherwise; internally everything runs in float64, and each layer is
+rounded to float32 exactly once.  One routine, :func:`_orth_layer`,
+post-processes a layer from a row source (an array, or a file's
+:class:`~ghnpost.checkpoint_io.TensorRows`) into a sink of float32 row
+blocks, for :func:`ghn_orth_tensor` and the command line alike.  A layer
+that gets the QR step lives in one float64 buffer from its correlation to
+that cast (see :func:`_reinit`); no float32 copy of it is held.
 
 Each step is written once: the noise std in :func:`_noise_scale`, the
 Gaussian fill in :func:`_add_noise` (the noise of
@@ -42,7 +45,7 @@ from .errors import naming
 from .linalg import gil_free_qr, one_blas_thread, qr_decompose
 from .rng import RngStream
 from .stats import sigma_r
-from .tensor_ops import check_finite, geometry, row_step
+from .tensor_ops import check_finite, geometry, row_blocks, row_step
 
 DEFAULT_BETA = 3e-5
 
@@ -90,56 +93,66 @@ def add_conditional_noise(
     # sigma_r's float64 channels are freed before the output is allocated.
     scale = _noise_scale(w, beta)
     out = np.empty((k, chw), w.dtype if dtype is None else dtype)
-    _add_noise(out, w.reshape(k, chw), scale, rng)
+    _add_noise(out, w, scale, rng)
     return out.reshape(w.shape)
 
 
-def _noise_scale(w: np.ndarray, beta: float, work: np.ndarray | None = None) -> float | None:
+def _noise_scale(w, beta: float, work: np.ndarray | None = None) -> float | None:
     """beta * sigma_r(w), or None where the noise is skipped (beta == 0, a
-    single channel, or sigma_r == 0); ``work`` as for sigma_r."""
+    single channel, or sigma_r == 0); ``w`` and ``work`` as for sigma_r."""
     sigma = 0.0 if w.shape[0] < 2 else sigma_r(w, work)
     return beta * sigma if beta != 0.0 and sigma != 0.0 else None
 
 
-def _add_noise(layer: np.ndarray, mat: np.ndarray | None, scale: float | None,
-               rng: RngStream) -> None:
-    """Set the K x CHW ``layer`` (either memory order) to ``mat + scale * z``
-    (to mat if ``scale`` is None; mat None reads as -0.0), z the stream in
+def _add_noise(layer: np.ndarray, src, scale: float | None, rng: RngStream | None,
+               put: Callable[[int, np.ndarray], None] | None = None) -> None:
+    """Set the K x CHW ``layer`` (either memory order) to ``src + scale * z``
+    (to src if ``scale`` is None; src None reads as -0.0), z the stream in
     C order, summed in float64 and rounded once to layer's dtype, a
     :func:`~ghnpost.tensor_ops.row_step` block of whole rows at a time, so
-    the noise never needs a buffer the size of the layer; each block goes
-    through :func:`~ghnpost.tensor_ops.check_finite` against its rows of
-    mat.  The stream runs over the layer in C order, whatever its memory
+    the noise never needs a buffer the size of the layer.  ``src`` is a
+    rank-2/4 array or a row source, read once through
+    :func:`~ghnpost.tensor_ops.row_blocks`.  With ``put``, ``layer`` is
+    instead a flat buffer of one block's values, reused for every block:
+    each block is made there and handed to ``put(r0, block)``.  Each block
+    goes through :func:`~ghnpost.tensor_ops.check_finite` against its rows
+    of src.  The stream runs over the layer in C order, whatever its memory
     order: a block's first value is stream position r0 * CHW.
     This is the one place a layer is filled from the stream: the
-    initializers pass ``mat=None``.
+    initializers pass ``src=None``.
 
     Noise under 2**-(nmant+4) |w_i| is under a quarter of the smaller gap
     of layer's dtype next to w_i (subnormals included), so the sum rounds
     back to w_i; as |z_i| <= _ZMAX, only |w_i| <= limit can move.  A
-    C-ordered layer draws only those (:class:`_Gather`), others draw all.
+    C-ordered block with some |w_i| > limit draws only those
+    (:class:`_Gather`), others draw all: the same bytes either way.
     """
-    k, chw = layer.shape
+    k, chw = layer.shape if put is None else geometry(src.shape)[:2]
     step = row_step(k, chw)
+    blocks = row_blocks(src) if src is not None else ((r0, None) for r0 in range(0, k, step))
     gather = None
-    if scale is not None and mat is not None and layer.flags.c_contiguous:
+    if scale is not None:
         limit = 2.0 ** (np.finfo(layer.dtype).nmant + 4) * scale * _ZMAX
-        if limit < max(float(mat.max()), -float(mat.min())):
-            gather = _Gather(layer.dtype, step * chw)
     # A huge beta overflows here; the block check reports it, so numpy need
     # not warn as well.
     with np.errstate(over="ignore"):
-        for r0 in range(0, k, step):
-            rows, start = slice(r0, r0 + step), r0 * chw
-            block = layer[rows]
-            block[...] = -0.0 if mat is None else mat[rows]  # -0.0 + x is x, even x = +-0
-            if scale is not None and (
-                gather is None or not gather.add(block.reshape(-1), start, limit, scale, rng)
-            ):
-                z = rng.normal(block.size, start=start).reshape(block.shape)
-                z *= scale
-                block += z
-            check_finite(block, None if mat is None else mat[rows])
+        for r0, rows in blocks:
+            n = min(step, k - r0)
+            block = layer[r0 : r0 + n] if put is None else layer[: n * chw].reshape(n, chw)
+            block[...] = -0.0 if rows is None else rows  # -0.0 + x is x, even x = +-0
+            if scale is not None:
+                gathered = False
+                if (rows is not None and block.flags.c_contiguous
+                        and limit < max(float(rows.max()), -float(rows.min()))):
+                    gather = gather or _Gather(layer.dtype, step * chw)
+                    gathered = gather.add(block.reshape(-1), r0 * chw, limit, scale, rng)
+                if not gathered:
+                    z = rng.normal(block.size, start=r0 * chw).reshape(block.shape)
+                    z *= scale
+                    block += z
+            check_finite(block, rows)
+            if put is not None:
+                put(r0, block)
 
 
 class _Gather:
@@ -192,24 +205,25 @@ def orthogonal_reinit(w: np.ndarray) -> np.ndarray:
     return _reinit(w, None).astype(w.dtype, order="C", copy=False).reshape(w.shape)
 
 
-def _reinit(w: np.ndarray, noise: tuple[float, RngStream] | None) -> np.ndarray:
-    """The sign-corrected Q of w's K x CHW matrix, after the conditional
-    noise of ``noise`` = (beta, rng) if given, in one :func:`_layer_matrix`.
+def _reinit(src, noise: tuple[float, RngStream] | None) -> np.ndarray:
+    """The sign-corrected Q of the K x CHW matrix of ``src`` (an array or a
+    row source), after the conditional noise of ``noise`` = (beta, rng) if
+    given, in one :func:`_layer_matrix`.
 
     The buffer holds the channels while :func:`~ghnpost.stats.sigma_r`
     works on them, then :func:`_add_noise`'s ``w + beta * sigma_r * z``
-    (the bytes of :func:`add_conditional_noise` into float64), then Q.  A
-    NaN or Inf in w or in the noised layer raises NonFiniteTensor before
-    the QR: sigma_r's norms or the block check of :func:`_add_noise` see
-    it.
+    (the bytes of :func:`add_conditional_noise` into float64), then Q; so
+    src is read twice with noise, once without.  A NaN or Inf in w or in
+    the noised layer raises NonFiniteTensor before the QR: sigma_r's norms
+    or the block check of :func:`_add_noise` see it.
     """
-    k, chw, transposed = geometry(w.shape)
+    k, chw, transposed = geometry(src.shape)
     layer = _layer_matrix(k, chw, transposed)
     scale = rng = None
     if noise is not None:
         beta, rng = noise
-        scale = _noise_scale(w, beta, layer.ravel(order="K"))  # the whole buffer
-    _add_noise(layer, w.reshape(k, chw), scale, rng)
+        scale = _noise_scale(src, beta, layer.ravel(order="K"))  # the whole buffer
+    _add_noise(layer, src, scale, rng)
     _orthonormalize(layer, transposed)
     return layer
 
@@ -248,36 +262,61 @@ def _eligible(meta: TensorMeta, cfg: PostprocessConfig) -> bool:
     return meta.kind in ELIGIBLE_KINDS and meta.depth >= cfg.start_layer
 
 
-def ghn_orth_tensor(
-    meta: TensorMeta, arr: np.ndarray, cfg: PostprocessConfig, out: np.ndarray | None = None
-) -> np.ndarray:
+def _orth_layer(name: str, src, cfg: PostprocessConfig, put: Callable[[int, np.ndarray], None],
+                work: np.ndarray | None = None) -> None:
+    """Post-process the eligible tensor ``name`` from ``src``, an array or a
+    row source (see :func:`~ghnpost.tensor_ops.row_blocks`), handing its
+    float32 result to ``put(r0, rows)`` a row block of the K x CHW matrix
+    at a time; a block is valid until ``put`` returns.  This is the one
+    routine of both :func:`ghn_orth_tensor` and :func:`ghn_orth_tensors`.
+
+    The repair runs in one float64 :func:`_reinit` buffer, and Q is cast
+    to float32 a block at a time into one reused buffer.  ``--skip-orth``
+    takes sigma_r's channels in ``work`` (a contiguous float64 buffer of at
+    least the layer's size; a new array if None), then makes each noised
+    block in one reused float32 buffer.  Each block is checked finite
+    before it is put, so no float32 copy of the layer is ever held.
+    """
+    k, chw, transposed = geometry(src.shape)
+    rng = RngStream(cfg.seed, name)
+    if cfg.skip_orth:
+        scale = _noise_scale(src, cfg.beta, None if work is None else work[: k * chw])
+        _add_noise(np.empty(row_step(k, chw) * chw, np.float32), src, scale, rng, put)
+        return
+    layer = _reinit(src, None if cfg.skip_noise else (cfg.beta, rng))
+    step = row_step(k, chw)
+    buf = np.empty(step * chw, np.float32)
+    for r0 in range(0, k, step):
+        block = buf[: min(step, k - r0) * chw].reshape(-1, chw)
+        np.copyto(block, layer[r0 : r0 + len(block)], casting="same_kind")
+        check_finite(block)
+        put(r0, block)
+
+
+def ghn_orth_tensor(meta: TensorMeta, arr: np.ndarray, cfg: PostprocessConfig) -> np.ndarray:
     """One tensor of the :func:`ghn_orth` output.
 
     An eligible tensor (kind conv or linear, depth >= cfg.start_layer)
-    gets the two-step post-processing, drawing from its own substream
-    keyed by tensor name, and comes back as a new float32 array (or, after
-    the QR step, in ``out``: C-ordered float32, arr itself allowed); any
-    other tensor comes back as ``arr`` itself.  Either way the result must
-    be finite: NaN or Inf raises NonFiniteTensor naming the tensor, as
-    held by the input or as produced by an overflowing ``beta`` (see
-    :func:`~ghnpost.tensor_ops.check_finite`).
+    gets the two-step post-processing of :func:`_orth_layer`, drawing from
+    its own substream keyed by tensor name, and comes back as a new
+    C-ordered float32 array; any other tensor comes back as ``arr``
+    itself.  Either way the result must be finite: NaN or Inf raises
+    NonFiniteTensor naming the tensor, as held by the input or as produced
+    by an overflowing ``beta`` (see :func:`~ghnpost.tensor_ops.check_finite`).
     """
-    w = arr
-    eligible = _eligible(meta, cfg)
     with naming(meta.name):
-        if eligible:
-            rng = RngStream(cfg.seed, meta.name)
-            if cfg.skip_orth:
-                w = add_conditional_noise(arr, cfg.beta, rng).astype(np.float32, copy=False)
-            else:
-                # Noise feeding the QR step stays float64 until the cast.
-                q = _reinit(arr, None if cfg.skip_noise else (cfg.beta, rng))
-                w = np.empty(arr.shape, np.float32) if out is None else out
-                np.copyto(w.reshape(q.shape), q, casting="same_kind")
-        # A pass-through tensor is its own source; an eligible one's input
-        # may have been overwritten by its result (out=arr).
-        check_finite(w, None if eligible else arr)
-    return w
+        if not _eligible(meta, cfg):
+            check_finite(arr, arr)
+            return arr
+        out = []
+
+        def put(r0: int, block: np.ndarray) -> None:
+            if not out:  # made at the first block, after sigma_r's channels are freed
+                out.append(np.empty((len(arr), block.shape[1]), np.float32))
+            out[0][r0 : r0 + len(block)] = block
+
+        _orth_layer(meta.name, arr, cfg, put)
+    return out[0].reshape(arr.shape)
 
 
 def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[int],
@@ -322,11 +361,12 @@ def _run_layers(
     """:func:`_run_pool` ``fn`` over the tensors of ``metas``, with BLAS on one
     thread so the bytes do not depend on the core count, and one thread per
     usable CPU where the QR releases the GIL.  Eligible tensors go first,
-    largest first, ties in header order, and cost 12 bytes per element
-    (float32 array and float64 layer buffer), others 4; the budget is two
+    largest first, ties in header order, and cost 8 bytes per element (the
+    float64 layer buffer; the repair's file rows pass through buffers of
+    one row block), others 4 (the whole float32 array); the budget is two
     of the largest eligible tensor."""
     sizes = [math.prod(meta.shape) for meta in metas]
-    costs = [(12 if e else 4) * n for e, n in zip(eligible, sizes)]
+    costs = [(8 if e else 4) * n for e, n in zip(eligible, sizes)]
     order = sorted(range(len(metas)), key=lambda i: (not eligible[i], -sizes[i], i))
     budget = 2 * max((c for e, c in zip(eligible, costs) if e), default=0)
     width = _cpu_count() if gil_free_qr() else 1
@@ -341,36 +381,67 @@ def _cpu_count() -> int:
 
 
 def ghn_orth_tensors(metas: Sequence[TensorMeta], load: Callable[[int], np.ndarray],
-                     store: Callable[[int, np.ndarray], None], cfg: PostprocessConfig) -> None:
-    """``store(i, w)`` with w = :func:`ghn_orth_tensor` of each tensor i of
-    ``metas``, given by ``load(i)``, whose array a layer that gets the QR
-    step is cast back into.  With the orth step on, the tensors run on
-    :func:`_run_layers`' pool, and each is stored as soon as it is made.
+                     rows: Callable[[int], object], put: Callable[..., None],
+                     cfg: PostprocessConfig) -> None:
+    """The :func:`ghn_orth` result of each tensor i of ``metas``, handed to
+    ``put`` as soon as it is made.
+
+    An eligible tensor is read from ``rows(i)``, an array or a row source
+    such as :class:`~ghnpost.checkpoint_io.TensorRows` (twice with noise:
+    for sigma_r, then for the noise), and put a row block of float32 at a
+    time, ``put(i, block, r0)``, by :func:`_orth_layer`: from a file, no
+    float32 copy of it is held.  Any other tensor is ``load(i)``, checked
+    and put whole, ``put(i, arr)``.  With the orth step on, the tensors
+    run on :func:`_run_layers`' pool, each eligible one in its float64
+    layer buffer.  ``--skip-orth`` runs them one at a time in header
+    order, on BLAS's default thread count (on the pool the noise-only path
+    peaks higher, CHANGES.md), with sigma_r's channels in one
+    :func:`_layer_buffer` of the largest eligible tensor's size, reused.
     """
-    if cfg.skip_orth:
-        # Sequential, on BLAS's default thread count: on the pool the
-        # noise-only path peaks higher (CHANGES.md).
-        for i, meta in enumerate(metas):
-            store(i, ghn_orth_tensor(meta, load(i), cfg))
+    eligible = [_eligible(meta, cfg) for meta in metas]
+
+    def one(i: int, work: np.ndarray | None = None) -> None:
+        meta = metas[i]
+        if not eligible[i]:
+            put(i, ghn_orth_tensor(meta, load(i), cfg))
+            return
+        with naming(meta.name):
+            _orth_layer(meta.name, rows(i), cfg, lambda r0, block: put(i, block, r0), work)
+
+    if not cfg.skip_orth:
+        _run_layers(metas, eligible, one)
         return
-
-    def repair(i: int) -> None:
-        arr = load(i)
-        store(i, ghn_orth_tensor(metas[i], arr, cfg, out=arr))
-
-    _run_layers(metas, [_eligible(meta, cfg) for meta in metas], repair)
+    work = None
+    if any(eligible):
+        # A fresh mapping per layer costs page faults; a malloc'd one keeps
+        # its pages after the run (glibc's mmap threshold rises on free).
+        largest = max((m for m, e in zip(metas, eligible) if e), key=lambda m: math.prod(m.shape))
+        with naming(largest.name):
+            work = _layer_buffer(math.prod(largest.shape))
+    for i in range(len(metas)):
+        one(i, work)
 
 
 def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
     """Apply the two-step post-processing to every eligible tensor.
 
-    Everything else is copied bit-identically.  Each layer is processed
-    by :func:`ghn_orth_tensor` on its own, so the result does not depend on
-    processing order; :func:`ghn_orth_tensors` runs them on copies.
+    Everything else is passed through as is.  Each layer is processed on
+    its own by :func:`ghn_orth_tensors`, with the arrays as row sources,
+    so the result does not depend on processing order and equals
+    :func:`ghn_orth_tensor` of each tensor.
     """
     validate_checkpoint(c)
-    out: list = [None] * len(c)
-    ghn_orth_tensors(c.metas, lambda i: c.tensors[i][1].copy(), out.__setitem__, cfg)
+    arrays = [arr for _, arr in c.tensors]
+    out = [np.empty(arr.shape, np.float32) if _eligible(meta, cfg) else None
+           for meta, arr in c.tensors]
+
+    def put(i: int, w: np.ndarray, r0: int | None = None) -> None:
+        if r0 is None:
+            out[i] = w
+        else:
+            out[i].reshape(len(out[i]), -1)[r0 : r0 + len(w)] = w
+
+    ghn_orth_tensors(c.metas, arrays.__getitem__, arrays.__getitem__, put, cfg)
     return Checkpoint(tensors=list(zip(c.metas, out)), version=c.version)
 
 

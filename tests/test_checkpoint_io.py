@@ -298,10 +298,21 @@ def test_positional_writer_in_any_order_equals_write_checkpoint(tmp_path, monkey
     # At most 1000 bytes per call, as a write that the OS cuts short.
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:1000], offset))
     path = tmp_path / "c.ckpt"
+    def put_tensor(i):
+        # Odd tensors of two rows or more go as two blocks of rows, the
+        # later rows first.
+        w = c.tensors[i][1]
+        if i % 2 and len(w) > 1:
+            half = len(w) // 2
+            put(i, w[half:], half)
+            put(i, w[:half], 0)
+        else:
+            put(i, w)
+
     with open(path, "wb") as handle:
         put = positional_writer(handle.fileno(), c.metas)
         threads = [
-            threading.Thread(target=lambda ids: [put(i, c.tensors[i][1]) for i in ids],
+            threading.Thread(target=lambda ids: [put_tensor(i) for i in ids],
                              args=(range(k, len(c), 3)[::-1],))
             for k in range(3)
         ]
@@ -312,8 +323,14 @@ def test_positional_writer_in_any_order_equals_write_checkpoint(tmp_path, monkey
     assert not any(thread.is_alive() for thread in threads)
     assert path.read_bytes() == write_checkpoint(c)
     with open(path, "wb") as handle:
+        put = positional_writer(handle.fileno(), c.metas)
         with pytest.raises(ValueError, match="shape"):
-            positional_writer(handle.fileno(), c.metas)(0, np.zeros(3, np.float32))
+            put(0, np.zeros(3, np.float32))
+        rows, cols = c.metas[0].shape
+        for block, row in [(np.zeros((2, cols), np.float32), rows - 1),  # past the end
+                           (np.zeros((2, cols + 1), np.float32), 0)]:  # not whole rows
+            with pytest.raises(ValueError, match="whole rows"):
+                put(0, block, row)
 
 
 @pytest.mark.parametrize(

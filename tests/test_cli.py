@@ -30,10 +30,11 @@ from ghnpost.checkpoint_io import Checkpoint, TensorMeta, read_checkpoint, write
 from ghnpost.cli import run
 from ghnpost.linalg import qr_decompose
 from ghnpost.postprocess import PostprocessConfig, ghn_orth
+from ghnpost.rng import RngStream
 from ghnpost.stats import channel_correlation, offdiagonal_values
 from ghnpost.tensor_ops import matricize
 
-from conftest import ghn_like_tensor, make_checkpoint
+from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint
 
 
 @pytest.fixture
@@ -127,19 +128,101 @@ def test_postprocess_skip_flags(ckpt_path, tmp_path):
     assert both == 1
 
 
+def _blocks_checkpoint(path):
+    """Layers whose row blocks (about 64K values each) end in every way."""
+    mixed = ghn_like_tensor((64, 2048), seed=5)
+    mixed[:32] *= 1e-30  # its first 32-row block lies wholly within the noise's reach
+    path.write_bytes(write_checkpoint(make_checkpoint([
+        # 327-row blocks, K not a multiple; K > CHW, not transposed
+        ("tail", (700, 200), "linear", 1, ghn_like_tensor((700, 200), seed=1)),
+        # 65-row blocks, K < CHW: transposed
+        ("wide", (150, 10, 10, 10), "conv", 1, correlated_tensor((150, 10, 10, 10), seed=2)),
+        ("long", (3, 70000), "linear", 1, ghn_like_tensor((3, 70000), seed=3)),  # a row a block
+        ("one", (1, 64), "linear", 2, ghn_like_tensor((1, 64), seed=4)),  # K = 1
+        ("bn", (64,), "norm", 2, np.full(64, 1.5, np.float32)),
+        ("mixed", (64, 2048), "linear", 2, mixed),
+    ])))
+    return path
+
+
+@pytest.mark.parametrize("beta", ["0.01", "1e-22"])
 @pytest.mark.parametrize("skip", [[], ["--skip-noise"], ["--skip-orth"]])
-def test_postprocess_matches_library(skip, ckpt_path, tmp_path, monkeypatch):
-    cfg = PostprocessConfig(start_layer=1, beta=0.01, seed=5,
+def test_postprocess_matches_library(skip, beta, ckpt_path, tmp_path, monkeypatch):
+    cfg = PostprocessConfig(start_layer=1, beta=float(beta), seed=5,
                             skip_noise="--skip-noise" in skip,
                             skip_orth="--skip-orth" in skip)
-    monkeypatch.setattr(postprocess, "_cpu_count", lambda: 1)
-    expected = write_checkpoint(ghn_orth(read_checkpoint(ckpt_path.read_bytes()), cfg))
-    for width in (1, 8):  # sequential, and a pool wider than the layer count
-        monkeypatch.setattr(postprocess, "_cpu_count", lambda: width)
-        out = tmp_path / f"out{width}.ckpt"
-        assert run(["postprocess", str(ckpt_path), "--start-layer", "1", "--seed", "5",
-                    "--beta", "0.01", "--out", str(out)] + skip) == 0
-        assert out.read_bytes() == expected
+    drawn = {"normal": set(), "normal_at": set()}
+    for method in drawn:
+        def recording(self, *args, _draw=getattr(RngStream, method), _seen=drawn[method],
+                      **kwargs):
+            _seen.add(self.label)
+            return _draw(self, *args, **kwargs)
+        monkeypatch.setattr(RngStream, method, recording)
+    for inp in (ckpt_path, _blocks_checkpoint(tmp_path / "blocks.ckpt")):
+        monkeypatch.setattr(postprocess, "_cpu_count", lambda: 1)
+        expected = write_checkpoint(ghn_orth(read_checkpoint(inp.read_bytes()), cfg))
+        for width in (1, 8):  # sequential, and a pool wider than the layer count
+            monkeypatch.setattr(postprocess, "_cpu_count", lambda: width)
+            out = tmp_path / f"out{width}.ckpt"
+            assert run(["postprocess", str(inp), "--start-layer", "1", "--seed", "5",
+                        "--beta", beta, "--out", str(out)] + skip) == 0
+            assert out.read_bytes() == expected
+    # At the tiny beta the noise can move only a few weights of mixed's
+    # second block, which are gathered; its first block, every weight
+    # within reach, is drawn whole.
+    both = "--skip-noise" not in skip and beta == "1e-22"
+    assert ("mixed" in drawn["normal"] and "mixed" in drawn["normal_at"]) == both
+
+
+@pytest.mark.parametrize("skip", [[], ["--skip-orth"]], ids=["repair", "skip_orth"])
+def test_file_shrinking_between_the_two_reads_of_a_layer_is_data_error(
+    skip, tmp_path, monkeypatch, capsys
+):
+    # sigma_r reads all of l1.fc; the file then loses its last 8 bytes, so
+    # the noise step's second read of l1.fc comes up short in its second
+    # 128-row block.
+    c = make_checkpoint([
+        ("l0.conv", (64, 8, 3, 3), "conv", 0, ghn_like_tensor((64, 8, 3, 3), seed=1)),
+        ("l0.norm", (64,), "norm", 0, np.ones(64, np.float32)),
+        ("l1.fc", (256, 512), "linear", 1, ghn_like_tensor((256, 512), seed=2)),
+    ])
+    inp = tmp_path / "in.ckpt"
+    inp.write_bytes(write_checkpoint(c))
+    want = ghn_orth(c, PostprocessConfig(start_layer=0, skip_orth=bool(skip))).get("l1.fc")[1]
+    real_sigma_r = postprocess.sigma_r
+
+    def sigma_r_then_cut(w, work=None):
+        sigma = real_sigma_r(w, work)
+        if w.shape == (256, 512):
+            os.truncate(inp, inp.stat().st_size - 8)
+        return sigma
+
+    puts = []
+    real_writer = cli.positional_writer
+
+    def recording_writer(fd, metas):
+        put = real_writer(fd, metas)
+
+        def recording(i, arr, row=None):
+            puts.append((metas[i].name, row, arr.copy()))
+            put(i, arr, row)
+
+        return recording
+
+    monkeypatch.setattr(postprocess, "sigma_r", sigma_r_then_cut)
+    monkeypatch.setattr(cli, "positional_writer", recording_writer)
+    assert run(["postprocess", str(inp), "--start-layer", "0",
+                "--out", str(tmp_path / "out.ckpt")] + skip) == 2
+    assert capsys.readouterr().err == (
+        "ghnpost: data error: tensor 'l1.fc': read 262136 of 262144 bytes; "
+        "the file shrank while it was read\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ckpt"]
+    # What was written of l1.fc is its result, and nothing of the rows
+    # that could not be read: no zeros stand in for them.
+    written = [(row, arr) for name, row, arr in puts if name == "l1.fc"]
+    for row, arr in written:
+        assert arr.tobytes() == want[row : row + len(arr)].tobytes()
+    assert sum(len(arr) for _, arr in written) == (128 if skip else 0)
 
 
 def test_postprocess_in_place(ckpt_path, tmp_path):
@@ -309,15 +392,15 @@ def test_nan_in_third_eligible_tensor_with_layers_in_flight(tmp_path, monkeypatc
     l3_pulled = threading.Event()
 
     class RecordingReader(cli.CheckpointReader):
-        def load(self, i):
+        def read_rows(self, i, r0, r1, out=None):
             name = self.metas[i].name
             if name == "l2.conv":
                 l3_pulled.wait(timeout=30)  # l2.conv stays in flight until l3.conv is
-            arr = super().load(i)
+            rows = super().read_rows(i, r0, r1, out)
             pulled.append(name)
             if name == "l3.conv":
                 l3_pulled.set()
-            return arr
+            return rows
 
     monkeypatch.setattr(postprocess, "_cpu_count", lambda: 4)
     monkeypatch.setattr(cli, "CheckpointReader", RecordingReader)
@@ -330,15 +413,18 @@ def test_nan_in_third_eligible_tensor_with_layers_in_flight(tmp_path, monkeypatc
 
 
 def _recording_reader(monkeypatch, pulled, delay=None):
-    """Patch the CLI's reader to append each loaded tensor's name to
-    ``pulled``, after sleeping ``delay(i)`` seconds if given."""
+    """Patch the CLI's reader to append each tensor's name to ``pulled`` at
+    its first read (whole, or its first row block), after sleeping
+    ``delay(i)`` seconds if given."""
 
     class RecordingReader(cli.CheckpointReader):
-        def load(self, i):
-            if delay is not None:
-                time.sleep(delay(i))
-            pulled.append(self.metas[i].name)
-            return super().load(i)
+        def read_rows(self, i, r0, r1, out=None):
+            name = self.metas[i].name
+            if name not in pulled:
+                if delay is not None:
+                    time.sleep(delay(i))
+                pulled.append(name)
+            return super().read_rows(i, r0, r1, out)
 
     monkeypatch.setattr(cli, "CheckpointReader", RecordingReader)
 
@@ -688,7 +774,7 @@ _REFUSALS = {
 
 
 @pytest.mark.parametrize("refusal", sorted(_REFUSALS))
-@pytest.mark.parametrize("command", ["postprocess", "skip_noise", "init_orth"])
+@pytest.mark.parametrize("command", ["postprocess", "skip_noise", "skip_orth", "init_orth"])
 def test_unallocatable_layer_buffer_is_one_line_numerical_error(
     command, refusal, ckpt_path, tmp_path, monkeypatch, capsys
 ):
@@ -705,6 +791,9 @@ def test_unallocatable_layer_buffer_is_one_line_numerical_error(
     out = tmp_path / "out.ckpt"
     if command == "init_orth":
         argv, name = ["init", str(_archspec(tmp_path)), "--method", "orth"], "c1"
+    elif command == "skip_orth":
+        # sigma_r's one buffer is sized to the largest layer, and mapped first.
+        argv, name = ["postprocess", str(ckpt_path), "--start-layer", "0", "--skip-orth"], "l1.conv"
     else:
         argv, name = ["postprocess", str(ckpt_path), "--start-layer", "0"], "l0.conv"
         if command == "skip_noise":
@@ -759,9 +848,9 @@ def test_unallocatable_channel_buffer_is_one_line_numerical_error(
 def test_unloadable_tensor_is_one_line_numerical_error(
     command, ckpt_path, tmp_path, monkeypatch, capsys
 ):
-    # No float32 buffer can be allocated as the file is read: postprocess
-    # loads each tensor whole (CheckpointReader.load), analyze and compare
-    # read each layer through TensorRows' row-block buffer.
+    # No float32 buffer can be allocated as the file is read: postprocess,
+    # analyze and compare read each conv/linear layer through TensorRows'
+    # row-block buffer (postprocess loads the other tensors whole).
     monkeypatch.setattr(checkpoint_io, "np", _NumpyRefusing(lambda shape: True))
     out = tmp_path / "out"
     assert run(_ARGV[command](str(ckpt_path)) + ["--out", str(out)]) == 3

@@ -20,7 +20,6 @@ from ghnpost.postprocess import (
     add_conditional_noise,
     ghn_orth,
     ghn_orth_tensor,
-    ghn_orth_tensors,
     he_init,
     init_tensors,
     orthogonal_reinit,
@@ -552,8 +551,7 @@ def test_pool_matches_sequential_in_header_order(skip, monkeypatch):
     cfg = PostprocessConfig(start_layer=1, seed=4, **skip)
     expected = [ghn_orth_tensor(meta, arr, cfg) for meta, arr in c.tensors]
     monkeypatch.setattr(postprocess, "_cpu_count", lambda: 8)
-    got = [None] * len(c)
-    ghn_orth_tensors(c.metas, lambda i: c.tensors[i][1], got.__setitem__, cfg)
+    got = [arr for _, arr in ghn_orth(c, cfg).tensors]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
     assert got[0] is c.tensors[0][1]  # below start_layer: passed through
 
@@ -564,11 +562,13 @@ def test_pool_pins_blas_to_one_thread_and_restores_it(monkeypatch):
         pytest.skip("numpy's bundled OpenBLAS not found")
     seen = []
 
-    def recording(meta, arr, cfg, out=None):
-        seen.append(lib.scipy_openblas_get_num_threads64_())
-        return ghn_orth_tensor(meta, arr, cfg, out)
+    orth_layer = postprocess._orth_layer
 
-    monkeypatch.setattr(postprocess, "ghn_orth_tensor", recording)
+    def recording(*args):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        return orth_layer(*args)
+
+    monkeypatch.setattr(postprocess, "_orth_layer", recording)
     before = lib.scipy_openblas_get_num_threads64_()
     c = _layers_checkpoint(3)
     ghn_orth(c, PostprocessConfig(start_layer=0))

@@ -253,10 +253,9 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
 def write_checkpoint(c: Checkpoint) -> bytearray:
     """Serialize to the canonical byte form (pure; same input, same bytes):
     :func:`encode_header`'s header, then each tensor's
-    :func:`_tensor_bytes` at its offset.  Bad metas or arrays raise
-    ValueError."""
-    if c.version != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {c.version}")
+    :func:`_tensor_bytes` at its offset.  A checkpoint that
+    :func:`validate_checkpoint` rejects raises its ValueError."""
+    validate_checkpoint(c)
     head, offsets = encode_header(c.metas)
     buf = bytearray(offsets[-1])
     buf[: len(head)] = head

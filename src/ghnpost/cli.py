@@ -1,20 +1,8 @@
-"""Command-line front-end.
+"""Command-line front-end: the parser, one function per command, and the
+exit codes and atomic output files described in README "CLI".  How each
+command streams its checkpoints, and what it holds in memory, is in
+README "Memory".
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-error.  Output files are written to a temporary path and renamed into
-place, so a failing run never leaves a partially-written file behind,
-nor a directory made for it; ``analyze`` also removes the SVGs it wrote
-when a later write fails.
-Checkpoints are read and written one tensor at a time, and layers
-complete in any order, each written at its own offset: memory holds the
-header and the working sets of the layers in flight (at most about two of
-the largest; see :func:`~ghnpost.postprocess._run_layers`), not the file.
-``analyze``, ``compare`` and ``postprocess`` read each conv/linear layer
-they process a block of rows at a time into its float64 buffer, and
-``postprocess`` writes its result a block of rows at a time at its
-offset, so a layer in flight is one float64 copy (8 bytes per element)
-and never a float32 copy (see :func:`~ghnpost.report.analyze_checkpoint`
-and :func:`~ghnpost.postprocess.ghn_orth_tensors`).
 Input checkpoints are opened unbuffered, so a file cut after its header
 was checked raises TruncatedData instead of yielding buffered old bytes.
 """

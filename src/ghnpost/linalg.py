@@ -33,7 +33,11 @@ class PcaResult:
 
 
 def _as_matrix(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    return _check_matrix(np.ascontiguousarray(a, dtype=np.float64))
+
+
+def _check_matrix(a: np.ndarray) -> np.ndarray:
+    """``a``, once it is checked to be a non-empty 2D array."""
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"expected a non-empty 2D matrix, got shape {a.shape}")
     return a
@@ -137,9 +141,7 @@ def qr_decompose(
     alone (length cols), read before LAPACK overwrites R to form q: the
     working set is then ``a`` and the workspace.  The bytes are the same.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeError(f"expected a non-empty 2D matrix, got shape {a.shape}")
+    a = _check_matrix(np.asarray(a))
     m, n = a.shape
     if m < n:
         raise ShapeError(f"thin QR needs rows >= cols, got {m} x {n}")

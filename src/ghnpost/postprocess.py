@@ -7,25 +7,18 @@ The pipeline applies, to every conv/linear tensor at depth >=
 spread of the layer's channel-correlation distribution, followed by
 replacement of the matricized weights with the sign-corrected Q factor of
 their QR decomposition.  Normalization weights, biases and shallower
-layers pass through bit-identical.
+layers pass through bit-identical.  The baselines are the same pipeline
+on a zero source: He-normal init is the noise step at std
+sqrt(2 / fan_in), orthogonal init the noise step at std 1 and then the QR
+step, times ``gain``.
 
-Public single-tensor operations preserve the input dtype unless told
-otherwise; internally everything runs in float64, and each layer is
-rounded to float32 exactly once.  One routine, :func:`_orth_layer`,
-post-processes a layer from a row source (an array, or a file's
-:class:`~ghnpost.checkpoint_io.TensorRows`) into a sink of float32 row
-blocks, for :func:`ghn_orth_tensor` and the command line alike.  A layer
-that gets the QR step lives in one float64 buffer from its correlation to
-that cast (see :func:`_reinit`); no float32 copy of it is held.
-
-Each step is written once: the noise std in :func:`_noise_scale`, the
-Gaussian fill in :func:`_add_noise` (the noise of
-:func:`add_conditional_noise` and the repair, and the draws of both
-initializers), the QR step in :func:`_orthonormalize`, the init methods
-in :func:`_initializer`.  A layer's K x CHW geometry comes from
-:func:`~ghnpost.tensor_ops.geometry`, the NaN/Inf check and its blame
-(the input, or an overflow) from :func:`~ghnpost.tensor_ops.check_finite`,
-and errors get the tensor's name from :func:`~ghnpost.errors.naming`.
+One routine, :func:`_write_layer`, writes every conv/linear layer: every
+``postprocess`` mode, both ``init`` methods and each single-tensor
+function here.  It hands its result on one row block at a time, so the
+command line writes each block at its file offset and holds no
+whole-layer copy of the output.  Public single-tensor operations preserve
+the input dtype unless told otherwise; internally everything runs in
+float64, and each layer is rounded to its output dtype exactly once.
 """
 
 from __future__ import annotations
@@ -89,37 +82,36 @@ def add_conditional_noise(
     in w, or noise that overflows, raises NonFiniteTensor.
     """
     _check_beta(beta)
-    k, chw, _ = geometry(w.shape)
-    # sigma_r's float64 channels are freed before the output is allocated.
-    scale = _noise_scale(w, beta)
-    out = np.empty((k, chw), w.dtype if dtype is None else dtype)
-    _add_noise(out, w, scale, rng)
-    return out.reshape(w.shape)
+    return _collected(w.shape, lambda put: _write_layer(
+        w.shape, w, put, rng, beta=beta, orth=False, dtype=w.dtype if dtype is None else dtype))
 
 
 def _noise_scale(w, beta: float, work: np.ndarray | None = None) -> float | None:
     """beta * sigma_r(w), or None where the noise is skipped (beta == 0, a
-    single channel, or sigma_r == 0); ``w`` and ``work`` as for sigma_r."""
-    sigma = 0.0 if w.shape[0] < 2 else sigma_r(w, work)
-    return beta * sigma if beta != 0.0 and sigma != 0.0 else None
+    single channel, or sigma_r == 0); ``w`` and ``work`` as for sigma_r,
+    which the first two cases do not call."""
+    if beta == 0.0 or w.shape[0] < 2:
+        return None
+    sigma = sigma_r(w, work)
+    return beta * sigma if sigma != 0.0 else None
 
 
-def _add_noise(layer: np.ndarray, src, scale: float | None, rng: RngStream | None,
-               put: Callable[[int, np.ndarray], None] | None = None) -> None:
-    """Set the K x CHW ``layer`` (either memory order) to ``src + scale * z``
-    (to src if ``scale`` is None; src None reads as -0.0), z the stream in
-    C order, summed in float64 and rounded once to layer's dtype, a
-    :func:`~ghnpost.tensor_ops.row_step` block of whole rows at a time, so
-    the noise never needs a buffer the size of the layer.  ``src`` is a
-    rank-2/4 array or a row source, read once through
-    :func:`~ghnpost.tensor_ops.row_blocks`.  With ``put``, ``layer`` is
-    instead a flat buffer of one block's values, reused for every block:
-    each block is made there and handed to ``put(r0, block)``.  Each block
-    goes through :func:`~ghnpost.tensor_ops.check_finite` against its rows
-    of src.  The stream runs over the layer in C order, whatever its memory
-    order: a block's first value is stream position r0 * CHW.
-    This is the one place a layer is filled from the stream: the
-    initializers pass ``src=None``.
+def _add_noise(layer: np.ndarray, shape: tuple[int, ...], src, scale: float | None,
+               rng: RngStream | None, put: Callable[[int, np.ndarray], None] | None = None
+               ) -> None:
+    """Set ``layer``, the K x CHW matrix (either memory order) of a tensor
+    of ``shape``, to ``src + scale * z`` (to src if ``scale`` is None; src
+    None reads as -0.0), z the stream in C order, summed in float64 and
+    rounded once to layer's dtype, a :func:`~ghnpost.tensor_ops.row_step`
+    block of whole rows at a time, so the noise never needs a buffer the
+    size of the layer.  ``src`` is a rank-2/4 array or a row source, read
+    once through :func:`~ghnpost.tensor_ops.row_blocks`.  With ``put``,
+    ``layer`` is instead a flat buffer of one block's values, reused for
+    every block: each block is made there and handed to ``put(r0, block)``.
+    Each block goes through :func:`~ghnpost.tensor_ops.check_finite`
+    against its rows of src.  The stream runs over the layer in C order,
+    whatever its memory order: a block's first value is stream position
+    r0 * CHW.
 
     Noise under 2**-(nmant+4) |w_i| is under a quarter of the smaller gap
     of layer's dtype next to w_i (subnormals included), so the sum rounds
@@ -127,7 +119,7 @@ def _add_noise(layer: np.ndarray, src, scale: float | None, rng: RngStream | Non
     C-ordered block with some |w_i| > limit draws only those
     (:class:`_Gather`), others draw all: the same bytes either way.
     """
-    k, chw = layer.shape if put is None else geometry(src.shape)[:2]
+    k, chw, _ = geometry(shape)
     step = row_step(k, chw)
     blocks = row_blocks(src) if src is not None else ((r0, None) for r0 in range(0, k, step))
     gather = None
@@ -196,36 +188,14 @@ def orthogonal_reinit(w: np.ndarray) -> np.ndarray:
 
     The K x CHW matrix is factored as is, or transposed when K < CHW, as
     :func:`~ghnpost.tensor_ops.matricize` would.  ``w`` is copied once, into
-    the float64 buffer that LAPACK factors in place (see :func:`_reinit`),
-    and is left untouched.  The matricized output has orthonormal columns
-    even for rank-deficient input (zero R diagonal entries count as +1 in
-    the sign correction, as in :func:`~ghnpost.linalg.sign_adjust`).  The
-    result is C-ordered, with w's shape and dtype.
+    the float64 buffer that LAPACK factors in place (see
+    :func:`_write_layer`), and is left untouched.  The matricized output
+    has orthonormal columns even for rank-deficient input (zero R diagonal
+    entries count as +1 in the sign correction, as in
+    :func:`~ghnpost.linalg.sign_adjust`).  The result is C-ordered, with
+    w's shape and dtype.
     """
-    return _reinit(w, None).astype(w.dtype, order="C", copy=False).reshape(w.shape)
-
-
-def _reinit(src, noise: tuple[float, RngStream] | None) -> np.ndarray:
-    """The sign-corrected Q of the K x CHW matrix of ``src`` (an array or a
-    row source), after the conditional noise of ``noise`` = (beta, rng) if
-    given, in one :func:`_layer_matrix`.
-
-    The buffer holds the channels while :func:`~ghnpost.stats.sigma_r`
-    works on them, then :func:`_add_noise`'s ``w + beta * sigma_r * z``
-    (the bytes of :func:`add_conditional_noise` into float64), then Q; so
-    src is read twice with noise, once without.  A NaN or Inf in w or in
-    the noised layer raises NonFiniteTensor before the QR: sigma_r's norms
-    or the block check of :func:`_add_noise` see it.
-    """
-    k, chw, transposed = geometry(src.shape)
-    layer = _layer_matrix(k, chw, transposed)
-    scale = rng = None
-    if noise is not None:
-        beta, rng = noise
-        scale = _noise_scale(src, beta, layer.ravel(order="K"))  # the whole buffer
-    _add_noise(layer, src, scale, rng)
-    _orthonormalize(layer, transposed)
-    return layer
+    return _collected(w.shape, lambda put: _write_layer(w.shape, w, put, dtype=w.dtype))
 
 
 def _layer_buffer(size: int) -> np.ndarray:
@@ -244,18 +214,73 @@ def _layer_buffer(size: int) -> np.ndarray:
     return np.frombuffer(mapping, np.float64, size)
 
 
-def _layer_matrix(k: int, chw: int, transposed: bool) -> np.ndarray:
-    """An uninitialized :func:`_layer_buffer` K x CHW matrix for a tensor of
-    that :func:`~ghnpost.tensor_ops.geometry`.  The matrix LAPACK factors
-    is Fortran-ordered: the K x CHW matrix is C-ordered when transposed."""
-    return _layer_buffer(k * chw).reshape((k, chw), order="C" if transposed else "F")
+def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], None],
+                 rng: RngStream | None = None, *, beta: float | None = None,
+                 scale: float | None = None, orth: bool = True, gain: float = 1.0,
+                 work: np.ndarray | None = None, dtype: np.dtype = np.float32) -> None:
+    """Make the conv/linear layer of ``shape`` from ``src`` and hand it to
+    ``put(r0, rows)`` a row block of its K x CHW matrix at a time, as
+    ``dtype``; a block is valid until ``put`` returns.  This is the one
+    routine that writes such a layer.
 
+    ``src`` is an array, a row source (see
+    :func:`~ghnpost.tensor_ops.row_blocks`) or None, read as -0.0.  The
+    layer is src plus the noise of :func:`_add_noise` from ``rng``, at std
+    ``beta`` * sigma_r(src) (see :func:`_noise_scale`) when ``beta`` is
+    given, else at std ``scale`` (None: no noise).  With ``orth`` it is
+    then replaced by the sign-corrected Q of its QR, times ``gain``.
 
-def _orthonormalize(layer: np.ndarray, transposed: bool) -> None:
-    """Overwrite a :func:`_layer_matrix` matrix with the sign-corrected Q
-    of its QR, factored in place; only R's diagonal is kept."""
+    With ``orth`` the layer lives in one float64 :func:`_layer_buffer`
+    from sigma_r's channels to Q, so src is read twice with noise, once
+    without; Q times gain is rounded once to ``dtype`` a block at a time
+    into one reused buffer.  Without, sigma_r's channels go in ``work`` (a
+    contiguous float64 buffer of at least the layer's size; a new array if
+    None), and each noised block is made in one reused buffer.  Each block
+    is checked finite before it is put (an overflow of the noise or the
+    gain, or a NaN/Inf of src), so no whole-layer copy of the output is
+    ever held, and no NaN/Inf reaches the QR.
+    """
+    k, chw, transposed = geometry(shape)
+    if orth:
+        # The matrix LAPACK factors is Fortran-ordered: the K x CHW matrix
+        # is C-ordered when transposed.
+        layer = _layer_buffer(k * chw).reshape((k, chw), order="C" if transposed else "F")
+        work = layer.ravel(order="K")  # the whole buffer
+    elif work is not None:
+        work = work[: k * chw]
+    if beta is not None:
+        scale = _noise_scale(src, beta, work)
+    step = row_step(k, chw)
+    buf = np.empty(step * chw, dtype)
+    if not orth:
+        _add_noise(buf, shape, src, scale, rng, put)
+        return
+    _add_noise(layer, shape, src, scale, rng)
     q, diag = qr_decompose(layer.T if transposed else layer, overwrite_a=True)
     q *= np.where(diag < 0.0, -1.0, 1.0)
+    # A gain near float32's max overflows here; the block check reports it,
+    # so numpy need not warn as well.
+    with np.errstate(over="ignore"):
+        for r0 in range(0, k, step):
+            block = buf[: min(step, k - r0) * chw].reshape(-1, chw)
+            np.multiply(layer[r0 : r0 + len(block)], gain, out=block, casting="same_kind")
+            check_finite(block)
+            put(r0, block)
+
+
+def _collected(shape: tuple[int, ...], fill: Callable[[Callable], None]) -> np.ndarray:
+    """The C-ordered array of ``shape`` whose K x CHW row blocks
+    ``fill(put)`` hands to ``put(r0, rows)``, of the blocks' dtype.  It is
+    made at the first block, after sigma_r's channels are freed."""
+    out = []
+
+    def put(r0: int, block: np.ndarray) -> None:
+        if not out:
+            out.append(np.empty((shape[0], block.shape[1]), block.dtype))
+        out[0][r0 : r0 + len(block)] = block
+
+    fill(put)
+    return out[0].reshape(shape)
 
 
 def _eligible(meta: TensorMeta, cfg: PostprocessConfig) -> bool:
@@ -264,59 +289,29 @@ def _eligible(meta: TensorMeta, cfg: PostprocessConfig) -> bool:
 
 def _orth_layer(name: str, src, cfg: PostprocessConfig, put: Callable[[int, np.ndarray], None],
                 work: np.ndarray | None = None) -> None:
-    """Post-process the eligible tensor ``name`` from ``src``, an array or a
-    row source (see :func:`~ghnpost.tensor_ops.row_blocks`), handing its
-    float32 result to ``put(r0, rows)`` a row block of the K x CHW matrix
-    at a time; a block is valid until ``put`` returns.  This is the one
-    routine of both :func:`ghn_orth_tensor` and :func:`ghn_orth_tensors`.
-
-    The repair runs in one float64 :func:`_reinit` buffer, and Q is cast
-    to float32 a block at a time into one reused buffer.  ``--skip-orth``
-    takes sigma_r's channels in ``work`` (a contiguous float64 buffer of at
-    least the layer's size; a new array if None), then makes each noised
-    block in one reused float32 buffer.  Each block is checked finite
-    before it is put, so no float32 copy of the layer is ever held.
-    """
-    k, chw, transposed = geometry(src.shape)
-    rng = RngStream(cfg.seed, name)
-    if cfg.skip_orth:
-        scale = _noise_scale(src, cfg.beta, None if work is None else work[: k * chw])
-        _add_noise(np.empty(row_step(k, chw) * chw, np.float32), src, scale, rng, put)
-        return
-    layer = _reinit(src, None if cfg.skip_noise else (cfg.beta, rng))
-    step = row_step(k, chw)
-    buf = np.empty(step * chw, np.float32)
-    for r0 in range(0, k, step):
-        block = buf[: min(step, k - r0) * chw].reshape(-1, chw)
-        np.copyto(block, layer[r0 : r0 + len(block)], casting="same_kind")
-        check_finite(block)
-        put(r0, block)
+    """:func:`_write_layer` of the eligible tensor ``name`` from ``src`` as
+    ``cfg`` asks, drawing from its own substream keyed by name: the
+    routine of both :func:`ghn_orth_tensor` and :func:`ghn_orth_tensors`."""
+    _write_layer(src.shape, src, put, RngStream(cfg.seed, name),
+                 beta=None if cfg.skip_noise else cfg.beta, orth=not cfg.skip_orth, work=work)
 
 
 def ghn_orth_tensor(meta: TensorMeta, arr: np.ndarray, cfg: PostprocessConfig) -> np.ndarray:
     """One tensor of the :func:`ghn_orth` output.
 
     An eligible tensor (kind conv or linear, depth >= cfg.start_layer)
-    gets the two-step post-processing of :func:`_orth_layer`, drawing from
-    its own substream keyed by tensor name, and comes back as a new
-    C-ordered float32 array; any other tensor comes back as ``arr``
-    itself.  Either way the result must be finite: NaN or Inf raises
-    NonFiniteTensor naming the tensor, as held by the input or as produced
-    by an overflowing ``beta`` (see :func:`~ghnpost.tensor_ops.check_finite`).
+    gets the two-step post-processing of :func:`_orth_layer`, and comes
+    back as a new C-ordered float32 array; any other tensor comes back as
+    ``arr`` itself.  Either way the result must be finite: NaN or Inf
+    raises NonFiniteTensor naming the tensor, as held by the input or as
+    produced by an overflowing ``beta`` (see
+    :func:`~ghnpost.tensor_ops.check_finite`).
     """
     with naming(meta.name):
         if not _eligible(meta, cfg):
             check_finite(arr, arr)
             return arr
-        out = []
-
-        def put(r0: int, block: np.ndarray) -> None:
-            if not out:  # made at the first block, after sigma_r's channels are freed
-                out.append(np.empty((len(arr), block.shape[1]), np.float32))
-            out[0][r0 : r0 + len(block)] = block
-
-        _orth_layer(meta.name, arr, cfg, put)
-    return out[0].reshape(arr.shape)
+        return _collected(arr.shape, lambda put: _orth_layer(meta.name, arr, cfg, put))
 
 
 def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[int],
@@ -445,22 +440,27 @@ def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
     return Checkpoint(tensors=list(zip(c.metas, out)), version=c.version)
 
 
-def _check_init_shape(shape: tuple[int, ...]) -> tuple[int, int, bool]:
-    """The :func:`~ghnpost.tensor_ops.geometry` of a shape to initialize."""
-    dims = geometry(shape)
+def _init_layer(shape: tuple[int, ...], method: str, gain: float, rng: RngStream,
+                put: Callable[[int, np.ndarray], None]) -> None:
+    """:func:`_write_layer` of a ``method`` init of a conv/linear tensor of
+    ``shape`` from ``rng``: "rand" is He-normal, std sqrt(2 / fan_in) with
+    fan_in = C*H*W (or C); "orth" is the sign-corrected Q of a standard
+    normal draw, times ``gain``."""
+    _, fan_in, _ = geometry(shape)
     if any(d < 1 for d in shape):
         raise ValueError(f"shape dimensions must be positive, got {shape}")
-    return dims
+    if method == "rand":
+        _write_layer(shape, None, put, rng, scale=math.sqrt(2.0 / fan_in), orth=False)
+        return
+    if not (math.isfinite(gain) and gain > 0):
+        raise ValueError("gain must be finite and positive")
+    _write_layer(shape, None, put, rng, scale=1.0, gain=gain)
 
 
 def he_init(shape: tuple[int, ...], rng: RngStream) -> np.ndarray:
     """Gaussian init with std sqrt(2 / fan_in); fan_in is C*H*W (or C)."""
     shape = tuple(shape)
-    k, fan_in, _ = _check_init_shape(shape)
-    out = np.empty(shape, np.float32)
-    # std * z rounded once to float32: the bytes of one whole-layer draw.
-    _add_noise(out.reshape(k, fan_in), None, math.sqrt(2.0 / fan_in), rng)
-    return out
+    return _collected(shape, lambda put: _init_layer(shape, "rand", 1.0, rng, put))
 
 
 def saxe_orthogonal_init(
@@ -468,52 +468,36 @@ def saxe_orthogonal_init(
 ) -> np.ndarray:
     """Orthogonal init: orthogonalize a Gaussian draw, then scale by gain."""
     shape = tuple(shape)
-    k, chw, transposed = _check_init_shape(shape)
-    if not (math.isfinite(gain) and gain > 0):
-        raise ValueError("gain must be finite and positive")
-    # The draw goes straight into the buffer LAPACK factors in place.
-    layer = _layer_matrix(k, chw, transposed)
-    _add_noise(layer, None, 1.0, rng)
-    _orthonormalize(layer, transposed)
-    layer *= gain
-    # A gain near float32's max overflows here; _init_tensor checks the
-    # result, so numpy need not warn as well.
-    with np.errstate(over="ignore"):
-        return layer.astype(np.float32, order="C").reshape(shape)
+    return _collected(shape, lambda put: _init_layer(shape, "orth", gain, rng, put))
 
 
-def init_tensors(metas: Sequence[TensorMeta], store: Callable[[int, np.ndarray], None],
+def init_tensors(metas: Sequence[TensorMeta], store: Callable[..., None],
                  method: str, gain: float, seed: int) -> None:
-    """``store(i, w)`` with w a baseline initialization of each tensor i of
-    ``metas``, made on :func:`_run_layers`' pool.
+    """A baseline initialization of each tensor i of ``metas``, handed to
+    ``store`` as it is made, on :func:`_run_layers`' pool.
 
     conv and linear tensors get ``method``, drawing from their own
     substream keyed by tensor name: ``"rand"`` is :func:`he_init`,
-    ``"orth"`` is :func:`saxe_orthogonal_init` with ``gain``.  norm
-    tensors are ones; bias and other tensors are zeros.  Any other method
+    ``"orth"`` is :func:`saxe_orthogonal_init` with ``gain``.  Each is
+    stored a row block of float32 at a time, ``store(i, block, r0)``, by
+    :func:`_write_layer`.  norm tensors are ones, and bias and other
+    tensors zeros, each stored whole, ``store(i, w)``.  Any other method
     raises ValueError before anything is stored.  A tensor of unsupported
-    rank, or whose weights would overflow float32, raises a NumericalError
-    naming it.
+    rank, whose weights would overflow float32, or that cannot be
+    allocated raises a NumericalError naming it.
     """
-    make = _initializer(method, gain)
-    _run_layers(metas, [meta.kind in ELIGIBLE_KINDS for meta in metas],
-                lambda i: store(i, _init_tensor(metas[i], make, seed)))
+    if method not in ("rand", "orth"):
+        raise ValueError(f"unknown init method {method!r}")
+    eligible = [meta.kind in ELIGIBLE_KINDS for meta in metas]
 
+    def one(i: int) -> None:
+        meta = metas[i]
+        with naming(meta.name):
+            if eligible[i]:
+                _init_layer(meta.shape, method, gain, RngStream(seed, meta.name),
+                            lambda r0, block: store(i, block, r0))
+            else:
+                fill = np.ones if meta.kind == "norm" else np.zeros  # bias, other: zeros
+                store(i, fill(meta.shape, dtype=np.float32))
 
-def _initializer(method: str, gain: float) -> Callable[[tuple[int, ...], RngStream], np.ndarray]:
-    """The conv/linear initializer of an init ``method``."""
-    if method == "rand":
-        return he_init
-    if method == "orth":
-        return lambda shape, rng: saxe_orthogonal_init(shape, gain, rng)
-    raise ValueError(f"unknown init method {method!r}")
-
-
-def _init_tensor(meta: TensorMeta, make: Callable, seed: int) -> np.ndarray:
-    with naming(meta.name):
-        if meta.kind not in ELIGIBLE_KINDS:
-            fill = np.ones if meta.kind == "norm" else np.zeros  # bias, other: zeros
-            return fill(meta.shape, dtype=np.float32)
-        w = make(meta.shape, RngStream(seed, meta.name))
-        check_finite(w)
-    return w
+    _run_layers(metas, eligible, one)

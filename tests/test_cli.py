@@ -25,11 +25,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ghnpost
-from ghnpost import checkpoint_io, cli, postprocess, stats
+from ghnpost import checkpoint_io, cli, linalg, postprocess, stats
 from ghnpost.checkpoint_io import Checkpoint, TensorMeta, read_checkpoint, write_checkpoint
 from ghnpost.cli import run
 from ghnpost.linalg import qr_decompose
-from ghnpost.postprocess import PostprocessConfig, ghn_orth
+from ghnpost.postprocess import PostprocessConfig, ghn_orth, he_init, saxe_orthogonal_init
 from ghnpost.rng import RngStream
 from ghnpost.stats import channel_correlation, offdiagonal_values
 from ghnpost.tensor_ops import matricize
@@ -174,6 +174,51 @@ def test_postprocess_matches_library(skip, beta, ckpt_path, tmp_path, monkeypatc
     assert ("mixed" in drawn["normal"] and "mixed" in drawn["normal_at"]) == both
 
 
+@pytest.mark.parametrize("method", ["rand", "orth"])
+def test_init_matches_library(method, tmp_path, monkeypatch):
+    # The command line writes each layer a row block at a time at its offset
+    # in the file; the bytes are those of he_init / saxe_orthogonal_init.
+    metas = read_checkpoint(_blocks_checkpoint(tmp_path / "blocks.ckpt").read_bytes()).metas
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps([{"name": m.name, "shape": list(m.shape), "kind": m.kind,
+                                 "depth": m.depth} for m in metas]))
+    expected = []
+    for meta in metas:
+        rng = RngStream(3, meta.name)
+        if meta.kind == "norm":
+            expected.append(np.ones(meta.shape, np.float32))
+        elif method == "rand":
+            expected.append(he_init(meta.shape, rng))
+        else:
+            expected.append(saxe_orthogonal_init(meta.shape, 1.5, rng))
+    for width in (1, 8):  # sequential, and a pool wider than the layer count
+        monkeypatch.setattr(postprocess, "_cpu_count", lambda: width)
+        out = tmp_path / f"init{width}.ckpt"
+        assert run(["init", str(arch), "--method", method, "--gain", "1.5", "--seed", "3",
+                    "--out", str(out)]) == 0
+        got = read_checkpoint(out.read_bytes())
+        assert [w.tobytes() for _, w in got.tensors] == [w.tobytes() for w in expected]
+
+
+def test_beta_0_computes_no_sigma_r(tmp_path):
+    # One-element channels have no correlation (sigma_r raises
+    # ChannelTooShort), but --beta 0 adds no noise and so needs none: the
+    # run ends as --skip-noise does, and --skip-orth leaves the input as is.
+    inp = tmp_path / "in.ckpt"
+    inp.write_bytes(write_checkpoint(make_checkpoint([
+        ("l0.conv", (8, 1, 1, 1), "conv", 0, ghn_like_tensor((8, 1, 1, 1), seed=1)),
+        ("l1.fc", (16, 1), "linear", 1, ghn_like_tensor((16, 1), seed=2)),
+    ])))
+    outs = {}
+    for case, flags in {"beta_0": ["--beta", "0"], "skip_noise": ["--skip-noise"],
+                        "noise_only": ["--beta", "0", "--skip-orth"]}.items():
+        outs[case] = tmp_path / f"{case}.ckpt"
+        assert run(["postprocess", str(inp), "--start-layer", "0", "--out", str(outs[case]),
+                    *flags]) == 0
+    assert outs["beta_0"].read_bytes() == outs["skip_noise"].read_bytes()
+    assert outs["noise_only"].read_bytes() == inp.read_bytes()
+
+
 @pytest.mark.parametrize("skip", [[], ["--skip-orth"]], ids=["repair", "skip_orth"])
 def test_file_shrinking_between_the_two_reads_of_a_layer_is_data_error(
     skip, tmp_path, monkeypatch, capsys
@@ -306,6 +351,58 @@ def test_overflowing_beta_prints_one_line(ckpt_path, tmp_path):
     assert proc.stderr == (
         "ghnpost: numerical error: tensor 'l0.conv': output would hold NaN or Inf values\n"
     )
+
+
+_CORE_NAME = """
+import ctypes, sys
+from ghnpost.cli import run
+from ghnpost.linalg import _openblas
+for argv in sys.argv[1:]:
+    assert run(argv.split("|")) == 0
+name = _openblas().scipy_openblas_get_corename64_
+name.restype = ctypes.c_char_p
+print(name().decode())
+"""
+
+
+def test_outputs_under_another_blas_kernel_set_differ_by_under_an_ulp(tmp_path):
+    # OpenBLAS built DYNAMIC_ARCH picks its kernels by CPU, so moving to
+    # another machine can change the QR's last bits.  Nehalem's kernels
+    # (SSE4.2) run on any x86-64 CPU numpy supports; on this checkpoint
+    # they change a few dozen repaired weights (measured up to 0.5 of the
+    # float32 ulp of the layer's largest weight) and no init weight.
+    if linalg._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    specs = [("stem", (64, 3, 7, 7), "conv", 0), ("conv", (256, 64, 3, 3), "conv", 1),
+             ("tall", (700, 200), "linear", 2), ("fc", (512, 512), "linear", 3)]
+    inp, arch = tmp_path / "in.ckpt", tmp_path / "arch.json"
+    inp.write_bytes(write_checkpoint(make_checkpoint(
+        [(*spec, ghn_like_tensor(spec[1], seed=i)) for i, spec in enumerate(specs)])))
+    arch.write_text(json.dumps([dict(zip(("name", "shape", "kind", "depth"), spec))
+                                for spec in specs]))
+    outs, cores = {}, {}
+    for kernels in ("default", "Nehalem"):
+        env = _child_env()
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernels != "default":
+            env["OPENBLAS_CORETYPE"] = kernels
+        outs[kernels] = [tmp_path / f"{kernels}.{job}.ckpt" for job in ("repair", "init")]
+        argvs = [f"postprocess|{inp}|--start-layer|0|--seed|3|--out|{outs[kernels][0]}",
+                 f"init|{arch}|--method|orth|--seed|3|--out|{outs[kernels][1]}"]
+        proc = subprocess.run([sys.executable, "-c", _CORE_NAME, *argvs], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        cores[kernels] = proc.stdout.strip()
+    if cores["default"] == cores["Nehalem"]:
+        pytest.skip(f"this OpenBLAS runs {cores['default']} kernels either way")
+    for path_a, path_b in zip(outs["default"], outs["Nehalem"]):
+        for (meta, a), (_, b) in zip(read_checkpoint(path_a.read_bytes()).tensors,
+                                     read_checkpoint(path_b.read_bytes()).tensors):
+            for w in (a, b):  # C1
+                m = matricize(w).data.astype(np.float64)
+                assert np.abs(m.T @ m - np.eye(m.shape[1])).max() <= 1e-4, meta.name
+            gap = np.abs(a.astype(np.float64) - b).max()
+            assert gap <= np.spacing(np.abs(a).max()), (path_a.name, meta.name, gap)
 
 
 # case: (command, flags, tensor made NaN or None, tensor named, message).

@@ -217,3 +217,21 @@ def test_cli_postprocess_holds_one_float64_copy_of_the_layer(shape, skip, tmp_pa
         argvs.append(["postprocess", str(path), "--start-layer", "0",
                       "--out", str(tmp_path / f"{name}.out.ckpt"), *skip])
     assert _rss_growth(shape, argvs) <= 1.4
+
+
+@pytest.mark.parametrize("method, bound", [("rand", 0.3), ("orth", 1.4)])
+@pytest.mark.parametrize("shape", [(1000, 2048), (2048, 1024), (512, 4608)])
+def test_cli_init_holds_no_float32_copy_of_the_layer(shape, method, bound, tmp_path):
+    # Each layer goes out a row block at a time from one reused float32
+    # block: drawn straight into it (rand, measured 0.08-0.10x), or cast
+    # into it from the one float64 layer buffer Q is made in (orth,
+    # 1.06-1.09x).  Made whole as float32 first, they measured 0.62x and
+    # 1.56-1.58x.
+    argvs = []
+    for name, dims in (("warm", (64, 96)), ("arch", shape)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps([{"name": "w", "shape": list(dims), "kind": "linear",
+                                     "depth": 0}]))
+        argvs.append(["init", str(path), "--method", method,
+                      "--out", str(tmp_path / f"{name}.ckpt")])
+    assert _rss_growth(shape, argvs) <= bound

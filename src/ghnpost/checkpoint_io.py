@@ -17,22 +17,12 @@ Serialization is canonical: sorted keys, no whitespace, contiguous
 offsets.  Writing the same checkpoint twice yields identical bytes, and
 ``read_checkpoint(write_checkpoint(c)) == c`` bit-exactly.
 
-There is one reader and one way to lay out a file.
-:class:`CheckpointReader` parses the header and then reads tensors
-(:meth:`~CheckpointReader.load`), or blocks of a tensor's rows
-(:class:`TensorRows`, as ``analyze``, ``compare`` and ``postprocess`` read
-conv/linear layers), on demand.  :func:`encode_header` gives the header
-bytes and every tensor's offset, which :func:`positional_writer` (a file,
-any tensor order, whole tensors or blocks of rows) and
-:func:`write_checkpoint` (an in-memory :class:`Checkpoint`) fill.
-:func:`read_checkpoint` runs the reader over bytes.
-
-The header and ``init``'s archspec (:func:`parse_tensor_specs`) share
-each input rule, written once: :func:`_decode_json` turns bytes into a
-document, :func:`_entry_meta` turns one entry object into a
-:class:`TensorMeta`, and :func:`_check_metas` holds every rule on the
-metadata values, also for the writer.  A tensor name is a non-empty
-string that encodes as UTF-8.
+This module is the one place that reads or writes checkpoint bytes.  A
+file is read a tensor, or a block of a layer's rows, at a time, on
+demand, so no command holds a whole file; it is written at each tensor's
+offset, in any order, whole tensors or blocks of rows.  A header or an
+architecture spec that breaks a rule fails, naming the entry and field,
+before any tensor is read or written.
 """
 
 from __future__ import annotations

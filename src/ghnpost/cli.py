@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import math
 import os
 import re
 import sys
 import tempfile
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO
 
-from .checkpoint_io import CheckpointReader, TensorRows, parse_tensor_specs, positional_writer
+from .checkpoint_io import CheckpointReader, parse_tensor_specs, positional_writer
 from .errors import DataFormatError, NumericalError
 from .postprocess import (
     DEFAULT_BETA,
@@ -165,9 +164,15 @@ def _remove(created: list[Path]) -> None:
             path.rmdir() if path.is_dir() else path.unlink()
 
 
-def _write_text(path: Path, text: str) -> None:
-    with _write_atomic(path) as handle:
-        handle.write(text.encode("utf-8"))
+def _write_texts(files: Iterable[tuple[Path, str]]) -> None:
+    """Write each ``(path, text)`` of ``files`` as UTF-8 through
+    :func:`_write_atomic`.  The files are renamed into place only once
+    every one is written, the last first, so a run that fails before then
+    leaves no new file behind and replaces none."""
+    with contextlib.ExitStack() as renames:
+        for path, text in files:
+            with renames.enter_context(_write_atomic(path)) as handle:
+                handle.write(text.encode("utf-8"))
 
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
@@ -180,23 +185,15 @@ _SVG_STEM_MAX = 255 - 14 - 4
 def _cmd_analyze(args) -> int:
     with open(args.checkpoint, "rb", buffering=0) as handle:
         report = analyze_checkpoint(CheckpointReader(handle), bins=args.bins)
-    # The SVGs are written before the CSV, and removed with the directories
-    # made for them if a later write fails: a failing run leaves no output.
-    created: list[Path] = []
-    try:
-        if args.svg_dir is not None:
-            created += _missing_dirs(args.svg_dir)
-            for i, rec in enumerate(report.records):
-                # The index prefix keeps names unique when the rest is cut.
-                stem = f"{i:03d}_{_UNSAFE.sub('_', rec.name)}"[:_SVG_STEM_MAX]
-                path = args.svg_dir / f"{stem}.svg"
-                if not path.exists():
-                    created.append(path)
-                _write_text(path, emit_histogram_svg(rec.histogram, rec.name))
-        _write_text(args.out, emit_report_csv(report))
-    except BaseException:
-        _remove(created)
-        raise
+    files = []
+    if args.svg_dir is not None:
+        for i, rec in enumerate(report.records):
+            # The index prefix keeps names unique when the rest is cut.
+            stem = f"{i:03d}_{_UNSAFE.sub('_', rec.name)}"[:_SVG_STEM_MAX]
+            svg = emit_histogram_svg(rec.histogram, rec.name)
+            files.append((args.svg_dir / f"{stem}.svg", svg))
+    files.append((args.out, emit_report_csv(report)))
+    _write_texts(files)
     return 0
 
 
@@ -214,8 +211,7 @@ def _cmd_postprocess(args) -> int:
         # so --out may name the input file.
         with _write_atomic(args.out) as dst:
             put = positional_writer(dst.fileno(), reader.metas)
-            rows = functools.partial(TensorRows, reader)
-            ghn_orth_tensors(reader.metas, reader.load, rows, put, cfg)
+            ghn_orth_tensors(reader, put, cfg)
     return 0
 
 
@@ -232,7 +228,7 @@ def _cmd_pca(args) -> int:
     # rejects with the row they are in.
     text = args.embeddings.read_text(encoding="utf-8", errors="surrogateescape")
     embeddings = parse_embeddings_csv(text)
-    _write_text(args.out, emit_projection_csv(project_embeddings(embeddings)))
+    _write_texts([(args.out, emit_projection_csv(project_embeddings(embeddings)))])
     return 0
 
 
@@ -240,7 +236,7 @@ def _cmd_compare(args) -> int:
     with (open(args.checkpoint_a, "rb", buffering=0) as a,
           open(args.checkpoint_b, "rb", buffering=0) as b):
         rows = compare_checkpoints(CheckpointReader(a), CheckpointReader(b))
-    _write_text(args.out, emit_compare_csv(rows))
+    _write_texts([(args.out, emit_compare_csv(rows))])
     return 0
 
 

@@ -3,10 +3,10 @@
 Both factorizations are LAPACK and run in float64.  The QR is Householder
 ``dgeqrf`` + ``dorgqr`` run in place on one Fortran-ordered copy of the
 input, or on the input itself when the caller gives it up, called through
-numpy's bundled OpenBLAS with ctypes, which releases the GIL, or through
-``numpy.linalg.lapack_lite`` where that library is not found.  ``eigh`` is
-numpy's.  This module adds the shape checks, the sign conventions and the
-descending eigenvalue order.
+numpy's bundled OpenBLAS with ctypes, which releases the GIL, on one BLAS
+thread, or through ``numpy.linalg.lapack_lite`` where that library is not
+found.  ``eigh`` is numpy's.  This module adds the shape checks, the sign
+conventions and the descending eigenvalue order.
 """
 
 from __future__ import annotations
@@ -159,9 +159,13 @@ def _householder(a: np.ndarray, read_r: Callable[[np.ndarray], np.ndarray]) -> n
     upper triangle holds R."""
     m, n = a.shape
     tau = np.empty(n)
-    _in_place("dgeqrf", (m, n), a, tau)
-    r = read_r(a)
-    _in_place("dorgqr", (m, n, n), a, tau)
+    # Threaded OpenBLAS splits some of the QR's sums by thread count, and
+    # so rounds them differently: on one thread, Q's bytes do not depend
+    # on the caller's count.
+    with one_blas_thread():
+        _in_place("dgeqrf", (m, n), a, tau)
+        r = read_r(a)
+        _in_place("dorgqr", (m, n, n), a, tau)
     return r
 
 

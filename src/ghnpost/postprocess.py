@@ -33,7 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint_io import ELIGIBLE_KINDS, Checkpoint, TensorMeta, validate_checkpoint
+from .checkpoint_io import (
+    ELIGIBLE_KINDS,
+    Checkpoint,
+    CheckpointReader,
+    TensorMeta,
+    TensorRows,
+    validate_checkpoint,
+)
 from .errors import naming
 from .linalg import gil_free_qr, one_blas_thread, qr_decompose
 from .rng import RngStream
@@ -232,13 +239,14 @@ def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], N
 
     With ``orth`` the layer lives in one float64 :func:`_layer_buffer`
     from sigma_r's channels to Q, so src is read twice with noise, once
-    without; Q times gain is rounded once to ``dtype`` a block at a time
-    into one reused buffer.  Without, sigma_r's channels go in ``work`` (a
-    contiguous float64 buffer of at least the layer's size; a new array if
-    None), and each noised block is made in one reused buffer.  Each block
-    is checked finite before it is put (an overflow of the noise or the
-    gain, or a NaN/Inf of src), so no whole-layer copy of the output is
-    ever held, and no NaN/Inf reaches the QR.
+    without.  Without, sigma_r's channels go in ``work`` (a contiguous
+    float64 buffer of at least the layer's size; a new array if None).
+    Either way the result leaves through one block loop,
+    :func:`_add_noise` into one reused buffer of a row block: the noised
+    src, or Q times gain without noise.  Each block is checked finite
+    before it is put (an overflow of the noise or the gain, or a NaN/Inf
+    of src), so no whole-layer copy of the output is ever held, and no
+    NaN/Inf reaches the QR.
     """
     k, chw, transposed = geometry(shape)
     if orth:
@@ -250,22 +258,13 @@ def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], N
         work = work[: k * chw]
     if beta is not None:
         scale = _noise_scale(src, beta, work)
-    step = row_step(k, chw)
-    buf = np.empty(step * chw, dtype)
-    if not orth:
-        _add_noise(buf, shape, src, scale, rng, put)
-        return
-    _add_noise(layer, shape, src, scale, rng)
-    q, diag = qr_decompose(layer.T if transposed else layer, overwrite_a=True)
-    q *= np.where(diag < 0.0, -1.0, 1.0)
-    # A gain near float32's max overflows here; the block check reports it,
-    # so numpy need not warn as well.
-    with np.errstate(over="ignore"):
-        for r0 in range(0, k, step):
-            block = buf[: min(step, k - r0) * chw].reshape(-1, chw)
-            np.multiply(layer[r0 : r0 + len(block)], gain, out=block, casting="same_kind")
-            check_finite(block)
-            put(r0, block)
+    if orth:
+        _add_noise(layer, shape, src, scale, rng)
+        q, diag = qr_decompose(layer.T if transposed else layer, overwrite_a=True)
+        # +-gain * q is the float64 product (+-q) * gain: one rounding to dtype.
+        q *= np.where(diag < 0.0, -gain, gain)
+        src, scale = layer, None
+    _add_noise(np.empty(row_step(k, chw) * chw, dtype), shape, src, scale, rng, put)
 
 
 def _collected(shape: tuple[int, ...], fill: Callable[[Callable], None]) -> np.ndarray:
@@ -365,6 +364,9 @@ def _run_layers(
     order = sorted(range(len(metas)), key=lambda i: (not eligible[i], -sizes[i], i))
     budget = 2 * max((c for e, c in zip(eligible, costs) if e), default=0)
     width = _cpu_count() if gil_free_qr() else 1
+    # The QR pins BLAS itself, but the thread count is global: unpinned
+    # here, concurrent layers would restore each other's count mid-QR, and
+    # their sigma_r GEMMs would each use every core.
     with one_blas_thread():
         _run_pool(fn, order, costs, budget, width)
 
@@ -375,33 +377,36 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def ghn_orth_tensors(metas: Sequence[TensorMeta], load: Callable[[int], np.ndarray],
-                     rows: Callable[[int], object], put: Callable[..., None],
+def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
                      cfg: PostprocessConfig) -> None:
-    """The :func:`ghn_orth` result of each tensor i of ``metas``, handed to
-    ``put`` as soon as it is made.
+    """The :func:`ghn_orth` result of each tensor i of the checkpoint file
+    ``reader``, handed to ``put`` as soon as it is made: what
+    ``postprocess`` runs on its input file.
 
-    An eligible tensor is read from ``rows(i)``, an array or a row source
-    such as :class:`~ghnpost.checkpoint_io.TensorRows` (twice with noise:
-    for sigma_r, then for the noise), and put a row block of float32 at a
-    time, ``put(i, block, r0)``, by :func:`_orth_layer`: from a file, no
-    float32 copy of it is held.  Any other tensor is ``load(i)``, checked
-    and put whole, ``put(i, arr)``.  With the orth step on, the tensors
-    run on :func:`_run_layers`' pool, each eligible one in its float64
-    layer buffer.  ``--skip-orth`` runs them one at a time in header
-    order, on BLAS's default thread count (on the pool the noise-only path
-    peaks higher, CHANGES.md), with sigma_r's channels in one
+    An eligible tensor is read a row block at a time through
+    :class:`~ghnpost.checkpoint_io.TensorRows` (twice with noise: for
+    sigma_r, then for the noise), and put a row block of float32 at a
+    time, ``put(i, block, r0)``, by :func:`_orth_layer`, so no float32
+    copy of it is held.  Any other tensor is loaded, checked and put
+    whole, ``put(i, arr)``.  With the orth step on, the tensors run on
+    :func:`_run_layers`' pool, each eligible one in its float64 layer
+    buffer.  ``--skip-orth`` runs them one at a time in header order, on
+    BLAS's default thread count (on the pool the noise-only path peaks
+    higher, CHANGES.md), with sigma_r's channels in one
     :func:`_layer_buffer` of the largest eligible tensor's size, reused.
+    The bytes are those of :func:`ghn_orth_tensor` of each tensor.
     """
+    metas = reader.metas
     eligible = [_eligible(meta, cfg) for meta in metas]
 
     def one(i: int, work: np.ndarray | None = None) -> None:
         meta = metas[i]
         if not eligible[i]:
-            put(i, ghn_orth_tensor(meta, load(i), cfg))
+            put(i, ghn_orth_tensor(meta, reader.load(i), cfg))
             return
         with naming(meta.name):
-            _orth_layer(meta.name, rows(i), cfg, lambda r0, block: put(i, block, r0), work)
+            _orth_layer(meta.name, TensorRows(reader, i), cfg,
+                        lambda r0, block: put(i, block, r0), work)
 
     if not cfg.skip_orth:
         _run_layers(metas, eligible, one)
@@ -418,26 +423,17 @@ def ghn_orth_tensors(metas: Sequence[TensorMeta], load: Callable[[int], np.ndarr
 
 
 def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
-    """Apply the two-step post-processing to every eligible tensor.
+    """Apply the two-step post-processing to every eligible tensor: the
+    in-memory reference, :func:`ghn_orth_tensor` of each tensor in header
+    order, one at a time.
 
     Everything else is passed through as is.  Each layer is processed on
-    its own by :func:`ghn_orth_tensors`, with the arrays as row sources,
-    so the result does not depend on processing order and equals
-    :func:`ghn_orth_tensor` of each tensor.
+    its own, so the result does not depend on processing order, and
+    :func:`ghn_orth_tensors` writes the same bytes from a file.
     """
     validate_checkpoint(c)
-    arrays = [arr for _, arr in c.tensors]
-    out = [np.empty(arr.shape, np.float32) if _eligible(meta, cfg) else None
-           for meta, arr in c.tensors]
-
-    def put(i: int, w: np.ndarray, r0: int | None = None) -> None:
-        if r0 is None:
-            out[i] = w
-        else:
-            out[i].reshape(len(out[i]), -1)[r0 : r0 + len(w)] = w
-
-    ghn_orth_tensors(c.metas, arrays.__getitem__, arrays.__getitem__, put, cfg)
-    return Checkpoint(tensors=list(zip(c.metas, out)), version=c.version)
+    return Checkpoint(tensors=[(meta, ghn_orth_tensor(meta, arr, cfg)) for meta, arr in c],
+                      version=c.version)
 
 
 def _init_layer(shape: tuple[int, ...], method: str, gain: float, rng: RngStream,

@@ -1,5 +1,6 @@
-"""Analysis outputs: per-layer correlation reports, checkpoint diffs,
-histogram SVGs and 2D PCA projection tables.
+"""What the analysis commands compute and print: per-layer correlation
+reports (``analyze``), checkpoint diffs (``compare``), histogram SVGs and
+2D PCA projection tables of embeddings (``pca``).
 
 All emitters are pure text producers; floats are printed with 9
 significant digits so identical inputs give identical files everywhere.

@@ -1,37 +1,24 @@
-"""Channel-wise Pearson correlation statistics.
+"""Channel-wise Pearson correlation statistics: sigma_r, the spread of a
+layer's channel-correlation distribution that scales the repair's noise,
+and the mean |r| and histogram that ``analyze`` reports.
 
 A "channel" is row k of the K x CHW view of a rank-2/4 weight tensor.
 All accumulation runs in float64 regardless of storage dtype, so that
 correlations of near-identical channels stay stable.  The channels come
-from an array or, a block of rows at a time, from a checkpoint file
-(:func:`_centered`); either way they are copied once, into float64.
+from an array or, a block of rows at a time, from a checkpoint file;
+either way they are copied once, into float64.
 
-:func:`correlation_stats` computes everything the command line reports
-(sigma_r, mean |r| and the histogram) in one pass over row panels of the
-Gram matrix, ``xc[i0:i1] @ xc[i0:].T``: each panel is normalized into
-correlations, folded into running moments and histogram counts, and
-dropped, so no K x K or K(K-1)/2 array ever exists.  The counts are
-``np.histogram``'s over [-1, 1], from one multiply-add per value and an
-exact check against the edges where rounding could move a value across
-one (:meth:`_Fold._count`).  Panel moments are merged with the pairwise
-update of Chan, Golub & LeVeque, "Updating formulae and a pairwise
-algorithm for computing sample variances" (1979), in coordinates shifted
-by the first panel's mean: near-duplicate layers have every r within
-1e-7 of 1, and unshifted sums would lose the digits of their spread.
-
-Where only sigma_r is needed (``compare``, and the noise scale of
-``postprocess``), :func:`sigma_r` gives it.  For K <= CHW that is the
-fold above, bit for bit.  A tall layer (K > CHW) has fewer Gram columns
-than channels, and its sigma_r follows from sums over the unit channels
-and the CHW x CHW Gram of their deviations from the mean channel
-(:func:`_tall_sigma`): K CHW^2 / 2 multiply-adds instead of the fold's
-K^2 CHW / 2, and a few passes over K x CHW instead of a dozen over
-K(K-1)/2 correlations.  The two agree to about 1e-10 relative;
-``analyze`` prints the fold's value.
-
-:func:`channel_correlation` builds the whole matrix from one Gram and the
-same normalization; it is a library and test-oracle type, not used by
-the command line.
+No K x K or K(K-1)/2 array is built for the command line: the statistics
+are folded from row panels of the Gram matrix, and the panel moments
+merged with the pairwise update of Chan, Golub & LeVeque, "Updating
+formulae and a pairwise algorithm for computing sample variances" (1979),
+in coordinates shifted by the first panel's mean.  Near-duplicate layers
+have every r within 1e-7 of 1, and unshifted sums would lose the digits
+of their spread.  The histogram counts are ``np.histogram``'s over
+[-1, 1].  A tall layer's (K > CHW) sigma_r alone comes from the smaller
+CHW x CHW Gram, within about 1e-10 relative of the fold; ``analyze``
+prints the fold's value.  The whole correlation matrix is here too, as a
+library and test oracle.
 """
 
 from __future__ import annotations

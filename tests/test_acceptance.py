@@ -23,13 +23,14 @@ from ghnpost.postprocess import (
     PostprocessConfig,
     add_conditional_noise,
     ghn_orth,
+    ghn_orth_tensor,
     he_init,
     orthogonal_reinit,
     saxe_orthogonal_init,
 )
 from ghnpost.rng import RngStream
 from ghnpost.stats import channel_correlation, correlation_std, offdiagonal_values
-from ghnpost.tensor_ops import matricize
+from ghnpost.tensor_ops import geometry, matricize
 
 from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint
 
@@ -103,6 +104,48 @@ def test_c2_correlation_reduction():
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _report(2, "mean |off-diag corr| " + ", ".join(lines) + f" ({elapsed:.1f}s)")
+
+
+def _welch_rms(k, chw):
+    """The least RMS correlation K unit vectors in R^CHW can have: mean r^2
+    over pairs i != j >= (K - CHW) / (CHW (K - 1)) (Welch 1974), 0 for
+    K <= CHW."""
+    return math.sqrt(max(0, k - chw) / (chw * (k - 1)))
+
+
+def _rms_offdiagonal_r(w):
+    """RMS of the off-diagonal channel correlations of w.  For the unit
+    centered channels X, the sum of r_ij^2 over all i, j is the squared
+    Frobenius norm of X X^T, or of the smaller X^T X."""
+    k, chw, _ = geometry(w.shape)
+    x = w.reshape(k, chw).astype(np.float64)
+    x -= x.mean(axis=1, keepdims=True)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    gram = x.T @ x if k > chw else x @ x.T
+    return math.sqrt((np.sum(gram * gram) - k) / (k * (k - 1)))
+
+
+# Decorrelation bound: RMS r <= (1 + eps) * max(Welch bound, c / CHW).  The
+# channel centering leaves square and wide layers near 1 / CHW.
+_WELCH_EPS, _WELCH_C = 0.05, 1.1
+
+
+def test_c2_decorrelation_reaches_the_welch_bound():
+    # GHN-like tall, square, wide and conv layers, and ConvNeXt's depthwise
+    # convs and stem, whose Welch bound is above C2's 0.1.
+    shapes = [(2304, 768), (768, 768), (768, 3072), (256, 64, 3, 3),
+              (1024, 1, 7, 7), (256, 1, 7, 7), (128, 3, 4, 4)]
+    cfg = PostprocessConfig(start_layer=0, seed=2)
+    lines = []
+    for shape in shapes:
+        k, chw, _ = geometry(shape)
+        meta = TensorMeta("w", shape, "conv" if len(shape) == 4 else "linear", 0)
+        w = ghn_like_tensor(shape, seed=2)
+        rms = _rms_offdiagonal_r(ghn_orth_tensor(meta, w, cfg))
+        bound = max(_welch_rms(k, chw), _WELCH_C / chw)
+        assert rms <= (1 + _WELCH_EPS) * bound, f"{shape}: RMS r {rms} vs bound {bound}"
+        lines.append(f"{shape}: {rms / bound:.3f}")
+    _report(2, "RMS r / max(Welch, c/CHW) " + ", ".join(lines))
 
 
 def test_c3_qr_oracle_equivalence():

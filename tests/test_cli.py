@@ -1326,6 +1326,21 @@ def test_analyze_failing_write_leaves_no_output(svg_dir):
     assert err.startswith("ghnpost: i/o error: [Errno ")
 
 
+def test_analyze_failing_write_leaves_existing_svgs_as_they_were(ckpt_path, tmp_path, capsys):
+    svg_dir = tmp_path / "plots"
+    assert run(["analyze", str(ckpt_path), "--svg-dir", str(svg_dir),
+                "--out", str(tmp_path / "r.csv")]) == 0
+    (svg_dir / "000_l0.conv.svg").write_text("OLD")
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    # The CSV cannot replace a directory, after every SVG is written.
+    assert run(["analyze", str(ckpt_path), "--svg-dir", str(svg_dir),
+                "--out", str(outdir)]) == 2
+    assert capsys.readouterr().err.startswith("ghnpost: i/o error: ")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 _UNPARSABLE = {
     "deep": b"[" * 100_000 + b"]" * 100_000,
     "long_integer": b"1" * 5000,  # over Python's 4300-digit int parsing limit

@@ -20,6 +20,7 @@ from ghnpost.postprocess import (
     add_conditional_noise,
     ghn_orth,
     ghn_orth_tensor,
+    ghn_orth_tensors,
     he_init,
     init_tensors,
     orthogonal_reinit,
@@ -31,7 +32,7 @@ from ghnpost.rng import RngStream
 from ghnpost.stats import channel_correlation, correlation_std, offdiagonal_values
 from ghnpost.tensor_ops import matricize
 
-from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint
+from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint, reader_of
 
 
 def _orth_error(w):
@@ -545,15 +546,31 @@ def _layers_checkpoint(n=6):
     )
 
 
+def _from_file(c, cfg):
+    """The tensors :func:`ghn_orth_tensors` puts for the file of ``c``, in
+    header order."""
+    out = [np.empty(meta.shape, np.float32) for meta in c.metas]
+
+    def put(i, w, r0=None):
+        if r0 is None:
+            out[i][...] = w
+        else:
+            out[i].reshape(len(out[i]), -1)[r0 : r0 + len(w)] = w
+
+    ghn_orth_tensors(reader_of(c), put, cfg)
+    return out
+
+
 @pytest.mark.parametrize("skip", [{}, {"skip_noise": True}])
 def test_pool_matches_sequential_in_header_order(skip, monkeypatch):
     c = _layers_checkpoint()
     cfg = PostprocessConfig(start_layer=1, seed=4, **skip)
     expected = [ghn_orth_tensor(meta, arr, cfg) for meta, arr in c.tensors]
     monkeypatch.setattr(postprocess, "_cpu_count", lambda: 8)
-    got = [arr for _, arr in ghn_orth(c, cfg).tensors]
+    got = _from_file(c, cfg)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
-    assert got[0] is c.tensors[0][1]  # below start_layer: passed through
+    # below start_layer: passed through
+    assert ghn_orth(c, cfg).tensors[0][1] is c.tensors[0][1]
 
 
 def test_pool_pins_blas_to_one_thread_and_restores_it(monkeypatch):
@@ -570,10 +587,31 @@ def test_pool_pins_blas_to_one_thread_and_restores_it(monkeypatch):
 
     monkeypatch.setattr(postprocess, "_orth_layer", recording)
     before = lib.scipy_openblas_get_num_threads64_()
-    c = _layers_checkpoint(3)
-    ghn_orth(c, PostprocessConfig(start_layer=0))
+    monkeypatch.setattr(postprocess, "_cpu_count", lambda: 8)
+    _from_file(_layers_checkpoint(3), PostprocessConfig(start_layer=0))
     assert seen and set(seen) == {1}
     assert lib.scipy_openblas_get_num_threads64_() == before
+
+
+def test_repair_bytes_do_not_depend_on_the_blas_thread_count():
+    # The library functions run outside the pool, on the caller's BLAS
+    # thread count; the QR pins itself to one thread.
+    lib = linalg._openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    w = ghn_like_tensor((1000, 768), seed=1)
+    meta = TensorMeta("w", w.shape, "linear", 0)
+    cfg = PostprocessConfig(start_layer=0, seed=1)
+    before = lib.scipy_openblas_get_num_threads64_()
+    outs = []
+    try:
+        for threads in (1, 2):
+            lib.scipy_openblas_set_num_threads64_(threads)
+            outs.append((ghn_orth_tensor(meta, w, cfg).tobytes(),
+                         orthogonal_reinit(w).tobytes()))
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    assert outs[0] == outs[1]
 
 
 def test_config_validation():

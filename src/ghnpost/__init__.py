@@ -20,7 +20,6 @@ from .postprocess import (
     saxe_orthogonal_init,
 )
 from .report import (
-    AnalysisReport,
     EmbeddingSet,
     analyze_checkpoint,
     compare_checkpoints,
@@ -30,7 +29,6 @@ from .report import (
 )
 from .rng import RngStream
 from .stats import (
-    CorrelationMatrix,
     CorrelationStats,
     Histogram,
     channel_correlation,
@@ -44,10 +42,8 @@ from .tensor_ops import Matricized, dematricize, matricize
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport",
     "Checkpoint",
     "CheckpointReader",
-    "CorrelationMatrix",
     "CorrelationStats",
     "DEFAULT_BETA",
     "EmbeddingSet",

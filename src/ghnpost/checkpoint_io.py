@@ -77,7 +77,6 @@ class Checkpoint:
     """Ordered collection of named parameter tensors."""
 
     tensors: list[tuple[TensorMeta, np.ndarray]] = field(default_factory=list)
-    version: int = FORMAT_VERSION
 
     def __len__(self) -> int:
         return len(self.tensors)
@@ -101,7 +100,7 @@ class Checkpoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Checkpoint):
             return NotImplemented
-        if self.version != other.version or len(self.tensors) != len(other.tensors):
+        if len(self.tensors) != len(other.tensors):
             return False
         for (ma, aa), (mb, ab) in zip(self.tensors, other.tensors):
             if ma != mb:
@@ -175,8 +174,6 @@ def validate_checkpoint(c: Checkpoint) -> None:
     These are preconditions of :func:`write_checkpoint`, so arriving here
     with a bad checkpoint is a programming error, not a data error.
     """
-    if c.version != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {c.version}")
     _check_metas(c.metas, ValueError)
     for meta, arr in c.tensors:
         _check_array(meta, arr)
@@ -282,8 +279,9 @@ def _decode_json(raw: bytes | str, error: type[Exception], at: str):
         raise error(f"{at}: not valid JSON ({exc})") from exc
 
 
-def _read_header(handle: BinaryIO) -> tuple[int, list[TensorMeta], list[int]]:
-    """(version, metas, absolute data offsets), checked against the file size."""
+def _read_header(handle: BinaryIO) -> tuple[list[TensorMeta], list[int]]:
+    """(metas, absolute data offsets), checked against the file size; a
+    version other than FORMAT_VERSION raises UnsupportedVersion."""
     size = handle.seek(0, io.SEEK_END)
     handle.seek(0)
     prefix = handle.read(_HEADER_PREFIX.size)
@@ -336,7 +334,7 @@ def _read_header(handle: BinaryIO) -> tuple[int, list[TensorMeta], list[int]]:
                 f"entry needs bytes [{offset}, {end})"
             )
         starts.append(data_start + offset)
-    return version, metas, starts
+    return metas, starts
 
 
 class CheckpointReader:
@@ -355,7 +353,7 @@ class CheckpointReader:
     def __init__(self, handle: BinaryIO):
         self._handle = handle
         self._lock = threading.Lock()
-        self.version, self.metas, self._starts = _read_header(handle)
+        self.metas, self._starts = _read_header(handle)
 
     def load(self, i: int) -> np.ndarray:
         """Tensor i as a new float32 array of its shape; a file that shrank
@@ -413,7 +411,7 @@ def read_checkpoint(data: bytes) -> Checkpoint:
     """Parse checkpoint bytes, validating header and data bounds."""
     reader = CheckpointReader(io.BytesIO(data))
     tensors = [(meta, reader.load(i)) for i, meta in enumerate(reader.metas)]
-    return Checkpoint(tensors=tensors, version=reader.version)
+    return Checkpoint(tensors=tensors)
 
 
 def parse_tensor_specs(raw: bytes | str) -> list[TensorMeta]:

@@ -184,15 +184,16 @@ _SVG_STEM_MAX = 255 - 14 - 4
 
 def _cmd_analyze(args) -> int:
     with open(args.checkpoint, "rb", buffering=0) as handle:
-        report = analyze_checkpoint(CheckpointReader(handle), bins=args.bins)
+        records = analyze_checkpoint(CheckpointReader(handle), bins=args.bins)
     files = []
     if args.svg_dir is not None:
-        for i, rec in enumerate(report.records):
+        for i, rec in enumerate(records):
+            name = rec.meta.name
             # The index prefix keeps names unique when the rest is cut.
-            stem = f"{i:03d}_{_UNSAFE.sub('_', rec.name)}"[:_SVG_STEM_MAX]
-            svg = emit_histogram_svg(rec.histogram, rec.name)
+            stem = f"{i:03d}_{_UNSAFE.sub('_', name)}"[:_SVG_STEM_MAX]
+            svg = emit_histogram_svg(rec.stats.histogram, name)
             files.append((args.svg_dir / f"{stem}.svg", svg))
-    files.append((args.out, emit_report_csv(report)))
+    files.append((args.out, emit_report_csv(records)))
     _write_texts(files)
     return 0
 
@@ -228,7 +229,8 @@ def _cmd_pca(args) -> int:
     # rejects with the row they are in.
     text = args.embeddings.read_text(encoding="utf-8", errors="surrogateescape")
     embeddings = parse_embeddings_csv(text)
-    _write_texts([(args.out, emit_projection_csv(project_embeddings(embeddings)))])
+    projected = project_embeddings(embeddings)
+    _write_texts([(args.out, emit_projection_csv(embeddings, projected))])
     return 0
 
 

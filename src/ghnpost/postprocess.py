@@ -432,8 +432,7 @@ def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
     :func:`ghn_orth_tensors` writes the same bytes from a file.
     """
     validate_checkpoint(c)
-    return Checkpoint(tensors=[(meta, ghn_orth_tensor(meta, arr, cfg)) for meta, arr in c],
-                      version=c.version)
+    return Checkpoint(tensors=[(meta, ghn_orth_tensor(meta, arr, cfg)) for meta, arr in c])
 
 
 def _init_layer(shape: tuple[int, ...], method: str, gain: float, rng: RngStream,

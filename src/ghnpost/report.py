@@ -16,30 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, TensorRows
+from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, TensorMeta, TensorRows
 from .errors import DegenerateInput, SchemaError, StructureMismatch, naming
 from .linalg import pca_project
-from .stats import Histogram, correlation_stats, sigma_r
+from .stats import CorrelationStats, Histogram, correlation_stats, sigma_r
 from .tensor_ops import geometry, row_blocks, row_step
 
 
 @dataclass
 class LayerRecord:
-    name: str
-    kind: str
-    depth: int
-    k: int
-    chw: int
-    sigma_r: float
-    mean_abs_offdiag: float
-    histogram: Histogram
+    """One conv/linear tensor of ``analyze``: its header entry and the
+    statistics of its channel correlations."""
 
-
-@dataclass
-class AnalysisReport:
-    records: list[LayerRecord]
-    layer_count: int
-    eligible_layer_count: int
+    meta: TensorMeta
+    stats: CorrelationStats
 
 
 @dataclass
@@ -47,14 +37,6 @@ class EmbeddingSet:
     ids: list[str]
     vectors: np.ndarray  # n x d, float64
     labels: list[float] | None = None
-
-
-@dataclass
-class ProjectionRow:
-    id: str
-    pc1: float
-    pc2: float
-    label: float | None
 
 
 @dataclass
@@ -77,9 +59,10 @@ def _csv(header: list[str], rows: Iterable[list]) -> str:
     return buf.getvalue()
 
 
-def analyze_checkpoint(c: CheckpointReader, bins: int) -> AnalysisReport:
-    """Correlation statistics for every conv/linear tensor of the file
-    ``c``, in file order.
+def analyze_checkpoint(c: CheckpointReader, bins: int) -> list[LayerRecord]:
+    """A :class:`LayerRecord` for every conv/linear tensor of the file
+    ``c``, in file order, with its correlation statistics and a histogram
+    of ``bins`` bins.
 
     Each one is read through :class:`~ghnpost.checkpoint_io.TensorRows`, a
     block of rows at a time, straight into the float64 channels of
@@ -92,35 +75,21 @@ def analyze_checkpoint(c: CheckpointReader, bins: int) -> AnalysisReport:
         raise ValueError("bins must be >= 1")
     records = []
     for i, meta in enumerate(c.metas):
-        if meta.kind not in ELIGIBLE_KINDS:
-            continue
-        with naming(meta.name):
-            k, chw, _ = geometry(meta.shape)
-            stats = correlation_stats(TensorRows(c, i), bins)
-        records.append(LayerRecord(
-            name=meta.name,
-            kind=meta.kind,
-            depth=meta.depth,
-            k=k,
-            chw=chw,
-            sigma_r=stats.sigma_r,
-            mean_abs_offdiag=stats.mean_abs,
-            histogram=stats.histogram,
-        ))
-    return AnalysisReport(
-        records=records,
-        layer_count=len(c.metas),
-        eligible_layer_count=len(records),
-    )
+        if meta.kind in ELIGIBLE_KINDS:
+            with naming(meta.name):
+                records.append(LayerRecord(meta, correlation_stats(TensorRows(c, i), bins)))
+    return records
 
 
-def emit_report_csv(r: AnalysisReport) -> str:
+def emit_report_csv(records: list[LayerRecord]) -> str:
+    """The ``analyze`` CSV: a row per record, with K and CHW the sides of
+    its tensor's K x CHW view."""
     return _csv(
         ["name", "kind", "depth", "K", "CHW", "sigma_r", "mean_abs_offdiag"],
         (
-            [rec.name, rec.kind, rec.depth, rec.k, rec.chw, _fmt(rec.sigma_r),
-             _fmt(rec.mean_abs_offdiag)]
-            for rec in r.records
+            [rec.meta.name, rec.meta.kind, rec.meta.depth, *geometry(rec.meta.shape)[:2],
+             _fmt(rec.stats.sigma_r), _fmt(rec.stats.mean_abs)]
+            for rec in records
         ),
     )
 
@@ -243,31 +212,26 @@ def parse_embeddings_csv(text: str) -> EmbeddingSet:
     return EmbeddingSet(ids=ids, vectors=vectors, labels=labels if has_labels else None)
 
 
-def project_embeddings(e: EmbeddingSet) -> list[ProjectionRow]:
-    """PCA projection of embedding vectors onto the top two components."""
+def project_embeddings(e: EmbeddingSet) -> np.ndarray:
+    """PCA projection of embedding vectors onto the top two components:
+    the n x 2 float64 array of each vector's pc1 and pc2, in ``e``'s
+    order.  Fewer than 3 vectors, or of dimension under 2, raise
+    DegenerateInput."""
     n, d = e.vectors.shape
     if n < 3 or d < 2:
         raise DegenerateInput(f"need at least 3 vectors of dimension >= 2, got {n} x {d}")
-    result = pca_project(e.vectors, k=2)
-    rows = []
-    for i, vec_id in enumerate(e.ids):
-        rows.append(
-            ProjectionRow(
-                id=vec_id,
-                pc1=float(result.projected[i, 0]),
-                pc2=float(result.projected[i, 1]),
-                label=None if e.labels is None else e.labels[i],
-            )
-        )
-    return rows
+    return pca_project(e.vectors, k=2).projected
 
 
-def emit_projection_csv(rows: list[ProjectionRow]) -> str:
+def emit_projection_csv(e: EmbeddingSet, projected: np.ndarray) -> str:
+    """The ``pca`` CSV: a row per vector of ``e``, with its id, its
+    ``projected`` pc1 and pc2 and its label (empty without labels)."""
+    labels = [None] * len(e.ids) if e.labels is None else e.labels
     return _csv(
         ["id", "pc1", "pc2", "label"],
         (
-            [row.id, _fmt(row.pc1), _fmt(row.pc2), "" if row.label is None else _fmt(row.label)]
-            for row in rows
+            [vec_id, _fmt(pc1), _fmt(pc2), "" if label is None else _fmt(label)]
+            for vec_id, (pc1, pc2), label in zip(e.ids, projected.tolist(), labels)
         ),
     )
 

@@ -43,18 +43,6 @@ _PANEL_ROWS = 128
 _SNAP = 64.0 * np.finfo(np.float64).eps
 
 
-class CorrelationMatrix:
-    """Symmetric K x K Pearson correlation between output channels.
-
-    ``values`` is the K x K float64 matrix, entries in [-1, 1] with a unit
-    diagonal.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values)
-        self.k = self.values.shape[0]
-
-
 @dataclass
 class Histogram:
     bin_edges: np.ndarray  # len bins + 1, spanning [-1, 1]
@@ -128,8 +116,9 @@ def _normalize(g: np.ndarray, rows: slice, cols: slice, safe: np.ndarray,
     np.copyto(g, -1.0, where=g <= -1.0 + _SNAP)
 
 
-def channel_correlation(w: np.ndarray) -> CorrelationMatrix:
-    """Pearson correlation between the K channels of a rank-2/4 tensor.
+def channel_correlation(w: np.ndarray) -> np.ndarray:
+    """Pearson correlation between the K channels of a rank-2/4 tensor, as
+    a symmetric K x K float64 array with entries in [-1, 1].
 
     Zero-variance channels correlate 0 with everything off-diagonal; the
     diagonal is 1 by convention.  A tensor holding NaN or Inf raises
@@ -145,7 +134,7 @@ def channel_correlation(w: np.ndarray) -> CorrelationMatrix:
         rows = slice(i0, min(i0 + _PANEL_ROWS, k))
         _normalize(r[rows], rows, slice(None), safe, dead, scratch[: rows.stop - i0])
     np.fill_diagonal(r, 1.0)
-    return CorrelationMatrix(r)
+    return r
 
 
 class _Fold:
@@ -356,32 +345,35 @@ def _gram_frobenius2(d: np.ndarray) -> float:
     return total
 
 
-def offdiagonal_values(r: CorrelationMatrix) -> np.ndarray:
-    """Upper-triangle off-diagonal entries, row-major, as a read-only copy."""
-    upper = r.values[np.triu_indices(r.k, k=1)]
+def offdiagonal_values(r: np.ndarray) -> np.ndarray:
+    """Upper-triangle off-diagonal entries of the K x K correlation array
+    ``r``, row-major, as a read-only copy."""
+    upper = r[np.triu_indices(len(r), k=1)]
     upper.flags.writeable = False
     return upper
 
 
-def correlation_std(r: CorrelationMatrix) -> float:
-    """Population standard deviation of the off-diagonal correlations.
+def correlation_std(r: np.ndarray) -> float:
+    """Population standard deviation of the off-diagonal correlations of
+    the K x K correlation array ``r``.
 
     The diagonal is constant 1 and carries no information, so it is
     excluded.  Computed with the same shifted two-pass moments as
     :func:`correlation_stats`.  Requires at least two channels.
     """
-    return _fold_values(r.k, offdiagonal_values(r), None).sigma_r
+    return _fold_values(len(r), offdiagonal_values(r), None).sigma_r
 
 
-def correlation_histogram(r: CorrelationMatrix, bins: int) -> Histogram:
-    """Equal-width histogram of the off-diagonal correlations over [-1, 1].
+def correlation_histogram(r: np.ndarray, bins: int) -> Histogram:
+    """Equal-width histogram of the off-diagonal correlations of the K x K
+    correlation array ``r`` over [-1, 1].
 
     Values exactly 1.0 land in the last bin.  Entries a hair outside the
     range from rounding (possible in a user-supplied matrix) are clipped,
     so every off-diagonal entry is counted.  A NaN entry has no bin: the
     bin counter rejects it with ValueError.
     """
-    return _fold_values(r.k, np.clip(offdiagonal_values(r), -1.0, 1.0), bins).histogram
+    return _fold_values(len(r), np.clip(offdiagonal_values(r), -1.0, 1.0), bins).histogram
 
 
 def _fold_values(k: int, values: np.ndarray, bins: int | None) -> CorrelationStats:

@@ -2,9 +2,11 @@
 second paths that the command line never ran are gone."""
 
 import ghnpost
-from ghnpost import checkpoint_io, errors, postprocess
+from ghnpost import checkpoint_io, errors, postprocess, report, stats
 from ghnpost.checkpoint_io import Checkpoint, CheckpointReader
 from ghnpost.rng import RngStream
+
+from conftest import reader_of
 
 
 def test_every_public_name_resolves():
@@ -23,3 +25,11 @@ def test_removed_names_are_absent():
     assert not hasattr(Checkpoint, "read_rows")
     for name in ("get", "_load", "__iter__"):
         assert not hasattr(CheckpointReader, name)
+    # Result types that only copied what their callers already held.
+    for name in ("AnalysisReport", "CorrelationMatrix", "ProjectionRow"):
+        assert name not in ghnpost.__all__
+        assert not hasattr(ghnpost, name)
+        assert not hasattr(report, name) and not hasattr(stats, name)
+    # FORMAT_VERSION is the one version a checkpoint can have.
+    assert not hasattr(Checkpoint(), "version")
+    assert not hasattr(reader_of(Checkpoint()), "version")

@@ -54,6 +54,32 @@ def test_empty_checkpoint():
     assert back == c
 
 
+def _ckpt(*arrays, name="w"):
+    return make_checkpoint([(f"{name}{i}", (2, 3), "conv", 0, a) for i, a in enumerate(arrays)])
+
+
+_W = np.arange(6, dtype=np.float32).reshape(2, 3)
+_NAN = np.full((2, 3), np.nan, np.float32)
+# Each pair differs in one way only, so each is told apart by one check of
+# Checkpoint.__eq__; the arrays need not match their metas' shapes.
+_UNEQUAL = {
+    "meta": (_ckpt(_W), _ckpt(_W, name="v")),
+    "tensor count": (_ckpt(_W), _ckpt(_W, _W)),
+    "shape": (_ckpt(_W), _ckpt(_W.reshape(3, 2))),
+    "dtype": (_ckpt(_W), _ckpt(_W.view(np.int32))),
+    "signed zero": (_ckpt(np.zeros((2, 3), np.float32)), _ckpt(np.full((2, 3), -0.0, np.float32))),
+    "nan payload": (_ckpt(_NAN), _ckpt((_NAN.view(np.uint32) | 1).view(np.float32))),
+    "not a checkpoint": (_ckpt(_W), object()),
+}
+
+
+@pytest.mark.parametrize("left, right", _UNEQUAL.values(), ids=_UNEQUAL.keys())
+def test_checkpoints_that_differ_are_unequal(left, right):
+    assert left == Checkpoint(tensors=[(meta, arr.copy()) for meta, arr in left])
+    assert not left == right and not right == left
+    assert left != right
+
+
 def test_hand_built_file_matches_format():
     # One tensor "w", shape [2,2], values [1,2,3,4]; bytes assembled by hand
     # from the documented layout.  write_checkpoint must reproduce them.

@@ -427,7 +427,6 @@ def test_metadata_and_order_preserved():
     c = _pipeline_checkpoint()
     out = ghn_orth(c, PostprocessConfig(start_layer=0, seed=1))
     assert [m for m, _ in out.tensors] == [m for m, _ in c.tensors]
-    assert out.version == c.version
 
 
 def test_determinism_bit_identical():
@@ -655,6 +654,17 @@ def test_he_init_bytes_equal_one_whole_layer_draw(shape):
     ref = stream.normal(n)
     ref *= math.sqrt(2.0 / math.prod(shape[1:]))
     assert he_init(shape, stream).tobytes() == ref.reshape(shape).astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+@pytest.mark.parametrize("init", [
+    lambda shape: he_init(shape, RngStream(0, "w")),
+    lambda shape: saxe_orthogonal_init(shape, 1.0, RngStream(0, "w")),
+], ids=["he", "saxe"])
+def test_init_rejects_a_zero_dimension(init, shape):
+    with pytest.raises(ValueError) as info:
+        init(shape)
+    assert str(info.value) == f"shape dimensions must be positive, got {shape}"
 
 
 def test_he_init_rank2_fan_in():

@@ -22,6 +22,7 @@ from ghnpost.report import (
 )
 from ghnpost.rng import RngStream
 from ghnpost.stats import Histogram, correlation_stats, sigma_r
+from ghnpost.tensor_ops import geometry
 
 from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint, reader_of
 
@@ -29,12 +30,14 @@ from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint, reader
 def test_analyze_identical_channels():
     w = np.tile(np.arange(12, dtype=np.float32), (6, 1))
     c = make_checkpoint([("w", (6, 12), "conv", 0, w)])
-    rep = analyze_checkpoint(reader_of(c), bins=10)
-    assert rep.layer_count == 1 and rep.eligible_layer_count == 1
-    rec = rep.records[0]
-    assert rec.sigma_r == 0.0
-    assert rec.mean_abs_offdiag == 1.0
-    assert (rec.k, rec.chw) == (6, 12)
+    reader = reader_of(c)
+    records = analyze_checkpoint(reader, bins=10)
+    assert len(reader.metas) == 1 and len(records) == 1
+    rec = records[0]
+    assert rec.stats.sigma_r == 0.0
+    assert rec.stats.mean_abs == 1.0
+    assert geometry(rec.meta.shape)[:2] == (6, 12)
+    assert emit_report_csv(records).splitlines()[1] == "w,conv,0,6,12,0,1"
 
 
 def test_analyze_skips_norm_and_bias():
@@ -44,10 +47,10 @@ def test_analyze_skips_norm_and_bias():
             ("b", (8,), "bias", 0, np.zeros(8, np.float32)),
         ]
     )
-    rep = analyze_checkpoint(reader_of(c), bins=4)
-    assert rep.records == []
-    assert rep.layer_count == 2
-    assert rep.eligible_layer_count == 0
+    reader = reader_of(c)
+    records = analyze_checkpoint(reader, bins=4)
+    assert records == []
+    assert len(reader.metas) == 2
 
 
 def test_analyze_saxe_checkpoint_has_low_correlation():
@@ -55,10 +58,10 @@ def test_analyze_saxe_checkpoint_has_low_correlation():
     for i, shape in enumerate([(32, 16, 2, 2), (96, 64), (48, 8, 3, 3)]):
         arr = saxe_orthogonal_init(shape, 1.0, RngStream(1, f"w{i}"))
         specs.append((f"w{i}", shape, "conv" if len(shape) == 4 else "linear", i, arr))
-    rep = analyze_checkpoint(reader_of(make_checkpoint(specs)), bins=10)
-    for rec in rep.records:
-        if rec.chw >= 64:
-            assert rec.mean_abs_offdiag < 0.15
+    records = analyze_checkpoint(reader_of(make_checkpoint(specs)), bins=10)
+    for rec in records:
+        if geometry(rec.meta.shape)[1] >= 64:
+            assert rec.stats.mean_abs < 0.15
 
 
 def test_analyze_needs_a_bin(small_checkpoint):
@@ -73,12 +76,12 @@ def test_analyze_error_names_tensor():
 
 
 def test_report_csv_shape(small_checkpoint):
-    rep = analyze_checkpoint(reader_of(small_checkpoint), bins=8)
-    text = emit_report_csv(rep)
+    records = analyze_checkpoint(reader_of(small_checkpoint), bins=8)
+    text = emit_report_csv(records)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["name", "kind", "depth", "K", "CHW", "sigma_r", "mean_abs_offdiag"]
-    assert len(rows) == 1 + rep.eligible_layer_count
-    assert emit_report_csv(rep) == text  # deterministic
+    assert len(rows) == 1 + len(records)
+    assert emit_report_csv(records) == text  # deterministic
     # numeric fields parse back
     for row in rows[1:]:
         float(row[5]), float(row[6])
@@ -166,8 +169,8 @@ def test_project_exact_plane():
     coeffs = rng.normal(size=(50, 2)) * [4.0, 2.0]
     vectors = coeffs @ basis
     e = EmbeddingSet(ids=[str(i) for i in range(50)], vectors=vectors)
-    rows = project_embeddings(e)
-    recon_var = np.var([r.pc1 for r in rows]) + np.var([r.pc2 for r in rows])
+    projected = project_embeddings(e)
+    recon_var = np.var(projected[:, 0]) + np.var(projected[:, 1])
     total_var = np.var(vectors - vectors.mean(axis=0), axis=0).sum()
     assert total_var - recon_var <= 1e-9 * total_var
 
@@ -180,9 +183,9 @@ def test_project_too_few_vectors():
 
 def test_project_500_by_32():
     e = parse_embeddings_csv(_embedding_csv(500, 32, seed=2))
-    rows = project_embeddings(e)
-    assert len(rows) == 500
-    text = emit_projection_csv(rows)
+    projected = project_embeddings(e)
+    assert projected.shape == (500, 2)
+    text = emit_projection_csv(e, projected)
     parsed = list(csv.reader(io.StringIO(text)))
     assert parsed[0] == ["id", "pc1", "pc2", "label"]
     assert len(parsed) == 501
@@ -190,7 +193,7 @@ def test_project_500_by_32():
 
 def test_projection_csv_blank_label_when_absent():
     e = parse_embeddings_csv(_embedding_csv(4, 3, labels=False))
-    text = emit_projection_csv(project_embeddings(e))
+    text = emit_projection_csv(e, project_embeddings(e))
     row = next(csv.DictReader(io.StringIO(text)))
     assert row["label"] == ""
 
@@ -288,8 +291,8 @@ def test_file_source_gives_the_bits_of_the_array(layer):
     files = [reader_of(Checkpoint(tensors=list(zip(metas, (norm, w))))) for w in (a, b)]
 
     want = correlation_stats(a, bins=50)
-    (rec,) = analyze_checkpoint(files[0], bins=50).records
-    assert (rec.sigma_r, rec.mean_abs_offdiag) == (want.sigma_r, want.mean_abs)
-    np.testing.assert_array_equal(rec.histogram.counts, want.histogram.counts)
+    (rec,) = analyze_checkpoint(files[0], bins=50)
+    assert (rec.stats.sigma_r, rec.stats.mean_abs) == (want.sigma_r, want.mean_abs)
+    np.testing.assert_array_equal(rec.stats.histogram.counts, want.histogram.counts)
     diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
     assert compare_checkpoints(*files) == [CompareRow("w", diff, sigma_r(a), sigma_r(b))]

@@ -27,7 +27,7 @@ from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint, reader
 
 def _corr2(a, b):
     w = np.array([a, b], dtype=np.float32)
-    return channel_correlation(w).values[0, 1]
+    return channel_correlation(w)[0, 1]
 
 
 def test_perfect_positive_correlation():
@@ -45,14 +45,14 @@ def test_half_correlation_by_hand():
 
 def test_zero_variance_channel():
     w = np.array([[1, 1, 1], [1, 2, 3]], dtype=np.float32)
-    r = channel_correlation(w).values
+    r = channel_correlation(w)
     assert r[0, 0] == 1.0 and r[1, 1] == 1.0
     assert r[0, 1] == 0.0 and r[1, 0] == 0.0
 
 
 def test_matrix_invariants():
     w = np.random.default_rng(3).normal(size=(12, 4, 3, 3)).astype(np.float32)
-    r = channel_correlation(w).values
+    r = channel_correlation(w)
     np.testing.assert_array_equal(r, r.T)
     np.testing.assert_array_equal(np.diag(r), np.ones(12))
     assert np.all(np.abs(r) <= 1.0 + 1e-12)
@@ -61,8 +61,8 @@ def test_matrix_invariants():
 def test_rank4_channels_flattened():
     # rank-4 and its explicit K x CHW reshape give the same matrix
     w = np.random.default_rng(4).normal(size=(6, 2, 2, 2)).astype(np.float32)
-    r4 = channel_correlation(w).values
-    r2 = channel_correlation(w.reshape(6, 8)).values
+    r4 = channel_correlation(w)
+    r2 = channel_correlation(w.reshape(6, 8))
     np.testing.assert_allclose(r4, r2, atol=1e-15)
 
 
@@ -77,10 +77,10 @@ def test_errors():
 @given(st.floats(0.01, 100.0), st.floats(-50.0, 50.0), st.integers(0, 2**31))
 def test_affine_invariance(scale, shift, seed):
     w = np.random.default_rng(seed).normal(size=(5, 16)).astype(np.float32)
-    r_base = channel_correlation(w).values
+    r_base = channel_correlation(w)
     w2 = w.astype(np.float64)
     w2[2] = scale * w2[2] + shift
-    r_mapped = channel_correlation(w2).values
+    r_mapped = channel_correlation(w2)
     np.testing.assert_allclose(r_mapped, r_base, atol=1e-6)
 
 
@@ -95,10 +95,8 @@ def test_std_of_identical_channels_is_zero():
 def test_std_hand_computed():
     # k=3 with off-diagonal {0, 0, 1}: mean 1/3, population variance
     # ((1/3)^2 + (1/3)^2 + (2/3)^2)/3 = 2/9, so std = sqrt(2)/3
-    from ghnpost.stats import CorrelationMatrix
-
     values = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-    sigma = correlation_std(CorrelationMatrix(values=values))
+    sigma = correlation_std(values)
     assert sigma == pytest.approx(math.sqrt(2.0) / 3.0, abs=1e-12)
 
 
@@ -131,28 +129,22 @@ def test_histogram_all_ones():
 
 def test_histogram_extremes():
     # -1 lands in the first bin; exactly 1.0 lands in the last bin
-    from ghnpost.stats import CorrelationMatrix
-
     values = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    h = correlation_histogram(CorrelationMatrix(values=values), bins=2)
+    h = correlation_histogram(values, bins=2)
     np.testing.assert_array_equal(h.counts, [1, 0])
     values = np.array([[1.0, 1.0], [1.0, 1.0]])
-    h = correlation_histogram(CorrelationMatrix(values=values), bins=2)
+    h = correlation_histogram(values, bins=2)
     np.testing.assert_array_equal(h.counts, [0, 1])
 
 
 def test_histogram_rejects_a_nan_entry():
-    from ghnpost.stats import CorrelationMatrix
-
     values = np.eye(3)
     values[0, 1] = values[1, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        correlation_histogram(CorrelationMatrix(values=values), bins=4)
+        correlation_histogram(values, bins=4)
 
 
 def test_histogram_vs_brute_force():
-    from ghnpost.stats import CorrelationMatrix
-
     rng = np.random.default_rng(11)
     k = 40
     vals = rng.uniform(-1.0, 1.0, size=k * (k - 1) // 2)
@@ -160,7 +152,7 @@ def test_histogram_vs_brute_force():
     m[np.triu_indices(k, 1)] = vals
     m = m + np.triu(m, 1).T
     for bins in (1, 3, 8, 16):
-        h = correlation_histogram(CorrelationMatrix(values=m), bins=bins)
+        h = correlation_histogram(m, bins=bins)
         width = 2.0 / bins
         expected = np.zeros(bins, dtype=int)
         for v in vals:
@@ -272,7 +264,7 @@ def test_packed_kernel_matches_full_matrix_oracle(case):
         for h in (correlation_histogram(r, bins), folded.histogram):
             np.testing.assert_array_equal(h.counts, counts)
             assert h.bin_edges.tobytes() == edges.tobytes()
-    assert r.values.tobytes() == full.tobytes()
+    assert r.tobytes() == full.tobytes()
 
 
 def test_near_duplicate_case_is_beyond_np_std():

@@ -1,12 +1,20 @@
-"""Count the package's source lines without docstrings, comments or layout.
+"""Count the package's source lines without docstrings, comments or
+layout, and its public fields.
 
     python3 tools/ast_lines.py [PACKAGE_DIR]
 
 For each ``*.py`` file of PACKAGE_DIR (default ``src/ghnpost`` beside this
-script's parent), parse it, drop the module, class and function
-docstrings (a body left empty becomes ``pass``), and count the lines of
-``ast.unparse`` of what is left.  Prints one line per module and the
-total, the size measure that ROADMAP aim 2 tracks.
+script's parent), parse it and print two counts, then their totals:
+
+- lines: drop the module, class and function docstrings (a body left
+  empty becomes ``pass``) and count the lines of ``ast.unparse`` of what
+  is left;
+- fields: the public fields of the module's public classes, that is the
+  annotated names of a class body (a dataclass's fields) and the
+  ``self.x`` that its ``__init__`` sets, skipping ``_``-prefixed classes
+  and names.
+
+These are the size measures that ROADMAP aim 2 tracks.
 """
 
 from __future__ import annotations
@@ -28,21 +36,42 @@ def _strip_docstrings(tree: ast.AST) -> None:
             node.body = node.body[1:] or [ast.Pass()]
 
 
-def unparsed_lines(path: Path) -> int:
-    """Lines of ``ast.unparse`` of ``path`` without its docstrings."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def unparsed_lines(tree: ast.Module) -> int:
+    """Lines of ``ast.unparse`` of ``tree`` without its docstrings."""
     _strip_docstrings(tree)
     return len(ast.unparse(tree).splitlines())
 
 
+def public_fields(tree: ast.Module) -> int:
+    """Public fields of the public classes of ``tree``."""
+    total = 0
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        names = set()
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                names.add(stmt.target.id)
+            elif isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                names.update(
+                    node.attr for node in ast.walk(stmt)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                )
+        total += sum(not name.startswith("_") for name in names)
+    return total
+
+
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src/ghnpost"
-    total = 0
+    lines = fields = 0
+    print(" lines fields")
     for path in sorted(package.glob("*.py")):
-        n = unparsed_lines(path)
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        n, f = unparsed_lines(tree), public_fields(tree)
+        lines, fields = lines + n, fields + f
+        print(f"{n:6d} {f:6d}  {path.name}")
+    print(f"{lines:6d} {fields:6d}  total")
     return 0
 
 

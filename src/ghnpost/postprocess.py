@@ -23,9 +23,7 @@ float64, and each layer is rounded to its output dtype exactly once.
 
 from __future__ import annotations
 
-import errno
 import math
-import mmap
 import os
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -45,7 +43,14 @@ from .errors import naming
 from .linalg import gil_free_qr, one_blas_thread, qr_decompose
 from .rng import RngStream
 from .stats import sigma_r
-from .tensor_ops import check_finite, geometry, row_blocks, row_step
+from .tensor_ops import (
+    check_finite,
+    geometry,
+    largest_layer_buffer,
+    layer_buffer,
+    row_blocks,
+    row_step,
+)
 
 DEFAULT_BETA = 3e-5
 
@@ -205,22 +210,6 @@ def orthogonal_reinit(w: np.ndarray) -> np.ndarray:
     return _collected(w.shape, lambda put: _write_layer(w.shape, w, put, dtype=w.dtype))
 
 
-def _layer_buffer(size: int) -> np.ndarray:
-    """An uninitialized float64 array of ``size`` elements on an anonymous
-    mapping of its own, unmapped when the array is freed: its pages go
-    back to the OS whichever thread frees it, where a malloc block would
-    stay in that thread's arena.  A mapping the OS refuses raises
-    MemoryError."""
-    nbytes = 8 * size
-    try:
-        mapping = mmap.mmap(-1, max(1, nbytes))
-    except (OSError, OverflowError) as exc:
-        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
-            raise
-        raise MemoryError(f"cannot map {nbytes} bytes for the float64 layer buffer") from exc
-    return np.frombuffer(mapping, np.float64, size)
-
-
 def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], None],
                  rng: RngStream | None = None, *, beta: float | None = None,
                  scale: float | None = None, orth: bool = True, gain: float = 1.0,
@@ -237,10 +226,11 @@ def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], N
     given, else at std ``scale`` (None: no noise).  With ``orth`` it is
     then replaced by the sign-corrected Q of its QR, times ``gain``.
 
-    With ``orth`` the layer lives in one float64 :func:`_layer_buffer`
-    from sigma_r's channels to Q, so src is read twice with noise, once
-    without.  Without, sigma_r's channels go in ``work`` (a contiguous
-    float64 buffer of at least the layer's size; a new array if None).
+    With ``orth`` the layer lives in one float64
+    :func:`~ghnpost.tensor_ops.layer_buffer` from sigma_r's channels to Q,
+    so src is read twice with noise, once without.  Without, sigma_r's
+    channels go in ``work`` (a contiguous float64 buffer of at least the
+    layer's size; a new array if None).
     Either way the result leaves through one block loop,
     :func:`_add_noise` into one reused buffer of a row block: the noised
     src, or Q times gain without noise.  Each block is checked finite
@@ -252,10 +242,8 @@ def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], N
     if orth:
         # The matrix LAPACK factors is Fortran-ordered: the K x CHW matrix
         # is C-ordered when transposed.
-        layer = _layer_buffer(k * chw).reshape((k, chw), order="C" if transposed else "F")
+        layer = layer_buffer(k * chw).reshape((k, chw), order="C" if transposed else "F")
         work = layer.ravel(order="K")  # the whole buffer
-    elif work is not None:
-        work = work[: k * chw]
     if beta is not None:
         scale = _noise_scale(src, beta, work)
     if orth:
@@ -392,9 +380,10 @@ def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
     :func:`_run_layers`' pool, each eligible one in its float64 layer
     buffer.  ``--skip-orth`` runs them one at a time in header order, on
     BLAS's default thread count (on the pool the noise-only path peaks
-    higher, CHANGES.md), with sigma_r's channels in one
-    :func:`_layer_buffer` of the largest eligible tensor's size, reused.
-    The bytes are those of :func:`ghn_orth_tensor` of each tensor.
+    higher, CHANGES.md), with sigma_r's channels in the one
+    :func:`~ghnpost.tensor_ops.largest_layer_buffer` of the eligible
+    tensors.  The bytes are those of :func:`ghn_orth_tensor` of each
+    tensor.
     """
     metas = reader.metas
     eligible = [_eligible(meta, cfg) for meta in metas]
@@ -411,13 +400,7 @@ def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
     if not cfg.skip_orth:
         _run_layers(metas, eligible, one)
         return
-    work = None
-    if any(eligible):
-        # A fresh mapping per layer costs page faults; a malloc'd one keeps
-        # its pages after the run (glibc's mmap threshold rises on free).
-        largest = max((m for m, e in zip(metas, eligible) if e), key=lambda m: math.prod(m.shape))
-        with naming(largest.name):
-            work = _layer_buffer(math.prod(largest.shape))
+    work = largest_layer_buffer(m for m, e in zip(metas, eligible) if e)
     for i in range(len(metas)):
         one(i, work)
 

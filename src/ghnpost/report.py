@@ -20,7 +20,7 @@ from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, TensorMeta, TensorR
 from .errors import DegenerateInput, SchemaError, StructureMismatch, naming
 from .linalg import pca_project
 from .stats import CorrelationStats, Histogram, correlation_stats, sigma_r
-from .tensor_ops import geometry, row_blocks, row_step
+from .tensor_ops import geometry, largest_layer_buffer, row_blocks, row_step
 
 
 @dataclass
@@ -66,18 +66,22 @@ def analyze_checkpoint(c: CheckpointReader, bins: int) -> list[LayerRecord]:
 
     Each one is read through :class:`~ghnpost.checkpoint_io.TensorRows`, a
     block of rows at a time, straight into the float64 channels of
-    :func:`~ghnpost.stats.correlation_stats`: a layer holds one float64
-    copy and no whole float32 array, and other tensors are not read.  A
-    tensor holding NaN or Inf raises NonFiniteTensor naming it; one whose
-    working memory cannot be allocated raises OutOfMemory naming it.
+    :func:`~ghnpost.stats.correlation_stats`, and other tensors are not
+    read.  The channels of every layer go into one
+    :func:`~ghnpost.tensor_ops.largest_layer_buffer`, mapped before the
+    first layer is read, so the run holds one float64 copy of its largest
+    layer and no whole float32 array.  A tensor holding NaN or Inf raises
+    NonFiniteTensor naming it; one whose working memory cannot be
+    allocated raises OutOfMemory naming it (the largest, for that buffer).
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    layers = [(i, meta) for i, meta in enumerate(c.metas) if meta.kind in ELIGIBLE_KINDS]
+    work = largest_layer_buffer(meta for _, meta in layers)
     records = []
-    for i, meta in enumerate(c.metas):
-        if meta.kind in ELIGIBLE_KINDS:
-            with naming(meta.name):
-                records.append(LayerRecord(meta, correlation_stats(TensorRows(c, i), bins)))
+    for i, meta in layers:
+        with naming(meta.name):
+            records.append(LayerRecord(meta, correlation_stats(TensorRows(c, i), bins, work)))
     return records
 
 
@@ -246,9 +250,13 @@ def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[Compar
     The structure is checked from the metadata alone; then each
     conv/linear tensor of ``a``, in file order, is matched with ``b``'s
     tensor of the same name and both are read through
-    :class:`~ghnpost.checkpoint_io.TensorRows` (see :func:`_compare_layer`):
-    a layer holds one float64 copy and a few row blocks, and other tensors
-    are not read.  sigma_r comes from :func:`~ghnpost.stats.sigma_r`: the
+    :class:`~ghnpost.checkpoint_io.TensorRows` (see :func:`_compare_layer`),
+    and other tensors are not read.  Each sigma_r takes its float64
+    channels in one :func:`~ghnpost.tensor_ops.largest_layer_buffer`,
+    mapped once the structure is checked, so the run holds one float64
+    copy of its largest layer and a few row blocks.  An unmappable buffer
+    raises OutOfMemory naming the largest layer.  sigma_r comes from
+    :func:`~ghnpost.stats.sigma_r`: the
     value ``analyze`` prints where K <= CHW, bit for bit, and the CHW x CHW
     Gram's on tall layers (K > CHW), within about 1e-10 relative of it.
     """
@@ -268,25 +276,28 @@ def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[Compar
         raise StructureMismatch("; ".join(problems))
 
     b_index = {meta.name: j for j, meta in enumerate(b.metas)}
+    layers = [(i, meta) for i, meta in enumerate(a.metas) if meta.kind in ELIGIBLE_KINDS]
+    work = largest_layer_buffer(meta for _, meta in layers)
     rows = []
-    for i, meta in enumerate(a.metas):
-        if meta.kind in ELIGIBLE_KINDS:
-            with naming(meta.name):
-                pair = TensorRows(a, i), TensorRows(b, b_index[meta.name])
-            rows.append(_compare_layer(meta.name, *pair))
+    for i, meta in layers:
+        with naming(meta.name):
+            pair = TensorRows(a, i), TensorRows(b, b_index[meta.name])
+        rows.append(_compare_layer(meta.name, *pair, work))
     return rows
 
 
-def _compare_layer(name: str, rows_a: TensorRows, rows_b: TensorRows) -> CompareRow:
+def _compare_layer(name: str, rows_a: TensorRows, rows_b: TensorRows,
+                   work: np.ndarray | None) -> CompareRow:
     """The row of one conv/linear tensor: sigma_r of each file's tensor,
-    one after the other, then max |a - b| from the same row blocks of
-    both.  NaN or Inf in either raises NonFiniteTensor naming the tensor
-    and the checkpoint; memory that cannot be allocated, OutOfMemory
-    naming the tensor."""
+    one after the other, with its channels in ``work`` (as for
+    :func:`~ghnpost.stats.sigma_r`), then max |a - b| from the same row
+    blocks of both.  NaN or Inf in either raises NonFiniteTensor naming
+    the tensor and the checkpoint; memory that cannot be allocated,
+    OutOfMemory naming the tensor."""
     sigmas = []
     for which, rows in (("first", rows_a), ("second", rows_b)):
         with naming(name, f" ({which} checkpoint)"):
-            sigmas.append(sigma_r(rows))
+            sigmas.append(sigma_r(rows, work))
     with naming(name):
         diff = _max_abs_diff(rows_a, rows_b)
     return CompareRow(name=name, max_abs_diff=diff, sigma_r_a=sigmas[0], sigma_r_b=sigmas[1])

@@ -28,10 +28,16 @@ float32 resolution) skips the rest of the stream.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    # CPython's own blake2b, which hashlib hands out too; importing hashlib
+    # would also map OpenSSL's _hashlib (3.6 MB) into every command.
+    from _blake2 import blake2b
+except ImportError:  # a build without the module
+    from hashlib import blake2b
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -40,8 +46,13 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def substream_seed(master_seed: int, label: str) -> int:
-    """Stable 64-bit seed for a named substream of a master seed."""
-    h = hashlib.blake2b(digest_size=8)
+    """Stable 64-bit seed for a named substream of a master seed: the
+    8-byte blake2b digest of ``master_seed`` (mod 2**64) as 8 bytes
+    little-endian followed by ``label`` as UTF-8, read little-endian.
+    The digest is ``hashlib.blake2b``'s on every build, taken from
+    CPython's ``_blake2`` where it exists, so that no command loads
+    OpenSSL."""
+    h = blake2b(digest_size=8)
     h.update((master_seed & _MASK64).to_bytes(8, "little"))
     h.update(label.encode("utf-8"))
     return int.from_bytes(h.digest(), "little")

@@ -65,15 +65,15 @@ def _centered(w, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray
     :func:`~ghnpost.tensor_ops.row_blocks`): its channels are copied a
     block of rows at a time, from views of the array or from the source's
     float32 buffer, so a source's layer is never whole in float32.  They
-    go to a new array, or into ``work``, a contiguous float64 buffer of
-    w's size.  A tensor holding NaN or Inf raises NonFiniteTensor
-    (:func:`~ghnpost.tensor_ops.check_finite` on each block's norms
-    against its rows): it has no finite correlation.
+    go to a new array, or into the start of ``work``, a contiguous
+    float64 buffer of at least w's size.  A tensor holding NaN or Inf
+    raises NonFiniteTensor (:func:`~ghnpost.tensor_ops.check_finite` on
+    each block's norms against its rows): it has no finite correlation.
     """
     k, chw, _ = geometry(w.shape)
     if chw < 2:
         raise ChannelTooShort(f"channels have {chw} elements, need at least 2")
-    xc = np.empty((k, chw)) if work is None else work.reshape(k, chw)
+    xc = np.empty((k, chw)) if work is None else work[: k * chw].reshape(k, chw)
     norms = np.empty(k)
     # Each row is centered and reduced on its own, so blocks of rows give
     # the bits of whole-array passes, with each block still in cache:
@@ -225,17 +225,20 @@ class _Fold:
         )
 
 
-def correlation_stats(w, bins: int | None = None) -> CorrelationStats:
+def correlation_stats(w, bins: int | None = None, work: np.ndarray | None = None
+                      ) -> CorrelationStats:
     """sigma_r, mean |r| and (with ``bins``) the histogram of a tensor's
     off-diagonal channel correlations, holding only the float64 channels
     and two ``_PANEL_ROWS x K`` buffers.  ``w`` is an array or a row
-    source, as for :func:`_centered`; both give the same bits.
+    source, as for :func:`_centered`; both give the same bits.  The
+    channels go to a new array, or into ``work``, as for
+    :func:`sigma_r`.
 
     Each Gram panel is normalized as in :func:`channel_correlation`,
     its strict upper triangle packed and folded in, and the panel reused.
     Needs at least two channels.
     """
-    return _fold_panels(*_centered(w), bins)
+    return _fold_panels(*_centered(w, work), bins)
 
 
 def _fold_panels(
@@ -271,7 +274,7 @@ def sigma_r(w, work: np.ndarray | None = None) -> float:
     row source, as for :func:`_centered`.
 
     The float64 channels go to a new array, or into ``work``, a contiguous
-    float64 buffer of w's size, which is left clobbered.  With
+    float64 buffer of at least w's size, which is left clobbered.  With
     K <= CHW the value is the fold's, bit for bit.  A tall layer (K > CHW)
     gets it from the CHW x CHW Gram instead (see :func:`_tall_sigma`),
     within about 1e-10 relative of the fold.  Needs at least two channels.

@@ -9,17 +9,21 @@ shape, and that rejects any other rank.  :func:`check_finite` is the one
 place that finds NaN or Inf in layer data, and blames the input or the
 arithmetic for it.  :func:`row_blocks` walks a K x CHW matrix in blocks
 of whole rows, from an array or from a checkpoint file.
+:func:`layer_buffer` gives a layer's float64 copy a memory mapping of its
+own, and :func:`largest_layer_buffer` one for every layer of a run.
 """
 
 from __future__ import annotations
 
+import errno
 import math
-from collections.abc import Iterator
+import mmap
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteTensor, UnsupportedRank
+from .errors import NonFiniteTensor, UnsupportedRank, naming
 
 
 @dataclass
@@ -76,6 +80,36 @@ def row_blocks(w) -> Iterator[tuple[int, np.ndarray]]:
         for r0 in range(0, k, step):
             r1 = min(r0 + step, k)
             yield r0, w.read(r0, r1).reshape(r1 - r0, chw)
+
+
+def layer_buffer(size: int) -> np.ndarray:
+    """An uninitialized float64 array of ``size`` elements on an anonymous
+    mapping of its own, unmapped when the array is freed: its pages go
+    back to the OS whichever thread frees it, where a malloc block would
+    stay in that thread's arena, or in the heap once glibc has raised its
+    mmap threshold to a freed layer's size.  A mapping the OS refuses
+    raises MemoryError."""
+    nbytes = 8 * size
+    try:
+        mapping = mmap.mmap(-1, max(1, nbytes))
+    except (OSError, OverflowError) as exc:
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map {nbytes} bytes for the float64 layer buffer") from exc
+    return np.frombuffer(mapping, np.float64, size)
+
+
+def largest_layer_buffer(metas: Iterable) -> np.ndarray | None:
+    """One :func:`layer_buffer` the size of the largest of the tensors
+    ``metas`` (the first of equals), or None if there are none: made once
+    per run and reused for every layer's float64 channels, since a fresh
+    mapping per layer costs page faults.  A buffer that cannot be mapped
+    raises OutOfMemory naming that tensor."""
+    largest = max(metas, key=lambda meta: math.prod(meta.shape), default=None)
+    if largest is None:
+        return None
+    with naming(largest.name):
+        return layer_buffer(math.prod(largest.shape))
 
 
 def check_finite(out: np.ndarray, source: np.ndarray | None = None) -> None:

@@ -929,8 +929,8 @@ _ARGV = {
 def test_unallocatable_channel_buffer_is_one_line_numerical_error(
     command, ckpt_path, tmp_path, monkeypatch, capsys
 ):
-    # stats cannot allocate the float64 K x CHW channels of any layer, as
-    # for a layer too large for memory; nothing of that size is allocated.
+    # stats cannot allocate any 2-D array (the channels' squares, a block
+    # of rows), as for a layer too large for memory.
     two_d = _NumpyRefusing(lambda shape: isinstance(shape, tuple) and len(shape) == 2)
     monkeypatch.setattr(stats, "np", two_d)
     out = tmp_path / "out.csv"
@@ -954,6 +954,56 @@ def test_unloadable_tensor_is_one_line_numerical_error(
     err = capsys.readouterr().err
     assert err == "ghnpost: numerical error: tensor 'l0.conv': cannot allocate\n"
     assert not out.exists()
+
+
+_ADDRESS_LIMIT = """
+import contextlib, io, json, resource, sys
+from ghnpost.cli import run
+
+warm, argv, headroom = json.loads(sys.argv[1])
+assert run(warm) == 0  # numpy and OpenBLAS map their own buffers here
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+limit = size * 1024 + headroom
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = run(argv)
+print(json.dumps([code, err.getvalue()]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
+@pytest.mark.parametrize("command", ["analyze", "compare", "skip_orth"])
+def test_layer_beyond_the_address_limit_is_one_line_numerical_error(command, tmp_path):
+    # A child whose address space has room for less than the largest
+    # layer's float64 channels: the one buffer of that size, mapped before
+    # any layer is read, is refused, and the run leaves nothing behind.
+    shapes = {"w0": (512, 768), "w1": (1024, 768), "w2": (512, 768)}
+    metas = [TensorMeta(name, dims, "linear", 0) for name, dims in shapes.items()]
+    ckpt = tmp_path / "in.ckpt"
+    ckpt.write_bytes(write_checkpoint(Checkpoint(
+        tensors=[(meta, ghn_like_tensor(meta.shape)) for meta in metas])))
+    warm = tmp_path / "warm.ckpt"
+    warm.write_bytes(write_checkpoint(make_checkpoint(
+        [("w", (64, 96), "linear", 0, ghn_like_tensor((64, 96)))])))
+    argv = {
+        "analyze": lambda path, out: ["analyze", path, "--svg-dir", f"{out}.svgs"],
+        "compare": lambda path, out: ["compare", path, path],
+        "skip_orth": lambda path, out: ["postprocess", path, "--start-layer", "0", "--skip-orth"],
+    }[command]
+    out = tmp_path / "out" / "o"
+    largest = 8 * math.prod(shapes["w1"])
+    job = [argv(str(warm), tmp_path / "warm") + ["--out", str(tmp_path / "warm.out")],
+           argv(str(ckpt), out) + ["--out", str(out)], largest // 2]
+    proc = subprocess.run([sys.executable, "-c", _ADDRESS_LIMIT, json.dumps(job)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, err = json.loads(proc.stdout)
+    assert code == 3
+    assert err == (f"ghnpost: numerical error: tensor 'w1': cannot map {largest} bytes"
+                   " for the float64 layer buffer\n")
+    assert not out.parent.exists()
 
 
 def test_cli_import_loads_no_xml_or_network_modules():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,20 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("label", ["", "fc.weight", "blöck.ünit ✓"])
+def test_substream_seed_is_hashlib_blake2b(seed, label):
+    # The documented digest, from hashlib here, whatever module the package
+    # takes blake2b from.
+    digest = hashlib.blake2b(seed.to_bytes(8, "little") + label.encode(), digest_size=8)
+    assert substream_seed(seed, label) == int.from_bytes(digest.digest(), "little")
+
+
+def test_substream_seed_golden_values():
+    assert substream_seed(0, "") == 1786884285633530058
+    assert substream_seed(2**64 - 1, "fc.weight") == 18248083433809422850
 
 
 def _splitmix_scalar(seed, i):

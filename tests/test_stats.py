@@ -395,8 +395,14 @@ def test_sigma_r_is_the_fold_bit_for_bit_up_to_k_equal_chw(shape):
 @pytest.mark.parametrize("case", ["convnext_dwconv", "broad_panels", "dead_and_duplicated"])
 def test_sigma_r_into_a_work_buffer_gives_the_same_bits(case):
     w = _tall_cases()[case]
-    work = np.full(w.size, np.nan)
-    assert sigma_r(w, work) == sigma_r(w)
+    want = correlation_stats(w, bins=50)
+    # A buffer of the layer's size, or larger, as one run's buffer sized
+    # to its largest layer is for the others.
+    for size in (w.size, w.size + 7):
+        assert sigma_r(w, np.full(size, np.nan)) == sigma_r(w)
+        got = correlation_stats(w, bins=50, work=np.full(size, np.nan))
+        assert (got.sigma_r, got.mean_abs) == (want.sigma_r, want.mean_abs)
+        assert np.array_equal(got.histogram.counts, want.histogram.counts)
 
 
 def test_sigma_r_errors():

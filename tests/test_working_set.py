@@ -70,19 +70,21 @@ def _readers(files: int):
     for _ in range(files):
         arrays = [rng.standard_normal((k, chw), np.float32) for _ in metas]
         readers.append(reader_of(Checkpoint(tensors=list(zip(metas, arrays)))))
-    # One float64 copy of a layer, the fold's two 128 x K panels, and five
-    # 64K-value float64 blocks: the bin counter's four buffers, or the
-    # channel squares, the float32 row buffers and the difference scratch.
-    bound = k * chw * 8 + 2 * _PANEL_ROWS * k * 8 + 5 * (1 << 16) * 8
+    # The fold's two 128 x K panels and five 64K-value float64 blocks: the
+    # bin counter's four buffers, or the channel squares, the float32 row
+    # buffers and the difference scratch.  The float64 channels live in
+    # one anonymous mapping, which tracemalloc does not see.
+    bound = 2 * _PANEL_ROWS * k * 8 + 5 * (1 << 16) * 8
     return readers, bound
 
 
 def test_compare_holds_one_layer_at_a_time():
     # Each layer's sigma_r is read from the file a row block at a time into
-    # its float64 channels, and max |a - b| from row blocks of both files
-    # (measured 9.1 MiB of an 11 MiB bound).  A whole float32 layer of
-    # either file (4 MiB; both, as before, measured 16.6 MiB), the previous
-    # layer, or a whole-layer float64 difference would fail the bound.
+    # the run's float64 channel buffer, and max |a - b| from row blocks of
+    # both files (measured 1.1 MiB of a 3 MiB bound).  A whole float32
+    # layer of either file (4 MiB), a float64 copy of a layer on the heap
+    # (8 MiB, as before), or a whole-layer float64 difference would fail
+    # the bound.
     readers, bound = _readers(2)
     rows = []
     peak = _peak_bytes(lambda: rows.extend(compare_checkpoints(*readers)))
@@ -91,9 +93,10 @@ def test_compare_holds_one_layer_at_a_time():
 
 
 def test_analyze_holds_one_layer_at_a_time():
-    # The fold's channels come from the file a row block at a time
-    # (measured 10.4 MiB); a whole float32 layer on top, as before,
-    # measured 14.2 MiB.
+    # The fold's channels come from the file a row block at a time into
+    # the run's float64 channel buffer (measured 2.5 MiB of a 3 MiB
+    # bound); a whole float32 layer (4 MiB) or a float64 copy of a layer
+    # on the heap (8 MiB, as before) would fail it.
     (reader,), bound = _readers(1)
     records = []
     peak = _peak_bytes(lambda: records.extend(analyze_checkpoint(reader, bins=50)))
@@ -150,13 +153,18 @@ def layer(shape):
     w += w[:1]
     return w
 
+def run_cli(argv):
+    assert run(argv) == 0
+    # blake2b comes from CPython's _blake2: no command maps OpenSSL.
+    assert "_hashlib" not in sys.modules, argv[0]
+
 shape, argvs = json.loads(sys.argv[1])
 shape = tuple(shape)
 if argvs:
     for argv in argvs[:-1]:
-        assert run(argv) == 0
+        run_cli(argv)
     before = peak_kb()
-    assert run(argvs[-1]) == 0
+    run_cli(argvs[-1])
 else:
     cfg = PostprocessConfig(start_layer=0)
     ghn_orth_tensor(TensorMeta("warm", (64, 96), "linear", 0), layer((64, 96)), cfg)
@@ -172,7 +180,8 @@ def _rss_growth(shape, argvs=()):
     of a layer of ``shape``: of repairing one such layer, or, given
     ``argvs``, of running the last of these CLI command lines after the
     others, which warm the interpreter up.  The CLI's inputs are written
-    beforehand, by this process."""
+    beforehand, by this process.  No command may load OpenSSL's
+    ``_hashlib`` module."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(ghnpost.__file__).parents[1])]
@@ -235,3 +244,35 @@ def test_cli_init_holds_no_float32_copy_of_the_layer(shape, method, bound, tmp_p
         argvs.append(["init", str(path), "--method", method,
                       "--out", str(tmp_path / f"{name}.ckpt")])
     assert _rss_growth(shape, argvs) <= bound
+
+
+# ViT-B/16's linear shapes in rising size, each but the last twice: the
+# float64 copies of the smaller ones sum to twice the largest's.
+_ANALYSIS_LAYERS = [(768, 768), (768, 768), (768, 2304), (768, 2304), (768, 3072)]
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_cli_analysis_peak_follows_the_largest_layer(command, tmp_path):
+    # Every layer's float64 channels go into one mapping the size of the
+    # largest, made before the first layer is read (measured 1.26x the
+    # largest for analyze, 1.22x for compare).  With a new array per
+    # layer, glibc raises its mmap threshold to each freed layer's size,
+    # so the second layer of a size comes from its heap, which keeps the
+    # pages while the next size gets a mapping (2.02x and 1.96x).
+    def ckpt(name, shapes, seed=0):
+        metas = [TensorMeta(f"w{i}", dims, "linear", i) for i, dims in enumerate(shapes)]
+        path = tmp_path / f"{name}.ckpt"
+        arrays = [ghn_like_tensor(dims, seed=seed) for dims in shapes]
+        path.write_bytes(write_checkpoint(Checkpoint(tensors=list(zip(metas, arrays)))))
+        return str(path)
+
+    emb = tmp_path / "emb.csv"
+    rows = np.random.default_rng(0).standard_normal((20, 8))
+    emb.write_text("id," + ",".join(f"v{j}" for j in range(8)) + "\n" + "".join(
+        f"a{i}," + ",".join(map(str, row)) + "\n" for i, row in enumerate(rows)))
+    warm, big = ckpt("warm", [(64, 96)]), ckpt("big", _ANALYSIS_LAYERS)
+    files = {"analyze": ([warm], [big]),
+             "compare": ([warm, warm], [big, ckpt("big_b", _ANALYSIS_LAYERS, seed=1)])}
+    argvs = [["pca", str(emb), "--out", str(tmp_path / "p.csv")]]
+    argvs += [[command, *paths, "--out", str(tmp_path / "out.csv")] for paths in files[command]]
+    assert _rss_growth(_ANALYSIS_LAYERS[-1], argvs) <= 1.6

@@ -14,8 +14,10 @@ import contextlib
 import math
 import os
 import re
+import signal
 import sys
 import tempfile
+import threading
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO
@@ -242,14 +244,26 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _terminate(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # SIGTERM takes SIGINT's path, so that a terminated command removes its
+    # temporary files too.  Only the main thread may set a handler.
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
         return args.func(args)
+    except KeyboardInterrupt as exc:
+        # The shell's code for a command ended by the signal: 128 + its number.
+        print("ghnpost: interrupted", file=sys.stderr)
+        return 128 + (signal.SIGTERM if exc.args == (signal.SIGTERM,) else signal.SIGINT)
     except DataFormatError as exc:
         print(f"ghnpost: data error: {exc}", file=sys.stderr)
         return 2
@@ -259,6 +273,9 @@ def run(argv: list[str]) -> int:
     except NumericalError as exc:
         print(f"ghnpost: numerical error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if on_main:  # previous is None for a handler set outside Python
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -39,7 +39,7 @@ from .checkpoint_io import (
     TensorRows,
     validate_checkpoint,
 )
-from .errors import naming
+from .errors import OutOfMemory, naming
 from .linalg import gil_free_qr, one_blas_thread, qr_decompose
 from .rng import RngStream
 from .stats import sigma_r
@@ -307,9 +307,14 @@ def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[i
 
     Items are admitted in ``order`` and may finish in any order.  The next
     is admitted while fewer than ``width`` run and the ``costs`` running,
-    its own included, sum to at most ``budget``, or when none runs.  After
-    a failure at index j no later index is admitted but every earlier one
-    runs; then the failure at the lowest index propagates.
+    its own included, sum to at most ``budget``, or when none runs.  An
+    item that runs out of memory (MemoryError or OutOfMemory) goes back
+    to the head of the queue once, to run again alone: it is admitted
+    when none runs and nothing is admitted beside it, so only an item
+    that fails alone fails the run.  After a failure at index j no
+    later index is admitted but every earlier one runs; then the failure
+    at the lowest index propagates.  An interrupt of the calling thread
+    admits nothing more, and the items running finish first.
     """
     # Imported here: about 10 ms at start-up that no other command needs.
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -317,12 +322,14 @@ def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[i
     queue = deque(order)
     running: dict = {}  # future -> index
     in_flight = 0
+    alone: set[int] = set()  # items run again with nothing beside them
     failures: dict[int, BaseException] = {}
     with ThreadPoolExecutor(width) as pool:
         while queue or running:
-            while queue and len(running) < width and (
-                not running or in_flight + costs[queue[0]] <= budget
-            ):
+            while queue and (not running or (
+                len(running) < width and in_flight + costs[queue[0]] <= budget
+                and queue[0] not in alone and alone.isdisjoint(running.values())
+            )):
                 i = queue.popleft()
                 running[pool.submit(fn, i)] = i
                 in_flight += costs[i]
@@ -330,8 +337,13 @@ def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[i
             for future in done:
                 i = running.pop(future)
                 in_flight -= costs[i]
-                if future.exception() is not None:
-                    failures[i] = future.exception()
+                exc = future.exception()
+                if isinstance(exc, (MemoryError, OutOfMemory)) and i not in alone:
+                    alone.add(i)
+                    queue.appendleft(i)
+                elif exc is not None:
+                    failures[i] = exc
+                if failures:
                     queue = deque(j for j in queue if j < min(failures))
     if failures:
         raise failures[min(failures)]

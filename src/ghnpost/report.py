@@ -20,7 +20,7 @@ from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, TensorMeta, TensorR
 from .errors import DegenerateInput, SchemaError, StructureMismatch, naming
 from .linalg import pca_project
 from .stats import CorrelationStats, Histogram, correlation_stats, sigma_r
-from .tensor_ops import geometry, largest_layer_buffer, row_blocks, row_step
+from .tensor_ops import geometry, largest_layer_buffer, release_tail, row_blocks, row_step
 
 
 @dataclass
@@ -69,10 +69,13 @@ def analyze_checkpoint(c: CheckpointReader, bins: int) -> list[LayerRecord]:
     :func:`~ghnpost.stats.correlation_stats`, and other tensors are not
     read.  The channels of every layer go into one
     :func:`~ghnpost.tensor_ops.largest_layer_buffer`, mapped before the
-    first layer is read, so the run holds one float64 copy of its largest
-    layer and no whole float32 array.  A tensor holding NaN or Inf raises
-    NonFiniteTensor naming it; one whose working memory cannot be
-    allocated raises OutOfMemory naming it (the largest, for that buffer).
+    first layer is read, whose pages past the layer in flight are given
+    back before each layer (:func:`~ghnpost.tensor_ops.release_tail`).
+    So the run holds the float64 copy of the layer in flight, never a
+    larger layer's pages beside that layer's fold panels, and no whole
+    float32 array.  A tensor holding NaN or Inf raises NonFiniteTensor
+    naming it; one whose working memory cannot be allocated raises
+    OutOfMemory naming it (the largest, for that buffer).
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -80,6 +83,7 @@ def analyze_checkpoint(c: CheckpointReader, bins: int) -> list[LayerRecord]:
     work = largest_layer_buffer(meta for _, meta in layers)
     records = []
     for i, meta in layers:
+        release_tail(work, math.prod(meta.shape))
         with naming(meta.name):
             records.append(LayerRecord(meta, correlation_stats(TensorRows(c, i), bins, work)))
     return records
@@ -253,9 +257,11 @@ def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[Compar
     :class:`~ghnpost.checkpoint_io.TensorRows` (see :func:`_compare_layer`),
     and other tensors are not read.  Each sigma_r takes its float64
     channels in one :func:`~ghnpost.tensor_ops.largest_layer_buffer`,
-    mapped once the structure is checked, so the run holds one float64
-    copy of its largest layer and a few row blocks.  An unmappable buffer
-    raises OutOfMemory naming the largest layer.  sigma_r comes from
+    mapped once the structure is checked, whose pages past the layer in
+    flight are given back before each layer, as in
+    :func:`analyze_checkpoint`.  So the run holds the float64 copy of the
+    layer in flight and a few row blocks.  An unmappable buffer raises
+    OutOfMemory naming the largest layer.  sigma_r comes from
     :func:`~ghnpost.stats.sigma_r`: the
     value ``analyze`` prints where K <= CHW, bit for bit, and the CHW x CHW
     Gram's on tall layers (K > CHW), within about 1e-10 relative of it.
@@ -280,6 +286,7 @@ def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[Compar
     work = largest_layer_buffer(meta for _, meta in layers)
     rows = []
     for i, meta in layers:
+        release_tail(work, math.prod(meta.shape))
         with naming(meta.name):
             pair = TensorRows(a, i), TensorRows(b, b_index[meta.name])
         rows.append(_compare_layer(meta.name, *pair, work))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelTooShort, TooFewChannels
-from .tensor_ops import _ROW_VALUES, check_finite, geometry, row_blocks, row_step
+from .tensor_ops import check_finite, geometry, row_blocks, row_step
 
 # Gram rows per panel: each panel's GEMM rereads the channels below it, so
 # shorter panels cost time and longer ones memory (CHANGES.md).
@@ -41,6 +41,10 @@ _PANEL_ROWS = 128
 # yield a constant distribution with std exactly 0, which the no-noise
 # degenerate contract relies on.
 _SNAP = 64.0 * np.finfo(np.float64).eps
+
+# Values per step of the histogram's bin counter: its three value buffers
+# are 128 KiB each, and stay in L2 across a step's passes.
+_COUNT_VALUES = 1 << 14
 
 
 @dataclass
@@ -144,7 +148,11 @@ class _Fold:
 
     Every value folded in must lie in [-1, 1], as the correlations of
     :func:`_normalize` do (:func:`correlation_histogram` clips a user's
-    matrix first): the bin counter has no range mask.
+    matrix first): the bin counter has no range mask.  It counts
+    _COUNT_VALUES values per step through buffers of one step (0.4 MB),
+    which are all it holds besides the counts; the channels and panels
+    it folds are the caller's, and ``analyze`` keeps only the layer in
+    flight in its channel mapping.
     """
 
     def __init__(self, k: int, bins: int | None):
@@ -158,18 +166,17 @@ class _Fold:
             self.counts = np.zeros(bins, dtype=np.intp)
             # np.histogram's own edges for range=(-1, 1), byte for byte.
             self.edges = np.linspace(-1.0, 1.0, bins + 1)
-            self._blocks = (np.empty(_ROW_VALUES), np.empty(_ROW_VALUES),
-                            np.empty(_ROW_VALUES, dtype=np.intp),
-                            np.empty(_ROW_VALUES, dtype=bool))
+            self._blocks = (np.empty(_COUNT_VALUES), np.empty(_COUNT_VALUES),
+                            np.empty(_COUNT_VALUES, dtype=np.intp),
+                            np.empty(_COUNT_VALUES, dtype=bool))
         self.n = 0
         self.shift = self.mean = self.m2 = self.abs_sum = 0.0
 
     def add(self, v: np.ndarray, tmp: np.ndarray) -> None:
         """Fold the values v in; tmp is float64 scratch of v's length."""
         if self.bins is not None:
-            # A step of the bin counter stays in cache across its passes.
-            for start in range(0, len(v), _ROW_VALUES):
-                self._count(v[start : start + _ROW_VALUES])
+            for start in range(0, len(v), _COUNT_VALUES):
+                self._count(v[start : start + _COUNT_VALUES])
         nb = len(v)
         if self.n == 0:
             self.shift = float(np.sum(v)) / nb
@@ -189,7 +196,7 @@ class _Fold:
         self.n = n
 
     def _count(self, r: np.ndarray) -> None:
-        """Add the bin counts of at most _ROW_VALUES values r to ``counts``, as
+        """Add the bin counts of at most _COUNT_VALUES values r to ``counts``, as
         ``np.histogram(r, bins, range=(-1, 1))`` counts them: bin i holds
         edges[i] <= r < edges[i + 1], the last bin r = 1 too.
 

@@ -10,7 +10,8 @@ place that finds NaN or Inf in layer data, and blames the input or the
 arithmetic for it.  :func:`row_blocks` walks a K x CHW matrix in blocks
 of whole rows, from an array or from a checkpoint file.
 :func:`layer_buffer` gives a layer's float64 copy a memory mapping of its
-own, and :func:`largest_layer_buffer` one for every layer of a run.
+own, and :func:`largest_layer_buffer` one for every layer of a run, whose
+pages past the layer in flight :func:`release_tail` gives back.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def geometry(shape: tuple[int, ...]) -> tuple[int, int, bool]:
     return k, chw, k < chw
 
 
-# Values per row block, also per block of the noise and of the histogram
-# counter: 512 KiB of float64, which stays in cache across a block's passes.
+# Values per row block, also per block of the noise: 512 KiB of float64,
+# which stays in cache across a block's passes.
 _ROW_VALUES = 1 << 16
 
 
@@ -82,6 +83,12 @@ def row_blocks(w) -> Iterator[tuple[int, np.ndarray]]:
             yield r0, w.read(r0, r1).reshape(r1 - r0, chw)
 
 
+# A private mapping where mmap can ask for one: the default, a shared one,
+# keeps a page's memory after MADV_DONTNEED, as shared memory.
+_PRIVATE = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
+            if hasattr(mmap, "MAP_PRIVATE") else {})
+
+
 def layer_buffer(size: int) -> np.ndarray:
     """An uninitialized float64 array of ``size`` elements on an anonymous
     mapping of its own, unmapped when the array is freed: its pages go
@@ -91,7 +98,7 @@ def layer_buffer(size: int) -> np.ndarray:
     raises MemoryError."""
     nbytes = 8 * size
     try:
-        mapping = mmap.mmap(-1, max(1, nbytes))
+        mapping = mmap.mmap(-1, max(1, nbytes), **_PRIVATE)
     except (OSError, OverflowError) as exc:
         if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
             raise
@@ -103,13 +110,24 @@ def largest_layer_buffer(metas: Iterable) -> np.ndarray | None:
     """One :func:`layer_buffer` the size of the largest of the tensors
     ``metas`` (the first of equals), or None if there are none: made once
     per run and reused for every layer's float64 channels, since a fresh
-    mapping per layer costs page faults.  A buffer that cannot be mapped
-    raises OutOfMemory naming that tensor."""
+    mapping per layer costs page faults.  Only the layer in flight need
+    be resident: :func:`release_tail` gives back the pages past it.  A
+    buffer that cannot be mapped raises OutOfMemory naming that tensor."""
     largest = max(metas, key=lambda meta: math.prod(meta.shape), default=None)
     if largest is None:
         return None
     with naming(largest.name):
         return layer_buffer(math.prod(largest.shape))
+
+
+def release_tail(buf: np.ndarray, size: int) -> None:
+    """Give the OS back the pages of ``buf``, an array as
+    :func:`layer_buffer` returns it, that lie past the page boundary
+    after its first ``size`` elements; they read as zeros when next
+    touched.  Does nothing where ``mmap`` has no ``MADV_DONTNEED``."""
+    start = -(-8 * size // mmap.PAGESIZE) * mmap.PAGESIZE
+    if hasattr(mmap, "MADV_DONTNEED") and start < buf.nbytes:
+        buf.base.obj.madvise(mmap.MADV_DONTNEED, start, buf.nbytes - start)
 
 
 def check_finite(out: np.ndarray, source: np.ndarray | None = None) -> None:

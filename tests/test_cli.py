@@ -9,6 +9,7 @@ import mmap
 import os
 import re
 import shlex
+import signal
 import struct
 import subprocess
 import sys
@@ -1004,6 +1005,84 @@ def test_layer_beyond_the_address_limit_is_one_line_numerical_error(command, tmp
     assert err == (f"ghnpost: numerical error: tensor 'w1': cannot map {largest} bytes"
                    " for the float64 layer buffer\n")
     assert not out.parent.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
+@pytest.mark.skipif(postprocess._cpu_count() < 2 or not linalg.gil_free_qr(),
+                    reason="needs a layer pool at least two wide")
+@pytest.mark.parametrize("command", ["postprocess", "init_orth"])
+def test_pool_runs_a_layer_again_alone_where_one_fits(command, tmp_path):
+    # A child whose address space has room for a bit more than one of the
+    # two largest layers' float64 buffers: the second is refused while the
+    # first runs, runs again alone once it is done, and the run writes
+    # the bytes of an unlimited one.  The warm-up file has as many layers
+    # as the pool has threads, so their stacks and heaps are mapped first.
+    shapes = {"w0": (1024, 1024), "w1": (1024, 1024), "w2": (256, 512)}
+    warm_shapes = {f"v{i}": (64, 96) for i in range(postprocess._cpu_count())}
+
+    def job(name, layers):
+        if command == "init_orth":
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps([{"name": n, "shape": list(dims), "kind": "linear",
+                                         "depth": 0} for n, dims in layers.items()]))
+            return ["init", str(spec), "--method", "orth", "--seed", "3"]
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(write_checkpoint(Checkpoint(tensors=[
+            (TensorMeta(n, dims, "linear", 0), ghn_like_tensor(dims, seed=i))
+            for i, (n, dims) in enumerate(layers.items())])))
+        return ["postprocess", str(path), "--start-layer", "0", "--seed", "3"]
+
+    warm, argv = job("warm", warm_shapes), job("in", shapes)
+    want, out = tmp_path / "want.ckpt", tmp_path / "out.ckpt"
+    assert run(argv + ["--out", str(want)]) == 0
+    largest = 8 * math.prod(shapes["w0"])
+    spec = [warm + ["--out", str(tmp_path / "warm.out")], argv + ["--out", str(out)],
+            largest * 3 // 2]
+    proc = subprocess.run([sys.executable, "-c", _ADDRESS_LIMIT, json.dumps(spec)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, ""]
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGTERM") or sys.platform == "win32",
+                    reason="needs POSIX signals")
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+@pytest.mark.parametrize("command", ["postprocess", "skip_orth", "init"])
+def test_signal_ends_the_run_with_one_line_and_no_output(command, signum, tmp_path):
+    # Signalled once its temporary output exists, a run stops admitting
+    # layers, lets those in flight finish, removes the temporary file and
+    # the directory made for it, and prints one line: exit 128 + signal.
+    shapes = [(768, 1024)] * 8
+    if command == "init":
+        spec = tmp_path / "arch.json"
+        spec.write_text(json.dumps([{"name": f"w{i}", "shape": list(dims), "kind": "linear",
+                                     "depth": 0} for i, dims in enumerate(shapes)]))
+        argv = ["init", str(spec), "--method", "orth"]
+    else:
+        path = tmp_path / "in.ckpt"
+        path.write_bytes(write_checkpoint(Checkpoint(tensors=[
+            (TensorMeta(f"w{i}", dims, "linear", 0), ghn_like_tensor(dims, seed=i))
+            for i, dims in enumerate(shapes)])))
+        argv = _ARGV[command](str(path))
+    out_dir = tmp_path / "out"
+    # SIGINT as a terminal leaves it, even where this process ignores it
+    # (a background job): the child's Python then raises KeyboardInterrupt.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ghnpost.cli", *argv, "--out", str(out_dir / "o")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 60
+        while not (out_dir.is_dir() and any(out_dir.glob(".o.*.tmp"))):
+            assert proc.poll() is None and time.monotonic() < deadline, proc.poll()
+            time.sleep(0.002)
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (128 + signum, "ghnpost: interrupted\n")
+    assert not out_dir.exists()
 
 
 def test_cli_import_loads_no_xml_or_network_modules():

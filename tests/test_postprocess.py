@@ -12,6 +12,7 @@ from ghnpost import linalg, postprocess
 from ghnpost.errors import (
     ChannelTooShort,
     NonFiniteTensor,
+    OutOfMemory,
     UnsupportedRank,
 )
 from ghnpost.postprocess import (
@@ -535,6 +536,45 @@ def test_run_pool_raises_first_failure_in_item_order():
     started.clear()
     with pytest.raises(ValueError, match="item 2"):
         _run_pool(failing_read, range(8), [1] * 8, 4, width=4)
+
+
+@pytest.mark.parametrize("error", [MemoryError, OutOfMemory])
+def test_run_pool_runs_an_item_out_of_memory_beside_another_again_alone(error):
+    # Item 1 cannot get its memory while item 0 runs: it goes back to the
+    # head of the queue, and runs again once 0 is done, with nothing
+    # beside it; item 2 waits until then.  An item that fails alone fails
+    # the run.
+    lock, running, calls = threading.Lock(), set(), []
+    started, failed = threading.Event(), threading.Event()
+
+    def job(i, fails_alone=False):
+        if i == 1 and not failed.is_set():
+            assert started.wait(5.0)
+        with lock:
+            calls.append((i, frozenset(running)))
+            beside = set(running)
+            running.add(i)
+        try:
+            if i == 0:
+                started.set()
+                assert failed.wait(5.0)
+            elif i == 1 and (beside or fails_alone):
+                failed.set()
+                raise error("cannot map")
+            time.sleep(0.01)
+        finally:
+            with lock:
+                running.discard(i)
+
+    _run_pool(job, range(3), [1] * 3, 4, width=2)
+    assert calls == [(0, frozenset()), (1, {0}), (1, frozenset()), (2, frozenset())]
+
+    calls.clear()
+    started.clear()
+    failed.clear()
+    with pytest.raises(error, match="cannot map"):
+        _run_pool(lambda i: job(i, fails_alone=True), range(3), [1] * 3, 4, width=2)
+    assert calls == [(0, frozenset()), (1, {0}), (1, frozenset())]
 
 
 def _layers_checkpoint(n=6):

@@ -13,6 +13,8 @@ from ghnpost.errors import (
     UnsupportedRank,
 )
 from ghnpost.stats import (
+    _COUNT_VALUES,
+    _PANEL_ROWS,
     _fold_values,
     channel_correlation,
     correlation_histogram,
@@ -286,7 +288,7 @@ def _edge_values(bins):
 
 @pytest.mark.parametrize("bins", [1, 2, 3, 7, 50, 2**20])
 def test_bin_counter_is_np_histogram(bins):
-    # More than one 64K block, the last one partial, so the counter's
+    # More than one step of the counter, the last one partial, so its
     # buffers are reused and cut.
     rng = np.random.default_rng(bins)
     random = np.concatenate([rng.uniform(-1.0, 1.0, 150_001),
@@ -297,6 +299,39 @@ def test_bin_counter_is_np_histogram(bins):
         np.testing.assert_array_equal(got.counts, counts)
         assert got.counts.dtype == counts.dtype
         assert got.bin_edges.tobytes() == edges.tobytes()
+
+
+def _integer_channels(k=200, chw=12):
+    """k zero-mean channels of small integers, so every Gram entry, and
+    with it every correlation, has the same bits by any summation order.
+    Rows a, b, c give r(a, a) = 1, r(a, -a) = -1, r(a, +-b) = +-0.5
+    (|a|^2 = |b|^2 = 4, a.b = 2) and r(a, c) = 0, each an edge of 2**20
+    bins, and 0 of 50; a dead row correlates 0 with every other."""
+    rng = np.random.default_rng(5)
+    w = rng.integers(-3, 4, size=(k, chw)).astype(np.float32)
+    w[:, -1] = -w[:, :-1].sum(axis=1)
+    a = [1, 1, -1, -1] + [0] * (chw - 4)
+    b = [1, 0, -1, 0, 1, -1] + [0] * (chw - 6)
+    c = [0] * 6 + [1, -1] + [0] * (chw - 8)
+    special = [a, a, [-x for x in a], b, [-x for x in b], c, [0] * chw]
+    w[rng.choice(k, len(special), replace=False)] = special
+    return w
+
+
+@pytest.mark.parametrize("bins", [1, 50, 2**20])
+def test_bin_counter_step_does_not_change_a_count(bins):
+    # The first 128-row panel packs sum(k - 1 - i for i < 128) = 17344
+    # correlations, which the counter takes in steps of _COUNT_VALUES: not
+    # a whole number of them.
+    w = _integer_channels()
+    k = len(w)
+    assert sum(k - 1 - i for i in range(_PANEL_ROWS)) % _COUNT_VALUES != 0
+    values = offdiagonal_values(channel_correlation(w))
+    assert {-1.0, -0.5, 0.0, 0.5, 1.0} <= set(values.tolist())
+    counts, edges = np.histogram(values, bins, range=(-1.0, 1.0))
+    got = correlation_stats(w, bins).histogram
+    np.testing.assert_array_equal(got.counts, counts)
+    assert got.bin_edges.tobytes() == edges.tobytes()
 
 
 def test_fold_without_bins_has_no_histogram():

@@ -1,10 +1,12 @@
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghnpost.errors import NonFiniteTensor, UnsupportedRank
-from ghnpost.tensor_ops import check_finite, dematricize, matricize
+from ghnpost.tensor_ops import check_finite, dematricize, layer_buffer, matricize, release_tail
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -22,6 +24,23 @@ def test_check_finite_blames_the_source_or_the_output(bad):
     with pytest.raises(NonFiniteTensor, match="^tensor holds NaN or Inf values$"):
         check_finite(out, source)
     check_finite(np.zeros(6), source)  # source is read only when out fails
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="needs MADV_DONTNEED")
+def test_release_tail_gives_back_the_pages_past_the_layer(monkeypatch):
+    # The pages past the one the layer ends in go back to the OS, and read
+    # as zeros; the layer's own pages, and that last page, keep their
+    # values.  Without MADV_DONTNEED nothing happens.
+    per_page = mmap.PAGESIZE // 8
+    buf = layer_buffer(4 * per_page)
+    buf[:] = 1.0
+    release_tail(buf, per_page + 1)
+    assert (buf[: 2 * per_page] == 1.0).all() and (buf[2 * per_page :] == 0.0).all()
+    release_tail(buf, 4 * per_page)
+    buf[:] = 1.0
+    monkeypatch.delattr(mmap, "MADV_DONTNEED")
+    release_tail(buf, 0)
+    assert (buf == 1.0).all()
 
 
 def test_wide_conv_is_transposed():

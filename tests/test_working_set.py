@@ -9,6 +9,7 @@ command line, are measured as peak-RSS growth in a fresh interpreter.  A K x K f
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,10 +20,12 @@ import numpy as np
 import pytest
 
 import ghnpost
+from ghnpost import linalg, postprocess
 from ghnpost.checkpoint_io import Checkpoint, TensorMeta, write_checkpoint
 from ghnpost.postprocess import PostprocessConfig, ghn_orth_tensor
 from ghnpost.report import analyze_checkpoint, compare_checkpoints
 from ghnpost.stats import _PANEL_ROWS, correlation_stats, sigma_r
+from ghnpost.tensor_ops import geometry
 
 from conftest import ghn_like_tensor, reader_of
 
@@ -53,12 +56,12 @@ _CALLS = {
 @pytest.mark.parametrize("call", sorted(_CALLS))
 def test_many_short_channels_stay_near_the_panel_buffers(call):
     # The fold (analyze, correlation_stats) holds two panel buffers plus
-    # the bin counter's buffers of one 64K block (measured 2.55 panels,
-    # 4 MiB each); sigma_r, compare and postprocess take the tall route
-    # (0.08-0.15 panels).  Nothing of size K x K or K(K-1)/2 fits under
-    # the bound.
+    # the bin counter's buffers of one 16K-value step (measured 2.26
+    # panels, 4 MiB each; 2.55 with steps of 64K values); sigma_r, compare
+    # and postprocess take the tall route (0.08-0.15 panels).  Nothing of
+    # size K x K or K(K-1)/2 fits under the bound.
     panel = _PANEL_ROWS * _K * 8
-    assert _peak_bytes(_CALLS[call]) <= 4 * panel
+    assert _peak_bytes(_CALLS[call]) <= 3 * panel
 
 
 def _readers(files: int):
@@ -70,12 +73,7 @@ def _readers(files: int):
     for _ in range(files):
         arrays = [rng.standard_normal((k, chw), np.float32) for _ in metas]
         readers.append(reader_of(Checkpoint(tensors=list(zip(metas, arrays)))))
-    # The fold's two 128 x K panels and five 64K-value float64 blocks: the
-    # bin counter's four buffers, or the channel squares, the float32 row
-    # buffers and the difference scratch.  The float64 channels live in
-    # one anonymous mapping, which tracemalloc does not see.
-    bound = 2 * _PANEL_ROWS * k * 8 + 5 * (1 << 16) * 8
-    return readers, bound
+    return readers
 
 
 def test_compare_holds_one_layer_at_a_time():
@@ -84,8 +82,12 @@ def test_compare_holds_one_layer_at_a_time():
     # both files (measured 1.1 MiB of a 3 MiB bound).  A whole float32
     # layer of either file (4 MiB), a float64 copy of a layer on the heap
     # (8 MiB, as before), or a whole-layer float64 difference would fail
-    # the bound.
-    readers, bound = _readers(2)
+    # the bound: the fold's two 128 x K panels and five 64K-value float64
+    # blocks (the channel squares, the float32 row buffers and the
+    # difference scratch).  The float64 channels live in one anonymous
+    # mapping, which tracemalloc does not see.
+    readers = _readers(2)
+    bound = 2 * _PANEL_ROWS * 256 * 8 + 5 * (1 << 16) * 8
     rows = []
     peak = _peak_bytes(lambda: rows.extend(compare_checkpoints(*readers)))
     assert len(rows) == 3
@@ -94,10 +96,14 @@ def test_compare_holds_one_layer_at_a_time():
 
 def test_analyze_holds_one_layer_at_a_time():
     # The fold's channels come from the file a row block at a time into
-    # the run's float64 channel buffer (measured 2.5 MiB of a 3 MiB
-    # bound); a whole float32 layer (4 MiB) or a float64 copy of a layer
-    # on the heap (8 MiB, as before) would fail it.
-    (reader,), bound = _readers(1)
+    # the run's float64 channel buffer, and its bins are counted 16K
+    # values at a time (measured 1.3 MiB of a 1.9 MiB bound: the two
+    # panels, the counter's 0.4 MiB and two 64K-value float64 blocks).  A
+    # whole float32 layer (4 MiB), a float64 copy of a layer on the heap
+    # (8 MiB, as before) or a counter of 64K-value steps (1.6 MiB; 2.5 MiB
+    # in all) would fail it.
+    (reader,) = _readers(1)
+    bound = 2 * _PANEL_ROWS * 256 * 8 + (1 << 14) * 25 + 2 * (1 << 16) * 8
     records = []
     peak = _peak_bytes(lambda: records.extend(analyze_checkpoint(reader, bins=50)))
     assert len(records) == 3
@@ -254,8 +260,9 @@ _ANALYSIS_LAYERS = [(768, 768), (768, 768), (768, 2304), (768, 2304), (768, 3072
 @pytest.mark.parametrize("command", ["analyze", "compare"])
 def test_cli_analysis_peak_follows_the_largest_layer(command, tmp_path):
     # Every layer's float64 channels go into one mapping the size of the
-    # largest, made before the first layer is read (measured 1.26x the
-    # largest for analyze, 1.22x for compare).  With a new array per
+    # largest, made before the first layer is read, which holds the pages
+    # of the layer in flight; here the largest comes last (measured 1.26x
+    # the largest for analyze, 1.22x for compare).  With a new array per
     # layer, glibc raises its mmap threshold to each freed layer's size,
     # so the second layer of a size comes from its heap, which keeps the
     # pages while the next size gets a mapping (2.02x and 1.96x).
@@ -276,3 +283,89 @@ def test_cli_analysis_peak_follows_the_largest_layer(command, tmp_path):
     argvs = [["pca", str(emb), "--out", str(tmp_path / "p.csv")]]
     argvs += [[command, *paths, "--out", str(tmp_path / "out.csv")] for paths in files[command]]
     assert _rss_growth(_ANALYSIS_LAYERS[-1], argvs) <= 1.6
+
+
+# --- the memory model of README "Memory" --------------------------------------
+
+_MIB = (128, 1024)  # a layer of this shape is 1 MiB in float64: _rss_growth's unit
+_COUNTER = (1 << 14) * (8 + 8 + 8 + 1)  # the bin counter's buffers of one step
+# Per layer in flight: the row-block buffers (the file's float32 rows, the
+# float64 squares, noise or draw, the stream's words, the float32 output
+# block, max |a - b|'s scratch) and LAPACK's workspace, measured at up to
+# 1.8 MiB; and once per run, the heap's and interpreter's own growth.
+_BLOCKS, _SLACK = 2 << 20, 3 << 19
+
+
+def _panels(k, chw, fold=False):
+    """Bytes of sigma_r's panel buffers for a K x CHW layer: the fold's two
+    128 x K panels, or the tall route's one 128 x CHW panel (K > CHW)."""
+    if fold or k <= chw:
+        return 2 * 8 * min(_PANEL_ROWS, k) * k
+    return 8 * min(_PANEL_ROWS, chw) * chw
+
+
+def _in_flight():
+    """Equal layers the repair and init hold at once: one per thread of the
+    pool, within its budget of two."""
+    return min(2, postprocess._cpu_count() if linalg.gil_free_qr() else 1)
+
+
+def _model(command, shapes):
+    """Peak-RSS growth README "Memory" gives ``command`` on a file of the
+    layers ``shapes``, in bytes: the largest working set of any one layer,
+    times the layers in flight, and the row-block buffers of each."""
+    layers = [(8 * math.prod(dims), *geometry(dims)[:2]) for dims in shapes]
+    if command == "analyze":
+        return max(n + _panels(k, chw, fold=True) for n, k, chw in layers) + _COUNTER + _BLOCKS
+    if command == "compare":
+        return max(n + _panels(k, chw) for n, k, chw in layers) + _BLOCKS
+    if command == "skip_orth":  # the channel mapping keeps the largest layer's pages
+        return max(n for n, _, _ in layers) + max(_panels(k, chw) for _, k, chw in layers) + _BLOCKS
+    per_layer = {"repair": max(n + _panels(k, chw) for n, k, chw in layers),
+                 "init_orth": max(n for n, _, _ in layers), "init_rand": 0}[command]
+    return _in_flight() * (per_layer + _BLOCKS)
+
+
+# Each command's file: for analyze, the largest layer first and a later,
+# smaller one with the most channels, whose fold panels come on top of
+# the largest layer's pages if the channel mapping keeps them (measured
+# 29.7 MiB against a model of 22.9 MiB).
+_MODEL_CASES = {
+    "analyze": [(512, 4608), (4096, 256)],
+    "compare": [(512, 4608), (4096, 256), (768, 3072)],
+    "skip_orth": [(1000, 2048), (2048, 1024)],
+    "repair": [(1000, 2048), (1000, 2048)],
+    "init_rand": [(1000, 2048), (2048, 1024)],
+    "init_orth": [(1000, 2048), (1000, 2048)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MODEL_CASES))
+def test_cli_peak_follows_the_memory_model(command, tmp_path):
+    # Measured 0.5-1.5 MiB under the model plus _SLACK; one more float32
+    # copy of a file's largest layer is 7.8-9 MiB.
+    shapes = _MODEL_CASES[command]
+
+    def job(name, layers):
+        metas = [TensorMeta(f"w{i}", dims, "linear", i) for i, dims in enumerate(layers)]
+        out = ["--out", str(tmp_path / f"{name}.out")]
+        if command.startswith("init"):
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps([{"name": m.name, "shape": list(m.shape),
+                                         "kind": m.kind, "depth": m.depth} for m in metas]))
+            return ["init", str(spec), "--method", command[5:], *out]
+        paths = []
+        for seed in (0, 1)[: 2 if command == "compare" else 1]:
+            path = tmp_path / f"{name}{seed}.ckpt"
+            path.write_bytes(write_checkpoint(Checkpoint(tensors=[
+                (meta, ghn_like_tensor(meta.shape, seed=seed)) for meta in metas])))
+            paths.append(str(path))
+        if command in ("analyze", "compare"):
+            return [command, *paths, *out]
+        skip = ["--skip-orth"] if command == "skip_orth" else []
+        return ["postprocess", *paths, "--start-layer", "0", *skip, *out]
+
+    # The warm-up file has a layer for each thread of the pool.
+    argvs = [job("warm", [(64, 96)] * 2), job("in", shapes)]
+    growth = _rss_growth(_MIB, argvs) * (1 << 20)
+    assert growth <= _model(command, shapes) + _SLACK, growth / 2**20

@@ -30,7 +30,6 @@ from .report import (
 from .rng import RngStream
 from .stats import (
     CorrelationStats,
-    Histogram,
     channel_correlation,
     correlation_histogram,
     correlation_stats,
@@ -47,7 +46,6 @@ __all__ = [
     "CorrelationStats",
     "DEFAULT_BETA",
     "EmbeddingSet",
-    "Histogram",
     "Matricized",
     "PcaResult",
     "PostprocessConfig",

@@ -314,7 +314,7 @@ def _read_header(handle: BinaryIO) -> tuple[list[TensorMeta], list[int]]:
              for i, entry in enumerate(raw_entries)]
     _check_metas(metas, CorruptHeader)
 
-    starts = []
+    ranges = []  # each tensor's [offset, end) in the data section
     for i, (meta, entry) in enumerate(zip(metas, raw_entries)):
         offset, length = entry["offset"], entry["length"]
         if not (_is_int(offset) and _is_int(length)):
@@ -333,8 +333,17 @@ def _read_header(handle: BinaryIO) -> tuple[list[TensorMeta], list[int]]:
                 f"tensor {meta.name!r}: data section holds {data_size} bytes, "
                 f"entry needs bytes [{offset}, {end})"
             )
-        starts.append(data_start + offset)
-    return metas, starts
+        ranges.append((offset, end))
+    # Gaps and any order are legal, shared bytes are not: sorted by offset,
+    # each range must start at or after the end of the one before.
+    order = sorted(range(len(ranges)), key=ranges.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if ranges[j][0] < ranges[i][1]:
+            raise CorruptHeader(
+                f"tensors[{j}]: {metas[j].name!r} bytes [{ranges[j][0]}, {ranges[j][1]}) "
+                f"overlap {metas[i].name!r} bytes [{ranges[i][0]}, {ranges[i][1]})"
+            )
+    return metas, [data_start + offset for offset, _ in ranges]
 
 
 class CheckpointReader:

@@ -42,11 +42,22 @@ from .report import (
 )
 
 DEFAULT_BINS = 50
+_DEFAULT_GAIN = 1.0
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2 for
-    data errors, so force usage failures to exit 1."""
+    data errors, so force usage failures to exit 1.  A flag that the rest
+    of the command line leaves without effect is a usage error too:
+    ``moot`` maps the parsed arguments to its message, or to None."""
+
+    moot: Callable | None = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if self.moot and (message := self.moot(namespace)):
+            self.error(message)
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -93,27 +104,31 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("postprocess", help="noise + orthogonal re-initialization")
     p.add_argument("checkpoint", type=Path)
-    p.add_argument("--beta", type=_nonneg_float, default=DEFAULT_BETA,
-                   help="noise scaling factor (default %(default)s)")
+    p.add_argument("--beta", type=_nonneg_float,
+                   help=f"noise scaling factor (default {DEFAULT_BETA})")
     p.add_argument("--start-layer", type=_nonneg_int, required=True,
                    help="depth from which post-processing applies")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=Path, required=True, help="output checkpoint path")
     ablation = p.add_mutually_exclusive_group()
     ablation.add_argument("--skip-noise", action="store_true",
-                          help="ablation: orthogonal re-initialization only")
+                          help="ablation: orthogonal re-initialization only (--beta 0)")
     ablation.add_argument("--skip-orth", action="store_true",
                           help="ablation: noise addition only")
+    p.moot = lambda a: ("argument --beta: not allowed with --skip-noise, which sets beta to 0"
+                        if a.skip_noise and a.beta is not None else None)
     p.set_defaults(func=_cmd_postprocess)
 
     p = sub.add_parser("init", help="generate a baseline-initialized checkpoint")
     p.add_argument("archspec", type=Path,
                    help="JSON list of {name, shape, kind, depth}")
     p.add_argument("--method", choices=("rand", "orth"), required=True)
-    p.add_argument("--gain", type=_pos_float, default=1.0,
-                   help="scale for --method orth (default %(default)s)")
+    p.add_argument("--gain", type=_pos_float,
+                   help=f"scale for --method orth (default {_DEFAULT_GAIN})")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=Path, required=True)
+    p.moot = lambda a: ("argument --gain: applies to --method orth only"
+                        if a.method != "orth" and a.gain is not None else None)
     p.set_defaults(func=_cmd_init)
 
     p = sub.add_parser("pca", help="2D PCA projection of embedding vectors")
@@ -201,11 +216,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_postprocess(args) -> int:
+    beta = DEFAULT_BETA if args.beta is None else args.beta
     cfg = PostprocessConfig(
         start_layer=args.start_layer,
-        beta=args.beta,
+        beta=0.0 if args.skip_noise else beta,
         seed=args.seed,
-        skip_noise=args.skip_noise,
         skip_orth=args.skip_orth,
     )
     with open(args.checkpoint, "rb", buffering=0) as src:
@@ -222,7 +237,8 @@ def _cmd_init(args) -> int:
     metas = parse_tensor_specs(args.archspec.read_bytes())
     with _write_atomic(args.out) as handle:
         store = positional_writer(handle.fileno(), metas)
-        init_tensors(metas, store, args.method, args.gain, args.seed)
+        gain = _DEFAULT_GAIN if args.gain is None else args.gain
+        init_tensors(metas, store, args.method, gain, args.seed)
     return 0
 
 

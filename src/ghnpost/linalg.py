@@ -1,11 +1,12 @@
 """Dense linear algebra: thin QR with sign correction, and PCA.
 
 Both factorizations are LAPACK and run in float64.  The QR is Householder
-``dgeqrf`` + ``dorgqr`` run in place on one Fortran-ordered copy of the
-input, or on the input itself when the caller gives it up, called through
-numpy's bundled OpenBLAS with ctypes, which releases the GIL, on one BLAS
-thread, or through ``numpy.linalg.lapack_lite`` where that library is not
-found.  ``eigh`` is numpy's.  This module adds the shape checks, the sign
+``dgeqrf`` + ``dorgqr`` run in place on the caller's Fortran-ordered
+array, called through numpy's bundled OpenBLAS with ctypes, which releases
+the GIL, on one BLAS thread, or through ``numpy.linalg.lapack_lite`` where
+that library is not found.  A caller that must keep its input takes
+``np.linalg.qr``, which copies it and, on one BLAS thread, gives the same
+bytes.  ``eigh`` is numpy's.  This module adds the shape checks, the sign
 conventions and the descending eigenvalue order.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,49 +125,31 @@ def _in_place(routine: str, dims: tuple[int, ...], a: np.ndarray, tau: np.ndarra
     _call(routine, dims, a, tau, np.empty(lwork), lwork)
 
 
-def qr_decompose(
-    a: np.ndarray, *, overwrite_a: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR via Householder reflections (LAPACK).
+def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR via Householder reflections (LAPACK), in place.
 
-    Requires rows >= cols.  Returns q (rows x cols, orthonormal columns,
-    Fortran-ordered) and r (cols x cols, upper-triangular); ``a`` is left
-    untouched.  Diagonal entries of r may be negative; see
-    :func:`sign_adjust`.  The factorization runs in place on q, the one
-    float64 copy of ``a`` made here, so the working set is q, r and the
-    LAPACK workspace.
-
-    With ``overwrite_a``, ``a`` itself, a writeable Fortran-ordered float64
-    array, is factored and returned as q, and r comes back as R's diagonal
-    alone (length cols), read before LAPACK overwrites R to form q: the
-    working set is then ``a`` and the workspace.  The bytes are the same.
+    ``a`` (rows >= cols) must be a writeable Fortran-ordered float64 array:
+    it is overwritten with Q (orthonormal columns) and returned with R's
+    diagonal (length cols), read before LAPACK overwrites R to form Q, so
+    the working set is ``a`` and the LAPACK workspace.  Diagonal entries
+    may be negative; see :func:`sign_adjust`.  Q and the diagonal are
+    ``np.linalg.qr``'s bytes on one BLAS thread.
     """
     a = _check_matrix(np.asarray(a))
     m, n = a.shape
     if m < n:
         raise ShapeError(f"thin QR needs rows >= cols, got {m} x {n}")
-    if not overwrite_a:
-        q = np.array(a, dtype=np.float64, order="F")
-        return q, _householder(q, lambda factored: np.triu(factored[:n]))
     if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
-        raise ValueError("overwrite_a needs a writeable Fortran-ordered float64 array")
-    return a, _householder(a, lambda factored: factored.diagonal().copy())
-
-
-def _householder(a: np.ndarray, read_r: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Overwrite the Fortran-ordered float64 m x n ``a`` (m >= n) with its
-    thin Q; return ``read_r`` of ``a`` between the two calls, when its
-    upper triangle holds R."""
-    m, n = a.shape
+        raise ValueError("qr_decompose needs a writeable Fortran-ordered float64 array")
     tau = np.empty(n)
     # Threaded OpenBLAS splits some of the QR's sums by thread count, and
     # so rounds them differently: on one thread, Q's bytes do not depend
     # on the caller's count.
     with one_blas_thread():
         _in_place("dgeqrf", (m, n), a, tau)
-        r = read_r(a)
+        diag = a.diagonal().copy()
         _in_place("dorgqr", (m, n, n), a, tau)
-    return r
+    return a, diag
 
 
 def sign_adjust(q: np.ndarray, r: np.ndarray) -> np.ndarray:

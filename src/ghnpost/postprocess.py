@@ -65,15 +65,12 @@ class PostprocessConfig:
     start_layer: int
     beta: float = DEFAULT_BETA
     seed: int = 0
-    skip_noise: bool = False
     skip_orth: bool = False
 
     def __post_init__(self):
         _check_beta(self.beta)
         if self.start_layer < 0:
             raise ValueError("start_layer must be non-negative")
-        if self.skip_noise and self.skip_orth:
-            raise ValueError("at most one of skip_noise/skip_orth may be set")
 
 
 def _check_beta(beta: float) -> None:
@@ -248,7 +245,7 @@ def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], N
         scale = _noise_scale(src, beta, work)
     if orth:
         _add_noise(layer, shape, src, scale, rng)
-        q, diag = qr_decompose(layer.T if transposed else layer, overwrite_a=True)
+        q, diag = qr_decompose(layer.T if transposed else layer)
         # +-gain * q is the float64 product (+-q) * gain: one rounding to dtype.
         q *= np.where(diag < 0.0, -gain, gain)
         src, scale = layer, None
@@ -280,7 +277,7 @@ def _orth_layer(name: str, src, cfg: PostprocessConfig, put: Callable[[int, np.n
     ``cfg`` asks, drawing from its own substream keyed by name: the
     routine of both :func:`ghn_orth_tensor` and :func:`ghn_orth_tensors`."""
     _write_layer(src.shape, src, put, RngStream(cfg.seed, name),
-                 beta=None if cfg.skip_noise else cfg.beta, orth=not cfg.skip_orth, work=work)
+                 beta=cfg.beta, orth=not cfg.skip_orth, work=work)
 
 
 def ghn_orth_tensor(meta: TensorMeta, arr: np.ndarray, cfg: PostprocessConfig) -> np.ndarray:

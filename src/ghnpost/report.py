@@ -19,7 +19,7 @@ import numpy as np
 from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, TensorMeta, TensorRows
 from .errors import DegenerateInput, SchemaError, StructureMismatch, naming
 from .linalg import pca_project
-from .stats import CorrelationStats, Histogram, correlation_stats, sigma_r
+from .stats import CorrelationStats, correlation_stats, sigma_r
 from .tensor_ops import geometry, largest_layer_buffer, release_tail, row_blocks, row_step
 
 
@@ -117,12 +117,13 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def emit_histogram_svg(h: Histogram, title: str) -> str:
-    """Standalone SVG bar chart of a correlation histogram over [-1, 1]."""
+def emit_histogram_svg(counts: np.ndarray, title: str) -> str:
+    """Standalone SVG bar chart of the ``counts`` of equal-width bins over
+    [-1, 1], a correlation histogram."""
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     baseline = _MARGIN_TOP + plot_h
-    peak = max(1, int(max(h.counts, default=0)))
+    peak = max(1, int(max(counts, default=0)))
 
     def x_at(v: float) -> float:
         return _MARGIN_LEFT + (v + 1.0) / 2.0 * plot_w
@@ -135,9 +136,9 @@ def emit_histogram_svg(h: Histogram, title: str) -> str:
         f'<text x="{_SVG_WIDTH / 2:.2f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
     ]
-    for i, count in enumerate(h.counts):
-        x0 = x_at(float(h.bin_edges[i]))
-        x1 = x_at(float(h.bin_edges[i + 1]))
+    # x of each bin edge; the edges are np.histogram's for range=(-1, 1).
+    xs = [x_at(float(edge)) for edge in np.linspace(-1.0, 1.0, len(counts) + 1)]
+    for count, x0, x1 in zip(counts, xs, xs[1:]):
         bar_h = plot_h * (int(count) / peak)
         parts.append(
             f'<rect x="{x0:.2f}" y="{baseline - bar_h:.2f}" '
@@ -160,7 +161,7 @@ def emit_histogram_svg(h: Histogram, title: str) -> str:
         )
     parts.append(
         f'<text x="{_MARGIN_LEFT - 8}" y="{_MARGIN_TOP + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="12">{peak if max(h.counts, default=0) else 0}</text>'
+        f'font-family="sans-serif" font-size="12">{peak if max(counts, default=0) else 0}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

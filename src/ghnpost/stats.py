@@ -47,19 +47,15 @@ _SNAP = 64.0 * np.finfo(np.float64).eps
 _COUNT_VALUES = 1 << 14
 
 
-@dataclass
-class Histogram:
-    bin_edges: np.ndarray  # len bins + 1, spanning [-1, 1]
-    counts: np.ndarray  # len bins, non-negative ints
-
-
 @dataclass(frozen=True)
 class CorrelationStats:
     """Summary of the K(K-1)/2 off-diagonal correlations of one tensor."""
 
     sigma_r: float  # population standard deviation
     mean_abs: float  # mean |r|
-    histogram: Histogram | None  # None unless bins were asked for
+    # Counts of equal-width bins over [-1, 1], as np.histogram's with
+    # range=(-1, 1); None unless bins were asked for.
+    histogram: np.ndarray | None
 
 
 def _centered(w, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,11 +220,10 @@ class _Fold:
         self.counts += np.bincount(idx, minlength=bins)
 
     def result(self) -> CorrelationStats:
-        hist = None if self.bins is None else Histogram(self.edges, self.counts)
         return CorrelationStats(
             sigma_r=math.sqrt(self.m2 / self.n),
             mean_abs=self.abs_sum / self.n,
-            histogram=hist,
+            histogram=self.counts,
         )
 
 
@@ -374,9 +369,10 @@ def correlation_std(r: np.ndarray) -> float:
     return _fold_values(len(r), offdiagonal_values(r), None).sigma_r
 
 
-def correlation_histogram(r: np.ndarray, bins: int) -> Histogram:
-    """Equal-width histogram of the off-diagonal correlations of the K x K
-    correlation array ``r`` over [-1, 1].
+def correlation_histogram(r: np.ndarray, bins: int) -> np.ndarray:
+    """Counts of ``bins`` equal-width bins over [-1, 1] of the off-diagonal
+    correlations of the K x K correlation array ``r``; the edges are
+    ``np.linspace(-1, 1, bins + 1)``.
 
     Values exactly 1.0 land in the last bin.  Entries a hair outside the
     range from rounding (possible in a user-supplied matrix) are clipped,

@@ -71,9 +71,13 @@ def small_checkpoint():
 @pytest.fixture(params=["openblas", "lapack_lite"])
 def binding(request, monkeypatch):
     """Run the kernel through the ctypes binding or, with the loader
-    patched to find no library, through numpy.linalg.lapack_lite."""
-    if request.param == "lapack_lite":
-        monkeypatch.setattr(linalg, "_openblas", lambda: None)
-    elif linalg._openblas() is None:
+    patched to find no library, through numpy.linalg.lapack_lite.  The
+    latter cannot pin BLAS to one thread itself, so the whole test runs
+    pinned: ``np.linalg.qr`` under ``one_blas_thread()`` is then the
+    reference in both."""
+    if request.param == "openblas" and linalg._openblas() is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
-    return request.param
+    with linalg.one_blas_thread():
+        if request.param == "lapack_lite":
+            monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        yield request.param

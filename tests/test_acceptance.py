@@ -157,8 +157,11 @@ def test_c3_qr_oracle_equivalence():
         m = int(rng.integers(n, 201))
         scale = float(rng.choice([1e-3, 1.0, 1e3]))
         a = rng.normal(size=(m, n)) * scale
-        q, r = qr_decompose(a)
-        recon = np.abs(q @ r - a).max() / max(1.0, np.abs(a).max())
+        q, d = qr_decompose(np.array(a, order="F"))
+        # a = q r with r = q^T a upper-triangular, of diagonal d
+        r = q.T @ a
+        recon = max(np.abs(q @ r - a).max(), np.abs(np.tril(r, -1)).max(initial=0.0),
+                    np.abs(np.diag(r) - d).max()) / max(1.0, np.abs(a).max())
         orth = np.abs(q.T @ q - np.eye(n)).max()
         worst_recon = max(worst_recon, recon)
         worst_orth = max(worst_orth, orth)
@@ -174,8 +177,8 @@ def test_c4_sign_adjusted_qr_is_idempotent():
         n = int(rng.integers(1, 64))
         m = int(rng.integers(n, 256))
         base, _ = np.linalg.qr(rng.normal(size=(m, n)))  # independent generator
-        q, r = qr_decompose(base)
-        worst = max(worst, np.abs(sign_adjust(q, r) - base).max())
+        q, d = qr_decompose(np.array(base, order="F"))
+        worst = max(worst, np.abs(sign_adjust(q, np.diag(d)) - base).max())
     assert worst <= 1e-9
     _report(4, f"100 orthonormal matrices reproduced within {worst:.2e}")
 
@@ -213,7 +216,7 @@ def test_c6_exclusion_policy_and_ablations():
     for name in ("deep.conv", "deep.fc"):
         assert out.get(name)[1].tobytes() != c.get(name)[1].tobytes()
 
-    only_orth = ghn_orth(c, PostprocessConfig(start_layer=2, seed=6, skip_noise=True))
+    only_orth = ghn_orth(c, PostprocessConfig(start_layer=2, beta=0.0, seed=6))
     only_noise = ghn_orth(c, PostprocessConfig(start_layer=2, seed=6, skip_orth=True))
     for name in ("deep.conv", "deep.fc"):
         w64 = c.get(name)[1].astype(np.float64)

@@ -1,9 +1,14 @@
 """The package's public names: each exported name resolves, and the
 second paths that the command line never ran are gone."""
 
+import dataclasses
+import inspect
+
 import ghnpost
 from ghnpost import checkpoint_io, errors, postprocess, report, stats
 from ghnpost.checkpoint_io import Checkpoint, CheckpointReader
+from ghnpost.linalg import qr_decompose
+from ghnpost.postprocess import PostprocessConfig
 from ghnpost.rng import RngStream
 
 from conftest import reader_of
@@ -30,6 +35,13 @@ def test_removed_names_are_absent():
         assert name not in ghnpost.__all__
         assert not hasattr(ghnpost, name)
         assert not hasattr(report, name) and not hasattr(stats, name)
+    # Settings a caller could already work out: noise off is beta = 0, the
+    # QR is in place only (np.linalg.qr copies), and the histogram's edges
+    # follow from its bin count.
+    assert "Histogram" not in ghnpost.__all__
+    assert not hasattr(ghnpost, "Histogram") and not hasattr(stats, "Histogram")
+    assert "skip_noise" not in {f.name for f in dataclasses.fields(PostprocessConfig)}
+    assert "overwrite_a" not in inspect.signature(qr_decompose).parameters
     # FORMAT_VERSION is the one version a checkpoint can have.
     assert not hasattr(Checkpoint(), "version")
     assert not hasattr(reader_of(Checkpoint()), "version")

@@ -240,6 +240,22 @@ def test_out_of_order_offsets_read_the_same():
     assert reader.load(0).tobytes() == c.get("a")[1].tobytes()
 
 
+@pytest.mark.parametrize("offsets", [(0, 4), (4, 0), (0, 0), (8, 4)],
+                         ids=["second_half", "first_half", "same_start", "out_of_order"])
+def test_overlapping_byte_ranges_are_corrupt(offsets):
+    # Two values each: [0, 8) and [4, 12) share bytes 4..7, so one tensor
+    # would alias the other's values, whatever order the header lists them.
+    entries = [{"name": name, "shape": [2], "kind": "linear", "depth": 0, "offset": offset,
+                "length": 2} for name, offset in zip("ab", offsets)]
+    blob = _blob_with_header({"tensors": entries}) + bytes(16)
+    first, second = sorted(range(2), key=lambda i: (offsets[i], i))
+    names = "ab"
+    with pytest.raises(CorruptHeader, match=(
+            rf"^tensors\[{second}\]: '{names[second]}' bytes \[{offsets[second]}, "
+            rf"{offsets[second] + 8}\) overlap '{names[first]}' bytes")):
+        read_checkpoint(blob)
+
+
 def test_short_readinto_is_truncated_data(small_checkpoint, tmp_path):
     # The header checks pass; the file then shrinks before the tensors are read.
     path = tmp_path / "c.ckpt"

@@ -30,7 +30,13 @@ from ghnpost import checkpoint_io, cli, linalg, postprocess, stats
 from ghnpost.checkpoint_io import Checkpoint, TensorMeta, read_checkpoint, write_checkpoint
 from ghnpost.cli import run
 from ghnpost.linalg import qr_decompose
-from ghnpost.postprocess import PostprocessConfig, ghn_orth, he_init, saxe_orthogonal_init
+from ghnpost.postprocess import (
+    DEFAULT_BETA,
+    PostprocessConfig,
+    ghn_orth,
+    he_init,
+    saxe_orthogonal_init,
+)
 from ghnpost.rng import RngStream
 from ghnpost.stats import channel_correlation, offdiagonal_values
 from ghnpost.tensor_ops import matricize
@@ -149,9 +155,10 @@ def _blocks_checkpoint(path):
 @pytest.mark.parametrize("beta", ["0.01", "1e-22"])
 @pytest.mark.parametrize("skip", [[], ["--skip-noise"], ["--skip-orth"]])
 def test_postprocess_matches_library(skip, beta, ckpt_path, tmp_path, monkeypatch):
-    cfg = PostprocessConfig(start_layer=1, beta=float(beta), seed=5,
-                            skip_noise="--skip-noise" in skip,
-                            skip_orth="--skip-orth" in skip)
+    # --skip-noise is --beta 0, and takes no --beta of its own.
+    flags = skip if "--skip-noise" in skip else ["--beta", beta, *skip]
+    cfg = PostprocessConfig(start_layer=1, beta=0.0 if "--skip-noise" in skip else float(beta),
+                            seed=5, skip_orth="--skip-orth" in skip)
     drawn = {"normal": set(), "normal_at": set()}
     for method in drawn:
         def recording(self, *args, _draw=getattr(RngStream, method), _seen=drawn[method],
@@ -166,7 +173,7 @@ def test_postprocess_matches_library(skip, beta, ckpt_path, tmp_path, monkeypatc
             monkeypatch.setattr(postprocess, "_cpu_count", lambda: width)
             out = tmp_path / f"out{width}.ckpt"
             assert run(["postprocess", str(inp), "--start-layer", "1", "--seed", "5",
-                        "--beta", beta, "--out", str(out)] + skip) == 0
+                        "--out", str(out)] + flags) == 0
             assert out.read_bytes() == expected
     # At the tiny beta the noise can move only a few weights of mixed's
     # second block, which are gathered; its first block, every weight
@@ -195,7 +202,8 @@ def test_init_matches_library(method, tmp_path, monkeypatch):
     for width in (1, 8):  # sequential, and a pool wider than the layer count
         monkeypatch.setattr(postprocess, "_cpu_count", lambda: width)
         out = tmp_path / f"init{width}.ckpt"
-        assert run(["init", str(arch), "--method", method, "--gain", "1.5", "--seed", "3",
+        gain = ["--gain", "1.5"] if method == "orth" else []  # moot for rand
+        assert run(["init", str(arch), "--method", method, *gain, "--seed", "3",
                     "--out", str(out)]) == 0
         got = read_checkpoint(out.read_bytes())
         assert [w.tobytes() for _, w in got.tensors] == [w.tobytes() for w in expected]
@@ -460,9 +468,9 @@ def test_non_finite_tensor_is_blamed_on_the_input_or_the_output(case, tmp_path, 
     }[command]
     (tmp_path / "arch.json").write_text(json.dumps(spec))
 
-    def finite_qr(a, **kwargs):
+    def finite_qr(a):
         assert np.isfinite(a).all(), "a non-finite layer reached the QR"
-        return qr_decompose(a, **kwargs)
+        return qr_decompose(a)
 
     monkeypatch.setattr(postprocess, "qr_decompose", finite_qr)
     out = work / "out"
@@ -582,7 +590,7 @@ def test_layers_are_admitted_largest_first(tmp_path, monkeypatch):
 @pytest.mark.parametrize("width", [1, 4])
 def test_repair_bytes_do_not_depend_on_completion_order(skip, width, tmp_path, monkeypatch):
     inp = _mixed_checkpoint(tmp_path / "in.ckpt")
-    cfg = PostprocessConfig(start_layer=0, seed=6, skip_noise=bool(skip))
+    cfg = PostprocessConfig(start_layer=0, seed=6, beta=0.0 if skip else DEFAULT_BETA)
     monkeypatch.setattr(postprocess, "_cpu_count", lambda: 1)
     expected = write_checkpoint(ghn_orth(read_checkpoint(inp.read_bytes()), cfg))
     # The first layers in the header start late, and the rest overtake them.
@@ -685,6 +693,32 @@ def test_non_finite_float_flags_are_usage_errors(flag, value, ckpt_path, tmp_pat
     assert run(argv + [flag, value, "--out", str(out)]) == 1
     assert f"argument {flag}: must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# case: (command and flags before --out, the flag left without effect).
+_MOOT = {
+    "beta_after_skip_noise": (["postprocess", "{ckpt}", "--start-layer", "0", "--skip-noise",
+                               "--beta", "0.5"], "--beta"),
+    "default_beta_before_skip_noise": (["postprocess", "{ckpt}", "--start-layer", "0",
+                                        "--beta", "3e-5", "--skip-noise"], "--beta"),
+    "gain_with_rand": (["init", "{arch}", "--method", "rand", "--gain", "7"], "--gain"),
+    "default_gain_with_rand": (["init", "{arch}", "--gain", "1", "--method", "rand"], "--gain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MOOT))
+def test_a_flag_without_effect_is_a_usage_error(case, ckpt_path, tmp_path, capsys):
+    # --skip-noise is --beta 0, and --gain scales --method orth only: a value
+    # that the rest of the command line would ignore is refused, even the
+    # default, before any output exists.
+    argv, flag = _MOOT[case]
+    paths = {"ckpt": ckpt_path, "arch": _archspec(tmp_path)}
+    out = tmp_path / "new" / "out.ckpt"
+    assert run([a.format(**paths) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: ghnpost {argv[0]} ")
+    assert err[-1].startswith(f"ghnpost {argv[0]}: error: argument {flag}: ")
+    assert not out.parent.exists()
 
 
 def test_data_errors(tmp_path, ckpt_path):
@@ -1232,17 +1266,19 @@ def _cli_cases(draw):
         spec = [{"name": m.name, "shape": list(m.shape), "kind": m.kind, "depth": m.depth}
                 for m in metas]
         gains = ["1", "1e-45", "3e38", "1e39", "1e300", "0", "-1", "inf"]
-        flags = ["--method", draw(st.sampled_from(["rand", "orth"])),
-                 "--gain", draw(st.sampled_from(gains)),
-                 "--seed", str(draw(st.integers(0, 3)))]
+        method = draw(st.sampled_from(["rand", "orth"]))
+        flags = ["--method", method, "--seed", str(draw(st.integers(0, 3)))]
+        if method == "orth" or draw(st.booleans()):  # --gain is moot for rand
+            flags += ["--gain", draw(st.sampled_from(gains))]
         return "init", json.dumps(spec).encode(), flags, metas
     blob = bytes(write_checkpoint(Checkpoint(tensors=tensors)))
     blob = blob[: len(blob) - draw(st.sampled_from([0, 0, 0, 1, 4]))]
     betas = ["0", "3e-5", "1", "1e38", "1e300", "-1", "nan"]
     flags = ["--start-layer", str(draw(st.integers(0, 4))),
-             "--seed", str(draw(st.integers(0, 3))),
-             "--beta", draw(st.sampled_from(betas))]
+             "--seed", str(draw(st.integers(0, 3)))]
     flags += draw(st.sampled_from([[], ["--skip-noise"], ["--skip-orth"]]))
+    if "--skip-noise" not in flags or draw(st.booleans()):  # --beta is moot there
+        flags += ["--beta", draw(st.sampled_from(betas))]
     return "postprocess", blob, flags, metas
 
 
@@ -1293,7 +1329,7 @@ def test_cli_surface_is_pinned():
         ],
         "postprocess": [
             ("checkpoint", None, None, True, "Path"),
-            (("--beta",), 3e-05, None, False, "_nonneg_float"),
+            (("--beta",), None, None, False, "_nonneg_float"),
             (("--start-layer",), None, None, True, "_nonneg_int"),
             (("--seed",), 0, None, False, "_seed"),
             (("--out",), None, None, True, "Path"),
@@ -1303,7 +1339,7 @@ def test_cli_surface_is_pinned():
         "init": [
             ("archspec", None, None, True, "Path"),
             (("--method",), None, ("rand", "orth"), True, None),
-            (("--gain",), 1.0, None, False, "_pos_float"),
+            (("--gain",), None, None, False, "_pos_float"),
             (("--seed",), 0, None, False, "_seed"),
             (("--out",), None, None, True, "Path"),
         ],
@@ -1527,9 +1563,10 @@ def _padding_cut_blob() -> bytes:
     return _blob_with_raw_header(header, b"")[: 16 + len(header) + 2]
 
 
-def _negative_offset_header() -> bytes:
+def _offset_header(offset: int) -> bytes:
+    """_HEADER with l0.norm (tensors[1]) at ``offset`` in the data section."""
     doc = json.loads(json.dumps(_HEADER))
-    doc["tensors"][1]["offset"] = -4
+    doc["tensors"][1]["offset"] = offset
     return json.dumps(doc).encode()
 
 
@@ -1539,8 +1576,12 @@ _LAYOUTS = {
     "tensors_object": (_blob_with_raw_header(b'{"tensors": {}}', _DATA),
                        "tensors: expected a list"),
     "padding_cut": (_padding_cut_blob(), "data: file ends inside the alignment padding"),
-    "negative_offset": (_blob_with_raw_header(_negative_offset_header(), _DATA),
+    "negative_offset": (_blob_with_raw_header(_offset_header(-4), _DATA),
                         "tensors[1].offset: negative"),
+    # l0.conv holds bytes [0, 128): l0.norm would read its second half.
+    "overlapping_offsets": (_blob_with_raw_header(_offset_header(64), _DATA),
+                            "tensors[1]: 'l0.norm' bytes [64, 80) overlap 'l0.conv' "
+                            "bytes [0, 128)"),
 }
 
 

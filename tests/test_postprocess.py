@@ -16,6 +16,7 @@ from ghnpost.errors import (
     UnsupportedRank,
 )
 from ghnpost.postprocess import (
+    DEFAULT_BETA,
     PostprocessConfig,
     _run_pool,
     add_conditional_noise,
@@ -28,7 +29,7 @@ from ghnpost.postprocess import (
     saxe_orthogonal_init,
 )
 from ghnpost.checkpoint_io import TensorMeta
-from ghnpost.linalg import qr_decompose, sign_adjust
+from ghnpost.linalg import one_blas_thread, sign_adjust
 from ghnpost.rng import RngStream
 from ghnpost.stats import channel_correlation, correlation_std, offdiagonal_values
 from ghnpost.tensor_ops import matricize
@@ -270,16 +271,18 @@ def test_reinit_errors():
 
 # --- the one-buffer repair against the public functions ---------------------
 
+def _numpy_qr(a):
+    """``np.linalg.qr`` on one BLAS thread: the reference of the repair's QR."""
+    with one_blas_thread():
+        return np.linalg.qr(a)
+
+
 def _repair_oracle(w, cfg, name):
-    """Noise into a float64 copy, the public QR, sign_adjust, one cast."""
-    if cfg.skip_noise:
-        noised = w.astype(np.float64)
-    else:
-        noised = add_conditional_noise(w, cfg.beta, RngStream(cfg.seed, name), np.float64)
+    """Noise into a float64 copy, numpy's QR, sign_adjust, one cast."""
+    noised = add_conditional_noise(w, cfg.beta, RngStream(cfg.seed, name), np.float64)
     mat = noised.reshape(w.shape[0], -1)
     transposed = mat.shape[0] < mat.shape[1]
-    q, r = qr_decompose(mat.T if transposed else mat)
-    q = sign_adjust(q, r)
+    q = sign_adjust(*_numpy_qr(mat.T if transposed else mat))
     return (q.T if transposed else q).astype(np.float32).reshape(w.shape)
 
 
@@ -303,10 +306,12 @@ def _repair_cases():
 @pytest.mark.parametrize("case", sorted(_repair_cases()))
 @pytest.mark.parametrize(
     "settings",
-    [{}, {"beta": 1e-2}, {"beta": 0.0}, {"skip_noise": True}],
-    ids=["default_beta", "beta_1e-2", "beta_0", "skip_noise"],
+    # At beta = 1e-22 the float64 noise moves only weights near 0, which
+    # are gathered where the layer buffer is C-ordered (wide layers).
+    [{}, {"beta": 1e-2}, {"beta": 1e-22}, {"beta": 0.0}],
+    ids=["default_beta", "beta_1e-2", "beta_1e-22", "beta_0"],
 )
-def test_repair_equals_public_qr_on_a_noised_float64_copy(binding, case, settings):
+def test_repair_equals_numpy_qr_on_a_noised_float64_copy(binding, case, settings):
     w = _repair_cases()[case]
     before = w.copy()
     cfg = PostprocessConfig(start_layer=0, seed=5, **settings)
@@ -360,7 +365,7 @@ def test_overflowing_noise_is_reported_before_the_qr(monkeypatch):
             ghn_orth_tensor(meta, w, PostprocessConfig(start_layer=0, beta=1e308))
 
 
-@pytest.mark.parametrize("case", ["skip_noise", "one_channel", "tall_skip_noise"])
+@pytest.mark.parametrize("case", ["beta_0", "one_channel", "tall_beta_0"])
 def test_non_finite_layer_without_sigma_r_is_reported_before_the_qr(case, monkeypatch):
     # No sigma_r runs on these layers, so the check on each block of the
     # layer buffer is the one that sees the NaN.
@@ -368,22 +373,21 @@ def test_non_finite_layer_without_sigma_r_is_reported_before_the_qr(case, monkey
         raise AssertionError("a non-finite layer reached the QR")
 
     monkeypatch.setattr(postprocess, "qr_decompose", no_qr)
-    shape = {"skip_noise": (8, 6), "one_channel": (1, 6), "tall_skip_noise": (70000, 2)}[case]
+    shape = {"beta_0": (8, 6), "one_channel": (1, 6), "tall_beta_0": (70000, 2)}[case]
     w = np.ones(shape, np.float32)
     w[-1, -1] = np.nan
-    cfg = PostprocessConfig(start_layer=0, skip_noise=case != "one_channel")
+    cfg = PostprocessConfig(start_layer=0, beta=0.0 if case != "one_channel" else DEFAULT_BETA)
     with pytest.raises(NonFiniteTensor, match="^tensor 'l': tensor holds NaN or Inf"):
         ghn_orth_tensor(TensorMeta("l", shape, "linear", 0), w, cfg)
 
 
 @pytest.mark.parametrize("shape", [(64, 3, 3, 3), (16, 8, 3, 3), (40, 40), (700, 200),
                                    (150, 1000)])
-def test_saxe_init_equals_public_qr_of_the_draw(binding, shape):
+def test_saxe_init_equals_numpy_qr_of_the_draw(binding, shape):
     gain = 1.5
     draw = RngStream(6, "w").normal(math.prod(shape)).reshape(shape[0], -1)
     transposed = draw.shape[0] < draw.shape[1]
-    q, r = qr_decompose(draw.T if transposed else draw)
-    q = sign_adjust(q, r)
+    q = sign_adjust(*_numpy_qr(draw.T if transposed else draw))
     ref = ((q.T if transposed else q) * gain).astype(np.float32).reshape(shape)
     out = saxe_orthogonal_init(shape, gain, RngStream(6, "w"))
     assert out.tobytes() == ref.tobytes()
@@ -438,9 +442,9 @@ def test_determinism_bit_identical():
     assert a == b
 
 
-def test_skip_noise_equals_reinit_alone():
+def test_beta_0_equals_reinit_alone():
     c = _pipeline_checkpoint()
-    out = ghn_orth(c, PostprocessConfig(start_layer=0, seed=5, skip_noise=True))
+    out = ghn_orth(c, PostprocessConfig(start_layer=0, beta=0.0, seed=5))
     for name in ("l0.conv", "l1.conv", "l2.fc"):
         direct = orthogonal_reinit(c.get(name)[1].astype(np.float64)).astype(np.float32)
         assert out.get(name)[1].tobytes() == direct.tobytes()
@@ -600,7 +604,7 @@ def _from_file(c, cfg):
     return out
 
 
-@pytest.mark.parametrize("skip", [{}, {"skip_noise": True}])
+@pytest.mark.parametrize("skip", [{}, {"beta": 0.0}])
 def test_pool_matches_sequential_in_header_order(skip, monkeypatch):
     c = _layers_checkpoint()
     cfg = PostprocessConfig(start_layer=1, seed=4, **skip)
@@ -654,8 +658,6 @@ def test_repair_bytes_do_not_depend_on_the_blas_thread_count():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PostprocessConfig(start_layer=0, skip_noise=True, skip_orth=True)
     with pytest.raises(ValueError):
         PostprocessConfig(start_layer=0, beta=-1e-5)
     with pytest.raises(ValueError):

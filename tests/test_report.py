@@ -21,7 +21,7 @@ from ghnpost.report import (
     project_embeddings,
 )
 from ghnpost.rng import RngStream
-from ghnpost.stats import Histogram, correlation_stats, sigma_r
+from ghnpost.stats import correlation_stats, sigma_r
 from ghnpost.tensor_ops import geometry
 
 from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint, reader_of
@@ -95,24 +95,28 @@ def test_report_csv_empty():
 
 
 def test_svg_well_formed():
-    h = Histogram(bin_edges=np.linspace(-1, 1, 5), counts=np.array([3, 0, 1, 7]))
-    doc = emit_histogram_svg(h, "layer <0> & co")
+    doc = emit_histogram_svg(np.array([3, 0, 1, 7]), "layer <0> & co")
     root = ET.fromstring(doc)
     assert root.tag.endswith("svg")
     rects = [el for el in root.iter() if el.tag.endswith("rect")]
     assert len(rects) == 1 + 4  # background + one per bin
+    # Each bar spans its bin between np.histogram's edges over [-1, 1],
+    # mapped onto the 570-pixel plot that starts at x = 50.
+    _, edges = np.histogram([], bins=4, range=(-1.0, 1.0))
+    x = [50 + (e + 1.0) / 2.0 * 570 for e in edges]
+    assert [(b.get("x"), b.get("width")) for b in rects[1:]] == [
+        (f"{x0:.2f}", f"{x1 - x0:.2f}") for x0, x1 in zip(x, x[1:])]
 
 
 def test_svg_zero_counts():
-    h = Histogram(bin_edges=np.linspace(-1, 1, 4), counts=np.zeros(3, dtype=int))
-    doc = emit_histogram_svg(h, "empty")
+    doc = emit_histogram_svg(np.zeros(3, dtype=int), "empty")
     root = ET.fromstring(doc)
     bars = [el for el in root.iter() if el.tag.endswith("rect")][1:]
     assert all(float(b.get("height")) == 0.0 for b in bars)
 
 
 def test_svg_equal_counts_equal_heights():
-    h = Histogram(bin_edges=np.linspace(-1, 1, 3), counts=np.array([1, 1]))
+    h = np.array([1, 1])
     doc = emit_histogram_svg(h, "flat")
     bars = [el for el in ET.fromstring(doc).iter() if el.tag.endswith("rect")][1:]
     heights = {b.get("height") for b in bars}
@@ -293,6 +297,6 @@ def test_file_source_gives_the_bits_of_the_array(layer):
     want = correlation_stats(a, bins=50)
     (rec,) = analyze_checkpoint(files[0], bins=50)
     assert (rec.stats.sigma_r, rec.stats.mean_abs) == (want.sigma_r, want.mean_abs)
-    np.testing.assert_array_equal(rec.stats.histogram.counts, want.histogram.counts)
+    np.testing.assert_array_equal(rec.stats.histogram, want.histogram)
     diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
     assert compare_checkpoints(*files) == [CompareRow("w", diff, sigma_r(a), sigma_r(b))]

@@ -1,10 +1,10 @@
 """Count the package's source lines without docstrings, comments or
-layout, and its public fields.
+layout, its public fields and its options.
 
     python3 tools/ast_lines.py [PACKAGE_DIR]
 
 For each ``*.py`` file of PACKAGE_DIR (default ``src/ghnpost`` beside this
-script's parent), parse it and print two counts, then their totals:
+script's parent), parse it and print three counts, then their totals:
 
 - lines: drop the module, class and function docstrings (a body left
   empty becomes ``pass``) and count the lines of ``ast.unparse`` of what
@@ -12,7 +12,11 @@ script's parent), parse it and print two counts, then their totals:
 - fields: the public fields of the module's public classes, that is the
   annotated names of a class body (a dataclass's fields) and the
   ``self.x`` that its ``__init__`` sets, skipping ``_``-prefixed classes
-  and names.
+  and names;
+- options: the parameters with a default of the module's public
+  functions and of its public classes' public methods (``__init__``
+  included), plus the command-line flags, the ``add_argument`` calls whose
+  first name starts with ``--``.
 
 These are the size measures that ROADMAP aim 2 tracks.
 """
@@ -62,16 +66,43 @@ def public_fields(tree: ast.Module) -> int:
     return total
 
 
+def _public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def _defaults(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def options(tree: ast.Module) -> int:
+    """Parameters with a default of the public functions and public
+    classes' public methods of ``tree``, plus its ``--`` flags."""
+    functions = [node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            functions += [node for node in cls.body
+                          if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    flags = sum(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument" and bool(node.args)
+        and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+        and node.args[0].value.startswith("--")
+        for node in ast.walk(tree)
+    )
+    return sum(_defaults(fn) for fn in functions if _public(fn.name)) + flags
+
+
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src/ghnpost"
-    lines = fields = 0
-    print(" lines fields")
+    totals = [0, 0, 0]
+    print(" lines fields options")
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        n, f = unparsed_lines(tree), public_fields(tree)
-        lines, fields = lines + n, fields + f
-        print(f"{n:6d} {f:6d}  {path.name}")
-    print(f"{lines:6d} {fields:6d}  total")
+        counts = (unparsed_lines(tree), public_fields(tree), options(tree))
+        totals = [t + c for t, c in zip(totals, counts)]
+        print(f"{counts[0]:6d} {counts[1]:6d} {counts[2]:7d}  {path.name}")
+    print(f"{totals[0]:6d} {totals[1]:6d} {totals[2]:7d}  total")
     return 0
 
 

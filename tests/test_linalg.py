@@ -263,10 +263,10 @@ def test_kernel_matches_numpy_qr_bytes(binding, case):
 
 
 @pytest.mark.parametrize("shape", [(4608, 512), (1000, 999), (300, 7)])
-def test_kernel_matches_numpy_qr_bytes_at_layer_sizes(shape):
+def test_kernel_matches_numpy_qr_bytes_at_layer_sizes(binding, shape):
     # Blocked sizes at which OpenBLAS's threaded routines round Q
-    # differently (4608 x 512 and 1000 x 999 on two threads): the kernel
-    # and its reference both run on one.
+    # differently (4608 x 512 and 1000 x 999 on two threads): the kernel,
+    # through either binding, and its reference both run on one.
     mat = np.random.default_rng(21).normal(size=shape)
     q, diag = qr_decompose(np.asfortranarray(mat))
     q_ref, r_ref = _numpy_qr(mat)

@@ -302,16 +302,18 @@ def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[i
               budget: int, width: int) -> None:
     """Run ``fn(i)`` for each index of ``order`` on ``width`` threads.
 
-    Items are admitted in ``order`` and may finish in any order.  The next
-    is admitted while fewer than ``width`` run and the ``costs`` running,
-    its own included, sum to at most ``budget``, or when none runs.  An
-    item that runs out of memory (MemoryError or OutOfMemory) goes back
-    to the head of the queue once, to run again alone: it is admitted
-    when none runs and nothing is admitted beside it, so only an item
-    that fails alone fails the run.  After a failure at index j no
-    later index is admitted but every earlier one runs; then the failure
-    at the lowest index propagates.  An interrupt of the calling thread
-    admits nothing more, and the items running finish first.
+    Items are admitted in ``order`` and may finish in any order.  While
+    fewer than ``width`` run, the first queued item whose cost fits, the
+    ``costs`` running and its own summing to at most ``budget``, is
+    admitted (backfill: with ``order`` largest first, the largest that
+    fits); when none runs, the head of the queue is.  An item that runs
+    out of memory (MemoryError or OutOfMemory) goes back to the head of
+    the queue once, to run again alone: nothing is admitted beside it, or
+    past it, until none runs, so only an item that fails alone fails the
+    run.  After a failure at index j no later index is admitted but every
+    earlier one runs; then the failure at the lowest index propagates.  An
+    interrupt of the calling thread admits nothing more, and the items
+    running finish first.
     """
     # Imported here: about 10 ms at start-up that no other command needs.
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -320,14 +322,19 @@ def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[i
     running: dict = {}  # future -> index
     in_flight = 0
     alone: set[int] = set()  # items run again with nothing beside them
+
+    def admissible() -> int | None:
+        if not running:
+            return queue[0]
+        if len(running) >= width or queue[0] in alone or not alone.isdisjoint(running.values()):
+            return None
+        return next((i for i in queue if in_flight + costs[i] <= budget), None)
+
     failures: dict[int, BaseException] = {}
     with ThreadPoolExecutor(width) as pool:
         while queue or running:
-            while queue and (not running or (
-                len(running) < width and in_flight + costs[queue[0]] <= budget
-                and queue[0] not in alone and alone.isdisjoint(running.values())
-            )):
-                i = queue.popleft()
+            while queue and (i := admissible()) is not None:
+                queue.remove(i)
                 running[pool.submit(fn, i)] = i
                 in_flight += costs[i]
             done, _ = wait(running, return_when=FIRST_COMPLETED)
@@ -346,21 +353,77 @@ def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[i
         raise failures[min(failures)]
 
 
+def _pool_budget(sizes: Sequence[int], width: int) -> int:
+    """The pool's budget, in elements, for float64 layers of ``sizes`` on
+    ``width`` threads: the largest layer plus the first layer after the
+    largest-first prefix that holds at most 1/width of all the elements,
+    and at most twice the largest (0 for no layers).
+
+    Any layer no larger than that next one fits beside any other, so a
+    thread can wait for memory only while the prefix's layers are left,
+    and they hold at most a thread's share of the work: the condition
+    under which Graham's list-scheduling bound ("Bounds on
+    multiprocessing timing anomalies", 1969) is that of room for any two
+    layers.  Where one layer is most of the work, the budget stays at two
+    of the largest.
+    """
+    order = sorted(sizes, reverse=True)
+    total, prefix = sum(order), 0
+    for n in order:
+        prefix += n
+        if prefix * width > total:
+            return min(order[0] + n, 2 * order[0])
+    return order[0] if order else 0
+
+
+def _block_values(shape: tuple[int, ...]) -> int:
+    """Values in one block of whole rows (first-axis slices) of a tensor of
+    ``shape``, of any rank: :func:`~ghnpost.tensor_ops.row_step`'s rows."""
+    row = math.prod(shape[1:])
+    return row_step(shape[0], row) * row
+
+
+def _put_rows(shape: tuple[int, ...], rows: Callable[[int, int], np.ndarray],
+              put: Callable[[int, np.ndarray], None]) -> None:
+    """Hand ``rows(r0, r1)``, the values of rows r0..r1 of the first axis of
+    a tensor of ``shape``, to ``put(r0, block)`` as a (r1 - r0) x (values
+    per row) block, a :func:`_block_values` block at a time; each block
+    is checked finite (an input NaN/Inf) before it is put.  The tensors
+    that pass through stream this way."""
+    row = math.prod(shape[1:])
+    step = row_step(shape[0], row)
+    for r0 in range(0, shape[0], step):
+        r1 = min(r0 + step, shape[0])
+        block = rows(r0, r1).reshape(r1 - r0, row)
+        check_finite(block, block)
+        put(r0, block)
+
+
+# Pool cost per value of a streamed tensor's row block: its float32 block
+# and, for a drawn layer, the float64 draw.
+_STREAM_BYTES = 4 + 8
+
+
 def _run_layers(
-    metas: Sequence[TensorMeta], eligible: Sequence[bool], fn: Callable[[int], None]
+    metas: Sequence[TensorMeta], mapped: Sequence[bool], fn: Callable[[int], None]
 ) -> None:
     """:func:`_run_pool` ``fn`` over the tensors of ``metas``, with BLAS on one
     thread so the bytes do not depend on the core count, and one thread per
-    usable CPU where the QR releases the GIL.  Eligible tensors go first,
-    largest first, ties in header order, and cost 8 bytes per element (the
-    float64 layer buffer; the repair's file rows pass through buffers of
-    one row block), others 4 (the whole float32 array); the budget is two
-    of the largest eligible tensor."""
+    usable CPU where the QR releases the GIL.  Each tensor costs what it
+    holds: the ``mapped`` ones (the layers made in a float64
+    :func:`~ghnpost.tensor_ops.layer_buffer`) 8 bytes per element, the
+    others, which stream, :data:`_STREAM_BYTES` per value of one row
+    block.  The mapped tensors go first, largest first, then the others,
+    largest first, ties in header order.  The budget is
+    :func:`_pool_budget` of the mapped tensors, or room for a row block
+    on every thread if that is more."""
     sizes = [math.prod(meta.shape) for meta in metas]
-    costs = [(8 if e else 4) * n for e, n in zip(eligible, sizes)]
-    order = sorted(range(len(metas)), key=lambda i: (not eligible[i], -sizes[i], i))
-    budget = 2 * max((c for e, c in zip(eligible, costs) if e), default=0)
+    costs = [8 * n if m else _STREAM_BYTES * _block_values(meta.shape)
+             for meta, m, n in zip(metas, mapped, sizes)]
+    order = sorted(range(len(metas)), key=lambda i: (not mapped[i], -sizes[i], i))
     width = _cpu_count() if gil_free_qr() else 1
+    budget = max(8 * _pool_budget([n for m, n in zip(mapped, sizes) if m], width),
+                 width * max((c for m, c in zip(mapped, costs) if not m), default=0))
     # The QR pins BLAS itself, but the thread count is global: unpinned
     # here, concurrent layers would restore each other's count mid-QR, and
     # their sigma_r GEMMs would each use every core.
@@ -377,19 +440,21 @@ def _cpu_count() -> int:
 def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
                      cfg: PostprocessConfig) -> None:
     """The :func:`ghn_orth` result of each tensor i of the checkpoint file
-    ``reader``, handed to ``put`` as soon as it is made: what
-    ``postprocess`` runs on its input file.
+    ``reader``, handed to ``put(i, block, r0)`` a block of rows r0.. at a
+    time as soon as it is made: what ``postprocess`` runs on its input
+    file.
 
     An eligible tensor is read a row block at a time through
     :class:`~ghnpost.checkpoint_io.TensorRows` (twice with noise: for
     sigma_r, then for the noise), and put a row block of float32 at a
-    time, ``put(i, block, r0)``, by :func:`_orth_layer`, so no float32
-    copy of it is held.  Any other tensor is loaded, checked and put
-    whole, ``put(i, arr)``.  With the orth step on, the tensors run on
-    :func:`_run_layers`' pool, each eligible one in its float64 layer
-    buffer.  ``--skip-orth`` runs them one at a time in header order, on
-    BLAS's default thread count (on the pool the noise-only path peaks
-    higher, CHANGES.md), with sigma_r's channels in the one
+    time by :func:`_orth_layer`, so no float32 copy of it is held.  Any
+    other tensor streams through one reused float32 buffer of a row
+    block, each block read, checked finite and put (:func:`_put_rows`).
+    With the orth step on, the tensors run on :func:`_run_layers`' pool,
+    each eligible one in its float64 layer buffer.  ``--skip-orth`` runs
+    them one at a time in header order, on BLAS's default thread count
+    (on the pool the noise-only path peaks higher, CHANGES.md), with
+    sigma_r's channels in the one
     :func:`~ghnpost.tensor_ops.largest_layer_buffer` of the eligible
     tensors.  The bytes are those of :func:`ghn_orth_tensor` of each
     tensor.
@@ -399,12 +464,14 @@ def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
 
     def one(i: int, work: np.ndarray | None = None) -> None:
         meta = metas[i]
-        if not eligible[i]:
-            put(i, ghn_orth_tensor(meta, reader.load(i), cfg))
-            return
         with naming(meta.name):
-            _orth_layer(meta.name, TensorRows(reader, i), cfg,
-                        lambda r0, block: put(i, block, r0), work)
+            if eligible[i]:
+                _orth_layer(meta.name, TensorRows(reader, i), cfg,
+                            lambda r0, block: put(i, block, r0), work)
+                return
+            buf = np.empty(_block_values(meta.shape), "<f4")
+            _put_rows(meta.shape, lambda r0, r1: reader.read_rows(i, r0, r1, buf),
+                      lambda r0, block: put(i, block, r0))
 
     if not cfg.skip_orth:
         _run_layers(metas, eligible, one)
@@ -461,17 +528,18 @@ def saxe_orthogonal_init(
 def init_tensors(metas: Sequence[TensorMeta], store: Callable[..., None],
                  method: str, gain: float, seed: int) -> None:
     """A baseline initialization of each tensor i of ``metas``, handed to
-    ``store`` as it is made, on :func:`_run_layers`' pool.
+    ``store(i, block, r0)`` a block of rows r0.. at a time as it is made,
+    on :func:`_run_layers`' pool.
 
     conv and linear tensors get ``method``, drawing from their own
     substream keyed by tensor name: ``"rand"`` is :func:`he_init`,
-    ``"orth"`` is :func:`saxe_orthogonal_init` with ``gain``.  Each is
-    stored a row block of float32 at a time, ``store(i, block, r0)``, by
-    :func:`_write_layer`.  norm tensors are ones, and bias and other
-    tensors zeros, each stored whole, ``store(i, w)``.  Any other method
-    raises ValueError before anything is stored.  A tensor of unsupported
-    rank, whose weights would overflow float32, or that cannot be
-    allocated raises a NumericalError naming it.
+    ``"orth"`` is :func:`saxe_orthogonal_init` with ``gain`` (made in a
+    float64 layer buffer); each is stored a row block of float32 at a
+    time by :func:`_write_layer`.  norm tensors are ones, and bias and
+    other tensors zeros, stored from one row block of them.  Any other
+    method raises ValueError before anything is stored.  A tensor of
+    unsupported rank, whose weights would overflow float32, or that
+    cannot be allocated raises a NumericalError naming it.
     """
     if method not in ("rand", "orth"):
         raise ValueError(f"unknown init method {method!r}")
@@ -483,8 +551,11 @@ def init_tensors(metas: Sequence[TensorMeta], store: Callable[..., None],
             if eligible[i]:
                 _init_layer(meta.shape, method, gain, RngStream(seed, meta.name),
                             lambda r0, block: store(i, block, r0))
-            else:
-                fill = np.ones if meta.kind == "norm" else np.zeros  # bias, other: zeros
-                store(i, fill(meta.shape, dtype=np.float32))
+                return
+            row = math.prod(meta.shape[1:])
+            fill = np.ones if meta.kind == "norm" else np.zeros  # bias, other: zeros
+            values = fill(_block_values(meta.shape), np.float32)
+            _put_rows(meta.shape, lambda r0, r1: values[: (r1 - r0) * row],
+                      lambda r0, block: store(i, block, r0))
 
-    _run_layers(metas, eligible, one)
+    _run_layers(metas, [e and method == "orth" for e in eligible], one)

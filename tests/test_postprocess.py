@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 import threading
 import time
 import warnings
@@ -581,6 +582,170 @@ def test_run_pool_runs_an_item_out_of_memory_beside_another_again_alone(error):
     assert calls == [(0, frozenset()), (1, {0}), (1, frozenset())]
 
 
+def _admissions(costs, budget, width, job=None):
+    """Run fake items of ``costs`` (largest first, as the pool's callers
+    order them) on :func:`_run_pool`, and return each admission as
+    (index, the indices running beside it)."""
+    lock, running, calls = threading.Lock(), set(), []
+
+    def run(i):
+        with lock:
+            calls.append((i, frozenset(running)))
+            running.add(i)
+        try:
+            if job is not None:
+                job(i)
+        finally:
+            with lock:
+                running.discard(i)
+
+    _run_pool(run, range(len(costs)), costs, budget, width)
+    return calls
+
+
+def test_run_pool_backfills_the_largest_queued_item_that_fits():
+    # Beside item 0 (8 of 10), the head, item 1 (7), does not fit, nor does
+    # item 2 (3); items 3 (2) and 4 (1) do, and the larger is admitted.
+    # Item 0 runs until item 3 has started: admitting the head alone, as
+    # the pool did before backfill, would time out here.
+    backfilled = threading.Event()
+
+    def job(i):
+        if i == 0:
+            assert backfilled.wait(5.0)
+        elif i == 3:
+            backfilled.set()
+
+    calls = _admissions([8, 7, 3, 2, 1], 10, 2, job)
+    assert calls[:2] == [(0, frozenset()), (3, {0})]
+    assert sorted(i for i, _ in calls) == list(range(5))
+
+
+def test_run_pool_backfills_nothing_beside_an_item_to_run_alone():
+    # Item 1 cannot get its memory beside item 0 and goes back to the head
+    # to run alone.  Items 2 and 3 do not fit beside both, but they would
+    # fit beside item 0 on the third thread once item 1 has failed; still
+    # nothing is admitted past item 1 until item 0 is done, nor beside
+    # item 1 when it runs again.
+    failed = threading.Event()
+
+    def job(i):
+        if i == 0:
+            assert failed.wait(5.0)
+            time.sleep(0.05)  # room for a wrong admission beside it
+        elif i == 1 and not failed.is_set():
+            failed.set()
+            raise MemoryError("cannot map")
+        elif i == 1:
+            time.sleep(0.05)
+
+    calls = _admissions([5, 4, 1, 1], 9, 3, job)
+    assert calls[:3] == [(0, frozenset()), (1, {0}), (1, frozenset())]
+    assert {i for i, _ in calls[3:]} == {2, 3} and all(1 not in beside for _, beside in calls)
+
+
+def test_run_pool_keeps_the_failure_rule_with_backfill():
+    # Item 3 (2) is backfilled beside item 0 (8) and fails: item 1, earlier
+    # in the order, still runs, and item 4, later, never starts.
+    started = []
+
+    def job(i):
+        started.append(i)
+        if i == 3:
+            raise ValueError("item 3")
+        if i == 0:
+            time.sleep(0.1)
+
+    with pytest.raises(ValueError, match="item 3"):
+        _admissions([8, 7, 3, 2, 1], 10, 2, job)
+    assert sorted(started) == [0, 1, 2, 3]
+    assert started[:2] == [0, 3]
+
+    # Item 0 fails while the backfilled item 3 runs: nothing after item 0
+    # is admitted, and item 0's failure propagates, not item 3's.
+    started.clear()
+
+    def first_fails(i):
+        started.append(i)
+        if i == 0:
+            time.sleep(0.05)
+            raise ValueError("item 0")
+        time.sleep(0.2)
+        raise ValueError(f"item {i}")
+
+    with pytest.raises(ValueError, match="item 0"):
+        _admissions([8, 7, 3, 2, 1], 10, 2, first_fails)
+    assert started == [0, 3]
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+def test_run_pool_admits_nothing_after_an_interrupt():
+    # The backfilled item 3 interrupts the calling thread while item 0
+    # runs: both finish, and nothing else is admitted.  The signal waits
+    # until the pool has started item 3's thread and waits on the items.
+    finished = []
+    main = threading.main_thread().ident
+
+    def job(i):
+        if i == 3:
+            time.sleep(0.05)
+            signal.pthread_kill(main, signal.SIGINT)
+        time.sleep(0.1)
+        finished.append(i)
+
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _admissions([8, 7, 3, 2, 1], 10, 2, job)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert sorted(finished) == [0, 3]
+
+
+def _resnet_sizes(blocks):
+    """Element counts of a bottleneck ResNet's conv/linear layers (He et
+    al., 2016: width 64, 1000 classes) with ``blocks`` per stage."""
+    sizes, channels = [64 * 3 * 7 * 7], 64
+    for stage, count in enumerate(blocks):
+        planes = 64 << stage
+        for block in range(count):
+            sizes += [planes * channels, planes * planes * 9, 4 * planes * planes]
+            if block == 0:
+                sizes.append(4 * planes * channels)  # the downsampling shortcut
+            channels = 4 * planes
+    return sizes + [1000 * channels]
+
+
+def _vit_sizes(dim, layers):
+    """Element counts of a ViT's conv/linear layers (Dosovitskiy et al.,
+    2021: 16 x 16 patches, 1000 classes)."""
+    return [dim * 3 * 16 * 16] + [dim * dim * n for n in (3, 1, 4, 4)] * layers + [1000 * dim]
+
+
+@pytest.mark.parametrize("sizes, extra", [
+    (_resnet_sizes((3, 4, 6, 3)), 2048 * 512),     # ResNet-50: 1.444x the largest
+    (_resnet_sizes((3, 4, 23, 3)), 256 * 256 * 9),  # ResNet-101: 1.25x
+    (_resnet_sizes((3, 8, 36, 3)), 256 * 256 * 9),  # ResNet-152: 1.25x
+    (_vit_sizes(768, 12), 4 * 768 * 768),          # ViT-B/16: 2x
+    (_vit_sizes(1024, 24), 4 * 1024 * 1024),       # ViT-L/16: 2x
+], ids=["resnet50", "resnet101", "resnet152", "vit_b16", "vit_l16"])
+def test_pool_budget_from_the_header(sizes, extra):
+    assert len(sizes) in (50, 54, 98, 105, 156)
+    largest = max(sizes)
+    assert postprocess._pool_budget(sizes, 2) == largest + extra
+    # One thread needs no room beside a layer, and more threads keep at
+    # most two of the largest.
+    assert postprocess._pool_budget(sizes, 1) == largest
+    assert all(postprocess._pool_budget(sizes, w) <= 2 * largest for w in (3, 4, 8, 64))
+
+
+def test_pool_budget_edge_cases():
+    assert postprocess._pool_budget([], 2) == 0
+    assert postprocess._pool_budget([7], 2) == 14  # the layer is all the work
+    assert postprocess._pool_budget([5, 5, 5, 5], 2) == 10  # equal layers pair
+    assert postprocess._pool_budget([9, 4, 4, 4, 3], 2) == 13  # 9 <= 24 / 2 < 9 + 4
+
+
 def _layers_checkpoint(n=6):
     return make_checkpoint(
         [(f"l{i}.conv", (24, 4, 3, 3), "conv", i, ghn_like_tensor((24, 4, 3, 3), seed=i))
@@ -614,6 +779,53 @@ def test_pool_matches_sequential_in_header_order(skip, monkeypatch):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
     # below start_layer: passed through
     assert ghn_orth(c, cfg).tensors[0][1] is c.tensors[0][1]
+
+
+def _sizes_checkpoint():
+    """Three largest layers, whose pairs the header's budget keeps apart at
+    width 2, smaller layers that backfill beside them, a layer below
+    start_layer 1, and norms."""
+    tensors = []
+    for i, shape in enumerate([(16, 8, 3, 3), (96, 48), (48, 96), (96, 48), (48, 48),
+                               (24, 96), (96, 24), (32, 72), (72, 32), (64, 36), (36, 64)]):
+        tensors.append((f"l{i}.w", shape, "conv" if len(shape) == 4 else "linear", i,
+                        ghn_like_tensor(shape, seed=i)))
+        tensors.append((f"l{i}.norm", (shape[0],), "norm", i,
+                        np.linspace(0.5, 1.5, shape[0], dtype=np.float32)))
+    return make_checkpoint(tensors)
+
+
+@pytest.mark.parametrize("width", [1, 2, 8])
+def test_repair_and_orth_init_bytes_do_not_depend_on_the_pool_width(width, monkeypatch):
+    c = _sizes_checkpoint()
+    cfg = PostprocessConfig(start_layer=1, seed=2)
+    expected = [ghn_orth_tensor(meta, arr, cfg) for meta, arr in c.tensors]
+    init_expected = [saxe_orthogonal_init(meta.shape, 1.5, RngStream(3, meta.name))
+                     if meta.kind in ("conv", "linear")
+                     else np.ones(meta.shape, np.float32) for meta in c.metas]
+    budgets = []
+
+    def recording(fn, order, costs, budget, threads):
+        budgets.append(budget)
+        return run_pool(fn, order, costs, budget, threads)
+
+    run_pool = postprocess._run_pool
+    monkeypatch.setattr(postprocess, "_run_pool", recording)
+    monkeypatch.setattr(postprocess, "_cpu_count", lambda: width)
+    got = _from_file(c, cfg)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    stored = [np.zeros(meta.shape, np.float32) for meta in c.metas]
+
+    def store(i, block, r0):
+        stored[i].reshape(len(stored[i]), -1)[r0 : r0 + len(block)] = block
+
+    init_tensors(c.metas, store, "orth", 1.5, 3)
+    assert [a.tobytes() for a in stored] == [a.tobytes() for a in init_expected]
+    # The three largest layers hold under half the elements, the next is
+    # half the largest: on two threads both runs get 1.5x the largest.
+    if width == 2 and linalg.gil_free_qr():
+        assert budgets == [8 * 96 * 48 * 3 // 2] * 2
 
 
 def test_pool_pins_blas_to_one_thread_and_restores_it(monkeypatch):

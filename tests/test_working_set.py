@@ -306,7 +306,8 @@ def _panels(k, chw, fold=False):
 
 def _in_flight():
     """Equal layers the repair and init hold at once: one per thread of the
-    pool, within its budget of two."""
+    pool, within its budget, which for equal layers is two of them
+    (:func:`~ghnpost.postprocess._pool_budget`)."""
     return min(2, postprocess._cpu_count() if linalg.gil_free_qr() else 1)
 
 
@@ -369,3 +370,22 @@ def test_cli_peak_follows_the_memory_model(command, tmp_path):
     argvs = [job("warm", [(64, 96)] * 2), job("in", shapes)]
     growth = _rss_growth(_MIB, argvs) * (1 << 20)
     assert growth <= _model(command, shapes) + _SLACK, growth / 2**20
+
+
+@pytest.mark.parametrize("skip", [[], ["--skip-orth"]], ids=["repair", "skip_orth"])
+def test_cli_pass_through_tensors_stream(skip, tmp_path):
+    # A 32 MiB `other` tensor passes through a row block at a time, beside
+    # one small layer, so the peak is the layer's: growth measured
+    # 0.04-1.4 MiB.  Loaded whole, the tensor measured 38-40 MiB.
+    other, layer = (4096, 2048), (256, 256)
+    argvs = []
+    for name, dims in (("warm", (64, 96)), ("in", other)):
+        tensors = [(TensorMeta("other", dims, "other", 0), ghn_like_tensor(dims)),
+                   (TensorMeta("w", layer, "linear", 0), ghn_like_tensor(layer, seed=1))]
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(write_checkpoint(Checkpoint(tensors=tensors)))
+        argvs.append(["postprocess", str(path), "--start-layer", "0",
+                      "--out", str(tmp_path / f"{name}.out.ckpt"), *skip])
+    growth = _rss_growth(_MIB, argvs) * (1 << 20)
+    command = "skip_orth" if skip else "repair"
+    assert growth <= _model(command, [layer]) + _SLACK, growth / 2**20

@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedVersion,
     naming,
 )
-from .tensor_ops import geometry, row_step
+from .tensor_ops import row_step
 
 MAGIC = b"GHNP"
 FORMAT_VERSION = 1
@@ -397,20 +397,19 @@ class CheckpointReader:
 
 
 class TensorRows:
-    """Tensor ``i`` of a :class:`CheckpointReader` as a row source of
-    :func:`~ghnpost.tensor_ops.row_blocks`: ``read(r0, r1)`` gives rows
-    r0..r1 of its K x CHW matrix through ``read_rows``, into one float32
-    buffer of a block's rows that every read reuses.  So a file's layer
-    is never held whole as float32.  The constructor allocates the
-    buffer, and raises UnsupportedRank for a rank other than 2 or 4; the
-    caller names the tensor.
+    """Tensor ``i`` of a :class:`CheckpointReader`, of any rank, as a row
+    source of :func:`~ghnpost.tensor_ops.row_blocks`: ``read(r0, r1)``
+    gives rows r0..r1 of its first axis through ``read_rows``, into one
+    float32 buffer of a block's rows that every read reuses.  So a file's
+    tensor is never held whole as float32.  The constructor allocates
+    the buffer; the caller names the tensor.
     """
 
     def __init__(self, source: CheckpointReader, i: int):
         self.shape = source.metas[i].shape
         self._source, self._i = source, i
-        k, chw, _ = geometry(self.shape)
-        self._buf = np.empty(row_step(k, chw) * chw, dtype="<f4")
+        row = math.prod(self.shape[1:])
+        self._buf = np.empty(row_step(self.shape[0], row) * row, dtype="<f4")
 
     def read(self, r0: int, r1: int) -> np.ndarray:
         return self._source.read_rows(self._i, r0, r1, self._buf)

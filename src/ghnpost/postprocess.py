@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -300,7 +301,8 @@ def ghn_orth_tensor(meta: TensorMeta, arr: np.ndarray, cfg: PostprocessConfig) -
 
 def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[int],
               budget: int, width: int) -> None:
-    """Run ``fn(i)`` for each index of ``order`` on ``width`` threads.
+    """Run ``fn(i)`` for each index of ``order``, each on a thread of its
+    own, at most ``width`` at once.
 
     Items are admitted in ``order`` and may finish in any order.  While
     fewer than ``width`` run, the first queued item whose cost fits, the
@@ -312,52 +314,64 @@ def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[i
     past it, until none runs, so only an item that fails alone fails the
     run.  After a failure at index j no later index is admitted but every
     earlier one runs; then the failure at the lowest index propagates.  An
-    interrupt of the calling thread admits nothing more, and the items
-    running finish first.
+    interrupt of the calling thread (even one raised as a worker starts)
+    admits nothing more, and every item started finishes first.
     """
-    # Imported here: about 10 ms at start-up that no other command needs.
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+    # Imported here: queue's module costs the commands without a pool 0.1 MB.
+    from queue import SimpleQueue
 
     queue = deque(order)
-    running: dict = {}  # future -> index
-    in_flight = 0
+    running: dict[int, threading.Thread] = {}
     alone: set[int] = set()  # items run again with nothing beside them
+    finished: SimpleQueue = SimpleQueue()  # (index, exception or None)
 
     def admissible() -> int | None:
         if not running:
             return queue[0]
-        if len(running) >= width or queue[0] in alone or not alone.isdisjoint(running.values()):
+        if len(running) >= width or queue[0] in alone or not alone.isdisjoint(running):
             return None
-        return next((i for i in queue if in_flight + costs[i] <= budget), None)
+        room = budget - sum(costs[j] for j in running)
+        return next((i for i in queue if costs[i] <= room), None)
+
+    def work(i: int) -> None:
+        try:
+            fn(i)
+        except BaseException as exc:
+            finished.put((i, exc))
+        else:
+            finished.put((i, None))
 
     failures: dict[int, BaseException] = {}
-    with ThreadPoolExecutor(width) as pool:
+    try:
         while queue or running:
             while queue and (i := admissible()) is not None:
                 queue.remove(i)
-                running[pool.submit(fn, i)] = i
-                in_flight += costs[i]
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                i = running.pop(future)
-                in_flight -= costs[i]
-                exc = future.exception()
-                if isinstance(exc, (MemoryError, OutOfMemory)) and i not in alone:
-                    alone.add(i)
-                    queue.appendleft(i)
-                elif exc is not None:
-                    failures[i] = exc
-                if failures:
-                    queue = deque(j for j in queue if j < min(failures))
+                running[i] = threading.Thread(target=work, args=(i,))
+                running[i].start()
+            i, exc = finished.get()
+            del running[i]
+            if isinstance(exc, (MemoryError, OutOfMemory)) and i not in alone:
+                alone.add(i)
+                queue.appendleft(i)
+            elif exc is not None:
+                failures[i] = exc
+            if failures:
+                queue = deque(j for j in queue if j < min(failures))
+    finally:
+        # A worker whose start() was interrupted may run all the same.
+        for worker in running.values():
+            if worker.is_alive():
+                worker.join()
     if failures:
         raise failures[min(failures)]
 
 
 def _pool_budget(sizes: Sequence[int], width: int) -> int:
-    """The pool's budget, in elements, for float64 layers of ``sizes`` on
-    ``width`` threads: the largest layer plus the first layer after the
-    largest-first prefix that holds at most 1/width of all the elements,
-    and at most twice the largest (0 for no layers).
+    """The pool's budget for layers of ``sizes`` (in any unit; a size of 0,
+    a tensor that streams, counts for nothing) on ``width`` threads: the
+    largest layer plus the first layer after the largest-first prefix
+    that holds at most 1/width of the total size, and at most twice the
+    largest (0 for no layers).
 
     Any layer no larger than that next one fits beside any other, so a
     thread can wait for memory only while the prefix's layers are left,
@@ -376,59 +390,26 @@ def _pool_budget(sizes: Sequence[int], width: int) -> int:
     return order[0] if order else 0
 
 
-def _block_values(shape: tuple[int, ...]) -> int:
-    """Values in one block of whole rows (first-axis slices) of a tensor of
-    ``shape``, of any rank: :func:`~ghnpost.tensor_ops.row_step`'s rows."""
-    row = math.prod(shape[1:])
-    return row_step(shape[0], row) * row
-
-
-def _put_rows(shape: tuple[int, ...], rows: Callable[[int, int], np.ndarray],
-              put: Callable[[int, np.ndarray], None]) -> None:
-    """Hand ``rows(r0, r1)``, the values of rows r0..r1 of the first axis of
-    a tensor of ``shape``, to ``put(r0, block)`` as a (r1 - r0) x (values
-    per row) block, a :func:`_block_values` block at a time; each block
-    is checked finite (an input NaN/Inf) before it is put.  The tensors
-    that pass through stream this way."""
-    row = math.prod(shape[1:])
-    step = row_step(shape[0], row)
-    for r0 in range(0, shape[0], step):
-        r1 = min(r0 + step, shape[0])
-        block = rows(r0, r1).reshape(r1 - r0, row)
-        check_finite(block, block)
-        put(r0, block)
-
-
-# Pool cost per value of a streamed tensor's row block: its float32 block
-# and, for a drawn layer, the float64 draw.
-_STREAM_BYTES = 4 + 8
-
-
 def _run_layers(
     metas: Sequence[TensorMeta], mapped: Sequence[bool], fn: Callable[[int], None]
 ) -> None:
     """:func:`_run_pool` ``fn`` over the tensors of ``metas``, with BLAS on one
     thread so the bytes do not depend on the core count, and one thread per
-    usable CPU where the QR releases the GIL.  Each tensor costs what it
-    holds: the ``mapped`` ones (the layers made in a float64
-    :func:`~ghnpost.tensor_ops.layer_buffer`) 8 bytes per element, the
-    others, which stream, :data:`_STREAM_BYTES` per value of one row
-    block.  The mapped tensors go first, largest first, then the others,
-    largest first, ties in header order.  The budget is
-    :func:`_pool_budget` of the mapped tensors, or room for a row block
-    on every thread if that is more."""
+    usable CPU where the QR releases the GIL.  The ``mapped`` tensors (the
+    layers made in a float64 :func:`~ghnpost.tensor_ops.layer_buffer`)
+    cost 8 bytes per element; the others stream, holding one row block,
+    and cost nothing.  The budget is :func:`_pool_budget` of the costs.
+    The mapped tensors go first, largest first, then the others, largest
+    first, ties in header order."""
     sizes = [math.prod(meta.shape) for meta in metas]
-    costs = [8 * n if m else _STREAM_BYTES * _block_values(meta.shape)
-             for meta, m, n in zip(metas, mapped, sizes)]
+    costs = [8 * n if m else 0 for m, n in zip(mapped, sizes)]
     order = sorted(range(len(metas)), key=lambda i: (not mapped[i], -sizes[i], i))
     width = _cpu_count() if gil_free_qr() else 1
-    budget = max(8 * _pool_budget([n for m, n in zip(mapped, sizes) if m], width),
-                 width * max((c for m, c in zip(mapped, costs) if not m), default=0))
     # The QR pins BLAS itself, but the thread count is global: unpinned
     # here, concurrent layers would restore each other's count mid-QR, and
     # their sigma_r GEMMs would each use every core.
     with one_blas_thread():
-        _run_pool(fn, order, costs, budget, width)
+        _run_pool(fn, order, costs, _pool_budget(costs, width), width)
 
 
 def _cpu_count() -> int:
@@ -448,8 +429,8 @@ def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
     :class:`~ghnpost.checkpoint_io.TensorRows` (twice with noise: for
     sigma_r, then for the noise), and put a row block of float32 at a
     time by :func:`_orth_layer`, so no float32 copy of it is held.  Any
-    other tensor streams through one reused float32 buffer of a row
-    block, each block read, checked finite and put (:func:`_put_rows`).
+    other tensor streams through the same reader's one reused float32
+    buffer of a row block, each block read, checked finite and put.
     With the orth step on, the tensors run on :func:`_run_layers`' pool,
     each eligible one in its float64 layer buffer.  ``--skip-orth`` runs
     them one at a time in header order, on BLAS's default thread count
@@ -469,9 +450,9 @@ def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
                 _orth_layer(meta.name, TensorRows(reader, i), cfg,
                             lambda r0, block: put(i, block, r0), work)
                 return
-            buf = np.empty(_block_values(meta.shape), "<f4")
-            _put_rows(meta.shape, lambda r0, r1: reader.read_rows(i, r0, r1, buf),
-                      lambda r0, block: put(i, block, r0))
+            for r0, block in row_blocks(TensorRows(reader, i)):
+                check_finite(block, block)
+                put(i, block, r0)
 
     if not cfg.skip_orth:
         _run_layers(metas, eligible, one)
@@ -552,10 +533,11 @@ def init_tensors(metas: Sequence[TensorMeta], store: Callable[..., None],
                 _init_layer(meta.shape, method, gain, RngStream(seed, meta.name),
                             lambda r0, block: store(i, block, r0))
                 return
-            row = math.prod(meta.shape[1:])
+            k, row = meta.shape[0], math.prod(meta.shape[1:])
+            step = row_step(k, row)
             fill = np.ones if meta.kind == "norm" else np.zeros  # bias, other: zeros
-            values = fill(_block_values(meta.shape), np.float32)
-            _put_rows(meta.shape, lambda r0, r1: values[: (r1 - r0) * row],
-                      lambda r0, block: store(i, block, r0))
+            block = fill((step, row), np.float32)
+            for r0 in range(0, k, step):
+                store(i, block[: k - r0], r0)
 
     _run_layers(metas, [e and method == "orth" for e in eligible], one)

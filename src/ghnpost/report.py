@@ -289,6 +289,7 @@ def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[Compar
     for i, meta in layers:
         release_tail(work, math.prod(meta.shape))
         with naming(meta.name):
+            geometry(meta.shape)  # a rank it cannot take is the tensor's, not one file's
             pair = TensorRows(a, i), TensorRows(b, b_index[meta.name])
         rows.append(_compare_layer(meta.name, *pair, work))
     return rows

@@ -7,8 +7,9 @@ as many rows as columns, which is what the QR step downstream requires.
 :func:`geometry` is the one place that reads K, CHW and that choice off a
 shape, and that rejects any other rank.  :func:`check_finite` is the one
 place that finds NaN or Inf in layer data, and blames the input or the
-arithmetic for it.  :func:`row_blocks` walks a K x CHW matrix in blocks
-of whole rows, from an array or from a checkpoint file.
+arithmetic for it.  :func:`row_blocks` walks a tensor of any rank in
+blocks of whole rows (a K x CHW matrix's, for a layer), from an array or
+from a checkpoint file.
 :func:`layer_buffer` gives a layer's float64 copy a memory mapping of its
 own, and :func:`largest_layer_buffer` one for every layer of a run, whose
 pages past the layer in flight :func:`release_tail` gives back.
@@ -59,28 +60,28 @@ def geometry(shape: tuple[int, ...]) -> tuple[int, int, bool]:
 _ROW_VALUES = 1 << 16
 
 
-def row_step(k: int, chw: int) -> int:
-    """Rows per :func:`row_blocks` block of a K x CHW matrix: about 64K
-    values, at least one row and at most K."""
-    return min(max(1, _ROW_VALUES // chw), k)
+def row_step(k: int, row: int) -> int:
+    """Rows per :func:`row_blocks` block of k rows of ``row`` values (a
+    K x CHW matrix: row = CHW): about 64K values, at least one row and at
+    most k."""
+    return min(max(1, _ROW_VALUES // row), k)
 
 
 def row_blocks(w) -> Iterator[tuple[int, np.ndarray]]:
-    """(r0, rows r0 .. r0 + :func:`row_step` of w's K x CHW matrix) for
-    each block, in order.  ``w`` is a rank-2/4 array, whose blocks are
-    views, or a row source: anything with ``shape`` and ``read(r0, r1)``,
-    such as :class:`~ghnpost.checkpoint_io.TensorRows`, whose blocks are
-    valid until the next read."""
-    k, chw, _ = geometry(w.shape)
-    step = row_step(k, chw)
-    if isinstance(w, np.ndarray):
-        mat = w.reshape(k, chw)
-        for r0 in range(0, k, step):
-            yield r0, mat[r0 : r0 + step]
-    else:
-        for r0 in range(0, k, step):
-            r1 = min(r0 + step, k)
-            yield r0, w.read(r0, r1).reshape(r1 - r0, chw)
+    """(r0, rows r0 .. r0 + :func:`row_step` of w) for each block of w's
+    rows, in order, each block shaped (rows, values per row).  The rows
+    are w's first-axis slices, of any rank: for a rank-2/4 tensor, the
+    rows of its K x CHW matrix.  ``w`` is an array, whose blocks are
+    views where its layout allows, or a row source: anything with
+    ``shape`` and ``read(r0, r1)``, such as
+    :class:`~ghnpost.checkpoint_io.TensorRows`, whose blocks are valid
+    until the next read."""
+    k, row = w.shape[0], math.prod(w.shape[1:])
+    step = row_step(k, row)
+    for r0 in range(0, k, step):
+        r1 = min(r0 + step, k)
+        rows = w[r0:r1] if isinstance(w, np.ndarray) else w.read(r0, r1)
+        yield r0, rows.reshape(r1 - r0, row)
 
 
 # A private mapping where mmap can ask for one: the default, a shared one,

@@ -42,6 +42,10 @@ def test_removed_names_are_absent():
     assert not hasattr(ghnpost, "Histogram") and not hasattr(stats, "Histogram")
     assert "skip_noise" not in {f.name for f in dataclasses.fields(PostprocessConfig)}
     assert "overwrite_a" not in inspect.signature(qr_decompose).parameters
+    # One row walker streams every tensor, and a streamed tensor costs the
+    # pool nothing.
+    for name in ("_put_rows", "_block_values", "_STREAM_BYTES"):
+        assert not hasattr(postprocess, name)
     # FORMAT_VERSION is the one version a checkpoint can have.
     assert not hasattr(Checkpoint(), "version")
     assert not hasattr(reader_of(Checkpoint()), "version")

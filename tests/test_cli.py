@@ -991,6 +991,20 @@ def test_unloadable_tensor_is_one_line_numerical_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", sorted(_ARGV))
+def test_unsupported_rank_is_one_line_numerical_error(command, tmp_path, capsys):
+    # The rank is checked before a layer is read, so every command names
+    # the tensor alone: compare names no checkpoint.
+    path = tmp_path / "odd.ckpt"
+    path.write_bytes(write_checkpoint(make_checkpoint(
+        [("odd.conv", (8, 4, 3), "conv", 0, ghn_like_tensor((8, 4, 3)))])))
+    out = tmp_path / "out"
+    assert run(_ARGV[command](str(path)) + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("ghnpost: numerical error: tensor 'odd.conv': "
+                                       "expected rank 2 or 4 tensor, got rank 3\n")
+    assert not out.exists()
+
+
 _ADDRESS_LIMIT = """
 import contextlib, io, json, resource, sys
 from ghnpost.cli import run

@@ -702,6 +702,32 @@ def test_run_pool_admits_nothing_after_an_interrupt():
     assert sorted(finished) == [0, 3]
 
 
+def test_run_pool_joins_a_worker_whose_start_was_interrupted(monkeypatch):
+    # The interrupt comes as the second worker's thread starts, after the
+    # thread is running: the pool must still wait for that worker's item.
+    real_start, started = threading.Thread.start, []
+    lock, running = threading.Lock(), set()
+
+    def start(thread):
+        real_start(thread)
+        started.append(thread)
+        if len(started) == 2:
+            raise KeyboardInterrupt
+
+    def job(i):
+        with lock:
+            running.add(i)
+        time.sleep(0.3)
+        with lock:
+            running.discard(i)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(KeyboardInterrupt):
+        _run_pool(job, range(3), [1] * 3, 3, width=2)
+    assert running == set()
+    assert not any(thread.is_alive() for thread in started)
+
+
 def _resnet_sizes(blocks):
     """Element counts of a bottleneck ResNet's conv/linear layers (He et
     al., 2016: width 64, 1000 classes) with ``blocks`` per stage."""

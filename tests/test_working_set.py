@@ -21,7 +21,8 @@ import pytest
 
 import ghnpost
 from ghnpost import linalg, postprocess
-from ghnpost.checkpoint_io import Checkpoint, TensorMeta, write_checkpoint
+from ghnpost.checkpoint_io import Checkpoint, TensorMeta, read_checkpoint, write_checkpoint
+from ghnpost.cli import run
 from ghnpost.postprocess import PostprocessConfig, ghn_orth_tensor
 from ghnpost.report import analyze_checkpoint, compare_checkpoints
 from ghnpost.stats import _PANEL_ROWS, correlation_stats, sigma_r
@@ -374,14 +375,18 @@ def test_cli_peak_follows_the_memory_model(command, tmp_path):
 
 @pytest.mark.parametrize("skip", [[], ["--skip-orth"]], ids=["repair", "skip_orth"])
 def test_cli_pass_through_tensors_stream(skip, tmp_path):
-    # A 32 MiB `other` tensor passes through a row block at a time, beside
-    # one small layer, so the peak is the layer's: growth measured
-    # 0.04-1.4 MiB.  Loaded whole, the tensor measured 38-40 MiB.
-    other, layer = (4096, 2048), (256, 256)
+    # A 32 MiB rank-3 `other` tensor and an 8 MB bias pass through a row
+    # block at a time, beside one small layer, so the peak is the layer's:
+    # growth measured 0.04-1.4 MiB.  Loaded whole, the `other` tensor
+    # measured 38-40 MiB.  Their bytes come out as they went in.
+    layer = (256, 256)
     argvs = []
-    for name, dims in (("warm", (64, 96)), ("in", other)):
-        tensors = [(TensorMeta("other", dims, "other", 0), ghn_like_tensor(dims)),
-                   (TensorMeta("w", layer, "linear", 0), ghn_like_tensor(layer, seed=1))]
+    for name, other, bias in (("warm", (64, 8, 12), (96,)), ("in", (4096, 32, 64), (2 << 20,))):
+        inputs = {"other": ghn_like_tensor(other),
+                  "b": np.random.default_rng(2).standard_normal(bias, np.float32)}
+        tensors = [(TensorMeta("other", other, "other", 0), inputs["other"]),
+                   (TensorMeta("w", layer, "linear", 0), ghn_like_tensor(layer, seed=1)),
+                   (TensorMeta("b", bias, "bias", 0), inputs["b"])]
         path = tmp_path / f"{name}.ckpt"
         path.write_bytes(write_checkpoint(Checkpoint(tensors=tensors)))
         argvs.append(["postprocess", str(path), "--start-layer", "0",
@@ -389,3 +394,23 @@ def test_cli_pass_through_tensors_stream(skip, tmp_path):
     growth = _rss_growth(_MIB, argvs) * (1 << 20)
     command = "skip_orth" if skip else "repair"
     assert growth <= _model(command, [layer]) + _SLACK, growth / 2**20
+    out = read_checkpoint((tmp_path / "in.out.ckpt").read_bytes())
+    for name, arr in inputs.items():
+        assert out.get(name)[1].tobytes() == arr.tobytes()
+
+
+def test_cli_init_writes_ones_and_zeros_of_any_rank(tmp_path):
+    # norm tensors are ones, bias and other tensors zeros, whatever their
+    # rank, over several row blocks, the last one partial.
+    shapes = {"n": ((100, 40, 30), "norm"), "o": ((7, 300, 400), "other"),
+              "b": ((100_000,), "bias"), "w": ((16, 8), "linear")}
+    spec = tmp_path / "arch.json"
+    spec.write_text(json.dumps([{"name": name, "shape": list(shape), "kind": kind, "depth": 0}
+                                for name, (shape, kind) in shapes.items()]))
+    out = tmp_path / "init.ckpt"
+    assert run(["init", str(spec), "--method", "rand", "--out", str(out)]) == 0
+    c = read_checkpoint(out.read_bytes())
+    for name, (shape, kind) in shapes.items():
+        if kind != "linear":
+            fill = np.ones if kind == "norm" else np.zeros
+            assert c.get(name)[1].tobytes() == fill(shape, np.float32).tobytes()

@@ -13,8 +13,10 @@ File layout (all integers little-endian)::
 The JSON header is ``{"tensors": [...]}`` where each entry carries
 ``name``, ``shape``, ``kind``, ``depth`` plus the derived layout fields
 ``offset`` (bytes into the data section) and ``length`` (element count).
-Serialization is canonical: sorted keys, no whitespace, contiguous
-offsets.  Writing the same checkpoint twice yields identical bytes, and
+Both follow from the shapes (:func:`_layout`): the reader accepts only
+the contiguous values the writer gives, and ignores any bytes after the
+last tensor.  Serialization is canonical: sorted keys, no whitespace.
+Writing the same checkpoint twice yields identical bytes, and
 ``read_checkpoint(write_checkpoint(c)) == c`` bit-exactly.
 
 This module is the one place that reads or writes checkpoint bytes.  A
@@ -36,6 +38,7 @@ import struct
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import BinaryIO
 
 import numpy as np
@@ -179,23 +182,27 @@ def validate_checkpoint(c: Checkpoint) -> None:
         _check_array(meta, arr)
 
 
+def _layout(metas: Sequence[TensorMeta]) -> list[int]:
+    """Each tensor's offset into the data section, then the section's size:
+    4 bytes a value, contiguous, in header order.  The one place that says
+    where a tensor's bytes lie, for the writer and the reader alike."""
+    return list(accumulate((math.prod(meta.shape) * _F32_BYTES for meta in metas), initial=0))
+
+
 def encode_header(metas: Sequence[TensorMeta]) -> tuple[bytes, list[int]]:
     """The canonical header of ``metas`` as bytes (prefix, JSON, padding) and
     the file offset of each tensor's data, then the file size; bad metas
     raise ValueError."""
     _check_metas(metas, ValueError)
-    entries = []
-    offset = 0
-    for meta in metas:
-        length = math.prod(meta.shape)
-        entries.append({"name": meta.name, "shape": list(meta.shape), "kind": meta.kind,
-                        "depth": meta.depth, "offset": offset, "length": length})
-        offset += length * _F32_BYTES
+    offsets = _layout(metas)
+    entries = [{"name": meta.name, "shape": list(meta.shape), "kind": meta.kind,
+                "depth": meta.depth, "offset": offset, "length": math.prod(meta.shape)}
+               for meta, offset in zip(metas, offsets)]
     header = json.dumps({"tensors": entries}, sort_keys=True, separators=(",", ":"))
     header_bytes = header.encode("utf-8")
     head = _HEADER_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_bytes)) + header_bytes
     head += bytes(-len(head) % 8)
-    return head, [len(head) + e["offset"] for e in entries] + [len(head) + offset]
+    return head, [len(head) + offset for offset in offsets]
 
 
 def _tensor_bytes(meta: TensorMeta, arr: np.ndarray, row: int | None = None) -> memoryview:
@@ -242,7 +249,6 @@ def write_checkpoint(c: Checkpoint) -> bytearray:
     :func:`encode_header`'s header, then each tensor's
     :func:`_tensor_bytes` at its offset.  A checkpoint that
     :func:`validate_checkpoint` rejects raises its ValueError."""
-    validate_checkpoint(c)
     head, offsets = encode_header(c.metas)
     buf = bytearray(offsets[-1])
     buf[: len(head)] = head
@@ -314,47 +320,29 @@ def _read_header(handle: BinaryIO) -> tuple[list[TensorMeta], list[int]]:
              for i, entry in enumerate(raw_entries)]
     _check_metas(metas, CorruptHeader)
 
-    ranges = []  # each tensor's [offset, end) in the data section
+    offsets = _layout(metas)
     for i, (meta, entry) in enumerate(zip(metas, raw_entries)):
-        offset, length = entry["offset"], entry["length"]
-        if not (_is_int(offset) and _is_int(length)):
-            raise CorruptHeader(
-                f"tensors[{i}]: offset and length must be integers, got {offset!r}, {length!r}"
-            )
-        if math.prod(meta.shape) != length:
-            raise CorruptHeader(
-                f"tensors[{i}].length: {length} != product(shape) {math.prod(meta.shape)}"
-            )
-        if offset < 0:
-            raise CorruptHeader(f"tensors[{i}].offset: negative")
-        end = offset + length * _F32_BYTES
-        if end > data_size:
+        for key, want in (("offset", offsets[i]), ("length", math.prod(meta.shape))):
+            if not _is_int(entry[key]) or entry[key] != want:
+                raise CorruptHeader(f"tensors[{i}].{key}: expected {want}, got {entry[key]!r}")
+        if offsets[i + 1] > data_size:
             raise TruncatedData(
                 f"tensor {meta.name!r}: data section holds {data_size} bytes, "
-                f"entry needs bytes [{offset}, {end})"
+                f"entry needs bytes [{offsets[i]}, {offsets[i + 1]})"
             )
-        ranges.append((offset, end))
-    # Gaps and any order are legal, shared bytes are not: sorted by offset,
-    # each range must start at or after the end of the one before.
-    order = sorted(range(len(ranges)), key=ranges.__getitem__)
-    for i, j in zip(order, order[1:]):
-        if ranges[j][0] < ranges[i][1]:
-            raise CorruptHeader(
-                f"tensors[{j}]: {metas[j].name!r} bytes [{ranges[j][0]}, {ranges[j][1]}) "
-                f"overlap {metas[i].name!r} bytes [{ranges[i][0]}, {ranges[i][1]})"
-            )
-    return metas, [data_start + offset for offset, _ in ranges]
+    return metas, [data_start + offset for offset in offsets[:-1]]
 
 
 class CheckpointReader:
     """A checkpoint file whose tensors are read one at a time.
 
-    The constructor reads and checks the whole header and every tensor's
-    byte range against the file size, so a malformed or truncated file
-    fails before any tensor is read.  Tensors (:meth:`load`), or blocks of
-    their rows (:meth:`read_rows`), are then read by offset, in any order
-    and from any thread: each read is one ``seek`` + ``readinto`` loop
-    under a lock.  The handle must stay open while tensors are read; an
+    The constructor reads and checks the whole header, each tensor's
+    ``offset`` and ``length`` against :func:`_layout`'s, and the data
+    section's size against each tensor's end, so a malformed or truncated
+    file fails before any tensor is read.  Tensors (:meth:`load`), or
+    blocks of their rows (:meth:`read_rows`), are then read by offset, in
+    any order and from any thread: each read is one ``seek`` +
+    ``readinto`` loop under a lock.  The handle must stay open while tensors are read; an
     unbuffered one (``buffering=0``) sees a file that shrinks after the
     header check, where a buffered one may serve the old bytes.
     """

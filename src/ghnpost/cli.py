@@ -16,7 +16,6 @@ import os
 import re
 import signal
 import sys
-import tempfile
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
@@ -154,23 +153,25 @@ def _write_atomic(path: Path) -> Iterator[BinaryIO]:
     failing run leaves no output behind.
     """
     directory = path.parent if str(path.parent) else Path(".")
-    created = _missing_dirs(directory)
+    # The directories to make, outermost first, then the temporary file.
+    created = [d for d in (*reversed(directory.parents), directory) if not d.exists()]
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
-        created.append(Path(tmp))
-        with os.fdopen(fd, "wb") as handle:
+        tmp = directory / f".{path.name}.{os.urandom(4).hex()}.tmp"
+        # Listed before it exists, so that an interrupt at any point removes
+        # it; created with the mode a new file gets under the umask.
+        created.append(tmp)
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            created.pop()  # another run's file, not this one's to remove
+            raise
+        with open(fd, "wb") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
         _remove(created)
         raise
-
-
-def _missing_dirs(directory: Path) -> list[Path]:
-    """``directory`` and those of its parents that do not exist, outermost
-    first."""
-    return [d for d in (*reversed(directory.parents), directory) if not d.exists()]
 
 
 def _remove(created: list[Path]) -> None:

@@ -3,9 +3,11 @@ import json
 import math
 import os
 import random
+import re
 import struct
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ghnpost.checkpoint_io import (
     Checkpoint,
     CheckpointReader,
     TensorMeta,
+    encode_header,
     parse_tensor_specs,
     positional_writer,
     read_checkpoint,
@@ -186,13 +189,15 @@ def test_name_rule_holds_in_reader_writer_and_archspec(name):
         parse_tensor_specs(text)
 
 
-@pytest.mark.parametrize("field", ["offset", "length"])
+@pytest.mark.parametrize("field, want", [("offset", 8), ("length", 2)])
 @pytest.mark.parametrize("value", [2.0, "2", True, None, [2]])
-def test_non_integer_offset_or_length_is_corrupt_header(field, value):
+def test_non_integer_offset_or_length_is_corrupt_header(field, want, value):
     entry = {"name": "w", "shape": [2], "kind": "linear", "depth": 0,
              "offset": 0, "length": 2}
-    blob = _blob_with_header({"tensors": [entry, {**entry, "name": "v", field: value}]})
-    with pytest.raises(CorruptHeader, match=r"^tensors\[1\]: offset and length must be"):
+    blob = _blob_with_header({"tensors": [entry, {**entry, "name": "v", "offset": 8,
+                                                  field: value}]})
+    with pytest.raises(CorruptHeader, match=(
+            rf"^tensors\[1\]\.{field}: expected {want}, got {re.escape(repr(value))}$")):
         read_checkpoint(blob + b"\x00" * 16)
 
 
@@ -213,47 +218,48 @@ def test_truncated_data():
         read_checkpoint(blob)
 
 
-def test_non_canonical_offsets_still_read():
-    # a gap before the tensor data is legal on read, just never written
-    entry = {"name": "w", "shape": [2], "kind": "linear", "depth": 0,
-             "offset": 8, "length": 2}
-    blob = _blob_with_header({"tensors": [entry]})
-    blob += b"\xff" * 8 + struct.pack("<2f", 5.0, 6.0)
-    c = read_checkpoint(blob)
-    np.testing.assert_array_equal(c.tensors[0][1], np.array([5, 6], dtype=np.float32))
-
-
-def test_out_of_order_offsets_read_the_same():
-    # "a" is stored after "b" in the data section; both lookups follow the
-    # header's offsets, whatever order the tensors are asked for in.
-    entries = [
-        {"name": "a", "shape": [2], "kind": "linear", "depth": 0, "offset": 8, "length": 2},
-        {"name": "b", "shape": [2], "kind": "linear", "depth": 0, "offset": 0, "length": 2},
-    ]
-    blob = _blob_with_header({"tensors": entries}) + struct.pack("<4f", 3.0, 4.0, 1.0, 2.0)
-    c = read_checkpoint(blob)
-    assert c.names() == ["a", "b"]
-    np.testing.assert_array_equal(c.get("a")[1], np.array([1, 2], dtype=np.float32))
-    np.testing.assert_array_equal(c.get("b")[1], np.array([3, 4], dtype=np.float32))
-    reader = CheckpointReader(io.BytesIO(blob))
-    assert reader.load(1).tobytes() == c.get("b")[1].tobytes()
-    assert reader.load(0).tobytes() == c.get("a")[1].tobytes()
-
-
-@pytest.mark.parametrize("offsets", [(0, 4), (4, 0), (0, 0), (8, 4)],
-                         ids=["second_half", "first_half", "same_start", "out_of_order"])
-def test_overlapping_byte_ranges_are_corrupt(offsets):
-    # Two values each: [0, 8) and [4, 12) share bytes 4..7, so one tensor
-    # would alias the other's values, whatever order the header lists them.
+def _two_tensor_blob(offsets) -> bytes:
+    """"a" and "b", two values each, at ``offsets`` in a 16-byte data
+    section; the layout the writer gives is (0, 8)."""
     entries = [{"name": name, "shape": [2], "kind": "linear", "depth": 0, "offset": offset,
                 "length": 2} for name, offset in zip("ab", offsets)]
-    blob = _blob_with_header({"tensors": entries}) + bytes(16)
-    first, second = sorted(range(2), key=lambda i: (offsets[i], i))
-    names = "ab"
+    return _blob_with_header({"tensors": entries}) + struct.pack("<4f", 1.0, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("offsets", [(8, 0), (0, 4), (4, 0), (0, 0), (8, 4), (0, 12), (4, 12),
+                                     (-8, 8)],
+                         ids=["swapped", "second_half", "first_half", "same_start",
+                              "out_of_order", "gap", "gap_first", "negative"])
+def test_each_offset_is_the_contiguous_one(offsets):
+    # Gaps, any other order and shared bytes all break the one rule: tensor
+    # i starts where tensor i - 1 ends, the first at 0.
+    i = 0 if offsets[0] != 0 else 1
     with pytest.raises(CorruptHeader, match=(
-            rf"^tensors\[{second}\]: '{names[second]}' bytes \[{offsets[second]}, "
-            rf"{offsets[second] + 8}\) overlap '{names[first]}' bytes")):
-        read_checkpoint(blob)
+            rf"^tensors\[{i}\]\.offset: expected {(0, 8)[i]}, got {offsets[i]}$")):
+        read_checkpoint(_two_tensor_blob(offsets))
+
+
+def test_bytes_after_the_last_tensor_are_ignored(small_checkpoint):
+    blob = bytes(write_checkpoint(small_checkpoint))
+    assert read_checkpoint(blob + b"\xff" * 13) == small_checkpoint
+    c = read_checkpoint(_two_tensor_blob((0, 8)) + bytes(8))
+    np.testing.assert_array_equal(c.get("b")[1], np.array([3, 4], dtype=np.float32))
+
+
+@pytest.mark.parametrize("size", ["full", "toy"])
+@pytest.mark.parametrize("table", ["resnet", "vit"])
+def test_benchmark_inputs_have_the_writers_header(table, size, monkeypatch):
+    # The benchmark writes its inputs with a writer of its own; the header
+    # it writes is the one encode_header gives, so the reader takes it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "e2ebench"))
+    from run import TABLES
+    from workloads import resnet50_table, vit_table, write_ckpt
+
+    specs = {"resnet": resnet50_table, "vit": vit_table}[table](**TABLES[size][table])
+    handle = io.BytesIO()
+    write_ckpt(handle, specs, [np.zeros(0, np.float32)] * len(specs))
+    head, _ = encode_header([TensorMeta(s.name, s.shape, s.kind, s.depth) for s in specs])
+    assert handle.getvalue() == head
 
 
 def test_short_readinto_is_truncated_data(small_checkpoint, tmp_path):

@@ -1133,6 +1133,69 @@ def test_signal_ends_the_run_with_one_line_and_no_output(command, signum, tmp_pa
     assert not out_dir.exists()
 
 
+_OUTPUTS = {
+    "init": lambda paths, out: ["init", paths["arch"], "--method", "orth", "--out", out / "o"],
+    "postprocess": lambda paths, out: ["postprocess", paths["ckpt"], "--start-layer", "0",
+                                       "--out", out / "o"],
+    "analyze": lambda paths, out: ["analyze", paths["ckpt"], "--svg-dir", out / "svgs",
+                                   "--out", out / "o"],
+    "compare": lambda paths, out: ["compare", paths["ckpt"], paths["ckpt"], "--out", out / "o"],
+    "pca": lambda paths, out: ["pca", paths["emb"], "--out", out / "o"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUTS))
+def test_outputs_get_the_mode_of_a_new_file_under_the_umask(command, ckpt_path, tmp_path):
+    emb = tmp_path / "emb.csv"
+    emb.write_text("id,v0,v1,v2\n" + "".join(f"a{i},{i},{i * i % 7},{i % 3}\n" for i in range(8)))
+    paths = {"ckpt": ckpt_path, "arch": _archspec(tmp_path), "emb": emb}
+    out = tmp_path / "out"
+    previous = os.umask(0o027)
+    try:
+        assert run([str(a) for a in _OUTPUTS[command](paths, out)]) == 0
+    finally:
+        os.umask(previous)
+    files = [p for p in out.rglob("*") if p.is_file()]
+    assert len(files) == (1 + 3 * (command == "analyze"))
+    assert {oct(p.stat().st_mode & 0o777) for p in files} == {oct(0o666 & ~0o027)}
+
+
+def test_interrupt_as_the_temporary_file_is_made_leaves_nothing(tmp_path, monkeypatch, capsys):
+    # The interrupt lands once the temporary file exists, before the call
+    # that makes it returns: the file and the directories made for it go.
+    arch = _archspec(tmp_path)
+    real_open, opened = os.open, []
+
+    def interrupted(path, *args, **kwargs):
+        opened.append(real_open(path, *args, **kwargs))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "open", interrupted)
+    try:
+        code = run(["init", str(arch), "--method", "rand",
+                    "--out", str(tmp_path / "out" / "sub" / "o.ckpt")])
+    finally:
+        monkeypatch.undo()
+        for fd in opened:
+            os.close(fd)
+    assert (code, capsys.readouterr().err) == (130, "ghnpost: interrupted\n")
+    assert len(opened) == 1
+    assert sorted(os.listdir(tmp_path)) == ["arch.json"]
+
+
+def test_a_temporary_name_in_use_is_left_alone(tmp_path, monkeypatch, capsys):
+    # Another run's temporary file under the drawn name is neither opened
+    # nor removed: this run fails with one line and leaves it as it was.
+    arch = _archspec(tmp_path)
+    other = tmp_path / ".o.ckpt.00000000.tmp"
+    other.write_bytes(b"another run's")
+    monkeypatch.setattr(os, "urandom", bytes)
+    assert run(["init", str(arch), "--method", "rand", "--out", str(tmp_path / "o.ckpt")]) == 2
+    assert capsys.readouterr().err.startswith("ghnpost: i/o error: [Errno 17] File exists")
+    assert sorted(os.listdir(tmp_path)) == [other.name, "arch.json"]
+    assert other.read_bytes() == b"another run's"
+
+
 def test_cli_import_loads_no_xml_or_network_modules():
     # numpy imports pathlib, which on some Python versions imports
     # urllib.parse; nothing beyond what numpy loads may come in.
@@ -1577,25 +1640,32 @@ def _padding_cut_blob() -> bytes:
     return _blob_with_raw_header(header, b"")[: 16 + len(header) + 2]
 
 
-def _offset_header(offset: int) -> bytes:
-    """_HEADER with l0.norm (tensors[1]) at ``offset`` in the data section."""
+def _layout_blob(*changes) -> bytes:
+    """The small valid checkpoint with tensors[i][key] set to value for
+    each (i, key, value) of ``changes``."""
     doc = json.loads(json.dumps(_HEADER))
-    doc["tensors"][1]["offset"] = offset
-    return json.dumps(doc).encode()
+    for i, key, value in changes:
+        doc["tensors"][i][key] = value
+    return _blob_with_raw_header(json.dumps(doc).encode(), _DATA)
 
 
+# l0.conv (tensors[0]) holds bytes [0, 128), l0.norm [128, 144) and l1.fc
+# [144, 216): each tensor's offset and length are those, and no other.
 _LAYOUTS = {
     "prefix_cut": (_blob_with_raw_header(b"{}", b"")[:12],
                    "header_length: file shorter than the fixed header"),
     "tensors_object": (_blob_with_raw_header(b'{"tensors": {}}', _DATA),
                        "tensors: expected a list"),
     "padding_cut": (_padding_cut_blob(), "data: file ends inside the alignment padding"),
-    "negative_offset": (_blob_with_raw_header(_offset_header(-4), _DATA),
-                        "tensors[1].offset: negative"),
-    # l0.conv holds bytes [0, 128): l0.norm would read its second half.
-    "overlapping_offsets": (_blob_with_raw_header(_offset_header(64), _DATA),
-                            "tensors[1]: 'l0.norm' bytes [64, 80) overlap 'l0.conv' "
-                            "bytes [0, 128)"),
+    "negative_offset": (_layout_blob((1, "offset", -4)),
+                        "tensors[1].offset: expected 128, got -4"),
+    "overlapping_offsets": (_layout_blob((1, "offset", 64)),
+                            "tensors[1].offset: expected 128, got 64"),
+    "gap": (_layout_blob((1, "offset", 132)), "tensors[1].offset: expected 128, got 132"),
+    "swapped_offsets": (_layout_blob((0, "offset", 16), (1, "offset", 0)),
+                        "tensors[0].offset: expected 0, got 16"),
+    "float_length": (_layout_blob((2, "length", 18.0)),
+                     "tensors[2].length: expected 18, got 18.0"),
 }
 
 

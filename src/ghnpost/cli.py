@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO
 
-from .checkpoint_io import CheckpointReader, parse_tensor_specs, positional_writer
+from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, parse_tensor_specs, positional_writer
 from .errors import DataFormatError, NumericalError
 from .postprocess import (
     DEFAULT_BETA,
@@ -226,6 +226,13 @@ def _cmd_postprocess(args) -> int:
     )
     with open(args.checkpoint, "rb", buffering=0) as src:
         reader = CheckpointReader(src)
+        # A run that would select no layer would write its input back.
+        depths = [meta.depth for meta in reader.metas if meta.kind in ELIGIBLE_KINDS]
+        if max(depths, default=-1) < cfg.start_layer:
+            raise DataFormatError(
+                f"--start-layer {cfg.start_layer} selects no layer: "
+                + (f"the deepest conv/linear tensor is at depth {max(depths)}" if depths
+                   else "the file holds no conv/linear tensor"))
         # The output is renamed into place after the last tensor is read,
         # so --out may name the input file.
         with _write_atomic(args.out) as dst:

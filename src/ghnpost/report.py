@@ -73,7 +73,13 @@ def analyze_checkpoint(c: CheckpointReader, bins: int) -> list[LayerRecord]:
     back before each layer (:func:`~ghnpost.tensor_ops.release_tail`).
     So the run holds the float64 copy of the layer in flight, never a
     larger layer's pages beside that layer's fold panels, and no whole
-    float32 array.  A tensor holding NaN or Inf raises NonFiniteTensor
+    float32 array.  A collapsed layer, whose every correlation the spread
+    certificate of :func:`~ghnpost.stats.correlation_stats` places in the
+    top bin, has its histogram without counting; a tall one (K > CHW) is
+    not folded at all (but for the rare exception given there), and gets
+    ``compare``'s sigma_r, bit for bit, holding one ``128 x CHW`` panel in
+    place of two ``128 x K`` ones.
+    A tensor holding NaN or Inf raises NonFiniteTensor
     naming it; one whose working memory cannot be allocated raises
     OutOfMemory naming it (the largest, for that buffer).
     """
@@ -265,7 +271,9 @@ def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[Compar
     OutOfMemory naming the largest layer.  sigma_r comes from
     :func:`~ghnpost.stats.sigma_r`: the
     value ``analyze`` prints where K <= CHW, bit for bit, and the CHW x CHW
-    Gram's on tall layers (K > CHW), within about 1e-10 relative of it.
+    Gram's on tall layers (K > CHW), which ``analyze`` prints too where it
+    certifies the layer collapsed, and is otherwise within about 1e-10
+    relative of the value it prints.
     """
     a_shapes = {meta.name: meta.shape for meta in a.metas}
     b_shapes = {meta.name: meta.shape for meta in b.metas}

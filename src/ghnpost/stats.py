@@ -15,9 +15,14 @@ formulae and a pairwise algorithm for computing sample variances" (1979),
 in coordinates shifted by the first panel's mean.  Near-duplicate layers
 have every r within 1e-7 of 1, and unshifted sums would lose the digits
 of their spread.  The histogram counts are ``np.histogram``'s over
-[-1, 1].  A tall layer's (K > CHW) sigma_r alone comes from the smaller
-CHW x CHW Gram, within about 1e-10 relative of the fold; ``analyze``
-prints the fold's value.  The whole correlation matrix is here too, as a
+[-1, 1].  A tall layer's (K > CHW) sigma_r comes from the smaller
+CHW x CHW Gram instead, within about 1e-10 relative of the fold: always
+in :func:`sigma_r` (``compare`` and the repair), and in
+:func:`correlation_stats` (``analyze``) where a spread certificate shows
+that every r lies in the top histogram bin and above 0, as on the
+collapsed layers the paper diagnoses.  Such a layer's histogram and
+mean |r| then need no fold either, and a wide layer so certified skips
+only the bin counter.  The whole correlation matrix is here too, as a
 library and test oracle.
 """
 
@@ -41,6 +46,21 @@ _PANEL_ROWS = 128
 # yield a constant distribution with std exactly 0, which the no-noise
 # degenerate contract relies on.
 _SNAP = 64.0 * np.finfo(np.float64).eps
+
+# The spread certificate passes a layer only where its bound on r clears
+# the top bin's lower edge, and 0, by this much plus 8 CHW eps.  The
+# rounding of a correlation, and of the bound, is at most a few times
+# CHW eps / 2, the error bound of a CHW-term dot product (Higham,
+# "Accuracy and Stability of Numerical Algorithms", 3.1); the fixed part
+# leaves room for the few ulp of the norms and the edges.
+_MARGIN = 1e-9
+
+# The tall route and the fold round differently: a correlation of the
+# fold carries its two channels' norm rounding, which moves sigma_r by up
+# to about 2^-53 / (sigma_r sqrt(K)) relative (measured at half that or
+# less).  A certified tall layer keeps the tall route only where that
+# estimate is at most this, so that its sigma_r stays the fold's to 1e-10.
+_ROUTES_AGREE = 1e-10
 
 # Values per step of the histogram's bin counter: its three value buffers
 # are 128 KiB each, and stay in L2 across a step's passes.
@@ -238,17 +258,65 @@ def correlation_stats(w, bins: int | None = None, work: np.ndarray | None = None
 
     Each Gram panel is normalized as in :func:`channel_correlation`,
     its strict upper triangle packed and folded in, and the panel reused.
-    Needs at least two channels.
+    Where :func:`_certified_mean` shows that every r lies in the top bin
+    and above 0, the histogram is all K(K-1)/2 in the last bin and no
+    value is counted.  A wide or square layer (K <= CHW) then still folds
+    its panels for sigma_r and mean |r|, which keep their bits.  A tall
+    one (K > CHW) folds none: it takes sigma_r from :func:`_tall_sigma`,
+    as :func:`sigma_r` does, holding one ``_PANEL_ROWS x CHW`` panel, and
+    mean |r| from the mean channel.  Only where its spread is too near
+    float64's resolution for the two routes to agree to 1e-10 (see
+    _ROUTES_AGREE) are its channels read again and folded, as a wide
+    layer's.  Needs at least two channels.
     """
-    return _fold_panels(*_centered(w, work), bins)
-
-
-def _fold_panels(
-    xc: np.ndarray, safe: np.ndarray, dead: np.ndarray, bins: int | None
-) -> CorrelationStats:
-    """:func:`correlation_stats` of the :func:`_centered` channels."""
-    k = xc.shape[0]
+    xc, safe, dead = _centered(w, work)
+    k, chw = xc.shape
     fold = _Fold(k, bins)
+    mean = _certified_mean(xc, safe, -1.0 if bins is None else fold.edges[-2])
+    if mean is None:
+        return _fold_panels(xc, safe, dead, fold)
+    if bins is not None:
+        fold.counts[-1] = k * (k - 1) // 2
+    if k > chw:
+        sigma = _tall_sigma(xc, safe)
+        if sigma * math.sqrt(k) * _ROUTES_AGREE >= 2.0**-53:
+            return CorrelationStats(sigma, mean, fold.counts)
+        del xc  # overwritten by _tall_sigma: the channels are read again
+        xc, safe, dead = _centered(w, work)
+    folded = _fold_panels(xc, safe, dead, _Fold(k, None))
+    return CorrelationStats(folded.sigma_r, folded.mean_abs, fold.counts)
+
+
+def _certified_mean(xc: np.ndarray, safe: np.ndarray, edge: float) -> float | None:
+    """The mean r of the :func:`_centered` channels ``xc`` where every r
+    provably lies at or above ``edge`` and above 0, else None.
+
+    With unit channels y_i = xc_i / s_i and any vector m, the triangle
+    inequality gives |y_i - y_j| <= 2 rho for rho^2 = max_i |y_i - m|^2 =
+    max_i (1 - 2 y_i . m + |m|^2), so r_ij = 1 - |y_i - y_j|^2 / 2 >=
+    lo = 1 - 2 rho^2.  With m the mean channel that takes two GEMVs, and
+    lo must clear ``edge`` and 0 by _MARGIN plus 8 CHW eps.  A dead
+    channel (y_i = 0) gives rho^2 >= 1, so it never passes.  The mean r
+    over the pairs is (K |m|^2 - 1) / (K - 1), as |sum_i y_i|^2 =
+    K^2 |m|^2 = K + 2 sum_{i<j} r_ij; with every r above 0 it is the
+    mean |r|.
+    """
+    k, chw = xc.shape
+    inv = 1.0 / safe
+    m = (xc.T @ inv) / k
+    mm = float(m @ m)
+    dots = (xc @ m) * inv
+    lo = 1.0 - 2.0 * (1.0 - 2.0 * float(dots.min()) + mm)
+    if lo - max(edge, 0.0) <= _MARGIN + 8.0 * chw * np.finfo(np.float64).eps:
+        return None
+    return (k * mm - 1.0) / (k - 1)
+
+
+def _fold_panels(xc: np.ndarray, safe: np.ndarray, dead: np.ndarray, fold: _Fold
+                 ) -> CorrelationStats:
+    """The statistics of the :func:`_centered` channels, their panels
+    folded into ``fold``."""
+    k = xc.shape[0]
     size = min(_PANEL_ROWS, k) * k
     panel, scratch = np.empty(size), np.empty(size)
     for i0 in range(0, k, _PANEL_ROWS):
@@ -284,7 +352,7 @@ def sigma_r(w, work: np.ndarray | None = None) -> float:
     xc, safe, dead = _centered(w, work)
     k, chw = xc.shape
     if k <= chw:
-        return _fold_panels(xc, safe, dead, None).sigma_r
+        return _fold_panels(xc, safe, dead, _Fold(k, None)).sigma_r
     return _tall_sigma(xc, safe)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ghnpost import linalg
+from ghnpost import linalg, stats
 from ghnpost.checkpoint_io import Checkpoint, CheckpointReader, TensorMeta, write_checkpoint
 
 
@@ -31,6 +31,14 @@ def correlated_tensor(shape, seed=0, scale=0.02):
     phi = np.linspace(0.0, np.pi / 3.0, k)
     mixed = np.cos(phi)[:, np.newaxis] * base + np.sin(phi)[:, np.newaxis] * private
     return (mixed * scale).reshape(shape).astype(np.float32)
+
+
+def fold_sigma_r(w):
+    """sigma_r as the panel fold takes it, on a tall layer too, where
+    ``sigma_r`` and a certified ``correlation_stats`` take the CHW x CHW
+    route."""
+    xc, safe, dead = stats._centered(w)
+    return stats._fold_panels(xc, safe, dead, stats._Fold(len(xc), None)).sigma_r
 
 
 def make_checkpoint(specs):

@@ -736,6 +736,29 @@ def test_data_errors(tmp_path, ckpt_path):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("skip", [[], ["--skip-noise"], ["--skip-orth"]])
+@pytest.mark.parametrize("case", ["past_the_deepest_layer", "no_layer"])
+def test_start_layer_selecting_no_layer_is_one_line_data_error(case, skip, ckpt_path, tmp_path,
+                                                               capsys):
+    # Such a run would write its input back, byte for byte.
+    if case == "no_layer":
+        c = make_checkpoint([("bn", (4,), "norm", 0, np.ones(4, np.float32)),
+                             ("b", (3,), "bias", 5, np.zeros(3, np.float32))])
+        ckpt_path.write_bytes(write_checkpoint(c))
+        start, why = 0, "the file holds no conv/linear tensor"
+    else:
+        start, why = 3, "the deepest conv/linear tensor is at depth 2"
+    out = tmp_path / "sub" / "out.ckpt"
+    argv = ["postprocess", str(ckpt_path), "--start-layer", str(start), *skip, "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"ghnpost: data error: --start-layer {start} selects no layer: {why}\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.ckpt"]
+    if case != "no_layer":
+        argv[3] = "2"  # the deepest layer alone
+        assert run(argv) == 0 and out.read_bytes() != ckpt_path.read_bytes()
+
+
 def test_numerical_error_exit_code(tmp_path):
     c = make_checkpoint([("w", (1, 8), "conv", 0, np.ones((1, 8), np.float32))])
     path = tmp_path / "one_channel.ckpt"
@@ -1724,6 +1747,20 @@ def _declared_elements(raw: bytes) -> int:
     shapes = [e.get("shape") for e in doc if isinstance(e, dict)] if isinstance(doc, list) else []
     return sum(math.prod(abs(d) for d in s) for s in shapes
                if isinstance(s, list) and all(isinstance(d, int) for d in s))
+
+
+@pytest.mark.parametrize("command", ["analyze", "postprocess"])
+def test_every_header_byte_set_to_a_few_values_ends_cleanly(command):
+    """A guard: each byte of the small file's fixed prefix and JSON header
+    set to each of a few values ends in exit 0, with no message, or in
+    exit 2, with one line and no output (as _ends_cleanly checks)."""
+    blob = _blob_with_raw_header(json.dumps(_HEADER).encode(), _DATA)
+    header_end = 16 + struct.unpack_from("<Q", blob, 8)[0]
+    for i in range(header_end):
+        for byte in sorted(set(b'\x00\xff9"[') - {blob[i]}):
+            mutated = blob[:i] + bytes([byte]) + blob[i + 1 :]
+            code, err = _ends_cleanly(command, mutated, whole=True)
+            assert (code, err.count("\n")) in ((0, 0), (2, 1)), (i, byte, err)
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare", "postprocess", "init"])

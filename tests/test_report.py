@@ -24,7 +24,13 @@ from ghnpost.rng import RngStream
 from ghnpost.stats import correlation_stats, sigma_r
 from ghnpost.tensor_ops import geometry
 
-from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint, reader_of
+from conftest import (
+    correlated_tensor,
+    fold_sigma_r,
+    ghn_like_tensor,
+    make_checkpoint,
+    reader_of,
+)
 
 
 def test_analyze_identical_channels():
@@ -263,8 +269,22 @@ def test_compare_sigma_r_of_tall_layers_is_near_the_fold(shape):
     for seed in (1, 2):
         row, a, b = _compare_one_layer(shape, seed)
         for got, w in ((row.sigma_r_a, a), (row.sigma_r_b, b)):
-            want = correlation_stats(w).sigma_r
+            want = fold_sigma_r(w)
             assert abs(got - want) <= 1e-10 * want, (got, want)
+
+
+def test_analyze_prints_compare_sigma_r_on_a_collapsed_tall_layer():
+    # Every r of this layer is certified to lie in the top bin, so analyze
+    # takes its sigma_r from compare's CHW x CHW route, and no fold.
+    w = ghn_like_tensor((300, 3, 3, 3), seed=2)
+    reader = reader_of(make_checkpoint([("w", w.shape, "conv", 0, w)]))
+    records = analyze_checkpoint(reader, bins=50)
+    rows = compare_checkpoints(reader, reader)
+    assert records[0].stats.histogram[-1] == 300 * 299 // 2
+    assert records[0].stats.sigma_r == rows[0].sigma_r_a
+    (analyzed,) = csv.DictReader(io.StringIO(emit_report_csv(records)))
+    (compared,) = csv.DictReader(io.StringIO(emit_compare_csv(rows)))
+    assert analyzed["sigma_r"] == compared["sigma_r_a"]
 
 
 # Read in row blocks of about 64K values (tensor_ops.row_step), the tall,

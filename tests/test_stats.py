@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghnpost import stats
 from ghnpost.checkpoint_io import TensorRows
 from ghnpost.errors import (
     ChannelTooShort,
@@ -24,7 +25,13 @@ from ghnpost.stats import (
     sigma_r,
 )
 
-from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint, reader_of
+from conftest import (
+    correlated_tensor,
+    fold_sigma_r,
+    ghn_like_tensor,
+    make_checkpoint,
+    reader_of,
+)
 
 
 def _corr2(a, b):
@@ -413,8 +420,10 @@ def test_sigma_r_of_tall_layers_matches_extended_precision_oracle(case):
     want = _extended_sigma(w)
     assert want > 0.0
     _assert_rel(sigma_r(w), want)
-    # the fold printed by analyze and compare agrees as closely
-    _assert_rel(correlation_stats(w).sigma_r, want)
+    # the fold agrees as closely, and so does what analyze prints: the
+    # fold's value, or the tall route's where the layer is certified
+    _assert_rel(fold_sigma_r(w), want)
+    _assert_rel(correlation_stats(w, bins=50).sigma_r, want)
 
 
 @pytest.mark.parametrize("shape", [(2, 5), (6, 40), (12, 3, 3, 3), (135, 135), (130, 2, 8, 9)])
@@ -485,3 +494,124 @@ def test_sigma_r_of_a_row_source_is_sigma_r_of_the_array(shape):
     w = correlated_tensor(shape, seed=73)
     reader = reader_of(make_checkpoint([("w", shape, "conv", 0, w)]))
     assert sigma_r(TensorRows(reader, 0)) == sigma_r(w)
+
+
+# --------------------------------------------------------------------------
+# The spread certificate: layers whose every r lies in the top bin
+# --------------------------------------------------------------------------
+
+_SHAPES = {"tall": (160, 24), "wide": (24, 160)}
+
+
+def _bound(w):
+    """The certificate's bound on every r, in numpy: 1 - 2 max_i |y_i - m|^2
+    for the unit channels y_i and their mean m (no channel dead)."""
+    x = w.reshape(len(w), -1).astype(np.float64)
+    xc = x - x.mean(axis=1, keepdims=True)
+    y = xc / np.sqrt(np.sum(xc * xc, axis=1, keepdims=True))
+    d = y - y.mean(axis=0)
+    return 1.0 - 2.0 * np.max(np.sum(d * d, axis=1))
+
+
+def _near_edge(shape, bins):
+    """float64 channels base + t noise, with t bisected until the bound lies
+    just below the top bin's lower edge (or 0, if that is higher): from
+    1 at t = 0 (identical channels) down past it at t = 10."""
+    target = max(np.linspace(-1.0, 1.0, bins + 1)[-2], 0.0)
+    rng = np.random.default_rng(bins)
+    base, noise = rng.normal(size=shape[1]), rng.normal(size=shape)
+    above, below = 0.0, 10.0
+    for _ in range(60):
+        t = 0.5 * (above + below)
+        above, below = (t, below) if _bound(base + t * noise) > target else (above, t)
+    w = base + below * noise
+    assert target - 1e-9 < _bound(w) <= target
+    return w
+
+
+def _certificate_case(case, orientation, bins):
+    shape = _SHAPES[orientation]
+    if case == "near_edge":
+        return _near_edge(shape, bins)
+    if case == "spread":
+        return correlated_tensor(shape, seed=81)
+    if case == "mixed_signs":  # r of both signs (the tall one: a bound above -1)
+        rng = np.random.default_rng(85)
+        return (rng.normal(size=shape[1]) + rng.normal(size=shape)).astype(np.float32)
+    if case == "identical":
+        return np.tile(np.random.default_rng(82).normal(size=shape[1]), (shape[0], 1))
+    if case == "constant":  # every channel constant: all dead, every r 0
+        return np.full(shape, 0.25, dtype=np.float32)
+    w = ghn_like_tensor(shape, rel_noise=3e-3, seed=83)
+    if case == "one_dead":
+        w[5] = 0.5
+    return w
+
+
+@pytest.mark.parametrize("bins", [1, 2, 50, 2**20])
+@pytest.mark.parametrize("orientation", sorted(_SHAPES))
+@pytest.mark.parametrize("case", ["collapsed", "spread", "mixed_signs", "one_dead", "identical",
+                                  "constant", "near_edge"])
+def test_certificate_matches_full_matrix_oracle(case, orientation, bins):
+    w = _certificate_case(case, orientation, bins)
+    _, ref = _reference_offdiagonal(w)
+    counts, _ = np.histogram(ref, bins=bins, range=(-1.0, 1.0))
+    sigma, mean_abs = _fsum_moments(ref)
+    got = correlation_stats(w, bins)
+    np.testing.assert_array_equal(got.histogram, counts)
+    assert got.histogram.dtype == counts.dtype
+    _assert_rel(got.sigma_r, sigma)
+    _assert_rel(got.mean_abs, mean_abs)
+
+
+def _folds(monkeypatch):
+    """The bins of each fold that correlation_stats runs, as it runs them."""
+    real, calls = stats._fold_panels, []
+
+    def fold_panels(xc, safe, dead, fold):
+        calls.append(fold.bins)
+        return real(xc, safe, dead, fold)
+
+    monkeypatch.setattr(stats, "_fold_panels", fold_panels)
+    return calls
+
+
+def test_certified_tall_layer_folds_no_panel(monkeypatch):
+    calls = _folds(monkeypatch)
+    w = _certificate_case("collapsed", "tall", 50)
+    got = correlation_stats(w, 50)
+    assert calls == []
+    assert got.histogram[-1] == 160 * 159 // 2
+    assert got.sigma_r == sigma_r(w)  # compare's value, bit for bit
+
+
+def test_certified_wide_layer_folds_without_bins(monkeypatch):
+    w = _certificate_case("collapsed", "wide", 50)
+    xc, safe, dead = stats._centered(w)
+    want = stats._fold_panels(xc, safe, dead, stats._Fold(len(w), 50))  # counting every r
+    calls = _folds(monkeypatch)
+    got = correlation_stats(w, 50)
+    assert calls == [None]
+    assert (got.sigma_r, got.mean_abs) == (want.sigma_r, want.mean_abs)
+    np.testing.assert_array_equal(got.histogram, want.histogram)
+
+
+@pytest.mark.parametrize("orientation", sorted(_SHAPES))
+def test_near_edge_layer_falls_back_to_the_fold(monkeypatch, orientation):
+    calls = _folds(monkeypatch)
+    correlation_stats(_near_edge(_SHAPES[orientation], 50), 50)
+    assert calls == [50]
+
+
+def test_tall_layer_at_float64_resolution_folds_again(monkeypatch):
+    # Certified, but its spread (sigma_r ~2e-9) is too near float64's
+    # resolution for the tall route to give the fold's value to 1e-10:
+    # its channels are read again, from the file, and folded.
+    w = ghn_like_tensor((300, 40), rel_noise=1e-4, seed=5)
+    want = fold_sigma_r(w)
+    calls = _folds(monkeypatch)
+    reader = reader_of(make_checkpoint([("w", w.shape, "linear", 0, w)]))
+    got = correlation_stats(TensorRows(reader, 0), 50, np.empty(w.size))
+    assert calls == [None]
+    assert got.sigma_r == want
+    assert got.histogram[-1] == 300 * 299 // 2

@@ -62,7 +62,7 @@ _MARGIN = 1e-9
 # estimate is at most this, so that its sigma_r stays the fold's to 1e-10.
 _ROUTES_AGREE = 1e-10
 
-# Values per step of the histogram's bin counter: its three value buffers
+# Values per step of the histogram's bin counter: its two value buffers
 # are 128 KiB each, and stay in L2 across a step's passes.
 _COUNT_VALUES = 1 << 14
 
@@ -165,7 +165,7 @@ class _Fold:
     Every value folded in must lie in [-1, 1], as the correlations of
     :func:`_normalize` do (:func:`correlation_histogram` clips a user's
     matrix first): the bin counter has no range mask.  It counts
-    _COUNT_VALUES values per step through buffers of one step (0.4 MB),
+    _COUNT_VALUES values per step through buffers of one step (0.27 MB),
     which are all it holds besides the counts; the channels and panels
     it folds are the caller's, and ``analyze`` keeps only the layer in
     flight in its channel mapping.
@@ -182,8 +182,7 @@ class _Fold:
             self.counts = np.zeros(bins, dtype=np.intp)
             # np.histogram's own edges for range=(-1, 1), byte for byte.
             self.edges = np.linspace(-1.0, 1.0, bins + 1)
-            self._blocks = (np.empty(_COUNT_VALUES), np.empty(_COUNT_VALUES),
-                            np.empty(_COUNT_VALUES, dtype=np.intp),
+            self._blocks = (np.empty(_COUNT_VALUES), np.empty(_COUNT_VALUES, dtype=np.intp),
                             np.empty(_COUNT_VALUES, dtype=bool))
         self.n = 0
         self.shift = self.mean = self.m2 = self.abs_sum = 0.0
@@ -225,14 +224,13 @@ class _Fold:
         get f past bins - 1/2 (r = 1 gives f = bins): f is capped there.
         """
         bins = self.bins
-        f, t, idx, near = (buf[: len(r)] for buf in self._blocks)
+        f, idx, near = (buf[: len(r)] for buf in self._blocks)
         tol = bins * 2.0**-40
         np.multiply(r, 0.5 * bins, out=f)
         np.add(f, 0.5 * bins + tol, out=f)
         np.minimum(f, bins - 0.5, out=f)
-        np.trunc(f, out=t)
-        np.copyto(idx, t, casting="unsafe")
-        np.subtract(f, t, out=f)
+        np.copyto(idx, f, casting="unsafe")  # f > 0, so the cast is trunc(f)
+        np.subtract(f, idx, out=f)
         np.less(f, 2.0 * tol, out=near)
         if near.any():
             at = np.flatnonzero(near)

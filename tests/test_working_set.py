@@ -57,8 +57,8 @@ _CALLS = {
 @pytest.mark.parametrize("call", sorted(_CALLS))
 def test_many_short_channels_stay_near_the_panel_buffers(call):
     # The fold (analyze, correlation_stats) holds two panel buffers plus
-    # the bin counter's buffers of one 16K-value step (measured 2.26
-    # panels, 4 MiB each; 2.55 with steps of 64K values); sigma_r, compare
+    # the bin counter's buffers of one 16K-value step (measured 2.23
+    # panels, 4 MiB each; about 2.4 with steps of 64K values); sigma_r, compare
     # and postprocess take the tall route (0.08-0.15 panels).  Nothing of
     # size K x K or K(K-1)/2 fits under the bound.
     panel = _PANEL_ROWS * _K * 8
@@ -98,13 +98,13 @@ def test_compare_holds_one_layer_at_a_time():
 def test_analyze_holds_one_layer_at_a_time():
     # The fold's channels come from the file a row block at a time into
     # the run's float64 channel buffer, and its bins are counted 16K
-    # values at a time (measured 1.3 MiB of a 1.9 MiB bound: the two
-    # panels, the counter's 0.4 MiB and two 64K-value float64 blocks).  A
+    # values at a time (measured 1.15 MiB of a 1.8 MiB bound: the two
+    # panels, the counter's 0.27 MiB and two 64K-value float64 blocks).  A
     # whole float32 layer (4 MiB), a float64 copy of a layer on the heap
-    # (8 MiB, as before) or a counter of 64K-value steps (1.6 MiB; 2.5 MiB
+    # (8 MiB, as before) or a counter of 64K-value steps (1.1 MiB; 2.0 MiB
     # in all) would fail it.
     (reader,) = _readers(1)
-    bound = 2 * _PANEL_ROWS * 256 * 8 + (1 << 14) * 25 + 2 * (1 << 16) * 8
+    bound = 2 * _PANEL_ROWS * 256 * 8 + (1 << 14) * 17 + 2 * (1 << 16) * 8
     records = []
     peak = _peak_bytes(lambda: records.extend(analyze_checkpoint(reader, bins=50)))
     assert len(records) == 3
@@ -289,7 +289,7 @@ def test_cli_analysis_peak_follows_the_largest_layer(command, tmp_path):
 # --- the memory model of README "Memory" --------------------------------------
 
 _MIB = (128, 1024)  # a layer of this shape is 1 MiB in float64: _rss_growth's unit
-_COUNTER = (1 << 14) * (8 + 8 + 8 + 1)  # the bin counter's buffers of one step
+_COUNTER = (1 << 14) * (8 + 8 + 1)  # the bin counter's buffers of one step
 # Per layer in flight: the row-block buffers (the file's float32 rows, the
 # float64 squares, noise or draw, the stream's words, the float32 output
 # block, max |a - b|'s scratch) and LAPACK's workspace, measured at up to

@@ -78,10 +78,10 @@ def analyze_checkpoint(c: CheckpointReader, bins: int) -> list[LayerRecord]:
     top bin, has its histogram without counting; a tall one (K > CHW) is
     not folded at all (but for the rare exception given there), and gets
     ``compare``'s sigma_r, bit for bit, holding one ``128 x CHW`` panel in
-    place of two ``128 x K`` ones.
-    A tensor holding NaN or Inf raises NonFiniteTensor
-    naming it; one whose working memory cannot be allocated raises
-    OutOfMemory naming it (the largest, for that buffer).
+    place of two ``128 x K`` ones.  A tensor holding NaN or Inf raises
+    NonFiniteTensor naming it; one whose working memory cannot be
+    allocated raises OutOfMemory naming it (the largest, for that
+    buffer).
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")

@@ -1,24 +1,10 @@
 """ghnpost: correlation analysis and orthogonal post-processing for
-neural-network parameter checkpoints."""
+neural-network parameter checkpoints, as the ``ghnpost`` commands run
+them."""
 
-from .checkpoint_io import (
-    Checkpoint,
-    CheckpointReader,
-    TensorMeta,
-    read_checkpoint,
-    write_checkpoint,
-)
-from .linalg import PcaResult, pca_project, qr_decompose, sign_adjust
-from .postprocess import (
-    DEFAULT_BETA,
-    PostprocessConfig,
-    add_conditional_noise,
-    ghn_orth,
-    ghn_orth_tensor,
-    he_init,
-    orthogonal_reinit,
-    saxe_orthogonal_init,
-)
+from .checkpoint_io import CheckpointReader, TensorMeta, positional_writer
+from .linalg import PcaResult, pca_project, qr_decompose
+from .postprocess import DEFAULT_BETA, PostprocessConfig, ghn_orth_tensors, init_tensors
 from .report import (
     EmbeddingSet,
     analyze_checkpoint,
@@ -28,51 +14,30 @@ from .report import (
     project_embeddings,
 )
 from .rng import RngStream
-from .stats import (
-    CorrelationStats,
-    channel_correlation,
-    correlation_histogram,
-    correlation_stats,
-    correlation_std,
-    sigma_r,
-)
-from .tensor_ops import Matricized, dematricize, matricize
+from .stats import CorrelationStats, correlation_stats, sigma_r
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Checkpoint",
     "CheckpointReader",
     "CorrelationStats",
     "DEFAULT_BETA",
     "EmbeddingSet",
-    "Matricized",
     "PcaResult",
     "PostprocessConfig",
     "RngStream",
     "TensorMeta",
-    "add_conditional_noise",
     "analyze_checkpoint",
-    "channel_correlation",
     "compare_checkpoints",
-    "correlation_histogram",
     "correlation_stats",
-    "correlation_std",
-    "dematricize",
     "emit_histogram_svg",
     "emit_report_csv",
-    "ghn_orth",
-    "ghn_orth_tensor",
-    "he_init",
-    "matricize",
-    "orthogonal_reinit",
+    "ghn_orth_tensors",
+    "init_tensors",
     "pca_project",
+    "positional_writer",
     "project_embeddings",
     "qr_decompose",
-    "read_checkpoint",
-    "saxe_orthogonal_init",
     "sigma_r",
-    "sign_adjust",
-    "write_checkpoint",
     "__version__",
 ]

@@ -15,9 +15,8 @@ The JSON header is ``{"tensors": [...]}`` where each entry carries
 ``offset`` (bytes into the data section) and ``length`` (element count).
 Both follow from the shapes (:func:`_layout`): the reader accepts only
 the contiguous values the writer gives, and ignores any bytes after the
-last tensor.  Serialization is canonical: sorted keys, no whitespace.
-Writing the same checkpoint twice yields identical bytes, and
-``read_checkpoint(write_checkpoint(c)) == c`` bit-exactly.
+last tensor.  Serialization is canonical: sorted keys, no whitespace,
+so the same tensors always give the same bytes.
 
 This module is the one place that reads or writes checkpoint bytes.  A
 file is read a tensor, or a block of a layer's rows, at a time, on
@@ -36,8 +35,8 @@ import os
 import re
 import struct
 import threading
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import BinaryIO
 
@@ -73,46 +72,6 @@ class TensorMeta:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(self.shape))
-
-
-@dataclass(eq=False)
-class Checkpoint:
-    """Ordered collection of named parameter tensors."""
-
-    tensors: list[tuple[TensorMeta, np.ndarray]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.tensors)
-
-    def __iter__(self) -> Iterator[tuple[TensorMeta, np.ndarray]]:
-        return iter(self.tensors)
-
-    @property
-    def metas(self) -> list[TensorMeta]:
-        return [meta for meta, _ in self.tensors]
-
-    def names(self) -> list[str]:
-        return [meta.name for meta, _ in self.tensors]
-
-    def get(self, name: str) -> tuple[TensorMeta, np.ndarray]:
-        for meta, arr in self.tensors:
-            if meta.name == name:
-                return meta, arr
-        raise KeyError(name)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Checkpoint):
-            return NotImplemented
-        if len(self.tensors) != len(other.tensors):
-            return False
-        for (ma, aa), (mb, ab) in zip(self.tensors, other.tensors):
-            if ma != mb:
-                return False
-            if aa.shape != ab.shape or aa.dtype != ab.dtype:
-                return False
-            if aa.tobytes() != ab.tobytes():  # bit-exact, NaN-safe
-                return False
-        return True
 
 
 def _is_int(value) -> bool:
@@ -169,17 +128,6 @@ def _check_array(meta: TensorMeta, arr: np.ndarray, row: int | None = None) -> N
         )
     if arr.dtype != np.float32:
         raise ValueError(f"tensor {meta.name!r}: dtype {arr.dtype}, expected float32")
-
-
-def validate_checkpoint(c: Checkpoint) -> None:
-    """Enforce checkpoint invariants; raises ValueError on violation.
-
-    These are preconditions of :func:`write_checkpoint`, so arriving here
-    with a bad checkpoint is a programming error, not a data error.
-    """
-    _check_metas(c.metas, ValueError)
-    for meta, arr in c.tensors:
-        _check_array(meta, arr)
 
 
 def _layout(metas: Sequence[TensorMeta]) -> list[int]:
@@ -242,19 +190,6 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
     while view:  # a write may be partial
         written = os.pwrite(fd, view, offset)
         view, offset = view[written:], offset + written
-
-
-def write_checkpoint(c: Checkpoint) -> bytearray:
-    """Serialize to the canonical byte form (pure; same input, same bytes):
-    :func:`encode_header`'s header, then each tensor's
-    :func:`_tensor_bytes` at its offset.  A checkpoint that
-    :func:`validate_checkpoint` rejects raises its ValueError."""
-    head, offsets = encode_header(c.metas)
-    buf = bytearray(offsets[-1])
-    buf[: len(head)] = head
-    for (meta, arr), start, end in zip(c.tensors, offsets, offsets[1:]):
-        buf[start:end] = _tensor_bytes(meta, arr)
-    return buf
 
 
 _META_KEYS = ("name", "shape", "kind", "depth")  # TensorMeta's fields, in order
@@ -401,13 +336,6 @@ class TensorRows:
 
     def read(self, r0: int, r1: int) -> np.ndarray:
         return self._source.read_rows(self._i, r0, r1, self._buf)
-
-
-def read_checkpoint(data: bytes) -> Checkpoint:
-    """Parse checkpoint bytes, validating header and data bounds."""
-    reader = CheckpointReader(io.BytesIO(data))
-    tensors = [(meta, reader.load(i)) for i, meta in enumerate(reader.metas)]
-    return Checkpoint(tensors=tensors)
 
 
 def parse_tensor_specs(raw: bytes | str) -> list[TensorMeta]:

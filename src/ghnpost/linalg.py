@@ -132,8 +132,8 @@ def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     it is overwritten with Q (orthonormal columns) and returned with R's
     diagonal (length cols), read before LAPACK overwrites R to form Q, so
     the working set is ``a`` and the LAPACK workspace.  Diagonal entries
-    may be negative; see :func:`sign_adjust`.  Q and the diagonal are
-    ``np.linalg.qr``'s bytes on one BLAS thread.
+    may be negative; the caller corrects Q's column signs by them.  Q and
+    the diagonal are ``np.linalg.qr``'s bytes on one BLAS thread.
     """
     a = _check_matrix(np.asarray(a))
     m, n = a.shape
@@ -150,22 +150,6 @@ def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diag = a.diagonal().copy()
         _in_place("dorgqr", (m, n, n), a, tau)
     return a, diag
-
-
-def sign_adjust(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Multiply each column j of q by sign(r_jj), with sign(0) := +1.
-
-    Treating a zero diagonal as +1 keeps the columns orthonormal even for
-    rank-deficient input instead of zeroing them out.
-    """
-    q = _as_matrix(q)
-    r = _as_matrix(r)
-    if r.shape[0] != r.shape[1] or q.shape[1] != r.shape[0]:
-        raise ShapeError(
-            f"expected q cols == r rows == r cols, got q {q.shape}, r {r.shape}"
-        )
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return q * signs[np.newaxis, :]
 
 
 def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

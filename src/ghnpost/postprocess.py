@@ -1,6 +1,6 @@
-"""Checkpoint post-processing: conditional noise, orthogonal
-re-initialization, the combined per-layer pipeline, and the baseline
-initializers (He-normal and Saxe-orthogonal).
+"""Checkpoint post-processing, the engine of ``postprocess`` and ``init``:
+conditional noise, orthogonal re-initialization, and the baseline
+initializers (He-normal and Saxe-orthogonal), a file's tensors at a time.
 
 The pipeline applies, to every conv/linear tensor at depth >=
 ``start_layer``, a Gaussian perturbation whose std is ``beta`` times the
@@ -13,12 +13,11 @@ sqrt(2 / fan_in), orthogonal init the noise step at std 1 and then the QR
 step, times ``gain``.
 
 One routine, :func:`_write_layer`, writes every conv/linear layer: every
-``postprocess`` mode, both ``init`` methods and each single-tensor
-function here.  It hands its result on one row block at a time, so the
-command line writes each block at its file offset and holds no
-whole-layer copy of the output.  Public single-tensor operations preserve
-the input dtype unless told otherwise; internally everything runs in
-float64, and each layer is rounded to its output dtype exactly once.
+``postprocess`` mode and both ``init`` methods.  It hands its result on
+one row block of float32 at a time, so the command line writes each
+block at its file offset and holds no whole-layer copy of the output.
+Internally everything runs in float64, and each layer is rounded to
+float32 exactly once.
 """
 
 from __future__ import annotations
@@ -32,14 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint_io import (
-    ELIGIBLE_KINDS,
-    Checkpoint,
-    CheckpointReader,
-    TensorMeta,
-    TensorRows,
-    validate_checkpoint,
-)
+from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, TensorMeta, TensorRows
 from .errors import OutOfMemory, naming
 from .linalg import gil_free_qr, one_blas_thread, qr_decompose
 from .rng import RngStream
@@ -69,31 +61,10 @@ class PostprocessConfig:
     skip_orth: bool = False
 
     def __post_init__(self):
-        _check_beta(self.beta)
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError("beta must be finite and non-negative")
         if self.start_layer < 0:
             raise ValueError("start_layer must be non-negative")
-
-
-def _check_beta(beta: float) -> None:
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError("beta must be finite and non-negative")
-
-
-def add_conditional_noise(
-    w: np.ndarray, beta: float, rng: RngStream, dtype: np.dtype | None = None
-) -> np.ndarray:
-    """Add i.i.d. Gaussian noise with std beta * sigma(r(w)).
-
-    sigma(r(w)) is the spread of the channel-correlation distribution, so
-    layers are perturbed relative to how degenerate their channels are.
-    With beta == 0, a single channel, or fully identical channels the
-    output equals the input bit-exactly.  The output is a new array of
-    ``dtype`` (default: w's); the sum is rounded to it once.  NaN or Inf
-    in w, or noise that overflows, raises NonFiniteTensor.
-    """
-    _check_beta(beta)
-    return _collected(w.shape, lambda put: _write_layer(
-        w.shape, w, put, rng, beta=beta, orth=False, dtype=w.dtype if dtype is None else dtype))
 
 
 def _noise_scale(w, beta: float, work: np.ndarray | None = None) -> float | None:
@@ -193,28 +164,13 @@ class _Gather:
         return True
 
 
-def orthogonal_reinit(w: np.ndarray) -> np.ndarray:
-    """Replace w by the sign-corrected Q factor of its matricized form.
-
-    The K x CHW matrix is factored as is, or transposed when K < CHW, as
-    :func:`~ghnpost.tensor_ops.matricize` would.  ``w`` is copied once, into
-    the float64 buffer that LAPACK factors in place (see
-    :func:`_write_layer`), and is left untouched.  The matricized output
-    has orthonormal columns even for rank-deficient input (zero R diagonal
-    entries count as +1 in the sign correction, as in
-    :func:`~ghnpost.linalg.sign_adjust`).  The result is C-ordered, with
-    w's shape and dtype.
-    """
-    return _collected(w.shape, lambda put: _write_layer(w.shape, w, put, dtype=w.dtype))
-
-
 def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], None],
                  rng: RngStream | None = None, *, beta: float | None = None,
                  scale: float | None = None, orth: bool = True, gain: float = 1.0,
-                 work: np.ndarray | None = None, dtype: np.dtype = np.float32) -> None:
+                 work: np.ndarray | None = None) -> None:
     """Make the conv/linear layer of ``shape`` from ``src`` and hand it to
     ``put(r0, rows)`` a row block of its K x CHW matrix at a time, as
-    ``dtype``; a block is valid until ``put`` returns.  This is the one
+    float32; a block is valid until ``put`` returns.  This is the one
     routine that writes such a layer.
 
     ``src`` is an array, a row source (see
@@ -247,60 +203,18 @@ def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], N
     if orth:
         _add_noise(layer, shape, src, scale, rng)
         q, diag = qr_decompose(layer.T if transposed else layer)
-        # +-gain * q is the float64 product (+-q) * gain: one rounding to dtype.
+        # +-gain * q is the float64 product (+-q) * gain: one rounding to float32.
         q *= np.where(diag < 0.0, -gain, gain)
         src, scale = layer, None
-    _add_noise(np.empty(row_step(k, chw) * chw, dtype), shape, src, scale, rng, put)
-
-
-def _collected(shape: tuple[int, ...], fill: Callable[[Callable], None]) -> np.ndarray:
-    """The C-ordered array of ``shape`` whose K x CHW row blocks
-    ``fill(put)`` hands to ``put(r0, rows)``, of the blocks' dtype.  It is
-    made at the first block, after sigma_r's channels are freed."""
-    out = []
-
-    def put(r0: int, block: np.ndarray) -> None:
-        if not out:
-            out.append(np.empty((shape[0], block.shape[1]), block.dtype))
-        out[0][r0 : r0 + len(block)] = block
-
-    fill(put)
-    return out[0].reshape(shape)
+    _add_noise(np.empty(row_step(k, chw) * chw, np.float32), shape, src, scale, rng, put)
 
 
 def _eligible(meta: TensorMeta, cfg: PostprocessConfig) -> bool:
     return meta.kind in ELIGIBLE_KINDS and meta.depth >= cfg.start_layer
 
 
-def _orth_layer(name: str, src, cfg: PostprocessConfig, put: Callable[[int, np.ndarray], None],
-                work: np.ndarray | None = None) -> None:
-    """:func:`_write_layer` of the eligible tensor ``name`` from ``src`` as
-    ``cfg`` asks, drawing from its own substream keyed by name: the
-    routine of both :func:`ghn_orth_tensor` and :func:`ghn_orth_tensors`."""
-    _write_layer(src.shape, src, put, RngStream(cfg.seed, name),
-                 beta=cfg.beta, orth=not cfg.skip_orth, work=work)
-
-
-def ghn_orth_tensor(meta: TensorMeta, arr: np.ndarray, cfg: PostprocessConfig) -> np.ndarray:
-    """One tensor of the :func:`ghn_orth` output.
-
-    An eligible tensor (kind conv or linear, depth >= cfg.start_layer)
-    gets the two-step post-processing of :func:`_orth_layer`, and comes
-    back as a new C-ordered float32 array; any other tensor comes back as
-    ``arr`` itself.  Either way the result must be finite: NaN or Inf
-    raises NonFiniteTensor naming the tensor, as held by the input or as
-    produced by an overflowing ``beta`` (see
-    :func:`~ghnpost.tensor_ops.check_finite`).
-    """
-    with naming(meta.name):
-        if not _eligible(meta, cfg):
-            check_finite(arr, arr)
-            return arr
-        return _collected(arr.shape, lambda put: _orth_layer(meta.name, arr, cfg, put))
-
-
 def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[int],
-              budget: int, width: int) -> None:
+              budget: int, width: int, name: Callable[[int], str]) -> None:
     """Run ``fn(i)`` for each index of ``order``, each on a thread of its
     own, at most ``width`` at once.
 
@@ -312,7 +226,9 @@ def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[i
     out of memory (MemoryError or OutOfMemory) goes back to the head of
     the queue once, to run again alone: nothing is admitted beside it, or
     past it, until none runs, so only an item that fails alone fails the
-    run.  After a failure at index j no later index is admitted but every
+    run.  A thread that cannot start (no memory for its stack) counts as
+    its item running out of memory, as OutOfMemory naming ``name(i)``.
+    After a failure at index j no later index is admitted but every
     earlier one runs; then the failure at the lowest index propagates.  An
     interrupt of the calling thread (even one raised as a worker starts)
     admits nothing more, and every item started finishes first.
@@ -347,7 +263,15 @@ def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[i
             while queue and (i := admissible()) is not None:
                 queue.remove(i)
                 running[i] = threading.Thread(target=work, args=(i,))
-                running[i].start()
+                try:
+                    running[i].start()
+                except RuntimeError as exc:  # the thread never ran
+                    try:
+                        with naming(name(i)):
+                            raise MemoryError(f"cannot start a thread: {exc}") from exc
+                    except OutOfMemory as named:
+                        finished.put((i, named))
+                    break
             i, exc = finished.get()
             del running[i]
             if isinstance(exc, (MemoryError, OutOfMemory)) and i not in alone:
@@ -409,7 +333,8 @@ def _run_layers(
     # here, concurrent layers would restore each other's count mid-QR, and
     # their sigma_r GEMMs would each use every core.
     with one_blas_thread():
-        _run_pool(fn, order, costs, _pool_budget(costs, width), width)
+        _run_pool(fn, order, costs, _pool_budget(costs, width), width,
+                  lambda i: metas[i].name)
 
 
 def _cpu_count() -> int:
@@ -420,15 +345,17 @@ def _cpu_count() -> int:
 
 def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
                      cfg: PostprocessConfig) -> None:
-    """The :func:`ghn_orth` result of each tensor i of the checkpoint file
+    """The two-step post-processing of each tensor i of the checkpoint file
     ``reader``, handed to ``put(i, block, r0)`` a block of rows r0.. at a
     time as soon as it is made: what ``postprocess`` runs on its input
     file.
 
-    An eligible tensor is read a row block at a time through
+    An eligible tensor (kind conv or linear, depth >= cfg.start_layer)
+    is read a row block at a time through
     :class:`~ghnpost.checkpoint_io.TensorRows` (twice with noise: for
-    sigma_r, then for the noise), and put a row block of float32 at a
-    time by :func:`_orth_layer`, so no float32 copy of it is held.  Any
+    sigma_r, then for the noise), made by :func:`_write_layer` from its
+    own substream keyed by its name, and put a row block of float32 at a
+    time, so no float32 copy of it is held.  Any
     other tensor streams through the same reader's one reused float32
     buffer of a row block, each block read, checked finite and put.
     With the orth step on, the tensors run on :func:`_run_layers`' pool,
@@ -437,8 +364,10 @@ def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
     (on the pool the noise-only path peaks higher, CHANGES.md), with
     sigma_r's channels in the one
     :func:`~ghnpost.tensor_ops.largest_layer_buffer` of the eligible
-    tensors.  The bytes are those of :func:`ghn_orth_tensor` of each
-    tensor.
+    tensors.  Each layer is made on its own, so the bytes do not depend
+    on the order.  NaN or Inf, as the input holds it or as an
+    overflowing ``beta`` makes it, raises NonFiniteTensor naming the
+    tensor (see :func:`~ghnpost.tensor_ops.check_finite`).
     """
     metas = reader.metas
     eligible = [_eligible(meta, cfg) for meta in metas]
@@ -447,8 +376,9 @@ def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
         meta = metas[i]
         with naming(meta.name):
             if eligible[i]:
-                _orth_layer(meta.name, TensorRows(reader, i), cfg,
-                            lambda r0, block: put(i, block, r0), work)
+                _write_layer(meta.shape, TensorRows(reader, i), lambda r0, block: put(i, block, r0),
+                             RngStream(cfg.seed, meta.name), beta=cfg.beta,
+                             orth=not cfg.skip_orth, work=work)
                 return
             for r0, block in row_blocks(TensorRows(reader, i)):
                 check_finite(block, block)
@@ -460,19 +390,6 @@ def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
     work = largest_layer_buffer(m for m, e in zip(metas, eligible) if e)
     for i in range(len(metas)):
         one(i, work)
-
-
-def ghn_orth(c: Checkpoint, cfg: PostprocessConfig) -> Checkpoint:
-    """Apply the two-step post-processing to every eligible tensor: the
-    in-memory reference, :func:`ghn_orth_tensor` of each tensor in header
-    order, one at a time.
-
-    Everything else is passed through as is.  Each layer is processed on
-    its own, so the result does not depend on processing order, and
-    :func:`ghn_orth_tensors` writes the same bytes from a file.
-    """
-    validate_checkpoint(c)
-    return Checkpoint(tensors=[(meta, ghn_orth_tensor(meta, arr, cfg)) for meta, arr in c])
 
 
 def _init_layer(shape: tuple[int, ...], method: str, gain: float, rng: RngStream,
@@ -492,20 +409,6 @@ def _init_layer(shape: tuple[int, ...], method: str, gain: float, rng: RngStream
     _write_layer(shape, None, put, rng, scale=1.0, gain=gain)
 
 
-def he_init(shape: tuple[int, ...], rng: RngStream) -> np.ndarray:
-    """Gaussian init with std sqrt(2 / fan_in); fan_in is C*H*W (or C)."""
-    shape = tuple(shape)
-    return _collected(shape, lambda put: _init_layer(shape, "rand", 1.0, rng, put))
-
-
-def saxe_orthogonal_init(
-    shape: tuple[int, ...], gain: float, rng: RngStream
-) -> np.ndarray:
-    """Orthogonal init: orthogonalize a Gaussian draw, then scale by gain."""
-    shape = tuple(shape)
-    return _collected(shape, lambda put: _init_layer(shape, "orth", gain, rng, put))
-
-
 def init_tensors(metas: Sequence[TensorMeta], store: Callable[..., None],
                  method: str, gain: float, seed: int) -> None:
     """A baseline initialization of each tensor i of ``metas``, handed to
@@ -513,9 +416,8 @@ def init_tensors(metas: Sequence[TensorMeta], store: Callable[..., None],
     on :func:`_run_layers`' pool.
 
     conv and linear tensors get ``method``, drawing from their own
-    substream keyed by tensor name: ``"rand"`` is :func:`he_init`,
-    ``"orth"`` is :func:`saxe_orthogonal_init` with ``gain`` (made in a
-    float64 layer buffer); each is stored a row block of float32 at a
+    substream keyed by tensor name, as :func:`_init_layer` makes them
+    (``"orth"`` in a float64 layer buffer); each is stored a row block of float32 at a
     time by :func:`_write_layer`.  norm tensors are ones, and bias and
     other tensors zeros, stored from one row block of them.  Any other
     method raises ValueError before anything is stored.  A tensor of

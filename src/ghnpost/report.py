@@ -272,8 +272,8 @@ def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[Compar
     :func:`~ghnpost.stats.sigma_r`: the
     value ``analyze`` prints where K <= CHW, bit for bit, and the CHW x CHW
     Gram's on tall layers (K > CHW), which ``analyze`` prints too where it
-    certifies the layer collapsed, and is otherwise within about 1e-10
-    relative of the value it prints.
+    certifies the layer collapsed, and is otherwise within
+    2^-53 / (sigma_r sqrt(K)) relative of the value it prints.
     """
     a_shapes = {meta.name: meta.shape for meta in a.metas}
     b_shapes = {meta.name: meta.shape for meta in b.metas}

@@ -8,7 +8,7 @@ correlations of near-identical channels stay stable.  The channels come
 from an array or, a block of rows at a time, from a checkpoint file;
 either way they are copied once, into float64.
 
-No K x K or K(K-1)/2 array is built for the command line: the statistics
+No K x K or K(K-1)/2 array is built: the statistics
 are folded from row panels of the Gram matrix, and the panel moments
 merged with the pairwise update of Chan, Golub & LeVeque, "Updating
 formulae and a pairwise algorithm for computing sample variances" (1979),
@@ -16,14 +16,13 @@ in coordinates shifted by the first panel's mean.  Near-duplicate layers
 have every r within 1e-7 of 1, and unshifted sums would lose the digits
 of their spread.  The histogram counts are ``np.histogram``'s over
 [-1, 1].  A tall layer's (K > CHW) sigma_r comes from the smaller
-CHW x CHW Gram instead, within about 1e-10 relative of the fold: always
-in :func:`sigma_r` (``compare`` and the repair), and in
-:func:`correlation_stats` (``analyze``) where a spread certificate shows
-that every r lies in the top histogram bin and above 0, as on the
-collapsed layers the paper diagnoses.  Such a layer's histogram and
-mean |r| then need no fold either, and a wide layer so certified skips
-only the bin counter.  The whole correlation matrix is here too, as a
-library and test oracle.
+CHW x CHW Gram instead, within 2^-53 / (sigma_r sqrt(K)) relative of
+the fold (see _ROUTES_AGREE): always in :func:`sigma_r` (``compare``
+and the repair), and in :func:`correlation_stats` (``analyze``) where a
+spread certificate shows that every r lies in the top histogram bin and
+above 0, as on the collapsed layers the paper diagnoses.  Such a layer's
+histogram and mean |r| then need no fold either, and a wide layer so
+certified skips only the bin counter.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ _MARGIN = 1e-9
 
 # The tall route and the fold round differently: a correlation of the
 # fold carries its two channels' norm rounding, which moves sigma_r by up
-# to about 2^-53 / (sigma_r sqrt(K)) relative (measured at half that or
-# less).  A certified tall layer keeps the tall route only where that
+# to about 2^-53 / (sigma_r sqrt(K)) relative (measured at a third of
+# that or less).  A certified tall layer keeps the tall route only where that
 # estimate is at most this, so that its sigma_r stays the fold's to 1e-10.
 _ROUTES_AGREE = 1e-10
 
@@ -136,35 +135,13 @@ def _normalize(g: np.ndarray, rows: slice, cols: slice, safe: np.ndarray,
     np.copyto(g, -1.0, where=g <= -1.0 + _SNAP)
 
 
-def channel_correlation(w: np.ndarray) -> np.ndarray:
-    """Pearson correlation between the K channels of a rank-2/4 tensor, as
-    a symmetric K x K float64 array with entries in [-1, 1].
-
-    Zero-variance channels correlate 0 with everything off-diagonal; the
-    diagonal is 1 by convention.  A tensor holding NaN or Inf raises
-    NonFiniteTensor.  Holds the K x K matrix; for its statistics alone use
-    :func:`correlation_stats`.
-    """
-    xc, safe, dead = _centered(w)
-    k = xc.shape[0]
-    r = xc @ xc.T  # numpy hands this to syrk: exactly symmetric
-    del xc
-    scratch = np.empty((min(_PANEL_ROWS, k), k))
-    for i0 in range(0, k, _PANEL_ROWS):
-        rows = slice(i0, min(i0 + _PANEL_ROWS, k))
-        _normalize(r[rows], rows, slice(None), safe, dead, scratch[: rows.stop - i0])
-    np.fill_diagonal(r, 1.0)
-    return r
-
-
 class _Fold:
     """Running count, shifted mean, M2, sum |r| and histogram counts of the
     correlations of ``k`` channels; raises TooFewChannels for k < 2, and
     ValueError for ``bins`` < 1.
 
     Every value folded in must lie in [-1, 1], as the correlations of
-    :func:`_normalize` do (:func:`correlation_histogram` clips a user's
-    matrix first): the bin counter has no range mask.  It counts
+    :func:`_normalize` do: the bin counter has no range mask.  It counts
     _COUNT_VALUES values per step through buffers of one step (0.27 MB),
     which are all it holds besides the counts; the channels and panels
     it folds are the caller's, and ``analyze`` keeps only the layer in
@@ -254,8 +231,8 @@ def correlation_stats(w, bins: int | None = None, work: np.ndarray | None = None
     channels go to a new array, or into ``work``, as for
     :func:`sigma_r`.
 
-    Each Gram panel is normalized as in :func:`channel_correlation`,
-    its strict upper triangle packed and folded in, and the panel reused.
+    Each Gram panel is normalized by :func:`_normalize`, its strict upper
+    triangle packed and folded in, and the panel reused.
     Where :func:`_certified_mean` shows that every r lies in the top bin
     and above 0, the histogram is all K(K-1)/2 in the last bin and no
     value is counted.  A wide or square layer (K <= CHW) then still folds
@@ -345,7 +322,9 @@ def sigma_r(w, work: np.ndarray | None = None) -> float:
     float64 buffer of at least w's size, which is left clobbered.  With
     K <= CHW the value is the fold's, bit for bit.  A tall layer (K > CHW)
     gets it from the CHW x CHW Gram instead (see :func:`_tall_sigma`),
-    within about 1e-10 relative of the fold.  Needs at least two channels.
+    within 2^-53 / (sigma_r sqrt(K)) relative of the fold (see
+    _ROUTES_AGREE): the closer the channels, the wider the gap.  Needs at
+    least two channels.
     """
     xc, safe, dead = _centered(w, work)
     k, chw = xc.shape
@@ -414,42 +393,3 @@ def _gram_frobenius2(d: np.ndarray) -> float:
         np.multiply(g, g, out=g)
         total += float(g[:, :b].sum()) + 2.0 * float(g[:, b:].sum())
     return total
-
-
-def offdiagonal_values(r: np.ndarray) -> np.ndarray:
-    """Upper-triangle off-diagonal entries of the K x K correlation array
-    ``r``, row-major, as a read-only copy."""
-    upper = r[np.triu_indices(len(r), k=1)]
-    upper.flags.writeable = False
-    return upper
-
-
-def correlation_std(r: np.ndarray) -> float:
-    """Population standard deviation of the off-diagonal correlations of
-    the K x K correlation array ``r``.
-
-    The diagonal is constant 1 and carries no information, so it is
-    excluded.  Computed with the same shifted two-pass moments as
-    :func:`correlation_stats`.  Requires at least two channels.
-    """
-    return _fold_values(len(r), offdiagonal_values(r), None).sigma_r
-
-
-def correlation_histogram(r: np.ndarray, bins: int) -> np.ndarray:
-    """Counts of ``bins`` equal-width bins over [-1, 1] of the off-diagonal
-    correlations of the K x K correlation array ``r``; the edges are
-    ``np.linspace(-1, 1, bins + 1)``.
-
-    Values exactly 1.0 land in the last bin.  Entries a hair outside the
-    range from rounding (possible in a user-supplied matrix) are clipped,
-    so every off-diagonal entry is counted.  A NaN entry has no bin: the
-    bin counter rejects it with ValueError.
-    """
-    return _fold_values(len(r), np.clip(offdiagonal_values(r), -1.0, 1.0), bins).histogram
-
-
-def _fold_values(k: int, values: np.ndarray, bins: int | None) -> CorrelationStats:
-    """The :class:`_Fold` of the correlations ``values`` of ``k`` channels."""
-    fold = _Fold(k, bins)
-    fold.add(values, np.empty_like(values))
-    return fold.result()

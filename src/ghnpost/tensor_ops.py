@@ -21,28 +21,10 @@ import errno
 import math
 import mmap
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteTensor, UnsupportedRank, naming
-
-
-@dataclass
-class Matricized:
-    """2D view of a parameter tensor plus the bookkeeping to undo it."""
-
-    data: np.ndarray  # 2D, row-major
-    transposed: bool
-    original_shape: tuple[int, ...]
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
 
 
 def geometry(shape: tuple[int, ...]) -> tuple[int, int, bool]:
@@ -139,24 +121,3 @@ def check_finite(out: np.ndarray, source: np.ndarray | None = None) -> None:
         held = source is not None and not np.isfinite(source).all()
         raise NonFiniteTensor("tensor holds NaN or Inf values" if held
                               else "output would hold NaN or Inf values")
-
-
-def matricize(w: np.ndarray) -> Matricized:
-    """Reshape a rank-2/4 tensor to K x CHW, transposing if K < CHW.
-
-    Raises UnsupportedRank for any other rank.  The value multiset and
-    dtype are preserved exactly; ``dematricize`` is its exact inverse.
-    """
-    k, chw, transposed = geometry(w.shape)
-    mat = np.ascontiguousarray(w.reshape(k, chw))
-    if transposed:
-        mat = np.ascontiguousarray(mat.T)
-    return Matricized(data=mat, transposed=transposed, original_shape=tuple(w.shape))
-
-
-def dematricize(m: Matricized) -> np.ndarray:
-    """Invert :func:`matricize`, restoring the original shape bit-exactly."""
-    mat = m.data
-    if m.transposed:
-        mat = mat.T
-    return np.ascontiguousarray(mat.reshape(m.original_shape))

@@ -1,11 +1,21 @@
 import io
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ghnpost import linalg, stats
-from ghnpost.checkpoint_io import Checkpoint, CheckpointReader, TensorMeta, write_checkpoint
+from ghnpost.checkpoint_io import CheckpointReader, positional_writer
+from ghnpost.postprocess import ghn_orth_tensors, init_tensors
+
+# The benchmark's own container codec, written from the documented layout
+# and independent of ghnpost: it builds the tests' input bytes and decodes
+# the outputs.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "e2ebench"))
+from workloads import Spec, decode_ckpt, encode_ckpt  # noqa: E402
 
 
 def ghn_like_tensor(shape, rel_noise=1e-3, seed=0, scale=1.0):
@@ -42,19 +52,41 @@ def fold_sigma_r(w):
 
 
 def make_checkpoint(specs):
-    """specs: list of (name, shape, kind, depth, array)."""
-    tensors = []
-    for name, shape, kind, depth, arr in specs:
-        tensors.append(
-            (TensorMeta(name=name, shape=tuple(shape), kind=kind, depth=depth), arr)
-        )
-    return Checkpoint(tensors=tensors)
+    """The checkpoint file bytes of ``specs``, a list of (name, shape, kind,
+    depth, array), each array written as float32."""
+    return encode_ckpt([Spec(name, tuple(shape), kind, depth)
+                        for name, shape, kind, depth, _ in specs], [arr for *_, arr in specs])
 
 
-def reader_of(c):
-    """The checkpoint ``c`` as the CLI reads a file: a CheckpointReader over
-    its bytes."""
-    return CheckpointReader(io.BytesIO(write_checkpoint(c)))
+def reader_of(blob):
+    """The checkpoint bytes ``blob`` as the CLI reads a file: a
+    CheckpointReader over them."""
+    return CheckpointReader(io.BytesIO(blob))
+
+
+def through_file(c, cfg=None, init=None, name="w"):
+    """What the commands' engine writes for the checkpoint ``c``:
+    ``ghn_orth_tensors`` under the PostprocessConfig ``cfg``, as
+    ``postprocess`` runs it, or with ``init`` = (method, gain, seed),
+    ``init_tensors`` of c's tensors, as ``init`` runs it.  ``c`` is read
+    through a CheckpointReader, and the output written through
+    positional_writer into a temporary file, whose bytes come back.  An
+    array ``c`` is a one-tensor file instead, of the conv (rank 4) or
+    linear tensor ``name`` at depth 0 (so ``RngStream(seed, name)`` is
+    its stream), and the output tensor comes back, decoded."""
+    one = isinstance(c, np.ndarray)
+    if one:
+        c = make_checkpoint([(name, c.shape, "conv" if c.ndim == 4 else "linear", 0, c)])
+    reader = reader_of(c)
+    with tempfile.TemporaryFile() as out:
+        put = positional_writer(out.fileno(), reader.metas)
+        if init is None:
+            ghn_orth_tensors(reader, put, cfg)
+        else:
+            init_tensors(reader.metas, put, *init)
+        out.seek(0)
+        blob = out.read()
+    return decode_ckpt(blob)[1][0] if one else blob
 
 
 @pytest.fixture

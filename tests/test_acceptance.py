@@ -4,35 +4,32 @@ One test per release criterion, each asserting its stated tolerance and
 printing a PASS line (run with ``pytest tests/test_acceptance.py -v -s``).
 """
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from ghnpost.checkpoint_io import (
-    Checkpoint,
-    TensorMeta,
-    read_checkpoint,
-    write_checkpoint,
-)
+from ghnpost.checkpoint_io import TensorMeta
 from ghnpost.cli import run
 from ghnpost.errors import BadMagic, TruncatedData, UnsupportedVersion
-from ghnpost.linalg import pca_project, qr_decompose, sign_adjust
-from ghnpost.postprocess import (
-    PostprocessConfig,
-    add_conditional_noise,
-    ghn_orth,
-    ghn_orth_tensor,
-    he_init,
-    orthogonal_reinit,
-    saxe_orthogonal_init,
-)
+from ghnpost.linalg import one_blas_thread, pca_project, qr_decompose
+from ghnpost.postprocess import PostprocessConfig
 from ghnpost.rng import RngStream
-from ghnpost.stats import channel_correlation, correlation_std, offdiagonal_values
-from ghnpost.tensor_ops import geometry, matricize
+from ghnpost.stats import sigma_r
+from ghnpost.tensor_ops import geometry
 
-from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint
+from conftest import (
+    correlated_tensor,
+    decode_ckpt,
+    encode_ckpt,
+    ghn_like_tensor,
+    make_checkpoint,
+    reader_of,
+    through_file,
+)
+from reference import matricize, reference_offdiagonal
 
 
 def _report(number, text):
@@ -40,8 +37,25 @@ def _report(number, text):
 
 
 def _orth_error(w):
-    m = matricize(w).data.astype(np.float64)
+    m = matricize(w).astype(np.float64)
     return np.abs(m.T @ m - np.eye(m.shape[1])).max()
+
+
+def _noised64(w, beta, seed, name):
+    """The repair's first step in float64: w plus beta * sigma_r(w) times
+    the tensor's stream."""
+    z = RngStream(seed, name).normal(w.size).reshape(w.shape)
+    return w.astype(np.float64) + beta * sigma_r(w) * z
+
+
+def _orth64(w):
+    """The repair's second step in float64, from numpy's QR: the Q of w's
+    matrix, each column times the sign of R's diagonal (0 as +1), laid
+    out in w's shape."""
+    with one_blas_thread():
+        q, r = np.linalg.qr(matricize(w))
+    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return (q.T if len(w) < w.size // len(w) else q).reshape(w.shape)
 
 
 def test_c1_orthogonality_contract():
@@ -62,21 +76,15 @@ def test_c1_orthogonality_contract():
         arr = (rng.normal(size=shape) * 0.05).astype(np.float32)
         kind = "conv" if len(shape) == 4 else "linear"
         specs.append((f"t{i}", shape, kind, i, arr))
-    c = make_checkpoint(specs)
     cfg = PostprocessConfig(start_layer=0, seed=11)
-    out = ghn_orth(c, cfg)
+    _, out = decode_ckpt(through_file(make_checkpoint(specs), cfg))
 
     worst_f32 = 0.0
     worst_f64 = 0.0
-    for i in range(100):
-        name = f"t{i}"
-        arr32 = out.get(name)[1]
+    for (name, _, _, _, arr), arr32 in zip(specs, out):
         worst_f32 = max(worst_f32, _orth_error(arr32))
         # replicate the pipeline in float64 to measure before the f32 cast
-        w64 = add_conditional_noise(
-            c.get(name)[1].astype(np.float64), cfg.beta, RngStream(cfg.seed, name)
-        )
-        o64 = orthogonal_reinit(w64)
+        o64 = _orth64(_noised64(arr, cfg.beta, cfg.seed, name))
         worst_f64 = max(worst_f64, _orth_error(o64))
         assert arr32.tobytes() == o64.astype(np.float32).tobytes()
     elapsed = time.perf_counter() - start
@@ -94,10 +102,9 @@ def test_c2_correlation_reduction():
     lines = []
     for k, shape in shapes.items():
         w = ghn_like_tensor(shape, rel_noise=1e-3, seed=k)
-        c = make_checkpoint([("w", shape, "conv", 0, w)])
-        before = np.abs(offdiagonal_values(channel_correlation(w))).mean()
-        out = ghn_orth(c, PostprocessConfig(start_layer=0, beta=3e-5, seed=1))
-        after = np.abs(offdiagonal_values(channel_correlation(out.get("w")[1]))).mean()
+        before = np.abs(reference_offdiagonal(w)[1]).mean()
+        out = through_file(w, PostprocessConfig(start_layer=0, beta=3e-5, seed=1))
+        after = np.abs(reference_offdiagonal(out)[1]).mean()
         assert before > 0.9, f"K={k}: before {before}"
         assert after < 0.1, f"K={k}: after {after}"
         lines.append(f"K={k}: {before:.4f}->{after:.4f}")
@@ -139,9 +146,8 @@ def test_c2_decorrelation_reaches_the_welch_bound():
     lines = []
     for shape in shapes:
         k, chw, _ = geometry(shape)
-        meta = TensorMeta("w", shape, "conv" if len(shape) == 4 else "linear", 0)
         w = ghn_like_tensor(shape, seed=2)
-        rms = _rms_offdiagonal_r(ghn_orth_tensor(meta, w, cfg))
+        rms = _rms_offdiagonal_r(through_file(w, cfg))
         bound = max(_welch_rms(k, chw), _WELCH_C / chw)
         assert rms <= (1 + _WELCH_EPS) * bound, f"{shape}: RMS r {rms} vs bound {bound}"
         lines.append(f"{shape}: {rms / bound:.3f}")
@@ -178,7 +184,7 @@ def test_c4_sign_adjusted_qr_is_idempotent():
         m = int(rng.integers(n, 256))
         base, _ = np.linalg.qr(rng.normal(size=(m, n)))  # independent generator
         q, d = qr_decompose(np.array(base, order="F"))
-        worst = max(worst, np.abs(sign_adjust(q, np.diag(d)) - base).max())
+        worst = max(worst, np.abs(q * np.where(d < 0.0, -1.0, 1.0) - base).max())
     assert worst <= 1e-9
     _report(4, f"100 orthonormal matrices reproduced within {worst:.2e}")
 
@@ -186,15 +192,17 @@ def test_c4_sign_adjusted_qr_is_idempotent():
 def test_c5_noise_calibration():
     w = correlated_tensor((256, 256, 3, 3), seed=5)
     beta = 3e-5
-    sigma = correlation_std(channel_correlation(w))
+    sigma = np.std(reference_offdiagonal(w)[1])
     assert sigma > 0.01  # fixture sanity: spread well above f32 quantization
-    out = add_conditional_noise(w, beta, RngStream(55, "layer"))
+    noise = PostprocessConfig(start_layer=0, beta=beta, seed=55, skip_orth=True)
+    out = through_file(w, noise, name="layer")
     diff = out.astype(np.float64) - w.astype(np.float64)
     target = beta * sigma
     err = abs(diff.std() - target) / target
     assert err <= 0.05, f"noise std off by {err:.2%}"
 
-    frozen = add_conditional_noise(w, 0.0, RngStream(55, "layer"))
+    frozen = through_file(w, PostprocessConfig(start_layer=0, beta=0.0, seed=55,
+                                               skip_orth=True), name="layer")
     assert frozen.tobytes() == w.tobytes()
     _report(5, f"noise std within {err:.2%} of beta*sigma(r); beta=0 bit-identical")
 
@@ -210,36 +218,35 @@ def test_c6_exclusion_policy_and_ablations():
     ]
     c = make_checkpoint(specs)
     cfg = PostprocessConfig(start_layer=2, seed=6)
-    out = ghn_orth(c, cfg)
-    for name in ("shallow.conv", "deep.norm", "deep.bias"):
-        assert out.get(name)[1].tobytes() == c.get(name)[1].tobytes()
-    for name in ("deep.conv", "deep.fc"):
-        assert out.get(name)[1].tobytes() != c.get(name)[1].tobytes()
+    _, out = decode_ckpt(through_file(c, cfg))
+    for i, (name, _, kind, depth, arr) in enumerate(specs):
+        changed = kind in ("conv", "linear") and depth >= 2  # deep.conv, deep.fc
+        assert (out[i].tobytes() != arr.tobytes()) == changed, name
 
-    only_orth = ghn_orth(c, PostprocessConfig(start_layer=2, beta=0.0, seed=6))
-    only_noise = ghn_orth(c, PostprocessConfig(start_layer=2, seed=6, skip_orth=True))
-    for name in ("deep.conv", "deep.fc"):
-        w64 = c.get(name)[1].astype(np.float64)
-        direct_orth = orthogonal_reinit(w64).astype(np.float32)
-        assert only_orth.get(name)[1].tobytes() == direct_orth.tobytes()
-        direct_noise = add_conditional_noise(
-            w64, cfg.beta, RngStream(6, name)
-        ).astype(np.float32)
-        assert only_noise.get(name)[1].tobytes() == direct_noise.tobytes()
+    _, only_orth = decode_ckpt(through_file(c, PostprocessConfig(start_layer=2, beta=0.0,
+                                                                 seed=6)))
+    _, only_noise = decode_ckpt(through_file(c, PostprocessConfig(start_layer=2, seed=6,
+                                                                  skip_orth=True)))
+    for i in (3, 4):  # deep.conv, deep.fc
+        name, *_, w = specs[i]
+        direct_orth = _orth64(w.astype(np.float64)).astype(np.float32)
+        assert only_orth[i].tobytes() == direct_orth.tobytes()
+        direct_noise = _noised64(w, cfg.beta, 6, name).astype(np.float32)
+        assert only_noise[i].tobytes() == direct_noise.tobytes()
     _report(6, "norm/bias/shallow bit-identical; ablations match single steps")
 
 
 def test_c7_baseline_statistics():
     cases = [((128, 128), 128), ((64, 32, 3, 3), 288), ((96, 4, 7, 7), 196)]
     for shape, fan_in in cases:
-        w = he_init(shape, RngStream(7, str(shape)))
+        w = through_file(np.zeros(shape, np.float32), init=("rand", 1.0, 7), name=str(shape))
         assert w.size >= 10_000
         target = math.sqrt(2.0 / fan_in)
         assert abs(float(w.std()) - target) <= 0.05 * target
         assert abs(float(w.mean())) <= 3.0 * target / math.sqrt(w.size)
     worst = 0.0
     for shape in [(64, 64), (32, 16, 3, 3), (200, 50), (24, 96)]:
-        w = saxe_orthogonal_init(shape, 1.0, RngStream(8, str(shape)))
+        w = through_file(np.zeros(shape, np.float32), init=("orth", 1.0, 8), name=str(shape))
         worst = max(worst, _orth_error(w))
     assert worst <= 1e-4
     _report(7, f"He std/mean in bounds; Saxe orthonormality {worst:.2e}")
@@ -271,18 +278,19 @@ def test_c8_pca_correctness():
 
 def test_c9_determinism_and_format(tmp_path):
     rng = np.random.default_rng(9)
-    c = make_checkpoint(
-        [
-            ("a.conv", (8, 4, 3, 3), "conv", 0,
-             rng.normal(size=(8, 4, 3, 3)).astype(np.float32)),
-            ("a.norm", (8,), "norm", 0, np.ones(8, np.float32)),
-            ("b.fc", (6, 12), "linear", 1,
-             rng.normal(size=(6, 12)).astype(np.float32)),
-        ]
-    )
-    blob = write_checkpoint(c)
-    assert read_checkpoint(blob) == c
-    assert write_checkpoint(read_checkpoint(blob)) == blob
+    tensors = [
+        ("a.conv", (8, 4, 3, 3), "conv", 0, rng.normal(size=(8, 4, 3, 3)).astype(np.float32)),
+        ("a.norm", (8,), "norm", 0, np.ones(8, np.float32)),
+        ("b.fc", (6, 12), "linear", 1, rng.normal(size=(6, 12)).astype(np.float32)),
+    ]
+    # Bytes of the container codec written from the documented layout
+    # (independent of ghnpost) read back bit-exactly.
+    blob = make_checkpoint(tensors)
+    metas = [TensorMeta(*t[:4]) for t in tensors]
+    reader = reader_of(blob)
+    assert reader.metas == metas
+    for i, (*_, arr) in enumerate(tensors):
+        assert reader.load(i).tobytes() == arr.tobytes()
 
     src = tmp_path / "in.ckpt"
     src.write_bytes(blob)
@@ -294,6 +302,17 @@ def test_c9_determinism_and_format(tmp_path):
         assert run(argv) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps([dict(zip(("name", "shape", "kind", "depth"), t[:4]))
+                                for t in tensors]))
+    assert run(["init", str(arch), "--method", "orth", "--seed", "1",
+                "--out", str(tmp_path / "init.ckpt")]) == 0
+    # What the commands write decodes through the same codec and encodes
+    # back byte for byte.
+    for written in (outputs[0], (tmp_path / "init.ckpt").read_bytes()):
+        specs, arrays = decode_ckpt(written)
+        assert [TensorMeta(s.name, s.shape, s.kind, s.depth) for s in specs] == metas
+        assert encode_ckpt(specs, arrays) == written
 
     reports = []
     for name in ("r1.csv", "r2.csv"):
@@ -303,12 +322,12 @@ def test_c9_determinism_and_format(tmp_path):
     assert reports[0] == reports[1]
 
     with pytest.raises(BadMagic):
-        read_checkpoint(b"XXXX" + blob[4:])
+        reader_of(b"XXXX" + blob[4:])
     with pytest.raises(TruncatedData):
-        read_checkpoint(blob[:-8])
+        reader_of(blob[:-8])
     version_bumped = blob[:4] + (7).to_bytes(4, "little") + blob[8:]
     with pytest.raises(UnsupportedVersion):
-        read_checkpoint(version_bumped)
+        reader_of(version_bumped)
 
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"XXXX" + blob[4:])
@@ -319,9 +338,7 @@ def test_c9_determinism_and_format(tmp_path):
     assert run(["postprocess"]) == 1
     one_channel = tmp_path / "one.ckpt"
     one_channel.write_bytes(
-        write_checkpoint(
-            make_checkpoint([("w", (1, 8), "conv", 0, np.ones((1, 8), np.float32))])
-        )
+        make_checkpoint([("w", (1, 8), "conv", 0, np.ones((1, 8), np.float32))])
     )
     assert run(["analyze", str(one_channel), "--out", str(tmp_path / "x.csv")]) == 3
     _report(9, "round-trips bit-exact; CLI byte-deterministic; error classes and "

@@ -1,17 +1,22 @@
 """The package's public names: each exported name resolves, and the
 second paths that the command line never ran are gone."""
 
+import ast
 import dataclasses
 import inspect
+import sys
+from pathlib import Path
 
 import ghnpost
-from ghnpost import checkpoint_io, errors, postprocess, report, stats
-from ghnpost.checkpoint_io import Checkpoint, CheckpointReader
+from ghnpost import checkpoint_io, errors, linalg, postprocess, report, stats, tensor_ops
+from ghnpost.checkpoint_io import CheckpointReader
 from ghnpost.linalg import qr_decompose
 from ghnpost.postprocess import PostprocessConfig
 from ghnpost.rng import RngStream
 
-from conftest import reader_of
+from conftest import make_checkpoint, reader_of
+
+_MODULES = (checkpoint_io, linalg, postprocess, report, stats, tensor_ops)
 
 
 def test_every_public_name_resolves():
@@ -27,7 +32,6 @@ def test_removed_names_are_absent():
         assert not hasattr(checkpoint_io, name) and not hasattr(postprocess, name)
     assert not hasattr(errors, "ShapeMismatch")
     assert not hasattr(RngStream, "substream")
-    assert not hasattr(Checkpoint, "read_rows")
     for name in ("get", "_load", "__iter__"):
         assert not hasattr(CheckpointReader, name)
     # Result types that only copied what their callers already held.
@@ -47,5 +51,39 @@ def test_removed_names_are_absent():
     for name in ("_put_rows", "_block_values", "_STREAM_BYTES"):
         assert not hasattr(postprocess, name)
     # FORMAT_VERSION is the one version a checkpoint can have.
-    assert not hasattr(Checkpoint(), "version")
-    assert not hasattr(reader_of(Checkpoint()), "version")
+    assert not hasattr(reader_of(make_checkpoint([])), "version")
+
+
+# The in-memory second path: the container, the single-tensor wrappers,
+# the whole correlation matrix, and the layout and sign helpers.  The
+# commands never ran them; the tests' oracles live in tests/reference.py.
+_IN_MEMORY = (
+    "Checkpoint", "write_checkpoint", "read_checkpoint", "validate_checkpoint",
+    "_collected", "ghn_orth_tensor", "ghn_orth", "add_conditional_noise",
+    "orthogonal_reinit", "he_init", "saxe_orthogonal_init", "_orth_layer", "_check_beta",
+    "channel_correlation", "offdiagonal_values", "correlation_std",
+    "correlation_histogram", "_fold_values",
+    "Matricized", "matricize", "dematricize", "sign_adjust",
+)
+
+
+def test_in_memory_second_path_is_absent():
+    for name in _IN_MEMORY:
+        assert name not in ghnpost.__all__, name
+        assert not hasattr(ghnpost, name), name
+        for module in _MODULES:
+            assert not hasattr(module, name), (module.__name__, name)
+    # Every layer is written as float32, the one dtype a file holds.
+    assert "dtype" not in inspect.signature(postprocess._write_layer).parameters
+
+
+def test_reference_oracles_import_nothing_from_the_package():
+    path = Path(__file__).with_name("reference.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "a relative import"
+            imported.add(node.module.split(".")[0])
+    assert imported <= {"numpy"} | set(sys.stdlib_module_names), imported

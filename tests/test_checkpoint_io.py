@@ -15,14 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghnpost.checkpoint_io import (
-    Checkpoint,
     CheckpointReader,
     TensorMeta,
     encode_header,
     parse_tensor_specs,
     positional_writer,
-    read_checkpoint,
-    write_checkpoint,
 )
 from ghnpost.errors import (
     BadMagic,
@@ -32,60 +29,48 @@ from ghnpost.errors import (
     UnsupportedVersion,
 )
 
-from conftest import make_checkpoint
+from ghnpost.postprocess import PostprocessConfig
+
+from conftest import decode_ckpt, make_checkpoint, reader_of, through_file
+
+# No tensor is this deep: postprocess passes every tensor through, read
+# through the reader and written back through positional_writer.
+_PASS = PostprocessConfig(start_layer=10**9)
+
+
+def _assert_reads_back(blob):
+    """The reader gives the metas and the float32 tensors that the
+    independent codec decodes from ``blob``, bit for bit."""
+    reader = reader_of(blob)
+    specs, arrays = decode_ckpt(blob)
+    assert reader.metas == [TensorMeta(s.name, s.shape, s.kind, s.depth) for s in specs]
+    for i, arr in enumerate(arrays):
+        got = reader.load(i)
+        assert got.dtype == np.float32 and got.shape == arr.shape
+        assert got.tobytes() == arr.tobytes()
 
 
 def test_round_trip_identity(small_checkpoint):
-    blob = write_checkpoint(small_checkpoint)
-    assert read_checkpoint(blob) == small_checkpoint
+    _assert_reads_back(small_checkpoint)
 
 
 def test_write_is_deterministic(small_checkpoint):
-    assert write_checkpoint(small_checkpoint) == write_checkpoint(small_checkpoint)
+    assert through_file(small_checkpoint, _PASS) == through_file(small_checkpoint, _PASS)
 
 
 def test_write_read_write_fixpoint(small_checkpoint):
-    blob = write_checkpoint(small_checkpoint)
-    assert write_checkpoint(read_checkpoint(blob)) == blob
+    assert through_file(small_checkpoint, _PASS) == small_checkpoint
 
 
 def test_empty_checkpoint():
-    c = Checkpoint(tensors=[])
-    blob = write_checkpoint(c)
-    back = read_checkpoint(blob)
-    assert len(back) == 0
-    assert back == c
-
-
-def _ckpt(*arrays, name="w"):
-    return make_checkpoint([(f"{name}{i}", (2, 3), "conv", 0, a) for i, a in enumerate(arrays)])
-
-
-_W = np.arange(6, dtype=np.float32).reshape(2, 3)
-_NAN = np.full((2, 3), np.nan, np.float32)
-# Each pair differs in one way only, so each is told apart by one check of
-# Checkpoint.__eq__; the arrays need not match their metas' shapes.
-_UNEQUAL = {
-    "meta": (_ckpt(_W), _ckpt(_W, name="v")),
-    "tensor count": (_ckpt(_W), _ckpt(_W, _W)),
-    "shape": (_ckpt(_W), _ckpt(_W.reshape(3, 2))),
-    "dtype": (_ckpt(_W), _ckpt(_W.view(np.int32))),
-    "signed zero": (_ckpt(np.zeros((2, 3), np.float32)), _ckpt(np.full((2, 3), -0.0, np.float32))),
-    "nan payload": (_ckpt(_NAN), _ckpt((_NAN.view(np.uint32) | 1).view(np.float32))),
-    "not a checkpoint": (_ckpt(_W), object()),
-}
-
-
-@pytest.mark.parametrize("left, right", _UNEQUAL.values(), ids=_UNEQUAL.keys())
-def test_checkpoints_that_differ_are_unequal(left, right):
-    assert left == Checkpoint(tensors=[(meta, arr.copy()) for meta, arr in left])
-    assert not left == right and not right == left
-    assert left != right
+    blob = make_checkpoint([])
+    assert reader_of(blob).metas == []
+    assert through_file(blob, _PASS) == blob
 
 
 def test_hand_built_file_matches_format():
     # One tensor "w", shape [2,2], values [1,2,3,4]; bytes assembled by hand
-    # from the documented layout.  write_checkpoint must reproduce them.
+    # from the documented layout.  The writer must reproduce them.
     header = json.dumps(
         {
             "tensors": [
@@ -106,42 +91,40 @@ def test_hand_built_file_matches_format():
     blob += b"\x00" * (-len(blob) % 8)
     blob += struct.pack("<4f", 1.0, 2.0, 3.0, 4.0)
 
-    c = read_checkpoint(blob)
-    assert len(c) == 1
-    meta, arr = c.tensors[0]
-    assert meta == TensorMeta(name="w", shape=(2, 2), kind="linear", depth=0)
+    reader = reader_of(blob)
+    assert reader.metas == [TensorMeta(name="w", shape=(2, 2), kind="linear", depth=0)]
+    arr = reader.load(0)
     assert arr.dtype == np.float32
     np.testing.assert_array_equal(arr, np.array([[1, 2], [3, 4]], dtype=np.float32))
 
-    rebuilt = make_checkpoint([("w", (2, 2), "linear", 0, arr)])
-    assert write_checkpoint(rebuilt) == blob
+    assert through_file(blob, _PASS) == blob
 
 
 def test_bad_magic():
     with pytest.raises(BadMagic):
-        read_checkpoint(b"XXXX" + b"\x00" * 32)
+        reader_of(b"XXXX" + b"\x00" * 32)
     with pytest.raises(BadMagic):
-        read_checkpoint(b"GH")
+        reader_of(b"GH")
 
 
 def test_unsupported_version(small_checkpoint):
-    blob = bytearray(write_checkpoint(small_checkpoint))
+    blob = bytearray(small_checkpoint)
     blob[4:8] = struct.pack("<I", 9)
     with pytest.raises(UnsupportedVersion, match="version"):
-        read_checkpoint(bytes(blob))
+        reader_of(bytes(blob))
 
 
 def test_header_longer_than_file():
     blob = b"GHNP" + struct.pack("<I", 1) + struct.pack("<Q", 10_000)
     with pytest.raises(CorruptHeader, match="header_length"):
-        read_checkpoint(blob + b"{}")
+        reader_of(blob + b"{}")
 
 
 def test_header_not_json():
     payload = b"not json!!"
     blob = b"GHNP" + struct.pack("<I", 1) + struct.pack("<Q", len(payload)) + payload
     with pytest.raises(CorruptHeader, match="header"):
-        read_checkpoint(blob)
+        reader_of(blob)
 
 
 def _blob_with_header(header_obj):
@@ -170,7 +153,7 @@ def test_header_schema_violations():
     for header_obj, pattern in cases:
         blob = _blob_with_header(header_obj) + b"\x00" * 64
         with pytest.raises(CorruptHeader, match=pattern):
-            read_checkpoint(blob)
+            reader_of(blob)
 
 
 @pytest.mark.parametrize("name", ["", "\ud800", "a\udfffb"])
@@ -180,10 +163,9 @@ def test_name_rule_holds_in_reader_writer_and_archspec(name):
     entry = {"name": name, "shape": [2], "kind": "linear", "depth": 0,
              "offset": 0, "length": 2}
     with pytest.raises(CorruptHeader, match=r"^tensors\[0\]\.name: expected a non-empty"):
-        read_checkpoint(_blob_with_header({"tensors": [entry]}) + b"\x00" * 8)
-    c = make_checkpoint([(name, (2,), "linear", 0, np.zeros(2, np.float32))])
+        reader_of(_blob_with_header({"tensors": [entry]}) + b"\x00" * 8)
     with pytest.raises(ValueError, match=r"^tensors\[0\]\.name: expected a non-empty"):
-        write_checkpoint(c)
+        encode_header([TensorMeta(name, (2,), "linear", 0)])
     text = json.dumps([{"name": name, "shape": [2], "kind": "linear", "depth": 0}])
     with pytest.raises(SchemaError, match=r"^\$\[0\]\.name: expected a non-empty"):
         parse_tensor_specs(text)
@@ -198,13 +180,13 @@ def test_non_integer_offset_or_length_is_corrupt_header(field, want, value):
                                                   field: value}]})
     with pytest.raises(CorruptHeader, match=(
             rf"^tensors\[1\]\.{field}: expected {want}, got {re.escape(repr(value))}$")):
-        read_checkpoint(blob + b"\x00" * 16)
+        reader_of(blob + b"\x00" * 16)
 
 
 def test_too_deeply_nested_json_is_a_data_error():
     deep = "[" * 100_000 + "]" * 100_000
     with pytest.raises(CorruptHeader, match="^header: not valid JSON"):
-        read_checkpoint(b"GHNP" + struct.pack("<IQ", 1, len(deep)) + deep.encode())
+        reader_of(b"GHNP" + struct.pack("<IQ", 1, len(deep)) + deep.encode())
     with pytest.raises(SchemaError, match=r"^\$: not valid JSON"):
         parse_tensor_specs(deep)
 
@@ -215,7 +197,7 @@ def test_truncated_data():
     blob = _blob_with_header({"tensors": [entry]})
     blob += struct.pack("<2f", 1.0, 2.0)  # 8 of the 16 declared bytes
     with pytest.raises(TruncatedData, match="'w'"):
-        read_checkpoint(blob)
+        reader_of(blob)
 
 
 def _two_tensor_blob(offsets) -> bytes:
@@ -236,14 +218,15 @@ def test_each_offset_is_the_contiguous_one(offsets):
     i = 0 if offsets[0] != 0 else 1
     with pytest.raises(CorruptHeader, match=(
             rf"^tensors\[{i}\]\.offset: expected {(0, 8)[i]}, got {offsets[i]}$")):
-        read_checkpoint(_two_tensor_blob(offsets))
+        reader_of(_two_tensor_blob(offsets))
 
 
 def test_bytes_after_the_last_tensor_are_ignored(small_checkpoint):
-    blob = bytes(write_checkpoint(small_checkpoint))
-    assert read_checkpoint(blob + b"\xff" * 13) == small_checkpoint
-    c = read_checkpoint(_two_tensor_blob((0, 8)) + bytes(8))
-    np.testing.assert_array_equal(c.get("b")[1], np.array([3, 4], dtype=np.float32))
+    reader = reader_of(small_checkpoint + b"\xff" * 13)
+    for i, arr in enumerate(decode_ckpt(small_checkpoint)[1]):
+        assert reader.load(i).tobytes() == arr.tobytes()
+    reader = reader_of(_two_tensor_blob((0, 8)) + bytes(8))
+    np.testing.assert_array_equal(reader.load(1), np.array([3, 4], dtype=np.float32))
 
 
 @pytest.mark.parametrize("size", ["full", "toy"])
@@ -265,7 +248,7 @@ def test_benchmark_inputs_have_the_writers_header(table, size, monkeypatch):
 def test_short_readinto_is_truncated_data(small_checkpoint, tmp_path):
     # The header checks pass; the file then shrinks before the tensors are read.
     path = tmp_path / "c.ckpt"
-    blob = write_checkpoint(small_checkpoint)
+    blob = small_checkpoint
     path.write_bytes(blob)
     with open(path, "rb") as handle:
         reader = CheckpointReader(handle)
@@ -283,39 +266,40 @@ class _PieceReader(io.BytesIO):
 
 
 def test_a_read_in_pieces_is_reassembled_bit_for_bit(small_checkpoint):
-    reader = CheckpointReader(_PieceReader(write_checkpoint(small_checkpoint)))
-    for i, (_, arr) in enumerate(small_checkpoint):
+    reader = CheckpointReader(_PieceReader(small_checkpoint))
+    arrays = decode_ckpt(small_checkpoint)[1]
+    for i, arr in enumerate(arrays):
         assert reader.load(i).tobytes() == arr.tobytes()
-    w = small_checkpoint.tensors[2][1]
+    w = arrays[2]
     assert reader.read_rows(2, 3, 11).tobytes() == w[3:11].tobytes()
 
 
 def test_writers_match_for_non_contiguous_arrays(tmp_path):
     w = np.arange(6, dtype=np.float32).reshape(2, 3)
-    c = make_checkpoint([("w", (3, 2), "linear", 0, w.T)])
     path = tmp_path / "c.ckpt"
     with open(path, "wb") as handle:
-        positional_writer(handle.fileno(), c.metas)(0, w.T)
-    assert path.read_bytes() == write_checkpoint(c)
-    np.testing.assert_array_equal(read_checkpoint(path.read_bytes()).get("w")[1], w.T)
+        positional_writer(handle.fileno(), [TensorMeta("w", (3, 2), "linear", 0)])(0, w.T)
+    assert path.read_bytes() == make_checkpoint([("w", (3, 2), "linear", 0, w.T)])
+    np.testing.assert_array_equal(reader_of(path.read_bytes()).load(0), w.T)
 
 
 def _many_tensors(n=24):
-    """n linear tensors of random shapes, up to 64 x 2048."""
+    """n linear tensors of random shapes, up to 64 x 2048, as
+    (name, shape, kind, depth, array)."""
     rng = np.random.default_rng(5)
     tensors = []
     for i in range(n):
         shape = (int(rng.integers(1, 64)), int(rng.integers(1, 2048)))
         tensors.append((f"t{i}", shape, "linear", 0,
                         rng.standard_normal(shape, dtype=np.float32)))
-    return make_checkpoint(tensors)
+    return tensors
 
 
 def test_loads_from_four_threads_equal_a_sequential_read(tmp_path):
-    c = _many_tensors()
+    tensors = _many_tensors()
     path = tmp_path / "c.ckpt"
-    path.write_bytes(write_checkpoint(c))
-    ids = list(range(len(c)))
+    path.write_bytes(make_checkpoint(tensors))
+    ids = list(range(len(tensors)))
     with open(path, "rb") as handle:
         reader = CheckpointReader(handle)
         expected = [reader.load(i).tobytes() for i in ids]
@@ -340,8 +324,9 @@ def test_loads_from_four_threads_equal_a_sequential_read(tmp_path):
     assert mismatches == []
 
 
-def test_positional_writer_in_any_order_equals_write_checkpoint(tmp_path, monkeypatch):
-    c = _many_tensors()
+def test_positional_writer_in_any_order_equals_the_encoded_bytes(tmp_path, monkeypatch):
+    tensors = _many_tensors()
+    metas = [TensorMeta(*t[:4]) for t in tensors]
     pwrite = os.pwrite
     # At most 1000 bytes per call, as a write that the OS cuts short.
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:1000], offset))
@@ -349,7 +334,7 @@ def test_positional_writer_in_any_order_equals_write_checkpoint(tmp_path, monkey
     def put_tensor(i):
         # Odd tensors of two rows or more go as two blocks of rows, the
         # later rows first.
-        w = c.tensors[i][1]
+        w = tensors[i][4]
         if i % 2 and len(w) > 1:
             half = len(w) // 2
             put(i, w[half:], half)
@@ -358,10 +343,10 @@ def test_positional_writer_in_any_order_equals_write_checkpoint(tmp_path, monkey
             put(i, w)
 
     with open(path, "wb") as handle:
-        put = positional_writer(handle.fileno(), c.metas)
+        put = positional_writer(handle.fileno(), metas)
         threads = [
             threading.Thread(target=lambda ids: [put_tensor(i) for i in ids],
-                             args=(range(k, len(c), 3)[::-1],))
+                             args=(range(k, len(metas), 3)[::-1],))
             for k in range(3)
         ]
         for thread in threads:
@@ -369,12 +354,12 @@ def test_positional_writer_in_any_order_equals_write_checkpoint(tmp_path, monkey
         for thread in threads:
             thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
-    assert path.read_bytes() == write_checkpoint(c)
+    assert path.read_bytes() == make_checkpoint(tensors)
     with open(path, "wb") as handle:
-        put = positional_writer(handle.fileno(), c.metas)
+        put = positional_writer(handle.fileno(), metas)
         with pytest.raises(ValueError, match="shape"):
             put(0, np.zeros(3, np.float32))
-        rows, cols = c.metas[0].shape
+        rows, cols = metas[0].shape
         for block, row in [(np.zeros((2, cols), np.float32), rows - 1),  # past the end
                            (np.zeros((2, cols + 1), np.float32), 0)]:  # not whole rows
             with pytest.raises(ValueError, match="whole rows"):
@@ -408,17 +393,16 @@ def test_parse_tensor_specs_returns_the_metas():
     assert parse_tensor_specs(text) == [TensorMeta("w", (2, 3), "linear", 1)]
 
 
-def test_write_rejects_invariant_violations():
+def test_write_rejects_invariant_violations(tmp_path):
     arr = np.zeros((2, 2), dtype=np.float32)
-    bad_shape = make_checkpoint([("w", (2, 3), "conv", 0, arr)])
-    with pytest.raises(ValueError, match="shape"):
-        write_checkpoint(bad_shape)
-    dup = make_checkpoint([("w", (2, 2), "conv", 0, arr), ("w", (2, 2), "conv", 0, arr)])
-    with pytest.raises(ValueError, match="duplicate"):
-        write_checkpoint(dup)
-    f64 = make_checkpoint([("w", (2, 2), "conv", 0, arr.astype(np.float64))])
-    with pytest.raises(ValueError, match="float32"):
-        write_checkpoint(f64)
+    meta = TensorMeta("w", (2, 2), "conv", 0)
+    with open(tmp_path / "c.ckpt", "wb") as handle:
+        with pytest.raises(ValueError, match="shape"):
+            positional_writer(handle.fileno(), [TensorMeta("w", (2, 3), "conv", 0)])(0, arr)
+        with pytest.raises(ValueError, match="duplicate"):
+            positional_writer(handle.fileno(), [meta, meta])
+        with pytest.raises(ValueError, match="float32"):
+            positional_writer(handle.fileno(), [meta])(0, arr.astype(np.float64))
 
 
 _names = st.text(
@@ -438,13 +422,12 @@ def _checkpoints(draw):
         kind = draw(st.sampled_from(["conv", "linear", "norm", "bias", "other"]))
         seed = draw(st.integers(0, 2**31))
         arr = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
-        tensors.append((TensorMeta(name, shape, kind, depth), arr))
-    return Checkpoint(tensors=tensors)
+        tensors.append((name, shape, kind, depth, arr))
+    return make_checkpoint(tensors)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_checkpoints())
-def test_round_trip_property(c):
-    blob = write_checkpoint(c)
-    assert read_checkpoint(blob) == c
-    assert write_checkpoint(read_checkpoint(blob)) == blob
+def test_round_trip_property(blob):
+    _assert_reads_back(blob)
+    assert through_file(blob, _PASS) == blob

@@ -27,21 +27,22 @@ from hypothesis import strategies as st
 
 import ghnpost
 from ghnpost import checkpoint_io, cli, linalg, postprocess, stats
-from ghnpost.checkpoint_io import Checkpoint, TensorMeta, read_checkpoint, write_checkpoint
+from ghnpost.checkpoint_io import TensorMeta
 from ghnpost.cli import run
 from ghnpost.linalg import qr_decompose
-from ghnpost.postprocess import (
-    DEFAULT_BETA,
-    PostprocessConfig,
-    ghn_orth,
-    he_init,
-    saxe_orthogonal_init,
-)
+from ghnpost.postprocess import DEFAULT_BETA, PostprocessConfig
 from ghnpost.rng import RngStream
-from ghnpost.stats import channel_correlation, offdiagonal_values
-from ghnpost.tensor_ops import matricize
 
-from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint
+from conftest import (
+    correlated_tensor,
+    decode_ckpt,
+    encode_ckpt,
+    ghn_like_tensor,
+    make_checkpoint,
+    reader_of,
+    through_file,
+)
+from reference import matricize, reference_offdiagonal
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ def ckpt_path(tmp_path):
         ]
     )
     path = tmp_path / "in.ckpt"
-    path.write_bytes(write_checkpoint(c))
+    path.write_bytes(c)
     return path
 
 
@@ -84,9 +85,9 @@ def test_analyze_svg_names_fit_the_file_system_limit(tmp_path):
     long, kept = "blk." * 80 + "w", "b" * 200
     w = ghn_like_tensor((8, 6), seed=4)
     path = tmp_path / "long.ckpt"
-    path.write_bytes(write_checkpoint(make_checkpoint(
+    path.write_bytes(make_checkpoint(
         [(long, (8, 6), "linear", 0, w), (kept, (8, 6), "linear", 1, w)]
-    )))
+    ))
     svg_dir = tmp_path / "svgs"
     assert run(["analyze", str(path), "--out", str(tmp_path / "r.csv"),
                 "--svg-dir", str(svg_dir)]) == 0
@@ -102,12 +103,13 @@ def test_postprocess_end_to_end(ckpt_path, tmp_path):
     argv = ["postprocess", str(ckpt_path), "--beta", "3e-5", "--start-layer", "1",
             "--seed", "1", "--out", str(out)]
     assert run(argv) == 0
-    result = read_checkpoint(out.read_bytes())
-    original = read_checkpoint(ckpt_path.read_bytes())
-    # depth 0 untouched, depth >= 1 conv/linear orthogonalized
-    assert result.get("l0.conv")[1].tobytes() == original.get("l0.conv")[1].tobytes()
-    for name in ("l1.conv", "l2.fc"):
-        m = matricize(result.get(name)[1]).data.astype(np.float64)
+    _, result = decode_ckpt(out.read_bytes())
+    _, original = decode_ckpt(ckpt_path.read_bytes())
+    # depth 0 (l0.conv) untouched, depth >= 1 conv/linear (l1.conv, l2.fc)
+    # orthogonalized
+    assert result[0].tobytes() == original[0].tobytes()
+    for w in (result[2], result[3]):
+        m = matricize(w).astype(np.float64)
         assert np.abs(m.T @ m - np.eye(m.shape[1])).max() <= 1e-4
 
 
@@ -125,9 +127,9 @@ def test_postprocess_skip_flags(ckpt_path, tmp_path):
     out_noise = tmp_path / "noise.ckpt"
     assert run(["postprocess", str(ckpt_path), "--start-layer", "0", "--seed", "1",
                 "--skip-orth", "--out", str(out_noise)]) == 0
-    c = read_checkpoint(out_noise.read_bytes())
-    # noise alone keeps channels correlated
-    r = offdiagonal_values(channel_correlation(c.get("l1.conv")[1]))
+    _, arrays = decode_ckpt(out_noise.read_bytes())
+    # noise alone keeps channels correlated (l1.conv)
+    _, r = reference_offdiagonal(arrays[2])
     assert np.abs(r).mean() > 0.9
 
     both = run(["postprocess", str(ckpt_path), "--start-layer", "0",
@@ -139,7 +141,7 @@ def _blocks_checkpoint(path):
     """Layers whose row blocks (about 64K values each) end in every way."""
     mixed = ghn_like_tensor((64, 2048), seed=5)
     mixed[:32] *= 1e-30  # its first 32-row block lies wholly within the noise's reach
-    path.write_bytes(write_checkpoint(make_checkpoint([
+    path.write_bytes(make_checkpoint([
         # 327-row blocks, K not a multiple; K > CHW, not transposed
         ("tail", (700, 200), "linear", 1, ghn_like_tensor((700, 200), seed=1)),
         # 65-row blocks, K < CHW: transposed
@@ -148,7 +150,7 @@ def _blocks_checkpoint(path):
         ("one", (1, 64), "linear", 2, ghn_like_tensor((1, 64), seed=4)),  # K = 1
         ("bn", (64,), "norm", 2, np.full(64, 1.5, np.float32)),
         ("mixed", (64, 2048), "linear", 2, mixed),
-    ])))
+    ]))
     return path
 
 
@@ -168,7 +170,7 @@ def test_postprocess_matches_library(skip, beta, ckpt_path, tmp_path, monkeypatc
         monkeypatch.setattr(RngStream, method, recording)
     for inp in (ckpt_path, _blocks_checkpoint(tmp_path / "blocks.ckpt")):
         monkeypatch.setattr(postprocess, "_cpu_count", lambda: 1)
-        expected = write_checkpoint(ghn_orth(read_checkpoint(inp.read_bytes()), cfg))
+        expected = through_file(inp.read_bytes(), cfg)
         for width in (1, 8):  # sequential, and a pool wider than the layer count
             monkeypatch.setattr(postprocess, "_cpu_count", lambda: width)
             out = tmp_path / f"out{width}.ckpt"
@@ -185,28 +187,20 @@ def test_postprocess_matches_library(skip, beta, ckpt_path, tmp_path, monkeypatc
 @pytest.mark.parametrize("method", ["rand", "orth"])
 def test_init_matches_library(method, tmp_path, monkeypatch):
     # The command line writes each layer a row block at a time at its offset
-    # in the file; the bytes are those of he_init / saxe_orthogonal_init.
-    metas = read_checkpoint(_blocks_checkpoint(tmp_path / "blocks.ckpt").read_bytes()).metas
+    # in the file; the bytes are those of init_tensors on one thread.
+    blocks = _blocks_checkpoint(tmp_path / "blocks.ckpt").read_bytes()
     arch = tmp_path / "arch.json"
     arch.write_text(json.dumps([{"name": m.name, "shape": list(m.shape), "kind": m.kind,
-                                 "depth": m.depth} for m in metas]))
-    expected = []
-    for meta in metas:
-        rng = RngStream(3, meta.name)
-        if meta.kind == "norm":
-            expected.append(np.ones(meta.shape, np.float32))
-        elif method == "rand":
-            expected.append(he_init(meta.shape, rng))
-        else:
-            expected.append(saxe_orthogonal_init(meta.shape, 1.5, rng))
+                                 "depth": m.depth} for m in reader_of(blocks).metas]))
+    monkeypatch.setattr(postprocess, "_cpu_count", lambda: 1)
+    expected = through_file(blocks, init=(method, 1.5, 3))
     for width in (1, 8):  # sequential, and a pool wider than the layer count
         monkeypatch.setattr(postprocess, "_cpu_count", lambda: width)
         out = tmp_path / f"init{width}.ckpt"
         gain = ["--gain", "1.5"] if method == "orth" else []  # moot for rand
         assert run(["init", str(arch), "--method", method, *gain, "--seed", "3",
                     "--out", str(out)]) == 0
-        got = read_checkpoint(out.read_bytes())
-        assert [w.tobytes() for _, w in got.tensors] == [w.tobytes() for w in expected]
+        assert out.read_bytes() == expected
 
 
 def test_beta_0_computes_no_sigma_r(tmp_path):
@@ -214,10 +208,10 @@ def test_beta_0_computes_no_sigma_r(tmp_path):
     # ChannelTooShort), but --beta 0 adds no noise and so needs none: the
     # run ends as --skip-noise does, and --skip-orth leaves the input as is.
     inp = tmp_path / "in.ckpt"
-    inp.write_bytes(write_checkpoint(make_checkpoint([
+    inp.write_bytes(make_checkpoint([
         ("l0.conv", (8, 1, 1, 1), "conv", 0, ghn_like_tensor((8, 1, 1, 1), seed=1)),
         ("l1.fc", (16, 1), "linear", 1, ghn_like_tensor((16, 1), seed=2)),
-    ])))
+    ]))
     outs = {}
     for case, flags in {"beta_0": ["--beta", "0"], "skip_noise": ["--skip-noise"],
                         "noise_only": ["--beta", "0", "--skip-orth"]}.items():
@@ -241,8 +235,10 @@ def test_file_shrinking_between_the_two_reads_of_a_layer_is_data_error(
         ("l1.fc", (256, 512), "linear", 1, ghn_like_tensor((256, 512), seed=2)),
     ])
     inp = tmp_path / "in.ckpt"
-    inp.write_bytes(write_checkpoint(c))
-    want = ghn_orth(c, PostprocessConfig(start_layer=0, skip_orth=bool(skip))).get("l1.fc")[1]
+    inp.write_bytes(c)
+    _, outputs = decode_ckpt(through_file(c, PostprocessConfig(start_layer=0,
+                                                               skip_orth=bool(skip))))
+    want = outputs[2]  # l1.fc
     real_sigma_r = postprocess.sigma_r
 
     def sigma_r_then_cut(w, work=None):
@@ -289,9 +285,10 @@ def test_postprocess_in_place(ckpt_path, tmp_path):
 
 
 def test_nan_in_last_eligible_tensor_keeps_existing_output(ckpt_path, tmp_path, capsys):
-    c = read_checkpoint(ckpt_path.read_bytes())
-    c.get("l2.fc")[1][-1, -1] = np.nan
-    ckpt_path.write_bytes(write_checkpoint(c))
+    specs, arrays = decode_ckpt(ckpt_path.read_bytes())
+    arrays = [a.copy() for a in arrays]
+    arrays[3][-1, -1] = np.nan  # l2.fc
+    ckpt_path.write_bytes(encode_ckpt(specs, arrays))
     out = tmp_path / "out.ckpt"
     out.write_bytes(b"earlier output")
     assert run(["postprocess", str(ckpt_path), "--start-layer", "0",
@@ -326,9 +323,10 @@ def test_non_finite_output_is_numerical_error(poison, ckpt_path, tmp_path, capsy
         argv += ["--beta", "1e300"]
         name = "l0.conv"
     else:
-        c = read_checkpoint(ckpt_path.read_bytes())
-        c.get("l0.norm")[1][0] = np.inf
-        ckpt_path.write_bytes(write_checkpoint(c))
+        specs, arrays = decode_ckpt(ckpt_path.read_bytes())
+        arrays = [a.copy() for a in arrays]
+        arrays[1][0] = np.inf  # l0.norm
+        ckpt_path.write_bytes(encode_ckpt(specs, arrays))
         name = "l0.norm"
     out = tmp_path / "out.ckpt"
     with warnings.catch_warnings():
@@ -385,8 +383,8 @@ def test_outputs_under_another_blas_kernel_set_differ_by_under_an_ulp(tmp_path):
     specs = [("stem", (64, 3, 7, 7), "conv", 0), ("conv", (256, 64, 3, 3), "conv", 1),
              ("tall", (700, 200), "linear", 2), ("fc", (512, 512), "linear", 3)]
     inp, arch = tmp_path / "in.ckpt", tmp_path / "arch.json"
-    inp.write_bytes(write_checkpoint(make_checkpoint(
-        [(*spec, ghn_like_tensor(spec[1], seed=i)) for i, spec in enumerate(specs)])))
+    inp.write_bytes(make_checkpoint(
+        [(*spec, ghn_like_tensor(spec[1], seed=i)) for i, spec in enumerate(specs)]))
     arch.write_text(json.dumps([dict(zip(("name", "shape", "kind", "depth"), spec))
                                 for spec in specs]))
     outs, cores = {}, {}
@@ -405,13 +403,13 @@ def test_outputs_under_another_blas_kernel_set_differ_by_under_an_ulp(tmp_path):
     if cores["default"] == cores["Nehalem"]:
         pytest.skip(f"this OpenBLAS runs {cores['default']} kernels either way")
     for path_a, path_b in zip(outs["default"], outs["Nehalem"]):
-        for (meta, a), (_, b) in zip(read_checkpoint(path_a.read_bytes()).tensors,
-                                     read_checkpoint(path_b.read_bytes()).tensors):
+        specs, arrays_a = decode_ckpt(path_a.read_bytes())
+        for spec, a, b in zip(specs, arrays_a, decode_ckpt(path_b.read_bytes())[1]):
             for w in (a, b):  # C1
-                m = matricize(w).data.astype(np.float64)
-                assert np.abs(m.T @ m - np.eye(m.shape[1])).max() <= 1e-4, meta.name
+                m = matricize(w).astype(np.float64)
+                assert np.abs(m.T @ m - np.eye(m.shape[1])).max() <= 1e-4, spec.name
             gap = np.abs(a.astype(np.float64) - b).max()
-            assert gap <= np.spacing(np.abs(a).max()), (path_a.name, meta.name, gap)
+            assert gap <= np.spacing(np.abs(a).max()), (path_a.name, spec.name, gap)
 
 
 # case: (command, flags, tensor made NaN or None, tensor named, message).
@@ -448,7 +446,7 @@ def _blame_checkpoint(path, poison):
     for name, _, _, _, arr in specs:
         if name == poison:
             arr.reshape(-1)[-1] = np.nan
-    path.write_bytes(write_checkpoint(make_checkpoint(specs)))
+    path.write_bytes(make_checkpoint(specs))
     return path, [{"name": n, "shape": list(s), "kind": k, "depth": d}
                   for n, s, k, d, _ in specs]
 
@@ -486,14 +484,12 @@ def test_non_finite_tensor_is_blamed_on_the_input_or_the_output(case, tmp_path, 
 
 def test_nan_in_third_eligible_tensor_with_layers_in_flight(tmp_path, monkeypatch, capsys):
     names = [f"l{i}.conv" for i in range(7)]
-    c = make_checkpoint(
-        [(name, (24, 4, 3, 3), "conv", 0, ghn_like_tensor((24, 4, 3, 3), seed=i))
-         for i, name in enumerate(names)]
-    )
-    c.get("l2.conv")[1][0, 0, 0, 0] = np.nan
-    c.get("l3.conv")[1][0, 0, 0, 0] = np.inf  # fails too, later in header order
+    tensors = [(name, (24, 4, 3, 3), "conv", 0, ghn_like_tensor((24, 4, 3, 3), seed=i))
+               for i, name in enumerate(names)]
+    tensors[2][4][0, 0, 0, 0] = np.nan  # l2.conv
+    tensors[3][4][0, 0, 0, 0] = np.inf  # l3.conv fails too, later in header order
     inp = tmp_path / "in.ckpt"
-    inp.write_bytes(write_checkpoint(c))
+    inp.write_bytes(make_checkpoint(tensors))
     pulled = []
     l3_pulled = threading.Event()
 
@@ -538,14 +534,12 @@ def _recording_reader(monkeypatch, pulled, delay=None):
 def test_larger_later_tensor_failing_first_reports_the_earlier_one(
     tmp_path, monkeypatch, capsys
 ):
-    c = make_checkpoint(
-        [("small", (8, 4, 3, 3), "conv", 0, ghn_like_tensor((8, 4, 3, 3), seed=0)),
-         ("big", (64, 4, 3, 3), "conv", 0, ghn_like_tensor((64, 4, 3, 3), seed=1))]
-    )
-    c.get("small")[1][0, 0, 0, 0] = np.nan
-    c.get("big")[1][0, 0, 0, 0] = np.inf
+    small, big = ghn_like_tensor((8, 4, 3, 3), seed=0), ghn_like_tensor((64, 4, 3, 3), seed=1)
+    small[0, 0, 0, 0] = np.nan
+    big[0, 0, 0, 0] = np.inf
     inp = tmp_path / "in.ckpt"
-    inp.write_bytes(write_checkpoint(c))
+    inp.write_bytes(make_checkpoint([("small", small.shape, "conv", 0, small),
+                                     ("big", big.shape, "conv", 0, big)]))
     pulled = []
     # "small" is admitted only once "big" is in flight, and starts late.
     _recording_reader(monkeypatch, pulled, lambda i: 0.2 if i == 0 else 0.0)
@@ -567,7 +561,7 @@ def _mixed_checkpoint(path):
                         ghn_like_tensor(shape, seed=i)))
         tensors.append((f"l{i}.norm", (shape[0],), "norm", i,
                         np.full(shape[0], 1.5, np.float32)))
-    path.write_bytes(write_checkpoint(make_checkpoint(tensors)))
+    path.write_bytes(make_checkpoint(tensors))
     return path
 
 
@@ -592,7 +586,7 @@ def test_repair_bytes_do_not_depend_on_completion_order(skip, width, tmp_path, m
     inp = _mixed_checkpoint(tmp_path / "in.ckpt")
     cfg = PostprocessConfig(start_layer=0, seed=6, beta=0.0 if skip else DEFAULT_BETA)
     monkeypatch.setattr(postprocess, "_cpu_count", lambda: 1)
-    expected = write_checkpoint(ghn_orth(read_checkpoint(inp.read_bytes()), cfg))
+    expected = through_file(inp.read_bytes(), cfg)
     # The first layers in the header start late, and the rest overtake them.
     _recording_reader(monkeypatch, [], lambda i: 0.05 if i < 4 else 0.0)
     monkeypatch.setattr(postprocess, "_cpu_count", lambda: width)
@@ -614,7 +608,7 @@ def test_repair_bytes_do_not_depend_on_the_core_count(tmp_path):
         [("fc", (1000, 2048), "linear", 0, ghn_like_tensor((1000, 2048), seed=0))]
     )
     inp = tmp_path / "in.ckpt"
-    inp.write_bytes(write_checkpoint(c))
+    inp.write_bytes(c)
     one_cpu = {min(os.sched_getaffinity(0))}
     outs = []
     for threads, cpus in (("1", one_cpu), ("2", None)):
@@ -744,7 +738,7 @@ def test_start_layer_selecting_no_layer_is_one_line_data_error(case, skip, ckpt_
     if case == "no_layer":
         c = make_checkpoint([("bn", (4,), "norm", 0, np.ones(4, np.float32)),
                              ("b", (3,), "bias", 5, np.zeros(3, np.float32))])
-        ckpt_path.write_bytes(write_checkpoint(c))
+        ckpt_path.write_bytes(c)
         start, why = 0, "the file holds no conv/linear tensor"
     else:
         start, why = 3, "the deepest conv/linear tensor is at depth 2"
@@ -762,7 +756,7 @@ def test_start_layer_selecting_no_layer_is_one_line_data_error(case, skip, ckpt_
 def test_numerical_error_exit_code(tmp_path):
     c = make_checkpoint([("w", (1, 8), "conv", 0, np.ones((1, 8), np.float32))])
     path = tmp_path / "one_channel.ckpt"
-    path.write_bytes(write_checkpoint(c))
+    path.write_bytes(c)
     assert run(["analyze", str(path), "--out", str(tmp_path / "r.csv")]) == 3
 
 
@@ -770,7 +764,7 @@ def _nan_checkpoint(tmp_path):
     w = np.arange(24, dtype=np.float32).reshape(4, 6)
     w[2, 3] = np.nan
     path = tmp_path / "nan.ckpt"
-    path.write_bytes(write_checkpoint(make_checkpoint([("w", (4, 6), "linear", 0, w)])))
+    path.write_bytes(make_checkpoint([("w", (4, 6), "linear", 0, w)]))
     return path
 
 
@@ -800,7 +794,7 @@ def test_compare_non_finite_tensor_is_numerical_error(tmp_path, capsys):
         [("w", (4, 6), "linear", 0, np.arange(24, dtype=np.float32).reshape(4, 6))]
     )
     finite_path = tmp_path / "finite.ckpt"
-    finite_path.write_bytes(write_checkpoint(finite))
+    finite_path.write_bytes(finite)
     out = tmp_path / "d.csv"
     assert run(["compare", str(finite_path), str(_nan_checkpoint(tmp_path)),
                 "--out", str(out)]) == 3
@@ -821,7 +815,7 @@ def test_compare_numerical_error_messages(shape, poison, message, tmp_path, caps
         b.flat[-1] = np.nan
     paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
     for path, arr in zip(paths, (a, b)):
-        path.write_bytes(write_checkpoint(make_checkpoint([("w", shape, "linear", 0, arr)])))
+        path.write_bytes(make_checkpoint([("w", shape, "linear", 0, arr)]))
     out = tmp_path / "d.csv"
     assert run(["compare", *map(str, paths), "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"ghnpost: numerical error: tensor 'w' {message}\n"
@@ -845,11 +839,10 @@ def test_init_rand(tmp_path):
     out = tmp_path / "init.ckpt"
     assert run(["init", str(arch), "--method", "rand", "--seed", "4",
                 "--out", str(out)]) == 0
-    c = read_checkpoint(out.read_bytes())
-    assert c.names() == ["c1", "n1", "b1", "fc"]
-    np.testing.assert_array_equal(c.get("n1")[1], np.ones(16, np.float32))
-    np.testing.assert_array_equal(c.get("b1")[1], np.zeros(16, np.float32))
-    conv = c.get("c1")[1]
+    specs, (conv, norm, bias, _) = decode_ckpt(out.read_bytes())
+    assert [s.name for s in specs] == ["c1", "n1", "b1", "fc"]
+    np.testing.assert_array_equal(norm, np.ones(16, np.float32))
+    np.testing.assert_array_equal(bias, np.zeros(16, np.float32))
     assert abs(conv.std() - np.sqrt(2 / 27)) <= 0.1 * np.sqrt(2 / 27)
 
 
@@ -862,8 +855,7 @@ def test_init_orth_deterministic(tmp_path):
                     "--seed", "4", "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
-    c = read_checkpoint(blobs[0])
-    m = matricize(c.get("c1")[1]).data.astype(np.float64)
+    m = matricize(decode_ckpt(blobs[0])[1][0]).astype(np.float64)  # c1
     assert np.abs(m.T @ m - np.eye(m.shape[1])).max() <= 1e-4
 
 
@@ -1019,8 +1011,8 @@ def test_unsupported_rank_is_one_line_numerical_error(command, tmp_path, capsys)
     # The rank is checked before a layer is read, so every command names
     # the tensor alone: compare names no checkpoint.
     path = tmp_path / "odd.ckpt"
-    path.write_bytes(write_checkpoint(make_checkpoint(
-        [("odd.conv", (8, 4, 3), "conv", 0, ghn_like_tensor((8, 4, 3)))])))
+    path.write_bytes(make_checkpoint(
+        [("odd.conv", (8, 4, 3), "conv", 0, ghn_like_tensor((8, 4, 3)))]))
     out = tmp_path / "out"
     assert run(_ARGV[command](str(path)) + ["--out", str(out)]) == 3
     assert capsys.readouterr().err == ("ghnpost: numerical error: tensor 'odd.conv': "
@@ -1052,13 +1044,12 @@ def test_layer_beyond_the_address_limit_is_one_line_numerical_error(command, tmp
     # layer's float64 channels: the one buffer of that size, mapped before
     # any layer is read, is refused, and the run leaves nothing behind.
     shapes = {"w0": (512, 768), "w1": (1024, 768), "w2": (512, 768)}
-    metas = [TensorMeta(name, dims, "linear", 0) for name, dims in shapes.items()]
     ckpt = tmp_path / "in.ckpt"
-    ckpt.write_bytes(write_checkpoint(Checkpoint(
-        tensors=[(meta, ghn_like_tensor(meta.shape)) for meta in metas])))
+    ckpt.write_bytes(make_checkpoint(
+        [(name, dims, "linear", 0, ghn_like_tensor(dims)) for name, dims in shapes.items()]))
     warm = tmp_path / "warm.ckpt"
-    warm.write_bytes(write_checkpoint(make_checkpoint(
-        [("w", (64, 96), "linear", 0, ghn_like_tensor((64, 96)))])))
+    warm.write_bytes(make_checkpoint(
+        [("w", (64, 96), "linear", 0, ghn_like_tensor((64, 96)))]))
     argv = {
         "analyze": lambda path, out: ["analyze", path, "--svg-dir", f"{out}.svgs"],
         "compare": lambda path, out: ["compare", path, path],
@@ -1098,9 +1089,9 @@ def test_pool_runs_a_layer_again_alone_where_one_fits(command, tmp_path):
                                          "depth": 0} for n, dims in layers.items()]))
             return ["init", str(spec), "--method", "orth", "--seed", "3"]
         path = tmp_path / f"{name}.ckpt"
-        path.write_bytes(write_checkpoint(Checkpoint(tensors=[
-            (TensorMeta(n, dims, "linear", 0), ghn_like_tensor(dims, seed=i))
-            for i, (n, dims) in enumerate(layers.items())])))
+        path.write_bytes(make_checkpoint([
+            (n, dims, "linear", 0, ghn_like_tensor(dims, seed=i))
+            for i, (n, dims) in enumerate(layers.items())]))
         return ["postprocess", str(path), "--start-layer", "0", "--seed", "3"]
 
     warm, argv = job("warm", warm_shapes), job("in", shapes)
@@ -1114,6 +1105,69 @@ def test_pool_runs_a_layer_again_alone_where_one_fits(command, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, ""]
     assert out.read_bytes() == want.read_bytes()
+
+
+def _three_layer_argv(tmp_path, command):
+    """``postprocess`` of three linear layers, w0 the largest, or the
+    ``init --method orth`` of their shapes; without ``--out``."""
+    shapes = {"w0": (96, 64), "w1": (64, 48), "w2": (48, 32)}
+    if command == "init_orth":
+        spec = tmp_path / "arch.json"
+        spec.write_text(json.dumps([{"name": n, "shape": list(dims), "kind": "linear",
+                                     "depth": 0} for n, dims in shapes.items()]))
+        return ["init", str(spec), "--method", "orth", "--seed", "3"]
+    path = tmp_path / "in.ckpt"
+    path.write_bytes(make_checkpoint([(n, dims, "linear", 0, ghn_like_tensor(dims, seed=i))
+                                      for i, (n, dims) in enumerate(shapes.items())]))
+    return ["postprocess", str(path), "--start-layer", "0", "--seed", "3"]
+
+
+def _failing_start(monkeypatch, fails):
+    """Patch Thread.start to raise as CPython's does where no stack can be
+    mapped for the thread, on each call whose number (from 1) ``fails``
+    holds; returns the started threads, in call order."""
+    real_start, calls = threading.Thread.start, []
+
+    def start(thread):
+        calls.append(thread)
+        if fails(len(calls)):
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["postprocess", "init_orth"])
+def test_pool_thread_that_cannot_start_runs_its_layer_again_alone(command, tmp_path,
+                                                                   monkeypatch, capsys):
+    # The second thread cannot start (beside the first, on a pool two
+    # wide): its layer goes back to the head of the queue and runs again
+    # alone, and the run writes the bytes of one where every thread starts.
+    argv = _three_layer_argv(tmp_path, command)
+    want, out = tmp_path / "want.ckpt", tmp_path / "out.ckpt"
+    assert run(argv + ["--out", str(want)]) == 0
+    monkeypatch.setattr(postprocess, "_cpu_count", lambda: 2)
+    calls = _failing_start(monkeypatch, lambda n: n == 2)
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == want.read_bytes()
+    assert len(calls) == 4  # three layers, one of them started twice
+
+
+@pytest.mark.parametrize("command", ["postprocess", "init_orth"])
+def test_pool_thread_that_cannot_start_alone_is_one_line_numerical_error(command, tmp_path,
+                                                                        monkeypatch, capsys):
+    # No thread starts: the first layer, w0, fails beside nothing, then
+    # alone, and the run ends with exit 3, one line and no output.
+    argv = _three_layer_argv(tmp_path, command)
+    inputs = sorted(os.listdir(tmp_path))
+    calls = _failing_start(monkeypatch, lambda n: True)
+    assert run(argv + ["--out", str(tmp_path / "new" / "out.ckpt")]) == 3
+    assert capsys.readouterr().err == (
+        "ghnpost: numerical error: tensor 'w0': cannot start a thread: can't start new thread\n")
+    assert len(calls) == 2
+    assert sorted(os.listdir(tmp_path)) == inputs
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGTERM") or sys.platform == "win32",
@@ -1132,9 +1186,9 @@ def test_signal_ends_the_run_with_one_line_and_no_output(command, signum, tmp_pa
         argv = ["init", str(spec), "--method", "orth"]
     else:
         path = tmp_path / "in.ckpt"
-        path.write_bytes(write_checkpoint(Checkpoint(tensors=[
-            (TensorMeta(f"w{i}", dims, "linear", 0), ghn_like_tensor(dims, seed=i))
-            for i, dims in enumerate(shapes)])))
+        path.write_bytes(make_checkpoint([
+            (f"w{i}", dims, "linear", 0, ghn_like_tensor(dims, seed=i))
+            for i, dims in enumerate(shapes)]))
         argv = _ARGV[command](str(path))
     out_dir = tmp_path / "out"
     # SIGINT as a terminal leaves it, even where this process ignores it
@@ -1314,7 +1368,7 @@ def test_compare_command(ckpt_path, tmp_path):
 def test_compare_mismatch_is_data_error(ckpt_path, tmp_path):
     other = make_checkpoint([("w", (2, 2), "conv", 0, np.zeros((2, 2), np.float32))])
     other_path = tmp_path / "other.ckpt"
-    other_path.write_bytes(write_checkpoint(other))
+    other_path.write_bytes(other)
     assert run(["compare", str(ckpt_path), str(other_path),
                 "--out", str(tmp_path / "d.csv")]) == 2
 
@@ -1371,7 +1425,7 @@ def _cli_cases(draw):
         if method == "orth" or draw(st.booleans()):  # --gain is moot for rand
             flags += ["--gain", draw(st.sampled_from(gains))]
         return "init", json.dumps(spec).encode(), flags, metas
-    blob = bytes(write_checkpoint(Checkpoint(tensors=tensors)))
+    blob = make_checkpoint([(m.name, m.shape, m.kind, m.depth, arr) for m, arr in tensors])
     blob = blob[: len(blob) - draw(st.sampled_from([0, 0, 0, 1, 4]))]
     betas = ["0", "3e-5", "1", "1e38", "1e300", "-1", "nan"]
     flags = ["--start-layer", str(draw(st.integers(0, 4))),
@@ -1397,9 +1451,8 @@ def test_postprocess_property(case):
             code = run([command, str(inp), "--out", str(out)] + flags)
         assert code in (0, 1, 2, 3)
         if code == 0:
-            result = read_checkpoint(out.read_bytes())
-            assert result.metas == metas
-            assert all(np.isfinite(arr).all() for _, arr in result)
+            assert reader_of(out.read_bytes()).metas == metas
+            assert all(np.isfinite(arr).all() for arr in decode_ckpt(out.read_bytes())[1])
             assert sorted(os.listdir(tmp)) == ["in", "out.ckpt"]
         else:
             assert os.listdir(tmp) == ["in"]
@@ -1464,13 +1517,12 @@ def _blob_with_raw_header(header: bytes, data: bytes) -> bytes:
 
 def _small_parts():
     """(header document, data section) of a small valid checkpoint."""
-    c = make_checkpoint([
+    blob = make_checkpoint([
         ("l0.conv", (4, 2, 2, 2), "conv", 0, ghn_like_tensor((4, 2, 2, 2), seed=1)),
         ("l0.norm", (4,), "norm", 0, np.ones(4, np.float32)),
         ("l1.fc", (3, 6), "linear", 1,
          np.random.default_rng(2).normal(size=(3, 6)).astype(np.float32)),
     ])
-    blob = bytes(write_checkpoint(c))
     (length,) = struct.unpack_from("<Q", blob, 8)
     end = 16 + length
     return json.loads(blob[16:end]), blob[end + -end % 8 :]
@@ -1522,7 +1574,7 @@ def _ends_cleanly(command: str, raw: bytes, whole: bool = False,
         if code == 0:
             assert sorted(os.listdir(tmp)) == sorted(inputs + [out.name])
             if out.suffix == ".ckpt":
-                assert all(np.isfinite(a).all() for _, a in read_checkpoint(out.read_bytes()))
+                assert all(np.isfinite(a).all() for a in decode_ckpt(out.read_bytes())[1])
             else:
                 rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
                 first = 5 if command == "analyze" else 1
@@ -1554,11 +1606,11 @@ def test_file_shrinking_inside_a_layer_during_the_row_reads_is_data_error(comman
     # The header checks pass; the input then loses the last 8 bytes of
     # l1.fc, its last eligible tensor, before any rows are read.  Its two
     # 128-row blocks are read past any file buffer, so the second is short.
-    blob = bytes(write_checkpoint(make_checkpoint([
+    blob = make_checkpoint([
         ("l0.conv", (64, 8, 3, 3), "conv", 0, ghn_like_tensor((64, 8, 3, 3), seed=1)),
         ("l0.norm", (64,), "norm", 0, np.ones(64, np.float32)),
         ("l1.fc", (256, 512), "linear", 1, ghn_like_tensor((256, 512), seed=2)),
-    ])))
+    ])
     _cut_input_after_the_header_check(monkeypatch, len(blob) - 8)
     code, err = _ends_cleanly(command, blob, whole=True, good=blob)
     assert code == 2

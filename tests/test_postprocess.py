@@ -20,65 +20,72 @@ from ghnpost.postprocess import (
     DEFAULT_BETA,
     PostprocessConfig,
     _run_pool,
-    add_conditional_noise,
-    ghn_orth,
-    ghn_orth_tensor,
-    ghn_orth_tensors,
-    he_init,
     init_tensors,
-    orthogonal_reinit,
-    saxe_orthogonal_init,
 )
 from ghnpost.checkpoint_io import TensorMeta
-from ghnpost.linalg import one_blas_thread, sign_adjust
+from ghnpost.linalg import one_blas_thread
 from ghnpost.rng import RngStream
-from ghnpost.stats import channel_correlation, correlation_std, offdiagonal_values
-from ghnpost.tensor_ops import matricize
+from ghnpost.stats import sigma_r
 
-from conftest import correlated_tensor, ghn_like_tensor, make_checkpoint, reader_of
+from conftest import (
+    correlated_tensor,
+    decode_ckpt,
+    ghn_like_tensor,
+    make_checkpoint,
+    through_file,
+)
+from reference import matricize, reference_offdiagonal
 
 
 def _orth_error(w):
-    m = matricize(w).data.astype(np.float64)
+    m = matricize(w).astype(np.float64)
     return np.abs(m.T @ m - np.eye(m.shape[1])).max()
+
+
+def _noise_only(beta, seed):
+    """The noise step alone, as ``postprocess --skip-orth`` runs it."""
+    return PostprocessConfig(start_layer=0, beta=beta, seed=seed, skip_orth=True)
+
+
+def _tensors(blob):
+    """The tensors of the checkpoint bytes ``blob``, by name."""
+    specs, arrays = decode_ckpt(blob)
+    return {spec.name: arr for spec, arr in zip(specs, arrays)}
 
 
 # --- conditional noise -----------------------------------------------------
 
 def test_zero_beta_is_identity():
     w = correlated_tensor((16, 4, 3, 3), seed=0)
-    out = add_conditional_noise(w, 0.0, RngStream(1, "w"))
+    out = through_file(w, _noise_only(0.0, 1))
     assert out.tobytes() == w.tobytes()
 
 
 def test_identical_channels_give_zero_noise():
     w = np.tile(np.linspace(-1, 1, 18, dtype=np.float32), (8, 1)).reshape(8, 2, 3, 3)
-    out = add_conditional_noise(w, 3e-5, RngStream(1, "w"))
+    out = through_file(w, _noise_only(3e-5, 1))
     assert out.tobytes() == w.tobytes()
 
 
 def test_identical_tall_channels_pass_postprocess_bit_identical():
     # K > CHW: sigma_r comes from the CHW x CHW Gram, and is exactly 0
     w = np.tile(np.linspace(-1, 1, 6, dtype=np.float32), (64, 1))
-    out = add_conditional_noise(w, 3e-5, RngStream(1, "w"))
-    assert out.tobytes() == w.tobytes()
-    meta = TensorMeta("w", w.shape, "linear", 0)
-    out = ghn_orth_tensor(meta, w, PostprocessConfig(start_layer=0, skip_orth=True))
+    out = through_file(w, _noise_only(3e-5, 1))
     assert out.tobytes() == w.tobytes()
 
 
 def test_single_channel_gives_zero_noise():
     w = np.random.default_rng(0).normal(size=(1, 32)).astype(np.float32)
-    out = add_conditional_noise(w, 3e-5, RngStream(1, "w"))
+    out = through_file(w, _noise_only(3e-5, 1))
     assert out.tobytes() == w.tobytes()
 
 
 def test_noise_std_calibration():
     w = correlated_tensor((256, 32, 3, 3), seed=3)
     beta = 3e-5
-    sigma = correlation_std(channel_correlation(w))
+    sigma = np.std(reference_offdiagonal(w)[1])
     assert sigma > 0.01
-    out = add_conditional_noise(w, beta, RngStream(9, "layer"))
+    out = through_file(w, _noise_only(beta, 9), name="layer")
     diff = out.astype(np.float64) - w.astype(np.float64)
     target = beta * sigma
     assert abs(diff.std() - target) <= 0.05 * target
@@ -88,50 +95,34 @@ def test_noise_std_calibration():
 def test_noise_max_bounded_at_six_sigma():
     w = correlated_tensor((64, 16, 3, 3), seed=4)
     beta = 3e-5
-    sigma = correlation_std(channel_correlation(w))
-    out = add_conditional_noise(w, beta, RngStream(2, "layer"))
+    sigma = np.std(reference_offdiagonal(w)[1])
+    out = through_file(w, _noise_only(beta, 2), name="layer")
     diff = np.abs(out.astype(np.float64) - w.astype(np.float64))
     assert diff.max() <= 6.0 * beta * sigma
 
 
-def test_chunked_noise_matches_whole_layer_noise_bytes():
-    from ghnpost.stats import correlation_stats
-    from ghnpost.tensor_ops import _ROW_VALUES
-
-    # more than one noise chunk, odd size; C and Fortran order
-    w = correlated_tensor((257, 289), seed=6)
-    assert w.size > _ROW_VALUES and w.size % 2
-    for x in (w, w.astype(np.float64), np.asfortranarray(w)):
-        stream = RngStream(3, "layer")
-        ref = stream.normal(x.size).reshape(x.shape)
-        ref *= 1e-2 * correlation_stats(x).sigma_r
-        ref += x
-        got = add_conditional_noise(x, 1e-2, stream)
-        assert got.flags.c_contiguous
-        assert got.tobytes() == ref.astype(x.dtype).tobytes()
-
-
-def test_noise_to_float64_equals_noise_on_a_float64_copy():
-    w = correlated_tensor((16, 4, 3, 3), seed=2)
-    got = add_conditional_noise(w, 1e-3, RngStream(3, "w"), np.float64)
-    ref = add_conditional_noise(w.astype(np.float64), 1e-3, RngStream(3, "w"))
-    assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
-
-
-def _noise_oracle(w, beta, stream, dtype):
-    """The whole stream drawn, added to w in float64 and rounded once."""
-    from ghnpost.stats import correlation_stats
-
-    scale = beta * correlation_stats(w).sigma_r
+def _noise_oracle(w, beta, stream):
+    """The whole stream drawn, added to w in float64 and rounded once to
+    float32."""
+    scale = beta * sigma_r(w)
     ref = stream.normal(w.size).reshape(w.shape)
     ref *= scale
     ref += w
-    return ref.astype(dtype)
+    return ref.astype(np.float32)
+
+
+def test_chunked_noise_matches_whole_layer_noise_bytes():
+    from ghnpost.tensor_ops import _ROW_VALUES
+
+    # more than one noise chunk, odd size
+    w = correlated_tensor((257, 289), seed=6)
+    assert w.size > _ROW_VALUES and w.size % 2
+    got = through_file(w, _noise_only(1e-2, 3), name="layer")
+    assert got.tobytes() == _noise_oracle(w, 1e-2, RngStream(3, "layer")).tobytes()
 
 
 def test_sparse_noise_equals_dense_oracle_bytes(monkeypatch):
     from ghnpost.postprocess import _ZMAX
-    from ghnpost.stats import correlation_stats
     from ghnpost.tensor_ops import _ROW_VALUES
 
     # Near-duplicate rows of magnitude ~1 (their chunks are gathered) over
@@ -163,7 +154,7 @@ def test_sparse_noise_equals_dense_oracle_bytes(monkeypatch):
     spots = rng.choice(np.delete(np.arange(half), top), size=vals.size, replace=False)
     w[spots] = vals
     w = w.reshape(k, chw)
-    beta = step / (abs(z[top]) * correlation_stats(w).sigma_r)
+    beta = step / (abs(z[top]) * sigma_r(w))
 
     gathered = []
     normal_at = RngStream.normal_at
@@ -173,45 +164,33 @@ def test_sparse_noise_equals_dense_oracle_bytes(monkeypatch):
         return normal_at(self, positions, out)
 
     monkeypatch.setattr(RngStream, "normal_at", counted)
-    got = add_conditional_noise(w, beta, stream)
-    ref = _noise_oracle(w, beta, stream, np.float32)
+    got = through_file(w, _noise_only(beta, 5), name="mixed")
+    ref = _noise_oracle(w, beta, stream)
     assert got.tobytes() == ref.tobytes()
     assert len(gathered) == 2 and 0 < sum(gathered) < _ROW_VALUES // 2
     assert got.flat[top] != w.flat[top]
-    # the float64 output of the two-step path keeps every value's noise
-    gathered.clear()
-    got64 = add_conditional_noise(w, beta, stream, np.float64)
-    assert got64.tobytes() == _noise_oracle(w, beta, stream, np.float64).tobytes()
-    assert gathered == []
-
-
-def test_noise_dtype_preserved():
-    w32 = correlated_tensor((8, 4, 3, 3), seed=5)
-    assert add_conditional_noise(w32, 1e-3, RngStream(0, "a")).dtype == np.float32
-    w64 = w32.astype(np.float64)
-    assert add_conditional_noise(w64, 1e-3, RngStream(0, "a")).dtype == np.float64
 
 
 def test_noise_errors():
     with pytest.raises(UnsupportedRank):
-        add_conditional_noise(np.zeros((2, 2, 2), np.float32), 1e-5, RngStream(0, "x"))
+        through_file(np.zeros((2, 2, 2), np.float32), _noise_only(1e-5, 0), name="x")
     with pytest.raises(ChannelTooShort):
-        add_conditional_noise(np.zeros((4, 1), np.float32), 1e-5, RngStream(0, "x"))
+        through_file(np.zeros((4, 1), np.float32), _noise_only(1e-5, 0), name="x")
     bad = np.full((4, 4), np.nan, dtype=np.float32)
     with pytest.raises(NonFiniteTensor):
-        add_conditional_noise(bad, 1e-5, RngStream(0, "x"))
+        through_file(bad, _noise_only(1e-5, 0), name="x")
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_overflowing_noise_is_the_outputs_fault(dtype):
+def test_overflowing_noise_is_the_outputs_fault():
     # Channels of alternating sign: sigma_r ~ 1, so noise of std 1e308
-    # overflows either dtype; the input is finite.
-    w = ghn_like_tensor((16, 8, 3, 3), seed=7).astype(dtype)
+    # overflows; the input is finite.
+    w = ghn_like_tensor((16, 8, 3, 3), seed=7)
     w[1::2] *= -1
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the error is the only report
-        with pytest.raises(NonFiniteTensor, match="^output would hold NaN or Inf values$"):
-            add_conditional_noise(w, 1e308, RngStream(0, "l"))
+        with pytest.raises(NonFiniteTensor,
+                           match="^tensor 'l': output would hold NaN or Inf values$"):
+            through_file(w, _noise_only(1e308, 0), name="l")
 
 
 @pytest.mark.parametrize("shape, beta", [((1, 6), 1e-3), ((4, 6), 0.0)])
@@ -220,57 +199,53 @@ def test_non_finite_input_is_the_tensors_fault(shape, beta):
     # checked against the input.
     w = np.ones(shape, np.float32)
     w[0, 2] = np.inf
-    with pytest.raises(NonFiniteTensor, match="^tensor holds NaN or Inf values$"):
-        add_conditional_noise(w, beta, RngStream(0, "l"))
+    with pytest.raises(NonFiniteTensor, match="^tensor 'l': tensor holds NaN or Inf values$"):
+        through_file(w, _noise_only(beta, 0), name="l")
 
 
 # --- orthogonal re-initialization -------------------------------------------
 
+# The repair with no noise: the reinit alone.
+_REINIT = PostprocessConfig(start_layer=0, beta=0.0)
+
+
 def test_reinit_random_conv():
     w = np.random.default_rng(0).normal(size=(64, 3, 3, 3)).astype(np.float32)
-    out = orthogonal_reinit(w)
+    out = through_file(w, _REINIT)
     assert out.shape == w.shape and out.dtype == np.float32
     # K=64 >= CHW=27: matricized output is 64x27 with orthonormal columns
-    m = matricize(out)
-    assert (m.rows, m.cols) == (64, 27) and not m.transposed
+    assert matricize(out).shape == (64, 27)
     assert _orth_error(out) <= 1e-4
 
 
 def test_reinit_fixed_point_on_orthonormal_input():
     w = np.random.default_rng(1).normal(size=(32, 2, 4, 4)).astype(np.float32)
-    once = orthogonal_reinit(w)
-    twice = orthogonal_reinit(once)
+    once = through_file(w, _REINIT)
+    twice = through_file(once, _REINIT)
     np.testing.assert_allclose(twice, once, atol=1e-6)
 
 
 def test_reinit_rank_deficient_input():
     base = np.random.default_rng(2).normal(size=27).astype(np.float32)
     w = np.tile(base, (8, 1)).reshape(8, 3, 3, 3)  # identical channels, no noise
-    out = orthogonal_reinit(w)
+    out = through_file(w, _REINIT)
     assert _orth_error(out) <= 1e-4
 
 
 def test_reinit_transposed_route():
     w = np.random.default_rng(3).normal(size=(16, 8, 3, 3)).astype(np.float32)
-    out = orthogonal_reinit(w)  # K=16 < CHW=72: transposed internally
+    out = through_file(w, _REINIT)  # K=16 < CHW=72: transposed internally
     assert _orth_error(out) <= 1e-4
-
-
-def test_reinit_f64_precision():
-    w = np.random.default_rng(4).normal(size=(48, 4, 3, 3))
-    out = orthogonal_reinit(w)
-    assert out.dtype == np.float64
-    assert _orth_error(out) <= 1e-9
 
 
 def test_reinit_errors():
     with pytest.raises(UnsupportedRank):
-        orthogonal_reinit(np.zeros(4, np.float32))
+        through_file(np.zeros(4, np.float32), _REINIT)
     with pytest.raises(NonFiniteTensor):
-        orthogonal_reinit(np.full((4, 4), np.inf, dtype=np.float32))
+        through_file(np.full((4, 4), np.inf, dtype=np.float32), _REINIT)
 
 
-# --- the one-buffer repair against the public functions ---------------------
+# --- the one-buffer repair against numpy ------------------------------------
 
 def _numpy_qr(a):
     """``np.linalg.qr`` on one BLAS thread: the reference of the repair's QR."""
@@ -278,13 +253,21 @@ def _numpy_qr(a):
         return np.linalg.qr(a)
 
 
+def _signed_q(w, gain=1.0):
+    """The Q of numpy's QR of the matrix of the float64 tensor ``w``, times
+    gain and the sign of R's diagonal (0 as +1), cast once to float32 and
+    laid out in w's shape."""
+    q, r = _numpy_qr(matricize(w))
+    q = (q * np.where(np.diag(r) < 0.0, -gain, gain)).astype(np.float32)
+    return (q.T if len(w) < w.size // len(w) else q).reshape(w.shape)
+
+
 def _repair_oracle(w, cfg, name):
-    """Noise into a float64 copy, numpy's QR, sign_adjust, one cast."""
-    noised = add_conditional_noise(w, cfg.beta, RngStream(cfg.seed, name), np.float64)
-    mat = noised.reshape(w.shape[0], -1)
-    transposed = mat.shape[0] < mat.shape[1]
-    q = sign_adjust(*_numpy_qr(mat.T if transposed else mat))
-    return (q.T if transposed else q).astype(np.float32).reshape(w.shape)
+    """Noise into a float64 copy, numpy's QR, the column signs, one cast."""
+    noised = w.astype(np.float64)
+    if cfg.beta and len(w) > 1 and (sigma := sigma_r(w)):
+        noised += cfg.beta * sigma * RngStream(cfg.seed, name).normal(w.size).reshape(w.shape)
+    return _signed_q(noised)
 
 
 def _repair_cases():
@@ -314,13 +297,10 @@ def _repair_cases():
 )
 def test_repair_equals_numpy_qr_on_a_noised_float64_copy(binding, case, settings):
     w = _repair_cases()[case]
-    before = w.copy()
     cfg = PostprocessConfig(start_layer=0, seed=5, **settings)
-    meta = TensorMeta(case, w.shape, "conv" if w.ndim == 4 else "linear", 0)
-    out = ghn_orth_tensor(meta, w, cfg)
-    assert out.dtype == np.float32 and out.flags.c_contiguous
+    out = through_file(w, cfg, name=case)
+    assert out.dtype == np.float32
     assert out.tobytes() == _repair_oracle(w, cfg, case).tobytes()
-    np.testing.assert_array_equal(w, before)
 
 
 @pytest.mark.parametrize("beta", [1e-22, 3e-5])
@@ -344,8 +324,7 @@ def test_repair_with_gathered_float64_noise_equals_the_oracle(shape, beta, monke
 
     monkeypatch.setattr(RngStream, "normal_at", counted)
     cfg = PostprocessConfig(start_layer=0, beta=beta, seed=8)
-    meta = TensorMeta("w", shape, "conv" if len(shape) == 4 else "linear", 0)
-    out = ghn_orth_tensor(meta, w, cfg)
+    out = through_file(w, cfg)
     assert bool(gathered) == (beta == 1e-22 and shape == (64, 512))
     assert out.tobytes() == _repair_oracle(w, cfg, "w").tobytes()
 
@@ -359,11 +338,10 @@ def test_overflowing_noise_is_reported_before_the_qr(monkeypatch):
     # noise of std near float64's max overflows.
     w = ghn_like_tensor((16, 8, 3, 3), seed=7)
     w[1::2] *= -1
-    meta = TensorMeta("l", w.shape, "conv", 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the error is the only report
         with pytest.raises(NonFiniteTensor, match="^tensor 'l': output would hold NaN or Inf"):
-            ghn_orth_tensor(meta, w, PostprocessConfig(start_layer=0, beta=1e308))
+            through_file(w, PostprocessConfig(start_layer=0, beta=1e308), name="l")
 
 
 @pytest.mark.parametrize("case", ["beta_0", "one_channel", "tall_beta_0"])
@@ -379,19 +357,16 @@ def test_non_finite_layer_without_sigma_r_is_reported_before_the_qr(case, monkey
     w[-1, -1] = np.nan
     cfg = PostprocessConfig(start_layer=0, beta=0.0 if case != "one_channel" else DEFAULT_BETA)
     with pytest.raises(NonFiniteTensor, match="^tensor 'l': tensor holds NaN or Inf"):
-        ghn_orth_tensor(TensorMeta("l", shape, "linear", 0), w, cfg)
+        through_file(w, cfg, name="l")
 
 
 @pytest.mark.parametrize("shape", [(64, 3, 3, 3), (16, 8, 3, 3), (40, 40), (700, 200),
                                    (150, 1000)])
 def test_saxe_init_equals_numpy_qr_of_the_draw(binding, shape):
     gain = 1.5
-    draw = RngStream(6, "w").normal(math.prod(shape)).reshape(shape[0], -1)
-    transposed = draw.shape[0] < draw.shape[1]
-    q = sign_adjust(*_numpy_qr(draw.T if transposed else draw))
-    ref = ((q.T if transposed else q) * gain).astype(np.float32).reshape(shape)
-    out = saxe_orthogonal_init(shape, gain, RngStream(6, "w"))
-    assert out.tobytes() == ref.tobytes()
+    draw = RngStream(6, "w").normal(math.prod(shape)).reshape(shape)
+    out = through_file(np.zeros(shape, np.float32), init=("orth", gain, 6))
+    assert out.tobytes() == _signed_q(draw, gain).tobytes()
 
 
 # --- full pipeline ----------------------------------------------------------
@@ -412,62 +387,55 @@ def _pipeline_checkpoint():
 
 def test_start_layer_above_all_depths_is_identity():
     c = _pipeline_checkpoint()
-    out = ghn_orth(c, PostprocessConfig(start_layer=99, seed=1))
-    assert out == c
+    assert through_file(c, PostprocessConfig(start_layer=99, seed=1)) == c
 
 
 def test_exclusion_rules():
     c = _pipeline_checkpoint()
-    out = ghn_orth(c, PostprocessConfig(start_layer=1, seed=1))
+    before, out = _tensors(c), _tensors(through_file(c, PostprocessConfig(start_layer=1, seed=1)))
     # ineligible kinds and shallow layers are bit-identical
     for name in ("l0.conv", "l0.norm", "l1.bias", "l2.other"):
-        assert out.get(name)[1].tobytes() == c.get(name)[1].tobytes()
+        assert out[name].tobytes() == before[name].tobytes()
     # eligible tensors changed and are orthonormal in matricized form
     for name in ("l1.conv", "l2.fc"):
-        arr = out.get(name)[1]
-        assert arr.tobytes() != c.get(name)[1].tobytes()
-        assert _orth_error(arr) <= 1e-4
+        assert out[name].tobytes() != before[name].tobytes()
+        assert _orth_error(out[name]) <= 1e-4
 
 
 def test_metadata_and_order_preserved():
     c = _pipeline_checkpoint()
-    out = ghn_orth(c, PostprocessConfig(start_layer=0, seed=1))
-    assert [m for m, _ in out.tensors] == [m for m, _ in c.tensors]
+    out = through_file(c, PostprocessConfig(start_layer=0, seed=1))
+    assert decode_ckpt(out)[0] == decode_ckpt(c)[0]
 
 
 def test_determinism_bit_identical():
     c = _pipeline_checkpoint()
     cfg = PostprocessConfig(start_layer=0, seed=77)
-    a = ghn_orth(c, cfg)
-    b = ghn_orth(c, cfg)
-    assert a == b
+    assert through_file(c, cfg) == through_file(c, cfg)
 
 
 def test_beta_0_equals_reinit_alone():
     c = _pipeline_checkpoint()
-    out = ghn_orth(c, PostprocessConfig(start_layer=0, beta=0.0, seed=5))
+    cfg = PostprocessConfig(start_layer=0, beta=0.0, seed=5)
+    before, out = _tensors(c), _tensors(through_file(c, cfg))
     for name in ("l0.conv", "l1.conv", "l2.fc"):
-        direct = orthogonal_reinit(c.get(name)[1].astype(np.float64)).astype(np.float32)
-        assert out.get(name)[1].tobytes() == direct.tobytes()
+        assert out[name].tobytes() == _signed_q(before[name].astype(np.float64)).tobytes()
 
 
 def test_skip_orth_equals_noise_alone():
     c = _pipeline_checkpoint()
     cfg = PostprocessConfig(start_layer=0, seed=5, skip_orth=True)
-    out = ghn_orth(c, cfg)
+    before, out = _tensors(c), _tensors(through_file(c, cfg))
     for name in ("l0.conv", "l1.conv", "l2.fc"):
-        w = c.get(name)[1].astype(np.float64)
-        direct = add_conditional_noise(w, cfg.beta, RngStream(5, name)).astype(np.float32)
-        assert out.get(name)[1].tobytes() == direct.tobytes()
+        direct = _noise_oracle(before[name], cfg.beta, RngStream(5, name))
+        assert out[name].tobytes() == direct.tobytes()
 
 
 def test_correlation_reduced_on_ghn_like_fixture():
-    c = make_checkpoint(
-        [("w", (64, 32, 3, 3), "conv", 0, ghn_like_tensor((64, 32, 3, 3), seed=9))]
-    )
-    before = np.abs(offdiagonal_values(channel_correlation(c.get("w")[1]))).mean()
-    out = ghn_orth(c, PostprocessConfig(start_layer=0, seed=1))
-    after = np.abs(offdiagonal_values(channel_correlation(out.get("w")[1]))).mean()
+    w = ghn_like_tensor((64, 32, 3, 3), seed=9)
+    before = np.abs(reference_offdiagonal(w)[1]).mean()
+    out = through_file(w, PostprocessConfig(start_layer=0, seed=1))
+    after = np.abs(reference_offdiagonal(out)[1]).mean()
     assert before > 0.9
     assert after < 0.1
 
@@ -478,7 +446,7 @@ def test_error_annotated_with_tensor_name():
           np.zeros((2, 2, 2), dtype=np.float32))]
     )
     with pytest.raises(UnsupportedRank, match="odd.conv"):
-        ghn_orth(c, PostprocessConfig(start_layer=0))
+        through_file(c, PostprocessConfig(start_layer=0))
 
 
 # --- the layer pool ----------------------------------------------------------
@@ -503,7 +471,7 @@ def test_run_pool_runs_every_item_within_its_byte_budget():
             in_flight[0] -= sizes[i]
 
     order = sorted(range(len(sizes)), key=lambda i: (-sizes[i], i))
-    _run_pool(job, order, sizes, budget, width=8)
+    _run_pool(job, order, sizes, budget, width=8, name=str)
     assert sorted(ran) == list(range(len(sizes)))
     assert 8 < peak[0] <= budget  # items did overlap
 
@@ -521,14 +489,14 @@ def test_run_pool_raises_first_failure_in_item_order():
     # 0 and 1 return at once, so 4 and 5 are admitted; 5 fails while 2, 3
     # and 4 run, so 6 and 7 are never started.
     with pytest.raises(ValueError, match="item 2"):
-        _run_pool(job, range(8), [1] * 8, 4, width=4)
+        _run_pool(job, range(8), [1] * 8, 4, width=4, name=str)
     assert sorted(started) == [0, 1, 2, 3, 4, 5]
 
     # Admitted last first, one at a time: after 5 fails, the items before
     # it still run, and after 2 fails, so do 1 and 0.
     started.clear()
     with pytest.raises(ValueError, match="item 2"):
-        _run_pool(job, range(7, -1, -1), [1] * 8, 1, width=4)
+        _run_pool(job, range(7, -1, -1), [1] * 8, 1, width=4, name=str)
     assert started == [7, 6, 5, 4, 3, 2, 1, 0]
 
     def failing_read(i):
@@ -540,7 +508,7 @@ def test_run_pool_raises_first_failure_in_item_order():
     # A later read failure does not hide an earlier item's own failure.
     started.clear()
     with pytest.raises(ValueError, match="item 2"):
-        _run_pool(failing_read, range(8), [1] * 8, 4, width=4)
+        _run_pool(failing_read, range(8), [1] * 8, 4, width=4, name=str)
 
 
 @pytest.mark.parametrize("error", [MemoryError, OutOfMemory])
@@ -571,14 +539,14 @@ def test_run_pool_runs_an_item_out_of_memory_beside_another_again_alone(error):
             with lock:
                 running.discard(i)
 
-    _run_pool(job, range(3), [1] * 3, 4, width=2)
+    _run_pool(job, range(3), [1] * 3, 4, width=2, name=str)
     assert calls == [(0, frozenset()), (1, {0}), (1, frozenset()), (2, frozenset())]
 
     calls.clear()
     started.clear()
     failed.clear()
     with pytest.raises(error, match="cannot map"):
-        _run_pool(lambda i: job(i, fails_alone=True), range(3), [1] * 3, 4, width=2)
+        _run_pool(lambda i: job(i, fails_alone=True), range(3), [1] * 3, 4, width=2, name=str)
     assert calls == [(0, frozenset()), (1, {0}), (1, frozenset())]
 
 
@@ -599,7 +567,7 @@ def _admissions(costs, budget, width, job=None):
             with lock:
                 running.discard(i)
 
-    _run_pool(run, range(len(costs)), costs, budget, width)
+    _run_pool(run, range(len(costs)), costs, budget, width, str)
     return calls
 
 
@@ -723,7 +691,7 @@ def test_run_pool_joins_a_worker_whose_start_was_interrupted(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", start)
     with pytest.raises(KeyboardInterrupt):
-        _run_pool(job, range(3), [1] * 3, 3, width=2)
+        _run_pool(job, range(3), [1] * 3, 3, width=2, name=str)
     assert running == set()
     assert not any(thread.is_alive() for thread in started)
 
@@ -781,30 +749,28 @@ def _layers_checkpoint(n=6):
 
 
 def _from_file(c, cfg):
-    """The tensors :func:`ghn_orth_tensors` puts for the file of ``c``, in
-    header order."""
-    out = [np.empty(meta.shape, np.float32) for meta in c.metas]
+    """The tensors ``postprocess`` writes for the file ``c``, in header
+    order."""
+    return decode_ckpt(through_file(c, cfg))[1]
 
-    def put(i, w, r0=None):
-        if r0 is None:
-            out[i][...] = w
-        else:
-            out[i].reshape(len(out[i]), -1)[r0 : r0 + len(w)] = w
 
-    ghn_orth_tensors(reader_of(c), put, cfg)
-    return out
+def _one_at_a_time(c, cfg):
+    """The oracle's repair of each tensor of the file ``c`` on its own, in
+    header order; tensors it does not select pass through."""
+    specs, arrays = decode_ckpt(c)
+    return [_repair_oracle(arr, cfg, spec.name)
+            if spec.kind in ("conv", "linear") and spec.depth >= cfg.start_layer else arr
+            for spec, arr in zip(specs, arrays)]
 
 
 @pytest.mark.parametrize("skip", [{}, {"beta": 0.0}])
 def test_pool_matches_sequential_in_header_order(skip, monkeypatch):
     c = _layers_checkpoint()
     cfg = PostprocessConfig(start_layer=1, seed=4, **skip)
-    expected = [ghn_orth_tensor(meta, arr, cfg) for meta, arr in c.tensors]
+    expected = _one_at_a_time(c, cfg)
     monkeypatch.setattr(postprocess, "_cpu_count", lambda: 8)
     got = _from_file(c, cfg)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
-    # below start_layer: passed through
-    assert ghn_orth(c, cfg).tensors[0][1] is c.tensors[0][1]
 
 
 def _sizes_checkpoint():
@@ -825,15 +791,16 @@ def _sizes_checkpoint():
 def test_repair_and_orth_init_bytes_do_not_depend_on_the_pool_width(width, monkeypatch):
     c = _sizes_checkpoint()
     cfg = PostprocessConfig(start_layer=1, seed=2)
-    expected = [ghn_orth_tensor(meta, arr, cfg) for meta, arr in c.tensors]
-    init_expected = [saxe_orthogonal_init(meta.shape, 1.5, RngStream(3, meta.name))
-                     if meta.kind in ("conv", "linear")
-                     else np.ones(meta.shape, np.float32) for meta in c.metas]
+    expected = _one_at_a_time(c, cfg)
+    init_expected = [
+        _signed_q(RngStream(3, spec.name).normal(spec.size).reshape(spec.shape), 1.5)
+        if spec.kind in ("conv", "linear") else np.ones(spec.shape, np.float32)
+        for spec in decode_ckpt(c)[0]]
     budgets = []
 
-    def recording(fn, order, costs, budget, threads):
+    def recording(fn, order, costs, budget, threads, name):
         budgets.append(budget)
-        return run_pool(fn, order, costs, budget, threads)
+        return run_pool(fn, order, costs, budget, threads, name)
 
     run_pool = postprocess._run_pool
     monkeypatch.setattr(postprocess, "_run_pool", recording)
@@ -841,12 +808,7 @@ def test_repair_and_orth_init_bytes_do_not_depend_on_the_pool_width(width, monke
     got = _from_file(c, cfg)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
-    stored = [np.zeros(meta.shape, np.float32) for meta in c.metas]
-
-    def store(i, block, r0):
-        stored[i].reshape(len(stored[i]), -1)[r0 : r0 + len(block)] = block
-
-    init_tensors(c.metas, store, "orth", 1.5, 3)
+    stored = decode_ckpt(through_file(c, init=("orth", 1.5, 3)))[1]
     assert [a.tobytes() for a in stored] == [a.tobytes() for a in init_expected]
     # The three largest layers hold under half the elements, the next is
     # half the largest: on two threads both runs get 1.5x the largest.
@@ -860,13 +822,13 @@ def test_pool_pins_blas_to_one_thread_and_restores_it(monkeypatch):
         pytest.skip("numpy's bundled OpenBLAS not found")
     seen = []
 
-    orth_layer = postprocess._orth_layer
+    write_layer = postprocess._write_layer
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         seen.append(lib.scipy_openblas_get_num_threads64_())
-        return orth_layer(*args)
+        return write_layer(*args, **kwargs)
 
-    monkeypatch.setattr(postprocess, "_orth_layer", recording)
+    monkeypatch.setattr(postprocess, "_write_layer", recording)
     before = lib.scipy_openblas_get_num_threads64_()
     monkeypatch.setattr(postprocess, "_cpu_count", lambda: 8)
     _from_file(_layers_checkpoint(3), PostprocessConfig(start_layer=0))
@@ -875,21 +837,19 @@ def test_pool_pins_blas_to_one_thread_and_restores_it(monkeypatch):
 
 
 def test_repair_bytes_do_not_depend_on_the_blas_thread_count():
-    # The library functions run outside the pool, on the caller's BLAS
-    # thread count; the QR pins itself to one thread.
+    # The caller's BLAS thread count does not reach the layers: the pool
+    # runs them on one thread, and the QR pins itself to one too.
     lib = linalg._openblas()
     if lib is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
     w = ghn_like_tensor((1000, 768), seed=1)
-    meta = TensorMeta("w", w.shape, "linear", 0)
     cfg = PostprocessConfig(start_layer=0, seed=1)
     before = lib.scipy_openblas_get_num_threads64_()
     outs = []
     try:
         for threads in (1, 2):
             lib.scipy_openblas_set_num_threads64_(threads)
-            outs.append((ghn_orth_tensor(meta, w, cfg).tobytes(),
-                         orthogonal_reinit(w).tobytes()))
+            outs.append((through_file(w, cfg).tobytes(), through_file(w, _REINIT).tobytes()))
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
     assert outs[0] == outs[1]
@@ -907,16 +867,16 @@ def test_non_finite_beta_and_gain_rejected():
         with pytest.raises(ValueError, match="finite"):
             PostprocessConfig(start_layer=0, beta=value)
         with pytest.raises(ValueError, match="finite"):
-            add_conditional_noise(np.ones((2, 3)), value, RngStream(0, "w"))
-        with pytest.raises(ValueError, match="finite"):
-            saxe_orthogonal_init((8, 6), value, RngStream(0, "w"))
+            through_file(np.zeros((8, 6), np.float32), init=("orth", value, 0))
 
 
 # --- baseline initializers ---------------------------------------------------
+# init_tensors through a file: an array stands for its shape, and
+# init=(method, gain, seed) draws from RngStream(seed, name).
 
 def test_he_init_statistics():
     shape = (64, 3, 7, 7)  # fan_in 147
-    w = he_init(shape, RngStream(1, "conv1"))
+    w = through_file(np.zeros(shape, np.float32), init=("rand", 1.0, 1), name="conv1")
     assert w.shape == shape and w.dtype == np.float32
     target = math.sqrt(2.0 / 147.0)
     assert target == pytest.approx(0.11664, abs=5e-6)
@@ -930,54 +890,53 @@ def test_he_init_bytes_equal_one_whole_layer_draw(shape):
 
     n = math.prod(shape)
     assert n % _ROW_VALUES
-    stream = RngStream(4, "w")
-    ref = stream.normal(n)
+    ref = RngStream(4, "w").normal(n)
     ref *= math.sqrt(2.0 / math.prod(shape[1:]))
-    assert he_init(shape, stream).tobytes() == ref.reshape(shape).astype(np.float32).tobytes()
+    out = through_file(np.zeros(shape, np.float32), init=("rand", 1.0, 4))
+    assert out.tobytes() == ref.reshape(shape).astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
-@pytest.mark.parametrize("init", [
-    lambda shape: he_init(shape, RngStream(0, "w")),
-    lambda shape: saxe_orthogonal_init(shape, 1.0, RngStream(0, "w")),
-], ids=["he", "saxe"])
-def test_init_rejects_a_zero_dimension(init, shape):
+@pytest.mark.parametrize("method", ["rand", "orth"], ids=["he", "saxe"])
+def test_init_rejects_a_zero_dimension(method, shape):
+    # No file holds such a tensor: its metadata goes to init_tensors as is.
+    metas = [TensorMeta("w", shape, "linear", 0)]
     with pytest.raises(ValueError) as info:
-        init(shape)
+        init_tensors(metas, lambda i, block, r0: None, method, 1.0, 0)
     assert str(info.value) == f"shape dimensions must be positive, got {shape}"
 
 
 def test_he_init_rank2_fan_in():
-    w = he_init((256, 128), RngStream(2, "fc"))
+    w = through_file(np.zeros((256, 128), np.float32), init=("rand", 1.0, 2), name="fc")
     target = math.sqrt(2.0 / 128.0)
     assert abs(w.std() - target) <= 0.05 * target
 
 
 def test_he_init_deterministic():
-    a = he_init((16, 8), RngStream(3, "w"))
-    b = he_init((16, 8), RngStream(3, "w"))
+    a = through_file(np.zeros((16, 8), np.float32), init=("rand", 1.0, 3))
+    b = through_file(np.zeros((16, 8), np.float32), init=("rand", 1.0, 3))
     assert a.tobytes() == b.tobytes()
 
 
 def test_he_init_rejects_rank3():
     with pytest.raises(UnsupportedRank):
-        he_init((4, 4, 4), RngStream(0, "x"))
+        through_file(np.zeros((4, 4, 4), np.float32), init=("rand", 1.0, 0), name="x")
 
 
 def test_saxe_orthonormal():
-    w = saxe_orthogonal_init((32, 32), 1.0, RngStream(4, "w"))
+    w = through_file(np.zeros((32, 32), np.float32), init=("orth", 1.0, 4))
     assert w.dtype == np.float32
     assert _orth_error(w) <= 1e-4
 
 
 def test_saxe_gain_scales_gram_matrix():
-    w = saxe_orthogonal_init((24, 4, 2, 2), 2.0, RngStream(5, "w"))
-    m = matricize(w).data.astype(np.float64)
+    w = through_file(np.zeros((24, 4, 2, 2), np.float32), init=("orth", 2.0, 5))
+    m = matricize(w).astype(np.float64)
     np.testing.assert_allclose(m.T @ m, 4.0 * np.eye(m.shape[1]), atol=1e-4)
 
 
 def test_saxe_square_preserves_norms():
-    w = saxe_orthogonal_init((20, 20), 1.0, RngStream(6, "w")).astype(np.float64)
+    w = through_file(np.zeros((20, 20), np.float32), init=("orth", 1.0, 6)).astype(np.float64)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.normal(size=20)
@@ -985,13 +944,13 @@ def test_saxe_square_preserves_norms():
 
 
 def test_saxe_deterministic_and_validated():
-    a = saxe_orthogonal_init((8, 6), 1.0, RngStream(7, "w"))
-    b = saxe_orthogonal_init((8, 6), 1.0, RngStream(7, "w"))
+    a = through_file(np.zeros((8, 6), np.float32), init=("orth", 1.0, 7))
+    b = through_file(np.zeros((8, 6), np.float32), init=("orth", 1.0, 7))
     assert a.tobytes() == b.tobytes()
     with pytest.raises(ValueError):
-        saxe_orthogonal_init((8, 6), 0.0, RngStream(7, "w"))
+        through_file(np.zeros((8, 6), np.float32), init=("orth", 0.0, 7))
     with pytest.raises(UnsupportedRank):
-        saxe_orthogonal_init((8,), 1.0, RngStream(7, "w"))
+        through_file(np.zeros(8, np.float32), init=("orth", 1.0, 7))
 
 
 def test_init_tensors_rejects_an_unknown_method_before_any_store():

@@ -5,9 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ghnpost.checkpoint_io import Checkpoint, TensorMeta
 from ghnpost.errors import DegenerateInput, SchemaError, StructureMismatch, TooFewChannels
-from ghnpost.postprocess import PostprocessConfig, ghn_orth, saxe_orthogonal_init
+from ghnpost.postprocess import PostprocessConfig
 from ghnpost.report import (
     CompareRow,
     EmbeddingSet,
@@ -20,7 +19,6 @@ from ghnpost.report import (
     parse_embeddings_csv,
     project_embeddings,
 )
-from ghnpost.rng import RngStream
 from ghnpost.stats import correlation_stats, sigma_r
 from ghnpost.tensor_ops import geometry
 
@@ -30,6 +28,7 @@ from conftest import (
     ghn_like_tensor,
     make_checkpoint,
     reader_of,
+    through_file,
 )
 
 
@@ -62,9 +61,10 @@ def test_analyze_skips_norm_and_bias():
 def test_analyze_saxe_checkpoint_has_low_correlation():
     specs = []
     for i, shape in enumerate([(32, 16, 2, 2), (96, 64), (48, 8, 3, 3)]):
-        arr = saxe_orthogonal_init(shape, 1.0, RngStream(1, f"w{i}"))
-        specs.append((f"w{i}", shape, "conv" if len(shape) == 4 else "linear", i, arr))
-    records = analyze_checkpoint(reader_of(make_checkpoint(specs)), bins=10)
+        kind = "conv" if len(shape) == 4 else "linear"
+        specs.append((f"w{i}", shape, kind, i, np.zeros(shape, np.float32)))
+    saxe = through_file(make_checkpoint(specs), init=("orth", 1.0, 1))
+    records = analyze_checkpoint(reader_of(saxe), bins=10)
     for rec in records:
         if geometry(rec.meta.shape)[1] >= 64:
             assert rec.stats.mean_abs < 0.15
@@ -221,7 +221,7 @@ def test_compare_after_postprocess_reduces_sigma():
     c = make_checkpoint(
         [("w", (32, 16, 3, 3), "conv", 0, correlated_tensor((32, 16, 3, 3), seed=5))]
     )
-    out = ghn_orth(c, PostprocessConfig(start_layer=0, seed=3))
+    out = through_file(c, PostprocessConfig(start_layer=0, seed=3))
     rows = compare_checkpoints(reader_of(c), reader_of(out))
     assert rows[0].sigma_r_a > 0.05
     assert rows[0].sigma_r_b < rows[0].sigma_r_a
@@ -311,8 +311,8 @@ def test_file_source_gives_the_bits_of_the_array(layer):
         a[3] = 0.5
         b[37] = 0.0
     norm = np.ones(4, np.float32)  # read past, so the layer sits at an offset
-    metas = [TensorMeta("bn", (4,), "norm", 0), TensorMeta("w", shape, "linear", 0)]
-    files = [reader_of(Checkpoint(tensors=list(zip(metas, (norm, w))))) for w in (a, b)]
+    files = [reader_of(make_checkpoint([("bn", (4,), "norm", 0, norm),
+                                        ("w", shape, "linear", 0, w)])) for w in (a, b)]
 
     want = correlation_stats(a, bins=50)
     (rec,) = analyze_checkpoint(files[0], bins=50)

@@ -13,17 +13,7 @@ from ghnpost.errors import (
     TooFewChannels,
     UnsupportedRank,
 )
-from ghnpost.stats import (
-    _COUNT_VALUES,
-    _PANEL_ROWS,
-    _fold_values,
-    channel_correlation,
-    correlation_histogram,
-    correlation_stats,
-    correlation_std,
-    offdiagonal_values,
-    sigma_r,
-)
+from ghnpost.stats import _COUNT_VALUES, _PANEL_ROWS, correlation_stats, sigma_r
 
 from conftest import (
     correlated_tensor,
@@ -32,11 +22,14 @@ from conftest import (
     make_checkpoint,
     reader_of,
 )
+from reference import reference_offdiagonal
 
 
 def _corr2(a, b):
-    w = np.array([a, b], dtype=np.float32)
-    return channel_correlation(w)[0, 1]
+    """The one correlation of channels a and b: its magnitude is the mean
+    |r|, its sign the bin of two that holds it."""
+    stats_ = correlation_stats(np.array([a, b], dtype=np.float32), bins=2)
+    return stats_.mean_abs if stats_.histogram[1] else -stats_.mean_abs
 
 
 def test_perfect_positive_correlation():
@@ -53,72 +46,61 @@ def test_half_correlation_by_hand():
 
 
 def test_zero_variance_channel():
-    w = np.array([[1, 1, 1], [1, 2, 3]], dtype=np.float32)
-    r = channel_correlation(w)
-    assert r[0, 0] == 1.0 and r[1, 1] == 1.0
-    assert r[0, 1] == 0.0 and r[1, 0] == 0.0
-
-
-def test_matrix_invariants():
-    w = np.random.default_rng(3).normal(size=(12, 4, 3, 3)).astype(np.float32)
-    r = channel_correlation(w)
-    np.testing.assert_array_equal(r, r.T)
-    np.testing.assert_array_equal(np.diag(r), np.ones(12))
-    assert np.all(np.abs(r) <= 1.0 + 1e-12)
+    assert _corr2([1, 1, 1], [1, 2, 3]) == 0.0
 
 
 def test_rank4_channels_flattened():
-    # rank-4 and its explicit K x CHW reshape give the same matrix
+    # rank-4 and its explicit K x CHW reshape give the same statistics
     w = np.random.default_rng(4).normal(size=(6, 2, 2, 2)).astype(np.float32)
-    r4 = channel_correlation(w)
-    r2 = channel_correlation(w.reshape(6, 8))
-    np.testing.assert_allclose(r4, r2, atol=1e-15)
+    r4 = correlation_stats(w, bins=50)
+    r2 = correlation_stats(w.reshape(6, 8), bins=50)
+    assert (r4.sigma_r, r4.mean_abs) == (r2.sigma_r, r2.mean_abs)
+    np.testing.assert_array_equal(r4.histogram, r2.histogram)
 
 
 def test_errors():
     with pytest.raises(UnsupportedRank):
-        channel_correlation(np.zeros((2, 2, 2), dtype=np.float32))
+        correlation_stats(np.zeros((2, 2, 2), dtype=np.float32))
     with pytest.raises(ChannelTooShort):
-        channel_correlation(np.zeros((4, 1), dtype=np.float32))
+        correlation_stats(np.zeros((4, 1), dtype=np.float32))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.01, 100.0), st.floats(-50.0, 50.0), st.integers(0, 2**31))
 def test_affine_invariance(scale, shift, seed):
     w = np.random.default_rng(seed).normal(size=(5, 16)).astype(np.float32)
-    r_base = channel_correlation(w)
+    base = correlation_stats(w)
     w2 = w.astype(np.float64)
     w2[2] = scale * w2[2] + shift
-    r_mapped = channel_correlation(w2)
-    np.testing.assert_allclose(r_mapped, r_base, atol=1e-6)
+    mapped = correlation_stats(w2)
+    np.testing.assert_allclose([mapped.sigma_r, mapped.mean_abs],
+                               [base.sigma_r, base.mean_abs], atol=1e-6)
 
 
 def test_std_of_identical_channels_is_zero():
     w = np.tile(np.array([1.0, 2.0, 5.0], dtype=np.float32), (4, 1))
-    assert correlation_std(channel_correlation(w)) == 0.0
+    assert correlation_stats(w).sigma_r == 0.0
     # across several panels too
     wide = np.tile(np.array([1.0, 2.0, 5.0], dtype=np.float32), (100, 1))
     assert correlation_stats(wide).sigma_r == 0.0
 
 
 def test_std_hand_computed():
-    # k=3 with off-diagonal {0, 0, 1}: mean 1/3, population variance
-    # ((1/3)^2 + (1/3)^2 + (2/3)^2)/3 = 2/9, so std = sqrt(2)/3
-    values = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-    sigma = correlation_std(values)
+    # k=3 with off-diagonal {0, 0, 1} (channels a, b, b with a . b = 0):
+    # mean 1/3, population variance ((1/3)^2 + (1/3)^2 + (2/3)^2)/3 = 2/9,
+    # so std = sqrt(2)/3
+    w = np.array([[1, -1, 0, 0], [0, 0, 1, -1], [0, 0, 1, -1]], dtype=np.float32)
+    sigma = correlation_stats(w).sigma_r
     assert sigma == pytest.approx(math.sqrt(2.0) / 3.0, abs=1e-12)
 
 
 def test_std_single_pair_is_zero():
     w = np.array([[1, 2, 3], [1, 3, 2]], dtype=np.float32)
-    assert correlation_std(channel_correlation(w)) == 0.0
     assert correlation_stats(w).sigma_r == 0.0
 
 
 def test_std_too_few_channels():
     w = np.array([[1.0, 2.0]], dtype=np.float32)
-    with pytest.raises(TooFewChannels):
-        correlation_std(channel_correlation(w))
     with pytest.raises(TooFewChannels):
         correlation_stats(w)
 
@@ -126,42 +108,32 @@ def test_std_too_few_channels():
 def test_std_bounded():
     for seed in range(5):
         w = np.random.default_rng(seed).normal(size=(10, 30)).astype(np.float32)
-        assert 0.0 <= correlation_std(channel_correlation(w)) <= 1.0
+        assert 0.0 <= correlation_stats(w).sigma_r <= 1.0
 
 
 def test_histogram_all_ones():
     w = np.tile(np.array([1.0, 2.0, 5.0], dtype=np.float32), (5, 1))
-    h = correlation_histogram(channel_correlation(w), bins=4)
+    h = correlation_stats(w, bins=4).histogram
     np.testing.assert_array_equal(h, [0, 0, 0, 10])
     assert h.sum() == 5 * 4 // 2
 
 
 def test_histogram_extremes():
     # -1 lands in the first bin; exactly 1.0 lands in the last bin
-    values = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    h = correlation_histogram(values, bins=2)
+    h = correlation_stats(np.array([[1, 2, 3], [3, 2, 1]], np.float32), bins=2).histogram
     np.testing.assert_array_equal(h, [1, 0])
-    values = np.array([[1.0, 1.0], [1.0, 1.0]])
-    h = correlation_histogram(values, bins=2)
+    h = correlation_stats(np.array([[1, 2, 3], [1, 2, 3]], np.float32), bins=2).histogram
     np.testing.assert_array_equal(h, [0, 1])
-
-
-def test_histogram_rejects_a_nan_entry():
-    values = np.eye(3)
-    values[0, 1] = values[1, 0] = np.nan
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        correlation_histogram(values, bins=4)
 
 
 def test_histogram_vs_brute_force():
     rng = np.random.default_rng(11)
     k = 40
     vals = rng.uniform(-1.0, 1.0, size=k * (k - 1) // 2)
-    m = np.eye(k)
-    m[np.triu_indices(k, 1)] = vals
-    m = m + np.triu(m, 1).T
     for bins in (1, 3, 8, 16):
-        h = correlation_histogram(m, bins=bins)
+        fold = stats._Fold(k, bins)
+        fold._count(vals)
+        h = fold.counts
         width = 2.0 / bins
         expected = np.zeros(bins, dtype=int)
         for v in vals:
@@ -173,33 +145,12 @@ def test_histogram_vs_brute_force():
 
 def test_ghn_like_channels_strongly_correlated():
     w = ghn_like_tensor((32, 8, 3, 3), rel_noise=1e-3, seed=0)
-    r = channel_correlation(w)
-    assert np.mean(offdiagonal_values(r)) > 0.99
+    assert correlation_stats(w).mean_abs > 0.99
 
 
 # --------------------------------------------------------------------------
-# Oracles for the full matrix (bytes) and the panel fold (bytes, bounds)
+# The panel fold against the full-matrix oracle (bounds, counts)
 # --------------------------------------------------------------------------
-
-def _reference_offdiagonal(w):
-    """The full K x K formula ``channel_correlation`` reproduces bit for
-    bit, gathered with ``triu_indices``."""
-    k = w.shape[0]
-    x = w.reshape(k, -1).astype(np.float64)
-    xc = x - x.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.sum(xc * xc, axis=1))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    r = (xc @ xc.T) / np.outer(safe, safe)
-    dead = norms == 0.0
-    r[dead, :] = 0.0
-    r[:, dead] = 0.0
-    r = 0.5 * (r + r.T)
-    snap = 64.0 * np.finfo(np.float64).eps
-    r[np.abs(r - 1.0) <= snap] = 1.0
-    r[np.abs(r + 1.0) <= snap] = -1.0
-    np.clip(r, -1.0, 1.0, out=r)
-    np.fill_diagonal(r, 1.0)
-    return r, r[np.triu_indices(k, k=1)]
 
 
 def _oracle_cases():
@@ -260,25 +211,20 @@ def _assert_rel(got, want, rel=1e-10):
 @pytest.mark.parametrize("case", sorted(_oracle_cases()))
 def test_packed_kernel_matches_full_matrix_oracle(case):
     w = _oracle_cases()[case]
-    full, ref = _reference_offdiagonal(w)
-    r = channel_correlation(w)
-    assert offdiagonal_values(r).tobytes() == ref.tobytes()
+    _, ref = reference_offdiagonal(w)
     sigma, mean_abs = _fsum_moments(ref)
-    _assert_rel(correlation_std(r), sigma)
     for bins in (1, 7, 50):
-        counts, _ = np.histogram(np.clip(ref, -1.0, 1.0), bins=bins, range=(-1.0, 1.0))
+        counts, _ = np.histogram(ref, bins=bins, range=(-1.0, 1.0))
         folded = correlation_stats(w, bins)
         _assert_rel(folded.sigma_r, sigma)
         _assert_rel(folded.mean_abs, mean_abs)
-        for h in (correlation_histogram(r, bins), folded.histogram):
-            np.testing.assert_array_equal(h, counts)
-    assert r.tobytes() == full.tobytes()
+        np.testing.assert_array_equal(folded.histogram, counts)
 
 
 def test_near_duplicate_case_is_beyond_np_std():
     # The oracle test's 1e-10 bound on sigma is tighter than a plain
     # mean-then-deviations std reaches on this case.
-    _, ref = _reference_offdiagonal(_near_duplicate())
+    _, ref = reference_offdiagonal(_near_duplicate())
     sigma, _ = _fsum_moments(ref)
     assert abs(np.std(ref) - sigma) > 1e-10 * sigma
 
@@ -300,7 +246,9 @@ def test_bin_counter_is_np_histogram(bins):
     random = np.concatenate([rng.uniform(-1.0, 1.0, 150_001),
                              np.clip(rng.normal(0.9, 0.2, 20_000), -1.0, 1.0)])
     for values in (_edge_values(bins), random, rng.permutation(_edge_values(bins))):
-        got = _fold_values(2, values, bins).histogram
+        fold = stats._Fold(2, bins)
+        fold.add(values, np.empty_like(values))
+        got = fold.counts
         counts, edges = np.histogram(values, bins=bins, range=(-1.0, 1.0))
         np.testing.assert_array_equal(got, counts)
         assert got.dtype == counts.dtype
@@ -333,7 +281,7 @@ def test_bin_counter_step_does_not_change_a_count(bins):
     w = _integer_channels()
     k = len(w)
     assert sum(k - 1 - i for i in range(_PANEL_ROWS)) % _COUNT_VALUES != 0
-    values = offdiagonal_values(channel_correlation(w))
+    _, values = reference_offdiagonal(w)
     assert {-1.0, -0.5, 0.0, 0.5, 1.0} <= set(values.tolist())
     counts, _ = np.histogram(values, bins, range=(-1.0, 1.0))
     np.testing.assert_array_equal(correlation_stats(w, bins).histogram, counts)
@@ -350,14 +298,8 @@ def test_oracle_cases_hit_the_snaps():
     cases = _oracle_cases()
     for case, target in (("duplicate_row", 1.0), ("negated_duplicate", -1.0),
                          ("multi_panel", 1.0), ("multi_panel", -1.0)):
-        assert target in offdiagonal_values(channel_correlation(cases[case]))
-    assert 0.0 in offdiagonal_values(channel_correlation(cases["dead_channel"]))
-
-
-def test_packed_values_are_read_only():
-    r = channel_correlation(np.random.default_rng(0).normal(size=(5, 9)))
-    with pytest.raises(ValueError):
-        offdiagonal_values(r)[0] = 0.5
+        assert target in reference_offdiagonal(cases[case])[1]
+    assert 0.0 in reference_offdiagonal(cases["dead_channel"])[1]
 
 
 def test_non_finite_tensor_rejected():
@@ -366,7 +308,7 @@ def test_non_finite_tensor_rejected():
         w2 = w.copy()
         w2[2, 3] = bad
         with pytest.raises(NonFiniteTensor):
-            channel_correlation(w2)
+            correlation_stats(w2)
 
 
 # --------------------------------------------------------------------------
@@ -424,6 +366,18 @@ def test_sigma_r_of_tall_layers_matches_extended_precision_oracle(case):
     # fold's value, or the tall route's where the layer is certified
     _assert_rel(fold_sigma_r(w), want)
     _assert_rel(correlation_stats(w, bins=50).sigma_r, want)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("shape", [(200, 30), (500, 64), (1000, 48), (2000, 100), (768, 3, 3, 3)])
+@pytest.mark.parametrize("rel_noise", [1e-4, 3e-5])
+def test_tall_route_is_within_its_stated_bound_of_the_fold(rel_noise, shape, seed):
+    # GHN-like tall layers, sigma_r ~1e-10 to 3e-9: the routes' relative
+    # gap reaches 1e-8, within 2^-53 / (sigma_r sqrt(K)) (a third of it
+    # at most).
+    w = ghn_like_tensor(shape, rel_noise=rel_noise, seed=seed)
+    fold = fold_sigma_r(w)
+    assert abs(sigma_r(w) - fold) / fold <= 2.0**-53 / (fold * math.sqrt(shape[0]))
 
 
 @pytest.mark.parametrize("shape", [(2, 5), (6, 40), (12, 3, 3, 3), (135, 135), (130, 2, 8, 9)])
@@ -554,7 +508,7 @@ def _certificate_case(case, orientation, bins):
                                   "constant", "near_edge"])
 def test_certificate_matches_full_matrix_oracle(case, orientation, bins):
     w = _certificate_case(case, orientation, bins)
-    _, ref = _reference_offdiagonal(w)
+    _, ref = reference_offdiagonal(w)
     counts, _ = np.histogram(ref, bins=bins, range=(-1.0, 1.0))
     sigma, mean_abs = _fsum_moments(ref)
     got = correlation_stats(w, bins)

@@ -1,11 +1,11 @@
 """Working sets of the per-tensor paths the command line runs.
 
 Peaks are Python-heap peaks from ``tracemalloc`` (numpy reports its array
-buffers to it), counted from the start of each call, except for the QR
-layers, whose float64 buffer is an anonymous mapping and whose LAPACK
-workspace numpy does not see: those, and whole ``postprocess`` runs of the
-command line, are measured as peak-RSS growth in a fresh interpreter.  A K x K float64 Gram of the
-4096-channel tensor below alone would be 128 MiB.
+buffers to it), counted from the start of each call, except for the
+layers whose float64 buffer is an anonymous mapping, which tracemalloc
+does not see, as LAPACK's workspace: those are measured as peak-RSS
+growth of whole command-line runs in a fresh interpreter.  A K x K
+float64 Gram of the 4096-channel tensor below alone would be 128 MiB.
 """
 
 import json
@@ -21,14 +21,13 @@ import pytest
 
 import ghnpost
 from ghnpost import linalg, postprocess
-from ghnpost.checkpoint_io import Checkpoint, TensorMeta, read_checkpoint, write_checkpoint
 from ghnpost.cli import run
-from ghnpost.postprocess import PostprocessConfig, ghn_orth_tensor
+from ghnpost.postprocess import PostprocessConfig, ghn_orth_tensors
 from ghnpost.report import analyze_checkpoint, compare_checkpoints
 from ghnpost.stats import _PANEL_ROWS, correlation_stats, sigma_r
 from ghnpost.tensor_ops import geometry
 
-from conftest import ghn_like_tensor, reader_of
+from conftest import decode_ckpt, ghn_like_tensor, make_checkpoint, reader_of
 
 
 def _peak_bytes(fn):
@@ -42,15 +41,19 @@ def _peak_bytes(fn):
 
 _K, _CHW = 4096, 3
 _W = np.random.default_rng(0).normal(size=(_K, _CHW)).astype(np.float32)
-_META = TensorMeta("w", (_K, _CHW), "linear", 0)
-_FILE = reader_of(Checkpoint(tensors=[(_META, _W)]))
+_FILE = reader_of(make_checkpoint([("w", (_K, _CHW), "linear", 0, _W)]))
+
+
+def _discard(i, block, r0):
+    pass
+
 
 _CALLS = {
     "correlation_stats": lambda: correlation_stats(_W, bins=50),
     "sigma_r": lambda: sigma_r(_W),
     "analyze": lambda: analyze_checkpoint(_FILE, bins=50),
     "compare": lambda: compare_checkpoints(_FILE, _FILE),
-    "postprocess": lambda: ghn_orth_tensor(_META, _W, PostprocessConfig(start_layer=0)),
+    "postprocess": lambda: ghn_orth_tensors(_FILE, _discard, PostprocessConfig(start_layer=0)),
 }
 
 
@@ -69,12 +72,10 @@ def _readers(files: int):
     """Readers over ``files`` files of three 256 x 4096 layers each."""
     k, chw = 256, 4096
     rng = np.random.default_rng(2)
-    metas = [TensorMeta(f"w{i}", (k, chw), "linear", i) for i in range(3)]
-    readers = []
-    for _ in range(files):
-        arrays = [rng.standard_normal((k, chw), np.float32) for _ in metas]
-        readers.append(reader_of(Checkpoint(tensors=list(zip(metas, arrays)))))
-    return readers
+    return [reader_of(make_checkpoint([(f"w{i}", (k, chw), "linear", i,
+                                        rng.standard_normal((k, chw), np.float32))
+                                       for i in range(3)]))
+            for _ in range(files)]
 
 
 def test_compare_holds_one_layer_at_a_time():
@@ -113,35 +114,26 @@ def test_analyze_holds_one_layer_at_a_time():
 
 def test_noise_only_layer_stays_within_its_float64_copy():
     # ViT-B/16's MLP fc1 shape; independent channels give sigma_r ~0.04,
-    # so the noise changes the float32 weights.
+    # so the noise changes the float32 weights.  sigma_r's float64
+    # channels are a mapping and the output leaves a row block at a time,
+    # so the heap holds row blocks and sigma_r's panel.
     k, chw = 3072, 768
     w = np.random.default_rng(1).standard_normal((k, chw), dtype=np.float32)
-    meta = TensorMeta("fc1", (k, chw), "linear", 0)
+    reader = reader_of(make_checkpoint([("fc1", (k, chw), "linear", 0, w)]))
     cfg = PostprocessConfig(start_layer=0, skip_orth=True)
-    out = []
-    peak = _peak_bytes(lambda: out.append(ghn_orth_tensor(meta, w, cfg)))
-    assert not np.array_equal(out[0], w)
+    out = np.empty_like(w)
+
+    def put(i, block, r0):
+        out[r0 : r0 + len(block)] = block
+
+    peak = _peak_bytes(lambda: ghn_orth_tensors(reader, put, cfg))
+    assert not np.array_equal(out, w)
     assert peak <= 2.5 * w.size * 8
-
-
-@pytest.mark.parametrize("shape", [(3072, 768), (768, 3072)], ids=["fc1", "fc2"])
-def test_noise_only_output_is_allocated_after_sigma_r(shape):
-    # ViT-B/16's MLP shapes.  sigma_r's float64 channels (one copy) are
-    # freed before the float32 output (half a copy) is allocated (measured
-    # 1.05 and 1.17 copies); allocated first, the output overlaps them
-    # (1.55 and 1.67).
-    w = np.random.default_rng(1).standard_normal(shape, dtype=np.float32)
-    meta = TensorMeta("fc", shape, "linear", 0)
-    cfg = PostprocessConfig(start_layer=0, skip_orth=True)
-    assert _peak_bytes(lambda: ghn_orth_tensor(meta, w, cfg)) <= 1.3 * w.size * 8
 
 
 _RSS_GROWTH = """
 import json, math, resource, sys
-import numpy as np
-from ghnpost.checkpoint_io import TensorMeta
 from ghnpost.cli import run
-from ghnpost.postprocess import PostprocessConfig, ghn_orth_tensor
 
 def peak_kb():
     # This process's own peak.  ru_maxrss can start at the spawning
@@ -152,43 +144,26 @@ def peak_kb():
     except OSError:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
-def layer(shape):
-    # near-duplicate channels, built in float32 so no float64 temporary
-    # raises the peak before the measured call
-    w = np.random.default_rng(0).standard_normal(shape, dtype=np.float32)
-    w *= 1e-3
-    w += w[:1]
-    return w
-
 def run_cli(argv):
     assert run(argv) == 0
     # blake2b comes from CPython's _blake2: no command maps OpenSSL.
     assert "_hashlib" not in sys.modules, argv[0]
 
 shape, argvs = json.loads(sys.argv[1])
-shape = tuple(shape)
-if argvs:
-    for argv in argvs[:-1]:
-        run_cli(argv)
-    before = peak_kb()
-    run_cli(argvs[-1])
-else:
-    cfg = PostprocessConfig(start_layer=0)
-    ghn_orth_tensor(TensorMeta("warm", (64, 96), "linear", 0), layer((64, 96)), cfg)
-    w = layer(shape)
-    before = peak_kb()
-    ghn_orth_tensor(TensorMeta("w", shape, "linear", 0), w, cfg)
+for argv in argvs[:-1]:
+    run_cli(argv)
+before = peak_kb()
+run_cli(argvs[-1])
 print((peak_kb() - before) * 1024 / (math.prod(shape) * 8))
 """
 
 
-def _rss_growth(shape, argvs=()):
+def _rss_growth(shape, argvs):
     """Peak-RSS growth in a fresh interpreter, in units of the float64 size
-    of a layer of ``shape``: of repairing one such layer, or, given
-    ``argvs``, of running the last of these CLI command lines after the
-    others, which warm the interpreter up.  The CLI's inputs are written
-    beforehand, by this process.  No command may load OpenSSL's
-    ``_hashlib`` module."""
+    of a layer of ``shape``, of running the last of the CLI command lines
+    ``argvs`` after the others, which warm the interpreter up.  The CLI's
+    inputs are written beforehand, by this process.  No command may load
+    OpenSSL's ``_hashlib`` module."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(ghnpost.__file__).parents[1])]
@@ -202,19 +177,31 @@ def _rss_growth(shape, argvs=()):
     return float(proc.stdout)
 
 
+def _postprocess_argvs(tmp_path, shape, skip=()):
+    """``postprocess`` of a one-layer file of ``shape``, after that of a
+    small one to warm the interpreter up."""
+    argvs = []
+    for name, dims in (("warm", (64, 96)), ("in", shape)):
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(make_checkpoint([("w", dims, "linear", 0, ghn_like_tensor(dims))]))
+        argvs.append(["postprocess", str(path), "--start-layer", "0",
+                      "--out", str(tmp_path / f"{name}.out.ckpt"), *skip])
+    return argvs
+
+
 @pytest.mark.parametrize("shape", [(512, 512, 3, 3), (1000, 2048)])
-def test_repaired_layer_stays_within_three_float64_copies(shape):
+def test_repaired_layer_stays_within_three_float64_copies(shape, tmp_path):
     # A QR that copies the layer again around LAPACK measures 5.6x here.
-    assert _rss_growth(shape) <= 3.0
+    assert _rss_growth(shape, _postprocess_argvs(tmp_path, shape)) <= 3.0
 
 
 @pytest.mark.parametrize("shape", [(512, 512, 3, 3), (1000, 2048), (2048, 1024)])
-def test_repaired_layer_lives_in_one_float64_buffer(shape):
+def test_repaired_layer_lives_in_one_float64_buffer(shape, tmp_path):
     # Correlation, noise and QR share one float64 buffer, and the float32
-    # result is half its size (measured 1.11-1.18x).  A second float64
-    # copy of the layer, or R in full for the last two shapes (n = 1000
-    # and 1024), would pass 1.5x; with both the repair measured 1.74-2.24x.
-    assert _rss_growth(shape) <= 1.5
+    # result leaves it a row block at a time (measured 1.14-1.19x).  A
+    # second float64 copy of the layer, or R in full for the last two
+    # shapes (n = 1000 and 1024), would pass 1.5x.
+    assert _rss_growth(shape, _postprocess_argvs(tmp_path, shape)) <= 1.5
 
 
 @pytest.mark.parametrize("skip", [[], ["--skip-orth"]], ids=["repair", "skip_orth"])
@@ -225,14 +212,7 @@ def test_cli_postprocess_holds_one_float64_copy_of_the_layer(shape, skip, tmp_pa
     # result back out of one reused float32 block, so no float32 copy of
     # it is held (measured 1.14-1.25x).  Loaded whole as float32 first, it
     # measured 1.65-1.78x.
-    argvs = []
-    for name, dims in (("warm", (64, 96)), ("in", shape)):
-        meta = TensorMeta("w", dims, "linear", 0)
-        path = tmp_path / f"{name}.ckpt"
-        path.write_bytes(write_checkpoint(Checkpoint(tensors=[(meta, ghn_like_tensor(dims))])))
-        argvs.append(["postprocess", str(path), "--start-layer", "0",
-                      "--out", str(tmp_path / f"{name}.out.ckpt"), *skip])
-    assert _rss_growth(shape, argvs) <= 1.4
+    assert _rss_growth(shape, _postprocess_argvs(tmp_path, shape, skip)) <= 1.4
 
 
 @pytest.mark.parametrize("method, bound", [("rand", 0.3), ("orth", 1.4)])
@@ -268,10 +248,10 @@ def test_cli_analysis_peak_follows_the_largest_layer(command, tmp_path):
     # so the second layer of a size comes from its heap, which keeps the
     # pages while the next size gets a mapping (2.02x and 1.96x).
     def ckpt(name, shapes, seed=0):
-        metas = [TensorMeta(f"w{i}", dims, "linear", i) for i, dims in enumerate(shapes)]
         path = tmp_path / f"{name}.ckpt"
-        arrays = [ghn_like_tensor(dims, seed=seed) for dims in shapes]
-        path.write_bytes(write_checkpoint(Checkpoint(tensors=list(zip(metas, arrays)))))
+        path.write_bytes(make_checkpoint([(f"w{i}", dims, "linear", i,
+                                           ghn_like_tensor(dims, seed=seed))
+                                          for i, dims in enumerate(shapes)]))
         return str(path)
 
     emb = tmp_path / "emb.csv"
@@ -349,18 +329,19 @@ def test_cli_peak_follows_the_memory_model(command, tmp_path):
     shapes = _MODEL_CASES[command]
 
     def job(name, layers):
-        metas = [TensorMeta(f"w{i}", dims, "linear", i) for i, dims in enumerate(layers)]
         out = ["--out", str(tmp_path / f"{name}.out")]
         if command.startswith("init"):
             spec = tmp_path / f"{name}.json"
-            spec.write_text(json.dumps([{"name": m.name, "shape": list(m.shape),
-                                         "kind": m.kind, "depth": m.depth} for m in metas]))
+            spec.write_text(json.dumps([{"name": f"w{i}", "shape": list(dims),
+                                         "kind": "linear", "depth": i}
+                                        for i, dims in enumerate(layers)]))
             return ["init", str(spec), "--method", command[5:], *out]
         paths = []
         for seed in (0, 1)[: 2 if command == "compare" else 1]:
             path = tmp_path / f"{name}{seed}.ckpt"
-            path.write_bytes(write_checkpoint(Checkpoint(tensors=[
-                (meta, ghn_like_tensor(meta.shape, seed=seed)) for meta in metas])))
+            path.write_bytes(make_checkpoint([(f"w{i}", dims, "linear", i,
+                                               ghn_like_tensor(dims, seed=seed))
+                                              for i, dims in enumerate(layers)]))
             paths.append(str(path))
         if command in ("analyze", "compare"):
             return [command, *paths, *out]
@@ -384,19 +365,19 @@ def test_cli_pass_through_tensors_stream(skip, tmp_path):
     for name, other, bias in (("warm", (64, 8, 12), (96,)), ("in", (4096, 32, 64), (2 << 20,))):
         inputs = {"other": ghn_like_tensor(other),
                   "b": np.random.default_rng(2).standard_normal(bias, np.float32)}
-        tensors = [(TensorMeta("other", other, "other", 0), inputs["other"]),
-                   (TensorMeta("w", layer, "linear", 0), ghn_like_tensor(layer, seed=1)),
-                   (TensorMeta("b", bias, "bias", 0), inputs["b"])]
+        tensors = [("other", other, "other", 0, inputs["other"]),
+                   ("w", layer, "linear", 0, ghn_like_tensor(layer, seed=1)),
+                   ("b", bias, "bias", 0, inputs["b"])]
         path = tmp_path / f"{name}.ckpt"
-        path.write_bytes(write_checkpoint(Checkpoint(tensors=tensors)))
+        path.write_bytes(make_checkpoint(tensors))
         argvs.append(["postprocess", str(path), "--start-layer", "0",
                       "--out", str(tmp_path / f"{name}.out.ckpt"), *skip])
     growth = _rss_growth(_MIB, argvs) * (1 << 20)
     command = "skip_orth" if skip else "repair"
     assert growth <= _model(command, [layer]) + _SLACK, growth / 2**20
-    out = read_checkpoint((tmp_path / "in.out.ckpt").read_bytes())
-    for name, arr in inputs.items():
-        assert out.get(name)[1].tobytes() == arr.tobytes()
+    _, (other, _, b) = decode_ckpt((tmp_path / "in.out.ckpt").read_bytes())
+    assert other.tobytes() == inputs["other"].tobytes()
+    assert b.tobytes() == inputs["b"].tobytes()
 
 
 def test_cli_init_writes_ones_and_zeros_of_any_rank(tmp_path):
@@ -409,8 +390,7 @@ def test_cli_init_writes_ones_and_zeros_of_any_rank(tmp_path):
                                 for name, (shape, kind) in shapes.items()]))
     out = tmp_path / "init.ckpt"
     assert run(["init", str(spec), "--method", "rand", "--out", str(out)]) == 0
-    c = read_checkpoint(out.read_bytes())
-    for name, (shape, kind) in shapes.items():
+    for (shape, kind), arr in zip(shapes.values(), decode_ckpt(out.read_bytes())[1]):
         if kind != "linear":
             fill = np.ones if kind == "norm" else np.zeros
-            assert c.get(name)[1].tobytes() == fill(shape, np.float32).tobytes()
+            assert arr.tobytes() == fill(shape, np.float32).tobytes()

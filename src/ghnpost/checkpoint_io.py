@@ -19,11 +19,11 @@ last tensor.  Serialization is canonical: sorted keys, no whitespace,
 so the same tensors always give the same bytes.
 
 This module is the one place that reads or writes checkpoint bytes.  A
-file is read a tensor, or a block of a layer's rows, at a time, on
-demand, so no command holds a whole file; it is written at each tensor's
-offset, in any order, whole tensors or blocks of rows.  A header or an
-architecture spec that breaks a rule fails, naming the entry and field,
-before any tensor is read or written.
+file is read a block of a tensor's rows at a time, on demand, so no
+command holds a whole file; it is written at each tensor's offset, in
+any order, a block of rows at a time.  A header or an
+architecture spec that breaks a rule raises DataFormatError naming the
+entry and field, before any tensor is read or written.
 """
 
 from __future__ import annotations
@@ -42,14 +42,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CorruptHeader,
-    SchemaError,
-    TruncatedData,
-    UnsupportedVersion,
-    naming,
-)
+from .errors import DataFormatError
 from .tensor_ops import row_step
 
 MAGIC = b"GHNP"
@@ -86,8 +79,8 @@ def _check_metas(
     Names are unique non-empty strings that encode as UTF-8, kinds are
     known, shapes have 1-4 positive integer dimensions, and depths are
     non-negative integers that do not decrease in file order.  The header
-    reader, the writer and the archspec reader all check through here, each
-    with its own error class.
+    reader and the archspec reader check through here with DataFormatError,
+    the writer with ValueError.
     """
     seen: set[str] = set()
     prev_depth = 0
@@ -110,18 +103,12 @@ def _check_metas(
         prev_depth = meta.depth
 
 
-def _check_array(meta: TensorMeta, arr: np.ndarray, row: int | None = None) -> None:
-    """``arr`` is float32 and is the whole of ``meta``'s tensor or, with
-    ``row``, its rows row .. row + len(arr) of the first axis, of any
-    shape that holds whole rows (such as rows of the K x CHW matrix)."""
-    if row is None:
-        if tuple(arr.shape) != meta.shape:
-            raise ValueError(
-                f"tensor {meta.name!r}: metadata shape {meta.shape} != "
-                f"array shape {tuple(arr.shape)}"
-            )
-    elif not (arr.ndim and arr.size == len(arr) * math.prod(meta.shape[1:])
-              and 0 <= row <= meta.shape[0] - len(arr)):
+def _check_array(meta: TensorMeta, arr: np.ndarray, row: int) -> None:
+    """``arr`` is float32 and is the rows row .. row + len(arr) of the
+    first axis of ``meta``'s tensor, of any shape that holds whole rows
+    (such as rows of the K x CHW matrix)."""
+    if not (arr.ndim and arr.size == len(arr) * math.prod(meta.shape[1:])
+            and 0 <= row <= meta.shape[0] - len(arr)):
         raise ValueError(
             f"tensor {meta.name!r}: array shape {tuple(arr.shape)} at row {row} is not "
             f"whole rows of metadata shape {meta.shape}"
@@ -153,10 +140,10 @@ def encode_header(metas: Sequence[TensorMeta]) -> tuple[bytes, list[int]]:
     return head, [len(head) + offset for offset in offsets]
 
 
-def _tensor_bytes(meta: TensorMeta, arr: np.ndarray, row: int | None = None) -> memoryview:
+def _tensor_bytes(meta: TensorMeta, arr: np.ndarray, row: int) -> memoryview:
     """The bytes of ``arr`` as the file stores them (C-ordered ``<f4``),
-    once it is checked against ``meta`` by :func:`_check_array`: the whole
-    tensor, or its rows from ``row``.  A bad array raises ValueError, a
+    once it is checked against ``meta`` by :func:`_check_array` as the
+    tensor's rows from ``row``.  A bad array raises ValueError, a
     programming error, not a data error."""
     _check_array(meta, arr, row)
     return memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B")
@@ -164,22 +151,22 @@ def _tensor_bytes(meta: TensorMeta, arr: np.ndarray, row: int | None = None) -> 
 
 def positional_writer(
     fd: int, metas: Sequence[TensorMeta]
-) -> Callable[[int, np.ndarray, int | None], None]:
+) -> Callable[[int, np.ndarray, int], None]:
     """Write the header of ``metas`` into the file open for writing at ``fd``,
-    size the file to hold every tensor, and return ``put(i, arr, row=None)``:
-    write :func:`_tensor_bytes` of ``arr`` at tensor i's offset, or, with
-    ``row``, as rows row .. row + len(arr) of its first axis, at the offset
-    plus 4 * row * (elements per row).  ``put`` may run on any thread, in
-    any order, once per tensor or per block of rows (``os.pwrite`` releases
-    the GIL); bytes never put read as zeros.
+    size the file to hold every tensor, and return ``put(i, arr, row)``:
+    write :func:`_tensor_bytes` of ``arr`` as rows row .. row + len(arr) of
+    tensor i's first axis, at its offset plus 4 * row * (elements per row);
+    a whole tensor is its rows from 0.  ``put`` may run on any thread, in
+    any order, once per block of rows (``os.pwrite`` releases the GIL);
+    bytes never put read as zeros.
     """
     head, offsets = encode_header(metas)
     _pwrite_all(fd, head, 0)
     os.ftruncate(fd, offsets[-1])
 
-    def put(i: int, arr: np.ndarray, row: int | None = None) -> None:
+    def put(i: int, arr: np.ndarray, row: int) -> None:
         meta = metas[i]
-        start = 0 if row is None else row * math.prod(meta.shape[1:]) * _F32_BYTES
+        start = row * math.prod(meta.shape[1:]) * _F32_BYTES
         _pwrite_all(fd, _tensor_bytes(meta, arr, row), offsets[i] + start)
 
     return put
@@ -195,73 +182,77 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
 _META_KEYS = ("name", "shape", "kind", "depth")  # TensorMeta's fields, in order
 
 
-def _entry_meta(entry, at: str, error: type[Exception], extra: tuple[str, ...]) -> TensorMeta:
+def _entry_meta(entry, at: str, extra: tuple[str, ...]) -> TensorMeta:
     """The TensorMeta of the JSON ``entry`` at path ``at``: an object that
-    holds the meta keys and ``extra``, with a list ``shape``, or ``error``.
-    The rules on the values are :func:`_check_metas`'s."""
+    holds the meta keys and ``extra``, with a list ``shape``, or
+    DataFormatError.  The rules on the values are :func:`_check_metas`'s."""
     if not isinstance(entry, dict):
-        raise error(f"{at}: expected an object")
+        raise DataFormatError(f"{at}: expected an object")
     for key in _META_KEYS + extra:
         if key not in entry:
-            raise error(f"{at}.{key}: missing")
+            raise DataFormatError(f"{at}.{key}: missing")
     if not isinstance(entry["shape"], list):
-        raise error(f"{at}.shape: expected a list of 1-4 positive integers")
+        raise DataFormatError(f"{at}.shape: expected a list of 1-4 positive integers")
     return TensorMeta(*(entry[key] for key in _META_KEYS))
 
 
-def _decode_json(raw: bytes | str, error: type[Exception], at: str):
+def _decode_json(raw: bytes | str, at: str):
     """The JSON document in ``raw``, UTF-8 bytes or text.  Bytes that are
     not UTF-8, text that is not JSON, an integer too long to convert and
-    nesting too deep to parse raise ``error`` at ``at``."""
+    nesting too deep to parse raise DataFormatError at ``at``."""
     try:
         return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
     # UnicodeDecodeError, JSONDecodeError and the int digit limit are ValueErrors.
     except (ValueError, RecursionError) as exc:
-        raise error(f"{at}: not valid JSON ({exc})") from exc
+        raise DataFormatError(f"{at}: not valid JSON ({exc})") from exc
 
 
 def _read_header(handle: BinaryIO) -> tuple[list[TensorMeta], list[int]]:
-    """(metas, absolute data offsets), checked against the file size; a
-    version other than FORMAT_VERSION raises UnsupportedVersion."""
+    """(metas, absolute data offsets), checked against the file size.  Any
+    rule broken raises DataFormatError naming the field: ``magic``,
+    ``version`` (one other than FORMAT_VERSION), ``header_length``,
+    ``header``, ``tensors``, ``data`` (the file ends inside the padding),
+    ``tensors[i].field``, or the tensor whose bytes the data section
+    does not hold."""
     size = handle.seek(0, io.SEEK_END)
     handle.seek(0)
     prefix = handle.read(_HEADER_PREFIX.size)
     if prefix[:4] != MAGIC:
-        raise BadMagic(f"magic: expected {MAGIC!r}, got {prefix[:4]!r}")
+        raise DataFormatError(f"magic: expected {MAGIC!r}, got {prefix[:4]!r}")
     if len(prefix) < _HEADER_PREFIX.size:
-        raise CorruptHeader("header_length: file shorter than the fixed header")
+        raise DataFormatError("header_length: file shorter than the fixed header")
     _, version, header_len = _HEADER_PREFIX.unpack(prefix)
     if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"version: got {version}, supported {FORMAT_VERSION}")
+        raise DataFormatError(f"version: got {version}, supported {FORMAT_VERSION}")
     header_end = _HEADER_PREFIX.size + header_len
     if header_end > size:
-        raise CorruptHeader(
+        raise DataFormatError(
             f"header_length: declares {header_len} bytes, file has "
             f"{size - _HEADER_PREFIX.size} after the fixed header"
         )
-    header = _decode_json(handle.read(header_len), CorruptHeader, "header")
+    header = _decode_json(handle.read(header_len), "header")
     if not isinstance(header, dict) or "tensors" not in header:
-        raise CorruptHeader("header: missing 'tensors' field")
+        raise DataFormatError("header: missing 'tensors' field")
     raw_entries = header["tensors"]
     if not isinstance(raw_entries, list):
-        raise CorruptHeader("tensors: expected a list")
+        raise DataFormatError("tensors: expected a list")
 
     data_start = header_end + (-header_end % 8)
     if data_start > size:
-        raise TruncatedData("data: file ends inside the alignment padding")
+        raise DataFormatError("data: file ends inside the alignment padding")
     data_size = size - data_start
 
-    metas = [_entry_meta(entry, f"tensors[{i}]", CorruptHeader, ("offset", "length"))
+    metas = [_entry_meta(entry, f"tensors[{i}]", ("offset", "length"))
              for i, entry in enumerate(raw_entries)]
-    _check_metas(metas, CorruptHeader)
+    _check_metas(metas, DataFormatError)
 
     offsets = _layout(metas)
     for i, (meta, entry) in enumerate(zip(metas, raw_entries)):
         for key, want in (("offset", offsets[i]), ("length", math.prod(meta.shape))):
             if not _is_int(entry[key]) or entry[key] != want:
-                raise CorruptHeader(f"tensors[{i}].{key}: expected {want}, got {entry[key]!r}")
+                raise DataFormatError(f"tensors[{i}].{key}: expected {want}, got {entry[key]!r}")
         if offsets[i + 1] > data_size:
-            raise TruncatedData(
+            raise DataFormatError(
                 f"tensor {meta.name!r}: data section holds {data_size} bytes, "
                 f"entry needs bytes [{offsets[i]}, {offsets[i + 1]})"
             )
@@ -274,10 +265,10 @@ class CheckpointReader:
     The constructor reads and checks the whole header, each tensor's
     ``offset`` and ``length`` against :func:`_layout`'s, and the data
     section's size against each tensor's end, so a malformed or truncated
-    file fails before any tensor is read.  Tensors (:meth:`load`), or
-    blocks of their rows (:meth:`read_rows`), are then read by offset, in
-    any order and from any thread: each read is one ``seek`` +
-    ``readinto`` loop under a lock.  The handle must stay open while tensors are read; an
+    file fails before any tensor is read.  Blocks of a tensor's rows
+    (:meth:`read_rows`) are then read by offset, in any order and from
+    any thread: each read is one ``seek`` + ``readinto`` loop under a
+    lock.  The handle must stay open while tensors are read; an
     unbuffered one (``buffering=0``) sees a file that shrinks after the
     header check, where a buffered one may serve the old bytes.
     """
@@ -287,20 +278,14 @@ class CheckpointReader:
         self._lock = threading.Lock()
         self.metas, self._starts = _read_header(handle)
 
-    def load(self, i: int) -> np.ndarray:
-        """Tensor i as a new float32 array of its shape; a file that shrank
-        since the header was checked raises TruncatedData naming it."""
-        meta = self.metas[i]
-        with naming(meta.name):
-            return self.read_rows(i, 0, meta.shape[0]).astype(np.float32, copy=False)
-
     def read_rows(self, i: int, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
         """Rows r0..r1 of tensor i's first axis, shaped (r1 - r0, *shape[1:]),
         read into the float32 buffer ``out`` (a new array if None), which
         must hold at least that many values.  A read may return part of
         what was asked (a raw read gives at most about 2 GiB), so reads
         repeat until the rows are in; a file that shrank since the header
-        was checked raises TruncatedData, and the caller names the tensor."""
+        was checked raises DataFormatError ("the file shrank while it was
+        read"), and the caller names the tensor."""
         shape = self.metas[i].shape
         row = math.prod(shape[1:])
         count = (r1 - r0) * row
@@ -311,7 +296,7 @@ class CheckpointReader:
             while view:
                 got = self._handle.readinto(view)
                 if not got:
-                    raise TruncatedData(
+                    raise DataFormatError(
                         f"read {buf.nbytes - len(view)} of {buf.nbytes} bytes; "
                         "the file shrank while it was read"
                     )
@@ -342,14 +327,15 @@ def parse_tensor_specs(raw: bytes | str) -> list[TensorMeta]:
     """The tensors of an archspec, a JSON list of ``{name, shape, kind,
     depth}`` objects; ``raw`` is the file's bytes (UTF-8) or text.  Any
     other document, a missing or unknown key, or a value that breaks a
-    metadata rule raises SchemaError at its JSON path."""
-    doc = _decode_json(raw, SchemaError, "$")
+    metadata rule raises DataFormatError at its JSON path (``$``,
+    ``$[i]`` or ``$[i].field``)."""
+    doc = _decode_json(raw, "$")
     if not isinstance(doc, list):
-        raise SchemaError("$: expected a list of tensor objects")
-    metas = [_entry_meta(entry, f"$[{i}]", SchemaError, ()) for i, entry in enumerate(doc)]
-    _check_metas(metas, SchemaError, path="$")
+        raise DataFormatError("$: expected a list of tensor objects")
+    metas = [_entry_meta(entry, f"$[{i}]", ()) for i, entry in enumerate(doc)]
+    _check_metas(metas, DataFormatError, path="$")
     for i, entry in enumerate(doc):
         unknown = set(entry) - set(_META_KEYS)
         if unknown:
-            raise SchemaError(f"$[{i}]: unknown keys {sorted(unknown)}")
+            raise DataFormatError(f"$[{i}]: unknown keys {sorted(unknown)}")
     return metas

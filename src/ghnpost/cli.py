@@ -4,7 +4,8 @@ command streams its checkpoints, and what it holds in memory, is in
 README "Memory".
 
 Input checkpoints are opened unbuffered, so a file cut after its header
-was checked raises TruncatedData instead of yielding buffered old bytes.
+was checked raises DataFormatError ("the file shrank while it was read",
+exit 2) instead of yielding buffered old bytes.
 """
 
 from __future__ import annotations

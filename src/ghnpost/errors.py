@@ -1,11 +1,17 @@
-"""Exception taxonomy.
+"""Exception taxonomy: one class for each way a caller handles an error.
 
-Two branches matter to callers: :class:`DataFormatError` covers anything
-wrong with bytes, files or schemas (CLI exit code 2), while
-:class:`NumericalError` covers violations of numerical preconditions
-(CLI exit code 3).  :func:`naming` is the one place where an error raised
-on a tensor gets the tensor's name, and where a MemoryError becomes
-:class:`OutOfMemory`.
+- :class:`GhnpostError`, the base, is what :func:`naming` prefixes with
+  a tensor's name.
+- :class:`DataFormatError` covers anything wrong with bytes, files or
+  schemas; ``cli.run`` exits 2 on it.
+- :class:`NumericalError` covers violations of numerical preconditions;
+  ``cli.run`` exits 3 on it.
+- :class:`OutOfMemory`, a NumericalError, is a tensor's working memory
+  that could not be allocated; ``postprocess._run_pool`` runs that
+  layer once more, alone, before it fails the run.
+
+Which rule failed is in the message: the field or tensor at fault and
+what it broke.
 """
 
 import contextlib
@@ -22,58 +28,6 @@ class DataFormatError(GhnpostError):
 
 class NumericalError(GhnpostError):
     """A numerical precondition was violated."""
-
-
-# --- container / schema errors -------------------------------------------
-
-class BadMagic(DataFormatError):
-    pass
-
-
-class UnsupportedVersion(DataFormatError):
-    pass
-
-
-class CorruptHeader(DataFormatError):
-    pass
-
-
-class TruncatedData(DataFormatError):
-    pass
-
-
-class SchemaError(DataFormatError):
-    """JSON input failed validation; the message carries the JSON path."""
-
-
-class StructureMismatch(DataFormatError):
-    """Two checkpoints disagree on tensor names or shapes."""
-
-
-# --- numerical errors ------------------------------------------------------
-
-class UnsupportedRank(NumericalError):
-    pass
-
-
-class ChannelTooShort(NumericalError):
-    pass
-
-
-class TooFewChannels(NumericalError):
-    pass
-
-
-class ShapeError(NumericalError):
-    pass
-
-
-class DegenerateInput(NumericalError):
-    pass
-
-
-class NonFiniteTensor(NumericalError):
-    """A tensor, or the output computed from it, holds NaN or Inf."""
 
 
 class OutOfMemory(NumericalError):

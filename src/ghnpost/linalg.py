@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .errors import DegenerateInput, ShapeError
+from .errors import NumericalError
 
 
 @dataclass
@@ -40,7 +40,7 @@ def _as_matrix(a: np.ndarray) -> np.ndarray:
 def _check_matrix(a: np.ndarray) -> np.ndarray:
     """``a``, once it is checked to be a non-empty 2D array."""
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeError(f"expected a non-empty 2D matrix, got shape {a.shape}")
+        raise NumericalError(f"expected a non-empty 2D matrix, got shape {a.shape}")
     return a
 
 
@@ -138,7 +138,7 @@ def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = _check_matrix(np.asarray(a))
     m, n = a.shape
     if m < n:
-        raise ShapeError(f"thin QR needs rows >= cols, got {m} x {n}")
+        raise NumericalError(f"thin QR needs rows >= cols, got {m} x {n}")
     if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
         raise ValueError("qr_decompose needs a writeable Fortran-ordered float64 array")
     tau = np.empty(n)
@@ -156,7 +156,7 @@ def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {a.shape}")
+        raise NumericalError(f"expected a square matrix, got {a.shape}")
     evals, evecs = np.linalg.eigh(a)
     order = np.argsort(-evals, kind="stable")
     return evals[order], np.ascontiguousarray(evecs[:, order])
@@ -167,15 +167,17 @@ def pca_project(x: np.ndarray, k: int) -> PcaResult:
 
     Uses the sample covariance (1/(n-1)); components follow a fixed sign
     convention (largest-magnitude entry positive) so results are
-    deterministic.  A covariance that is not finite (NaN or Inf samples,
-    or samples large enough to overflow it) raises DegenerateInput.
+    deterministic.  Fewer than 2 samples ("need at least 2 samples"), a
+    ``k`` out of range ("k must satisfy") and a covariance that is not
+    finite (NaN or Inf samples, or samples large enough to overflow it:
+    "the sample covariance is not finite") raise NumericalError.
     """
     x = _as_matrix(x)
     n, d = x.shape
     if n < 2:
-        raise DegenerateInput(f"need at least 2 samples, got {n}")
+        raise NumericalError(f"need at least 2 samples, got {n}")
     if not 1 <= k <= min(n - 1, d):
-        raise DegenerateInput(
+        raise NumericalError(
             f"k must satisfy 1 <= k <= min(n-1, d) = {min(n - 1, d)}, got {k}"
         )
     # Samples near float64's max overflow here; the check below reports it.
@@ -184,7 +186,7 @@ def pca_project(x: np.ndarray, k: int) -> PcaResult:
         xc = x - mean
         cov = (xc.T @ xc) / (n - 1)
     if not np.isfinite(cov).all():
-        raise DegenerateInput("the sample covariance is not finite")
+        raise NumericalError("the sample covariance is not finite")
     evals, evecs = eigh_descending(cov)
     evals = np.maximum(evals, 0.0)
     components = np.ascontiguousarray(evecs[:, :k].T)

@@ -366,8 +366,9 @@ def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
     :func:`~ghnpost.tensor_ops.largest_layer_buffer` of the eligible
     tensors.  Each layer is made on its own, so the bytes do not depend
     on the order.  NaN or Inf, as the input holds it or as an
-    overflowing ``beta`` makes it, raises NonFiniteTensor naming the
-    tensor (see :func:`~ghnpost.tensor_ops.check_finite`).
+    overflowing ``beta`` makes it, raises NumericalError naming the
+    tensor ("tensor holds" or "output would hold NaN or Inf values",
+    :func:`~ghnpost.tensor_ops.check_finite`).
     """
     metas = reader.metas
     eligible = [_eligible(meta, cfg) for meta in metas]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, TensorMeta, TensorRows
-from .errors import DegenerateInput, SchemaError, StructureMismatch, naming
+from .errors import DataFormatError, NumericalError, naming
 from .linalg import pca_project
 from .stats import CorrelationStats, correlation_stats, sigma_r
 from .tensor_ops import geometry, largest_layer_buffer, release_tail, row_blocks, row_step
@@ -79,9 +79,9 @@ def analyze_checkpoint(c: CheckpointReader, bins: int) -> list[LayerRecord]:
     not folded at all (but for the rare exception given there), and gets
     ``compare``'s sigma_r, bit for bit, holding one ``128 x CHW`` panel in
     place of two ``128 x K`` ones.  A tensor holding NaN or Inf raises
-    NonFiniteTensor naming it; one whose working memory cannot be
-    allocated raises OutOfMemory naming it (the largest, for that
-    buffer).
+    NumericalError naming it ("tensor holds NaN or Inf values"); one
+    whose working memory cannot be allocated raises OutOfMemory naming
+    it (the largest, for that buffer).
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -181,28 +181,28 @@ def parse_embeddings_csv(text: str) -> EmbeddingSet:
     """Parse the ``id,label,v0..v{d-1}`` embedding schema (label optional).
 
     Every field must be within csv's size limit, every id UTF-8 text (no
-    lone surrogate) and every number finite; else SchemaError names the
-    row.
+    lone surrogate) and every number finite; else DataFormatError names
+    the row (``row n: ...``).
     """
     rows: list[list[str]] = []
     try:
         for row in csv.reader(io.StringIO(text)):
             rows.append(row)
     except csv.Error as exc:
-        raise SchemaError(f"row {len(rows) + 1}: {exc}") from exc
+        raise DataFormatError(f"row {len(rows) + 1}: {exc}") from exc
     if not rows:
-        raise SchemaError("row 1: missing header")
+        raise DataFormatError("row 1: missing header")
     header = rows[0]
     if not header or header[0] != "id":
-        raise SchemaError("row 1: first column must be 'id'")
+        raise DataFormatError("row 1: first column must be 'id'")
     has_labels = len(header) > 1 and header[1] == "label"
     first_vec = 2 if has_labels else 1
     dim = len(header) - first_vec
     if dim < 1:
-        raise SchemaError("row 1: no vector columns v0..")
+        raise DataFormatError("row 1: no vector columns v0..")
     expected = [f"v{i}" for i in range(dim)]
     if header[first_vec:] != expected:
-        raise SchemaError(
+        raise DataFormatError(
             f"row 1: vector columns must be {expected[0]}..{expected[-1]} in order"
         )
     ids: list[str] = []
@@ -210,7 +210,7 @@ def parse_embeddings_csv(text: str) -> EmbeddingSet:
     vectors = np.zeros((len(rows) - 1, dim), dtype=np.float64)
     for rownum, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise SchemaError(
+            raise DataFormatError(
                 f"row {rownum}: {len(row)} fields, header has {len(header)}"
             )
         ids.append(row[0])
@@ -218,9 +218,9 @@ def parse_embeddings_csv(text: str) -> EmbeddingSet:
             row[0].encode("utf-8")  # the id is written back out
             values = [float(v) for v in row[1:]]
         except ValueError as exc:  # UnicodeEncodeError included
-            raise SchemaError(f"row {rownum}: {exc}") from exc
+            raise DataFormatError(f"row {rownum}: {exc}") from exc
         if not all(map(math.isfinite, values)):
-            raise SchemaError(f"row {rownum}: values must be finite")
+            raise DataFormatError(f"row {rownum}: values must be finite")
         if has_labels:
             labels.append(values[0])
         vectors[rownum - 2] = values[first_vec - 1 :]
@@ -231,10 +231,10 @@ def project_embeddings(e: EmbeddingSet) -> np.ndarray:
     """PCA projection of embedding vectors onto the top two components:
     the n x 2 float64 array of each vector's pc1 and pc2, in ``e``'s
     order.  Fewer than 3 vectors, or of dimension under 2, raise
-    DegenerateInput."""
+    NumericalError ("need at least 3 vectors")."""
     n, d = e.vectors.shape
     if n < 3 or d < 2:
-        raise DegenerateInput(f"need at least 3 vectors of dimension >= 2, got {n} x {d}")
+        raise NumericalError(f"need at least 3 vectors of dimension >= 2, got {n} x {d}")
     return pca_project(e.vectors, k=2).projected
 
 
@@ -258,9 +258,11 @@ def emit_projection_csv(e: EmbeddingSet, projected: np.ndarray) -> str:
 def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[CompareRow]:
     """Per-layer diff of two structurally identical checkpoint files.
 
-    The structure is checked from the metadata alone; then each
-    conv/linear tensor of ``a``, in file order, is matched with ``b``'s
-    tensor of the same name and both are read through
+    The structure is checked from the metadata alone: a name in one file
+    only, or a shape that differs, raises DataFormatError listing each
+    (``only in``, ``shapes differ``).  Then each conv/linear tensor of
+    ``a``, in file order, is matched with ``b``'s tensor of the same name
+    and both are read through
     :class:`~ghnpost.checkpoint_io.TensorRows` (see :func:`_compare_layer`),
     and other tensors are not read.  Each sigma_r takes its float64
     channels in one :func:`~ghnpost.tensor_ops.largest_layer_buffer`,
@@ -288,7 +290,7 @@ def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[Compar
                 f"{name!r} shapes differ: {list(a_shapes[name])} vs {list(b_shapes[name])}"
             )
     if problems:
-        raise StructureMismatch("; ".join(problems))
+        raise DataFormatError("; ".join(problems))
 
     b_index = {meta.name: j for j, meta in enumerate(b.metas)}
     layers = [(i, meta) for i, meta in enumerate(a.metas) if meta.kind in ELIGIBLE_KINDS]
@@ -308,9 +310,9 @@ def _compare_layer(name: str, rows_a: TensorRows, rows_b: TensorRows,
     """The row of one conv/linear tensor: sigma_r of each file's tensor,
     one after the other, with its channels in ``work`` (as for
     :func:`~ghnpost.stats.sigma_r`), then max |a - b| from the same row
-    blocks of both.  NaN or Inf in either raises NonFiniteTensor naming
-    the tensor and the checkpoint; memory that cannot be allocated,
-    OutOfMemory naming the tensor."""
+    blocks of both.  NaN or Inf in either raises NumericalError naming
+    the tensor and the checkpoint ("tensor holds NaN or Inf values");
+    memory that cannot be allocated, OutOfMemory naming the tensor."""
     sigmas = []
     for which, rows in (("first", rows_a), ("second", rows_b)):
         with naming(name, f" ({which} checkpoint)"):

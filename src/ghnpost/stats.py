@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChannelTooShort, TooFewChannels
+from .errors import NumericalError
 from .tensor_ops import check_finite, geometry, row_blocks, row_step
 
 # Gram rows per panel: each panel's GEMM rereads the channels below it, so
@@ -85,13 +85,15 @@ def _centered(w, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray
     block of rows at a time, from views of the array or from the source's
     float32 buffer, so a source's layer is never whole in float32.  They
     go to a new array, or into the start of ``work``, a contiguous
-    float64 buffer of at least w's size.  A tensor holding NaN or Inf
-    raises NonFiniteTensor (:func:`~ghnpost.tensor_ops.check_finite` on
-    each block's norms against its rows): it has no finite correlation.
+    float64 buffer of at least w's size.  Channels of fewer than 2
+    values raise NumericalError ("channels have"); a tensor holding NaN
+    or Inf raises NumericalError ("tensor holds NaN or Inf values", from
+    :func:`~ghnpost.tensor_ops.check_finite` on each block's norms against
+    its rows): it has no finite correlation.
     """
     k, chw, _ = geometry(w.shape)
     if chw < 2:
-        raise ChannelTooShort(f"channels have {chw} elements, need at least 2")
+        raise NumericalError(f"channels have {chw} elements, need at least 2")
     xc = np.empty((k, chw)) if work is None else work[: k * chw].reshape(k, chw)
     norms = np.empty(k)
     # Each row is centered and reduced on its own, so blocks of rows give
@@ -137,8 +139,8 @@ def _normalize(g: np.ndarray, rows: slice, cols: slice, safe: np.ndarray,
 
 class _Fold:
     """Running count, shifted mean, M2, sum |r| and histogram counts of the
-    correlations of ``k`` channels; raises TooFewChannels for k < 2, and
-    ValueError for ``bins`` < 1.
+    correlations of ``k`` channels; raises NumericalError for k < 2 ("need
+    k >= 2 channels"), and ValueError for ``bins`` < 1.
 
     Every value folded in must lie in [-1, 1], as the correlations of
     :func:`_normalize` do: the bin counter has no range mask.  It counts
@@ -150,7 +152,7 @@ class _Fold:
 
     def __init__(self, k: int, bins: int | None):
         if k < 2:
-            raise TooFewChannels(f"need k >= 2 channels, got {k}")
+            raise NumericalError(f"need k >= 2 channels, got {k}")
         if bins is not None and bins < 1:
             raise ValueError("bins must be >= 1")
         self.bins = bins

@@ -24,15 +24,15 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .errors import NonFiniteTensor, UnsupportedRank, naming
+from .errors import NumericalError, naming
 
 
 def geometry(shape: tuple[int, ...]) -> tuple[int, int, bool]:
     """(K, CHW, transposed) of a rank-2/4 tensor of ``shape``: its K x CHW
-    matrix, and whether the matrix is used transposed (K < CHW).  Raises
-    UnsupportedRank for any other rank."""
+    matrix, and whether the matrix is used transposed (K < CHW).  Any
+    other rank raises NumericalError ("expected rank 2 or 4 tensor")."""
     if len(shape) not in (2, 4):
-        raise UnsupportedRank(f"expected rank 2 or 4 tensor, got rank {len(shape)}")
+        raise NumericalError(f"expected rank 2 or 4 tensor, got rank {len(shape)}")
     k, chw = shape[0], math.prod(shape[1:])
     return k, chw, k < chw
 
@@ -114,10 +114,11 @@ def release_tail(buf: np.ndarray, size: int) -> None:
 
 
 def check_finite(out: np.ndarray, source: np.ndarray | None = None) -> None:
-    """Raise NonFiniteTensor if ``out`` holds NaN or Inf: "tensor holds"
-    when ``source``, the values out was made from, holds one too, "output
-    would hold" (an overflow) otherwise.  source is read only then."""
+    """Raise NumericalError if ``out`` holds NaN or Inf: "tensor holds NaN
+    or Inf values" when ``source``, the values out was made from, holds
+    one too, "output would hold NaN or Inf values" (an overflow)
+    otherwise.  source is read only then."""
     if not np.isfinite(out).all():
         held = source is not None and not np.isfinite(source).all()
-        raise NonFiniteTensor("tensor holds NaN or Inf values" if held
-                              else "output would hold NaN or Inf values")
+        raise NumericalError("tensor holds NaN or Inf values" if held
+                             else "output would hold NaN or Inf values")

@@ -13,7 +13,7 @@ import pytest
 
 from ghnpost.checkpoint_io import TensorMeta
 from ghnpost.cli import run
-from ghnpost.errors import BadMagic, TruncatedData, UnsupportedVersion
+from ghnpost.errors import DataFormatError
 from ghnpost.linalg import one_blas_thread, pca_project, qr_decompose
 from ghnpost.postprocess import PostprocessConfig
 from ghnpost.rng import RngStream
@@ -290,7 +290,7 @@ def test_c9_determinism_and_format(tmp_path):
     reader = reader_of(blob)
     assert reader.metas == metas
     for i, (*_, arr) in enumerate(tensors):
-        assert reader.load(i).tobytes() == arr.tobytes()
+        assert reader.read_rows(i, 0, arr.shape[0]).tobytes() == arr.tobytes()
 
     src = tmp_path / "in.ckpt"
     src.write_bytes(blob)
@@ -321,12 +321,12 @@ def test_c9_determinism_and_format(tmp_path):
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
 
-    with pytest.raises(BadMagic):
+    with pytest.raises(DataFormatError, match="^magic: expected b'GHNP', got b'XXXX'$"):
         reader_of(b"XXXX" + blob[4:])
-    with pytest.raises(TruncatedData):
+    with pytest.raises(DataFormatError, match="data section holds"):
         reader_of(blob[:-8])
     version_bumped = blob[:4] + (7).to_bytes(4, "little") + blob[8:]
-    with pytest.raises(UnsupportedVersion):
+    with pytest.raises(DataFormatError, match="^version: got 7, supported 1$"):
         reader_of(version_bumped)
 
     bad = tmp_path / "bad.ckpt"

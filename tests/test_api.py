@@ -25,14 +25,23 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+# Error classes that nothing caught: a caller tells them apart only by
+# their message, which names the field or tensor and the rule it broke.
+_LEAF_ERRORS = (
+    "ShapeMismatch", "BadMagic", "UnsupportedVersion", "CorruptHeader", "TruncatedData",
+    "SchemaError", "StructureMismatch", "UnsupportedRank", "ChannelTooShort",
+    "TooFewChannels", "ShapeError", "DegenerateInput", "NonFiniteTensor",
+)
+
+
 def test_removed_names_are_absent():
     for name in ("write_tensors", "init_checkpoint", "import_json"):
         assert name not in ghnpost.__all__
         assert not hasattr(ghnpost, name)
         assert not hasattr(checkpoint_io, name) and not hasattr(postprocess, name)
-    assert not hasattr(errors, "ShapeMismatch")
     assert not hasattr(RngStream, "substream")
-    for name in ("get", "_load", "__iter__"):
+    # The commands read and write a block of rows at a time.
+    for name in ("get", "load", "_load", "__iter__"):
         assert not hasattr(CheckpointReader, name)
     # Result types that only copied what their callers already held.
     for name in ("AnalysisReport", "CorrelationMatrix", "ProjectionRow"):
@@ -52,6 +61,13 @@ def test_removed_names_are_absent():
         assert not hasattr(postprocess, name)
     # FORMAT_VERSION is the one version a checkpoint can have.
     assert not hasattr(reader_of(make_checkpoint([])), "version")
+    # One error class for each way a caller handles an error.
+    for name in _LEAF_ERRORS:
+        assert not hasattr(errors, name), name
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__ == errors.__name__}
+    assert defined == {"GhnpostError", "DataFormatError", "NumericalError", "OutOfMemory"}
 
 
 # The in-memory second path: the container, the single-tensor wrappers,

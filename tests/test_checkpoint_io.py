@@ -21,13 +21,7 @@ from ghnpost.checkpoint_io import (
     parse_tensor_specs,
     positional_writer,
 )
-from ghnpost.errors import (
-    BadMagic,
-    CorruptHeader,
-    SchemaError,
-    TruncatedData,
-    UnsupportedVersion,
-)
+from ghnpost.errors import DataFormatError
 
 from ghnpost.postprocess import PostprocessConfig
 
@@ -45,7 +39,7 @@ def _assert_reads_back(blob):
     specs, arrays = decode_ckpt(blob)
     assert reader.metas == [TensorMeta(s.name, s.shape, s.kind, s.depth) for s in specs]
     for i, arr in enumerate(arrays):
-        got = reader.load(i)
+        got = reader.read_rows(i, 0, arr.shape[0])
         assert got.dtype == np.float32 and got.shape == arr.shape
         assert got.tobytes() == arr.tobytes()
 
@@ -93,7 +87,7 @@ def test_hand_built_file_matches_format():
 
     reader = reader_of(blob)
     assert reader.metas == [TensorMeta(name="w", shape=(2, 2), kind="linear", depth=0)]
-    arr = reader.load(0)
+    arr = reader.read_rows(0, 0, 2)
     assert arr.dtype == np.float32
     np.testing.assert_array_equal(arr, np.array([[1, 2], [3, 4]], dtype=np.float32))
 
@@ -101,29 +95,29 @@ def test_hand_built_file_matches_format():
 
 
 def test_bad_magic():
-    with pytest.raises(BadMagic):
+    with pytest.raises(DataFormatError, match="^magic: expected b'GHNP', got b'XXXX'$"):
         reader_of(b"XXXX" + b"\x00" * 32)
-    with pytest.raises(BadMagic):
+    with pytest.raises(DataFormatError, match="^magic: expected b'GHNP', got b'GH'$"):
         reader_of(b"GH")
 
 
 def test_unsupported_version(small_checkpoint):
     blob = bytearray(small_checkpoint)
     blob[4:8] = struct.pack("<I", 9)
-    with pytest.raises(UnsupportedVersion, match="version"):
+    with pytest.raises(DataFormatError, match="^version: got 9, supported 1$"):
         reader_of(bytes(blob))
 
 
 def test_header_longer_than_file():
     blob = b"GHNP" + struct.pack("<I", 1) + struct.pack("<Q", 10_000)
-    with pytest.raises(CorruptHeader, match="header_length"):
+    with pytest.raises(DataFormatError, match="^header_length: declares 10000 bytes"):
         reader_of(blob + b"{}")
 
 
 def test_header_not_json():
     payload = b"not json!!"
     blob = b"GHNP" + struct.pack("<I", 1) + struct.pack("<Q", len(payload)) + payload
-    with pytest.raises(CorruptHeader, match="header"):
+    with pytest.raises(DataFormatError, match="^header: not valid JSON"):
         reader_of(blob)
 
 
@@ -138,36 +132,37 @@ def test_header_schema_violations():
     entry = {"name": "w", "shape": [2], "kind": "linear", "depth": 0,
              "offset": 0, "length": 2}
     cases = [
-        ({}, "tensors"),
-        ({"tensors": [{**entry, "kind": "wat"}]}, r"tensors\[0\].kind"),
-        ({"tensors": [dict(entry, length=3)]}, r"tensors\[0\].length"),
-        ({"tensors": [dict(entry, depth=-1)]}, r"tensors\[0\].depth"),
-        ({"tensors": [dict(entry, shape=[0])]}, r"tensors\[0\].shape"),
+        ({}, "^header: missing 'tensors' field$"),
+        ({"tensors": [{**entry, "kind": "wat"}]}, r"^tensors\[0\]\.kind: expected one of"),
+        ({"tensors": [dict(entry, length=3)]}, r"^tensors\[0\]\.length: expected 2, got 3$"),
+        ({"tensors": [dict(entry, depth=-1)]},
+         r"^tensors\[0\]\.depth: expected a non-negative integer"),
+        ({"tensors": [dict(entry, shape=[0])]}, r"^tensors\[0\]\.shape: expected 1-4 positive"),
         ({"tensors": [dict(entry, shape=[1, 1, 1, 1, 1], length=1)]},
-         r"tensors\[0\].shape"),
-        ({"tensors": [entry, dict(entry, offset=8)]}, r"tensors\[1\].name"),
+         r"^tensors\[0\]\.shape: expected 1-4 positive"),
+        ({"tensors": [entry, dict(entry, offset=8)]}, r"^tensors\[1\]\.name: duplicate 'w'$"),
         ({"tensors": [dict(entry, depth=3),
                       dict(entry, name="v", depth=1, offset=8)]},
-         r"tensors\[1\].depth"),
+         r"^tensors\[1\]\.depth: 1 after 3; must not decrease$"),
     ]
     for header_obj, pattern in cases:
         blob = _blob_with_header(header_obj) + b"\x00" * 64
-        with pytest.raises(CorruptHeader, match=pattern):
+        with pytest.raises(DataFormatError, match=pattern):
             reader_of(blob)
 
 
 @pytest.mark.parametrize("name", ["", "\ud800", "a\udfffb"])
 def test_name_rule_holds_in_reader_writer_and_archspec(name):
     # One rule, each path with its own error class and prefix: a name is a
-    # non-empty string that encodes as UTF-8.
+    # non-empty string that encodes as UTF-8; the writer's error is ValueError.
     entry = {"name": name, "shape": [2], "kind": "linear", "depth": 0,
              "offset": 0, "length": 2}
-    with pytest.raises(CorruptHeader, match=r"^tensors\[0\]\.name: expected a non-empty"):
+    with pytest.raises(DataFormatError, match=r"^tensors\[0\]\.name: expected a non-empty"):
         reader_of(_blob_with_header({"tensors": [entry]}) + b"\x00" * 8)
     with pytest.raises(ValueError, match=r"^tensors\[0\]\.name: expected a non-empty"):
         encode_header([TensorMeta(name, (2,), "linear", 0)])
     text = json.dumps([{"name": name, "shape": [2], "kind": "linear", "depth": 0}])
-    with pytest.raises(SchemaError, match=r"^\$\[0\]\.name: expected a non-empty"):
+    with pytest.raises(DataFormatError, match=r"^\$\[0\]\.name: expected a non-empty"):
         parse_tensor_specs(text)
 
 
@@ -178,16 +173,16 @@ def test_non_integer_offset_or_length_is_corrupt_header(field, want, value):
              "offset": 0, "length": 2}
     blob = _blob_with_header({"tensors": [entry, {**entry, "name": "v", "offset": 8,
                                                   field: value}]})
-    with pytest.raises(CorruptHeader, match=(
+    with pytest.raises(DataFormatError, match=(
             rf"^tensors\[1\]\.{field}: expected {want}, got {re.escape(repr(value))}$")):
         reader_of(blob + b"\x00" * 16)
 
 
 def test_too_deeply_nested_json_is_a_data_error():
     deep = "[" * 100_000 + "]" * 100_000
-    with pytest.raises(CorruptHeader, match="^header: not valid JSON"):
+    with pytest.raises(DataFormatError, match="^header: not valid JSON"):
         reader_of(b"GHNP" + struct.pack("<IQ", 1, len(deep)) + deep.encode())
-    with pytest.raises(SchemaError, match=r"^\$: not valid JSON"):
+    with pytest.raises(DataFormatError, match=r"^\$: not valid JSON"):
         parse_tensor_specs(deep)
 
 
@@ -196,7 +191,7 @@ def test_truncated_data():
              "offset": 0, "length": 4}
     blob = _blob_with_header({"tensors": [entry]})
     blob += struct.pack("<2f", 1.0, 2.0)  # 8 of the 16 declared bytes
-    with pytest.raises(TruncatedData, match="'w'"):
+    with pytest.raises(DataFormatError, match="^tensor 'w': data section holds 8 bytes"):
         reader_of(blob)
 
 
@@ -216,7 +211,7 @@ def test_each_offset_is_the_contiguous_one(offsets):
     # Gaps, any other order and shared bytes all break the one rule: tensor
     # i starts where tensor i - 1 ends, the first at 0.
     i = 0 if offsets[0] != 0 else 1
-    with pytest.raises(CorruptHeader, match=(
+    with pytest.raises(DataFormatError, match=(
             rf"^tensors\[{i}\]\.offset: expected {(0, 8)[i]}, got {offsets[i]}$")):
         reader_of(_two_tensor_blob(offsets))
 
@@ -224,9 +219,9 @@ def test_each_offset_is_the_contiguous_one(offsets):
 def test_bytes_after_the_last_tensor_are_ignored(small_checkpoint):
     reader = reader_of(small_checkpoint + b"\xff" * 13)
     for i, arr in enumerate(decode_ckpt(small_checkpoint)[1]):
-        assert reader.load(i).tobytes() == arr.tobytes()
+        assert reader.read_rows(i, 0, arr.shape[0]).tobytes() == arr.tobytes()
     reader = reader_of(_two_tensor_blob((0, 8)) + bytes(8))
-    np.testing.assert_array_equal(reader.load(1), np.array([3, 4], dtype=np.float32))
+    np.testing.assert_array_equal(reader.read_rows(1, 0, 2), np.array([3, 4], dtype=np.float32))
 
 
 @pytest.mark.parametrize("size", ["full", "toy"])
@@ -253,8 +248,13 @@ def test_short_readinto_is_truncated_data(small_checkpoint, tmp_path):
     with open(path, "rb") as handle:
         reader = CheckpointReader(handle)
         os.truncate(path, len(blob) - 4)
-        with pytest.raises(TruncatedData, match="'head.fc'"):
-            [reader.load(i) for i in range(len(reader.metas))]
+        *whole, last = reader.metas
+        for i, meta in enumerate(whole):
+            reader.read_rows(i, 0, meta.shape[0])
+        assert last.name == "head.fc"  # 10 x 16 values, 640 bytes
+        with pytest.raises(DataFormatError, match=(
+                "^read 636 of 640 bytes; the file shrank while it was read$")):
+            reader.read_rows(len(whole), 0, last.shape[0])
 
 
 class _PieceReader(io.BytesIO):
@@ -269,7 +269,7 @@ def test_a_read_in_pieces_is_reassembled_bit_for_bit(small_checkpoint):
     reader = CheckpointReader(_PieceReader(small_checkpoint))
     arrays = decode_ckpt(small_checkpoint)[1]
     for i, arr in enumerate(arrays):
-        assert reader.load(i).tobytes() == arr.tobytes()
+        assert reader.read_rows(i, 0, arr.shape[0]).tobytes() == arr.tobytes()
     w = arrays[2]
     assert reader.read_rows(2, 3, 11).tobytes() == w[3:11].tobytes()
 
@@ -278,9 +278,9 @@ def test_writers_match_for_non_contiguous_arrays(tmp_path):
     w = np.arange(6, dtype=np.float32).reshape(2, 3)
     path = tmp_path / "c.ckpt"
     with open(path, "wb") as handle:
-        positional_writer(handle.fileno(), [TensorMeta("w", (3, 2), "linear", 0)])(0, w.T)
+        positional_writer(handle.fileno(), [TensorMeta("w", (3, 2), "linear", 0)])(0, w.T, 0)
     assert path.read_bytes() == make_checkpoint([("w", (3, 2), "linear", 0, w.T)])
-    np.testing.assert_array_equal(reader_of(path.read_bytes()).load(0), w.T)
+    np.testing.assert_array_equal(reader_of(path.read_bytes()).read_rows(0, 0, 3), w.T)
 
 
 def _many_tensors(n=24):
@@ -302,12 +302,16 @@ def test_loads_from_four_threads_equal_a_sequential_read(tmp_path):
     ids = list(range(len(tensors)))
     with open(path, "rb") as handle:
         reader = CheckpointReader(handle)
-        expected = [reader.load(i).tobytes() for i in ids]
+
+        def read(i):
+            return reader.read_rows(i, 0, reader.metas[i].shape[0]).tobytes()
+
+        expected = [read(i) for i in ids]
         mismatches = []
 
         def load_all(seed):
             for i in random.Random(seed).sample(ids * 4, len(ids) * 4):
-                if reader.load(i).tobytes() != expected[i]:
+                if read(i) != expected[i]:
                     mismatches.append(i)
 
         interval = sys.getswitchinterval()
@@ -340,7 +344,7 @@ def test_positional_writer_in_any_order_equals_the_encoded_bytes(tmp_path, monke
             put(i, w[half:], half)
             put(i, w[:half], 0)
         else:
-            put(i, w)
+            put(i, w, 0)
 
     with open(path, "wb") as handle:
         put = positional_writer(handle.fileno(), metas)
@@ -357,8 +361,6 @@ def test_positional_writer_in_any_order_equals_the_encoded_bytes(tmp_path, monke
     assert path.read_bytes() == make_checkpoint(tensors)
     with open(path, "wb") as handle:
         put = positional_writer(handle.fileno(), metas)
-        with pytest.raises(ValueError, match="shape"):
-            put(0, np.zeros(3, np.float32))
         rows, cols = metas[0].shape
         for block, row in [(np.zeros((2, cols), np.float32), rows - 1),  # past the end
                            (np.zeros((2, cols + 1), np.float32), 0)]:  # not whole rows
@@ -369,22 +371,24 @@ def test_positional_writer_in_any_order_equals_the_encoded_bytes(tmp_path, monke
 @pytest.mark.parametrize(
     "text, pattern",
     [
-        ("{}", r"\$"),
-        ("[1]", r"\$\[0\]"),
-        ('[{"name":"w","shape":[2],"kind":"linear"}]', r"\$\[0\].depth"),
-        ('[{"name":"w","shape":[2],"kind":"wat","depth":0}]', r"\$\[0\].kind"),
-        ('[{"name":"w","shape":[2],"kind":"conv","depth":-1}]', r"\$\[0\].depth"),
-        ('[{"name":"w","shape":2,"kind":"conv","depth":0}]', r"\$\[0\].shape"),
+        ("{}", r"^\$: expected a list of tensor objects$"),
+        ("[1]", r"^\$\[0\]: expected an object$"),
+        ('[{"name":"w","shape":[2],"kind":"linear"}]', r"^\$\[0\]\.depth: missing$"),
+        ('[{"name":"w","shape":[2],"kind":"wat","depth":0}]', r"^\$\[0\]\.kind: expected one of"),
+        ('[{"name":"w","shape":[2],"kind":"conv","depth":-1}]',
+         r"^\$\[0\]\.depth: expected a non-negative integer"),
+        ('[{"name":"w","shape":2,"kind":"conv","depth":0}]',
+         r"^\$\[0\]\.shape: expected a list of 1-4 positive integers$"),
         ('[{"name":"w","shape":[2],"kind":"conv","depth":0,"data":[1,2]}]',
-         r"\$\[0\]: unknown keys \['data'\]"),
+         r"^\$\[0\]: unknown keys \['data'\]$"),
         ('[{"name":"a","shape":[1],"kind":"conv","depth":1},'
          '{"name":"b","shape":[1],"kind":"conv","depth":0}]',
-         r"\$\[1\].depth"),
-        ("not json", r"\$"),
+         r"^\$\[1\]\.depth: 0 after 1; must not decrease$"),
+        ("not json", r"^\$: not valid JSON"),
     ],
 )
 def test_parse_tensor_specs_schema_errors(text, pattern):
-    with pytest.raises(SchemaError, match=pattern):
+    with pytest.raises(DataFormatError, match=pattern):
         parse_tensor_specs(text)
 
 
@@ -397,12 +401,12 @@ def test_write_rejects_invariant_violations(tmp_path):
     arr = np.zeros((2, 2), dtype=np.float32)
     meta = TensorMeta("w", (2, 2), "conv", 0)
     with open(tmp_path / "c.ckpt", "wb") as handle:
-        with pytest.raises(ValueError, match="shape"):
-            positional_writer(handle.fileno(), [TensorMeta("w", (2, 3), "conv", 0)])(0, arr)
+        with pytest.raises(ValueError, match="whole rows"):
+            positional_writer(handle.fileno(), [TensorMeta("w", (2, 3), "conv", 0)])(0, arr, 0)
         with pytest.raises(ValueError, match="duplicate"):
             positional_writer(handle.fileno(), [meta, meta])
         with pytest.raises(ValueError, match="float32"):
-            positional_writer(handle.fileno(), [meta])(0, arr.astype(np.float64))
+            positional_writer(handle.fileno(), [meta])(0, arr.astype(np.float64), 0)
 
 
 _names = st.text(

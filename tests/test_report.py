@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ghnpost.errors import DegenerateInput, SchemaError, StructureMismatch, TooFewChannels
+from ghnpost.errors import DataFormatError, NumericalError
 from ghnpost.postprocess import PostprocessConfig
 from ghnpost.report import (
     CompareRow,
@@ -77,7 +77,7 @@ def test_analyze_needs_a_bin(small_checkpoint):
 
 def test_analyze_error_names_tensor():
     c = make_checkpoint([("tiny", (1, 8), "conv", 0, np.ones((1, 8), np.float32))])
-    with pytest.raises(TooFewChannels, match="tiny"):
+    with pytest.raises(NumericalError, match="^tensor 'tiny': need k >= 2 channels, got 1$"):
         analyze_checkpoint(reader_of(c), bins=4)
 
 
@@ -152,24 +152,25 @@ def test_parse_embeddings_without_labels():
     assert e.vectors.shape == (4, 3)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "name,v0\nx,1\n",
-        "id,v1,v0\nx,1,2\n",
-        "id,label,v0\nx,not_a_number,1\n",
-        "id,v0,v1\nx,1\n",
-    ],
-)
+# Each input and the words of the one rule it breaks.
+_SCHEMA_ERRORS = {
+    "": "^row 1: missing header$",
+    "name,v0\nx,1\n": "^row 1: first column must be 'id'$",
+    "id,v1,v0\nx,1,2\n": r"^row 1: vector columns must be v0\.\.v1 in order$",
+    "id,label,v0\nx,not_a_number,1\n": "^row 2: could not convert string to float",
+    "id,v0,v1\nx,1\n": "^row 2: 2 fields, header has 3$",
+}
+
+
+@pytest.mark.parametrize("text", list(_SCHEMA_ERRORS))
 def test_parse_embeddings_schema_errors(text):
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataFormatError, match=_SCHEMA_ERRORS[text]):
         parse_embeddings_csv(text)
 
 
 @pytest.mark.parametrize("text", ["id,label\nx,1\n", "id\nx\n"])
 def test_parse_embeddings_needs_a_vector_column(text):
-    with pytest.raises(SchemaError, match="^row 1: no vector columns v0..$"):
+    with pytest.raises(DataFormatError, match="^row 1: no vector columns v0..$"):
         parse_embeddings_csv(text)
 
 
@@ -187,7 +188,8 @@ def test_project_exact_plane():
 
 def test_project_too_few_vectors():
     e = EmbeddingSet(ids=["a", "b"], vectors=np.zeros((2, 8)))
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(NumericalError,
+                       match="^need at least 3 vectors of dimension >= 2, got 2 x 8$"):
         project_embeddings(e)
 
 
@@ -231,10 +233,11 @@ def test_compare_after_postprocess_reduces_sigma():
 def test_compare_structure_mismatch():
     a = make_checkpoint([("w", (4, 4), "conv", 0, np.zeros((4, 4), np.float32))])
     b = make_checkpoint([("w", (4, 2, 2), "conv", 0, np.zeros((4, 2, 2), np.float32))])
-    with pytest.raises(StructureMismatch, match="shapes differ"):
+    with pytest.raises(DataFormatError, match=r"^'w' shapes differ: \[4, 4\] vs \[4, 2, 2\]$"):
         compare_checkpoints(reader_of(a), reader_of(b))
     c = make_checkpoint([("v", (4, 4), "conv", 0, np.zeros((4, 4), np.float32))])
-    with pytest.raises(StructureMismatch, match="only in"):
+    with pytest.raises(DataFormatError,
+                       match="^'w' only in first checkpoint; 'v' only in second checkpoint$"):
         compare_checkpoints(reader_of(a), reader_of(c))
 
 

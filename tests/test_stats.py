@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from ghnpost import stats
 from ghnpost.checkpoint_io import TensorRows
-from ghnpost.errors import (
-    ChannelTooShort,
-    NonFiniteTensor,
-    TooFewChannels,
-    UnsupportedRank,
-)
+from ghnpost.errors import NumericalError
 from ghnpost.stats import _COUNT_VALUES, _PANEL_ROWS, correlation_stats, sigma_r
 
 from conftest import (
@@ -59,9 +54,9 @@ def test_rank4_channels_flattened():
 
 
 def test_errors():
-    with pytest.raises(UnsupportedRank):
+    with pytest.raises(NumericalError, match="^expected rank 2 or 4 tensor, got rank 3$"):
         correlation_stats(np.zeros((2, 2, 2), dtype=np.float32))
-    with pytest.raises(ChannelTooShort):
+    with pytest.raises(NumericalError, match="^channels have 1 elements, need at least 2$"):
         correlation_stats(np.zeros((4, 1), dtype=np.float32))
 
 
@@ -101,7 +96,7 @@ def test_std_single_pair_is_zero():
 
 def test_std_too_few_channels():
     w = np.array([[1.0, 2.0]], dtype=np.float32)
-    with pytest.raises(TooFewChannels):
+    with pytest.raises(NumericalError, match="^need k >= 2 channels, got 1$"):
         correlation_stats(w)
 
 
@@ -307,7 +302,7 @@ def test_non_finite_tensor_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         w2 = w.copy()
         w2[2, 3] = bad
-        with pytest.raises(NonFiniteTensor):
+        with pytest.raises(NumericalError, match="^tensor holds NaN or Inf values$"):
             correlation_stats(w2)
 
 
@@ -402,18 +397,18 @@ def test_sigma_r_into_a_work_buffer_gives_the_same_bits(case):
 
 
 def test_sigma_r_errors():
-    with pytest.raises(UnsupportedRank):
+    with pytest.raises(NumericalError, match="^expected rank 2 or 4 tensor, got rank 3$"):
         sigma_r(np.zeros((2, 2, 2), dtype=np.float32))
-    with pytest.raises(ChannelTooShort):
+    with pytest.raises(NumericalError, match="^channels have 1 elements, need at least 2$"):
         sigma_r(np.zeros((4, 1), dtype=np.float32))
-    with pytest.raises(TooFewChannels):
+    with pytest.raises(NumericalError, match="^need k >= 2 channels, got 1$"):
         sigma_r(np.array([[1.0, 2.0]], dtype=np.float32))
     for shape in ((4, 6), (40, 3)):  # the fold and the tall path
         w = np.random.default_rng(0).normal(size=shape).astype(np.float32)
         for bad in (np.nan, np.inf, -np.inf):
             w2 = w.copy()
             w2[2, 1] = bad
-            with pytest.raises(NonFiniteTensor):
+            with pytest.raises(NumericalError, match="^tensor holds NaN or Inf values$"):
                 sigma_r(w2)
 
 

@@ -1,4 +1,5 @@
-"""tools/ast_lines.py: the line, public-field and option counts of ROADMAP aim 2."""
+"""tools/ast_lines.py: the line, public-field, option and public-class counts
+of ROADMAP aim 2."""
 
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "ast_lines.py"
 
-_CLASSES = '''"""Two public classes with three public fields, and private names."""
+_CLASSES = '''"""Three public classes with three public fields, and private names."""
 from dataclasses import dataclass
 
 
@@ -23,6 +24,10 @@ class Holder:
     def __init__(self):
         self.value, self._hidden = 1, 2
         self.value = 3
+
+
+class PackageError(Exception):
+    """An exception class has no fields; it is a public class all the same."""
 
 
 class _Private:
@@ -71,27 +76,28 @@ def build():
 '''
 
 
-def _counts(package: Path) -> dict[str, tuple[int, int, int]]:
+def _counts(package: Path) -> dict[str, tuple[int, int, int, int]]:
     out = subprocess.run([sys.executable, str(_SCRIPT), str(package)],
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[0].split() == ["lines", "fields", "options"]
+    assert out.splitlines()[0].split() == ["lines", "fields", "options", "classes"]
     rows = [line.split() for line in out.splitlines()[1:]]
-    return {name: (int(lines), int(fields), int(opts)) for lines, fields, opts, name in rows}
+    return {row[-1]: tuple(map(int, row[:-1])) for row in rows}
 
 
 def test_counts_lines_without_docstrings_and_public_fields(tmp_path):
     (tmp_path / "a.py").write_text('def documented():\n    """Only a docstring."""\n')
     (tmp_path / "b.py").write_text(_CLASSES)
     counts = _counts(tmp_path)
-    assert counts["a.py"] == (2, 0, 0)  # def documented(): / pass
-    assert counts["b.py"][1:] == (3, 0)  # left, right, value; a field is no option
-    assert counts["total"] == (2 + counts["b.py"][0], 3, 0)
+    assert counts["a.py"] == (2, 0, 0, 0)  # def documented(): / pass
+    # left, right, value; a field is no option; Pair, Holder and PackageError
+    assert counts["b.py"][1:] == (3, 0, 3)
+    assert counts["total"] == (2 + counts["b.py"][0], 3, 0, 3)
 
 
 def test_counts_options(tmp_path):
     (tmp_path / "c.py").write_text(_OPTIONS)
     (tmp_path / "d.py").write_text("def f(a, b=2):\n    pass\n")
     counts = _counts(tmp_path)
-    # b and c of public, size, keyword, and --flag
-    assert counts["c.py"][1:] == (0, 5)
-    assert counts["total"][1:] == (0, 6)
+    # b and c of public, size, keyword, and --flag; the class Public
+    assert counts["c.py"][1:] == (0, 5, 1)
+    assert counts["total"][1:] == (0, 6, 1)

@@ -1,10 +1,10 @@
 """Count the package's source lines without docstrings, comments or
-layout, its public fields and its options.
+layout, its public fields, its options and its public classes.
 
     python3 tools/ast_lines.py [PACKAGE_DIR]
 
 For each ``*.py`` file of PACKAGE_DIR (default ``src/ghnpost`` beside this
-script's parent), parse it and print three counts, then their totals:
+script's parent), parse it and print four counts, then their totals:
 
 - lines: drop the module, class and function docstrings (a body left
   empty becomes ``pass``) and count the lines of ``ast.unparse`` of what
@@ -16,7 +16,10 @@ script's parent), parse it and print three counts, then their totals:
 - options: the parameters with a default of the module's public
   functions and of its public classes' public methods (``__init__``
   included), plus the command-line flags, the ``add_argument`` calls whose
-  first name starts with ``--``.
+  first name starts with ``--``;
+- classes: the module's public classes, those of its top level whose
+  name has no ``_`` prefix (an exception class, which has no fields,
+  counts here).
 
 These are the size measures that ROADMAP aim 2 tracks.
 """
@@ -93,16 +96,23 @@ def options(tree: ast.Module) -> int:
     return sum(_defaults(fn) for fn in functions if _public(fn.name)) + flags
 
 
+def public_classes(tree: ast.Module) -> int:
+    """Public classes of the top level of ``tree``."""
+    return sum(isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+               for node in tree.body)
+
+
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src/ghnpost"
-    totals = [0, 0, 0]
-    print(" lines fields options")
+    totals = [0, 0, 0, 0]
+    print(" lines fields options classes")
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        counts = (unparsed_lines(tree), public_fields(tree), options(tree))
+        counts = (unparsed_lines(tree), public_fields(tree), options(tree),
+                  public_classes(tree))
         totals = [t + c for t, c in zip(totals, counts)]
-        print(f"{counts[0]:6d} {counts[1]:6d} {counts[2]:7d}  {path.name}")
-    print(f"{totals[0]:6d} {totals[1]:6d} {totals[2]:7d}  total")
+        print(f"{counts[0]:6d} {counts[1]:6d} {counts[2]:7d} {counts[3]:7d}  {path.name}")
+    print(f"{totals[0]:6d} {totals[1]:6d} {totals[2]:7d} {totals[3]:7d}  total")
     return 0
 
 

@@ -3,7 +3,7 @@ neural-network parameter checkpoints, as the ``ghnpost`` commands run
 them."""
 
 from .checkpoint_io import CheckpointReader, TensorMeta, positional_writer
-from .linalg import PcaResult, pca_project, qr_decompose
+from .linalg import pca_project, qr_decompose
 from .postprocess import DEFAULT_BETA, PostprocessConfig, ghn_orth_tensors, init_tensors
 from .report import (
     EmbeddingSet,
@@ -11,7 +11,6 @@ from .report import (
     compare_checkpoints,
     emit_histogram_svg,
     emit_report_csv,
-    project_embeddings,
 )
 from .rng import RngStream
 from .stats import CorrelationStats, correlation_stats, sigma_r
@@ -23,7 +22,6 @@ __all__ = [
     "CorrelationStats",
     "DEFAULT_BETA",
     "EmbeddingSet",
-    "PcaResult",
     "PostprocessConfig",
     "RngStream",
     "TensorMeta",
@@ -36,7 +34,6 @@ __all__ = [
     "init_tensors",
     "pca_project",
     "positional_writer",
-    "project_embeddings",
     "qr_decompose",
     "sigma_r",
     "__version__",

@@ -24,6 +24,7 @@ from typing import BinaryIO
 
 from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, parse_tensor_specs, positional_writer
 from .errors import DataFormatError, NumericalError
+from .linalg import pca_project
 from .postprocess import (
     DEFAULT_BETA,
     PostprocessConfig,
@@ -38,7 +39,6 @@ from .report import (
     emit_projection_csv,
     emit_report_csv,
     parse_embeddings_csv,
-    project_embeddings,
 )
 
 DEFAULT_BINS = 50
@@ -156,9 +156,18 @@ def _write_atomic(path: Path) -> Iterator[BinaryIO]:
     directory = path.parent if str(path.parent) else Path(".")
     # The directories to make, outermost first, then the temporary file.
     created = [d for d in (*reversed(directory.parents), directory) if not d.exists()]
+    # The temporary name adds 14 bytes to the output's: an output name of
+    # 242 to 255 bytes is cut to 241 or less, at the start of a UTF-8
+    # character, so that it fits in a file name's 255.  A name too long
+    # for any file is kept whole, so that making the temporary file fails
+    # before the command writes anything.
+    name = os.fsencode(path.name)
+    cut = 255 - 14 if len(name) <= 255 else len(name)
+    while cut < len(name) and name[cut] & 0xC0 == 0x80:
+        cut -= 1
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        tmp = directory / f".{path.name}.{os.urandom(4).hex()}.tmp"
+        tmp = directory / f".{os.fsdecode(name[:cut])}.{os.urandom(4).hex()}.tmp"
         # Listed before it exists, so that an interrupt at any point removes
         # it; created with the mode a new file gets under the umask.
         created.append(tmp)
@@ -196,8 +205,10 @@ def _write_texts(files: Iterable[tuple[Path, str]]) -> None:
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 
-# Longest SVG name before ".svg": a file name holds 255 bytes, and
-# _write_atomic's temporary name is 14 longer than the file's.
+# Longest SVG name before ".svg", whose characters are all ASCII: a file
+# name holds 255 bytes, and this leaves 14 of them free, the length that
+# _write_atomic's temporary name adds, so every SVG's temporary name keeps
+# the whole SVG name.
 _SVG_STEM_MAX = 255 - 14 - 4
 
 
@@ -256,7 +267,7 @@ def _cmd_pca(args) -> int:
     # rejects with the row they are in.
     text = args.embeddings.read_text(encoding="utf-8", errors="surrogateescape")
     embeddings = parse_embeddings_csv(text)
-    projected = project_embeddings(embeddings)
+    projected = pca_project(embeddings.vectors)
     _write_texts([(args.out, emit_projection_csv(embeddings, projected))])
     return 0
 

@@ -1,4 +1,5 @@
-"""Dense linear algebra: thin QR with sign correction, and PCA.
+"""Dense linear algebra: the repair's thin QR and the ``pca`` command's
+2D projection.
 
 Both factorizations are LAPACK and run in float64.  The QR is Householder
 ``dgeqrf`` + ``dorgqr`` run in place on the caller's Fortran-ordered
@@ -6,8 +7,9 @@ array, called through numpy's bundled OpenBLAS with ctypes, which releases
 the GIL, on one BLAS thread, or through ``numpy.linalg.lapack_lite`` where
 that library is not found.  A caller that must keep its input takes
 ``np.linalg.qr``, which copies it and, on one BLAS thread, gives the same
-bytes.  ``eigh`` is numpy's.  This module adds the shape checks, the sign
-conventions and the descending eigenvalue order.
+bytes.  The projection takes numpy's ``eigh`` of the sample covariance.
+This module adds the shape checks, the sign conventions and the
+descending eigenvalue order.
 """
 
 from __future__ import annotations
@@ -16,32 +18,12 @@ import contextlib
 import ctypes
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import NumericalError
-
-
-@dataclass
-class PcaResult:
-    components: np.ndarray  # k x d, orthonormal rows
-    projected: np.ndarray  # n x k
-    explained_variance: np.ndarray  # k, non-negative, non-increasing
-    mean: np.ndarray  # d
-
-
-def _as_matrix(a: np.ndarray) -> np.ndarray:
-    return _check_matrix(np.ascontiguousarray(a, dtype=np.float64))
-
-
-def _check_matrix(a: np.ndarray) -> np.ndarray:
-    """``a``, once it is checked to be a non-empty 2D array."""
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise NumericalError(f"expected a non-empty 2D matrix, got shape {a.shape}")
-    return a
 
 
 @functools.cache
@@ -135,7 +117,9 @@ def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     may be negative; the caller corrects Q's column signs by them.  Q and
     the diagonal are ``np.linalg.qr``'s bytes on one BLAS thread.
     """
-    a = _check_matrix(np.asarray(a))
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise NumericalError(f"expected a non-empty 2D matrix, got shape {a.shape}")
     m, n = a.shape
     if m < n:
         raise NumericalError(f"thin QR needs rows >= cols, got {m} x {n}")
@@ -152,50 +136,33 @@ def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, diag
 
 
-def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NumericalError(f"expected a square matrix, got {a.shape}")
-    evals, evecs = np.linalg.eigh(a)
-    order = np.argsort(-evals, kind="stable")
-    return evals[order], np.ascontiguousarray(evecs[:, order])
+def pca_project(x: np.ndarray) -> np.ndarray:
+    """The n x 2 projection of n samples of dimension d (an n x d array)
+    onto their top two principal directions: each sample's pc1 and pc2,
+    in order.
 
-
-def pca_project(x: np.ndarray, k: int) -> PcaResult:
-    """Project n x d samples onto the top-k principal directions.
-
-    Uses the sample covariance (1/(n-1)); components follow a fixed sign
-    convention (largest-magnitude entry positive) so results are
-    deterministic.  Fewer than 2 samples ("need at least 2 samples"), a
-    ``k`` out of range ("k must satisfy") and a covariance that is not
-    finite (NaN or Inf samples, or samples large enough to overflow it:
-    "the sample covariance is not finite") raise NumericalError.
+    Uses the sample covariance (1/(n-1)) and numpy's ``eigh`` of it; the
+    directions are taken in descending eigenvalue order (a stable sort,
+    so tied eigenvalues keep ``eigh``'s order), each with its
+    largest-magnitude entry positive, so results are deterministic.
+    Fewer than 3 samples, or of dimension under 2 ("need at least 3
+    vectors of dimension >= 2"), and a covariance that is not finite
+    (NaN or Inf samples, or samples large enough to overflow it: "the
+    sample covariance is not finite") raise NumericalError.
     """
-    x = _as_matrix(x)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     n, d = x.shape
-    if n < 2:
-        raise NumericalError(f"need at least 2 samples, got {n}")
-    if not 1 <= k <= min(n - 1, d):
-        raise NumericalError(
-            f"k must satisfy 1 <= k <= min(n-1, d) = {min(n - 1, d)}, got {k}"
-        )
+    if n < 3 or d < 2:
+        raise NumericalError(f"need at least 3 vectors of dimension >= 2, got {n} x {d}")
     # Samples near float64's max overflow here; the check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=0)
-        xc = x - mean
+        xc = x - x.mean(axis=0)
         cov = (xc.T @ xc) / (n - 1)
     if not np.isfinite(cov).all():
         raise NumericalError("the sample covariance is not finite")
-    evals, evecs = eigh_descending(cov)
-    evals = np.maximum(evals, 0.0)
-    components = np.ascontiguousarray(evecs[:, :k].T)
+    evals, evecs = np.linalg.eigh(cov)
+    components = np.ascontiguousarray(evecs[:, np.argsort(-evals, kind="stable")[:2]].T)
     for row in components:
         if row[np.argmax(np.abs(row))] < 0.0:
             row *= -1.0
-    return PcaResult(
-        components=components,
-        projected=xc @ components.T,
-        explained_variance=evals[:k].copy(),
-        mean=mean,
-    )
+    return xc @ components.T

@@ -1,6 +1,7 @@
 """What the analysis commands compute and print: per-layer correlation
-reports (``analyze``), checkpoint diffs (``compare``), histogram SVGs and
-2D PCA projection tables of embeddings (``pca``).
+reports (``analyze``), checkpoint diffs (``compare``), histogram SVGs, and
+the embedding tables that ``pca`` reads and writes (the projection itself
+is :func:`~ghnpost.linalg.pca_project`).
 
 All emitters are pure text producers; floats are printed with 9
 significant digits so identical inputs give identical files everywhere.
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, TensorMeta, TensorRows
-from .errors import DataFormatError, NumericalError, naming
-from .linalg import pca_project
+from .errors import DataFormatError, naming
 from .stats import CorrelationStats, correlation_stats, sigma_r
 from .tensor_ops import geometry, largest_layer_buffer, release_tail, row_blocks, row_step
 
@@ -174,7 +174,7 @@ def emit_histogram_svg(counts: np.ndarray, title: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# Embedding projection
+# Embedding tables
 # --------------------------------------------------------------------------
 
 def parse_embeddings_csv(text: str) -> EmbeddingSet:
@@ -227,20 +227,11 @@ def parse_embeddings_csv(text: str) -> EmbeddingSet:
     return EmbeddingSet(ids=ids, vectors=vectors, labels=labels if has_labels else None)
 
 
-def project_embeddings(e: EmbeddingSet) -> np.ndarray:
-    """PCA projection of embedding vectors onto the top two components:
-    the n x 2 float64 array of each vector's pc1 and pc2, in ``e``'s
-    order.  Fewer than 3 vectors, or of dimension under 2, raise
-    NumericalError ("need at least 3 vectors")."""
-    n, d = e.vectors.shape
-    if n < 3 or d < 2:
-        raise NumericalError(f"need at least 3 vectors of dimension >= 2, got {n} x {d}")
-    return pca_project(e.vectors, k=2).projected
-
-
 def emit_projection_csv(e: EmbeddingSet, projected: np.ndarray) -> str:
     """The ``pca`` CSV: a row per vector of ``e``, with its id, its
-    ``projected`` pc1 and pc2 and its label (empty without labels)."""
+    ``projected`` pc1 and pc2 (the n x 2 array of
+    :func:`~ghnpost.linalg.pca_project`) and its label (empty without
+    labels)."""
     labels = [None] * len(e.ids) if e.labels is None else e.labels
     return _csv(
         ["id", "pc1", "pc2", "label"],

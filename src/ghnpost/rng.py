@@ -138,17 +138,6 @@ class RngStream:
     def _seed(self) -> np.uint64:
         return np.uint64(substream_seed(self.master_seed, self.label))
 
-    def uniform(self, n: int) -> np.ndarray:
-        """First n uniforms of the stream, each in (0, 1]."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        seed = self._seed()
-        words = _Words(min(n, _CHUNK))
-        out = np.empty(n, dtype=np.float64)
-        for start in range(0, n, _CHUNK):
-            _uniforms(seed, start, out[start : start + _CHUNK], words)
-        return out
-
     def normal(self, n: int, start: int = 0) -> np.ndarray:
         """Standard-normal values start .. start+n-1 of the stream (float64).
 

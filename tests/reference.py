@@ -34,3 +34,15 @@ def matricize(w):
     """The K x CHW matrix of a rank-2/4 tensor, transposed where K < CHW."""
     m = w.reshape(len(w), -1)
     return m.T if m.shape[0] < m.shape[1] else m
+
+
+def reference_pca(x):
+    """The n x 2 projection of the n x d samples ``x`` onto their top two
+    principal directions, from the SVD of the centred samples rather than
+    an eigensolver: the first two right singular vectors, each with its
+    largest-magnitude entry positive, so that the directions are
+    orthonormal and their signs fixed."""
+    xc = np.asarray(x, dtype=np.float64) - np.mean(x, axis=0)
+    vt = np.linalg.svd(xc, full_matrices=False)[2][:2]
+    vt *= np.sign(vt[[0, 1], np.argmax(np.abs(vt), axis=1)])[:, np.newaxis]
+    return xc @ vt.T

@@ -1,20 +1,26 @@
-"""The package's public names: each exported name resolves, and the
-second paths that the command line never ran are gone."""
+"""The package's public names: each exported name resolves, the second
+paths that the command line never ran are gone, and every public
+function is one that a command runs."""
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 import sys
+import threading
 from pathlib import Path
 
 import ghnpost
-from ghnpost import checkpoint_io, errors, linalg, postprocess, report, stats, tensor_ops
+from ghnpost import checkpoint_io, cli, errors, linalg, postprocess, report, stats, tensor_ops
 from ghnpost.checkpoint_io import CheckpointReader
 from ghnpost.linalg import qr_decompose
 from ghnpost.postprocess import PostprocessConfig
 from ghnpost.rng import RngStream
 
 from conftest import make_checkpoint, reader_of
+from workloads import archspec_json, embeddings_csv, resnet50_table, synth_tensors, vit_table
+from workloads import write_ckpt
 
 _MODULES = (checkpoint_io, linalg, postprocess, report, stats, tensor_ops)
 
@@ -59,6 +65,14 @@ def test_removed_names_are_absent():
     # pool nothing.
     for name in ("_put_rows", "_block_values", "_STREAM_BYTES"):
         assert not hasattr(postprocess, name)
+    # PCA is the n x 2 projection that pca prints, and the uniforms are
+    # drawn only for normal's Gaussians.
+    for name in ("PcaResult", "eigh_descending", "_as_matrix", "_check_matrix"):
+        assert not hasattr(linalg, name) and not hasattr(ghnpost, name), name
+    assert "k" not in inspect.signature(linalg.pca_project).parameters
+    assert not hasattr(report, "project_embeddings")
+    assert not hasattr(ghnpost, "project_embeddings")
+    assert not hasattr(RngStream, "uniform")
     # FORMAT_VERSION is the one version a checkpoint can have.
     assert not hasattr(reader_of(make_checkpoint([])), "version")
     # One error class for each way a caller handles an error.
@@ -103,3 +117,60 @@ def test_reference_oracles_import_nothing_from_the_package():
             assert node.level == 0, "a relative import"
             imported.add(node.module.split(".")[0])
     assert imported <= {"numpy"} | set(sys.stdlib_module_names), imported
+
+
+def _public_functions():
+    """Every public function and public method defined in the package's
+    modules: its code object, mapped to its ``module.qualname``."""
+    found = {}
+    for info in pkgutil.iter_modules(ghnpost.__path__):
+        module = importlib.import_module(f"{ghnpost.__name__}.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = ([(f"{name}.{attr}", member) for attr, member in vars(value).items()
+                        if not attr.startswith("_")] if inspect.isclass(value)
+                       else [(name, value)])
+            for qualname, member in members:
+                fn = inspect.unwrap(getattr(member, "fget", member))
+                if inspect.isfunction(fn):
+                    found[fn.__code__] = f"{info.name}.{qualname}"
+    return found
+
+
+def test_every_public_function_runs_under_a_command(tmp_path):
+    # The package holds what the commands run: each public function and
+    # method is entered by one of these command lines, on every thread.
+    resnet = resnet50_table(width=16, blocks=(1,), classes=10)
+    vit = vit_table(dim=32, layers=1, patch=4, tokens=17, classes=10)
+    for name, specs in (("resnet", resnet), ("vit", vit)):
+        with open(tmp_path / f"{name}.ckpt", "wb") as handle:
+            write_ckpt(handle, specs, synth_tensors(specs, seed=1))
+    (tmp_path / "arch.json").write_text(archspec_json(resnet))
+    (tmp_path / "emb.csv").write_text(embeddings_csv(40, 8, seed=1)[0])
+    commands = [
+        "postprocess {d}/resnet.ckpt --start-layer 0 --out {d}/repaired.ckpt",
+        "postprocess {d}/vit.ckpt --start-layer 0 --skip-orth --out {d}/noised.ckpt",
+        "init {d}/arch.json --method rand --out {d}/rand.ckpt",
+        "init {d}/arch.json --method orth --out {d}/orth.ckpt",
+        "analyze {d}/resnet.ckpt --svg-dir {d}/svg --out {d}/report.csv",
+        "compare {d}/resnet.ckpt {d}/repaired.ckpt --out {d}/compare.csv",
+        "pca {d}/emb.csv --out {d}/pca.csv",
+    ]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        codes = [cli.main(command.format(d=tmp_path).split()) for command in commands]
+    finally:
+        threading.setprofile(None)
+        sys.setprofile(None)
+    assert codes == [0] * len(commands)
+    public = _public_functions()
+    assert "rng.RngStream.normal_at" in public.values()
+    assert sorted(name for code, name in public.items() if code not in entered) == []

@@ -1353,6 +1353,44 @@ def test_pca_overflowing_covariance_is_one_line_numerical_error(tmp_path, capsys
     assert err == "ghnpost: numerical error: the sample covariance is not finite\n"
 
 
+_LONG_NAMES = {
+    "ascii": "o" * 251 + ".csv",  # 255 bytes
+    "two_byte": "\u00e9" * 125 + ".csv",  # 254 bytes
+    "three_byte": "\u20ac" * 83 + ".csv",  # 253 bytes
+    "four_byte": "\U0001f600" * 62 + ".csv",  # 252 bytes
+}
+
+
+@pytest.mark.parametrize("name", _LONG_NAMES.values(), ids=_LONG_NAMES.keys())
+def test_out_names_up_to_255_bytes_are_written(name, tmp_path, monkeypatch):
+    # The temporary name adds 14 bytes to the output's, so it holds the
+    # output name cut to 241 bytes or less, at a character's start: every
+    # name the file system takes is written, and no temporary file is left.
+    src = tmp_path / "emb.csv"
+    src.write_bytes(b"id,label,v0,v1\n" + _PCA_ROWS)
+    assert run(["pca", str(src), "--out", str(tmp_path / "o.csv")]) == 0
+    real_open, opened = os.open, []
+    monkeypatch.setattr(os, "open", lambda path, *a: opened.append(path) or real_open(path, *a))
+    assert run(["pca", str(src), "--out", str(tmp_path / name)]) == 0
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["emb.csv", "o.csv", name])
+    assert (tmp_path / name).read_bytes() == (tmp_path / "o.csv").read_bytes()
+    [tmp] = [Path(path).name for path in opened]
+    prefix = re.fullmatch(r"\.(.*)\.[0-9a-f]{8}\.tmp", tmp).group(1)
+    assert name.startswith(prefix)
+    assert 255 - 14 - 3 <= len(prefix.encode("utf-8")) <= 255 - 14
+
+
+def test_an_out_name_over_255_bytes_fails_before_any_output(tmp_path, capsys):
+    # Such a name is kept whole in the temporary name, which the file
+    # system refuses as it would the output's.
+    src = tmp_path / "emb.csv"
+    src.write_bytes(b"id,label,v0,v1\n" + _PCA_ROWS)
+    assert run(["pca", str(src), "--out", str(tmp_path / ("o" * 252 + ".csv"))]) == 2
+    assert "File name too long" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [src]
+
+
 def test_compare_command(ckpt_path, tmp_path):
     post = tmp_path / "post.ckpt"
     assert run(["postprocess", str(ckpt_path), "--start-layer", "0", "--seed", "2",

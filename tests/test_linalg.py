@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ghnpost.errors import NumericalError
-from ghnpost.linalg import eigh_descending, one_blas_thread, pca_project, qr_decompose
+from ghnpost.linalg import one_blas_thread, pca_project, qr_decompose
 from ghnpost.postprocess import PostprocessConfig
 
 from conftest import through_file
-from reference import matricize
+from reference import matricize, reference_pca
 
 
 def _qr(a):
@@ -71,11 +71,9 @@ def test_rows_must_cover_cols():
 
 
 @pytest.mark.parametrize("a", [np.zeros(3), np.zeros((0, 3)), np.zeros((2, 2, 2))])
-def test_qr_and_eigh_need_a_non_empty_matrix(a):
+def test_qr_needs_a_non_empty_matrix(a):
     with pytest.raises(NumericalError, match="^expected a non-empty 2D matrix"):
         qr_decompose(a)
-    with pytest.raises(NumericalError, match="^expected a non-empty 2D matrix"):
-        eigh_descending(a)
 
 
 def test_qr_rejects_what_lapack_cannot_factor_in_place():
@@ -87,11 +85,6 @@ def test_qr_rejects_what_lapack_cannot_factor_in_place():
     frozen.flags.writeable = False
     with pytest.raises(ValueError, match="writeable"):
         qr_decompose(frozen)
-
-
-def test_eigh_needs_a_square_matrix():
-    with pytest.raises(NumericalError, match="^expected a square matrix, got \\(2, 3\\)$"):
-        eigh_descending(np.zeros((2, 3)))
 
 
 def test_rank_deficient_keeps_orthonormal_columns():
@@ -120,17 +113,22 @@ def test_orthonormal_input_reproduced():
         np.testing.assert_allclose(q * np.where(d < 0.0, -1.0, 1.0), base, atol=1e-10)
 
 
-def test_eigh_against_numpy_oracle():
+def _variances(projected):
+    """The sample variance of each projected column: the eigenvalue of the
+    sample covariance along its direction."""
+    return np.var(projected, axis=0, ddof=1)
+
+
+def test_pca_against_eigvalsh_and_svd_oracles():
     rng = np.random.default_rng(5)
-    for n in (2, 5, 16, 40):
-        x = rng.normal(size=(3 * n, n))
-        a = x.T @ x / (3 * n)
-        evals, evecs = eigh_descending(a)
-        ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-        np.testing.assert_allclose(evals, ref, atol=1e-10 * max(1.0, ref[0]))
-        np.testing.assert_allclose(evecs.T @ evecs, np.eye(n), atol=1e-12)
-        # residual check: A v = lambda v
-        np.testing.assert_allclose(a @ evecs, evecs * evals, atol=1e-10 * max(1.0, ref[0]))
+    for d in (2, 5, 16, 40):
+        x = rng.normal(size=(3 * d, d)) * np.linspace(2.0, 0.5, d)
+        projected = pca_project(x)
+        xc = x - x.mean(axis=0)
+        ref = np.sort(np.linalg.eigvalsh(xc.T @ xc / (3 * d - 1)))[::-1]
+        np.testing.assert_allclose(_variances(projected), ref[:2], atol=1e-10 * ref[0])
+        # the same orthonormal directions, with the same signs
+        np.testing.assert_allclose(projected, reference_pca(x), atol=1e-9)
 
 
 def test_pca_exact_plane():
@@ -138,18 +136,18 @@ def test_pca_exact_plane():
     basis = np.linalg.qr(rng.normal(size=(32, 2)))[0].T  # 2 x 32
     coeffs = rng.normal(size=(200, 2)) * [3.0, 1.5]
     x = coeffs @ basis + rng.normal(size=32)  # affine 2-plane
-    res = pca_project(x, 2)
+    projected = pca_project(x)
     total = np.var(x - x.mean(axis=0), axis=0, ddof=1).sum()
-    captured = res.explained_variance.sum()
+    captured = _variances(projected).sum()
     assert total - captured <= 1e-9 * total
-    np.testing.assert_allclose(res.components @ res.components.T, np.eye(2), atol=1e-9)
+    np.testing.assert_allclose(projected, reference_pca(x), atol=1e-9)
 
 
 def test_pca_identical_points():
     x = np.tile(np.arange(8.0), (5, 1))
-    res = pca_project(x, 2)
-    np.testing.assert_allclose(res.explained_variance, 0.0, atol=1e-12)
-    np.testing.assert_allclose(res.projected, 0.0, atol=1e-9)
+    projected = pca_project(x)
+    np.testing.assert_allclose(_variances(projected), 0.0, atol=1e-12)
+    np.testing.assert_allclose(projected, 0.0, atol=1e-9)
 
 
 def test_pca_known_diagonal_covariance():
@@ -157,37 +155,33 @@ def test_pca_known_diagonal_covariance():
     stds = np.zeros(32)
     stds[:3] = [3.0, 2.0, 1.0]
     x = rng.normal(size=(500, 32)) * stds
-    res = pca_project(x, 2)
+    variances = _variances(pca_project(x))
     # population variances 9 and 4, recovered within 10% at n=500
-    assert abs(res.explained_variance[0] - 9.0) <= 0.9
-    assert abs(res.explained_variance[1] - 4.0) <= 0.4
+    assert abs(variances[0] - 9.0) <= 0.9
+    assert abs(variances[1] - 4.0) <= 0.4
     # and exactly the sample-covariance eigenvalues from an independent oracle
     xc = x - x.mean(axis=0)
     ref = np.sort(np.linalg.eigvalsh(xc.T @ xc / 499))[::-1]
-    np.testing.assert_allclose(res.explained_variance, ref[:2], atol=1e-9)
+    np.testing.assert_allclose(variances, ref[:2], atol=1e-9)
 
 
 def test_pca_sign_convention_and_determinism():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(40, 6)) * [5.0, 2.0, 1.0, 0.5, 0.1, 0.1]
-    res1 = pca_project(x, 3)
-    res2 = pca_project(x.copy(), 3)
-    np.testing.assert_array_equal(res1.components, res2.components)
-    np.testing.assert_array_equal(res1.projected, res2.projected)
-    for row in res1.components:
-        assert row[np.argmax(np.abs(row))] > 0
-    assert np.all(np.diff(res1.explained_variance) <= 1e-12)
+    projected = pca_project(x)
+    assert projected.shape == (40, 2)
+    np.testing.assert_array_equal(projected, pca_project(x.copy()))
+    # each direction's largest-magnitude entry is positive, as the oracle's
+    np.testing.assert_allclose(projected, reference_pca(x), atol=1e-9)
+    assert np.all(np.diff(_variances(projected)) <= 1e-12)
 
 
-def test_pca_degenerate_inputs():
-    x = np.zeros((1, 4))
-    with pytest.raises(NumericalError, match="^need at least 2 samples, got 1$"):
-        pca_project(x, 1)
-    x = np.zeros((5, 4))
-    with pytest.raises(NumericalError, match=r"^k must satisfy .* = 4, got 5$"):
-        pca_project(x, 5)  # k > d
-    with pytest.raises(NumericalError, match=r"^k must satisfy .* = 2, got 3$"):
-        pca_project(np.zeros((3, 8)), 3)  # k > n - 1
+@pytest.mark.parametrize("shape", [(1, 4), (2, 8), (5, 1), (0, 3)])
+def test_pca_degenerate_inputs(shape):
+    n, d = shape
+    with pytest.raises(NumericalError,
+                       match=f"^need at least 3 vectors of dimension >= 2, got {n} x {d}$"):
+        pca_project(np.zeros(shape))
 
 
 # --- the in-place LAPACK kernel against np.linalg.qr -------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ghnpost.errors import DataFormatError, NumericalError
+from ghnpost.linalg import pca_project
 from ghnpost.postprocess import PostprocessConfig
 from ghnpost.report import (
     CompareRow,
@@ -17,7 +18,6 @@ from ghnpost.report import (
     emit_projection_csv,
     emit_report_csv,
     parse_embeddings_csv,
-    project_embeddings,
 )
 from ghnpost.stats import correlation_stats, sigma_r
 from ghnpost.tensor_ops import geometry
@@ -180,7 +180,7 @@ def test_project_exact_plane():
     coeffs = rng.normal(size=(50, 2)) * [4.0, 2.0]
     vectors = coeffs @ basis
     e = EmbeddingSet(ids=[str(i) for i in range(50)], vectors=vectors)
-    projected = project_embeddings(e)
+    projected = pca_project(e.vectors)
     recon_var = np.var(projected[:, 0]) + np.var(projected[:, 1])
     total_var = np.var(vectors - vectors.mean(axis=0), axis=0).sum()
     assert total_var - recon_var <= 1e-9 * total_var
@@ -190,12 +190,12 @@ def test_project_too_few_vectors():
     e = EmbeddingSet(ids=["a", "b"], vectors=np.zeros((2, 8)))
     with pytest.raises(NumericalError,
                        match="^need at least 3 vectors of dimension >= 2, got 2 x 8$"):
-        project_embeddings(e)
+        pca_project(e.vectors)
 
 
 def test_project_500_by_32():
     e = parse_embeddings_csv(_embedding_csv(500, 32, seed=2))
-    projected = project_embeddings(e)
+    projected = pca_project(e.vectors)
     assert projected.shape == (500, 2)
     text = emit_projection_csv(e, projected)
     parsed = list(csv.reader(io.StringIO(text)))
@@ -205,7 +205,7 @@ def test_project_500_by_32():
 
 def test_projection_csv_blank_label_when_absent():
     e = parse_embeddings_csv(_embedding_csv(4, 3, labels=False))
-    text = emit_projection_csv(e, project_embeddings(e))
+    text = emit_projection_csv(e, pca_project(e.vectors))
     row = next(csv.DictReader(io.StringIO(text)))
     assert row["label"] == ""
 

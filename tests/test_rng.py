@@ -73,12 +73,6 @@ def test_labels_give_distinct_streams():
     assert not np.array_equal(a, c)
 
 
-def test_uniform_range():
-    u = RngStream(3, "u").uniform(100_000)
-    assert u.min() > 0.0
-    assert u.max() <= 1.0
-
-
 def test_gaussian_moments():
     z = RngStream(5, "big").normal(1_000_000)
     assert abs(z.mean()) < 4.0 / math.sqrt(1_000_000)
@@ -150,12 +144,6 @@ def test_normal_matches_one_shot_oracle_bytes():
     assert np.concatenate(pieces).tobytes() == ref.tobytes()
 
 
-def test_uniform_matches_one_shot_oracle_bytes():
-    for n in [0] + _oracle_sizes():
-        got = RngStream(31, "u").uniform(n)
-        assert got.tobytes() == _reference_uniform(31, "u", n).tobytes(), n
-
-
 def test_prefix_property_across_chunk_boundary():
     from ghnpost.rng import _CHUNK
 
@@ -163,8 +151,6 @@ def test_prefix_property_across_chunk_boundary():
     long = stream.normal(2 * _CHUNK + 3)
     for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
         assert stream.normal(n).tobytes() == long[:n].tobytes(), n
-    u = stream.uniform(_CHUNK + 5)
-    assert stream.uniform(_CHUNK + 1).tobytes() == u[: _CHUNK + 1].tobytes()
 
 
 def test_normal_at_matches_normal_bytes():
@@ -202,8 +188,6 @@ def test_normal_at_rejects_negative_positions():
 
 def test_draws_reject_negative_counts_and_starts():
     stream = RngStream(1, "x")
-    with pytest.raises(ValueError, match="n must be non-negative"):
-        stream.uniform(-1)
     with pytest.raises(ValueError, match="n and start must be non-negative"):
         stream.normal(-1)
     with pytest.raises(ValueError, match="n and start must be non-negative"):

@@ -19,11 +19,12 @@ last tensor.  Serialization is canonical: sorted keys, no whitespace,
 so the same tensors always give the same bytes.
 
 This module is the one place that reads or writes checkpoint bytes.  A
-file is read a block of a tensor's rows at a time, on demand, so no
-command holds a whole file; it is written at each tensor's offset, in
-any order, a block of rows at a time.  A header or an
-architecture spec that breaks a rule raises DataFormatError naming the
-entry and field, before any tensor is read or written.
+file is read a block of a tensor's rows at a time, on demand, into the
+caller's float32 buffer, so no command holds a whole file; it is written
+at each tensor's offset, in any order, a block of rows at a time.  A
+header or an architecture spec (the bytes of its file) that breaks a
+rule raises DataFormatError naming the entry and field, before any
+tensor is read or written.
 """
 
 from __future__ import annotations
@@ -196,12 +197,12 @@ def _entry_meta(entry, at: str, extra: tuple[str, ...]) -> TensorMeta:
     return TensorMeta(*(entry[key] for key in _META_KEYS))
 
 
-def _decode_json(raw: bytes | str, at: str):
-    """The JSON document in ``raw``, UTF-8 bytes or text.  Bytes that are
-    not UTF-8, text that is not JSON, an integer too long to convert and
+def _decode_json(raw: bytes, at: str):
+    """The JSON document in the UTF-8 bytes ``raw``.  Bytes that are not
+    UTF-8, text that is not JSON, an integer too long to convert and
     nesting too deep to parse raise DataFormatError at ``at``."""
     try:
-        return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+        return json.loads(raw.decode("utf-8"))
     # UnicodeDecodeError, JSONDecodeError and the int digit limit are ValueErrors.
     except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"{at}: not valid JSON ({exc})") from exc
@@ -278,18 +279,18 @@ class CheckpointReader:
         self._lock = threading.Lock()
         self.metas, self._starts = _read_header(handle)
 
-    def read_rows(self, i: int, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+    def read_rows(self, i: int, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
         """Rows r0..r1 of tensor i's first axis, shaped (r1 - r0, *shape[1:]),
-        read into the float32 buffer ``out`` (a new array if None), which
-        must hold at least that many values.  A read may return part of
-        what was asked (a raw read gives at most about 2 GiB), so reads
-        repeat until the rows are in; a file that shrank since the header
-        was checked raises DataFormatError ("the file shrank while it was
-        read"), and the caller names the tensor."""
+        read into the float32 buffer ``out``, which must hold at least
+        that many values.  A read may return part of what was asked (a raw
+        read gives at most about 2 GiB), so reads repeat until the rows
+        are in; a file that shrank since the header was checked raises
+        DataFormatError ("the file shrank while it was read"), and the
+        caller names the tensor."""
         shape = self.metas[i].shape
         row = math.prod(shape[1:])
         count = (r1 - r0) * row
-        buf = np.empty(count, dtype="<f4") if out is None else out[:count]
+        buf = out[:count]
         view = memoryview(buf).cast("B")
         with self._lock:
             self._handle.seek(self._starts[i] + r0 * row * _F32_BYTES)
@@ -323,9 +324,9 @@ class TensorRows:
         return self._source.read_rows(self._i, r0, r1, self._buf)
 
 
-def parse_tensor_specs(raw: bytes | str) -> list[TensorMeta]:
+def parse_tensor_specs(raw: bytes) -> list[TensorMeta]:
     """The tensors of an archspec, a JSON list of ``{name, shape, kind,
-    depth}`` objects; ``raw`` is the file's bytes (UTF-8) or text.  Any
+    depth}`` objects; ``raw`` is the file's bytes (UTF-8).  Any
     other document, a missing or unknown key, or a value that breaks a
     metadata rule raises DataFormatError at its JSON path (``$``,
     ``$[i]`` or ``$[i].field``)."""

@@ -80,7 +80,10 @@ def _number(name: str, cast: type, ok: Callable, message: str) -> Callable[[str]
 
 
 _nonneg_int = _number("_nonneg_int", int, lambda v: v >= 0, "must be non-negative")
-_pos_int = _number("_pos_int", int, lambda v: v >= 1, "must be >= 1")
+# 1 to 2**20 histogram bins: the most the bin counter is tested with (its
+# rounding needs fewer than 2**38), and each bin is a bar of ~108 bytes in
+# an SVG.
+_bins = _number("_bins", int, lambda v: 1 <= v <= 2**20, "must be between 1 and 1048576")
 _seed = _number("_seed", int, lambda v: 0 <= v < 2**64, "must fit in an unsigned 64-bit integer")
 _nonneg_float = _number("_nonneg_float", float, lambda v: math.isfinite(v) and v >= 0,
                         "must be finite and non-negative")
@@ -99,7 +102,7 @@ def build_parser() -> _Parser:
     p.add_argument("checkpoint", type=Path)
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
     p.add_argument("--svg-dir", type=Path, help="write one histogram SVG per layer")
-    p.add_argument("--bins", type=_pos_int, default=DEFAULT_BINS)
+    p.add_argument("--bins", type=_bins, default=DEFAULT_BINS)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("postprocess", help="noise + orthogonal re-initialization")

@@ -67,7 +67,7 @@ class PostprocessConfig:
             raise ValueError("start_layer must be non-negative")
 
 
-def _noise_scale(w, beta: float, work: np.ndarray | None = None) -> float | None:
+def _noise_scale(w, beta: float, work: np.ndarray) -> float | None:
     """beta * sigma_r(w), or None where the noise is skipped (beta == 0, a
     single channel, or sigma_r == 0); ``w`` and ``work`` as for sigma_r,
     which the first two cases do not call."""
@@ -183,8 +183,8 @@ def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], N
     With ``orth`` the layer lives in one float64
     :func:`~ghnpost.tensor_ops.layer_buffer` from sigma_r's channels to Q,
     so src is read twice with noise, once without.  Without, sigma_r's
-    channels go in ``work`` (a contiguous float64 buffer of at least the
-    layer's size; a new array if None).
+    channels go in ``work``, a contiguous float64 buffer of at least the
+    layer's size, which only ``beta`` needs.
     Either way the result leaves through one block loop,
     :func:`_add_noise` into one reused buffer of a row block: the noised
     src, or Q times gain without noise.  Each block is checked finite
@@ -400,8 +400,6 @@ def _init_layer(shape: tuple[int, ...], method: str, gain: float, rng: RngStream
     fan_in = C*H*W (or C); "orth" is the sign-corrected Q of a standard
     normal draw, times ``gain``."""
     _, fan_in, _ = geometry(shape)
-    if any(d < 1 for d in shape):
-        raise ValueError(f"shape dimensions must be positive, got {shape}")
     if method == "rand":
         _write_layer(shape, None, put, rng, scale=math.sqrt(2.0 / fan_in), orth=False)
         return

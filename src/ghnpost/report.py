@@ -3,8 +3,11 @@ reports (``analyze``), checkpoint diffs (``compare``), histogram SVGs, and
 the embedding tables that ``pca`` reads and writes (the projection itself
 is :func:`~ghnpost.linalg.pca_project`).
 
-All emitters are pure text producers; floats are printed with 9
-significant digits so identical inputs give identical files everywhere.
+Each layer's histogram has the ``--bins`` bins that the command line
+has checked, and an embedding table's labels are None where it has no
+label column.  All emitters are pure text producers; floats are printed
+with 9 significant digits so identical inputs give identical files
+everywhere.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class LayerRecord:
 class EmbeddingSet:
     ids: list[str]
     vectors: np.ndarray  # n x d, float64
-    labels: list[float] | None = None
+    labels: list[float] | None  # None without a label column
 
 
 @dataclass
@@ -62,7 +65,7 @@ def _csv(header: list[str], rows: Iterable[list]) -> str:
 def analyze_checkpoint(c: CheckpointReader, bins: int) -> list[LayerRecord]:
     """A :class:`LayerRecord` for every conv/linear tensor of the file
     ``c``, in file order, with its correlation statistics and a histogram
-    of ``bins`` bins.
+    of ``bins`` bins (1 to 2**20, as the command line checks them).
 
     Each one is read through :class:`~ghnpost.checkpoint_io.TensorRows`, a
     block of rows at a time, straight into the float64 channels of
@@ -83,8 +86,6 @@ def analyze_checkpoint(c: CheckpointReader, bins: int) -> list[LayerRecord]:
     whose working memory cannot be allocated raises OutOfMemory naming
     it (the largest, for that buffer).
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     layers = [(i, meta) for i, meta in enumerate(c.metas) if meta.kind in ELIGIBLE_KINDS]
     work = largest_layer_buffer(meta for _, meta in layers)
     records = []
@@ -297,7 +298,7 @@ def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[Compar
 
 
 def _compare_layer(name: str, rows_a: TensorRows, rows_b: TensorRows,
-                   work: np.ndarray | None) -> CompareRow:
+                   work: np.ndarray) -> CompareRow:
     """The row of one conv/linear tensor: sigma_r of each file's tensor,
     one after the other, with its channels in ``work`` (as for
     :func:`~ghnpost.stats.sigma_r`), then max |a - b| from the same row

@@ -20,10 +20,10 @@ Because every word is a pure function of (seed, counter), layers can be
 processed in any order, or in parallel, with identical results; for the
 same reason a stream is generated in fixed-size chunks without changing
 any bit of it.  The stream is also random-access by position:
-``normal_at(positions)`` generates only the pairs those positions fall in
-and equals ``normal(n)[positions]`` bit for bit, so a caller that needs a
-few scattered values (the noise step, where most of the noise is below
-float32 resolution) skips the rest of the stream.
+``normal_at(positions, out)`` generates only the pairs those positions
+fall in and writes ``normal(n)[positions]`` into ``out``, bit for bit, so
+a caller that needs a few scattered values (the noise step, where most of
+the noise is below float32 resolution) skips the rest of the stream.
 """
 
 from __future__ import annotations
@@ -157,20 +157,17 @@ class RngStream:
             _box_muller(u, out[lo:hi:2], out[lo + 1 : hi : 2], words)
         return out[start - first : start - first + n]
 
-    def normal_at(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Standard-normal values at ``positions`` of the stream (float64).
+    def normal_at(self, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Standard-normal values at ``positions`` of the stream, written
+        into ``out``, a float64 array of their length, and returned.
 
         Equals ``normal(max(positions) + 1)[positions]`` bit for bit, but
         only the pairs the positions touch are generated: value p needs
         words 2j and 2j+1 of its pair j = p // 2 (counters 2j+1 and 2j+2).
-        ``positions`` is a 1-D integer array in any order; the values go
-        to ``out`` (a new array by default).  The work buffers have one
-        size whatever the number of positions, so calls of varying size
-        reuse the same heap blocks.
+        ``positions`` is a 1-D integer array in any order.  The work
+        buffers have one size whatever the number of positions, so calls
+        of varying size reuse the same heap blocks.
         """
-        positions = np.asarray(positions)
-        if out is None:
-            out = np.empty(len(positions))
         if positions.size and positions.min() < 0:
             raise ValueError("positions must be non-negative")
         seed = self._seed()

@@ -6,7 +6,7 @@ A "channel" is row k of the K x CHW view of a rank-2/4 weight tensor.
 All accumulation runs in float64 regardless of storage dtype, so that
 correlations of near-identical channels stay stable.  The channels come
 from an array or, a block of rows at a time, from a checkpoint file;
-either way they are copied once, into float64.
+either way they are copied once, into the caller's float64 buffer.
 
 No K x K or K(K-1)/2 array is built: the statistics
 are folded from row panels of the Gram matrix, and the panel moments
@@ -73,28 +73,28 @@ class CorrelationStats:
     sigma_r: float  # population standard deviation
     mean_abs: float  # mean |r|
     # Counts of equal-width bins over [-1, 1], as np.histogram's with
-    # range=(-1, 1); None unless bins were asked for.
-    histogram: np.ndarray | None
+    # range=(-1, 1).
+    histogram: np.ndarray
 
 
-def _centered(w, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _centered(w, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean-centered float64 channels, their safe norms and the dead mask.
 
     ``w`` is a rank-2/4 array or a row source (see
     :func:`~ghnpost.tensor_ops.row_blocks`): its channels are copied a
     block of rows at a time, from views of the array or from the source's
     float32 buffer, so a source's layer is never whole in float32.  They
-    go to a new array, or into the start of ``work``, a contiguous
-    float64 buffer of at least w's size.  Channels of fewer than 2
-    values raise NumericalError ("channels have"); a tensor holding NaN
-    or Inf raises NumericalError ("tensor holds NaN or Inf values", from
+    go into the start of ``work``, a contiguous float64 buffer of at
+    least w's size.  Channels of fewer than 2 values raise
+    NumericalError ("channels have"); a tensor holding NaN or Inf
+    raises NumericalError ("tensor holds NaN or Inf values", from
     :func:`~ghnpost.tensor_ops.check_finite` on each block's norms against
     its rows): it has no finite correlation.
     """
     k, chw, _ = geometry(w.shape)
     if chw < 2:
         raise NumericalError(f"channels have {chw} elements, need at least 2")
-    xc = np.empty((k, chw)) if work is None else work[: k * chw].reshape(k, chw)
+    xc = work[: k * chw].reshape(k, chw)
     norms = np.empty(k)
     # Each row is centered and reduced on its own, so blocks of rows give
     # the bits of whole-array passes, with each block still in cache:
@@ -138,9 +138,9 @@ def _normalize(g: np.ndarray, rows: slice, cols: slice, safe: np.ndarray,
 
 
 class _Fold:
-    """Running count, shifted mean, M2, sum |r| and histogram counts of the
-    correlations of ``k`` channels; raises NumericalError for k < 2 ("need
-    k >= 2 channels"), and ValueError for ``bins`` < 1.
+    """Running count, shifted mean, M2, sum |r| and, unless ``bins`` is
+    None, the histogram counts of the correlations of ``k`` channels;
+    raises NumericalError for k < 2 ("need k >= 2 channels").
 
     Every value folded in must lie in [-1, 1], as the correlations of
     :func:`_normalize` do: the bin counter has no range mask.  It counts
@@ -153,8 +153,6 @@ class _Fold:
     def __init__(self, k: int, bins: int | None):
         if k < 2:
             raise NumericalError(f"need k >= 2 channels, got {k}")
-        if bins is not None and bins < 1:
-            raise ValueError("bins must be >= 1")
         self.bins = bins
         self.counts = self.edges = None
         if bins is not None:
@@ -199,8 +197,9 @@ class _Fold:
         put r by a few ulp of ``bins``, far less than tol.  So trunc(f) is
         r's bin, or the bin above where f lies less than 2 tol above an
         integer; only those few values are rechecked against the edges.
-        (That needs tol < 1/4, so bins < 2^38.)  Only r in the last bin
-        get f past bins - 1/2 (r = 1 gives f = bins): f is capped there.
+        (That needs tol < 1/4, so bins < 2^38; ``--bins`` is at most
+        2^20.)  Only r in the last bin get f past bins - 1/2 (r = 1 gives
+        f = bins): f is capped there.
         """
         bins = self.bins
         f, idx, near = (buf[: len(r)] for buf in self._blocks)
@@ -216,22 +215,13 @@ class _Fold:
             idx[at] -= r[at] < self.edges[idx[at]]
         self.counts += np.bincount(idx, minlength=bins)
 
-    def result(self) -> CorrelationStats:
-        return CorrelationStats(
-            sigma_r=math.sqrt(self.m2 / self.n),
-            mean_abs=self.abs_sum / self.n,
-            histogram=self.counts,
-        )
 
-
-def correlation_stats(w, bins: int | None = None, work: np.ndarray | None = None
-                      ) -> CorrelationStats:
-    """sigma_r, mean |r| and (with ``bins``) the histogram of a tensor's
+def correlation_stats(w, bins: int, work: np.ndarray) -> CorrelationStats:
+    """sigma_r, mean |r| and the ``bins``-bin histogram of a tensor's
     off-diagonal channel correlations, holding only the float64 channels
     and two ``_PANEL_ROWS x K`` buffers.  ``w`` is an array or a row
     source, as for :func:`_centered`; both give the same bits.  The
-    channels go to a new array, or into ``work``, as for
-    :func:`sigma_r`.
+    channels go into ``work``, as for :func:`sigma_r`.
 
     Each Gram panel is normalized by :func:`_normalize`, its strict upper
     triangle packed and folded in, and the panel reused.
@@ -249,19 +239,17 @@ def correlation_stats(w, bins: int | None = None, work: np.ndarray | None = None
     xc, safe, dead = _centered(w, work)
     k, chw = xc.shape
     fold = _Fold(k, bins)
-    mean = _certified_mean(xc, safe, -1.0 if bins is None else fold.edges[-2])
+    mean = _certified_mean(xc, safe, fold.edges[-2])
     if mean is None:
-        return _fold_panels(xc, safe, dead, fold)
-    if bins is not None:
-        fold.counts[-1] = k * (k - 1) // 2
+        return CorrelationStats(*_fold_panels(xc, safe, dead, fold), fold.counts)
+    fold.counts[-1] = k * (k - 1) // 2
     if k > chw:
         sigma = _tall_sigma(xc, safe)
         if sigma * math.sqrt(k) * _ROUTES_AGREE >= 2.0**-53:
             return CorrelationStats(sigma, mean, fold.counts)
         del xc  # overwritten by _tall_sigma: the channels are read again
         xc, safe, dead = _centered(w, work)
-    folded = _fold_panels(xc, safe, dead, _Fold(k, None))
-    return CorrelationStats(folded.sigma_r, folded.mean_abs, fold.counts)
+    return CorrelationStats(*_fold_panels(xc, safe, dead, _Fold(k, None)), fold.counts)
 
 
 def _certified_mean(xc: np.ndarray, safe: np.ndarray, edge: float) -> float | None:
@@ -290,9 +278,9 @@ def _certified_mean(xc: np.ndarray, safe: np.ndarray, edge: float) -> float | No
 
 
 def _fold_panels(xc: np.ndarray, safe: np.ndarray, dead: np.ndarray, fold: _Fold
-                 ) -> CorrelationStats:
-    """The statistics of the :func:`_centered` channels, their panels
-    folded into ``fold``."""
+                 ) -> tuple[float, float]:
+    """sigma_r and mean |r| of the :func:`_centered` channels, their panels
+    folded into ``fold``, which counts their bins if it has any."""
     k = xc.shape[0]
     size = min(_PANEL_ROWS, k) * k
     panel, scratch = np.empty(size), np.empty(size)
@@ -312,26 +300,26 @@ def _fold_panels(xc: np.ndarray, safe: np.ndarray, dead: np.ndarray, fold: _Fold
             pos += count
         if pos:
             fold.add(scratch[:pos], panel[:pos])
-    return fold.result()
+    return math.sqrt(fold.m2 / fold.n), fold.abs_sum / fold.n
 
 
-def sigma_r(w, work: np.ndarray | None = None) -> float:
+def sigma_r(w, work: np.ndarray) -> float:
     """sigma_r of a tensor's channel correlations, as
-    ``correlation_stats(w).sigma_r`` computes it; ``w`` is an array or a
-    row source, as for :func:`_centered`.
+    ``correlation_stats(w, bins, work).sigma_r`` computes it; ``w`` is an
+    array or a row source, as for :func:`_centered`.
 
-    The float64 channels go to a new array, or into ``work``, a contiguous
-    float64 buffer of at least w's size, which is left clobbered.  With
-    K <= CHW the value is the fold's, bit for bit.  A tall layer (K > CHW)
-    gets it from the CHW x CHW Gram instead (see :func:`_tall_sigma`),
-    within 2^-53 / (sigma_r sqrt(K)) relative of the fold (see
-    _ROUTES_AGREE): the closer the channels, the wider the gap.  Needs at
-    least two channels.
+    The float64 channels go into ``work``, a contiguous float64 buffer of
+    at least w's size, which is left clobbered.  With K <= CHW the value
+    is the fold's, bit for bit.  A tall layer (K > CHW) gets it from the
+    CHW x CHW Gram instead (see :func:`_tall_sigma`), within
+    2^-53 / (sigma_r sqrt(K)) relative of the fold (see _ROUTES_AGREE):
+    the closer the channels, the wider the gap.  Needs at least two
+    channels.
     """
     xc, safe, dead = _centered(w, work)
     k, chw = xc.shape
     if k <= chw:
-        return _fold_panels(xc, safe, dead, _Fold(k, None)).sigma_r
+        return _fold_panels(xc, safe, dead, _Fold(k, None))[0]
     return _tall_sigma(xc, safe)
 
 

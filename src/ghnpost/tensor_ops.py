@@ -6,8 +6,9 @@ K < CHW the matrix is transposed so that the result always has at least
 as many rows as columns, which is what the QR step downstream requires.
 :func:`geometry` is the one place that reads K, CHW and that choice off a
 shape, and that rejects any other rank.  :func:`check_finite` is the one
-place that finds NaN or Inf in layer data, and blames the input or the
-arithmetic for it.  :func:`row_blocks` walks a tensor of any rank in
+place that finds NaN or Inf in layer data, and blames the input (which
+its caller passes, or None where there is none) or the arithmetic for
+it.  :func:`row_blocks` walks a tensor of any rank in
 blocks of whole rows (a K x CHW matrix's, for a layer), from an array or
 from a checkpoint file.
 :func:`layer_buffer` gives a layer's float64 copy a memory mapping of its
@@ -113,11 +114,12 @@ def release_tail(buf: np.ndarray, size: int) -> None:
         buf.base.obj.madvise(mmap.MADV_DONTNEED, start, buf.nbytes - start)
 
 
-def check_finite(out: np.ndarray, source: np.ndarray | None = None) -> None:
+def check_finite(out: np.ndarray, source: np.ndarray | None) -> None:
     """Raise NumericalError if ``out`` holds NaN or Inf: "tensor holds NaN
     or Inf values" when ``source``, the values out was made from, holds
-    one too, "output would hold NaN or Inf values" (an overflow)
-    otherwise.  source is read only then."""
+    one too, "output would hold NaN or Inf values" (an overflow) when it
+    holds none or is None (values made from nothing, as ``init``'s are).
+    source is read only then."""
     if not np.isfinite(out).all():
         held = source is not None and not np.isfinite(source).all()
         raise NumericalError("tensor holds NaN or Inf values" if held

@@ -47,8 +47,8 @@ def fold_sigma_r(w):
     """sigma_r as the panel fold takes it, on a tall layer too, where
     ``sigma_r`` and a certified ``correlation_stats`` take the CHW x CHW
     route."""
-    xc, safe, dead = stats._centered(w)
-    return stats._fold_panels(xc, safe, dead, stats._Fold(len(xc), None)).sigma_r
+    xc, safe, dead = stats._centered(w, np.empty(w.size))
+    return stats._fold_panels(xc, safe, dead, stats._Fold(len(xc), None))[0]
 
 
 def make_checkpoint(specs):

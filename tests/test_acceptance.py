@@ -45,7 +45,7 @@ def _noised64(w, beta, seed, name):
     """The repair's first step in float64: w plus beta * sigma_r(w) times
     the tensor's stream."""
     z = RngStream(seed, name).normal(w.size).reshape(w.shape)
-    return w.astype(np.float64) + beta * sigma_r(w) * z
+    return w.astype(np.float64) + beta * sigma_r(w, np.empty(w.size)) * z
 
 
 def _orth64(w):
@@ -290,7 +290,8 @@ def test_c9_determinism_and_format(tmp_path):
     reader = reader_of(blob)
     assert reader.metas == metas
     for i, (*_, arr) in enumerate(tensors):
-        assert reader.read_rows(i, 0, arr.shape[0]).tobytes() == arr.tobytes()
+        assert reader.read_rows(i, 0, arr.shape[0], np.empty(arr.size, np.float32)
+                                ).tobytes() == arr.tobytes()
 
     src = tmp_path / "in.ckpt"
     src.write_bytes(blob)

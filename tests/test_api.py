@@ -1,6 +1,7 @@
 """The package's public names: each exported name resolves, the second
-paths that the command line never ran are gone, and every public
-function is one that a command runs."""
+paths that the command line never ran are gone, every public function
+is one that a command runs, and each takes the one mode the package's
+calls give it."""
 
 import ast
 import dataclasses
@@ -174,3 +175,99 @@ def test_every_public_function_runs_under_a_command(tmp_path):
     public = _public_functions()
     assert "rng.RngStream.normal_at" in public.values()
     assert sorted(name for code, name in public.items() if code not in entered) == []
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _signatures(tree: ast.Module):
+    """(called name, qualname, positional parameters, parameters that
+    default to None) of each public function, public method of a public
+    class and public dataclass constructor of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            methods = [(node.name, node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            methods = [(item.name, f"{node.name}.{item.name}", item, 1) for item in node.body
+                       if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields = [item for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+                yield (node.name, node.name, [f.target.id for f in fields],
+                       {f.target.id for f in fields if _is_none(f.value)})
+        else:
+            continue
+        for called, qualname, fn, skip in methods:
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+            defaults = list(zip(positional[::-1], args.defaults[::-1]))
+            defaults += [(a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+            yield called, qualname, positional, {name for name, d in defaults if _is_none(d)}
+
+
+def _passed(call: ast.Call, positional: list[str]):
+    """The parameters ``call`` passes; all of them where it unpacks."""
+    unpacks = (any(isinstance(a, ast.Starred) for a in call.args)
+               or any(k.arg is None for k in call.keywords))
+    return (set(positional if unpacks else positional[: len(call.args)])
+            | {k.arg for k in call.keywords})
+
+
+def _none_defaults_every_call_passes(trees: list[ast.Module]) -> list[str]:
+    """``qualname.parameter`` of each public parameter of ``trees`` that
+    defaults to None while every call of its function in ``trees`` passes
+    it.  A function that nothing in ``trees`` calls is an entry point (as
+    ``cli.main`` is), and its defaults are its callers' to take."""
+    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    found = []
+    for tree in trees:
+        for called, qualname, positional, nones in _signatures(tree):
+            sites = [call for call in calls
+                     if getattr(call.func, "id", getattr(call.func, "attr", None)) == called]
+            if sites:
+                passed = set.intersection(*(_passed(call, positional) for call in sites))
+                found += [f"{qualname}.{name}" for name in sorted(nones & passed)]
+    return sorted(found)
+
+
+def _package_trees():
+    package = Path(ghnpost.__file__).parent
+    return [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(package.glob("*.py"))]
+
+
+def test_no_public_parameter_defaults_to_a_mode_no_call_takes():
+    # A default of None that every call in the package overrides is a
+    # second mode that only tests take: each public function takes the
+    # one mode the commands run.
+    assert _none_defaults_every_call_passes(_package_trees()) == []
+
+
+def test_the_mode_guard_names_a_default_every_call_overrides():
+    source = """
+from dataclasses import dataclass
+
+def both(a, out=None, *, flag=None): ...
+def entry(argv=None): ...
+class Reader:
+    def read(self, i, out=None): ...
+    def _hidden(self, out=None): ...
+@dataclass
+class Table:
+    ids: list
+    labels: list | None = None
+class _Private:
+    def read_all(self, out=None): ...
+
+both(1, None, flag=2)
+both(a=1, out=2, flag=None)
+entry()
+Reader().read(1, out=2)
+Table([], [])
+_Private().read_all(1)
+"""
+    assert _none_defaults_every_call_passes([ast.parse(source)]) == [
+        "Reader.read.out", "Table.labels", "both.flag", "both.out"]
+    lazy = source.replace("both(a=1, out=2, flag=None)", "both(1)")
+    assert _none_defaults_every_call_passes([ast.parse(lazy)]) == ["Reader.read.out", "Table.labels"]

@@ -39,7 +39,7 @@ def _assert_reads_back(blob):
     specs, arrays = decode_ckpt(blob)
     assert reader.metas == [TensorMeta(s.name, s.shape, s.kind, s.depth) for s in specs]
     for i, arr in enumerate(arrays):
-        got = reader.read_rows(i, 0, arr.shape[0])
+        got = reader.read_rows(i, 0, arr.shape[0], np.empty(arr.size, np.float32))
         assert got.dtype == np.float32 and got.shape == arr.shape
         assert got.tobytes() == arr.tobytes()
 
@@ -87,7 +87,7 @@ def test_hand_built_file_matches_format():
 
     reader = reader_of(blob)
     assert reader.metas == [TensorMeta(name="w", shape=(2, 2), kind="linear", depth=0)]
-    arr = reader.read_rows(0, 0, 2)
+    arr = reader.read_rows(0, 0, 2, np.empty(4, np.float32))
     assert arr.dtype == np.float32
     np.testing.assert_array_equal(arr, np.array([[1, 2], [3, 4]], dtype=np.float32))
 
@@ -163,7 +163,7 @@ def test_name_rule_holds_in_reader_writer_and_archspec(name):
         encode_header([TensorMeta(name, (2,), "linear", 0)])
     text = json.dumps([{"name": name, "shape": [2], "kind": "linear", "depth": 0}])
     with pytest.raises(DataFormatError, match=r"^\$\[0\]\.name: expected a non-empty"):
-        parse_tensor_specs(text)
+        parse_tensor_specs(text.encode())
 
 
 @pytest.mark.parametrize("field, want", [("offset", 8), ("length", 2)])
@@ -183,7 +183,7 @@ def test_too_deeply_nested_json_is_a_data_error():
     with pytest.raises(DataFormatError, match="^header: not valid JSON"):
         reader_of(b"GHNP" + struct.pack("<IQ", 1, len(deep)) + deep.encode())
     with pytest.raises(DataFormatError, match=r"^\$: not valid JSON"):
-        parse_tensor_specs(deep)
+        parse_tensor_specs(deep.encode())
 
 
 def test_truncated_data():
@@ -219,9 +219,11 @@ def test_each_offset_is_the_contiguous_one(offsets):
 def test_bytes_after_the_last_tensor_are_ignored(small_checkpoint):
     reader = reader_of(small_checkpoint + b"\xff" * 13)
     for i, arr in enumerate(decode_ckpt(small_checkpoint)[1]):
-        assert reader.read_rows(i, 0, arr.shape[0]).tobytes() == arr.tobytes()
+        assert reader.read_rows(i, 0, arr.shape[0], np.empty(arr.size, np.float32)
+                                ).tobytes() == arr.tobytes()
     reader = reader_of(_two_tensor_blob((0, 8)) + bytes(8))
-    np.testing.assert_array_equal(reader.read_rows(1, 0, 2), np.array([3, 4], dtype=np.float32))
+    np.testing.assert_array_equal(reader.read_rows(1, 0, 2, np.empty(2, np.float32)),
+                                  np.array([3, 4], dtype=np.float32))
 
 
 @pytest.mark.parametrize("size", ["full", "toy"])
@@ -250,11 +252,11 @@ def test_short_readinto_is_truncated_data(small_checkpoint, tmp_path):
         os.truncate(path, len(blob) - 4)
         *whole, last = reader.metas
         for i, meta in enumerate(whole):
-            reader.read_rows(i, 0, meta.shape[0])
+            reader.read_rows(i, 0, meta.shape[0], np.empty(math.prod(meta.shape), np.float32))
         assert last.name == "head.fc"  # 10 x 16 values, 640 bytes
         with pytest.raises(DataFormatError, match=(
                 "^read 636 of 640 bytes; the file shrank while it was read$")):
-            reader.read_rows(len(whole), 0, last.shape[0])
+            reader.read_rows(len(whole), 0, last.shape[0], np.empty(160, np.float32))
 
 
 class _PieceReader(io.BytesIO):
@@ -269,9 +271,11 @@ def test_a_read_in_pieces_is_reassembled_bit_for_bit(small_checkpoint):
     reader = CheckpointReader(_PieceReader(small_checkpoint))
     arrays = decode_ckpt(small_checkpoint)[1]
     for i, arr in enumerate(arrays):
-        assert reader.read_rows(i, 0, arr.shape[0]).tobytes() == arr.tobytes()
+        assert reader.read_rows(i, 0, arr.shape[0], np.empty(arr.size, np.float32)
+                                ).tobytes() == arr.tobytes()
     w = arrays[2]
-    assert reader.read_rows(2, 3, 11).tobytes() == w[3:11].tobytes()
+    assert reader.read_rows(2, 3, 11, np.empty(w[3:11].size, np.float32)
+                            ).tobytes() == w[3:11].tobytes()
 
 
 def test_writers_match_for_non_contiguous_arrays(tmp_path):
@@ -280,7 +284,8 @@ def test_writers_match_for_non_contiguous_arrays(tmp_path):
     with open(path, "wb") as handle:
         positional_writer(handle.fileno(), [TensorMeta("w", (3, 2), "linear", 0)])(0, w.T, 0)
     assert path.read_bytes() == make_checkpoint([("w", (3, 2), "linear", 0, w.T)])
-    np.testing.assert_array_equal(reader_of(path.read_bytes()).read_rows(0, 0, 3), w.T)
+    np.testing.assert_array_equal(
+        reader_of(path.read_bytes()).read_rows(0, 0, 3, np.empty(6, np.float32)), w.T)
 
 
 def _many_tensors(n=24):
@@ -304,7 +309,9 @@ def test_loads_from_four_threads_equal_a_sequential_read(tmp_path):
         reader = CheckpointReader(handle)
 
         def read(i):
-            return reader.read_rows(i, 0, reader.metas[i].shape[0]).tobytes()
+            shape = reader.metas[i].shape
+            return reader.read_rows(i, 0, shape[0], np.empty(math.prod(shape), np.float32)
+                                    ).tobytes()
 
         expected = [read(i) for i in ids]
         mismatches = []
@@ -389,12 +396,12 @@ def test_positional_writer_in_any_order_equals_the_encoded_bytes(tmp_path, monke
 )
 def test_parse_tensor_specs_schema_errors(text, pattern):
     with pytest.raises(DataFormatError, match=pattern):
-        parse_tensor_specs(text)
+        parse_tensor_specs(text.encode())
 
 
 def test_parse_tensor_specs_returns_the_metas():
     text = '[{"name":"w","shape":[2,3],"kind":"linear","depth":1}]'
-    assert parse_tensor_specs(text) == [TensorMeta("w", (2, 3), "linear", 1)]
+    assert parse_tensor_specs(text.encode()) == [TensorMeta("w", (2, 3), "linear", 1)]
 
 
 def test_write_rejects_invariant_violations(tmp_path):

@@ -494,7 +494,7 @@ def test_nan_in_third_eligible_tensor_with_layers_in_flight(tmp_path, monkeypatc
     l3_pulled = threading.Event()
 
     class RecordingReader(cli.CheckpointReader):
-        def read_rows(self, i, r0, r1, out=None):
+        def read_rows(self, i, r0, r1, out):
             name = self.metas[i].name
             if name == "l2.conv":
                 l3_pulled.wait(timeout=30)  # l2.conv stays in flight until l3.conv is
@@ -520,7 +520,7 @@ def _recording_reader(monkeypatch, pulled, delay=None):
     ``delay(i)`` seconds if given."""
 
     class RecordingReader(cli.CheckpointReader):
-        def read_rows(self, i, r0, r1, out=None):
+        def read_rows(self, i, r0, r1, out):
             name = self.metas[i].name
             if name not in pulled:
                 if delay is not None:
@@ -674,6 +674,28 @@ def test_usage_errors(capsys, tmp_path):
     assert run(["postprocess", "in.ckpt", "--start-layer", "-3",
                 "--out", str(tmp_path / "o.ckpt")]) == 1
     assert run(["nonsense"]) == 1
+
+
+@pytest.mark.parametrize("bins", [0, 2**20 + 1, 2**38, 2**40, 2**62, 10**23])
+def test_bins_out_of_range_is_a_usage_error(bins, ckpt_path, tmp_path, capsys):
+    # The bin counter is tested up to 2**20 bins, and each bin is a bar of
+    # every SVG: the parser refuses the rest before anything is read.
+    argv = ["analyze", str(ckpt_path), "--out", str(tmp_path / "report.csv"),
+            "--svg-dir", str(tmp_path / "svg"), "--bins", str(bins)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if ": error: " in line] == [
+        "ghnpost analyze: error: argument --bins: must be between 1 and 1048576"]
+    assert err[0].startswith("usage: ghnpost analyze ")
+    assert os.listdir(tmp_path) == ["in.ckpt"]
+
+
+def test_the_most_bins_are_accepted(ckpt_path, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert run(["analyze", str(ckpt_path), "--out", str(out), "--bins", str(2**20)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [row[0] for row in csv.reader(io.StringIO(out.read_text()))] == [
+        "name", "l0.conv", "l1.conv", "l2.fc"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -864,6 +886,19 @@ def test_init_bad_schema(tmp_path):
     path.write_text('[{"name": "w"}]')
     assert run(["init", str(path), "--method", "rand", "--out",
                 str(tmp_path / "o.ckpt")]) == 2
+
+
+@pytest.mark.parametrize("shape", [[3, 0], [0, 3]])
+@pytest.mark.parametrize("method", ["rand", "orth"])
+def test_init_zero_dimension_is_a_data_error(method, shape, tmp_path, capsys):
+    # The archspec reader refuses the shape before any output exists, so
+    # no layer of zero size reaches the initializers.
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps([{"name": "w", "shape": shape, "kind": "linear", "depth": 0}]))
+    assert run(["init", str(arch), "--method", method, "--out", str(tmp_path / "o.ckpt")]) == 2
+    assert capsys.readouterr().err == (
+        f"ghnpost: data error: $[0].shape: expected 1-4 positive integers, got {shape}\n")
+    assert os.listdir(tmp_path) == ["arch.json"]
 
 
 def test_init_rank3_conv_is_numerical_error(tmp_path):
@@ -1516,7 +1551,7 @@ def test_cli_surface_is_pinned():
             ("checkpoint", None, None, True, "Path"),
             (("--out",), None, None, True, "Path"),
             (("--svg-dir",), None, None, False, "Path"),
-            (("--bins",), 50, None, False, "_pos_int"),
+            (("--bins",), 50, None, False, "_bins"),
         ],
         "postprocess": [
             ("checkpoint", None, None, True, "Path"),

@@ -70,11 +70,6 @@ def test_analyze_saxe_checkpoint_has_low_correlation():
             assert rec.stats.mean_abs < 0.15
 
 
-def test_analyze_needs_a_bin(small_checkpoint):
-    with pytest.raises(ValueError, match="bins must be >= 1"):
-        analyze_checkpoint(reader_of(small_checkpoint), bins=0)
-
-
 def test_analyze_error_names_tensor():
     c = make_checkpoint([("tiny", (1, 8), "conv", 0, np.ones((1, 8), np.float32))])
     with pytest.raises(NumericalError, match="^tensor 'tiny': need k >= 2 channels, got 1$"):
@@ -179,7 +174,7 @@ def test_project_exact_plane():
     basis = np.linalg.qr(rng.normal(size=(32, 2)))[0].T
     coeffs = rng.normal(size=(50, 2)) * [4.0, 2.0]
     vectors = coeffs @ basis
-    e = EmbeddingSet(ids=[str(i) for i in range(50)], vectors=vectors)
+    e = EmbeddingSet(ids=[str(i) for i in range(50)], vectors=vectors, labels=None)
     projected = pca_project(e.vectors)
     recon_var = np.var(projected[:, 0]) + np.var(projected[:, 1])
     total_var = np.var(vectors - vectors.mean(axis=0), axis=0).sum()
@@ -187,7 +182,7 @@ def test_project_exact_plane():
 
 
 def test_project_too_few_vectors():
-    e = EmbeddingSet(ids=["a", "b"], vectors=np.zeros((2, 8)))
+    e = EmbeddingSet(ids=["a", "b"], vectors=np.zeros((2, 8)), labels=None)
     with pytest.raises(NumericalError,
                        match="^need at least 3 vectors of dimension >= 2, got 2 x 8$"):
         pca_project(e.vectors)
@@ -260,8 +255,8 @@ def _compare_one_layer(shape, seed):
 @pytest.mark.parametrize("shape", [(2, 5), (16, 8, 3, 3), (64, 64), (130, 2, 8, 9)])
 def test_compare_sigma_r_is_the_fold_bit_for_bit_up_to_k_equal_chw(shape):
     row, a, b = _compare_one_layer(shape, seed=61)
-    assert row.sigma_r_a == correlation_stats(a).sigma_r
-    assert row.sigma_r_b == correlation_stats(b).sigma_r
+    assert row.sigma_r_a == correlation_stats(a, 1, np.empty(a.size)).sigma_r
+    assert row.sigma_r_b == correlation_stats(b, 1, np.empty(b.size)).sigma_r
 
 
 @pytest.mark.parametrize("shape", [(129, 128), (300, 3, 3, 3), (1024, 1, 7, 7), (2048, 512)])
@@ -317,9 +312,10 @@ def test_file_source_gives_the_bits_of_the_array(layer):
     files = [reader_of(make_checkpoint([("bn", (4,), "norm", 0, norm),
                                         ("w", shape, "linear", 0, w)])) for w in (a, b)]
 
-    want = correlation_stats(a, bins=50)
+    want = correlation_stats(a, 50, np.empty(a.size))
     (rec,) = analyze_checkpoint(files[0], bins=50)
     assert (rec.stats.sigma_r, rec.stats.mean_abs) == (want.sigma_r, want.mean_abs)
     np.testing.assert_array_equal(rec.stats.histogram, want.histogram)
     diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
-    assert compare_checkpoints(*files) == [CompareRow("w", diff, sigma_r(a), sigma_r(b))]
+    assert compare_checkpoints(*files) == [CompareRow("w", diff, sigma_r(a, np.empty(a.size)),
+                                                     sigma_r(b, np.empty(b.size)))]

@@ -172,7 +172,7 @@ def test_normal_at_matches_normal_bytes():
         cases.append(np.sort(rng.choice(n, size=size, replace=False)))
         cases.append(rng.choice(n, size=size, replace=False))
     for positions in cases:
-        got = stream.normal_at(positions)
+        got = stream.normal_at(positions, np.empty(len(positions)))
         assert got.dtype == np.float64 and got.shape == positions.shape
         assert got.tobytes() == ref[positions].tobytes(), positions[:8]
     # into a caller's buffer, as a prefix of a larger one
@@ -183,7 +183,7 @@ def test_normal_at_matches_normal_bytes():
 
 def test_normal_at_rejects_negative_positions():
     with pytest.raises(ValueError):
-        RngStream(1, "x").normal_at(np.array([3, -1]))
+        RngStream(1, "x").normal_at(np.array([3, -1]), np.empty(2))
 
 
 def test_draws_reject_negative_counts_and_starts():

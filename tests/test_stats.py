@@ -23,7 +23,7 @@ from reference import reference_offdiagonal
 def _corr2(a, b):
     """The one correlation of channels a and b: its magnitude is the mean
     |r|, its sign the bin of two that holds it."""
-    stats_ = correlation_stats(np.array([a, b], dtype=np.float32), bins=2)
+    stats_ = correlation_stats(np.array([a, b], dtype=np.float32), 2, np.empty(2 * len(a)))
     return stats_.mean_abs if stats_.histogram[1] else -stats_.mean_abs
 
 
@@ -47,37 +47,37 @@ def test_zero_variance_channel():
 def test_rank4_channels_flattened():
     # rank-4 and its explicit K x CHW reshape give the same statistics
     w = np.random.default_rng(4).normal(size=(6, 2, 2, 2)).astype(np.float32)
-    r4 = correlation_stats(w, bins=50)
-    r2 = correlation_stats(w.reshape(6, 8), bins=50)
+    r4 = correlation_stats(w, 50, np.empty(w.size))
+    r2 = correlation_stats(w.reshape(6, 8), 50, np.empty(w.size))
     assert (r4.sigma_r, r4.mean_abs) == (r2.sigma_r, r2.mean_abs)
     np.testing.assert_array_equal(r4.histogram, r2.histogram)
 
 
 def test_errors():
     with pytest.raises(NumericalError, match="^expected rank 2 or 4 tensor, got rank 3$"):
-        correlation_stats(np.zeros((2, 2, 2), dtype=np.float32))
+        correlation_stats(np.zeros((2, 2, 2), dtype=np.float32), 1, np.empty(8))
     with pytest.raises(NumericalError, match="^channels have 1 elements, need at least 2$"):
-        correlation_stats(np.zeros((4, 1), dtype=np.float32))
+        correlation_stats(np.zeros((4, 1), dtype=np.float32), 1, np.empty(4))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.01, 100.0), st.floats(-50.0, 50.0), st.integers(0, 2**31))
 def test_affine_invariance(scale, shift, seed):
     w = np.random.default_rng(seed).normal(size=(5, 16)).astype(np.float32)
-    base = correlation_stats(w)
+    base = correlation_stats(w, 1, np.empty(w.size))
     w2 = w.astype(np.float64)
     w2[2] = scale * w2[2] + shift
-    mapped = correlation_stats(w2)
+    mapped = correlation_stats(w2, 1, np.empty(w2.size))
     np.testing.assert_allclose([mapped.sigma_r, mapped.mean_abs],
                                [base.sigma_r, base.mean_abs], atol=1e-6)
 
 
 def test_std_of_identical_channels_is_zero():
     w = np.tile(np.array([1.0, 2.0, 5.0], dtype=np.float32), (4, 1))
-    assert correlation_stats(w).sigma_r == 0.0
+    assert correlation_stats(w, 1, np.empty(w.size)).sigma_r == 0.0
     # across several panels too
     wide = np.tile(np.array([1.0, 2.0, 5.0], dtype=np.float32), (100, 1))
-    assert correlation_stats(wide).sigma_r == 0.0
+    assert correlation_stats(wide, 1, np.empty(wide.size)).sigma_r == 0.0
 
 
 def test_std_hand_computed():
@@ -85,39 +85,39 @@ def test_std_hand_computed():
     # mean 1/3, population variance ((1/3)^2 + (1/3)^2 + (2/3)^2)/3 = 2/9,
     # so std = sqrt(2)/3
     w = np.array([[1, -1, 0, 0], [0, 0, 1, -1], [0, 0, 1, -1]], dtype=np.float32)
-    sigma = correlation_stats(w).sigma_r
+    sigma = correlation_stats(w, 1, np.empty(w.size)).sigma_r
     assert sigma == pytest.approx(math.sqrt(2.0) / 3.0, abs=1e-12)
 
 
 def test_std_single_pair_is_zero():
     w = np.array([[1, 2, 3], [1, 3, 2]], dtype=np.float32)
-    assert correlation_stats(w).sigma_r == 0.0
+    assert correlation_stats(w, 1, np.empty(w.size)).sigma_r == 0.0
 
 
 def test_std_too_few_channels():
     w = np.array([[1.0, 2.0]], dtype=np.float32)
     with pytest.raises(NumericalError, match="^need k >= 2 channels, got 1$"):
-        correlation_stats(w)
+        correlation_stats(w, 1, np.empty(w.size))
 
 
 def test_std_bounded():
     for seed in range(5):
         w = np.random.default_rng(seed).normal(size=(10, 30)).astype(np.float32)
-        assert 0.0 <= correlation_stats(w).sigma_r <= 1.0
+        assert 0.0 <= correlation_stats(w, 1, np.empty(w.size)).sigma_r <= 1.0
 
 
 def test_histogram_all_ones():
     w = np.tile(np.array([1.0, 2.0, 5.0], dtype=np.float32), (5, 1))
-    h = correlation_stats(w, bins=4).histogram
+    h = correlation_stats(w, 4, np.empty(w.size)).histogram
     np.testing.assert_array_equal(h, [0, 0, 0, 10])
     assert h.sum() == 5 * 4 // 2
 
 
 def test_histogram_extremes():
     # -1 lands in the first bin; exactly 1.0 lands in the last bin
-    h = correlation_stats(np.array([[1, 2, 3], [3, 2, 1]], np.float32), bins=2).histogram
+    h = correlation_stats(np.array([[1, 2, 3], [3, 2, 1]], np.float32), 2, np.empty(6)).histogram
     np.testing.assert_array_equal(h, [1, 0])
-    h = correlation_stats(np.array([[1, 2, 3], [1, 2, 3]], np.float32), bins=2).histogram
+    h = correlation_stats(np.array([[1, 2, 3], [1, 2, 3]], np.float32), 2, np.empty(6)).histogram
     np.testing.assert_array_equal(h, [0, 1])
 
 
@@ -140,7 +140,7 @@ def test_histogram_vs_brute_force():
 
 def test_ghn_like_channels_strongly_correlated():
     w = ghn_like_tensor((32, 8, 3, 3), rel_noise=1e-3, seed=0)
-    assert correlation_stats(w).mean_abs > 0.99
+    assert correlation_stats(w, 1, np.empty(w.size)).mean_abs > 0.99
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_packed_kernel_matches_full_matrix_oracle(case):
     sigma, mean_abs = _fsum_moments(ref)
     for bins in (1, 7, 50):
         counts, _ = np.histogram(ref, bins=bins, range=(-1.0, 1.0))
-        folded = correlation_stats(w, bins)
+        folded = correlation_stats(w, bins, np.empty(w.size))
         _assert_rel(folded.sigma_r, sigma)
         _assert_rel(folded.mean_abs, mean_abs)
         np.testing.assert_array_equal(folded.histogram, counts)
@@ -279,14 +279,7 @@ def test_bin_counter_step_does_not_change_a_count(bins):
     _, values = reference_offdiagonal(w)
     assert {-1.0, -0.5, 0.0, 0.5, 1.0} <= set(values.tolist())
     counts, _ = np.histogram(values, bins, range=(-1.0, 1.0))
-    np.testing.assert_array_equal(correlation_stats(w, bins).histogram, counts)
-
-
-def test_fold_without_bins_has_no_histogram():
-    w = np.random.default_rng(2).normal(size=(40, 7))
-    assert correlation_stats(w).histogram is None
-    with pytest.raises(ValueError):
-        correlation_stats(w, bins=0)
+    np.testing.assert_array_equal(correlation_stats(w, bins, np.empty(w.size)).histogram, counts)
 
 
 def test_oracle_cases_hit_the_snaps():
@@ -303,7 +296,7 @@ def test_non_finite_tensor_rejected():
         w2 = w.copy()
         w2[2, 3] = bad
         with pytest.raises(NumericalError, match="^tensor holds NaN or Inf values$"):
-            correlation_stats(w2)
+            correlation_stats(w2, 1, np.empty(w2.size))
 
 
 # --------------------------------------------------------------------------
@@ -356,11 +349,11 @@ def test_sigma_r_of_tall_layers_matches_extended_precision_oracle(case):
     assert w.dtype == np.float32 and w.shape[0] > math.prod(w.shape[1:])
     want = _extended_sigma(w)
     assert want > 0.0
-    _assert_rel(sigma_r(w), want)
+    _assert_rel(sigma_r(w, np.empty(w.size)), want)
     # the fold agrees as closely, and so does what analyze prints: the
     # fold's value, or the tall route's where the layer is certified
     _assert_rel(fold_sigma_r(w), want)
-    _assert_rel(correlation_stats(w, bins=50).sigma_r, want)
+    _assert_rel(correlation_stats(w, 50, np.empty(w.size)).sigma_r, want)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -372,55 +365,54 @@ def test_tall_route_is_within_its_stated_bound_of_the_fold(rel_noise, shape, see
     # at most).
     w = ghn_like_tensor(shape, rel_noise=rel_noise, seed=seed)
     fold = fold_sigma_r(w)
-    assert abs(sigma_r(w) - fold) / fold <= 2.0**-53 / (fold * math.sqrt(shape[0]))
+    assert abs(sigma_r(w, np.empty(w.size)) - fold) / fold <= 2.0**-53 / (fold * math.sqrt(shape[0]))
 
 
 @pytest.mark.parametrize("shape", [(2, 5), (6, 40), (12, 3, 3, 3), (135, 135), (130, 2, 8, 9)])
 def test_sigma_r_is_the_fold_bit_for_bit_up_to_k_equal_chw(shape):
     for w in (correlated_tensor(shape, seed=47), ghn_like_tensor(shape, seed=48)):
-        want = correlation_stats(w).sigma_r
-        assert sigma_r(w) == want
+        want = correlation_stats(w, 1, np.empty(w.size)).sigma_r
         assert sigma_r(w, np.empty(w.size)) == want
 
 
 @pytest.mark.parametrize("case", ["convnext_dwconv", "broad_panels", "dead_and_duplicated"])
 def test_sigma_r_into_a_work_buffer_gives_the_same_bits(case):
     w = _tall_cases()[case]
-    want = correlation_stats(w, bins=50)
+    want = correlation_stats(w, 50, np.empty(w.size))
     # A buffer of the layer's size, or larger, as one run's buffer sized
     # to its largest layer is for the others.
     for size in (w.size, w.size + 7):
-        assert sigma_r(w, np.full(size, np.nan)) == sigma_r(w)
-        got = correlation_stats(w, bins=50, work=np.full(size, np.nan))
+        assert sigma_r(w, np.full(size, np.nan)) == sigma_r(w, np.empty(w.size))
+        got = correlation_stats(w, 50, np.full(size, np.nan))
         assert (got.sigma_r, got.mean_abs) == (want.sigma_r, want.mean_abs)
         assert np.array_equal(got.histogram, want.histogram)
 
 
 def test_sigma_r_errors():
     with pytest.raises(NumericalError, match="^expected rank 2 or 4 tensor, got rank 3$"):
-        sigma_r(np.zeros((2, 2, 2), dtype=np.float32))
+        sigma_r(np.zeros((2, 2, 2), dtype=np.float32), np.empty(8))
     with pytest.raises(NumericalError, match="^channels have 1 elements, need at least 2$"):
-        sigma_r(np.zeros((4, 1), dtype=np.float32))
+        sigma_r(np.zeros((4, 1), dtype=np.float32), np.empty(4))
     with pytest.raises(NumericalError, match="^need k >= 2 channels, got 1$"):
-        sigma_r(np.array([[1.0, 2.0]], dtype=np.float32))
+        sigma_r(np.array([[1.0, 2.0]], dtype=np.float32), np.empty(2))
     for shape in ((4, 6), (40, 3)):  # the fold and the tall path
         w = np.random.default_rng(0).normal(size=shape).astype(np.float32)
         for bad in (np.nan, np.inf, -np.inf):
             w2 = w.copy()
             w2[2, 1] = bad
             with pytest.raises(NumericalError, match="^tensor holds NaN or Inf values$"):
-                sigma_r(w2)
+                sigma_r(w2, np.empty(w2.size))
 
 
 def test_sigma_r_of_identical_tall_channels_is_zero():
     base = np.array([1.0, 2.0, 5.0], dtype=np.float32)
     for k in (4, 40, 300):
-        assert sigma_r(np.tile(base, (k, 1))) == 0.0
+        assert sigma_r(np.tile(base, (k, 1)), np.empty(3 * k)) == 0.0
     # identical channels beside dead ones: every r is 1 or 0, and the
     # spread of that mix is the fold's
     w = np.tile(base, (40, 1))
     w[::4] = 0.25
-    assert sigma_r(w) == pytest.approx(correlation_stats(w).sigma_r, rel=1e-12)
+    assert sigma_r(w, np.empty(w.size)) == pytest.approx(correlation_stats(w, 1, np.empty(w.size)).sigma_r, rel=1e-12)
 
 
 def test_sigma_r_of_positive_multiples_is_zero_as_the_fold_snaps_it():
@@ -432,8 +424,8 @@ def test_sigma_r_of_positive_multiples_is_zero_as_the_fold_snaps_it():
     scaled64 = np.outer(rng.uniform(0.1, 10.0, 40), base.astype(np.float64))
     for w in (scaled32, scaled64):
         assert w.shape[0] > w.shape[1]
-        assert correlation_stats(w).sigma_r == 0.0
-        assert sigma_r(w) == 0.0
+        assert correlation_stats(w, 1, np.empty(w.size)).sigma_r == 0.0
+        assert sigma_r(w, np.empty(w.size)) == 0.0
 
 
 @pytest.mark.parametrize("shape", [(5000, 3, 3, 3), (3500, 20), (20, 5000), (2, 70000)])
@@ -442,7 +434,7 @@ def test_sigma_r_of_a_row_source_is_sigma_r_of_the_array(shape):
     # a file in several row blocks, or one row at a time.
     w = correlated_tensor(shape, seed=73)
     reader = reader_of(make_checkpoint([("w", shape, "conv", 0, w)]))
-    assert sigma_r(TensorRows(reader, 0)) == sigma_r(w)
+    assert sigma_r(TensorRows(reader, 0), np.empty(w.size)) == sigma_r(w, np.empty(w.size))
 
 
 # --------------------------------------------------------------------------
@@ -506,7 +498,7 @@ def test_certificate_matches_full_matrix_oracle(case, orientation, bins):
     _, ref = reference_offdiagonal(w)
     counts, _ = np.histogram(ref, bins=bins, range=(-1.0, 1.0))
     sigma, mean_abs = _fsum_moments(ref)
-    got = correlation_stats(w, bins)
+    got = correlation_stats(w, bins, np.empty(w.size))
     np.testing.assert_array_equal(got.histogram, counts)
     assert got.histogram.dtype == counts.dtype
     _assert_rel(got.sigma_r, sigma)
@@ -528,27 +520,29 @@ def _folds(monkeypatch):
 def test_certified_tall_layer_folds_no_panel(monkeypatch):
     calls = _folds(monkeypatch)
     w = _certificate_case("collapsed", "tall", 50)
-    got = correlation_stats(w, 50)
+    got = correlation_stats(w, 50, np.empty(w.size))
     assert calls == []
     assert got.histogram[-1] == 160 * 159 // 2
-    assert got.sigma_r == sigma_r(w)  # compare's value, bit for bit
+    assert got.sigma_r == sigma_r(w, np.empty(w.size))  # compare's value, bit for bit
 
 
 def test_certified_wide_layer_folds_without_bins(monkeypatch):
     w = _certificate_case("collapsed", "wide", 50)
-    xc, safe, dead = stats._centered(w)
-    want = stats._fold_panels(xc, safe, dead, stats._Fold(len(w), 50))  # counting every r
+    xc, safe, dead = stats._centered(w, np.empty(w.size))
+    fold = stats._Fold(len(w), 50)
+    want = stats._fold_panels(xc, safe, dead, fold)  # counting every r
     calls = _folds(monkeypatch)
-    got = correlation_stats(w, 50)
+    got = correlation_stats(w, 50, np.empty(w.size))
     assert calls == [None]
-    assert (got.sigma_r, got.mean_abs) == (want.sigma_r, want.mean_abs)
-    np.testing.assert_array_equal(got.histogram, want.histogram)
+    assert (got.sigma_r, got.mean_abs) == want
+    np.testing.assert_array_equal(got.histogram, fold.counts)
 
 
 @pytest.mark.parametrize("orientation", sorted(_SHAPES))
 def test_near_edge_layer_falls_back_to_the_fold(monkeypatch, orientation):
     calls = _folds(monkeypatch)
-    correlation_stats(_near_edge(_SHAPES[orientation], 50), 50)
+    w = _near_edge(_SHAPES[orientation], 50)
+    correlation_stats(w, 50, np.empty(w.size))
     assert calls == [50]
 
 

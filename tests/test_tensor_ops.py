@@ -12,12 +12,12 @@ def test_check_finite_blames_the_source_or_the_output(bad):
     source = np.arange(6.0)
     out = source * 2.0
     check_finite(out, source)
-    check_finite(out)
+    check_finite(out, None)
     out[3] = bad
     with pytest.raises(NumericalError, match="^output would hold NaN or Inf values$"):
         check_finite(out, source)
     with pytest.raises(NumericalError, match="^output would hold NaN or Inf values$"):
-        check_finite(out)
+        check_finite(out, None)
     source[5] = bad
     with pytest.raises(NumericalError, match="^tensor holds NaN or Inf values$"):
         check_finite(out, source)

@@ -49,8 +49,8 @@ def _discard(i, block, r0):
 
 
 _CALLS = {
-    "correlation_stats": lambda: correlation_stats(_W, bins=50),
-    "sigma_r": lambda: sigma_r(_W),
+    "correlation_stats": lambda: correlation_stats(_W, 50, np.empty(_W.size)),
+    "sigma_r": lambda: sigma_r(_W, np.empty(_W.size)),
     "analyze": lambda: analyze_checkpoint(_FILE, bins=50),
     "compare": lambda: compare_checkpoints(_FILE, _FILE),
     "postprocess": lambda: ghn_orth_tensors(_FILE, _discard, PostprocessConfig(start_layer=0)),

@@ -4,7 +4,7 @@ them."""
 
 from .checkpoint_io import CheckpointReader, TensorMeta, positional_writer
 from .linalg import pca_project, qr_decompose
-from .postprocess import DEFAULT_BETA, PostprocessConfig, ghn_orth_tensors, init_tensors
+from .postprocess import DEFAULT_BETA, ghn_orth_tensors, init_tensors
 from .report import (
     EmbeddingSet,
     analyze_checkpoint,
@@ -22,7 +22,6 @@ __all__ = [
     "CorrelationStats",
     "DEFAULT_BETA",
     "EmbeddingSet",
-    "PostprocessConfig",
     "RngStream",
     "TensorMeta",
     "analyze_checkpoint",

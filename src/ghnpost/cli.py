@@ -25,12 +25,7 @@ from typing import BinaryIO
 from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, parse_tensor_specs, positional_writer
 from .errors import DataFormatError, NumericalError
 from .linalg import pca_project
-from .postprocess import (
-    DEFAULT_BETA,
-    PostprocessConfig,
-    ghn_orth_tensors,
-    init_tensors,
-)
+from .postprocess import DEFAULT_BETA, ghn_orth_tensors, init_tensors
 from .report import (
     analyze_checkpoint,
     compare_checkpoints,
@@ -81,8 +76,8 @@ def _number(name: str, cast: type, ok: Callable, message: str) -> Callable[[str]
 
 _nonneg_int = _number("_nonneg_int", int, lambda v: v >= 0, "must be non-negative")
 # 1 to 2**20 histogram bins: the most the bin counter is tested with (its
-# rounding needs fewer than 2**38), and each bin is a bar of ~108 bytes in
-# an SVG.
+# rounding needs fewer than 2**38).  analyze keeps 8 bytes a bin of every
+# layer, and an SVG draws a bar of ~108 bytes for each bin with a count.
 _bins = _number("_bins", int, lambda v: 1 <= v <= 2**20, "must be between 1 and 1048576")
 _seed = _number("_seed", int, lambda v: 0 <= v < 2**64, "must fit in an unsigned 64-bit integer")
 _nonneg_float = _number("_nonneg_float", float, lambda v: math.isfinite(v) and v >= 0,
@@ -197,13 +192,16 @@ def _remove(created: list[Path]) -> None:
 
 def _write_texts(files: Iterable[tuple[Path, str]]) -> None:
     """Write each ``(path, text)`` of ``files`` as UTF-8 through
-    :func:`_write_atomic`.  The files are renamed into place only once
-    every one is written, the last first, so a run that fails before then
-    leaves no new file behind and replaces none."""
+    :func:`_write_atomic`, taking the next only once the last is written
+    and dropped, so a generator's texts are held one at a time.  The
+    files are renamed into place only once every one is written, the last
+    first, so a run that fails before then leaves no new file behind and
+    replaces none."""
     with contextlib.ExitStack() as renames:
         for path, text in files:
             with renames.enter_context(_write_atomic(path)) as handle:
                 handle.write(text.encode("utf-8"))
+            del text
 
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
@@ -218,41 +216,38 @@ _SVG_STEM_MAX = 255 - 14 - 4
 def _cmd_analyze(args) -> int:
     with open(args.checkpoint, "rb", buffering=0) as handle:
         records = analyze_checkpoint(CheckpointReader(handle), bins=args.bins)
-    files = []
-    if args.svg_dir is not None:
-        for i, rec in enumerate(records):
-            name = rec.meta.name
-            # The index prefix keeps names unique when the rest is cut.
-            stem = f"{i:03d}_{_UNSAFE.sub('_', name)}"[:_SVG_STEM_MAX]
-            svg = emit_histogram_svg(rec.stats.histogram, name)
-            files.append((args.svg_dir / f"{stem}.svg", svg))
-    files.append((args.out, emit_report_csv(records)))
-    _write_texts(files)
+
+    def files():
+        # Made as _write_texts takes them: one SVG's text is held at a time.
+        if args.svg_dir is not None:
+            for i, rec in enumerate(records):
+                name = rec.meta.name
+                # The index prefix keeps names unique when the rest is cut.
+                stem = f"{i:03d}_{_UNSAFE.sub('_', name)}"[:_SVG_STEM_MAX]
+                yield args.svg_dir / f"{stem}.svg", emit_histogram_svg(rec.stats.histogram, name)
+        yield args.out, emit_report_csv(records)
+
+    _write_texts(files())
     return 0
 
 
 def _cmd_postprocess(args) -> int:
-    beta = DEFAULT_BETA if args.beta is None else args.beta
-    cfg = PostprocessConfig(
-        start_layer=args.start_layer,
-        beta=0.0 if args.skip_noise else beta,
-        seed=args.seed,
-        skip_orth=args.skip_orth,
-    )
+    beta = 0.0 if args.skip_noise else DEFAULT_BETA if args.beta is None else args.beta
     with open(args.checkpoint, "rb", buffering=0) as src:
         reader = CheckpointReader(src)
         # A run that would select no layer would write its input back.
         depths = [meta.depth for meta in reader.metas if meta.kind in ELIGIBLE_KINDS]
-        if max(depths, default=-1) < cfg.start_layer:
+        if max(depths, default=-1) < args.start_layer:
             raise DataFormatError(
-                f"--start-layer {cfg.start_layer} selects no layer: "
+                f"--start-layer {args.start_layer} selects no layer: "
                 + (f"the deepest conv/linear tensor is at depth {max(depths)}" if depths
                    else "the file holds no conv/linear tensor"))
         # The output is renamed into place after the last tensor is read,
         # so --out may name the input file.
         with _write_atomic(args.out) as dst:
             put = positional_writer(dst.fileno(), reader.metas)
-            ghn_orth_tensors(reader, put, cfg)
+            ghn_orth_tensors(reader, put, start_layer=args.start_layer, beta=beta,
+                             seed=args.seed, orth=not args.skip_orth)
     return 0
 
 
@@ -261,7 +256,7 @@ def _cmd_init(args) -> int:
     with _write_atomic(args.out) as handle:
         store = positional_writer(handle.fileno(), metas)
         gain = _DEFAULT_GAIN if args.gain is None else args.gain
-        init_tensors(metas, store, args.method, gain, args.seed)
+        init_tensors(metas, store, args.method == "orth", gain, args.seed)
     return 0
 
 

@@ -27,7 +27,6 @@ import os
 import threading
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,20 +52,6 @@ DEFAULT_BETA = 3e-5
 _ZMAX = 8.6
 
 
-@dataclass(frozen=True)
-class PostprocessConfig:
-    start_layer: int
-    beta: float = DEFAULT_BETA
-    seed: int = 0
-    skip_orth: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError("beta must be finite and non-negative")
-        if self.start_layer < 0:
-            raise ValueError("start_layer must be non-negative")
-
-
 def _noise_scale(w, beta: float, work: np.ndarray) -> float | None:
     """beta * sigma_r(w), or None where the noise is skipped (beta == 0, a
     single channel, or sigma_r == 0); ``w`` and ``work`` as for sigma_r,
@@ -78,7 +63,7 @@ def _noise_scale(w, beta: float, work: np.ndarray) -> float | None:
 
 
 def _add_noise(layer: np.ndarray, shape: tuple[int, ...], src, scale: float | None,
-               rng: RngStream | None, put: Callable[[int, np.ndarray], None] | None = None
+               rng: RngStream, put: Callable[[int, np.ndarray], None] | None = None
                ) -> None:
     """Set ``layer``, the K x CHW matrix (either memory order) of a tensor
     of ``shape``, to ``src + scale * z`` (to src if ``scale`` is None; src
@@ -165,8 +150,8 @@ class _Gather:
 
 
 def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], None],
-                 rng: RngStream | None = None, *, beta: float | None = None,
-                 scale: float | None = None, orth: bool = True, gain: float = 1.0,
+                 rng: RngStream, *, orth: bool, beta: float | None = None,
+                 scale: float | None = None, gain: float = 1.0,
                  work: np.ndarray | None = None) -> None:
     """Make the conv/linear layer of ``shape`` from ``src`` and hand it to
     ``put(r0, rows)`` a row block of its K x CHW matrix at a time, as
@@ -207,10 +192,6 @@ def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], N
         q *= np.where(diag < 0.0, -gain, gain)
         src, scale = layer, None
     _add_noise(np.empty(row_step(k, chw) * chw, np.float32), shape, src, scale, rng, put)
-
-
-def _eligible(meta: TensorMeta, cfg: PostprocessConfig) -> bool:
-    return meta.kind in ELIGIBLE_KINDS and meta.depth >= cfg.start_layer
 
 
 def _run_pool(fn: Callable[[int], None], order: Iterable[int], costs: Sequence[int],
@@ -343,19 +324,20 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
-                     cfg: PostprocessConfig) -> None:
+def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None], *,
+                     start_layer: int, beta: float, seed: int, orth: bool) -> None:
     """The two-step post-processing of each tensor i of the checkpoint file
     ``reader``, handed to ``put(i, block, r0)`` a block of rows r0.. at a
     time as soon as it is made: what ``postprocess`` runs on its input
-    file.
+    file, with the settings its command line has checked (``orth`` off
+    for ``--skip-orth``, ``beta`` 0 for ``--skip-noise``).
 
-    An eligible tensor (kind conv or linear, depth >= cfg.start_layer)
+    An eligible tensor (kind conv or linear, depth >= ``start_layer``)
     is read a row block at a time through
     :class:`~ghnpost.checkpoint_io.TensorRows` (twice with noise: for
     sigma_r, then for the noise), made by :func:`_write_layer` from its
-    own substream keyed by its name, and put a row block of float32 at a
-    time, so no float32 copy of it is held.  Any
+    own substream of ``seed`` keyed by its name, and put a row block of
+    float32 at a time, so no float32 copy of it is held.  Any
     other tensor streams through the same reader's one reused float32
     buffer of a row block, each block read, checked finite and put.
     With the orth step on, the tensors run on :func:`_run_layers`' pool,
@@ -371,21 +353,20 @@ def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
     :func:`~ghnpost.tensor_ops.check_finite`).
     """
     metas = reader.metas
-    eligible = [_eligible(meta, cfg) for meta in metas]
+    eligible = [meta.kind in ELIGIBLE_KINDS and meta.depth >= start_layer for meta in metas]
 
     def one(i: int, work: np.ndarray | None = None) -> None:
         meta = metas[i]
         with naming(meta.name):
             if eligible[i]:
                 _write_layer(meta.shape, TensorRows(reader, i), lambda r0, block: put(i, block, r0),
-                             RngStream(cfg.seed, meta.name), beta=cfg.beta,
-                             orth=not cfg.skip_orth, work=work)
+                             RngStream(seed, meta.name), beta=beta, orth=orth, work=work)
                 return
             for r0, block in row_blocks(TensorRows(reader, i)):
                 check_finite(block, block)
                 put(i, block, r0)
 
-    if not cfg.skip_orth:
+    if orth:
         _run_layers(metas, eligible, one)
         return
     work = largest_layer_buffer(m for m, e in zip(metas, eligible) if e)
@@ -393,46 +374,32 @@ def ghn_orth_tensors(reader: CheckpointReader, put: Callable[..., None],
         one(i, work)
 
 
-def _init_layer(shape: tuple[int, ...], method: str, gain: float, rng: RngStream,
-                put: Callable[[int, np.ndarray], None]) -> None:
-    """:func:`_write_layer` of a ``method`` init of a conv/linear tensor of
-    ``shape`` from ``rng``: "rand" is He-normal, std sqrt(2 / fan_in) with
-    fan_in = C*H*W (or C); "orth" is the sign-corrected Q of a standard
-    normal draw, times ``gain``."""
-    _, fan_in, _ = geometry(shape)
-    if method == "rand":
-        _write_layer(shape, None, put, rng, scale=math.sqrt(2.0 / fan_in), orth=False)
-        return
-    if not (math.isfinite(gain) and gain > 0):
-        raise ValueError("gain must be finite and positive")
-    _write_layer(shape, None, put, rng, scale=1.0, gain=gain)
-
-
 def init_tensors(metas: Sequence[TensorMeta], store: Callable[..., None],
-                 method: str, gain: float, seed: int) -> None:
+                 orth: bool, gain: float, seed: int) -> None:
     """A baseline initialization of each tensor i of ``metas``, handed to
     ``store(i, block, r0)`` a block of rows r0.. at a time as it is made,
-    on :func:`_run_layers`' pool.
+    on :func:`_run_layers`' pool: what ``init`` runs, with ``orth`` for
+    ``--method orth`` and the ``gain`` its command line has checked.
 
-    conv and linear tensors get ``method``, drawing from their own
-    substream keyed by tensor name, as :func:`_init_layer` makes them
-    (``"orth"`` in a float64 layer buffer); each is stored a row block of float32 at a
-    time by :func:`_write_layer`.  norm tensors are ones, and bias and
-    other tensors zeros, stored from one row block of them.  Any other
-    method raises ValueError before anything is stored.  A tensor of
+    conv and linear tensors draw from their own substream of ``seed``
+    keyed by tensor name, and are made by :func:`_write_layer` and
+    stored a row block of float32 at a time: He-normal, std
+    sqrt(2 / fan_in) with fan_in = C*H*W (or C), or with ``orth`` the
+    sign-corrected Q of a standard normal draw, times ``gain``, in a
+    float64 layer buffer.  norm tensors are ones, and bias and other
+    tensors zeros, stored from one row block of them.  A tensor of
     unsupported rank, whose weights would overflow float32, or that
     cannot be allocated raises a NumericalError naming it.
     """
-    if method not in ("rand", "orth"):
-        raise ValueError(f"unknown init method {method!r}")
     eligible = [meta.kind in ELIGIBLE_KINDS for meta in metas]
 
     def one(i: int) -> None:
         meta = metas[i]
         with naming(meta.name):
             if eligible[i]:
-                _init_layer(meta.shape, method, gain, RngStream(seed, meta.name),
-                            lambda r0, block: store(i, block, r0))
+                scale = 1.0 if orth else math.sqrt(2.0 / geometry(meta.shape)[1])
+                _write_layer(meta.shape, None, lambda r0, block: store(i, block, r0),
+                             RngStream(seed, meta.name), scale=scale, orth=orth, gain=gain)
                 return
             k, row = meta.shape[0], math.prod(meta.shape[1:])
             step = row_step(k, row)
@@ -441,4 +408,4 @@ def init_tensors(metas: Sequence[TensorMeta], store: Callable[..., None],
             for r0 in range(0, k, step):
                 store(i, block[: k - r0], r0)
 
-    _run_layers(metas, [e and method == "orth" for e in eligible], one)
+    _run_layers(metas, [e and orth for e in eligible], one)

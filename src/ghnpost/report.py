@@ -126,11 +126,13 @@ def _escape(text: str) -> str:
 
 def emit_histogram_svg(counts: np.ndarray, title: str) -> str:
     """Standalone SVG bar chart of the ``counts`` of equal-width bins over
-    [-1, 1], a correlation histogram."""
+    [-1, 1], a correlation histogram: one bar per bin that holds a count,
+    so its size follows the data, not the number of bins."""
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     baseline = _MARGIN_TOP + plot_h
-    peak = max(1, int(max(counts, default=0)))
+    top = int(counts.max())
+    peak = max(1, top)
 
     def x_at(v: float) -> float:
         return _MARGIN_LEFT + (v + 1.0) / 2.0 * plot_w
@@ -143,10 +145,11 @@ def emit_histogram_svg(counts: np.ndarray, title: str) -> str:
         f'<text x="{_SVG_WIDTH / 2:.2f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
     ]
-    # x of each bin edge; the edges are np.histogram's for range=(-1, 1).
-    xs = [x_at(float(edge)) for edge in np.linspace(-1.0, 1.0, len(counts) + 1)]
-    for count, x0, x1 in zip(counts, xs, xs[1:]):
-        bar_h = plot_h * (int(count) / peak)
+    # The bin edges are np.histogram's for range=(-1, 1).
+    edges = np.linspace(-1.0, 1.0, len(counts) + 1)
+    for b in np.flatnonzero(counts).tolist():
+        x0, x1 = x_at(float(edges[b])), x_at(float(edges[b + 1]))
+        bar_h = plot_h * (int(counts[b]) / peak)
         parts.append(
             f'<rect x="{x0:.2f}" y="{baseline - bar_h:.2f}" '
             f'width="{x1 - x0:.2f}" height="{bar_h:.2f}" '
@@ -168,7 +171,7 @@ def emit_histogram_svg(counts: np.ndarray, title: str) -> str:
         )
     parts.append(
         f'<text x="{_MARGIN_LEFT - 8}" y="{_MARGIN_TOP + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="12">{peak if max(counts, default=0) else 0}</text>'
+        f'font-family="sans-serif" font-size="12">{top}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

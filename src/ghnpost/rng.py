@@ -13,15 +13,15 @@ platforms:
   z_{2j} = sqrt(-2 ln u_{2j}) cos(2 pi u_{2j+1}),
   z_{2j+1} = sqrt(-2 ln u_{2j}) sin(2 pi u_{2j+1})
 
-Streams are stateless: ``normal(n)`` always returns the first n values of
-the stream, ``normal(n)`` is a prefix of ``normal(m)`` for n <= m, and
-``normal(n, start=s)`` is values s .. s+n-1 of it.
+Streams are stateless: ``normal(n, 0)`` always returns the first n values
+of the stream, ``normal(n, 0)`` is a prefix of ``normal(m, 0)`` for n <= m,
+and ``normal(n, s)`` is values s .. s+n-1 of it.
 Because every word is a pure function of (seed, counter), layers can be
 processed in any order, or in parallel, with identical results; for the
 same reason a stream is generated in fixed-size chunks without changing
 any bit of it.  The stream is also random-access by position:
 ``normal_at(positions, out)`` generates only the pairs those positions
-fall in and writes ``normal(n)[positions]`` into ``out``, bit for bit, so
+fall in and writes ``normal(n, 0)[positions]`` into ``out``, bit for bit, so
 a caller that needs a few scattered values (the noise step, where most of
 the noise is below float32 resolution) skips the rest of the stream.
 """
@@ -133,16 +133,16 @@ class RngStream:
     """
 
     master_seed: int
-    label: str = ""
+    label: str
 
     def _seed(self) -> np.uint64:
         return np.uint64(substream_seed(self.master_seed, self.label))
 
-    def normal(self, n: int, start: int = 0) -> np.ndarray:
+    def normal(self, n: int, start: int) -> np.ndarray:
         """Standard-normal values start .. start+n-1 of the stream (float64).
 
         Any slice of the stream can be drawn on its own: consecutive calls
-        with ``start`` advancing by ``n`` concatenate to ``normal(total)``.
+        with ``start`` advancing by ``n`` concatenate to ``normal(total, 0)``.
         """
         if n < 0 or start < 0:
             raise ValueError("n and start must be non-negative")
@@ -161,7 +161,7 @@ class RngStream:
         """Standard-normal values at ``positions`` of the stream, written
         into ``out``, a float64 array of their length, and returned.
 
-        Equals ``normal(max(positions) + 1)[positions]`` bit for bit, but
+        Equals ``normal(max(positions) + 1, 0)[positions]`` bit for bit, but
         only the pairs the positions touch are generated: value p needs
         words 2j and 2j+1 of its pair j = p // 2 (counters 2j+1 and 2j+2).
         ``positions`` is a 1-D integer array in any order.  The work

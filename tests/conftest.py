@@ -9,7 +9,7 @@ import pytest
 
 from ghnpost import linalg, stats
 from ghnpost.checkpoint_io import CheckpointReader, positional_writer
-from ghnpost.postprocess import ghn_orth_tensors, init_tensors
+from ghnpost.postprocess import DEFAULT_BETA, ghn_orth_tensors, init_tensors
 
 # The benchmark's own container codec, written from the documented layout
 # and independent of ghnpost: it builds the tests' input bytes and decodes
@@ -64,16 +64,23 @@ def reader_of(blob):
     return CheckpointReader(io.BytesIO(blob))
 
 
-def through_file(c, cfg=None, init=None, name="w"):
+def repair(start_layer, *, beta=DEFAULT_BETA, seed=0, orth=True):
+    """The settings ``postprocess --start-layer start_layer`` passes to
+    ``ghn_orth_tensors``, with the command line's defaults for the rest
+    (``orth=False`` is ``--skip-orth``, ``beta=0.0`` ``--skip-noise``)."""
+    return {"start_layer": start_layer, "beta": beta, "seed": seed, "orth": orth}
+
+
+def through_file(c, settings=None, init=None, name="w"):
     """What the commands' engine writes for the checkpoint ``c``:
-    ``ghn_orth_tensors`` under the PostprocessConfig ``cfg``, as
+    ``ghn_orth_tensors`` under the :func:`repair` ``settings``, as
     ``postprocess`` runs it, or with ``init`` = (method, gain, seed),
-    ``init_tensors`` of c's tensors, as ``init`` runs it.  ``c`` is read
-    through a CheckpointReader, and the output written through
-    positional_writer into a temporary file, whose bytes come back.  An
-    array ``c`` is a one-tensor file instead, of the conv (rank 4) or
-    linear tensor ``name`` at depth 0 (so ``RngStream(seed, name)`` is
-    its stream), and the output tensor comes back, decoded."""
+    ``init_tensors`` of c's tensors, as ``init --method method`` runs it.
+    ``c`` is read through a CheckpointReader, and the output written
+    through positional_writer into a temporary file, whose bytes come
+    back.  An array ``c`` is a one-tensor file instead, of the conv (rank
+    4) or linear tensor ``name`` at depth 0 (so ``RngStream(seed, name)``
+    is its stream), and the output tensor comes back, decoded."""
     one = isinstance(c, np.ndarray)
     if one:
         c = make_checkpoint([(name, c.shape, "conv" if c.ndim == 4 else "linear", 0, c)])
@@ -81,9 +88,11 @@ def through_file(c, cfg=None, init=None, name="w"):
     with tempfile.TemporaryFile() as out:
         put = positional_writer(out.fileno(), reader.metas)
         if init is None:
-            ghn_orth_tensors(reader, put, cfg)
+            ghn_orth_tensors(reader, put, **settings)
         else:
-            init_tensors(reader.metas, put, *init)
+            method, gain, seed = init
+            assert method in ("rand", "orth"), method
+            init_tensors(reader.metas, put, method == "orth", gain, seed)
         out.seek(0)
         blob = out.read()
     return decode_ckpt(blob)[1][0] if one else blob

@@ -15,7 +15,6 @@ from ghnpost.checkpoint_io import TensorMeta
 from ghnpost.cli import run
 from ghnpost.errors import DataFormatError
 from ghnpost.linalg import one_blas_thread, pca_project, qr_decompose
-from ghnpost.postprocess import PostprocessConfig
 from ghnpost.rng import RngStream
 from ghnpost.stats import sigma_r
 from ghnpost.tensor_ops import geometry
@@ -27,6 +26,7 @@ from conftest import (
     ghn_like_tensor,
     make_checkpoint,
     reader_of,
+    repair,
     through_file,
 )
 from reference import matricize, reference_offdiagonal
@@ -44,7 +44,7 @@ def _orth_error(w):
 def _noised64(w, beta, seed, name):
     """The repair's first step in float64: w plus beta * sigma_r(w) times
     the tensor's stream."""
-    z = RngStream(seed, name).normal(w.size).reshape(w.shape)
+    z = RngStream(seed, name).normal(w.size, 0).reshape(w.shape)
     return w.astype(np.float64) + beta * sigma_r(w, np.empty(w.size)) * z
 
 
@@ -76,7 +76,7 @@ def test_c1_orthogonality_contract():
         arr = (rng.normal(size=shape) * 0.05).astype(np.float32)
         kind = "conv" if len(shape) == 4 else "linear"
         specs.append((f"t{i}", shape, kind, i, arr))
-    cfg = PostprocessConfig(start_layer=0, seed=11)
+    cfg = repair(0, seed=11)
     _, out = decode_ckpt(through_file(make_checkpoint(specs), cfg))
 
     worst_f32 = 0.0
@@ -84,7 +84,7 @@ def test_c1_orthogonality_contract():
     for (name, _, _, _, arr), arr32 in zip(specs, out):
         worst_f32 = max(worst_f32, _orth_error(arr32))
         # replicate the pipeline in float64 to measure before the f32 cast
-        o64 = _orth64(_noised64(arr, cfg.beta, cfg.seed, name))
+        o64 = _orth64(_noised64(arr, cfg["beta"], cfg["seed"], name))
         worst_f64 = max(worst_f64, _orth_error(o64))
         assert arr32.tobytes() == o64.astype(np.float32).tobytes()
     elapsed = time.perf_counter() - start
@@ -103,7 +103,7 @@ def test_c2_correlation_reduction():
     for k, shape in shapes.items():
         w = ghn_like_tensor(shape, rel_noise=1e-3, seed=k)
         before = np.abs(reference_offdiagonal(w)[1]).mean()
-        out = through_file(w, PostprocessConfig(start_layer=0, beta=3e-5, seed=1))
+        out = through_file(w, repair(0, beta=3e-5, seed=1))
         after = np.abs(reference_offdiagonal(out)[1]).mean()
         assert before > 0.9, f"K={k}: before {before}"
         assert after < 0.1, f"K={k}: after {after}"
@@ -142,7 +142,7 @@ def test_c2_decorrelation_reaches_the_welch_bound():
     # convs and stem, whose Welch bound is above C2's 0.1.
     shapes = [(2304, 768), (768, 768), (768, 3072), (256, 64, 3, 3),
               (1024, 1, 7, 7), (256, 1, 7, 7), (128, 3, 4, 4)]
-    cfg = PostprocessConfig(start_layer=0, seed=2)
+    cfg = repair(0, seed=2)
     lines = []
     for shape in shapes:
         k, chw, _ = geometry(shape)
@@ -194,15 +194,14 @@ def test_c5_noise_calibration():
     beta = 3e-5
     sigma = np.std(reference_offdiagonal(w)[1])
     assert sigma > 0.01  # fixture sanity: spread well above f32 quantization
-    noise = PostprocessConfig(start_layer=0, beta=beta, seed=55, skip_orth=True)
+    noise = repair(0, beta=beta, seed=55, orth=False)
     out = through_file(w, noise, name="layer")
     diff = out.astype(np.float64) - w.astype(np.float64)
     target = beta * sigma
     err = abs(diff.std() - target) / target
     assert err <= 0.05, f"noise std off by {err:.2%}"
 
-    frozen = through_file(w, PostprocessConfig(start_layer=0, beta=0.0, seed=55,
-                                               skip_orth=True), name="layer")
+    frozen = through_file(w, repair(0, beta=0.0, seed=55, orth=False), name="layer")
     assert frozen.tobytes() == w.tobytes()
     _report(5, f"noise std within {err:.2%} of beta*sigma(r); beta=0 bit-identical")
 
@@ -217,21 +216,19 @@ def test_c6_exclusion_policy_and_ablations():
         ("deep.fc", (12, 24), "linear", 3, correlated_tensor((12, 24), seed=3)),
     ]
     c = make_checkpoint(specs)
-    cfg = PostprocessConfig(start_layer=2, seed=6)
+    cfg = repair(2, seed=6)
     _, out = decode_ckpt(through_file(c, cfg))
     for i, (name, _, kind, depth, arr) in enumerate(specs):
         changed = kind in ("conv", "linear") and depth >= 2  # deep.conv, deep.fc
         assert (out[i].tobytes() != arr.tobytes()) == changed, name
 
-    _, only_orth = decode_ckpt(through_file(c, PostprocessConfig(start_layer=2, beta=0.0,
-                                                                 seed=6)))
-    _, only_noise = decode_ckpt(through_file(c, PostprocessConfig(start_layer=2, seed=6,
-                                                                  skip_orth=True)))
+    _, only_orth = decode_ckpt(through_file(c, repair(2, beta=0.0, seed=6)))
+    _, only_noise = decode_ckpt(through_file(c, repair(2, seed=6, orth=False)))
     for i in (3, 4):  # deep.conv, deep.fc
         name, *_, w = specs[i]
         direct_orth = _orth64(w.astype(np.float64)).astype(np.float32)
         assert only_orth[i].tobytes() == direct_orth.tobytes()
-        direct_noise = _noised64(w, cfg.beta, 6, name).astype(np.float32)
+        direct_noise = _noised64(w, cfg["beta"], 6, name).astype(np.float32)
         assert only_noise[i].tobytes() == direct_noise.tobytes()
     _report(6, "norm/bias/shallow bit-identical; ablations match single steps")
 

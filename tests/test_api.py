@@ -4,7 +4,6 @@ is one that a command runs, and each takes the one mode the package's
 calls give it."""
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -16,7 +15,6 @@ import ghnpost
 from ghnpost import checkpoint_io, cli, errors, linalg, postprocess, report, stats, tensor_ops
 from ghnpost.checkpoint_io import CheckpointReader
 from ghnpost.linalg import qr_decompose
-from ghnpost.postprocess import PostprocessConfig
 from ghnpost.rng import RngStream
 
 from conftest import make_checkpoint, reader_of
@@ -60,7 +58,7 @@ def test_removed_names_are_absent():
     # follow from its bin count.
     assert "Histogram" not in ghnpost.__all__
     assert not hasattr(ghnpost, "Histogram") and not hasattr(stats, "Histogram")
-    assert "skip_noise" not in {f.name for f in dataclasses.fields(PostprocessConfig)}
+    assert "skip_noise" not in inspect.signature(postprocess.ghn_orth_tensors).parameters
     assert "overwrite_a" not in inspect.signature(qr_decompose).parameters
     # One row walker streams every tensor, and a streamed tensor costs the
     # pool nothing.
@@ -74,6 +72,12 @@ def test_removed_names_are_absent():
     assert not hasattr(report, "project_embeddings")
     assert not hasattr(ghnpost, "project_embeddings")
     assert not hasattr(RngStream, "uniform")
+    # The engines take the settings the command line has checked, as plain
+    # arguments: no config object, and init's method is its one orth flag.
+    for name in ("PostprocessConfig", "_eligible", "_init_layer"):
+        assert not hasattr(postprocess, name) and not hasattr(ghnpost, name), name
+    assert "PostprocessConfig" not in ghnpost.__all__
+    assert "method" not in inspect.signature(postprocess.init_tensors).parameters
     # FORMAT_VERSION is the one version a checkpoint can have.
     assert not hasattr(reader_of(make_checkpoint([])), "version")
     # One error class for each way a caller handles an error.
@@ -177,14 +181,10 @@ def test_every_public_function_runs_under_a_command(tmp_path):
     assert sorted(name for code, name in public.items() if code not in entered) == []
 
 
-def _is_none(node) -> bool:
-    return isinstance(node, ast.Constant) and node.value is None
-
-
 def _signatures(tree: ast.Module):
-    """(called name, qualname, positional parameters, parameters that
-    default to None) of each public function, public method of a public
-    class and public dataclass constructor of ``tree``."""
+    """(called name, qualname, positional parameters, parameters with a
+    default) of each public function, public method of a public class and
+    public dataclass constructor of ``tree``."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             methods = [(node.name, node.name, node, 0)]
@@ -195,15 +195,15 @@ def _signatures(tree: ast.Module):
                 fields = [item for item in node.body
                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
                 yield (node.name, node.name, [f.target.id for f in fields],
-                       {f.target.id for f in fields if _is_none(f.value)})
+                       {f.target.id for f in fields if f.value is not None})
         else:
             continue
         for called, qualname, fn, skip in methods:
             args = fn.args
             positional = [a.arg for a in args.posonlyargs + args.args][skip:]
-            defaults = list(zip(positional[::-1], args.defaults[::-1]))
-            defaults += [(a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
-            yield called, qualname, positional, {name for name, d in defaults if _is_none(d)}
+            defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield called, qualname, positional, set(defaulted)
 
 
 def _passed(call: ast.Call, positional: list[str]):
@@ -214,20 +214,20 @@ def _passed(call: ast.Call, positional: list[str]):
             | {k.arg for k in call.keywords})
 
 
-def _none_defaults_every_call_passes(trees: list[ast.Module]) -> list[str]:
+def _defaults_every_call_passes(trees: list[ast.Module]) -> list[str]:
     """``qualname.parameter`` of each public parameter of ``trees`` that
-    defaults to None while every call of its function in ``trees`` passes
+    has a default while every call of its function in ``trees`` passes
     it.  A function that nothing in ``trees`` calls is an entry point (as
     ``cli.main`` is), and its defaults are its callers' to take."""
     calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
     found = []
     for tree in trees:
-        for called, qualname, positional, nones in _signatures(tree):
+        for called, qualname, positional, defaulted in _signatures(tree):
             sites = [call for call in calls
                      if getattr(call.func, "id", getattr(call.func, "attr", None)) == called]
             if sites:
                 passed = set.intersection(*(_passed(call, positional) for call in sites))
-                found += [f"{qualname}.{name}" for name in sorted(nones & passed)]
+                found += [f"{qualname}.{name}" for name in sorted(defaulted & passed)]
     return sorted(found)
 
 
@@ -238,10 +238,10 @@ def _package_trees():
 
 
 def test_no_public_parameter_defaults_to_a_mode_no_call_takes():
-    # A default of None that every call in the package overrides is a
-    # second mode that only tests take: each public function takes the
-    # one mode the commands run.
-    assert _none_defaults_every_call_passes(_package_trees()) == []
+    # A default that every call in the package overrides, None or any
+    # other value, is a second mode that only tests take: each public
+    # function takes the one mode the commands run.
+    assert _defaults_every_call_passes(_package_trees()) == []
 
 
 def test_the_mode_guard_names_a_default_every_call_overrides():
@@ -250,6 +250,7 @@ from dataclasses import dataclass
 
 def both(a, out=None, *, flag=None): ...
 def entry(argv=None): ...
+def scaled(x, gain=1.0, start=0): ...
 class Reader:
     def read(self, i, out=None): ...
     def _hidden(self, out=None): ...
@@ -257,17 +258,24 @@ class Reader:
 class Table:
     ids: list
     labels: list | None = None
+    beta: float = 3e-5
+    seed: int = 0
 class _Private:
     def read_all(self, out=None): ...
 
 both(1, None, flag=2)
 both(a=1, out=2, flag=None)
 entry()
+scaled(1, 2.0)
+scaled(x=1, gain=3.0)
 Reader().read(1, out=2)
-Table([], [])
+Table([], [], 1e-3)
+Table([], None, beta=0.0)
 _Private().read_all(1)
 """
-    assert _none_defaults_every_call_passes([ast.parse(source)]) == [
-        "Reader.read.out", "Table.labels", "both.flag", "both.out"]
+    assert _defaults_every_call_passes([ast.parse(source)]) == [
+        "Reader.read.out", "Table.beta", "Table.labels", "both.flag", "both.out",
+        "scaled.gain"]
     lazy = source.replace("both(a=1, out=2, flag=None)", "both(1)")
-    assert _none_defaults_every_call_passes([ast.parse(lazy)]) == ["Reader.read.out", "Table.labels"]
+    assert _defaults_every_call_passes([ast.parse(lazy)]) == [
+        "Reader.read.out", "Table.beta", "Table.labels", "scaled.gain"]

@@ -23,13 +23,12 @@ from ghnpost.checkpoint_io import (
 )
 from ghnpost.errors import DataFormatError
 
-from ghnpost.postprocess import PostprocessConfig
 
-from conftest import decode_ckpt, make_checkpoint, reader_of, through_file
+from conftest import decode_ckpt, make_checkpoint, reader_of, repair, through_file
 
 # No tensor is this deep: postprocess passes every tensor through, read
 # through the reader and written back through positional_writer.
-_PASS = PostprocessConfig(start_layer=10**9)
+_PASS = repair(10**9)
 
 
 def _assert_reads_back(blob):

@@ -30,7 +30,7 @@ from ghnpost import checkpoint_io, cli, linalg, postprocess, stats
 from ghnpost.checkpoint_io import TensorMeta
 from ghnpost.cli import run
 from ghnpost.linalg import qr_decompose
-from ghnpost.postprocess import DEFAULT_BETA, PostprocessConfig
+from ghnpost.postprocess import DEFAULT_BETA
 from ghnpost.rng import RngStream
 
 from conftest import (
@@ -40,6 +40,7 @@ from conftest import (
     ghn_like_tensor,
     make_checkpoint,
     reader_of,
+    repair,
     through_file,
 )
 from reference import matricize, reference_offdiagonal
@@ -159,8 +160,8 @@ def _blocks_checkpoint(path):
 def test_postprocess_matches_library(skip, beta, ckpt_path, tmp_path, monkeypatch):
     # --skip-noise is --beta 0, and takes no --beta of its own.
     flags = skip if "--skip-noise" in skip else ["--beta", beta, *skip]
-    cfg = PostprocessConfig(start_layer=1, beta=0.0 if "--skip-noise" in skip else float(beta),
-                            seed=5, skip_orth="--skip-orth" in skip)
+    cfg = repair(1, beta=0.0 if "--skip-noise" in skip else float(beta), seed=5,
+                 orth="--skip-orth" not in skip)
     drawn = {"normal": set(), "normal_at": set()}
     for method in drawn:
         def recording(self, *args, _draw=getattr(RngStream, method), _seen=drawn[method],
@@ -236,8 +237,7 @@ def test_file_shrinking_between_the_two_reads_of_a_layer_is_data_error(
     ])
     inp = tmp_path / "in.ckpt"
     inp.write_bytes(c)
-    _, outputs = decode_ckpt(through_file(c, PostprocessConfig(start_layer=0,
-                                                               skip_orth=bool(skip))))
+    _, outputs = decode_ckpt(through_file(c, repair(0, orth=not skip)))
     want = outputs[2]  # l1.fc
     real_sigma_r = postprocess.sigma_r
 
@@ -584,7 +584,7 @@ def test_layers_are_admitted_largest_first(tmp_path, monkeypatch):
 @pytest.mark.parametrize("width", [1, 4])
 def test_repair_bytes_do_not_depend_on_completion_order(skip, width, tmp_path, monkeypatch):
     inp = _mixed_checkpoint(tmp_path / "in.ckpt")
-    cfg = PostprocessConfig(start_layer=0, seed=6, beta=0.0 if skip else DEFAULT_BETA)
+    cfg = repair(0, seed=6, beta=0.0 if skip else DEFAULT_BETA)
     monkeypatch.setattr(postprocess, "_cpu_count", lambda: 1)
     expected = through_file(inp.read_bytes(), cfg)
     # The first layers in the header start late, and the rest overtake them.
@@ -678,8 +678,9 @@ def test_usage_errors(capsys, tmp_path):
 
 @pytest.mark.parametrize("bins", [0, 2**20 + 1, 2**38, 2**40, 2**62, 10**23])
 def test_bins_out_of_range_is_a_usage_error(bins, ckpt_path, tmp_path, capsys):
-    # The bin counter is tested up to 2**20 bins, and each bin is a bar of
-    # every SVG: the parser refuses the rest before anything is read.
+    # The bin counter is tested up to 2**20 bins, and analyze holds 8
+    # bytes a bin of every layer: the parser refuses the rest before
+    # anything is read.
     argv = ["analyze", str(ckpt_path), "--out", str(tmp_path / "report.csv"),
             "--svg-dir", str(tmp_path / "svg"), "--bins", str(bins)]
     assert run(argv) == 1
@@ -698,6 +699,22 @@ def test_the_most_bins_are_accepted(ckpt_path, tmp_path, capsys):
         "name", "l0.conv", "l1.conv", "l2.fc"]
 
 
+def test_an_svg_at_the_most_bins_draws_only_the_bins_with_a_count(tmp_path):
+    # A collapsed layer's correlations all fall in the top bin: its SVG
+    # draws that one bar, not 2**20 of them (about 113 MB).
+    path = tmp_path / "in.ckpt"
+    path.write_bytes(make_checkpoint([
+        ("l0.conv", (32, 8, 3, 3), "conv", 0, ghn_like_tensor((32, 8, 3, 3), 1e-5, seed=1))]))
+    svg_dir = tmp_path / "svg"
+    assert run(["analyze", str(path), "--out", str(tmp_path / "report.csv"),
+                "--svg-dir", str(svg_dir), "--bins", str(2**20)]) == 0
+    svg = svg_dir / "000_l0.conv.svg"
+    bars = [el for el in ET.fromstring(svg.read_text()).iter() if el.tag.endswith("rect")][1:]
+    assert len(bars) == 1
+    assert float(bars[0].get("x")) + float(bars[0].get("width")) == pytest.approx(620, abs=0.01)
+    assert svg.stat().st_size < 4096
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--beta", "--gain"])
 def test_non_finite_float_flags_are_usage_errors(flag, value, ckpt_path, tmp_path, capsys):
@@ -709,6 +726,35 @@ def test_non_finite_float_flags_are_usage_errors(flag, value, ckpt_path, tmp_pat
     assert run(argv + [flag, value, "--out", str(out)]) == 1
     assert f"argument {flag}: must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# case: (command and flags before --out, the error line).  The parser is
+# each rule's one check: the engines take the values it lets through.
+_OUT_OF_RANGE = {
+    "negative_beta": (["postprocess", "{ckpt}", "--start-layer", "0", "--beta=-1e-5"],
+                      "argument --beta: must be finite and non-negative"),
+    "negative_start_layer": (["postprocess", "{ckpt}", "--start-layer", "-3"],
+                             "argument --start-layer: must be non-negative"),
+    "zero_gain": (["init", "{arch}", "--method", "orth", "--gain", "0"],
+                  "argument --gain: must be finite and positive"),
+    "negative_gain": (["init", "{arch}", "--method", "orth", "--gain", "-1"],
+                      "argument --gain: must be finite and positive"),
+    "unknown_method": (["init", "{arch}", "--method", "zeros"],
+                       "argument --method: invalid choice: 'zeros' (choose from 'rand', 'orth')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_settings_out_of_range_are_usage_errors(case, ckpt_path, tmp_path, capsys):
+    argv, message = _OUT_OF_RANGE[case]
+    arch = _archspec(tmp_path)
+    out = tmp_path / "out.ckpt"
+    argv = [a.format(ckpt=ckpt_path, arch=arch) for a in argv] + ["--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if ": error: " in line] == [
+        f"ghnpost {argv[0]}: error: {message}"]
+    assert sorted(os.listdir(tmp_path)) == ["arch.json", "in.ckpt"]
 
 
 # case: (command and flags before --out, the flag left without effect).

@@ -3,9 +3,8 @@ import pytest
 
 from ghnpost.errors import NumericalError
 from ghnpost.linalg import one_blas_thread, pca_project, qr_decompose
-from ghnpost.postprocess import PostprocessConfig
 
-from conftest import through_file
+from conftest import repair, through_file
 from reference import matricize, reference_pca
 
 
@@ -229,7 +228,7 @@ def test_kernel_matches_numpy_qr_bytes(binding, case):
     assert diag.tobytes() == np.diag(r_ref).tobytes()
     # the repair with no noise: the reinit alone, of w's float32 values
     w32 = w.astype(np.float32)
-    out = through_file(w32, PostprocessConfig(start_layer=0, beta=0.0))
+    out = through_file(w32, repair(0, beta=0.0))
     assert out.shape == w.shape and out.dtype == np.float32
     assert out.tobytes() == _oracle_reinit(w32).tobytes()
 

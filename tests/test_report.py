@@ -7,7 +7,6 @@ import pytest
 
 from ghnpost.errors import DataFormatError, NumericalError
 from ghnpost.linalg import pca_project
-from ghnpost.postprocess import PostprocessConfig
 from ghnpost.report import (
     CompareRow,
     EmbeddingSet,
@@ -28,6 +27,7 @@ from conftest import (
     ghn_like_tensor,
     make_checkpoint,
     reader_of,
+    repair,
     through_file,
 )
 
@@ -100,20 +100,22 @@ def test_svg_well_formed():
     root = ET.fromstring(doc)
     assert root.tag.endswith("svg")
     rects = [el for el in root.iter() if el.tag.endswith("rect")]
-    assert len(rects) == 1 + 4  # background + one per bin
+    assert len(rects) == 1 + 3  # background + one per bin with a count
     # Each bar spans its bin between np.histogram's edges over [-1, 1],
     # mapped onto the 570-pixel plot that starts at x = 50.
     _, edges = np.histogram([], bins=4, range=(-1.0, 1.0))
     x = [50 + (e + 1.0) / 2.0 * 570 for e in edges]
     assert [(b.get("x"), b.get("width")) for b in rects[1:]] == [
-        (f"{x0:.2f}", f"{x1 - x0:.2f}") for x0, x1 in zip(x, x[1:])]
+        (f"{x[i]:.2f}", f"{x[i + 1] - x[i]:.2f}") for i in (0, 2, 3)]
+    heights = [float(b.get("height")) for b in rects[1:]]
+    assert heights == [pytest.approx(280 * c / 7, abs=0.005) for c in (3, 1, 7)]
 
 
 def test_svg_zero_counts():
     doc = emit_histogram_svg(np.zeros(3, dtype=int), "empty")
     root = ET.fromstring(doc)
-    bars = [el for el in root.iter() if el.tag.endswith("rect")][1:]
-    assert all(float(b.get("height")) == 0.0 for b in bars)
+    assert [el for el in root.iter() if el.tag.endswith("rect")][1:] == []
+    assert [el.text for el in root.iter() if el.tag.endswith("text")][-1] == "0"
 
 
 def test_svg_equal_counts_equal_heights():
@@ -218,7 +220,7 @@ def test_compare_after_postprocess_reduces_sigma():
     c = make_checkpoint(
         [("w", (32, 16, 3, 3), "conv", 0, correlated_tensor((32, 16, 3, 3), seed=5))]
     )
-    out = through_file(c, PostprocessConfig(start_layer=0, seed=3))
+    out = through_file(c, repair(0, seed=3))
     rows = compare_checkpoints(reader_of(c), reader_of(out))
     assert rows[0].sigma_r_a > 0.05
     assert rows[0].sigma_r_b < rows[0].sigma_r_a

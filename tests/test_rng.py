@@ -48,33 +48,33 @@ def _reference_normals(seed, label, n):
 
 def test_matches_scalar_reference():
     stream = RngStream(123456789, "layer3.conv")
-    got = stream.normal(64)
+    got = stream.normal(64, 0)
     ref = _reference_normals(123456789, "layer3.conv", 64)
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-300)
 
 
 def test_repeatable_and_stateless():
     stream = RngStream(42, "w")
-    a = stream.normal(100)
-    b = stream.normal(100)
+    a = stream.normal(100, 0)
+    b = stream.normal(100, 0)
     assert a.tobytes() == b.tobytes()
 
 
 def test_prefix_property():
     stream = RngStream(7, "q")
-    assert stream.normal(13).tobytes() == stream.normal(40)[:13].tobytes()
+    assert stream.normal(13, 0).tobytes() == stream.normal(40, 0)[:13].tobytes()
 
 
 def test_labels_give_distinct_streams():
-    a = RngStream(1, "layer.a").normal(32)
-    b = RngStream(1, "layer.b").normal(32)
-    c = RngStream(2, "layer.a").normal(32)
+    a = RngStream(1, "layer.a").normal(32, 0)
+    b = RngStream(1, "layer.b").normal(32, 0)
+    c = RngStream(2, "layer.a").normal(32, 0)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_gaussian_moments():
-    z = RngStream(5, "big").normal(1_000_000)
+    z = RngStream(5, "big").normal(1_000_000, 0)
     assert abs(z.mean()) < 4.0 / math.sqrt(1_000_000)
     assert abs(z.std() - 1.0) < 0.005
     # symmetric tails
@@ -83,8 +83,8 @@ def test_gaussian_moments():
 
 def test_odd_length_crops_pair():
     stream = RngStream(11, "odd")
-    assert stream.normal(7).tobytes() == stream.normal(8)[:7].tobytes()
-    assert stream.normal(0).size == 0
+    assert stream.normal(7, 0).tobytes() == stream.normal(8, 0)[:7].tobytes()
+    assert stream.normal(0, 0).size == 0
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_normal_matches_one_shot_oracle_bytes():
 
     stream = RngStream(2024, "blocks.3.mlp.fc1")
     for n in _oracle_sizes():
-        got = stream.normal(n)
+        got = stream.normal(n, 0)
         ref = _reference_normal_vectorized(2024, "blocks.3.mlp.fc1", n)
         assert got.shape == (n,)
         assert got.tobytes() == ref.tobytes(), n
@@ -148,9 +148,9 @@ def test_prefix_property_across_chunk_boundary():
     from ghnpost.rng import _CHUNK
 
     stream = RngStream(8, "edge")
-    long = stream.normal(2 * _CHUNK + 3)
+    long = stream.normal(2 * _CHUNK + 3, 0)
     for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
-        assert stream.normal(n).tobytes() == long[:n].tobytes(), n
+        assert stream.normal(n, 0).tobytes() == long[:n].tobytes(), n
 
 
 def test_normal_at_matches_normal_bytes():
@@ -158,7 +158,7 @@ def test_normal_at_matches_normal_bytes():
 
     stream = RngStream(2024, "blocks.3.mlp.fc1")
     n = 3 * _CHUNK + 11
-    ref = stream.normal(n)
+    ref = stream.normal(n, 0)
     rng = np.random.default_rng(0)
     cases = [
         np.array([], dtype=np.int64),
@@ -189,6 +189,6 @@ def test_normal_at_rejects_negative_positions():
 def test_draws_reject_negative_counts_and_starts():
     stream = RngStream(1, "x")
     with pytest.raises(ValueError, match="n and start must be non-negative"):
-        stream.normal(-1)
+        stream.normal(-1, 0)
     with pytest.raises(ValueError, match="n and start must be non-negative"):
         stream.normal(1, start=-1)

@@ -22,12 +22,12 @@ import pytest
 import ghnpost
 from ghnpost import linalg, postprocess
 from ghnpost.cli import run
-from ghnpost.postprocess import PostprocessConfig, ghn_orth_tensors
+from ghnpost.postprocess import ghn_orth_tensors
 from ghnpost.report import analyze_checkpoint, compare_checkpoints
 from ghnpost.stats import _PANEL_ROWS, correlation_stats, sigma_r
 from ghnpost.tensor_ops import geometry
 
-from conftest import decode_ckpt, ghn_like_tensor, make_checkpoint, reader_of
+from conftest import decode_ckpt, ghn_like_tensor, make_checkpoint, reader_of, repair
 
 
 def _peak_bytes(fn):
@@ -53,7 +53,7 @@ _CALLS = {
     "sigma_r": lambda: sigma_r(_W, np.empty(_W.size)),
     "analyze": lambda: analyze_checkpoint(_FILE, bins=50),
     "compare": lambda: compare_checkpoints(_FILE, _FILE),
-    "postprocess": lambda: ghn_orth_tensors(_FILE, _discard, PostprocessConfig(start_layer=0)),
+    "postprocess": lambda: ghn_orth_tensors(_FILE, _discard, **repair(0)),
 }
 
 
@@ -120,13 +120,13 @@ def test_noise_only_layer_stays_within_its_float64_copy():
     k, chw = 3072, 768
     w = np.random.default_rng(1).standard_normal((k, chw), dtype=np.float32)
     reader = reader_of(make_checkpoint([("fc1", (k, chw), "linear", 0, w)]))
-    cfg = PostprocessConfig(start_layer=0, skip_orth=True)
+    cfg = repair(0, orth=False)
     out = np.empty_like(w)
 
     def put(i, block, r0):
         out[r0 : r0 + len(block)] = block
 
-    peak = _peak_bytes(lambda: ghn_orth_tensors(reader, put, cfg))
+    peak = _peak_bytes(lambda: ghn_orth_tensors(reader, put, **cfg))
     assert not np.array_equal(out, w)
     assert peak <= 2.5 * w.size * 8
 
@@ -264,6 +264,33 @@ def test_cli_analysis_peak_follows_the_largest_layer(command, tmp_path):
     argvs = [["pca", str(emb), "--out", str(tmp_path / "p.csv")]]
     argvs += [[command, *paths, "--out", str(tmp_path / "out.csv")] for paths in files[command]]
     assert _rss_growth(_ANALYSIS_LAYERS[-1], argvs) <= 1.6
+
+
+def test_analyze_holds_one_svg_text_at_a_time(tmp_path):
+    # Independent channels of 8 values spread a layer's correlations over
+    # most of 2**18 bins, so each SVG is about 19 MiB, against 2 MiB of
+    # counts.  analyze keeps every layer's counts, and makes each SVG's
+    # text as it is written, dropping it before the next: growth measured
+    # 88 MiB for six layers, where making one SVG (its bars' strings, the
+    # text and its UTF-8 bytes) takes about 3.6 times its size.  Holding
+    # the last text while the next was made measured 123 MiB, making every
+    # text before the first was written 204 MiB, and that with a bar for
+    # every empty bin too 284 MiB.  The warm-up run draws 50 bins.
+    bins, layers = 2**18, 6
+    rng = np.random.default_rng(0)
+    argvs = []
+    for name, n, dims, flags in (("warm", 2, (64, 8), []),
+                                 ("in", layers, (1024, 8), ["--bins", str(bins)])):
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(make_checkpoint([(f"w{i}", dims, "linear", i,
+                                           rng.standard_normal(dims, np.float32))
+                                          for i in range(n)]))
+        argvs.append(["analyze", str(path), "--out", str(tmp_path / f"{name}.csv"),
+                      "--svg-dir", str(tmp_path / f"{name}.svg"), *flags])
+    growth = _rss_growth(_MIB, argvs) * (1 << 20)
+    largest = max(p.stat().st_size for p in (tmp_path / "in.svg").iterdir())
+    assert largest > 15 << 20
+    assert growth <= layers * 8 * bins + 5 * largest, growth / 2**20
 
 
 # --- the memory model of README "Memory" --------------------------------------

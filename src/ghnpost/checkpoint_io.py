@@ -329,7 +329,8 @@ def parse_tensor_specs(raw: bytes) -> list[TensorMeta]:
     depth}`` objects; ``raw`` is the file's bytes (UTF-8).  Any
     other document, a missing or unknown key, or a value that breaks a
     metadata rule raises DataFormatError at its JSON path (``$``,
-    ``$[i]`` or ``$[i].field``)."""
+    ``$[i]`` or ``$[i].field``), as does a tensor that would make the
+    file longer than the largest file offset, 2**63 - 1 bytes."""
     doc = _decode_json(raw, "$")
     if not isinstance(doc, list):
         raise DataFormatError("$: expected a list of tensor objects")
@@ -339,4 +340,9 @@ def parse_tensor_specs(raw: bytes) -> list[TensorMeta]:
         unknown = set(entry) - set(_META_KEYS)
         if unknown:
             raise DataFormatError(f"$[{i}]: unknown keys {sorted(unknown)}")
+    _, offsets = encode_header(metas)
+    for i, end in enumerate(offsets[1:]):
+        if end > 2**63 - 1:
+            raise DataFormatError(f"$[{i}].shape: {list(metas[i].shape)} would make the file "
+                                  f"{end} bytes long, past the largest file offset, 2**63 - 1")
     return metas

@@ -76,8 +76,9 @@ def _number(name: str, cast: type, ok: Callable, message: str) -> Callable[[str]
 
 _nonneg_int = _number("_nonneg_int", int, lambda v: v >= 0, "must be non-negative")
 # 1 to 2**20 histogram bins: the most the bin counter is tested with (its
-# rounding needs fewer than 2**38).  analyze keeps 8 bytes a bin of every
-# layer, and an SVG draws a bar of ~108 bytes for each bin with a count.
+# rounding needs fewer than 2**38).  analyze keeps 8 bytes a bin of the
+# layer in flight, and an SVG draws a bar of ~108 bytes for each bin with
+# a count.
 _bins = _number("_bins", int, lambda v: 1 <= v <= 2**20, "must be between 1 and 1048576")
 _seed = _number("_seed", int, lambda v: 0 <= v < 2**64, "must fit in an unsigned 64-bit integer")
 _nonneg_float = _number("_nonneg_float", float, lambda v: math.isfinite(v) and v >= 0,
@@ -214,20 +215,22 @@ _SVG_STEM_MAX = 255 - 14 - 4
 
 
 def _cmd_analyze(args) -> int:
-    with open(args.checkpoint, "rb", buffering=0) as handle:
-        records = analyze_checkpoint(CheckpointReader(handle), bins=args.bins)
-
-    def files():
-        # Made as _write_texts takes them: one SVG's text is held at a time.
-        if args.svg_dir is not None:
-            for i, rec in enumerate(records):
-                name = rec.meta.name
+    def files(layers):
+        # Made as _write_texts takes them: each layer's SVG is written, and
+        # its counts dropped, before the next layer is read, so one layer's
+        # counts and one SVG's text are held at a time.
+        rows = []  # the CSV's (meta, sigma_r, mean |r|) of each layer
+        for meta, stats in layers:
+            rows.append((meta, stats.sigma_r, stats.mean_abs))
+            if args.svg_dir is not None:
                 # The index prefix keeps names unique when the rest is cut.
-                stem = f"{i:03d}_{_UNSAFE.sub('_', name)}"[:_SVG_STEM_MAX]
-                yield args.svg_dir / f"{stem}.svg", emit_histogram_svg(rec.stats.histogram, name)
-        yield args.out, emit_report_csv(records)
+                stem = f"{len(rows) - 1:03d}_{_UNSAFE.sub('_', meta.name)}"[:_SVG_STEM_MAX]
+                yield args.svg_dir / f"{stem}.svg", emit_histogram_svg(stats.histogram, meta.name)
+            del stats
+        yield args.out, emit_report_csv(rows)
 
-    _write_texts(files())
+    with open(args.checkpoint, "rb", buffering=0) as handle:
+        _write_texts(files(analyze_checkpoint(CheckpointReader(handle), args.bins)))
     return 0
 
 
@@ -273,8 +276,8 @@ def _cmd_pca(args) -> int:
 def _cmd_compare(args) -> int:
     with (open(args.checkpoint_a, "rb", buffering=0) as a,
           open(args.checkpoint_b, "rb", buffering=0) as b):
-        rows = compare_checkpoints(CheckpointReader(a), CheckpointReader(b))
-    _write_texts([(args.out, emit_compare_csv(rows))])
+        text = emit_compare_csv(compare_checkpoints(CheckpointReader(a), CheckpointReader(b)))
+    _write_texts([(args.out, text)])
     return 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,27 +27,10 @@ from .tensor_ops import geometry, largest_layer_buffer, release_tail, row_blocks
 
 
 @dataclass
-class LayerRecord:
-    """One conv/linear tensor of ``analyze``: its header entry and the
-    statistics of its channel correlations."""
-
-    meta: TensorMeta
-    stats: CorrelationStats
-
-
-@dataclass
 class EmbeddingSet:
     ids: list[str]
     vectors: np.ndarray  # n x d, float64
     labels: list[float] | None  # None without a label column
-
-
-@dataclass
-class CompareRow:
-    name: str
-    max_abs_diff: float
-    sigma_r_a: float
-    sigma_r_b: float
 
 
 def _fmt(x: float) -> str:
@@ -62,50 +45,58 @@ def _csv(header: list[str], rows: Iterable[list]) -> str:
     return buf.getvalue()
 
 
-def analyze_checkpoint(c: CheckpointReader, bins: int) -> list[LayerRecord]:
-    """A :class:`LayerRecord` for every conv/linear tensor of the file
-    ``c``, in file order, with its correlation statistics and a histogram
-    of ``bins`` bins (1 to 2**20, as the command line checks them).
+def _layers(c: CheckpointReader) -> Iterator[tuple[int, TensorMeta, np.ndarray]]:
+    """``(i, meta, work)`` for each conv/linear tensor i of the file
+    ``c``, in file order, with ``work`` the run's one
+    :func:`~ghnpost.tensor_ops.largest_layer_buffer`, mapped before the
+    first layer is read (OutOfMemory naming the largest where it cannot
+    be), whose pages past tensor i are given back before it is handed
+    out (:func:`~ghnpost.tensor_ops.release_tail`).  So a run holds the
+    float64 copy of the layer in flight, never a larger layer's pages
+    beside that layer's working set."""
+    layers = [(i, meta) for i, meta in enumerate(c.metas) if meta.kind in ELIGIBLE_KINDS]
+    work = largest_layer_buffer(meta for _, meta in layers)
+    for i, meta in layers:
+        release_tail(work, math.prod(meta.shape))
+        yield i, meta, work
+
+
+def analyze_checkpoint(c: CheckpointReader, bins: int
+                       ) -> Iterator[tuple[TensorMeta, CorrelationStats]]:
+    """``(meta, stats)`` for each conv/linear tensor of the file ``c``, in
+    file order, made as it is asked for: its header entry and its
+    correlation statistics, with a histogram of ``bins`` bins (1 to
+    2**20, as the command line checks them).  A caller that drops each
+    layer's stats before asking for the next holds one layer's counts.
 
     Each one is read through :class:`~ghnpost.checkpoint_io.TensorRows`, a
     block of rows at a time, straight into the float64 channels of
-    :func:`~ghnpost.stats.correlation_stats`, and other tensors are not
-    read.  The channels of every layer go into one
-    :func:`~ghnpost.tensor_ops.largest_layer_buffer`, mapped before the
-    first layer is read, whose pages past the layer in flight are given
-    back before each layer (:func:`~ghnpost.tensor_ops.release_tail`).
-    So the run holds the float64 copy of the layer in flight, never a
-    larger layer's pages beside that layer's fold panels, and no whole
-    float32 array.  A collapsed layer, whose every correlation the spread
-    certificate of :func:`~ghnpost.stats.correlation_stats` places in the
-    top bin, has its histogram without counting; a tall one (K > CHW) is
-    not folded at all (but for the rare exception given there), and gets
-    ``compare``'s sigma_r, bit for bit, holding one ``128 x CHW`` panel in
-    place of two ``128 x K`` ones.  A tensor holding NaN or Inf raises
-    NumericalError naming it ("tensor holds NaN or Inf values"); one
-    whose working memory cannot be allocated raises OutOfMemory naming
-    it (the largest, for that buffer).
+    :func:`~ghnpost.stats.correlation_stats`, held in the run's one
+    buffer (see :func:`_layers`), and other tensors are not read.  So
+    the run holds no whole float32 array.  A collapsed layer, whose every
+    correlation the spread certificate of
+    :func:`~ghnpost.stats.correlation_stats` places in the top bin, has
+    its histogram without counting; a tall one (K > CHW) is not folded at
+    all (but for the rare exception given there), and gets ``compare``'s
+    sigma_r, bit for bit, holding one ``128 x CHW`` panel in place of two
+    ``128 x K`` ones.  A tensor holding NaN or Inf raises NumericalError
+    naming it ("tensor holds NaN or Inf values"); one whose working
+    memory cannot be allocated raises OutOfMemory naming it.
     """
-    layers = [(i, meta) for i, meta in enumerate(c.metas) if meta.kind in ELIGIBLE_KINDS]
-    work = largest_layer_buffer(meta for _, meta in layers)
-    records = []
-    for i, meta in layers:
-        release_tail(work, math.prod(meta.shape))
+    for i, meta, work in _layers(c):
+        # Yielded unbound, so that this frame keeps no layer's counts while
+        # the next is made; the caller's own errors are not raised in here.
         with naming(meta.name):
-            records.append(LayerRecord(meta, correlation_stats(TensorRows(c, i), bins, work)))
-    return records
+            yield meta, correlation_stats(TensorRows(c, i), bins, work)
 
 
-def emit_report_csv(records: list[LayerRecord]) -> str:
-    """The ``analyze`` CSV: a row per record, with K and CHW the sides of
-    its tensor's K x CHW view."""
+def emit_report_csv(rows: Iterable[tuple[TensorMeta, float, float]]) -> str:
+    """The ``analyze`` CSV: a row per ``(meta, sigma_r, mean_abs)``, with K
+    and CHW the sides of its tensor's K x CHW view."""
     return _csv(
         ["name", "kind", "depth", "K", "CHW", "sigma_r", "mean_abs_offdiag"],
-        (
-            [rec.meta.name, rec.meta.kind, rec.meta.depth, *geometry(rec.meta.shape)[:2],
-             _fmt(rec.stats.sigma_r), _fmt(rec.stats.mean_abs)]
-            for rec in records
-        ),
+        ([meta.name, meta.kind, meta.depth, *geometry(meta.shape)[:2], _fmt(sigma), _fmt(mean)]
+         for meta, sigma, mean in rows),
     )
 
 
@@ -250,22 +241,22 @@ def emit_projection_csv(e: EmbeddingSet, projected: np.ndarray) -> str:
 # Checkpoint comparison
 # --------------------------------------------------------------------------
 
-def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[CompareRow]:
-    """Per-layer diff of two structurally identical checkpoint files.
+def compare_checkpoints(a: CheckpointReader, b: CheckpointReader
+                        ) -> Iterator[tuple[str, float, float, float]]:
+    """``(name, max_abs_diff, sigma_r_a, sigma_r_b)`` for each conv/linear
+    tensor of two structurally identical checkpoint files, in file order,
+    made as it is asked for.
 
-    The structure is checked from the metadata alone: a name in one file
-    only, or a shape that differs, raises DataFormatError listing each
-    (``only in``, ``shapes differ``).  Then each conv/linear tensor of
-    ``a``, in file order, is matched with ``b``'s tensor of the same name
-    and both are read through
+    The structure is checked from the metadata alone, before the first
+    layer: a name in one file only, or a shape that differs, raises
+    DataFormatError listing each (``only in``, ``shapes differ``).  Then
+    each conv/linear tensor of ``a`` is matched with ``b``'s tensor of
+    the same name and both are read through
     :class:`~ghnpost.checkpoint_io.TensorRows` (see :func:`_compare_layer`),
     and other tensors are not read.  Each sigma_r takes its float64
-    channels in one :func:`~ghnpost.tensor_ops.largest_layer_buffer`,
-    mapped once the structure is checked, whose pages past the layer in
-    flight are given back before each layer, as in
-    :func:`analyze_checkpoint`.  So the run holds the float64 copy of the
-    layer in flight and a few row blocks.  An unmappable buffer raises
-    OutOfMemory naming the largest layer.  sigma_r comes from
+    channels in the run's one buffer, as in :func:`analyze_checkpoint`
+    (see :func:`_layers`).  So the run holds the float64 copy of the
+    layer in flight and a few row blocks.  sigma_r comes from
     :func:`~ghnpost.stats.sigma_r`: the
     value ``analyze`` prints where K <= CHW, bit for bit, and the CHW x CHW
     Gram's on tall layers (K > CHW), which ``analyze`` prints too where it
@@ -288,20 +279,15 @@ def compare_checkpoints(a: CheckpointReader, b: CheckpointReader) -> list[Compar
         raise DataFormatError("; ".join(problems))
 
     b_index = {meta.name: j for j, meta in enumerate(b.metas)}
-    layers = [(i, meta) for i, meta in enumerate(a.metas) if meta.kind in ELIGIBLE_KINDS]
-    work = largest_layer_buffer(meta for _, meta in layers)
-    rows = []
-    for i, meta in layers:
-        release_tail(work, math.prod(meta.shape))
+    for i, meta, work in _layers(a):
         with naming(meta.name):
             geometry(meta.shape)  # a rank it cannot take is the tensor's, not one file's
             pair = TensorRows(a, i), TensorRows(b, b_index[meta.name])
-        rows.append(_compare_layer(meta.name, *pair, work))
-    return rows
+        yield _compare_layer(meta.name, *pair, work)
 
 
 def _compare_layer(name: str, rows_a: TensorRows, rows_b: TensorRows,
-                   work: np.ndarray) -> CompareRow:
+                   work: np.ndarray) -> tuple[str, float, float, float]:
     """The row of one conv/linear tensor: sigma_r of each file's tensor,
     one after the other, with its channels in ``work`` (as for
     :func:`~ghnpost.stats.sigma_r`), then max |a - b| from the same row
@@ -314,7 +300,7 @@ def _compare_layer(name: str, rows_a: TensorRows, rows_b: TensorRows,
             sigmas.append(sigma_r(rows, work))
     with naming(name):
         diff = _max_abs_diff(rows_a, rows_b)
-    return CompareRow(name=name, max_abs_diff=diff, sigma_r_a=sigmas[0], sigma_r_b=sigmas[1])
+    return name, diff, *sigmas
 
 
 def _max_abs_diff(a: TensorRows, b: TensorRows) -> float:
@@ -331,9 +317,10 @@ def _max_abs_diff(a: TensorRows, b: TensorRows) -> float:
     return top
 
 
-def emit_compare_csv(rows: list[CompareRow]) -> str:
+def emit_compare_csv(rows: Iterable[tuple[str, float, float, float]]) -> str:
+    """The ``compare`` CSV: a row per ``(name, max_abs_diff, sigma_r_a,
+    sigma_r_b)``."""
     return _csv(
         ["name", "max_abs_diff", "sigma_r_a", "sigma_r_b"],
-        ([row.name, _fmt(row.max_abs_diff), _fmt(row.sigma_r_a), _fmt(row.sigma_r_b)]
-         for row in rows),
+        ([name, *map(_fmt, values)] for name, *values in rows),
     )

@@ -78,6 +78,13 @@ def test_removed_names_are_absent():
         assert not hasattr(postprocess, name) and not hasattr(ghnpost, name), name
     assert "PostprocessConfig" not in ghnpost.__all__
     assert "method" not in inspect.signature(postprocess.init_tensors).parameters
+    # analyze and compare yield each layer's result as it is made: no
+    # result type carries a whole run's layers.
+    for name in ("LayerRecord", "CompareRow"):
+        assert name not in ghnpost.__all__
+        assert not hasattr(ghnpost, name) and not hasattr(report, name), name
+    assert inspect.isgeneratorfunction(report.analyze_checkpoint)
+    assert inspect.isgeneratorfunction(report.compare_checkpoints)
     # FORMAT_VERSION is the one version a checkpoint can have.
     assert not hasattr(reader_of(make_checkpoint([])), "version")
     # One error class for each way a caller handles an error.

@@ -398,6 +398,21 @@ def test_parse_tensor_specs_schema_errors(text, pattern):
         parse_tensor_specs(text.encode())
 
 
+def test_parse_tensor_specs_take_files_up_to_the_largest_file_offset():
+    # One `other` tensor of n values makes a file of the header's bytes
+    # plus 4n: at 2**63 - 4 bytes it passes, at 2**63 it is refused.
+    def spec(n):
+        return json.dumps([{"name": "o", "shape": [n], "kind": "other", "depth": 0}]).encode()
+
+    head = len(encode_header([TensorMeta("o", (2**61,), "other", 0)])[0])
+    n = (2**63 - head) // 4
+    assert head + 4 * n == 2**63
+    assert encode_header(parse_tensor_specs(spec(n - 1)))[1][-1] == 2**63 - 4
+    with pytest.raises(DataFormatError, match=rf"^\$\[0\]\.shape: \[{n}\] would make the "
+                                              rf"file {2**63} bytes long, past the largest"):
+        parse_tensor_specs(spec(n))
+
+
 def test_parse_tensor_specs_returns_the_metas():
     text = '[{"name":"w","shape":[2,3],"kind":"linear","depth":1}]'
     assert parse_tensor_specs(text.encode()) == [TensorMeta("w", (2, 3), "linear", 1)]

@@ -947,6 +947,24 @@ def test_init_zero_dimension_is_a_data_error(method, shape, tmp_path, capsys):
     assert os.listdir(tmp_path) == ["arch.json"]
 
 
+@pytest.mark.parametrize("method", ["rand", "orth"])
+@pytest.mark.parametrize("first", [0, 1], ids=["alone", "after_a_layer"])
+def test_init_past_the_largest_file_offset_is_a_data_error(first, method, tmp_path, capsys):
+    # 2**80 values need a file of 2**82 bytes and more, past the 2**63 - 1
+    # a file offset holds (os.ftruncate raised OverflowError): the
+    # archspec reader names the first tensor past it, before any output.
+    huge = {"name": "w", "shape": [2**40, 2**40], "kind": "linear", "depth": 0}
+    small = {"name": "v", "shape": [4, 4], "kind": "linear", "depth": 0}
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps([small] * first + [huge, dict(huge, name="u")]))
+    assert run(["init", str(arch), "--method", method, "--out", str(tmp_path / "o.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"ghnpost: data error: \$\[{first}\]\.shape: \[{2**40}, {2**40}\] "
+                        r"would make the file (\d+) bytes long, past the largest file offset, "
+                        r"2\*\*63 - 1\n", err), err
+    assert os.listdir(tmp_path) == ["arch.json"]
+
+
 def test_init_rank3_conv_is_numerical_error(tmp_path):
     path = tmp_path / "arch.json"
     path.write_text('[{"name": "w", "shape": [4, 4, 4], "kind": "conv", "depth": 0}]')
@@ -1102,11 +1120,22 @@ def test_unsupported_rank_is_one_line_numerical_error(command, tmp_path, capsys)
 
 
 _ADDRESS_LIMIT = """
-import contextlib, io, json, resource, sys
+import contextlib, io, json, resource, sys, threading
+from ghnpost import postprocess
 from ghnpost.cli import run
 
 warm, argv, headroom = json.loads(sys.argv[1])
 assert run(warm) == 0  # numpy and OpenBLAS map their own buffers here
+# Each pool worker maps a thread stack, which glibc keeps for later threads
+# once the worker ends.  The warm-up's tiny layers often run one after the
+# other, on one stack, so as many threads as the pool is wide run here at
+# once: the run under the limit finds all their stacks already mapped.
+together = threading.Barrier(postprocess._cpu_count())
+workers = [threading.Thread(target=together.wait) for _ in range(together.parties)]
+for worker in workers:
+    worker.start()
+for worker in workers:
+    worker.join()
 with open("/proc/self/status") as status:
     size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
 limit = size * 1024 + headroom
@@ -1159,7 +1188,8 @@ def test_pool_runs_a_layer_again_alone_where_one_fits(command, tmp_path):
     # two largest layers' float64 buffers: the second is refused while the
     # first runs, runs again alone once it is done, and the run writes
     # the bytes of an unlimited one.  The warm-up file has as many layers
-    # as the pool has threads, so their stacks and heaps are mapped first.
+    # as the pool has threads, so their heaps are mapped first, and the
+    # child maps as many thread stacks, all at once, before its limit.
     shapes = {"w0": (1024, 1024), "w1": (1024, 1024), "w2": (256, 512)}
     warm_shapes = {f"v{i}": (64, 96) for i in range(postprocess._cpu_count())}
 
@@ -1760,6 +1790,28 @@ def test_analyze_failing_write_leaves_no_output(svg_dir):
     code, err = _ends_cleanly("analyze", json.dumps(_HEADER).encode(), svg_dir=svg_dir)
     assert code == 2
     assert err.startswith("ghnpost: i/o error: [Errno ")
+
+
+def test_analyze_reports_the_first_fault_it_reaches(tmp_path, capsys):
+    # Each layer's SVG is written as soon as the layer is done: a NaN in the
+    # second layer removes the first layer's SVG with the rest, and of two
+    # faults, an unwritable --svg-dir and that NaN, the first SVG's write
+    # comes first.
+    bad = ghn_like_tensor((16, 8), seed=2)
+    bad[3, 2] = np.nan
+    path = tmp_path / "in.ckpt"
+    path.write_bytes(make_checkpoint([("a", (16, 8), "linear", 0, ghn_like_tensor((16, 8))),
+                                      ("b", (16, 8), "linear", 1, bad)]))
+    (tmp_path / "file").write_text("x")
+    inputs = sorted(os.listdir(tmp_path))
+    argv = ["analyze", str(path), "--out", str(tmp_path / "out" / "r.csv"), "--svg-dir"]
+    assert run(argv + [str(tmp_path / "svgs")]) == 3
+    assert capsys.readouterr().err == ("ghnpost: numerical error: tensor 'b': "
+                                       "tensor holds NaN or Inf values\n")
+    assert sorted(os.listdir(tmp_path)) == inputs
+    assert run(argv + [str(tmp_path / "file" / "svgs")]) == 2
+    assert capsys.readouterr().err.startswith("ghnpost: i/o error: [Errno 20] Not a directory")
+    assert sorted(os.listdir(tmp_path)) == inputs
 
 
 def test_analyze_failing_write_leaves_existing_svgs_as_they_were(ckpt_path, tmp_path, capsys):

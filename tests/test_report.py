@@ -8,7 +8,6 @@ import pytest
 from ghnpost.errors import DataFormatError, NumericalError
 from ghnpost.linalg import pca_project
 from ghnpost.report import (
-    CompareRow,
     EmbeddingSet,
     analyze_checkpoint,
     compare_checkpoints,
@@ -32,17 +31,23 @@ from conftest import (
 )
 
 
+def _csv_rows(layers):
+    """The CSV rows ``emit_report_csv`` takes, of ``analyze_checkpoint``'s
+    ``(meta, stats)`` pairs."""
+    return [(meta, stats.sigma_r, stats.mean_abs) for meta, stats in layers]
+
+
 def test_analyze_identical_channels():
     w = np.tile(np.arange(12, dtype=np.float32), (6, 1))
     c = make_checkpoint([("w", (6, 12), "conv", 0, w)])
     reader = reader_of(c)
-    records = analyze_checkpoint(reader, bins=10)
-    assert len(reader.metas) == 1 and len(records) == 1
-    rec = records[0]
-    assert rec.stats.sigma_r == 0.0
-    assert rec.stats.mean_abs == 1.0
-    assert geometry(rec.meta.shape)[:2] == (6, 12)
-    assert emit_report_csv(records).splitlines()[1] == "w,conv,0,6,12,0,1"
+    layers = list(analyze_checkpoint(reader, bins=10))
+    assert len(reader.metas) == 1 and len(layers) == 1
+    meta, stats = layers[0]
+    assert stats.sigma_r == 0.0
+    assert stats.mean_abs == 1.0
+    assert geometry(meta.shape)[:2] == (6, 12)
+    assert emit_report_csv(_csv_rows(layers)).splitlines()[1] == "w,conv,0,6,12,0,1"
 
 
 def test_analyze_skips_norm_and_bias():
@@ -53,8 +58,7 @@ def test_analyze_skips_norm_and_bias():
         ]
     )
     reader = reader_of(c)
-    records = analyze_checkpoint(reader, bins=4)
-    assert records == []
+    assert list(analyze_checkpoint(reader, bins=4)) == []
     assert len(reader.metas) == 2
 
 
@@ -64,20 +68,19 @@ def test_analyze_saxe_checkpoint_has_low_correlation():
         kind = "conv" if len(shape) == 4 else "linear"
         specs.append((f"w{i}", shape, kind, i, np.zeros(shape, np.float32)))
     saxe = through_file(make_checkpoint(specs), init=("orth", 1.0, 1))
-    records = analyze_checkpoint(reader_of(saxe), bins=10)
-    for rec in records:
-        if geometry(rec.meta.shape)[1] >= 64:
-            assert rec.stats.mean_abs < 0.15
+    for meta, stats in analyze_checkpoint(reader_of(saxe), bins=10):
+        if geometry(meta.shape)[1] >= 64:
+            assert stats.mean_abs < 0.15
 
 
 def test_analyze_error_names_tensor():
     c = make_checkpoint([("tiny", (1, 8), "conv", 0, np.ones((1, 8), np.float32))])
     with pytest.raises(NumericalError, match="^tensor 'tiny': need k >= 2 channels, got 1$"):
-        analyze_checkpoint(reader_of(c), bins=4)
+        list(analyze_checkpoint(reader_of(c), bins=4))
 
 
 def test_report_csv_shape(small_checkpoint):
-    records = analyze_checkpoint(reader_of(small_checkpoint), bins=8)
+    records = _csv_rows(analyze_checkpoint(reader_of(small_checkpoint), bins=8))
     text = emit_report_csv(records)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["name", "kind", "depth", "K", "CHW", "sigma_r", "mean_abs_offdiag"]
@@ -91,7 +94,7 @@ def test_report_csv_shape(small_checkpoint):
 
 def test_report_csv_empty():
     c = make_checkpoint([])
-    text = emit_report_csv(analyze_checkpoint(reader_of(c), bins=4))
+    text = emit_report_csv(_csv_rows(analyze_checkpoint(reader_of(c), bins=4)))
     assert text == "name,kind,depth,K,CHW,sigma_r,mean_abs_offdiag\n"
 
 
@@ -208,10 +211,10 @@ def test_projection_csv_blank_label_when_absent():
 
 
 def test_compare_equal_checkpoints(small_checkpoint):
-    rows = compare_checkpoints(reader_of(small_checkpoint), reader_of(small_checkpoint))
+    rows = list(compare_checkpoints(reader_of(small_checkpoint), reader_of(small_checkpoint)))
     assert len(rows) == 3  # conv, conv, linear
-    assert all(r.max_abs_diff == 0.0 for r in rows)
-    assert all(r.sigma_r_a == r.sigma_r_b for r in rows)
+    assert all(diff == 0.0 for _, diff, _, _ in rows)
+    assert all(sigma_a == sigma_b for _, _, sigma_a, sigma_b in rows)
 
 
 def test_compare_after_postprocess_reduces_sigma():
@@ -221,25 +224,25 @@ def test_compare_after_postprocess_reduces_sigma():
         [("w", (32, 16, 3, 3), "conv", 0, correlated_tensor((32, 16, 3, 3), seed=5))]
     )
     out = through_file(c, repair(0, seed=3))
-    rows = compare_checkpoints(reader_of(c), reader_of(out))
-    assert rows[0].sigma_r_a > 0.05
-    assert rows[0].sigma_r_b < rows[0].sigma_r_a
-    assert rows[0].max_abs_diff > 0.0
+    ((_, diff, sigma_a, sigma_b),) = compare_checkpoints(reader_of(c), reader_of(out))
+    assert sigma_a > 0.05
+    assert sigma_b < sigma_a
+    assert diff > 0.0
 
 
 def test_compare_structure_mismatch():
     a = make_checkpoint([("w", (4, 4), "conv", 0, np.zeros((4, 4), np.float32))])
     b = make_checkpoint([("w", (4, 2, 2), "conv", 0, np.zeros((4, 2, 2), np.float32))])
     with pytest.raises(DataFormatError, match=r"^'w' shapes differ: \[4, 4\] vs \[4, 2, 2\]$"):
-        compare_checkpoints(reader_of(a), reader_of(b))
+        next(compare_checkpoints(reader_of(a), reader_of(b)))
     c = make_checkpoint([("v", (4, 4), "conv", 0, np.zeros((4, 4), np.float32))])
     with pytest.raises(DataFormatError,
                        match="^'w' only in first checkpoint; 'v' only in second checkpoint$"):
-        compare_checkpoints(reader_of(a), reader_of(c))
+        next(compare_checkpoints(reader_of(a), reader_of(c)))
 
 
 def test_compare_csv_round_trip(small_checkpoint):
-    rows = compare_checkpoints(reader_of(small_checkpoint), reader_of(small_checkpoint))
+    rows = list(compare_checkpoints(reader_of(small_checkpoint), reader_of(small_checkpoint)))
     text = emit_compare_csv(rows)
     parsed = list(csv.reader(io.StringIO(text)))
     assert parsed[0] == ["name", "max_abs_diff", "sigma_r_a", "sigma_r_b"]
@@ -256,9 +259,9 @@ def _compare_one_layer(shape, seed):
 
 @pytest.mark.parametrize("shape", [(2, 5), (16, 8, 3, 3), (64, 64), (130, 2, 8, 9)])
 def test_compare_sigma_r_is_the_fold_bit_for_bit_up_to_k_equal_chw(shape):
-    row, a, b = _compare_one_layer(shape, seed=61)
-    assert row.sigma_r_a == correlation_stats(a, 1, np.empty(a.size)).sigma_r
-    assert row.sigma_r_b == correlation_stats(b, 1, np.empty(b.size)).sigma_r
+    (_, _, sigma_a, sigma_b), a, b = _compare_one_layer(shape, seed=61)
+    assert sigma_a == correlation_stats(a, 1, np.empty(a.size)).sigma_r
+    assert sigma_b == correlation_stats(b, 1, np.empty(b.size)).sigma_r
 
 
 @pytest.mark.parametrize("shape", [(129, 128), (300, 3, 3, 3), (1024, 1, 7, 7), (2048, 512)])
@@ -267,8 +270,8 @@ def test_compare_sigma_r_of_tall_layers_is_near_the_fold(shape):
     # GHN-like 129 x 128 (seed 1) differs most, 4.4e-11, and there the
     # Gram's value is the one nearer an extended-precision oracle.
     for seed in (1, 2):
-        row, a, b = _compare_one_layer(shape, seed)
-        for got, w in ((row.sigma_r_a, a), (row.sigma_r_b, b)):
+        (_, _, sigma_a, sigma_b), a, b = _compare_one_layer(shape, seed)
+        for got, w in ((sigma_a, a), (sigma_b, b)):
             want = fold_sigma_r(w)
             assert abs(got - want) <= 1e-10 * want, (got, want)
 
@@ -278,11 +281,11 @@ def test_analyze_prints_compare_sigma_r_on_a_collapsed_tall_layer():
     # takes its sigma_r from compare's CHW x CHW route, and no fold.
     w = ghn_like_tensor((300, 3, 3, 3), seed=2)
     reader = reader_of(make_checkpoint([("w", w.shape, "conv", 0, w)]))
-    records = analyze_checkpoint(reader, bins=50)
-    rows = compare_checkpoints(reader, reader)
-    assert records[0].stats.histogram[-1] == 300 * 299 // 2
-    assert records[0].stats.sigma_r == rows[0].sigma_r_a
-    (analyzed,) = csv.DictReader(io.StringIO(emit_report_csv(records)))
+    ((meta, stats),) = analyze_checkpoint(reader, bins=50)
+    rows = list(compare_checkpoints(reader, reader))
+    assert stats.histogram[-1] == 300 * 299 // 2
+    assert stats.sigma_r == rows[0][2]
+    (analyzed,) = csv.DictReader(io.StringIO(emit_report_csv(_csv_rows([(meta, stats)]))))
     (compared,) = csv.DictReader(io.StringIO(emit_compare_csv(rows)))
     assert analyzed["sigma_r"] == compared["sigma_r_a"]
 
@@ -315,9 +318,9 @@ def test_file_source_gives_the_bits_of_the_array(layer):
                                         ("w", shape, "linear", 0, w)])) for w in (a, b)]
 
     want = correlation_stats(a, 50, np.empty(a.size))
-    (rec,) = analyze_checkpoint(files[0], bins=50)
-    assert (rec.stats.sigma_r, rec.stats.mean_abs) == (want.sigma_r, want.mean_abs)
-    np.testing.assert_array_equal(rec.stats.histogram, want.histogram)
+    ((_, stats),) = analyze_checkpoint(files[0], bins=50)
+    assert (stats.sigma_r, stats.mean_abs) == (want.sigma_r, want.mean_abs)
+    np.testing.assert_array_equal(stats.histogram, want.histogram)
     diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
-    assert compare_checkpoints(*files) == [CompareRow("w", diff, sigma_r(a, np.empty(a.size)),
-                                                     sigma_r(b, np.empty(b.size)))]
+    assert list(compare_checkpoints(*files)) == [("w", diff, sigma_r(a, np.empty(a.size)),
+                                                  sigma_r(b, np.empty(b.size)))]

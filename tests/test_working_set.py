@@ -51,8 +51,8 @@ def _discard(i, block, r0):
 _CALLS = {
     "correlation_stats": lambda: correlation_stats(_W, 50, np.empty(_W.size)),
     "sigma_r": lambda: sigma_r(_W, np.empty(_W.size)),
-    "analyze": lambda: analyze_checkpoint(_FILE, bins=50),
-    "compare": lambda: compare_checkpoints(_FILE, _FILE),
+    "analyze": lambda: list(analyze_checkpoint(_FILE, bins=50)),
+    "compare": lambda: list(compare_checkpoints(_FILE, _FILE)),
     "postprocess": lambda: ghn_orth_tensors(_FILE, _discard, **repair(0)),
 }
 
@@ -269,13 +269,14 @@ def test_cli_analysis_peak_follows_the_largest_layer(command, tmp_path):
 def test_analyze_holds_one_svg_text_at_a_time(tmp_path):
     # Independent channels of 8 values spread a layer's correlations over
     # most of 2**18 bins, so each SVG is about 19 MiB, against 2 MiB of
-    # counts.  analyze keeps every layer's counts, and makes each SVG's
-    # text as it is written, dropping it before the next: growth measured
-    # 88 MiB for six layers, where making one SVG (its bars' strings, the
-    # text and its UTF-8 bytes) takes about 3.6 times its size.  Holding
-    # the last text while the next was made measured 123 MiB, making every
-    # text before the first was written 204 MiB, and that with a bar for
-    # every empty bin too 284 MiB.  The warm-up run draws 50 bins.
+    # counts.  analyze keeps one layer's counts, and makes each SVG's text
+    # as it is written, dropping it before the next: growth measured
+    # 77.5 MiB for six layers, where making one SVG (its bars' strings, the
+    # text and its UTF-8 bytes) takes about 3.6 times its size.  Keeping
+    # every layer's counts measured 88 MiB, holding the last text while
+    # the next was made 123 MiB, making every text before the first was
+    # written 204 MiB, and that with a bar for every empty bin too
+    # 284 MiB.  The warm-up run draws 50 bins.
     bins, layers = 2**18, 6
     rng = np.random.default_rng(0)
     argvs = []
@@ -290,7 +291,7 @@ def test_analyze_holds_one_svg_text_at_a_time(tmp_path):
     growth = _rss_growth(_MIB, argvs) * (1 << 20)
     largest = max(p.stat().st_size for p in (tmp_path / "in.svg").iterdir())
     assert largest > 15 << 20
-    assert growth <= layers * 8 * bins + 5 * largest, growth / 2**20
+    assert growth <= 3 * 8 * bins + 5 * largest, growth / 2**20
 
 
 # --- the memory model of README "Memory" --------------------------------------
@@ -379,6 +380,37 @@ def test_cli_peak_follows_the_memory_model(command, tmp_path):
     argvs = [job("warm", [(64, 96)] * 2), job("in", shapes)]
     growth = _rss_growth(_MIB, argvs) * (1 << 20)
     assert growth <= _model(command, shapes) + _SLACK, growth / 2**20
+
+
+# What analyze counts one layer's bins in, 8 bytes a bin each: the counts,
+# their edges, and one step's np.bincount, whose zeroed pages stay unmapped
+# but for the bins it counts.
+_BINS = 2**20
+_BIN_BYTES = 3 * 8 * _BINS
+
+
+@pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
+def test_analyze_at_the_most_bins_holds_one_layer_of_counts(svg, tmp_path):
+    # Six layers of 32 independent channels: each counts its 496
+    # correlations into 2**20 bins, and its SVG draws at most 496 bars.
+    # Each layer's counts are dropped, once its SVG is written, before the
+    # next layer is read: growth measured 20.0 MiB of a 27.8 MiB bound.
+    # Keeping every layer's counts until the CSV was written measured
+    # 59.9 MiB, and keeping the last layer's while the next is counted
+    # 27.9 MiB (29.8 MiB with the SVGs).
+    shapes = [(32, 96)] * 6
+    rng = np.random.default_rng(0)
+    argvs = []
+    for name, n, bins in (("warm", 2, 50), ("in", len(shapes), _BINS)):
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(make_checkpoint([(f"w{i}", dims, "linear", i,
+                                           rng.standard_normal(dims, np.float32))
+                                          for i, dims in enumerate(shapes[:n])]))
+        svgs = ["--svg-dir", str(tmp_path / f"{name}.svg")] if svg else []
+        argvs.append(["analyze", str(path), "--out", str(tmp_path / f"{name}.csv"),
+                      "--bins", str(bins), *svgs])
+    growth = _rss_growth(_MIB, argvs) * (1 << 20)
+    assert growth <= _model("analyze", shapes) + _BIN_BYTES + _SLACK, growth / 2**20
 
 
 @pytest.mark.parametrize("skip", [[], ["--skip-orth"]], ids=["repair", "skip_orth"])

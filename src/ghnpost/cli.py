@@ -115,7 +115,9 @@ def build_parser() -> _Parser:
     ablation.add_argument("--skip-orth", action="store_true",
                           help="ablation: noise addition only")
     p.moot = lambda a: ("argument --beta: not allowed with --skip-noise, which sets beta to 0"
-                        if a.skip_noise and a.beta is not None else None)
+                        if a.skip_noise and a.beta is not None else
+                        "argument --skip-orth: not allowed with --beta 0, which adds no noise"
+                        if a.skip_orth and a.beta == 0.0 else None)
     p.set_defaults(func=_cmd_postprocess)
 
     p = sub.add_parser("init", help="generate a baseline-initialized checkpoint")

@@ -83,12 +83,11 @@ def _add_noise(layer: np.ndarray, shape: tuple[int, ...], src, scale: float | No
     of layer's dtype next to w_i (subnormals included), so the sum rounds
     back to w_i; as |z_i| <= _ZMAX, only |w_i| <= limit can move.  A
     C-ordered block with some |w_i| > limit draws only those
-    (:class:`_Gather`), others draw all: the same bytes either way.
+    (:func:`_gather`), others draw all: the same bytes either way.
     """
     k, chw, _ = geometry(shape)
     step = row_step(k, chw)
     blocks = row_blocks(src) if src is not None else ((r0, None) for r0 in range(0, k, step))
-    gather = None
     if scale is not None:
         limit = 2.0 ** (np.finfo(layer.dtype).nmant + 4) * scale * _ZMAX
     # A huge beta overflows here; the block check reports it, so numpy need
@@ -102,8 +101,7 @@ def _add_noise(layer: np.ndarray, shape: tuple[int, ...], src, scale: float | No
                 gathered = False
                 if (rows is not None and block.flags.c_contiguous
                         and limit < max(float(rows.max()), -float(rows.min()))):
-                    gather = gather or _Gather(layer.dtype, step * chw)
-                    gathered = gather.add(block.reshape(-1), r0 * chw, limit, scale, rng)
+                    gathered = _gather(block.reshape(-1), r0 * chw, limit, scale, rng)
                 if not gathered:
                     z = rng.normal(block.size, start=r0 * chw).reshape(block.shape)
                     z *= scale
@@ -113,40 +111,20 @@ def _add_noise(layer: np.ndarray, shape: tuple[int, ...], src, scale: float | No
                 put(r0, block)
 
 
-class _Gather:
-    """Noise for the few elements of a chunk that it can move.
-
-    The buffers hold one chunk (``size`` elements) and are reused for every
-    chunk of a layer, so the number of elements gathered does not change
-    the sizes the heap sees.
+def _gather(chunk, start, limit, scale, rng) -> bool:
+    """Add noise to the elements of ``chunk`` (stream values from
+    ``start``) with magnitude <= limit, unless more than a quarter of
+    them are: then return False and leave the chunk to the dense draw.
+    A gathered value costs about two dense ones (it needs its pair).
     """
-
-    def __init__(self, dtype: np.dtype, size: int):
-        self.index = np.arange(size)
-        self.near = np.empty(size, bool)
-        self.pos = np.empty(size, np.int64)
-        self.z = np.empty(size)
-        self.w = np.empty(size, dtype)
-
-    def add(self, chunk, start, limit, scale, rng) -> bool:
-        """Add noise to the elements of ``chunk`` (stream values from
-        ``start``) with magnitude <= limit, unless more than a quarter of
-        them are: then return False and leave the chunk to the dense draw.
-        A gathered value costs about two dense ones (it needs its pair).
-        """
-        n = chunk.size
-        near = np.less_equal(np.abs(chunk, out=self.w[:n]), limit, out=self.near[:n])
-        m = np.count_nonzero(near)
-        if m > n // 4:
-            return False
-        pos = np.compress(near, self.index[:n], out=self.pos[:m])
-        pos += start
-        z = rng.normal_at(pos, out=self.z[:m])
-        z *= scale
-        z += np.compress(near, chunk, out=self.w[:m])
-        np.copyto(self.w[:m], z, casting="same_kind")
-        np.place(chunk, near, self.w[:m])
-        return True
+    near = np.flatnonzero(np.abs(chunk) <= limit)
+    if near.size > chunk.size // 4:
+        return False
+    z = rng.normal_at(near + start, np.empty(near.size))
+    z *= scale
+    z += chunk[near]
+    chunk[near] = z
+    return True
 
 
 def _write_layer(shape: tuple[int, ...], src, put: Callable[[int, np.ndarray], None],

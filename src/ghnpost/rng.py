@@ -58,7 +58,7 @@ def substream_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-# Values per generator chunk: small enough that its work buffers stay in a
+# Values per generator chunk: small enough that its temporaries stay in a
 # core's L2 cache (CHANGES.md); even, so every chunk holds whole pairs.
 _CHUNK = 1 << 14
 
@@ -68,61 +68,37 @@ _COUNTER = np.arange(1, _CHUNK + 1, dtype=np.uint64)
 _COUNTER.flags.writeable = False
 
 
-class _Words:
-    """Work buffers of one generator call, sized for ``size`` values (even):
-    splitmix64 words, uniforms and the Box-Muller temporaries."""
-
-    def __init__(self, size: int):
-        self.word = np.empty(size, dtype=np.uint64)
-        self.shifted = np.empty(size, dtype=np.uint64)
-        self.u = np.empty(size)
-        self.radius, self.angle, self.trig = (np.empty(size // 2) for _ in range(3))
-
-
-def _mix(seed: np.uint64, z: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Write the uniforms of the word counters in z into u (z and t are clobbered).
+def _mix(seed: np.uint64, z: np.ndarray) -> np.ndarray:
+    """The uniforms of the word counters in z (z is clobbered).
 
     The word of counter c is splitmix64 of ``seed + c * G``; the uniform
     keeps its top 53 bits: ``((word >> 11) + 1) * 2**-53``, exact in float64.
     """
-    np.multiply(z, _GOLDEN, out=z)
-    np.add(z, seed, out=z)
+    z *= _GOLDEN
+    z += seed
     for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
-        np.right_shift(z, np.uint64(shift), out=t)
-        np.bitwise_xor(z, t, out=z)
+        z ^= z >> np.uint64(shift)
         if mix is not None:
-            np.multiply(z, mix, out=z)
-    np.right_shift(z, np.uint64(11), out=z)
-    np.add(z, 1.0, out=u)
-    np.multiply(u, 2.0**-53, out=u)
+            z *= mix
+    z >>= np.uint64(11)
+    u = z + 1.0
+    u *= 2.0**-53
     return u
 
 
-def _uniforms(seed: np.uint64, start: int, u: np.ndarray, words: _Words) -> np.ndarray:
-    """Write uniforms start .. start+len(u)-1 of the stream into u."""
-    n = len(u)
-    z = words.word[:n]
-    np.add(_COUNTER[:n], np.uint64(start), out=z)
-    return _mix(seed, z, words.shifted[:n], u)
-
-
-def _box_muller(u: np.ndarray, even: np.ndarray, odd: np.ndarray, words: _Words) -> None:
+def _box_muller(u: np.ndarray, even: np.ndarray, odd: np.ndarray) -> None:
     """Gaussians of the uniform pairs (u[2j], u[2j+1]) into even[j] and odd[j].
 
     ``normal`` and ``normal_at`` both come through here with u laid out as
     interleaved pairs, so numpy's log, cos and sin see the same strides and
     give the same bits either way.
     """
-    p = len(u) // 2
-    r, a, c = words.radius[:p], words.angle[:p], words.trig[:p]
-    np.log(u[0::2], out=r)
-    np.multiply(-2.0, r, out=r)
+    r = np.log(u[0::2])
+    r *= -2.0
     np.sqrt(r, out=r)
-    np.multiply(2.0 * np.pi, u[1::2], out=a)
-    np.cos(a, out=c)
-    np.multiply(r, c, out=even)
-    np.sin(a, out=c)
-    np.multiply(r, c, out=odd)
+    a = u[1::2] * (2.0 * np.pi)
+    np.multiply(r, np.cos(a), out=even)
+    np.multiply(r, np.sin(a), out=odd)
 
 
 @dataclass(frozen=True)
@@ -149,12 +125,11 @@ class RngStream:
         seed = self._seed()
         first = start - start % 2  # whole pairs; the end values may be cut
         size = start + n + (start + n) % 2 - first
-        words = _Words(min(size, _CHUNK))
         out = np.empty(size, dtype=np.float64)
         for lo in range(0, size, _CHUNK):
             hi = min(lo + _CHUNK, size)
-            u = _uniforms(seed, first + lo, words.u[: hi - lo], words)
-            _box_muller(u, out[lo:hi:2], out[lo + 1 : hi : 2], words)
+            u = _mix(seed, _COUNTER[: hi - lo] + np.uint64(first + lo))
+            _box_muller(u, out[lo:hi:2], out[lo + 1 : hi : 2])
         return out[start - first : start - first + n]
 
     def normal_at(self, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -164,26 +139,21 @@ class RngStream:
         Equals ``normal(max(positions) + 1, 0)[positions]`` bit for bit, but
         only the pairs the positions touch are generated: value p needs
         words 2j and 2j+1 of its pair j = p // 2 (counters 2j+1 and 2j+2).
-        ``positions`` is a 1-D integer array in any order.  The work
-        buffers have one size whatever the number of positions, so calls
-        of varying size reuse the same heap blocks.
+        ``positions`` is a 1-D integer array in any order.  They are taken
+        _CHUNK // 2 at a time, so the temporaries of a call hold at most
+        _CHUNK values whatever the number of positions.
         """
         if positions.size and positions.min() < 0:
             raise ValueError("positions must be non-negative")
         seed = self._seed()
-        words = _Words(_CHUNK)
         for lo in range(0, len(positions), _CHUNK // 2):
             pos = positions[lo : lo + _CHUNK // 2]
-            k = len(pos)
-            z, u = words.word[: 2 * k], words.u[: 2 * k]
+            z = np.empty(2 * len(pos), dtype=np.uint64)
             np.bitwise_or(pos, 1, out=z[0::2], casting="unsafe")  # 2j + 1
             np.add(z[0::2], np.uint64(1), out=z[1::2])
-            _mix(seed, z, words.shifted[: 2 * k], u)
+            u = _mix(seed, z)
             # Box-Muller overwrites u with the pair's two values, as normal
             # lays them out in its output; each position keeps its half.
-            _box_muller(u, u[0::2], u[1::2], words)
-            odd = words.shifted[:k].view(bool)[:k]  # free once _mix is done
-            np.bitwise_and(pos, 1, out=odd, casting="unsafe")
-            np.copyto(out[lo : lo + k], u[0::2])
-            np.copyto(out[lo : lo + k], u[1::2], where=odd)
+            _box_muller(u, u[0::2], u[1::2])
+            out[lo : lo + len(pos)] = np.where(pos & 1, u[1::2], u[0::2])
         return out

@@ -137,6 +137,14 @@ def _normalize(g: np.ndarray, rows: slice, cols: slice, safe: np.ndarray,
     np.copyto(g, -1.0, where=g <= -1.0 + _SNAP)
 
 
+def _lower_edge(i, bins: int):
+    """The lower edge of bin i < ``bins`` (an int or an int array) of
+    ``np.histogram(..., bins, range=(-1, 1))``, byte for byte: its edges
+    are ``np.linspace(-1, 1, bins + 1)``, which computes edge i < bins as
+    ``i * (2 / bins) + -1``."""
+    return i * (2.0 / bins) - 1.0
+
+
 class _Fold:
     """Running count, shifted mean, M2, sum |r| and, unless ``bins`` is
     None, the histogram counts of the correlations of ``k`` channels;
@@ -154,11 +162,9 @@ class _Fold:
         if k < 2:
             raise NumericalError(f"need k >= 2 channels, got {k}")
         self.bins = bins
-        self.counts = self.edges = None
+        self.counts = None
         if bins is not None:
             self.counts = np.zeros(bins, dtype=np.intp)
-            # np.histogram's own edges for range=(-1, 1), byte for byte.
-            self.edges = np.linspace(-1.0, 1.0, bins + 1)
             self._blocks = (np.empty(_COUNT_VALUES), np.empty(_COUNT_VALUES, dtype=np.intp),
                             np.empty(_COUNT_VALUES, dtype=bool))
         self.n = 0
@@ -190,7 +196,8 @@ class _Fold:
     def _count(self, r: np.ndarray) -> None:
         """Add the bin counts of at most _COUNT_VALUES values r to ``counts``, as
         ``np.histogram(r, bins, range=(-1, 1))`` counts them: bin i holds
-        edges[i] <= r < edges[i + 1], the last bin r = 1 too.
+        the r from its :func:`_lower_edge` up to bin i + 1's, the last bin
+        r = 1 too.
 
         f = r * bins/2 + (bins/2 + tol) is r's place among the bins
         shifted up by tol = bins * 2^-40, and is off from where the edges
@@ -212,7 +219,7 @@ class _Fold:
         np.less(f, 2.0 * tol, out=near)
         if near.any():
             at = np.flatnonzero(near)
-            idx[at] -= r[at] < self.edges[idx[at]]
+            idx[at] -= r[at] < _lower_edge(idx[at], bins)
         self.counts += np.bincount(idx, minlength=bins)
 
 
@@ -239,7 +246,7 @@ def correlation_stats(w, bins: int, work: np.ndarray) -> CorrelationStats:
     xc, safe, dead = _centered(w, work)
     k, chw = xc.shape
     fold = _Fold(k, bins)
-    mean = _certified_mean(xc, safe, fold.edges[-2])
+    mean = _certified_mean(xc, safe, _lower_edge(bins - 1, bins))
     if mean is None:
         return CorrelationStats(*_fold_panels(xc, safe, dead, fold), fold.counts)
     fold.counts[-1] = k * (k - 1) // 2

@@ -12,7 +12,7 @@ import threading
 from pathlib import Path
 
 import ghnpost
-from ghnpost import checkpoint_io, cli, errors, linalg, postprocess, report, stats, tensor_ops
+from ghnpost import checkpoint_io, cli, errors, linalg, postprocess, report, rng, stats, tensor_ops
 from ghnpost.checkpoint_io import CheckpointReader
 from ghnpost.linalg import qr_decompose
 from ghnpost.rng import RngStream
@@ -72,6 +72,11 @@ def test_removed_names_are_absent():
     assert not hasattr(report, "project_embeddings")
     assert not hasattr(ghnpost, "project_embeddings")
     assert not hasattr(RngStream, "uniform")
+    # Scratch arrays are made where they are used: no class holds buffers
+    # to reuse between calls.
+    assert not hasattr(postprocess, "_Gather")
+    for name in ("_Words", "_uniforms"):
+        assert not hasattr(rng, name), name
     # The engines take the settings the command line has checked, as plain
     # arguments: no config object, and init's method is its one orth flag.
     for name in ("PostprocessConfig", "_eligible", "_init_layer"):

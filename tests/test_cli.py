@@ -207,20 +207,18 @@ def test_init_matches_library(method, tmp_path, monkeypatch):
 def test_beta_0_computes_no_sigma_r(tmp_path):
     # One-element channels have no correlation (sigma_r raises
     # ChannelTooShort), but --beta 0 adds no noise and so needs none: the
-    # run ends as --skip-noise does, and --skip-orth leaves the input as is.
+    # run ends as --skip-noise does.
     inp = tmp_path / "in.ckpt"
     inp.write_bytes(make_checkpoint([
         ("l0.conv", (8, 1, 1, 1), "conv", 0, ghn_like_tensor((8, 1, 1, 1), seed=1)),
         ("l1.fc", (16, 1), "linear", 1, ghn_like_tensor((16, 1), seed=2)),
     ]))
     outs = {}
-    for case, flags in {"beta_0": ["--beta", "0"], "skip_noise": ["--skip-noise"],
-                        "noise_only": ["--beta", "0", "--skip-orth"]}.items():
+    for case, flags in {"beta_0": ["--beta", "0"], "skip_noise": ["--skip-noise"]}.items():
         outs[case] = tmp_path / f"{case}.ckpt"
         assert run(["postprocess", str(inp), "--start-layer", "0", "--out", str(outs[case]),
                     *flags]) == 0
     assert outs["beta_0"].read_bytes() == outs["skip_noise"].read_bytes()
-    assert outs["noise_only"].read_bytes() == inp.read_bytes()
 
 
 @pytest.mark.parametrize("skip", [[], ["--skip-orth"]], ids=["repair", "skip_orth"])
@@ -763,6 +761,10 @@ _MOOT = {
                                "--beta", "0.5"], "--beta"),
     "default_beta_before_skip_noise": (["postprocess", "{ckpt}", "--start-layer", "0",
                                         "--beta", "3e-5", "--skip-noise"], "--beta"),
+    "beta_0_with_skip_orth": (["postprocess", "{ckpt}", "--start-layer", "0", "--beta", "0",
+                               "--skip-orth"], "--skip-orth"),
+    "skip_orth_before_beta_0.0": (["postprocess", "{ckpt}", "--start-layer", "0",
+                                   "--skip-orth", "--beta", "0.0"], "--skip-orth"),
     "gain_with_rand": (["init", "{arch}", "--method", "rand", "--gain", "7"], "--gain"),
     "default_gain_with_rand": (["init", "{arch}", "--gain", "1", "--method", "rand"], "--gain"),
 }
@@ -770,9 +772,10 @@ _MOOT = {
 
 @pytest.mark.parametrize("case", sorted(_MOOT))
 def test_a_flag_without_effect_is_a_usage_error(case, ckpt_path, tmp_path, capsys):
-    # --skip-noise is --beta 0, and --gain scales --method orth only: a value
-    # that the rest of the command line would ignore is refused, even the
-    # default, before any output exists.
+    # --skip-noise is --beta 0, --skip-orth at --beta 0 would copy its input,
+    # and --gain scales --method orth only: a value that the rest of the
+    # command line would ignore is refused, even the default, before any
+    # output exists.
     argv, flag = _MOOT[case]
     paths = {"ckpt": ckpt_path, "arch": _archspec(tmp_path)}
     out = tmp_path / "new" / "out.ckpt"
@@ -781,6 +784,18 @@ def test_a_flag_without_effect_is_a_usage_error(case, ckpt_path, tmp_path, capsy
     assert err[0].startswith(f"usage: ghnpost {argv[0]} ")
     assert err[-1].startswith(f"ghnpost {argv[0]}: error: argument {flag}: ")
     assert not out.parent.exists()
+
+
+def test_noise_only_at_beta_0_names_both_flags(ckpt_path, tmp_path, capsys):
+    # --skip-orth at --beta 0 would write a byte copy of its input (see
+    # _MOOT); any positive beta, however small, runs.
+    argv = ["postprocess", str(ckpt_path), "--start-layer", "0", "--skip-orth",
+            "--out", str(tmp_path / "out.ckpt")]
+    assert run(argv + ["--beta", "0"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "ghnpost postprocess: error: argument --skip-orth: not allowed with --beta 0, "
+        "which adds no noise")
+    assert run(argv + ["--beta", "1e-300"]) == 0
 
 
 def test_data_errors(tmp_path, ckpt_path):

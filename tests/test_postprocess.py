@@ -161,6 +161,30 @@ def test_sparse_noise_equals_dense_oracle_bytes(monkeypatch):
     assert got.flat[top] != w.flat[top]
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["a_quarter", "one_more"])
+def test_gather_takes_at_most_a_quarter_of_a_block(extra, monkeypatch):
+    # One C-ordered block of 8192 weights, all of magnitude >= 0.5 but
+    # n // 4 + extra of them near 1e-30, the only ones the noise can move:
+    # a quarter of the block is gathered, one more is drawn dense, and
+    # either way the bytes are the dense oracle's.
+    k, chw = 32, 256
+    rng = np.random.default_rng(41)
+    w = rng.uniform(0.5, 2.0, (k, chw)) * rng.choice([-1.0, 1.0], (k, chw))
+    w.reshape(-1)[rng.choice(w.size, w.size // 4 + extra, replace=False)] *= 1e-30
+    w = w.astype(np.float32)
+    want = _noise_oracle(w, 1e-12, RngStream(9, "w"))
+    drawn = []
+    for method in ("normal", "normal_at"):
+        def recording(self, *args, _draw=getattr(RngStream, method), _name=method, **kwargs):
+            drawn.append(_name)
+            return _draw(self, *args, **kwargs)
+        monkeypatch.setattr(RngStream, method, recording)
+    got = through_file(w, _noise_only(1e-12, 9))
+    assert drawn == (["normal_at"] if extra == 0 else ["normal"])
+    assert got.tobytes() == want.tobytes()
+    assert (got != w).any()
+
+
 def test_noise_errors():
     with pytest.raises(NumericalError,
                        match="^tensor 'x': expected rank 2 or 4 tensor, got rank 3$"):

@@ -382,11 +382,11 @@ def test_cli_peak_follows_the_memory_model(command, tmp_path):
     assert growth <= _model(command, shapes) + _SLACK, growth / 2**20
 
 
-# What analyze counts one layer's bins in, 8 bytes a bin each: the counts,
-# their edges, and one step's np.bincount, whose zeroed pages stay unmapped
-# but for the bins it counts.
+# What analyze counts one layer's bins in, 8 bytes a bin each: the counts
+# and one step's np.bincount, whose zeroed pages stay unmapped but for the
+# bins it counts.
 _BINS = 2**20
-_BIN_BYTES = 3 * 8 * _BINS
+_BIN_BYTES = 2 * 8 * _BINS
 
 
 @pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
@@ -394,10 +394,10 @@ def test_analyze_at_the_most_bins_holds_one_layer_of_counts(svg, tmp_path):
     # Six layers of 32 independent channels: each counts its 496
     # correlations into 2**20 bins, and its SVG draws at most 496 bars.
     # Each layer's counts are dropped, once its SVG is written, before the
-    # next layer is read: growth measured 20.0 MiB of a 27.8 MiB bound.
-    # Keeping every layer's counts until the CSV was written measured
-    # 59.9 MiB, and keeping the last layer's while the next is counted
-    # 27.9 MiB (29.8 MiB with the SVGs).
+    # next layer is read: growth measured 12.0-16.1 MiB of a 19.8 MiB
+    # bound.  Keeping the last layer's counts while the next is counted
+    # measured 23.8-24.0 MiB (with or without the SVGs), and building each
+    # layer's 2**20 + 1 bin edges 20.0-22.1 MiB.
     shapes = [(32, 96)] * 6
     rng = np.random.default_rng(0)
     argvs = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import math
 import os
 import re
@@ -36,7 +37,7 @@ from .report import (
     parse_embeddings_csv,
 )
 
-DEFAULT_BINS = 50
+_DEFAULT_BINS = 50
 _DEFAULT_GAIN = 1.0
 
 
@@ -76,9 +77,9 @@ def _number(name: str, cast: type, ok: Callable, message: str) -> Callable[[str]
 
 _nonneg_int = _number("_nonneg_int", int, lambda v: v >= 0, "must be non-negative")
 # 1 to 2**20 histogram bins: the most the bin counter is tested with (its
-# rounding needs fewer than 2**38).  analyze keeps 8 bytes a bin of the
-# layer in flight, and an SVG draws a bar of ~108 bytes for each bin with
-# a count.
+# rounding needs fewer than 2**38).  analyze --svg-dir keeps 8 bytes a bin
+# of the layer in flight, and an SVG draws a bar of ~108 bytes for each
+# bin with a count.
 _bins = _number("_bins", int, lambda v: 1 <= v <= 2**20, "must be between 1 and 1048576")
 _seed = _number("_seed", int, lambda v: 0 <= v < 2**64, "must fit in an unsigned 64-bit integer")
 _nonneg_float = _number("_nonneg_float", float, lambda v: math.isfinite(v) and v >= 0,
@@ -98,7 +99,10 @@ def build_parser() -> _Parser:
     p.add_argument("checkpoint", type=Path)
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
     p.add_argument("--svg-dir", type=Path, help="write one histogram SVG per layer")
-    p.add_argument("--bins", type=_bins, default=DEFAULT_BINS)
+    p.add_argument("--bins", type=_bins,
+                   help=f"histogram bins of each SVG (default {_DEFAULT_BINS})")
+    p.moot = lambda a: ("argument --bins: applies to --svg-dir only"
+                        if a.bins is not None and a.svg_dir is None else None)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("postprocess", help="noise + orthogonal re-initialization")
@@ -231,8 +235,10 @@ def _cmd_analyze(args) -> int:
             del stats
         yield args.out, emit_report_csv(rows)
 
+    # Without SVGs nothing is drawn, so no bin is counted.
+    bins = None if args.svg_dir is None else _DEFAULT_BINS if args.bins is None else args.bins
     with open(args.checkpoint, "rb", buffering=0) as handle:
-        _write_texts(files(analyze_checkpoint(CheckpointReader(handle), args.bins)))
+        _write_texts(files(analyze_checkpoint(CheckpointReader(handle), bins)))
     return 0
 
 
@@ -298,6 +304,10 @@ def run(argv: list[str]) -> int:
     on_main = threading.current_thread() is threading.main_thread()
     previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
+        # Every command has an --out: one that names a directory fails
+        # before any input is read.
+        if args.out.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(args.out))
         return args.func(args)
     except KeyboardInterrupt as exc:
         # The shell's code for a command ended by the signal: 128 + its number.

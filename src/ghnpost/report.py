@@ -61,25 +61,26 @@ def _layers(c: CheckpointReader) -> Iterator[tuple[int, TensorMeta, np.ndarray]]
         yield i, meta, work
 
 
-def analyze_checkpoint(c: CheckpointReader, bins: int
+def analyze_checkpoint(c: CheckpointReader, bins: int | None
                        ) -> Iterator[tuple[TensorMeta, CorrelationStats]]:
     """``(meta, stats)`` for each conv/linear tensor of the file ``c``, in
     file order, made as it is asked for: its header entry and its
     correlation statistics, with a histogram of ``bins`` bins (1 to
-    2**20, as the command line checks them).  A caller that drops each
-    layer's stats before asking for the next holds one layer's counts.
+    2**20, as the command line checks them), or none where ``bins`` is
+    None.  A caller that drops each layer's stats before asking for the
+    next holds one layer's counts.
 
     Each one is read through :class:`~ghnpost.checkpoint_io.TensorRows`, a
     block of rows at a time, straight into the float64 channels of
     :func:`~ghnpost.stats.correlation_stats`, held in the run's one
     buffer (see :func:`_layers`), and other tensors are not read.  So
-    the run holds no whole float32 array.  A collapsed layer, whose every
-    correlation the spread certificate of
+    the run holds no whole float32 array.  A collapsed tall layer
+    (K > CHW), whose every correlation the spread certificate of
     :func:`~ghnpost.stats.correlation_stats` places in the top bin, has
-    its histogram without counting; a tall one (K > CHW) is not folded at
-    all (but for the rare exception given there), and gets ``compare``'s
-    sigma_r, bit for bit, holding one ``128 x CHW`` panel in place of two
-    ``128 x K`` ones.  A tensor holding NaN or Inf raises NumericalError
+    its histogram without counting and is not folded at all (but for the
+    rare exception given there): it gets ``compare``'s sigma_r, bit for
+    bit, holding one ``128 x CHW`` panel in place of two ``128 x K``
+    ones.  A tensor holding NaN or Inf raises NumericalError
     naming it ("tensor holds NaN or Inf values"); one whose working
     memory cannot be allocated raises OutOfMemory naming it.
     """

@@ -19,10 +19,10 @@ of their spread.  The histogram counts are ``np.histogram``'s over
 CHW x CHW Gram instead, within 2^-53 / (sigma_r sqrt(K)) relative of
 the fold (see _ROUTES_AGREE): always in :func:`sigma_r` (``compare``
 and the repair), and in :func:`correlation_stats` (``analyze``) where a
-spread certificate shows that every r lies in the top histogram bin and
-above 0, as on the collapsed layers the paper diagnoses.  Such a layer's
-histogram and mean |r| then need no fold either, and a wide layer so
-certified skips only the bin counter.
+spread certificate shows that every r lies above 0 and, if a histogram
+is asked for, in its top bin, as on the collapsed tall layers the paper
+diagnoses.  Such a layer's histogram and mean |r| then need no fold
+either.  A histogram is counted only where one is asked for.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ _MARGIN = 1e-9
 # estimate is at most this, so that its sigma_r stays the fold's to 1e-10.
 _ROUTES_AGREE = 1e-10
 
-# Values per step of the histogram's bin counter: its two value buffers
-# are 128 KiB each, and stay in L2 across a step's passes.
+# Values per step of the histogram's bin counter: its two value
+# temporaries are 128 KiB each, and stay in L2 across a step's passes.
 _COUNT_VALUES = 1 << 14
 
 
@@ -73,8 +73,8 @@ class CorrelationStats:
     sigma_r: float  # population standard deviation
     mean_abs: float  # mean |r|
     # Counts of equal-width bins over [-1, 1], as np.histogram's with
-    # range=(-1, 1).
-    histogram: np.ndarray
+    # range=(-1, 1); None where no bins were asked for.
+    histogram: np.ndarray | None
 
 
 def _centered(w, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,118 +145,72 @@ def _lower_edge(i, bins: int):
     return i * (2.0 / bins) - 1.0
 
 
-class _Fold:
-    """Running count, shifted mean, M2, sum |r| and, unless ``bins`` is
-    None, the histogram counts of the correlations of ``k`` channels;
-    raises NumericalError for k < 2 ("need k >= 2 channels").
+def _count(r: np.ndarray, counts: np.ndarray) -> None:
+    """Add the bin counts of the values r to ``counts``, as
+    ``np.histogram(r, len(counts), range=(-1, 1))`` counts them: bin i
+    holds the r from its :func:`_lower_edge` up to bin i + 1's, the last
+    bin r = 1 too.  Every r must lie in [-1, 1], as the correlations of
+    :func:`_normalize` do: there is no range mask.
 
-    Every value folded in must lie in [-1, 1], as the correlations of
-    :func:`_normalize` do: the bin counter has no range mask.  It counts
-    _COUNT_VALUES values per step through buffers of one step (0.27 MB),
-    which are all it holds besides the counts; the channels and panels
-    it folds are the caller's, and ``analyze`` keeps only the layer in
-    flight in its channel mapping.
+    The values go _COUNT_VALUES at a time, through temporaries of that
+    step (0.27 MB).  In a step, f = r * bins/2 + (bins/2 + tol) is r's
+    place among the bins shifted up by tol = bins * 2^-40, and is off
+    from where the edges put r by a few ulp of ``bins``, far less than
+    tol.  So trunc(f) is r's bin, or the bin above where f lies less than
+    2 tol above an integer; only those few values are rechecked against
+    the edges.  (That needs tol < 1/4, so bins < 2^38; ``--bins`` is at
+    most 2^20.)  Only r in the last bin get f past bins - 1/2 (r = 1
+    gives f = bins): f is capped there.  A step adds only the bins from
+    the lowest it touches to the highest.
     """
-
-    def __init__(self, k: int, bins: int | None):
-        if k < 2:
-            raise NumericalError(f"need k >= 2 channels, got {k}")
-        self.bins = bins
-        self.counts = None
-        if bins is not None:
-            self.counts = np.zeros(bins, dtype=np.intp)
-            self._blocks = (np.empty(_COUNT_VALUES), np.empty(_COUNT_VALUES, dtype=np.intp),
-                            np.empty(_COUNT_VALUES, dtype=bool))
-        self.n = 0
-        self.shift = self.mean = self.m2 = self.abs_sum = 0.0
-
-    def add(self, v: np.ndarray, tmp: np.ndarray) -> None:
-        """Fold the values v in; tmp is float64 scratch of v's length."""
-        if self.bins is not None:
-            for start in range(0, len(v), _COUNT_VALUES):
-                self._count(v[start : start + _COUNT_VALUES])
-        nb = len(v)
-        if self.n == 0:
-            self.shift = float(np.sum(v)) / nb
-        np.abs(v, out=tmp)
-        self.abs_sum += float(np.sum(tmp))
-        # Two-pass moments of this panel about the shift ...
-        np.subtract(v, self.shift, out=tmp)
-        mean_b = float(np.sum(tmp)) / nb
-        np.subtract(tmp, mean_b, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        m2_b = float(np.sum(tmp))
-        # ... merged into the running ones (Chan, Golub & LeVeque).
-        n = self.n + nb
-        delta = mean_b - self.mean
-        self.mean += delta * nb / n
-        self.m2 += m2_b + delta * delta * (self.n * nb / n)
-        self.n = n
-
-    def _count(self, r: np.ndarray) -> None:
-        """Add the bin counts of at most _COUNT_VALUES values r to ``counts``, as
-        ``np.histogram(r, bins, range=(-1, 1))`` counts them: bin i holds
-        the r from its :func:`_lower_edge` up to bin i + 1's, the last bin
-        r = 1 too.
-
-        f = r * bins/2 + (bins/2 + tol) is r's place among the bins
-        shifted up by tol = bins * 2^-40, and is off from where the edges
-        put r by a few ulp of ``bins``, far less than tol.  So trunc(f) is
-        r's bin, or the bin above where f lies less than 2 tol above an
-        integer; only those few values are rechecked against the edges.
-        (That needs tol < 1/4, so bins < 2^38; ``--bins`` is at most
-        2^20.)  Only r in the last bin get f past bins - 1/2 (r = 1 gives
-        f = bins): f is capped there.
-        """
-        bins = self.bins
-        f, idx, near = (buf[: len(r)] for buf in self._blocks)
-        tol = bins * 2.0**-40
-        np.multiply(r, 0.5 * bins, out=f)
-        np.add(f, 0.5 * bins + tol, out=f)
+    bins = len(counts)
+    tol = bins * 2.0**-40
+    for start in range(0, len(r), _COUNT_VALUES):
+        v = r[start : start + _COUNT_VALUES]
+        f = v * (0.5 * bins)
+        f += 0.5 * bins + tol
         np.minimum(f, bins - 0.5, out=f)
-        np.copyto(idx, f, casting="unsafe")  # f > 0, so the cast is trunc(f)
-        np.subtract(f, idx, out=f)
-        np.less(f, 2.0 * tol, out=near)
-        if near.any():
-            at = np.flatnonzero(near)
-            idx[at] -= r[at] < _lower_edge(idx[at], bins)
-        self.counts += np.bincount(idx, minlength=bins)
+        idx = f.astype(np.intp)  # f > 0, so the cast is trunc(f)
+        f -= idx
+        at = np.flatnonzero(f < 2.0 * tol)
+        idx[at] -= v[at] < _lower_edge(idx[at], bins)
+        lo = idx.min()
+        idx -= lo
+        step = np.bincount(idx)
+        counts[lo : lo + len(step)] += step
 
 
-def correlation_stats(w, bins: int, work: np.ndarray) -> CorrelationStats:
-    """sigma_r, mean |r| and the ``bins``-bin histogram of a tensor's
-    off-diagonal channel correlations, holding only the float64 channels
-    and two ``_PANEL_ROWS x K`` buffers.  ``w`` is an array or a row
-    source, as for :func:`_centered`; both give the same bits.  The
-    channels go into ``work``, as for :func:`sigma_r`.
+def correlation_stats(w, bins: int | None, work: np.ndarray) -> CorrelationStats:
+    """sigma_r, mean |r| and, unless ``bins`` is None, the ``bins``-bin
+    histogram of a tensor's off-diagonal channel correlations, holding
+    only the float64 channels and two ``_PANEL_ROWS x K`` buffers.  ``w``
+    is an array or a row source, as for :func:`_centered`; both give the
+    same bits.  The channels go into ``work``, as for :func:`sigma_r`.
 
-    Each Gram panel is normalized by :func:`_normalize`, its strict upper
-    triangle packed and folded in, and the panel reused.
-    Where :func:`_certified_mean` shows that every r lies in the top bin
-    and above 0, the histogram is all K(K-1)/2 in the last bin and no
-    value is counted.  A wide or square layer (K <= CHW) then still folds
-    its panels for sigma_r and mean |r|, which keep their bits.  A tall
-    one (K > CHW) folds none: it takes sigma_r from :func:`_tall_sigma`,
-    as :func:`sigma_r` does, holding one ``_PANEL_ROWS x CHW`` panel, and
-    mean |r| from the mean channel.  Only where its spread is too near
-    float64's resolution for the two routes to agree to 1e-10 (see
-    _ROUTES_AGREE) are its channels read again and folded, as a wide
-    layer's.  Needs at least two channels.
+    The statistics are :func:`_fold_panels`', except on a tall layer
+    (K > CHW) where :func:`_certified_mean` shows that every r lies in
+    the top bin (above 0 without bins): that layer folds none, and takes
+    sigma_r from :func:`_tall_sigma`, as :func:`sigma_r` does, holding
+    one ``_PANEL_ROWS x CHW`` panel, mean |r| from the mean channel and
+    a histogram of all K(K-1)/2 in the last bin.  Only where its spread
+    is too near float64's resolution for the two routes to agree to
+    1e-10 (see _ROUTES_AGREE) are its channels read again and folded.
+    Needs at least two channels.
     """
     xc, safe, dead = _centered(w, work)
     k, chw = xc.shape
-    fold = _Fold(k, bins)
-    mean = _certified_mean(xc, safe, _lower_edge(bins - 1, bins))
-    if mean is None:
-        return CorrelationStats(*_fold_panels(xc, safe, dead, fold), fold.counts)
-    fold.counts[-1] = k * (k - 1) // 2
     if k > chw:
-        sigma = _tall_sigma(xc, safe)
-        if sigma * math.sqrt(k) * _ROUTES_AGREE >= 2.0**-53:
-            return CorrelationStats(sigma, mean, fold.counts)
-        del xc  # overwritten by _tall_sigma: the channels are read again
-        xc, safe, dead = _centered(w, work)
-    return CorrelationStats(*_fold_panels(xc, safe, dead, _Fold(k, None)), fold.counts)
+        mean = _certified_mean(xc, safe, 0.0 if bins is None else _lower_edge(bins - 1, bins))
+        if mean is not None:
+            sigma = _tall_sigma(xc, safe)
+            if sigma * math.sqrt(k) * _ROUTES_AGREE >= 2.0**-53:
+                # Every pair in the last bin.
+                counts = (None if bins is None
+                          else np.append(np.zeros(bins - 1, np.intp), k * (k - 1) // 2))
+                return CorrelationStats(sigma, mean, counts)
+            del xc  # overwritten by _tall_sigma: the channels are read again
+            xc, safe, dead = _centered(w, work)
+    return CorrelationStats(*_fold_panels(xc, safe, dead, bins))
 
 
 def _certified_mean(xc: np.ndarray, safe: np.ndarray, edge: float) -> float | None:
@@ -284,11 +238,23 @@ def _certified_mean(xc: np.ndarray, safe: np.ndarray, edge: float) -> float | No
     return (k * mm - 1.0) / (k - 1)
 
 
-def _fold_panels(xc: np.ndarray, safe: np.ndarray, dead: np.ndarray, fold: _Fold
-                 ) -> tuple[float, float]:
-    """sigma_r and mean |r| of the :func:`_centered` channels, their panels
-    folded into ``fold``, which counts their bins if it has any."""
+def _fold_panels(xc: np.ndarray, safe: np.ndarray, dead: np.ndarray, bins: int | None
+                 ) -> tuple[float, float, np.ndarray | None]:
+    """sigma_r, mean |r| and, unless ``bins`` is None, the histogram
+    counts of the :func:`_centered` channels; raises NumericalError for
+    fewer than 2 channels ("need k >= 2 channels").
+
+    Each Gram panel is normalized by :func:`_normalize`, its strict upper
+    triangle packed, counted by :func:`_count` where there are bins, and
+    merged into the running count, shifted mean, M2 and sum |r|; then the
+    panel is reused.
+    """
     k = xc.shape[0]
+    if k < 2:
+        raise NumericalError(f"need k >= 2 channels, got {k}")
+    counts = None if bins is None else np.zeros(bins, dtype=np.intp)
+    n = 0
+    shift = mean = m2 = abs_sum = 0.0
     size = min(_PANEL_ROWS, k) * k
     panel, scratch = np.empty(size), np.empty(size)
     for i0 in range(0, k, _PANEL_ROWS):
@@ -300,14 +266,32 @@ def _fold_panels(xc: np.ndarray, safe: np.ndarray, dead: np.ndarray, fold: _Fold
         # Row i of the panel holds columns i0 .. k-1; pack those right of i
         # into the scratch buffer, free again after normalizing, and fold
         # them in with the panel buffer as workspace.
-        pos = 0
+        nb = 0
         for row in range(shape[0]):
             count = shape[1] - row - 1
-            scratch[pos : pos + count] = g[row, row + 1 :]
-            pos += count
-        if pos:
-            fold.add(scratch[:pos], panel[:pos])
-    return math.sqrt(fold.m2 / fold.n), fold.abs_sum / fold.n
+            scratch[nb : nb + count] = g[row, row + 1 :]
+            nb += count
+        if not nb:
+            continue
+        v, tmp = scratch[:nb], panel[:nb]
+        if counts is not None:
+            _count(v, counts)
+        if n == 0:
+            shift = float(np.sum(v)) / nb
+        np.abs(v, out=tmp)
+        abs_sum += float(np.sum(tmp))
+        # Two-pass moments of this panel about the shift ...
+        np.subtract(v, shift, out=tmp)
+        mean_b = float(np.sum(tmp)) / nb
+        np.subtract(tmp, mean_b, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        m2_b = float(np.sum(tmp))
+        # ... merged into the running ones (Chan, Golub & LeVeque).
+        delta = mean_b - mean
+        mean += delta * nb / (n + nb)
+        m2 += m2_b + delta * delta * (n * nb / (n + nb))
+        n += nb
+    return math.sqrt(m2 / n), abs_sum / n, counts
 
 
 def sigma_r(w, work: np.ndarray) -> float:
@@ -326,7 +310,7 @@ def sigma_r(w, work: np.ndarray) -> float:
     xc, safe, dead = _centered(w, work)
     k, chw = xc.shape
     if k <= chw:
-        return _fold_panels(xc, safe, dead, _Fold(k, None))[0]
+        return _fold_panels(xc, safe, dead, None)[0]
     return _tall_sigma(xc, safe)
 
 

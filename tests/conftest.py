@@ -48,7 +48,7 @@ def fold_sigma_r(w):
     ``sigma_r`` and a certified ``correlation_stats`` take the CHW x CHW
     route."""
     xc, safe, dead = stats._centered(w, np.empty(w.size))
-    return stats._fold_panels(xc, safe, dead, stats._Fold(len(xc), None))[0]
+    return stats._fold_panels(xc, safe, dead, None)[0]
 
 
 def make_checkpoint(specs):
@@ -56,6 +56,22 @@ def make_checkpoint(specs):
     depth, array), each array written as float32."""
     return encode_ckpt([Spec(name, tuple(shape), kind, depth)
                         for name, shape, kind, depth, _ in specs], [arr for *_, arr in specs])
+
+
+def analyze_table():
+    """Checkpoint bytes of one layer for each of analyze's routes: tall
+    layers certified in the top of 50 bins, certified above 0 only, and
+    not certified, beside wide ones, collapsed and spread."""
+    layers = {
+        "tall.collapsed": ghn_like_tensor((300, 3, 3, 3), seed=2),
+        "tall.above_zero": ghn_like_tensor((160, 24), rel_noise=0.3, seed=83),
+        "tall.conv": ghn_like_tensor((96, 3, 3, 3), rel_noise=0.2, seed=3),
+        "tall.spread": correlated_tensor((300, 40), seed=45),
+        "wide.collapsed": ghn_like_tensor((24, 160), rel_noise=3e-3, seed=83),
+        "wide.spread": correlated_tensor((16, 8, 3, 3), seed=4),
+    }
+    return make_checkpoint([(name, w.shape, "conv" if w.ndim == 4 else "linear", depth, w)
+                            for depth, (name, w) in enumerate(layers.items())])
 
 
 def reader_of(blob):

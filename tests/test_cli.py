@@ -34,6 +34,7 @@ from ghnpost.postprocess import DEFAULT_BETA
 from ghnpost.rng import RngStream
 
 from conftest import (
+    analyze_table,
     correlated_tensor,
     decode_ckpt,
     encode_ckpt,
@@ -691,10 +692,32 @@ def test_bins_out_of_range_is_a_usage_error(bins, ckpt_path, tmp_path, capsys):
 
 def test_the_most_bins_are_accepted(ckpt_path, tmp_path, capsys):
     out = tmp_path / "report.csv"
-    assert run(["analyze", str(ckpt_path), "--out", str(out), "--bins", str(2**20)]) == 0
+    assert run(["analyze", str(ckpt_path), "--out", str(out),
+                "--svg-dir", str(tmp_path / "svg"), "--bins", str(2**20)]) == 0
     assert capsys.readouterr().err == ""
     assert [row[0] for row in csv.reader(io.StringIO(out.read_text()))] == [
         "name", "l0.conv", "l1.conv", "l2.fc"]
+
+
+def test_analyze_counts_bins_only_for_svgs(tmp_path, monkeypatch):
+    # The CSV needs no histogram: without --svg-dir the bin counter never
+    # runs, and the rows are those of a run with SVGs, to the 9 digits
+    # they are printed with.
+    path = tmp_path / "in.ckpt"
+    path.write_bytes(analyze_table())
+    with_svgs, without = tmp_path / "svgs.csv", tmp_path / "csv.csv"
+    assert run(["analyze", str(path), "--out", str(with_svgs),
+                "--svg-dir", str(tmp_path / "svg")]) == 0
+
+    def count(r, counts):
+        raise AssertionError("counted bins without --svg-dir")
+
+    monkeypatch.setattr(stats, "_count", count)
+    assert run(["analyze", str(path), "--out", str(without)]) == 0
+    want, got = (list(csv.reader(io.StringIO(p.read_text()))) for p in (with_svgs, without))
+    assert [row[:5] for row in got] == [row[:5] for row in want]
+    for a, b in zip(got[1:], want[1:]):
+        assert [float(x) for x in a[5:]] == pytest.approx([float(x) for x in b[5:]], rel=1e-8)
 
 
 def test_an_svg_at_the_most_bins_draws_only_the_bins_with_a_count(tmp_path):
@@ -765,6 +788,8 @@ _MOOT = {
                                "--skip-orth"], "--skip-orth"),
     "skip_orth_before_beta_0.0": (["postprocess", "{ckpt}", "--start-layer", "0",
                                    "--skip-orth", "--beta", "0.0"], "--skip-orth"),
+    "bins_without_svg_dir": (["analyze", "{ckpt}", "--bins", "7"], "--bins"),
+    "default_bins_without_svg_dir": (["analyze", "{ckpt}", "--bins", "50"], "--bins"),
     "gain_with_rand": (["init", "{arch}", "--method", "rand", "--gain", "7"], "--gain"),
     "default_gain_with_rand": (["init", "{arch}", "--gain", "1", "--method", "rand"], "--gain"),
 }
@@ -784,6 +809,18 @@ def test_a_flag_without_effect_is_a_usage_error(case, ckpt_path, tmp_path, capsy
     assert err[0].startswith(f"usage: ghnpost {argv[0]} ")
     assert err[-1].startswith(f"ghnpost {argv[0]}: error: argument {flag}: ")
     assert not out.parent.exists()
+
+
+def test_bins_without_svg_dir_names_both_flags(ckpt_path, tmp_path, capsys):
+    # Only the SVGs draw a histogram: without them --bins would change no
+    # byte of the CSV.
+    argv = ["analyze", str(ckpt_path), "--out", str(tmp_path / "report.csv"), "--bins", "7"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [
+        "ghnpost analyze: error: argument --bins: applies to --svg-dir only"]
+    assert os.listdir(tmp_path) == ["in.ckpt"]
+    assert run(argv + ["--svg-dir", str(tmp_path / "svg")]) == 0
 
 
 def test_noise_only_at_beta_0_names_both_flags(ckpt_path, tmp_path, capsys):
@@ -1363,6 +1400,26 @@ def test_outputs_get_the_mode_of_a_new_file_under_the_umask(command, ckpt_path, 
     assert {oct(p.stat().st_mode & 0o777) for p in files} == {oct(0o666 & ~0o027)}
 
 
+@pytest.mark.parametrize("command", sorted(_OUTPUTS))
+def test_out_naming_a_directory_fails_before_any_input_is_read(command, ckpt_path, tmp_path,
+                                                               capsys):
+    # The message names --out, not the temporary file beside it, and comes
+    # before any input is read: the same once the inputs are gone.
+    emb = tmp_path / "emb.csv"
+    emb.write_text("id,v0,v1\na,1,2\nb,3,5\nc,4,4\n")
+    paths = {"ckpt": ckpt_path, "arch": _archspec(tmp_path), "emb": emb}
+    out = tmp_path / "out"
+    (out / "o").mkdir(parents=True)
+    argv = [str(a) for a in _OUTPUTS[command](paths, out)]
+    for _ in range(2):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"ghnpost: i/o error: [Errno 21] Is a directory: '{out / 'o'}'\n")
+        assert [p.name for p in out.rglob("*")] == ["o"]
+        for path in paths.values():
+            path.unlink(missing_ok=True)
+
+
 def test_interrupt_as_the_temporary_file_is_made_leaves_nothing(tmp_path, monkeypatch, capsys):
     # The interrupt lands once the temporary file exists, before the call
     # that makes it returns: the file and the directories made for it go.
@@ -1642,7 +1699,7 @@ def test_cli_surface_is_pinned():
             ("checkpoint", None, None, True, "Path"),
             (("--out",), None, None, True, "Path"),
             (("--svg-dir",), None, None, False, "Path"),
-            (("--bins",), 50, None, False, "_bins"),
+            (("--bins",), None, None, False, "_bins"),
         ],
         "postprocess": [
             ("checkpoint", None, None, True, "Path"),

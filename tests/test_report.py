@@ -21,6 +21,7 @@ from ghnpost.stats import correlation_stats, sigma_r
 from ghnpost.tensor_ops import geometry
 
 from conftest import (
+    analyze_table,
     correlated_tensor,
     fold_sigma_r,
     ghn_like_tensor,
@@ -288,6 +289,19 @@ def test_analyze_prints_compare_sigma_r_on_a_collapsed_tall_layer():
     (analyzed,) = csv.DictReader(io.StringIO(emit_report_csv(_csv_rows([(meta, stats)]))))
     (compared,) = csv.DictReader(io.StringIO(emit_compare_csv(rows)))
     assert analyzed["sigma_r"] == compared["sigma_r_a"]
+
+
+@pytest.mark.parametrize("table", ["small", "routes"])
+def test_analyze_without_bins_gives_the_rows_with_bins(table, small_checkpoint):
+    # Without bins a tall layer is certified against 0 alone, so it may
+    # take the tall route where with bins it folds (see _ROUTES_AGREE).
+    reader = reader_of(small_checkpoint if table == "small" else analyze_table())
+    without, with_bins = (list(analyze_checkpoint(reader, bins)) for bins in (None, 50))
+    assert [meta for meta, _ in without] == [meta for meta, _ in with_bins]
+    for (_, got), (_, want) in zip(without, with_bins):
+        assert got.histogram is None
+        assert abs(got.sigma_r - want.sigma_r) <= 1e-10 * want.sigma_r
+        assert abs(got.mean_abs - want.mean_abs) <= 1e-12 * want.mean_abs
 
 
 # Read in row blocks of about 64K values (tensor_ops.row_step), the tall,

@@ -126,9 +126,8 @@ def test_histogram_vs_brute_force():
     k = 40
     vals = rng.uniform(-1.0, 1.0, size=k * (k - 1) // 2)
     for bins in (1, 3, 8, 16):
-        fold = stats._Fold(k, bins)
-        fold._count(vals)
-        h = fold.counts
+        h = np.zeros(bins, dtype=np.intp)
+        stats._count(vals, h)
         width = 2.0 / bins
         expected = np.zeros(bins, dtype=int)
         for v in vals:
@@ -235,15 +234,14 @@ def _edge_values(bins):
 
 @pytest.mark.parametrize("bins", [1, 2, 3, 7, 50, 2**20])
 def test_bin_counter_is_np_histogram(bins):
-    # More than one step of the counter, the last one partial, so its
-    # buffers are reused and cut.
+    # More than one step of the counter, the last one partial, each adding
+    # the bins from the lowest it touches.
     rng = np.random.default_rng(bins)
     random = np.concatenate([rng.uniform(-1.0, 1.0, 150_001),
                              np.clip(rng.normal(0.9, 0.2, 20_000), -1.0, 1.0)])
     for values in (_edge_values(bins), random, rng.permutation(_edge_values(bins))):
-        fold = stats._Fold(2, bins)
-        fold.add(values, np.empty_like(values))
-        got = fold.counts
+        got = np.zeros(bins, dtype=np.intp)
+        stats._count(values, got)
         counts, edges = np.histogram(values, bins=bins, range=(-1.0, 1.0))
         np.testing.assert_array_equal(got, counts)
         assert got.dtype == counts.dtype
@@ -509,9 +507,9 @@ def _folds(monkeypatch):
     """The bins of each fold that correlation_stats runs, as it runs them."""
     real, calls = stats._fold_panels, []
 
-    def fold_panels(xc, safe, dead, fold):
-        calls.append(fold.bins)
-        return real(xc, safe, dead, fold)
+    def fold_panels(xc, safe, dead, bins):
+        calls.append(bins)
+        return real(xc, safe, dead, bins)
 
     monkeypatch.setattr(stats, "_fold_panels", fold_panels)
     return calls
@@ -526,16 +524,21 @@ def test_certified_tall_layer_folds_no_panel(monkeypatch):
     assert got.sigma_r == sigma_r(w, np.empty(w.size))  # compare's value, bit for bit
 
 
-def test_certified_wide_layer_folds_without_bins(monkeypatch):
+def test_certified_wide_layer_folds_once_with_its_bins_and_matches_the_oracle(monkeypatch):
+    # The certificate runs on tall layers only: a wide layer it would pass
+    # folds and counts as any other, and its bins are all K(K-1)/2 in the
+    # top one, as the certificate guarantees.
     w = _certificate_case("collapsed", "wide", 50)
-    xc, safe, dead = stats._centered(w, np.empty(w.size))
-    fold = stats._Fold(len(w), 50)
-    want = stats._fold_panels(xc, safe, dead, fold)  # counting every r
+    xc, safe, _ = stats._centered(w, np.empty(w.size))
+    assert stats._certified_mean(xc, safe, stats._lower_edge(49, 50)) is not None
+    _, ref = reference_offdiagonal(w)
+    sigma, mean_abs = _fsum_moments(ref)
     calls = _folds(monkeypatch)
     got = correlation_stats(w, 50, np.empty(w.size))
-    assert calls == [None]
-    assert (got.sigma_r, got.mean_abs) == want
-    np.testing.assert_array_equal(got.histogram, fold.counts)
+    assert calls == [50]
+    np.testing.assert_array_equal(got.histogram, [0] * 49 + [24 * 23 // 2])
+    _assert_rel(got.sigma_r, sigma)
+    _assert_rel(got.mean_abs, mean_abs)
 
 
 @pytest.mark.parametrize("orientation", sorted(_SHAPES))
@@ -555,6 +558,57 @@ def test_tall_layer_at_float64_resolution_folds_again(monkeypatch):
     calls = _folds(monkeypatch)
     reader = reader_of(make_checkpoint([("w", w.shape, "linear", 0, w)]))
     got = correlation_stats(TensorRows(reader, 0), 50, np.empty(w.size))
-    assert calls == [None]
+    assert calls == [50]
     assert got.sigma_r == want
     assert got.histogram[-1] == 300 * 299 // 2
+
+
+def test_bin_counter_adds_to_the_counts_it_is_given():
+    # Two steps: the first touches bins 900-999 only, the second the top
+    # bin only; every other count is left as it was.
+    rng = np.random.default_rng(3)
+    values = np.concatenate([rng.uniform(0.8, 1.0, _COUNT_VALUES), np.ones(5)])
+    before = rng.integers(0, 100, 1000)
+    got = before.copy()
+    stats._count(values, got)
+    counts, _ = np.histogram(values, bins=1000, range=(-1.0, 1.0))
+    np.testing.assert_array_equal(got, before + counts)
+
+
+def _no_counter(monkeypatch):
+    def count(r, counts):
+        raise AssertionError("counted bins without a histogram")
+
+    monkeypatch.setattr(stats, "_count", count)
+
+
+@pytest.mark.parametrize("case", sorted(_oracle_cases()) + sorted(_tall_cases()))
+def test_without_bins_nothing_is_counted_and_the_statistics_hold(case, monkeypatch):
+    # Wide and square layers fold as with bins, bit for bit.  A tall layer
+    # is certified against 0 only, not the top bin, so it may take the
+    # tall route where with bins it folds: within _ROUTES_AGREE.
+    w = {**_oracle_cases(), **_tall_cases()}[case]
+    want = correlation_stats(w, 50, np.empty(w.size))
+    _no_counter(monkeypatch)
+    got = correlation_stats(w, None, np.empty(w.size))
+    assert got.histogram is None
+    if w.shape[0] <= math.prod(w.shape[1:]):
+        assert (got.sigma_r, got.mean_abs) == (want.sigma_r, want.mean_abs)
+    _assert_rel(got.sigma_r, want.sigma_r)
+    assert abs(got.mean_abs - want.mean_abs) <= 1e-12 * want.mean_abs
+
+
+def test_tall_layer_certified_above_0_takes_the_tall_route_without_bins(monkeypatch):
+    # Every r lies above 0 but not all in the top one of 50 bins: the
+    # histogram needs the fold, sigma_r and mean |r| alone do not.
+    w = ghn_like_tensor((160, 24), rel_noise=0.3, seed=83)
+    xc, safe, _ = stats._centered(w, np.empty(w.size))
+    assert stats._certified_mean(xc, safe, 0.0) is not None
+    assert stats._certified_mean(xc, safe, stats._lower_edge(49, 50)) is None
+    calls = _folds(monkeypatch)
+    with_bins = correlation_stats(w, 50, np.empty(w.size))
+    assert calls == [50]
+    got = correlation_stats(w, None, np.empty(w.size))
+    assert calls == [50]
+    assert got.sigma_r == sigma_r(w, np.empty(w.size))
+    _assert_rel(got.sigma_r, with_bins.sigma_r)

@@ -60,7 +60,7 @@ _CALLS = {
 @pytest.mark.parametrize("call", sorted(_CALLS))
 def test_many_short_channels_stay_near_the_panel_buffers(call):
     # The fold (analyze, correlation_stats) holds two panel buffers plus
-    # the bin counter's buffers of one 16K-value step (measured 2.23
+    # the bin counter's temporaries of one 16K-value step (measured 2.15
     # panels, 4 MiB each; about 2.4 with steps of 64K values); sigma_r, compare
     # and postprocess take the tall route (0.08-0.15 panels).  Nothing of
     # size K x K or K(K-1)/2 fits under the bound.
@@ -99,7 +99,7 @@ def test_compare_holds_one_layer_at_a_time():
 def test_analyze_holds_one_layer_at_a_time():
     # The fold's channels come from the file a row block at a time into
     # the run's float64 channel buffer, and its bins are counted 16K
-    # values at a time (measured 1.15 MiB of a 1.8 MiB bound: the two
+    # values at a time (measured 1.07 MiB of a 1.8 MiB bound: the two
     # panels, the counter's 0.27 MiB and two 64K-value float64 blocks).  A
     # whole float32 layer (4 MiB), a float64 copy of a layer on the heap
     # (8 MiB, as before) or a counter of 64K-value steps (1.1 MiB; 2.0 MiB
@@ -297,7 +297,10 @@ def test_analyze_holds_one_svg_text_at_a_time(tmp_path):
 # --- the memory model of README "Memory" --------------------------------------
 
 _MIB = (128, 1024)  # a layer of this shape is 1 MiB in float64: _rss_growth's unit
-_COUNTER = (1 << 14) * (8 + 8 + 1)  # the bin counter's buffers of one step
+# The bin counter's temporaries of one 16K-value step: each value's
+# place among the bins and its bin, 8 bytes each, and the mask of the
+# values to recheck, 1.
+_COUNTER = (1 << 14) * (8 + 8 + 1)
 # Per layer in flight: the row-block buffers (the file's float32 rows, the
 # float64 squares, noise or draw, the stream's words, the float32 output
 # block, max |a - b|'s scratch) and LAPACK's workspace, measured at up to
@@ -382,22 +385,24 @@ def test_cli_peak_follows_the_memory_model(command, tmp_path):
     assert growth <= _model(command, shapes) + _SLACK, growth / 2**20
 
 
-# What analyze counts one layer's bins in, 8 bytes a bin each: the counts
-# and one step's np.bincount, whose zeroed pages stay unmapped but for the
-# bins it counts.
+# What analyze --svg-dir counts one layer's bins in, 8 bytes a bin each:
+# the counts and one step's np.bincount of the bins from the lowest it
+# touches, whose zeroed pages stay unmapped but for the bins it counts.
 _BINS = 2**20
 _BIN_BYTES = 2 * 8 * _BINS
 
 
 @pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
 def test_analyze_at_the_most_bins_holds_one_layer_of_counts(svg, tmp_path):
-    # Six layers of 32 independent channels: each counts its 496
-    # correlations into 2**20 bins, and its SVG draws at most 496 bars.
+    # Six layers of 32 independent channels: with --svg-dir each counts its
+    # 496 correlations into 2**20 bins, and its SVG draws at most 496 bars.
     # Each layer's counts are dropped, once its SVG is written, before the
     # next layer is read: growth measured 12.0-16.1 MiB of a 19.8 MiB
     # bound.  Keeping the last layer's counts while the next is counted
-    # measured 23.8-24.0 MiB (with or without the SVGs), and building each
-    # layer's 2**20 + 1 bin edges 20.0-22.1 MiB.
+    # measured 23.8-24.0 MiB, and building each layer's 2**20 + 1 bin
+    # edges 20.0-22.1 MiB.  Without --svg-dir no bin is counted: growth
+    # measured 0.04 MiB of a 3.8 MiB bound, which one layer's 2**20 counts
+    # (8 MiB) would fail.
     shapes = [(32, 96)] * 6
     rng = np.random.default_rng(0)
     argvs = []
@@ -406,11 +411,11 @@ def test_analyze_at_the_most_bins_holds_one_layer_of_counts(svg, tmp_path):
         path.write_bytes(make_checkpoint([(f"w{i}", dims, "linear", i,
                                            rng.standard_normal(dims, np.float32))
                                           for i, dims in enumerate(shapes[:n])]))
-        svgs = ["--svg-dir", str(tmp_path / f"{name}.svg")] if svg else []
-        argvs.append(["analyze", str(path), "--out", str(tmp_path / f"{name}.csv"),
-                      "--bins", str(bins), *svgs])
+        svgs = ["--svg-dir", str(tmp_path / f"{name}.svg"), "--bins", str(bins)] if svg else []
+        argvs.append(["analyze", str(path), "--out", str(tmp_path / f"{name}.csv"), *svgs])
     growth = _rss_growth(_MIB, argvs) * (1 << 20)
-    assert growth <= _model("analyze", shapes) + _BIN_BYTES + _SLACK, growth / 2**20
+    bins = _BIN_BYTES if svg else 0
+    assert growth <= _model("analyze", shapes) + bins + _SLACK, growth / 2**20
 
 
 @pytest.mark.parametrize("skip", [[], ["--skip-orth"]], ids=["repair", "skip_orth"])

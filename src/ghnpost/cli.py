@@ -103,7 +103,8 @@ def build_parser() -> _Parser:
                    help=f"histogram bins of each SVG (default {_DEFAULT_BINS})")
     p.moot = lambda a: ("argument --bins: applies to --svg-dir only"
                         if a.bins is not None and a.svg_dir is None else None)
-    p.set_defaults(func=_cmd_analyze)
+    # The SVG names that --out must not take follow from the header.
+    p.set_defaults(func=_cmd_analyze, error=p.error)
 
     p = sub.add_parser("postprocess", help="noise + orthogonal re-initialization")
     p.add_argument("checkpoint", type=Path)
@@ -220,25 +221,40 @@ _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 _SVG_STEM_MAX = 255 - 14 - 4
 
 
+def _entry(path: Path) -> Path:
+    """The directory entry that a file written to ``path`` replaces: its
+    name in its directory, with the directory's links resolved."""
+    return path.parent.resolve() / path.name
+
+
 def _cmd_analyze(args) -> int:
-    def files(layers):
+    def files(layers, names):
         # Made as _write_texts takes them: each layer's SVG is written, and
         # its counts dropped, before the next layer is read, so one layer's
         # counts and one SVG's text are held at a time.
         rows = []  # the CSV's (meta, sigma_r, mean |r|) of each layer
-        for meta, stats in layers:
-            rows.append((meta, stats.sigma_r, stats.mean_abs))
+        for (meta, sigma, mean_abs, counts), name in zip(layers, names):
+            rows.append((meta, sigma, mean_abs))
             if args.svg_dir is not None:
-                # The index prefix keeps names unique when the rest is cut.
-                stem = f"{len(rows) - 1:03d}_{_UNSAFE.sub('_', meta.name)}"[:_SVG_STEM_MAX]
-                yield args.svg_dir / f"{stem}.svg", emit_histogram_svg(stats.histogram, meta.name)
-            del stats
+                yield args.svg_dir / name, emit_histogram_svg(counts, meta.name)
+            del counts
         yield args.out, emit_report_csv(rows)
 
     # Without SVGs nothing is drawn, so no bin is counted.
     bins = None if args.svg_dir is None else _DEFAULT_BINS if args.bins is None else args.bins
     with open(args.checkpoint, "rb", buffering=0) as handle:
-        _write_texts(files(analyze_checkpoint(CheckpointReader(handle), bins)))
+        reader = CheckpointReader(handle)
+        # Each conv/linear layer's SVG name, from the header; the index
+        # prefix keeps names unique when the rest is cut.
+        layers = [meta for meta in reader.metas if meta.kind in ELIGIBLE_KINDS]
+        names = [f"{i:03d}_{_UNSAFE.sub('_', meta.name)}"[:_SVG_STEM_MAX] + ".svg"
+                 for i, meta in enumerate(layers)]
+        # The CSV is renamed into place first, so an SVG of the same path
+        # would replace it, and an --out that is --svg-dir cannot be written.
+        if args.svg_dir is not None and _entry(args.out) in {
+                _entry(args.svg_dir), *(_entry(args.svg_dir / name) for name in names)}:
+            args.error("argument --out: must not be --svg-dir or one of the SVGs written there")
+        _write_texts(files(analyze_checkpoint(reader, bins), names))
     return 0
 
 
@@ -275,9 +291,8 @@ def _cmd_pca(args) -> int:
     # Bytes that are not UTF-8 read as lone surrogates, which the parser
     # rejects with the row they are in.
     text = args.embeddings.read_text(encoding="utf-8", errors="surrogateescape")
-    embeddings = parse_embeddings_csv(text)
-    projected = pca_project(embeddings.vectors)
-    _write_texts([(args.out, emit_projection_csv(embeddings, projected))])
+    ids, vectors, labels = parse_embeddings_csv(text)
+    _write_texts([(args.out, emit_projection_csv(ids, labels, pca_project(vectors)))])
     return 0
 
 
@@ -309,6 +324,8 @@ def run(argv: list[str]) -> int:
         if args.out.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(args.out))
         return args.func(args)
+    except SystemExit as exc:  # a usage error found once the input's header is read
+        return int(exc.code or 0)
     except KeyboardInterrupt as exc:
         # The shell's code for a command ended by the signal: 128 + its number.
         print("ghnpost: interrupted", file=sys.stderr)

@@ -16,21 +16,13 @@ import csv
 import io
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint_io import ELIGIBLE_KINDS, CheckpointReader, TensorMeta, TensorRows
 from .errors import DataFormatError, naming
-from .stats import CorrelationStats, correlation_stats, sigma_r
+from .stats import correlation_stats, sigma_r
 from .tensor_ops import geometry, largest_layer_buffer, release_tail, row_blocks, row_step
-
-
-@dataclass
-class EmbeddingSet:
-    ids: list[str]
-    vectors: np.ndarray  # n x d, float64
-    labels: list[float] | None  # None without a label column
 
 
 def _fmt(x: float) -> str:
@@ -62,13 +54,14 @@ def _layers(c: CheckpointReader) -> Iterator[tuple[int, TensorMeta, np.ndarray]]
 
 
 def analyze_checkpoint(c: CheckpointReader, bins: int | None
-                       ) -> Iterator[tuple[TensorMeta, CorrelationStats]]:
-    """``(meta, stats)`` for each conv/linear tensor of the file ``c``, in
-    file order, made as it is asked for: its header entry and its
-    correlation statistics, with a histogram of ``bins`` bins (1 to
-    2**20, as the command line checks them), or none where ``bins`` is
-    None.  A caller that drops each layer's stats before asking for the
-    next holds one layer's counts.
+                       ) -> Iterator[tuple[TensorMeta, float, float, np.ndarray | None]]:
+    """``(meta, sigma_r, mean_abs, counts)`` for each conv/linear tensor
+    of the file ``c``, in file order, made as it is asked for: its header
+    entry, then the :func:`~ghnpost.stats.correlation_stats` of its
+    channels, sigma_r, mean |r| and the counts of a histogram of ``bins``
+    bins (1 to 2**20, as the command line checks them), or None where
+    ``bins`` is None.  A caller that drops each layer's counts before
+    asking for the next holds one layer's counts.
 
     Each one is read through :class:`~ghnpost.checkpoint_io.TensorRows`, a
     block of rows at a time, straight into the float64 channels of
@@ -88,7 +81,7 @@ def analyze_checkpoint(c: CheckpointReader, bins: int | None
         # Yielded unbound, so that this frame keeps no layer's counts while
         # the next is made; the caller's own errors are not raised in here.
         with naming(meta.name):
-            yield meta, correlation_stats(TensorRows(c, i), bins, work)
+            yield meta, *correlation_stats(TensorRows(c, i), bins, work)
 
 
 def emit_report_csv(rows: Iterable[tuple[TensorMeta, float, float]]) -> str:
@@ -173,8 +166,10 @@ def emit_histogram_svg(counts: np.ndarray, title: str) -> str:
 # Embedding tables
 # --------------------------------------------------------------------------
 
-def parse_embeddings_csv(text: str) -> EmbeddingSet:
-    """Parse the ``id,label,v0..v{d-1}`` embedding schema (label optional).
+def parse_embeddings_csv(text: str) -> tuple[list[str], np.ndarray, list[float] | None]:
+    """``(ids, vectors, labels)`` of the ``id,label,v0..v{d-1}`` embedding
+    schema: each row's id, the n x d float64 array of its vectors, and
+    each row's label, or None where the table has no label column.
 
     Every field must be within csv's size limit, every id UTF-8 text (no
     lone surrogate) and every number finite; else DataFormatError names
@@ -220,20 +215,20 @@ def parse_embeddings_csv(text: str) -> EmbeddingSet:
         if has_labels:
             labels.append(values[0])
         vectors[rownum - 2] = values[first_vec - 1 :]
-    return EmbeddingSet(ids=ids, vectors=vectors, labels=labels if has_labels else None)
+    return ids, vectors, labels if has_labels else None
 
 
-def emit_projection_csv(e: EmbeddingSet, projected: np.ndarray) -> str:
-    """The ``pca`` CSV: a row per vector of ``e``, with its id, its
-    ``projected`` pc1 and pc2 (the n x 2 array of
-    :func:`~ghnpost.linalg.pca_project`) and its label (empty without
-    labels)."""
-    labels = [None] * len(e.ids) if e.labels is None else e.labels
+def emit_projection_csv(ids: list[str], labels: list[float] | None,
+                        projected: np.ndarray) -> str:
+    """The ``pca`` CSV: a row per id, with its ``projected`` pc1 and pc2
+    (the n x 2 array of :func:`~ghnpost.linalg.pca_project`) and its
+    label (empty where ``labels`` is None)."""
+    labels = [None] * len(ids) if labels is None else labels
     return _csv(
         ["id", "pc1", "pc2", "label"],
         (
             [vec_id, _fmt(pc1), _fmt(pc2), "" if label is None else _fmt(label)]
-            for vec_id, (pc1, pc2), label in zip(e.ids, projected.tolist(), labels)
+            for vec_id, (pc1, pc2), label in zip(ids, projected.tolist(), labels)
         ),
     )
 

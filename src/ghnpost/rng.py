@@ -1,7 +1,11 @@
 """Deterministic, counter-based Gaussian random streams.
 
-The generator is pinned so outputs are reproducible across builds and
-platforms:
+The generator is pinned as follows.  The words and uniforms come from
+integer operations and exact float64 arithmetic, so their bits are the
+same on every build and platform.  The Gaussians go through numpy's ``log``, ``cos``
+and ``sin``, whose last bit can differ between numpy builds, between CPUs
+and between the SIMD loops numpy dispatches to on one CPU (README
+"Determinism"):
 
 * substream seed = first 8 bytes (little-endian) of
   ``blake2b(master_seed as u64 LE || label as UTF-8, digest_size=8)``

@@ -28,7 +28,6 @@ either.  A histogram is counted only where one is asked for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,17 +63,6 @@ _ROUTES_AGREE = 1e-10
 # Values per step of the histogram's bin counter: its two value
 # temporaries are 128 KiB each, and stay in L2 across a step's passes.
 _COUNT_VALUES = 1 << 14
-
-
-@dataclass(frozen=True)
-class CorrelationStats:
-    """Summary of the K(K-1)/2 off-diagonal correlations of one tensor."""
-
-    sigma_r: float  # population standard deviation
-    mean_abs: float  # mean |r|
-    # Counts of equal-width bins over [-1, 1], as np.histogram's with
-    # range=(-1, 1); None where no bins were asked for.
-    histogram: np.ndarray | None
 
 
 def _centered(w, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,8 +148,9 @@ def _count(r: np.ndarray, counts: np.ndarray) -> None:
     2 tol above an integer; only those few values are rechecked against
     the edges.  (That needs tol < 1/4, so bins < 2^38; ``--bins`` is at
     most 2^20.)  Only r in the last bin get f past bins - 1/2 (r = 1
-    gives f = bins): f is capped there.  A step adds only the bins from
-    the lowest it touches to the highest.
+    gives f = bins): f is capped there.  ``np.add.at`` adds one to each
+    value's bin in place, so a step costs the same whatever the number of
+    bins or their span (numpy has its fast loop for it from 1.25 on).
     """
     bins = len(counts)
     tol = bins * 2.0**-40
@@ -174,18 +163,19 @@ def _count(r: np.ndarray, counts: np.ndarray) -> None:
         f -= idx
         at = np.flatnonzero(f < 2.0 * tol)
         idx[at] -= v[at] < _lower_edge(idx[at], bins)
-        lo = idx.min()
-        idx -= lo
-        step = np.bincount(idx)
-        counts[lo : lo + len(step)] += step
+        np.add.at(counts, idx, 1)
 
 
-def correlation_stats(w, bins: int | None, work: np.ndarray) -> CorrelationStats:
-    """sigma_r, mean |r| and, unless ``bins`` is None, the ``bins``-bin
-    histogram of a tensor's off-diagonal channel correlations, holding
-    only the float64 channels and two ``_PANEL_ROWS x K`` buffers.  ``w``
-    is an array or a row source, as for :func:`_centered`; both give the
-    same bits.  The channels go into ``work``, as for :func:`sigma_r`.
+def correlation_stats(w, bins: int | None, work: np.ndarray
+                      ) -> tuple[float, float, np.ndarray | None]:
+    """``(sigma_r, mean_abs, counts)`` of a tensor's K(K-1)/2 off-diagonal
+    channel correlations: their population standard deviation, their
+    mean |r|, and the counts of ``bins`` equal-width bins over [-1, 1],
+    as ``np.histogram(r, bins, range=(-1, 1))`` counts them, or None
+    where ``bins`` is None.  It holds only the float64 channels and two
+    ``_PANEL_ROWS x K`` buffers.  ``w`` is an array or a row source, as
+    for :func:`_centered`; both give the same bits.  The channels go into
+    ``work``, as for :func:`sigma_r`.
 
     The statistics are :func:`_fold_panels`', except on a tall layer
     (K > CHW) where :func:`_certified_mean` shows that every r lies in
@@ -207,10 +197,10 @@ def correlation_stats(w, bins: int | None, work: np.ndarray) -> CorrelationStats
                 # Every pair in the last bin.
                 counts = (None if bins is None
                           else np.append(np.zeros(bins - 1, np.intp), k * (k - 1) // 2))
-                return CorrelationStats(sigma, mean, counts)
+                return sigma, mean, counts
             del xc  # overwritten by _tall_sigma: the channels are read again
             xc, safe, dead = _centered(w, work)
-    return CorrelationStats(*_fold_panels(xc, safe, dead, bins))
+    return _fold_panels(xc, safe, dead, bins)
 
 
 def _certified_mean(xc: np.ndarray, safe: np.ndarray, edge: float) -> float | None:
@@ -296,7 +286,7 @@ def _fold_panels(xc: np.ndarray, safe: np.ndarray, dead: np.ndarray, bins: int |
 
 def sigma_r(w, work: np.ndarray) -> float:
     """sigma_r of a tensor's channel correlations, as
-    ``correlation_stats(w, bins, work).sigma_r`` computes it; ``w`` is an
+    ``correlation_stats(w, bins, work)[0]`` computes it; ``w`` is an
     array or a row source, as for :func:`_centered`.
 
     The float64 channels go into ``work``, a contiguous float64 buffer of

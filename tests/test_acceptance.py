@@ -96,6 +96,22 @@ def test_c1_orthogonality_contract():
                f"{elapsed:.1f}s)")
 
 
+def test_c1_holds_by_the_written_bound_at_the_largest_repaired_shape():
+    # README "Determinism": Householder QR gives a Q orthonormal to
+    # sqrt(n) m n u (Higham, Thm 19.4), and rounding each column of norm 1
+    # to float32 moves an entry of Q^T Q by at most 2^-23 + 2^-48.  At
+    # ViT-L/16's 4096 x 1024 fc1, the largest layer of the north star's
+    # tables, that is 1.5e-8 + 1.2e-7, far inside C1's 1e-4: a repair
+    # that exits 0 needs no run-time check of Q^T Q.
+    m, n = 4096, 1024
+    bound = math.sqrt(n) * m * n * 2.0**-53 + 2.0**-23 + 2.0**-48
+    assert bound < 1.35e-7  # as README "Determinism" writes it
+    w = ghn_like_tensor((m, n), seed=27)
+    err = _orth_error(through_file(w, repair(0, seed=27), name="blocks.0.mlp.fc1.weight"))
+    assert err <= bound, err
+    _report(1, f"{m} x {n} stored weights orthonormal to {err:.2e}, within {bound:.2e}")
+
+
 def test_c2_correlation_reduction():
     start = time.perf_counter()
     shapes = {16: (16, 8, 3, 3), 64: (64, 32, 3, 3), 256: (256, 64, 3, 3)}

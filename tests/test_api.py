@@ -90,6 +90,12 @@ def test_removed_names_are_absent():
         assert not hasattr(ghnpost, name) and not hasattr(report, name), name
     assert inspect.isgeneratorfunction(report.analyze_checkpoint)
     assert inspect.isgeneratorfunction(report.compare_checkpoints)
+    # A layer's statistics and an embedding table are plain tuples, which
+    # their one caller unpacks.
+    for name in ("CorrelationStats", "EmbeddingSet"):
+        assert name not in ghnpost.__all__
+        assert not hasattr(ghnpost, name), name
+        assert not hasattr(report, name) and not hasattr(stats, name), name
     # FORMAT_VERSION is the one version a checkpoint can have.
     assert not hasattr(reader_of(make_checkpoint([])), "version")
     # One error class for each way a caller handles an error.

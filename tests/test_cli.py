@@ -823,6 +823,38 @@ def test_bins_without_svg_dir_names_both_flags(ckpt_path, tmp_path, capsys):
     assert run(argv + ["--svg-dir", str(tmp_path / "svg")]) == 0
 
 
+@pytest.mark.parametrize("out", ["svg", "svg/000_w.svg", "elsewhere/../svg/000_w.svg"])
+def test_out_that_svg_dir_takes_names_both_flags(out, tmp_path, capsys):
+    # An --out that is --svg-dir could not be renamed into place once the
+    # SVGs are written in it, and one that is an SVG's name would be
+    # replaced by that SVG.  The SVG names follow from the header, so
+    # both are refused before any layer is read: a NaN layer is not
+    # reached, and no file is written.
+    for w in (correlated_tensor((8, 12), seed=1), np.full((8, 12), np.nan, np.float32)):
+        path = tmp_path / "in.ckpt"
+        path.write_bytes(make_checkpoint([("w", (8, 12), "linear", 0, w)]))
+        argv = ["analyze", str(path), "--out", str(tmp_path / out),
+                "--svg-dir", str(tmp_path / "svg")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: ghnpost analyze ")
+        assert [line for line in err if "error:" in line] == [
+            "ghnpost analyze: error: argument --out: must not be --svg-dir or one of the SVGs "
+            "written there"]
+        assert os.listdir(tmp_path) == ["in.ckpt"]
+
+
+@pytest.mark.parametrize("out", ["svg/report.csv", "svg/001_w.svg"])
+def test_out_elsewhere_in_svg_dir_is_written(out, tmp_path):
+    path = tmp_path / "in.ckpt"
+    path.write_bytes(make_checkpoint([("w", (8, 12), "linear", 0,
+                                       correlated_tensor((8, 12), seed=1))]))
+    argv = ["analyze", str(path), "--out", str(tmp_path / out), "--svg-dir", str(tmp_path / "svg")]
+    assert run(argv) == 0
+    assert sorted(os.listdir(tmp_path / "svg")) == sorted(["000_w.svg", Path(out).name])
+    assert (tmp_path / out).read_text().startswith("name,kind,depth,K,CHW,")
+
+
 def test_noise_only_at_beta_0_names_both_flags(ckpt_path, tmp_path, capsys):
     # --skip-orth at --beta 0 would write a byte copy of its input (see
     # _MOOT); any positive beta, however small, runs.
@@ -1854,14 +1886,24 @@ def test_small_file_shrinking_after_the_header_check_is_data_error(command, monk
                    "the file shrank while it was read\n")
 
 
-@pytest.mark.parametrize("svg_dir", ["in", "out.csv"], ids=["svg_write", "csv_write"])
-def test_analyze_failing_write_leaves_no_output(svg_dir):
+@pytest.mark.parametrize("svg_dir", ["in", "svgs"], ids=["svg_write", "csv_write"])
+def test_analyze_failing_write_leaves_no_output(svg_dir, monkeypatch):
     # --svg-dir names the input, a regular file, so the first SVG write
-    # fails; or it names the CSV's path, so the SVGs are written into it
-    # and the CSV write, onto that directory, fails.
+    # fails; or the SVGs are written into a new directory, and then the
+    # CSV's temporary file cannot be made.  (An --out that is --svg-dir
+    # is refused before anything is written.)
+    real_open = os.open
+
+    def no_csv(path, *args, **kwargs):
+        if Path(path).name.startswith(".out.csv."):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", no_csv)
     code, err = _ends_cleanly("analyze", json.dumps(_HEADER).encode(), svg_dir=svg_dir)
     assert code == 2
     assert err.startswith("ghnpost: i/o error: [Errno ")
+    assert (".out.csv." in err) == (svg_dir == "svgs")
 
 
 def test_analyze_reports_the_first_fault_it_reaches(tmp_path, capsys):

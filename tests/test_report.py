@@ -8,7 +8,6 @@ import pytest
 from ghnpost.errors import DataFormatError, NumericalError
 from ghnpost.linalg import pca_project
 from ghnpost.report import (
-    EmbeddingSet,
     analyze_checkpoint,
     compare_checkpoints,
     emit_compare_csv,
@@ -34,8 +33,8 @@ from conftest import (
 
 def _csv_rows(layers):
     """The CSV rows ``emit_report_csv`` takes, of ``analyze_checkpoint``'s
-    ``(meta, stats)`` pairs."""
-    return [(meta, stats.sigma_r, stats.mean_abs) for meta, stats in layers]
+    ``(meta, sigma_r, mean_abs, counts)`` tuples."""
+    return [(meta, sigma, mean_abs) for meta, sigma, mean_abs, _ in layers]
 
 
 def test_analyze_identical_channels():
@@ -44,9 +43,9 @@ def test_analyze_identical_channels():
     reader = reader_of(c)
     layers = list(analyze_checkpoint(reader, bins=10))
     assert len(reader.metas) == 1 and len(layers) == 1
-    meta, stats = layers[0]
-    assert stats.sigma_r == 0.0
-    assert stats.mean_abs == 1.0
+    meta, sigma, mean_abs, _ = layers[0]
+    assert sigma == 0.0
+    assert mean_abs == 1.0
     assert geometry(meta.shape)[:2] == (6, 12)
     assert emit_report_csv(_csv_rows(layers)).splitlines()[1] == "w,conv,0,6,12,0,1"
 
@@ -69,9 +68,9 @@ def test_analyze_saxe_checkpoint_has_low_correlation():
         kind = "conv" if len(shape) == 4 else "linear"
         specs.append((f"w{i}", shape, kind, i, np.zeros(shape, np.float32)))
     saxe = through_file(make_checkpoint(specs), init=("orth", 1.0, 1))
-    for meta, stats in analyze_checkpoint(reader_of(saxe), bins=10):
+    for meta, _, mean_abs, _ in analyze_checkpoint(reader_of(saxe), bins=10):
         if geometry(meta.shape)[1] >= 64:
-            assert stats.mean_abs < 0.15
+            assert mean_abs < 0.15
 
 
 def test_analyze_error_names_tensor():
@@ -141,16 +140,16 @@ def _embedding_csv(n, d, labels=True, seed=0):
 
 
 def test_parse_embeddings_with_labels():
-    e = parse_embeddings_csv(_embedding_csv(5, 4))
-    assert e.ids == [f"arch{i}" for i in range(5)]
-    assert e.vectors.shape == (5, 4)
-    assert e.labels == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
+    ids, vectors, labels = parse_embeddings_csv(_embedding_csv(5, 4))
+    assert ids == [f"arch{i}" for i in range(5)]
+    assert vectors.shape == (5, 4)
+    assert labels == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
 
 
 def test_parse_embeddings_without_labels():
-    e = parse_embeddings_csv(_embedding_csv(4, 3, labels=False))
-    assert e.labels is None
-    assert e.vectors.shape == (4, 3)
+    _, vectors, labels = parse_embeddings_csv(_embedding_csv(4, 3, labels=False))
+    assert labels is None
+    assert vectors.shape == (4, 3)
 
 
 # Each input and the words of the one rule it breaks.
@@ -180,33 +179,31 @@ def test_project_exact_plane():
     basis = np.linalg.qr(rng.normal(size=(32, 2)))[0].T
     coeffs = rng.normal(size=(50, 2)) * [4.0, 2.0]
     vectors = coeffs @ basis
-    e = EmbeddingSet(ids=[str(i) for i in range(50)], vectors=vectors, labels=None)
-    projected = pca_project(e.vectors)
+    projected = pca_project(vectors)
     recon_var = np.var(projected[:, 0]) + np.var(projected[:, 1])
     total_var = np.var(vectors - vectors.mean(axis=0), axis=0).sum()
     assert total_var - recon_var <= 1e-9 * total_var
 
 
 def test_project_too_few_vectors():
-    e = EmbeddingSet(ids=["a", "b"], vectors=np.zeros((2, 8)), labels=None)
     with pytest.raises(NumericalError,
                        match="^need at least 3 vectors of dimension >= 2, got 2 x 8$"):
-        pca_project(e.vectors)
+        pca_project(np.zeros((2, 8)))
 
 
 def test_project_500_by_32():
-    e = parse_embeddings_csv(_embedding_csv(500, 32, seed=2))
-    projected = pca_project(e.vectors)
+    ids, vectors, labels = parse_embeddings_csv(_embedding_csv(500, 32, seed=2))
+    projected = pca_project(vectors)
     assert projected.shape == (500, 2)
-    text = emit_projection_csv(e, projected)
+    text = emit_projection_csv(ids, labels, projected)
     parsed = list(csv.reader(io.StringIO(text)))
     assert parsed[0] == ["id", "pc1", "pc2", "label"]
     assert len(parsed) == 501
 
 
 def test_projection_csv_blank_label_when_absent():
-    e = parse_embeddings_csv(_embedding_csv(4, 3, labels=False))
-    text = emit_projection_csv(e, pca_project(e.vectors))
+    ids, vectors, labels = parse_embeddings_csv(_embedding_csv(4, 3, labels=False))
+    text = emit_projection_csv(ids, labels, pca_project(vectors))
     row = next(csv.DictReader(io.StringIO(text)))
     assert row["label"] == ""
 
@@ -261,8 +258,8 @@ def _compare_one_layer(shape, seed):
 @pytest.mark.parametrize("shape", [(2, 5), (16, 8, 3, 3), (64, 64), (130, 2, 8, 9)])
 def test_compare_sigma_r_is_the_fold_bit_for_bit_up_to_k_equal_chw(shape):
     (_, _, sigma_a, sigma_b), a, b = _compare_one_layer(shape, seed=61)
-    assert sigma_a == correlation_stats(a, 1, np.empty(a.size)).sigma_r
-    assert sigma_b == correlation_stats(b, 1, np.empty(b.size)).sigma_r
+    assert sigma_a == correlation_stats(a, 1, np.empty(a.size))[0]
+    assert sigma_b == correlation_stats(b, 1, np.empty(b.size))[0]
 
 
 @pytest.mark.parametrize("shape", [(129, 128), (300, 3, 3, 3), (1024, 1, 7, 7), (2048, 512)])
@@ -282,11 +279,11 @@ def test_analyze_prints_compare_sigma_r_on_a_collapsed_tall_layer():
     # takes its sigma_r from compare's CHW x CHW route, and no fold.
     w = ghn_like_tensor((300, 3, 3, 3), seed=2)
     reader = reader_of(make_checkpoint([("w", w.shape, "conv", 0, w)]))
-    ((meta, stats),) = analyze_checkpoint(reader, bins=50)
+    ((meta, sigma, mean_abs, counts),) = analyze_checkpoint(reader, bins=50)
     rows = list(compare_checkpoints(reader, reader))
-    assert stats.histogram[-1] == 300 * 299 // 2
-    assert stats.sigma_r == rows[0][2]
-    (analyzed,) = csv.DictReader(io.StringIO(emit_report_csv(_csv_rows([(meta, stats)]))))
+    assert counts[-1] == 300 * 299 // 2
+    assert sigma == rows[0][2]
+    (analyzed,) = csv.DictReader(io.StringIO(emit_report_csv([(meta, sigma, mean_abs)])))
     (compared,) = csv.DictReader(io.StringIO(emit_compare_csv(rows)))
     assert analyzed["sigma_r"] == compared["sigma_r_a"]
 
@@ -297,11 +294,11 @@ def test_analyze_without_bins_gives_the_rows_with_bins(table, small_checkpoint):
     # take the tall route where with bins it folds (see _ROUTES_AGREE).
     reader = reader_of(small_checkpoint if table == "small" else analyze_table())
     without, with_bins = (list(analyze_checkpoint(reader, bins)) for bins in (None, 50))
-    assert [meta for meta, _ in without] == [meta for meta, _ in with_bins]
-    for (_, got), (_, want) in zip(without, with_bins):
-        assert got.histogram is None
-        assert abs(got.sigma_r - want.sigma_r) <= 1e-10 * want.sigma_r
-        assert abs(got.mean_abs - want.mean_abs) <= 1e-12 * want.mean_abs
+    assert [layer[0] for layer in without] == [layer[0] for layer in with_bins]
+    for (_, sigma, mean_abs, counts), (_, want_sigma, want_mean_abs, _) in zip(without, with_bins):
+        assert counts is None
+        assert abs(sigma - want_sigma) <= 1e-10 * want_sigma
+        assert abs(mean_abs - want_mean_abs) <= 1e-12 * want_mean_abs
 
 
 # Read in row blocks of about 64K values (tensor_ops.row_step), the tall,
@@ -332,9 +329,9 @@ def test_file_source_gives_the_bits_of_the_array(layer):
                                         ("w", shape, "linear", 0, w)])) for w in (a, b)]
 
     want = correlation_stats(a, 50, np.empty(a.size))
-    ((_, stats),) = analyze_checkpoint(files[0], bins=50)
-    assert (stats.sigma_r, stats.mean_abs) == (want.sigma_r, want.mean_abs)
-    np.testing.assert_array_equal(stats.histogram, want.histogram)
+    ((_, *got),) = analyze_checkpoint(files[0], bins=50)
+    assert got[:2] == list(want[:2])
+    np.testing.assert_array_equal(got[2], want[2])
     diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
     assert list(compare_checkpoints(*files)) == [("w", diff, sigma_r(a, np.empty(a.size)),
                                                   sigma_r(b, np.empty(b.size)))]

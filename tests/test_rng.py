@@ -1,9 +1,14 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghnpost
 from ghnpost.rng import RngStream, substream_seed
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -192,3 +197,55 @@ def test_draws_reject_negative_counts_and_starts():
         stream.normal(-1, 0)
     with pytest.raises(ValueError, match="n and start must be non-negative"):
         stream.normal(1, start=-1)
+
+
+# The AVX-512 dispatch targets of numpy's SIMD loops, by numpy 2's names.
+# Turning them off changes the last bits of numpy's log, cos and sin, and
+# so of the Gaussian values (README "Determinism"), but not the uniforms.
+_AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+# Prints which of the CPU features named in argv numpy runs with, then the
+# bytes of the uniforms of one stream's first 16K words, as _mix makes them.
+_UNIFORMS = """
+import sys
+from ghnpost import rng
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1
+    from numpy.core._multiarray_umath import __cpu_features__
+print(" ".join(f for f in sys.argv[1:] if __cpu_features__.get(f)))
+stream = rng.RngStream(7, "blocks.0.mlp.fc1.weight")
+print(rng._mix(stream._seed(), rng._COUNTER.copy()).tobytes().hex())
+"""
+
+
+def _cpu_dispatch():
+    """The CPU features that numpy's loops may dispatch to and this CPU
+    has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    dispatch = getattr(umath, "__cpu_dispatch__", [])
+    return [f for f in dispatch if umath.__cpu_features__.get(f)]
+
+
+def test_uniforms_do_not_depend_on_the_cpu_features_numpy_dispatches_to():
+    # The words and uniforms come from integer operations and exact float64
+    # arithmetic, so their bytes hold whatever SIMD loops numpy picks.
+    disabled = [f for f in _AVX512 if f in _cpu_dispatch()]
+    if not disabled:
+        pytest.skip("numpy dispatches to none of " + ", ".join(_AVX512) + " here")
+    runs = []
+    for features in ("", " ".join(disabled)):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=features)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(ghnpost.__file__).parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _UNIFORMS, *disabled],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.split("\n"))
+    (on, with_features, _), (off, without, _) = runs
+    assert (on.split(), off) == (disabled, "")
+    assert with_features == without

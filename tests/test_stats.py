@@ -23,8 +23,9 @@ from reference import reference_offdiagonal
 def _corr2(a, b):
     """The one correlation of channels a and b: its magnitude is the mean
     |r|, its sign the bin of two that holds it."""
-    stats_ = correlation_stats(np.array([a, b], dtype=np.float32), 2, np.empty(2 * len(a)))
-    return stats_.mean_abs if stats_.histogram[1] else -stats_.mean_abs
+    _, mean_abs, counts = correlation_stats(np.array([a, b], dtype=np.float32), 2,
+                                            np.empty(2 * len(a)))
+    return mean_abs if counts[1] else -mean_abs
 
 
 def test_perfect_positive_correlation():
@@ -49,8 +50,8 @@ def test_rank4_channels_flattened():
     w = np.random.default_rng(4).normal(size=(6, 2, 2, 2)).astype(np.float32)
     r4 = correlation_stats(w, 50, np.empty(w.size))
     r2 = correlation_stats(w.reshape(6, 8), 50, np.empty(w.size))
-    assert (r4.sigma_r, r4.mean_abs) == (r2.sigma_r, r2.mean_abs)
-    np.testing.assert_array_equal(r4.histogram, r2.histogram)
+    assert r4[:2] == r2[:2]
+    np.testing.assert_array_equal(r4[2], r2[2])
 
 
 def test_errors():
@@ -68,16 +69,15 @@ def test_affine_invariance(scale, shift, seed):
     w2 = w.astype(np.float64)
     w2[2] = scale * w2[2] + shift
     mapped = correlation_stats(w2, 1, np.empty(w2.size))
-    np.testing.assert_allclose([mapped.sigma_r, mapped.mean_abs],
-                               [base.sigma_r, base.mean_abs], atol=1e-6)
+    np.testing.assert_allclose(mapped[:2], base[:2], atol=1e-6)
 
 
 def test_std_of_identical_channels_is_zero():
     w = np.tile(np.array([1.0, 2.0, 5.0], dtype=np.float32), (4, 1))
-    assert correlation_stats(w, 1, np.empty(w.size)).sigma_r == 0.0
+    assert correlation_stats(w, 1, np.empty(w.size))[0] == 0.0
     # across several panels too
     wide = np.tile(np.array([1.0, 2.0, 5.0], dtype=np.float32), (100, 1))
-    assert correlation_stats(wide, 1, np.empty(wide.size)).sigma_r == 0.0
+    assert correlation_stats(wide, 1, np.empty(wide.size))[0] == 0.0
 
 
 def test_std_hand_computed():
@@ -85,13 +85,13 @@ def test_std_hand_computed():
     # mean 1/3, population variance ((1/3)^2 + (1/3)^2 + (2/3)^2)/3 = 2/9,
     # so std = sqrt(2)/3
     w = np.array([[1, -1, 0, 0], [0, 0, 1, -1], [0, 0, 1, -1]], dtype=np.float32)
-    sigma = correlation_stats(w, 1, np.empty(w.size)).sigma_r
+    sigma = correlation_stats(w, 1, np.empty(w.size))[0]
     assert sigma == pytest.approx(math.sqrt(2.0) / 3.0, abs=1e-12)
 
 
 def test_std_single_pair_is_zero():
     w = np.array([[1, 2, 3], [1, 3, 2]], dtype=np.float32)
-    assert correlation_stats(w, 1, np.empty(w.size)).sigma_r == 0.0
+    assert correlation_stats(w, 1, np.empty(w.size))[0] == 0.0
 
 
 def test_std_too_few_channels():
@@ -103,21 +103,21 @@ def test_std_too_few_channels():
 def test_std_bounded():
     for seed in range(5):
         w = np.random.default_rng(seed).normal(size=(10, 30)).astype(np.float32)
-        assert 0.0 <= correlation_stats(w, 1, np.empty(w.size)).sigma_r <= 1.0
+        assert 0.0 <= correlation_stats(w, 1, np.empty(w.size))[0] <= 1.0
 
 
 def test_histogram_all_ones():
     w = np.tile(np.array([1.0, 2.0, 5.0], dtype=np.float32), (5, 1))
-    h = correlation_stats(w, 4, np.empty(w.size)).histogram
+    h = correlation_stats(w, 4, np.empty(w.size))[2]
     np.testing.assert_array_equal(h, [0, 0, 0, 10])
     assert h.sum() == 5 * 4 // 2
 
 
 def test_histogram_extremes():
     # -1 lands in the first bin; exactly 1.0 lands in the last bin
-    h = correlation_stats(np.array([[1, 2, 3], [3, 2, 1]], np.float32), 2, np.empty(6)).histogram
+    h = correlation_stats(np.array([[1, 2, 3], [3, 2, 1]], np.float32), 2, np.empty(6))[2]
     np.testing.assert_array_equal(h, [1, 0])
-    h = correlation_stats(np.array([[1, 2, 3], [1, 2, 3]], np.float32), 2, np.empty(6)).histogram
+    h = correlation_stats(np.array([[1, 2, 3], [1, 2, 3]], np.float32), 2, np.empty(6))[2]
     np.testing.assert_array_equal(h, [0, 1])
 
 
@@ -139,7 +139,7 @@ def test_histogram_vs_brute_force():
 
 def test_ghn_like_channels_strongly_correlated():
     w = ghn_like_tensor((32, 8, 3, 3), rel_noise=1e-3, seed=0)
-    assert correlation_stats(w, 1, np.empty(w.size)).mean_abs > 0.99
+    assert correlation_stats(w, 1, np.empty(w.size))[1] > 0.99
 
 
 # --------------------------------------------------------------------------
@@ -209,10 +209,10 @@ def test_packed_kernel_matches_full_matrix_oracle(case):
     sigma, mean_abs = _fsum_moments(ref)
     for bins in (1, 7, 50):
         counts, _ = np.histogram(ref, bins=bins, range=(-1.0, 1.0))
-        folded = correlation_stats(w, bins, np.empty(w.size))
-        _assert_rel(folded.sigma_r, sigma)
-        _assert_rel(folded.mean_abs, mean_abs)
-        np.testing.assert_array_equal(folded.histogram, counts)
+        got_sigma, got_mean_abs, got_counts = correlation_stats(w, bins, np.empty(w.size))
+        _assert_rel(got_sigma, sigma)
+        _assert_rel(got_mean_abs, mean_abs)
+        np.testing.assert_array_equal(got_counts, counts)
 
 
 def test_near_duplicate_case_is_beyond_np_std():
@@ -235,7 +235,7 @@ def _edge_values(bins):
 @pytest.mark.parametrize("bins", [1, 2, 3, 7, 50, 2**20])
 def test_bin_counter_is_np_histogram(bins):
     # More than one step of the counter, the last one partial, each adding
-    # the bins from the lowest it touches.
+    # its values' bins to the counts in place.
     rng = np.random.default_rng(bins)
     random = np.concatenate([rng.uniform(-1.0, 1.0, 150_001),
                              np.clip(rng.normal(0.9, 0.2, 20_000), -1.0, 1.0)])
@@ -277,7 +277,7 @@ def test_bin_counter_step_does_not_change_a_count(bins):
     _, values = reference_offdiagonal(w)
     assert {-1.0, -0.5, 0.0, 0.5, 1.0} <= set(values.tolist())
     counts, _ = np.histogram(values, bins, range=(-1.0, 1.0))
-    np.testing.assert_array_equal(correlation_stats(w, bins, np.empty(w.size)).histogram, counts)
+    np.testing.assert_array_equal(correlation_stats(w, bins, np.empty(w.size))[2], counts)
 
 
 def test_oracle_cases_hit_the_snaps():
@@ -351,7 +351,7 @@ def test_sigma_r_of_tall_layers_matches_extended_precision_oracle(case):
     # the fold agrees as closely, and so does what analyze prints: the
     # fold's value, or the tall route's where the layer is certified
     _assert_rel(fold_sigma_r(w), want)
-    _assert_rel(correlation_stats(w, 50, np.empty(w.size)).sigma_r, want)
+    _assert_rel(correlation_stats(w, 50, np.empty(w.size))[0], want)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -369,7 +369,7 @@ def test_tall_route_is_within_its_stated_bound_of_the_fold(rel_noise, shape, see
 @pytest.mark.parametrize("shape", [(2, 5), (6, 40), (12, 3, 3, 3), (135, 135), (130, 2, 8, 9)])
 def test_sigma_r_is_the_fold_bit_for_bit_up_to_k_equal_chw(shape):
     for w in (correlated_tensor(shape, seed=47), ghn_like_tensor(shape, seed=48)):
-        want = correlation_stats(w, 1, np.empty(w.size)).sigma_r
+        want = correlation_stats(w, 1, np.empty(w.size))[0]
         assert sigma_r(w, np.empty(w.size)) == want
 
 
@@ -382,8 +382,8 @@ def test_sigma_r_into_a_work_buffer_gives_the_same_bits(case):
     for size in (w.size, w.size + 7):
         assert sigma_r(w, np.full(size, np.nan)) == sigma_r(w, np.empty(w.size))
         got = correlation_stats(w, 50, np.full(size, np.nan))
-        assert (got.sigma_r, got.mean_abs) == (want.sigma_r, want.mean_abs)
-        assert np.array_equal(got.histogram, want.histogram)
+        assert got[:2] == want[:2]
+        assert np.array_equal(got[2], want[2])
 
 
 def test_sigma_r_errors():
@@ -410,7 +410,7 @@ def test_sigma_r_of_identical_tall_channels_is_zero():
     # spread of that mix is the fold's
     w = np.tile(base, (40, 1))
     w[::4] = 0.25
-    assert sigma_r(w, np.empty(w.size)) == pytest.approx(correlation_stats(w, 1, np.empty(w.size)).sigma_r, rel=1e-12)
+    assert sigma_r(w, np.empty(w.size)) == pytest.approx(correlation_stats(w, 1, np.empty(w.size))[0], rel=1e-12)
 
 
 def test_sigma_r_of_positive_multiples_is_zero_as_the_fold_snaps_it():
@@ -422,7 +422,7 @@ def test_sigma_r_of_positive_multiples_is_zero_as_the_fold_snaps_it():
     scaled64 = np.outer(rng.uniform(0.1, 10.0, 40), base.astype(np.float64))
     for w in (scaled32, scaled64):
         assert w.shape[0] > w.shape[1]
-        assert correlation_stats(w, 1, np.empty(w.size)).sigma_r == 0.0
+        assert correlation_stats(w, 1, np.empty(w.size))[0] == 0.0
         assert sigma_r(w, np.empty(w.size)) == 0.0
 
 
@@ -496,11 +496,11 @@ def test_certificate_matches_full_matrix_oracle(case, orientation, bins):
     _, ref = reference_offdiagonal(w)
     counts, _ = np.histogram(ref, bins=bins, range=(-1.0, 1.0))
     sigma, mean_abs = _fsum_moments(ref)
-    got = correlation_stats(w, bins, np.empty(w.size))
-    np.testing.assert_array_equal(got.histogram, counts)
-    assert got.histogram.dtype == counts.dtype
-    _assert_rel(got.sigma_r, sigma)
-    _assert_rel(got.mean_abs, mean_abs)
+    got_sigma, got_mean_abs, got_counts = correlation_stats(w, bins, np.empty(w.size))
+    np.testing.assert_array_equal(got_counts, counts)
+    assert got_counts.dtype == counts.dtype
+    _assert_rel(got_sigma, sigma)
+    _assert_rel(got_mean_abs, mean_abs)
 
 
 def _folds(monkeypatch):
@@ -518,10 +518,10 @@ def _folds(monkeypatch):
 def test_certified_tall_layer_folds_no_panel(monkeypatch):
     calls = _folds(monkeypatch)
     w = _certificate_case("collapsed", "tall", 50)
-    got = correlation_stats(w, 50, np.empty(w.size))
+    got_sigma, _, counts = correlation_stats(w, 50, np.empty(w.size))
     assert calls == []
-    assert got.histogram[-1] == 160 * 159 // 2
-    assert got.sigma_r == sigma_r(w, np.empty(w.size))  # compare's value, bit for bit
+    assert counts[-1] == 160 * 159 // 2
+    assert got_sigma == sigma_r(w, np.empty(w.size))  # compare's value, bit for bit
 
 
 def test_certified_wide_layer_folds_once_with_its_bins_and_matches_the_oracle(monkeypatch):
@@ -534,11 +534,11 @@ def test_certified_wide_layer_folds_once_with_its_bins_and_matches_the_oracle(mo
     _, ref = reference_offdiagonal(w)
     sigma, mean_abs = _fsum_moments(ref)
     calls = _folds(monkeypatch)
-    got = correlation_stats(w, 50, np.empty(w.size))
+    got_sigma, got_mean_abs, counts = correlation_stats(w, 50, np.empty(w.size))
     assert calls == [50]
-    np.testing.assert_array_equal(got.histogram, [0] * 49 + [24 * 23 // 2])
-    _assert_rel(got.sigma_r, sigma)
-    _assert_rel(got.mean_abs, mean_abs)
+    np.testing.assert_array_equal(counts, [0] * 49 + [24 * 23 // 2])
+    _assert_rel(got_sigma, sigma)
+    _assert_rel(got_mean_abs, mean_abs)
 
 
 @pytest.mark.parametrize("orientation", sorted(_SHAPES))
@@ -557,10 +557,10 @@ def test_tall_layer_at_float64_resolution_folds_again(monkeypatch):
     want = fold_sigma_r(w)
     calls = _folds(monkeypatch)
     reader = reader_of(make_checkpoint([("w", w.shape, "linear", 0, w)]))
-    got = correlation_stats(TensorRows(reader, 0), 50, np.empty(w.size))
+    got, _, counts = correlation_stats(TensorRows(reader, 0), 50, np.empty(w.size))
     assert calls == [50]
-    assert got.sigma_r == want
-    assert got.histogram[-1] == 300 * 299 // 2
+    assert got == want
+    assert counts[-1] == 300 * 299 // 2
 
 
 def test_bin_counter_adds_to_the_counts_it_is_given():
@@ -588,14 +588,14 @@ def test_without_bins_nothing_is_counted_and_the_statistics_hold(case, monkeypat
     # is certified against 0 only, not the top bin, so it may take the
     # tall route where with bins it folds: within _ROUTES_AGREE.
     w = {**_oracle_cases(), **_tall_cases()}[case]
-    want = correlation_stats(w, 50, np.empty(w.size))
+    want_sigma, want_mean_abs, _ = correlation_stats(w, 50, np.empty(w.size))
     _no_counter(monkeypatch)
-    got = correlation_stats(w, None, np.empty(w.size))
-    assert got.histogram is None
+    sigma, mean_abs, counts = correlation_stats(w, None, np.empty(w.size))
+    assert counts is None
     if w.shape[0] <= math.prod(w.shape[1:]):
-        assert (got.sigma_r, got.mean_abs) == (want.sigma_r, want.mean_abs)
-    _assert_rel(got.sigma_r, want.sigma_r)
-    assert abs(got.mean_abs - want.mean_abs) <= 1e-12 * want.mean_abs
+        assert (sigma, mean_abs) == (want_sigma, want_mean_abs)
+    _assert_rel(sigma, want_sigma)
+    assert abs(mean_abs - want_mean_abs) <= 1e-12 * want_mean_abs
 
 
 def test_tall_layer_certified_above_0_takes_the_tall_route_without_bins(monkeypatch):
@@ -606,9 +606,9 @@ def test_tall_layer_certified_above_0_takes_the_tall_route_without_bins(monkeypa
     assert stats._certified_mean(xc, safe, 0.0) is not None
     assert stats._certified_mean(xc, safe, stats._lower_edge(49, 50)) is None
     calls = _folds(monkeypatch)
-    with_bins = correlation_stats(w, 50, np.empty(w.size))
+    with_bins = correlation_stats(w, 50, np.empty(w.size))[0]
     assert calls == [50]
-    got = correlation_stats(w, None, np.empty(w.size))
+    got = correlation_stats(w, None, np.empty(w.size))[0]
     assert calls == [50]
-    assert got.sigma_r == sigma_r(w, np.empty(w.size))
-    _assert_rel(got.sigma_r, with_bins.sigma_r)
+    assert got == sigma_r(w, np.empty(w.size))
+    _assert_rel(got, with_bins)

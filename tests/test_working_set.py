@@ -385,9 +385,9 @@ def test_cli_peak_follows_the_memory_model(command, tmp_path):
     assert growth <= _model(command, shapes) + _SLACK, growth / 2**20
 
 
-# What analyze --svg-dir counts one layer's bins in, 8 bytes a bin each:
-# the counts and one step's np.bincount of the bins from the lowest it
-# touches, whose zeroed pages stay unmapped but for the bins it counts.
+# What analyze --svg-dir holds for one layer's bins, 8 bytes a bin each:
+# its counts, which np.add.at adds to in place, and the bin edges that
+# emit_histogram_svg takes from np.linspace while it draws the layer.
 _BINS = 2**20
 _BIN_BYTES = 2 * 8 * _BINS
 
@@ -397,12 +397,15 @@ def test_analyze_at_the_most_bins_holds_one_layer_of_counts(svg, tmp_path):
     # Six layers of 32 independent channels: with --svg-dir each counts its
     # 496 correlations into 2**20 bins, and its SVG draws at most 496 bars.
     # Each layer's counts are dropped, once its SVG is written, before the
-    # next layer is read: growth measured 12.0-16.1 MiB of a 19.8 MiB
-    # bound.  Keeping the last layer's counts while the next is counted
-    # measured 23.8-24.0 MiB, and building each layer's 2**20 + 1 bin
-    # edges 20.0-22.1 MiB.  Without --svg-dir no bin is counted: growth
-    # measured 0.04 MiB of a 3.8 MiB bound, which one layer's 2**20 counts
-    # (8 MiB) would fail.
+    # next layer is read: growth measured 15.9-16.0 MiB of a 19.8 MiB
+    # bound (12.0-16.1 MiB when each step made an np.bincount of the bins
+    # it spanned), above the 11.8 MiB of a bound on the counts alone, as
+    # the SVG's edges are held too.  Keeping the last layer's counts while
+    # the next is counted measured 23.8-24.0 MiB, and building each
+    # layer's 2**20 + 1 bin edges in the counter too 20.0-22.1 MiB.
+    # Without --svg-dir no bin is counted: growth measured 0.02-0.04 MiB
+    # of a 3.8 MiB bound, which one layer's 2**20 counts (8 MiB) would
+    # fail.
     shapes = [(32, 96)] * 6
     rng = np.random.default_rng(0)
     argvs = []
